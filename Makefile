@@ -4,7 +4,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test test-session test-concurrency test-optimizer lint fuzz \
+.PHONY: test test-session test-concurrency test-optimizer lint loc fuzz \
 	bench bench-fusion bench-feedback bench-storage bench-snapshots \
 	bench-server bench-plansel bench-json bench-summary
 
@@ -17,6 +17,11 @@ test: lint
 # otherwise the bundled dependency-free AST checker in tools/lint.py.
 lint:
 	python tools/lint.py src tests benchmarks tools
+
+# Lines of Python under src/repro/engine — the number ROADMAP's
+# "net-negative line counts in engine/" goal is read off.
+loc:
+	@find src/repro/engine -name '*.py' | xargs cat | wc -l
 
 # Session-layer battery (slow variants included): the safety-gated
 # session API (policy/audit/dry-run/rollback across all mode×fusion
@@ -81,8 +86,10 @@ bench-storage:
 	python -m pytest benchmarks/bench_p6_storage.py -q -m ''
 	python benchmarks/bench_p6_storage.py
 
-# Per-table version-vector benchmark alone (warm-plan hit rate and
-# latency, global epoch vs scoped tokens), regenerating BENCH_P7.json.
+# Per-table version-vector benchmark alone (cold-table warm-plan hit
+# rate must be 100% under a hot writer; prints latency and snapshot pin
+# cost). BENCH_P7.json is the historical record of the race against the
+# deleted global-epoch token and is not regenerated.
 bench-snapshots:
 	python -m pytest benchmarks/bench_p7_snapshots.py -q -m ''
 	python benchmarks/bench_p7_snapshots.py
@@ -105,7 +112,8 @@ bench-plansel:
 bench-summary:
 	python tools/bench_summary.py
 
-# Regenerate the committed BENCH_P*.json artifacts at full size.
+# Regenerate the committed BENCH_P*.json artifacts at full size (all but
+# P7, a historical record — see bench-snapshots).
 bench-json:
 	python benchmarks/bench_p1_executor.py
 	python benchmarks/bench_p2_pipeline.py
@@ -113,6 +121,5 @@ bench-json:
 	python benchmarks/bench_p4_fusion.py
 	python benchmarks/bench_p5_feedback.py
 	python benchmarks/bench_p6_storage.py
-	python benchmarks/bench_p7_snapshots.py
 	python benchmarks/bench_p8_server.py
 	python benchmarks/bench_p9_plansel.py

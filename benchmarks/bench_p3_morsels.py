@@ -52,7 +52,7 @@ def build_workload_plans(fast, seed=0):
     return db, [db.planner.plan(q) for q in workload]
 
 
-def execute_all(db, plans, mode, n_workers=None, morsel_rows=MORSEL_ROWS):
+def execute_all(db, plans, mode, n_workers=1, morsel_rows=MORSEL_ROWS):
     """Execute every plan; returns ``(rows, work, morsels_dispatched)``."""
     ex = Executor(db.catalog, db.cost_model, mode=mode,
                   morsel_rows=morsel_rows, n_workers=n_workers)
@@ -80,7 +80,7 @@ def measure(fast, repeats=3, seed=0):
     }
     checks = {}
 
-    def timed(label, mode, n_workers=None):
+    def timed(label, mode, n_workers=1):
         best = float("inf")
         for __ in range(repeats):
             t0 = time.perf_counter()

@@ -36,19 +36,15 @@ from repro.engine.catalog import (
     IndexDef,
     ViewDef,
 )
-from repro.engine.config import CACHE_SCOPES, EXECUTOR_MODES, EngineConfig
+from repro.engine.config import EXECUTOR_MODES, EngineConfig
 from repro.engine.indexes import BPlusTree, HashIndex
-from repro.engine.executor import (
-    ExecutionResult,
-    Executor,
-    Relation,
-    count_join_rows,
-)
+from repro.engine.executor import ExecutionResult, Executor, count_join_rows
 from repro.engine.fusion import fuse_plan
 from repro.engine.morsels import MorselPool, MorselQueue, morsel_slices
 from repro.engine.operators import (
     ColumnarRelation,
     PhysicalOperator,
+    Relation,
     operator_for,
     registered_node_types,
 )
@@ -164,7 +160,6 @@ __all__ = [
     "ViewDef",
     "BPlusTree",
     "HashIndex",
-    "CACHE_SCOPES",
     "EXECUTOR_MODES",
     "EngineConfig",
     "ExecutionResult",

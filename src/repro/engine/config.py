@@ -1,46 +1,23 @@
 """The consolidated engine configuration surface.
 
-Three PRs of growth scattered the engine's knobs across ``Database``
-kwargs and ``REPRO_*`` environment variables read in three different
-modules. :class:`EngineConfig` is the single owner of every engine knob:
-a frozen dataclass whose instances fully determine how a
+:class:`EngineConfig` is the single owner of every engine knob: a frozen
+dataclass whose instances fully determine how a
 :class:`~repro.engine.database.Database` is wired (executor mode, morsel
 size, worker count, plan-cache capacity, enumerator, view matching, cost
-constants, operator fusion), and :meth:`EngineConfig.from_env` is the one
-place in the engine that reads ``REPRO_*`` environment variables:
-
-======================== ============================ ====================
-environment variable      field                        default
-======================== ============================ ====================
-``REPRO_EXECUTOR_MODE``   ``executor_mode``            ``"vectorized"``
-``REPRO_MORSEL_SIZE``     ``morsel_rows``              16384 (floor 16)
-``REPRO_PARALLEL_WORKERS`` ``parallel_workers``        CPU-derived
-``REPRO_FUSION``          ``fusion_enabled``           on (``0``/``off``
-                                                       disables)
-``REPRO_FEEDBACK``        ``feedback_enabled``         off (``1``/``on``
-                                                       enables)
-``REPRO_SEGMENT_ROWS``    ``segment_rows``             65536 (floor 16)
-``REPRO_SEGMENT_ENCODINGS`` ``segment_encodings``      ``dict,rle,plain``
-``REPRO_ZONE_MAP_PRUNING`` ``zone_map_pruning``        on (``0``/``off``
-                                                       disables)
-``REPRO_CACHE_SCOPE``     ``cache_scope``              ``"table"``
-``REPRO_ADMISSION_POLICY`` ``admission_policy``        ``"fifo"``
-``REPRO_TENANT_QUOTA``    ``tenant_quota``             200000 work units
-``REPRO_QUOTA_REFILL``    ``quota_refill_rate``        100000 work/s
-``REPRO_ADMISSION_QUEUE_DEPTH`` ``admission_queue_depth`` 256
-``REPRO_PLAN_SELECTOR``   ``plan_selector``            ``"cost"``
-``REPRO_REGRET_CAP``      ``regret_cap``               2.0
-``REPRO_SEED``            ``seed``                     0
-======================== ============================ ====================
+constants, operator fusion, storage, admission, plan selection). A knob
+that can be set from the environment says so on its field — the
+``REPRO_*`` name, the parser and the floor are :func:`dataclasses.field`
+metadata — and :meth:`EngineConfig.from_env` is the one function in the
+engine that reads the environment, by walking those fields. The README's
+"Engine knobs" table lists every variable with its default (a test keeps
+it in step with the metadata).
 
 This module sits at the bottom of the engine's import graph (it imports
-only :mod:`repro.common`), so :mod:`repro.engine.morsels` and
-:mod:`repro.engine.executor` can delegate their env-derived defaults here
-without cycles.
+only :mod:`repro.common`).
 """
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.common import ExecutionError, ReproError
 
@@ -55,6 +32,12 @@ DEFAULT_MORSEL_ROWS = 16384
 
 #: Hard floor on the morsel size knob — smaller morsels are all overhead.
 MIN_MORSEL_ROWS = 16
+
+#: Default worker count in parallel mode: ``min(8, max(2, cpu_count))``,
+#: so the parallel machinery is always exercised (even on one core)
+#: without oversubscribing wide hosts for the small batches this engine
+#: processes.
+DEFAULT_PARALLEL_WORKERS = min(8, max(2, os.cpu_count() or 1))
 
 #: Default LRU capacity of the pipeline's plan (and lowered-query) cache.
 DEFAULT_PLAN_CACHE_SIZE = 256
@@ -71,9 +54,6 @@ SEGMENT_ENCODINGS = ("plain", "dict", "rle")
 
 #: Default encoding set offered to the encoder at seal time.
 DEFAULT_SEGMENT_ENCODINGS = ("dict", "rle", "plain")
-
-#: Supported plan-cache invalidation scopes (first entry is the default).
-CACHE_SCOPES = ("table", "global")
 
 #: Admission policies the query server's controller supports (first entry
 #: is the default): ``fifo`` queues over-quota queries in strict arrival
@@ -93,8 +73,8 @@ DEFAULT_QUOTA_REFILL = 100_000.0
 DEFAULT_ADMISSION_QUEUE_DEPTH = 256
 
 #: Plan-selection strategies the pipeline's plan stage supports (first
-#: entry is the default): ``cost`` is the legacy single-path planner,
-#: ``bandit`` the BAO-lite contextual bandit over hint-set arms,
+#: entry is the default): ``cost`` plans the one ``default`` arm,
+#: ``bandit`` is the BAO-lite contextual bandit over hint-set arms,
 #: ``pessimistic`` always the UES upper-bound plan.
 PLAN_SELECTORS = ("cost", "bandit", "pessimistic")
 
@@ -106,211 +86,30 @@ DEFAULT_REGRET_CAP = 2.0
 #: traffic drivers) — every stochastic component derives from it.
 DEFAULT_SEED = 0
 
-#: Values of ``REPRO_FUSION`` that disable operator fusion.
+#: Environment spellings that turn a boolean knob off.
 _FALSEY = {"0", "false", "off", "no"}
 
 
-def _env_int(name):
-    """Integer value of env var ``name``, or ``None`` when unset/empty."""
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ExecutionError("%s must be an integer, got %r" % (name, raw))
+def _flag(raw):
+    """A boolean knob's env spelling: anything but 0/false/off/no is on."""
+    return raw.lower() not in _FALSEY
 
 
-def _env_float(name):
-    """Float value of env var ``name``, or ``None`` when unset/empty."""
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ExecutionError("%s must be a number, got %r" % (name, raw))
+def _names(raw):
+    """A comma-separated name list (``dict,rle``) as a lowercase tuple."""
+    return tuple(p.strip().lower() for p in raw.split(",") if p.strip())
 
 
-def env_executor_mode():
-    """Executor mode from ``REPRO_EXECUTOR_MODE`` (default ``vectorized``)."""
-    return os.environ.get("REPRO_EXECUTOR_MODE") or EXECUTOR_MODES[0]
+def _env(name, parse, floor=None):
+    """Field metadata binding a knob to its ``REPRO_*`` variable.
 
-
-def default_morsel_rows():
-    """Morsel size from ``REPRO_MORSEL_SIZE`` (default 16384 rows)."""
-    value = _env_int("REPRO_MORSEL_SIZE")
-    if value is None:
-        return DEFAULT_MORSEL_ROWS
-    return max(MIN_MORSEL_ROWS, value)
-
-
-def default_worker_count():
-    """Worker count from ``REPRO_PARALLEL_WORKERS`` (default: CPU-derived).
-
-    The default is ``min(8, max(2, cpu_count))`` so the parallel machinery
-    is always exercised (even on one core) without oversubscribing wide
-    hosts for the small batches this engine processes.
+    ``parse`` turns the stripped, non-empty text into the field's value
+    (a ``ValueError`` is reported against the variable's name); ``floor``
+    clamps numeric knobs whose small values are all overhead. Range and
+    membership checks are ``EngineConfig.__post_init__``'s, so a value
+    is judged the same wherever it came from.
     """
-    value = _env_int("REPRO_PARALLEL_WORKERS")
-    if value is not None:
-        return max(1, value)
-    return min(8, max(2, os.cpu_count() or 1))
-
-
-def default_fusion_enabled():
-    """Fusion gate from ``REPRO_FUSION`` (default on; ``0``/``off``/…)."""
-    raw = os.environ.get("REPRO_FUSION")
-    if raw is None or raw == "":
-        return True
-    return raw.strip().lower() not in _FALSEY
-
-
-def default_segment_rows():
-    """Segment capacity from ``REPRO_SEGMENT_ROWS`` (default 65536 rows)."""
-    value = _env_int("REPRO_SEGMENT_ROWS")
-    if value is None:
-        return DEFAULT_SEGMENT_ROWS
-    return max(MIN_SEGMENT_ROWS, value)
-
-
-def default_segment_encodings():
-    """Allowed encodings from ``REPRO_SEGMENT_ENCODINGS`` (comma list).
-
-    Defaults to ``("dict", "rle", "plain")``. ``plain`` is always a
-    legal fallback at seal time even when left off the list — the knob
-    restricts what the encoder may *choose*, not what it can store.
-    """
-    raw = os.environ.get("REPRO_SEGMENT_ENCODINGS")
-    if raw is None or not raw.strip():
-        return DEFAULT_SEGMENT_ENCODINGS
-    names = tuple(
-        part.strip().lower() for part in raw.split(",") if part.strip()
-    )
-    unknown = set(names) - set(SEGMENT_ENCODINGS)
-    if unknown:
-        raise ExecutionError(
-            "REPRO_SEGMENT_ENCODINGS must name encodings among %r, got %r"
-            % (SEGMENT_ENCODINGS, sorted(unknown))
-        )
-    return names
-
-
-def default_zone_map_pruning():
-    """Pruning gate from ``REPRO_ZONE_MAP_PRUNING`` (default on)."""
-    raw = os.environ.get("REPRO_ZONE_MAP_PRUNING")
-    if raw is None or raw == "":
-        return True
-    return raw.strip().lower() not in _FALSEY
-
-
-def default_cache_scope():
-    """Plan-cache invalidation scope from ``REPRO_CACHE_SCOPE``.
-
-    ``"table"`` (the default) keys cached plans on the catalog's version
-    vector restricted to the tables a query touches, so a hot writer on
-    one table never evicts plans over others. ``"global"`` restores the
-    legacy single-epoch token (any write anywhere invalidates every
-    plan) — kept as a benchmark baseline and an escape hatch.
-    """
-    raw = os.environ.get("REPRO_CACHE_SCOPE")
-    if raw is None or not raw.strip():
-        return CACHE_SCOPES[0]
-    value = raw.strip().lower()
-    if value not in CACHE_SCOPES:
-        raise ReproError(
-            "REPRO_CACHE_SCOPE must be one of %r, got %r"
-            % (CACHE_SCOPES, raw)
-        )
-    return value
-
-
-def default_admission_policy():
-    """Admission policy from ``REPRO_ADMISSION_POLICY`` (default ``fifo``)."""
-    raw = os.environ.get("REPRO_ADMISSION_POLICY")
-    if raw is None or not raw.strip():
-        return ADMISSION_POLICIES[0]
-    value = raw.strip().lower()
-    if value not in ADMISSION_POLICIES:
-        raise ReproError(
-            "REPRO_ADMISSION_POLICY must be one of %r, got %r"
-            % (ADMISSION_POLICIES, raw)
-        )
-    return value
-
-
-def default_tenant_quota():
-    """Per-tenant quota from ``REPRO_TENANT_QUOTA`` (work units)."""
-    value = _env_float("REPRO_TENANT_QUOTA")
-    if value is None:
-        return DEFAULT_TENANT_QUOTA
-    if value <= 0:
-        raise ExecutionError("REPRO_TENANT_QUOTA must be > 0")
-    return value
-
-
-def default_quota_refill():
-    """Refill rate from ``REPRO_QUOTA_REFILL`` (work units per second)."""
-    value = _env_float("REPRO_QUOTA_REFILL")
-    if value is None:
-        return DEFAULT_QUOTA_REFILL
-    if value < 0:
-        raise ExecutionError("REPRO_QUOTA_REFILL must be >= 0")
-    return value
-
-
-def default_admission_queue_depth():
-    """Queue bound from ``REPRO_ADMISSION_QUEUE_DEPTH`` (default 256)."""
-    value = _env_int("REPRO_ADMISSION_QUEUE_DEPTH")
-    if value is None:
-        return DEFAULT_ADMISSION_QUEUE_DEPTH
-    return max(1, value)
-
-
-def default_plan_selector():
-    """Plan-selection strategy from ``REPRO_PLAN_SELECTOR`` (default
-    ``cost`` — the exact legacy single-path planner)."""
-    raw = os.environ.get("REPRO_PLAN_SELECTOR")
-    if raw is None or not raw.strip():
-        return PLAN_SELECTORS[0]
-    value = raw.strip().lower()
-    if value not in PLAN_SELECTORS:
-        raise ReproError(
-            "REPRO_PLAN_SELECTOR must be one of %r, got %r"
-            % (PLAN_SELECTORS, raw)
-        )
-    return value
-
-
-def default_regret_cap():
-    """Regret cap from ``REPRO_REGRET_CAP`` (default 2.0, must be >= 1)."""
-    value = _env_float("REPRO_REGRET_CAP")
-    if value is None:
-        return DEFAULT_REGRET_CAP
-    if value < 1.0:
-        raise ExecutionError("REPRO_REGRET_CAP must be >= 1.0")
-    return value
-
-
-def default_seed():
-    """Engine seed from ``REPRO_SEED`` (default 0)."""
-    value = _env_int("REPRO_SEED")
-    return DEFAULT_SEED if value is None else value
-
-
-def default_feedback_enabled():
-    """Cardinality-feedback gate from ``REPRO_FEEDBACK`` (default off).
-
-    Off by default because feedback deliberately changes planning over
-    time: observed actuals override estimates and drift bumps the plan
-    cache's feedback version. Experiments that assume frozen estimator
-    behavior (and the differential fuzzer's warm-cache assertions) stay
-    byte-stable unless feedback is opted into.
-    """
-    raw = os.environ.get("REPRO_FEEDBACK")
-    if raw is None or raw == "":
-        return False
-    return raw.strip().lower() not in _FALSEY
+    return {"env": name, "parse": parse, "floor": floor}
 
 
 @dataclass(frozen=True)
@@ -318,8 +117,8 @@ class EngineConfig:
     """Every engine knob, in one immutable value.
 
     ``Database(config=EngineConfig(...))`` is the primary constructor
-    surface; the legacy per-knob ``Database`` kwargs build one of these
-    under the hood, so both spellings construct identical engines.
+    surface; ``Database(knob=value, ...)`` forwards its keywords to
+    :meth:`from_env`, so both spellings construct identical engines.
     Instances are frozen — derive variants with :meth:`with_changes`.
 
     Attributes:
@@ -349,11 +148,6 @@ class EngineConfig:
             to skip segments that cannot satisfy pushed-down
             predicates. Pruning never changes results — only the
             ``segments_pruned`` / ``bytes_decoded`` telemetry.
-        cache_scope: plan-cache invalidation scope — ``"table"`` keys
-            entries on the per-table version vector restricted to the
-            tables the query touches (writers on other tables leave them
-            warm); ``"global"`` restores the legacy single-epoch token.
-            Never changes results — only hit rates and warm latency.
         admission_policy: how the query server treats over-quota
             queries — ``"fifo"`` (queue in arrival order), ``"fair-share"``
             (queue per tenant, grant round-robin), or ``"shed"`` (reject
@@ -365,10 +159,10 @@ class EngineConfig:
         admission_queue_depth: bound on queries waiting for admission
             across all tenants; arrivals beyond it are shed even under
             queueing policies.
-        plan_selector: plan-selection strategy — ``"cost"`` (the legacy
-            single-path planner, bit-identical to the pre-selection
-            engine), ``"bandit"`` (BAO-lite: a contextual bandit racing
-            hint-set arms, trained online from measured work), or
+        plan_selector: plan-selection strategy — ``"cost"`` (the one
+            ``default`` arm: the planner exactly as configured),
+            ``"bandit"`` (BAO-lite: a contextual bandit racing hint-set
+            arms, trained online from measured work), or
             ``"pessimistic"`` (always the UES upper-bound plan).
         regret_cap: bandit eligibility guard — an arm may only be picked
             while its estimated cost is ≤ ``regret_cap ×`` the UES
@@ -379,26 +173,55 @@ class EngineConfig:
             runs are reproducible from their logged seed.
     """
 
-    executor_mode: str = EXECUTOR_MODES[0]
-    morsel_rows: int = DEFAULT_MORSEL_ROWS
-    parallel_workers: int = 4
+    executor_mode: str = field(
+        default=EXECUTOR_MODES[0],
+        metadata=_env("REPRO_EXECUTOR_MODE", str.lower))
+    morsel_rows: int = field(
+        default=DEFAULT_MORSEL_ROWS,
+        metadata=_env("REPRO_MORSEL_SIZE", int, floor=MIN_MORSEL_ROWS))
+    parallel_workers: int = field(
+        default=DEFAULT_PARALLEL_WORKERS,
+        metadata=_env("REPRO_PARALLEL_WORKERS", int, floor=1))
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
     enumerator: str = "dp"
     use_views: bool = True
     cost_params: dict = field(default=None)
-    fusion_enabled: bool = True
-    feedback_enabled: bool = False
-    segment_rows: int = DEFAULT_SEGMENT_ROWS
-    segment_encodings: tuple = DEFAULT_SEGMENT_ENCODINGS
-    zone_map_pruning: bool = True
-    cache_scope: str = CACHE_SCOPES[0]
-    admission_policy: str = ADMISSION_POLICIES[0]
-    tenant_quota: float = DEFAULT_TENANT_QUOTA
-    quota_refill_rate: float = DEFAULT_QUOTA_REFILL
-    admission_queue_depth: int = DEFAULT_ADMISSION_QUEUE_DEPTH
-    plan_selector: str = PLAN_SELECTORS[0]
-    regret_cap: float = DEFAULT_REGRET_CAP
-    seed: int = DEFAULT_SEED
+    fusion_enabled: bool = field(
+        default=True, metadata=_env("REPRO_FUSION", _flag))
+    # Off by default because feedback deliberately changes planning over
+    # time: observed actuals override estimates and drift bumps the plan
+    # cache's feedback version. Experiments that assume frozen estimator
+    # behavior stay byte-stable unless feedback is opted into.
+    feedback_enabled: bool = field(
+        default=False, metadata=_env("REPRO_FEEDBACK", _flag))
+    segment_rows: int = field(
+        default=DEFAULT_SEGMENT_ROWS,
+        metadata=_env("REPRO_SEGMENT_ROWS", int, floor=MIN_SEGMENT_ROWS))
+    segment_encodings: tuple = field(
+        default=DEFAULT_SEGMENT_ENCODINGS,
+        metadata=_env("REPRO_SEGMENT_ENCODINGS", _names))
+    zone_map_pruning: bool = field(
+        default=True, metadata=_env("REPRO_ZONE_MAP_PRUNING", _flag))
+    admission_policy: str = field(
+        default=ADMISSION_POLICIES[0],
+        metadata=_env("REPRO_ADMISSION_POLICY", str.lower))
+    tenant_quota: float = field(
+        default=DEFAULT_TENANT_QUOTA,
+        metadata=_env("REPRO_TENANT_QUOTA", float))
+    quota_refill_rate: float = field(
+        default=DEFAULT_QUOTA_REFILL,
+        metadata=_env("REPRO_QUOTA_REFILL", float))
+    admission_queue_depth: int = field(
+        default=DEFAULT_ADMISSION_QUEUE_DEPTH,
+        metadata=_env("REPRO_ADMISSION_QUEUE_DEPTH", int, floor=1))
+    plan_selector: str = field(
+        default=PLAN_SELECTORS[0],
+        metadata=_env("REPRO_PLAN_SELECTOR", str.lower))
+    regret_cap: float = field(
+        default=DEFAULT_REGRET_CAP,
+        metadata=_env("REPRO_REGRET_CAP", float))
+    seed: int = field(
+        default=DEFAULT_SEED, metadata=_env("REPRO_SEED", int))
 
     def __post_init__(self):
         if self.plan_selector not in PLAN_SELECTORS:
@@ -408,11 +231,6 @@ class EngineConfig:
             )
         if float(self.regret_cap) < 1.0:
             raise ExecutionError("regret_cap must be >= 1.0")
-        if self.cache_scope not in CACHE_SCOPES:
-            raise ReproError(
-                "cache_scope must be one of %r, got %r"
-                % (CACHE_SCOPES, self.cache_scope)
-            )
         if self.admission_policy not in ADMISSION_POLICIES:
             raise ReproError(
                 "admission_policy must be one of %r, got %r"
@@ -458,32 +276,28 @@ class EngineConfig:
     def from_env(cls, **overrides):
         """A config resolved from the ``REPRO_*`` environment variables.
 
-        This is the *only* place the engine reads its environment
-        configuration. Keyword ``overrides`` (ignored when ``None``) beat
-        the environment, which beats the dataclass defaults — the same
-        precedence the legacy ``Database`` kwargs always had.
+        This is the *only* place the engine reads its environment: every
+        field whose metadata names a variable is looked up, parsed and
+        floored here. Keyword ``overrides`` (ignored when ``None``) beat
+        the environment, which beats the dataclass defaults; a name that
+        is not a field raises ``TypeError`` like any unknown keyword.
         """
-        values = {
-            "executor_mode": env_executor_mode(),
-            "morsel_rows": default_morsel_rows(),
-            "parallel_workers": default_worker_count(),
-            "fusion_enabled": default_fusion_enabled(),
-            "feedback_enabled": default_feedback_enabled(),
-            "segment_rows": default_segment_rows(),
-            "segment_encodings": default_segment_encodings(),
-            "zone_map_pruning": default_zone_map_pruning(),
-            "cache_scope": default_cache_scope(),
-            "admission_policy": default_admission_policy(),
-            "tenant_quota": default_tenant_quota(),
-            "quota_refill_rate": default_quota_refill(),
-            "admission_queue_depth": default_admission_queue_depth(),
-            "plan_selector": default_plan_selector(),
-            "regret_cap": default_regret_cap(),
-            "seed": default_seed(),
-        }
-        for key, value in overrides.items():
-            if value is not None:
-                values[key] = value
+        values = {k: v for k, v in overrides.items() if v is not None}
+        for knob in fields(cls):
+            meta = knob.metadata
+            if "env" not in meta or knob.name in values:
+                continue
+            raw = os.environ.get(meta["env"], "").strip()
+            if not raw:
+                continue
+            try:
+                value = meta["parse"](raw)
+            except ValueError:
+                raise ExecutionError(
+                    "%s: cannot parse %r" % (meta["env"], raw))
+            if meta["floor"] is not None:
+                value = max(meta["floor"], value)
+            values[knob.name] = value
         return cls(**values)
 
     def with_changes(self, **changes):

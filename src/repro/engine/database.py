@@ -6,8 +6,9 @@ and the executor together behind an explicit staged
 (parse → lower → rewrite → plan → execute, with a plan cache keyed on the
 full query signature + catalog epoch). Construction is driven by one
 frozen :class:`~repro.engine.config.EngineConfig` — pass one via
-``Database(config=...)``, or pass the legacy per-knob keyword arguments
-and a config is built for you (both spellings wire identical engines).
+``Database(config=...)``, or name individual knobs as keyword arguments
+and :meth:`EngineConfig.from_env` builds it (both spellings wire
+identical engines).
 
 The extension points the AI4DB and DB4AI layers use:
 
@@ -27,10 +28,6 @@ ungated one (identical behavior and return values to the classic
 surface), and :meth:`Database.session` / :meth:`Database.agent_session`
 hand out gated ones with per-session policy, audit, dry-run, and (for
 agent sessions) transactional rollback.
-
-The pre-pipeline ``db.rewriter`` / ``db.statement_hooks`` shims were
-removed after their deprecation cycle; accessing them now raises with a
-pointer at the ``db.pipeline`` spelling.
 """
 
 import threading
@@ -57,90 +54,27 @@ class Database:
     Args:
         config: an :class:`~repro.engine.config.EngineConfig` fully
             describing the engine (the primary constructor surface).
-            Mutually exclusive with the per-knob keyword arguments.
-        enumerator: join enumerator for the default planner
-            (``"dp"``/``"greedy"``/``"random"``).
-        use_views: whether the planner may answer from materialized views.
-        cost_params: overrides for the cost-model constants (knob effects).
-        executor_mode: ``"vectorized"``, ``"parallel"``, or ``"row"``;
-            ``None`` reads ``REPRO_EXECUTOR_MODE`` (via
-            :meth:`EngineConfig.from_env`) and falls back to
-            ``"vectorized"``.
-        plan_cache_size: LRU capacity of the pipeline's plan cache.
-        morsel_rows: morsel size for parallel mode (``None`` reads
-            ``REPRO_MORSEL_SIZE``, default 16384 rows).
-        parallel_workers: worker count for parallel mode (``None`` reads
-            ``REPRO_PARALLEL_WORKERS``, default CPU-derived).
-        fusion_enabled: whether the executor fuses eligible plan tails
-            (``None`` reads ``REPRO_FUSION``, default on).
-        feedback_enabled: whether executed actual cardinalities feed back
-            into the planner's estimator and the plan cache's feedback
-            version (``None`` reads ``REPRO_FEEDBACK``, default off).
-        segment_rows: sealed-segment capacity for tables this database
-            creates (``None`` reads ``REPRO_SEGMENT_ROWS``, default 64K).
-        segment_encodings: encodings the segment sealer may choose among
-            (``None`` reads ``REPRO_SEGMENT_ENCODINGS``, default
-            ``("dict", "rle", "plain")``).
-        zone_map_pruning: whether scans prune segments via zone maps
-            (``None`` reads ``REPRO_ZONE_MAP_PRUNING``, default on).
-        cache_scope: plan-cache invalidation scope — ``"table"``
-            (default) keys entries on the per-table version vector of the
-            tables the query touches; ``"global"`` restores the legacy
-            whole-catalog epoch token (``None`` reads
-            ``REPRO_CACHE_SCOPE``).
-        plan_selector: plan-selection strategy — ``"cost"`` (the exact
-            legacy single-path planner, the default), ``"bandit"``
-            (BAO-lite hint-set arms picked by a contextual bandit,
-            trained online from measured work), or ``"pessimistic"``
-            (always the UES upper-bound plan). ``None`` reads
-            ``REPRO_PLAN_SELECTOR``.
-        regret_cap: bandit eligibility guard — an arm is pickable only
-            while its estimated cost is ≤ ``regret_cap ×`` the UES
-            bound (``None`` reads ``REPRO_REGRET_CAP``, default 2.0).
-        seed: engine seed for every stochastic component (bandit
-            sampling, the random enumerator); ``None`` reads
-            ``REPRO_SEED``, default 0.
+            Mutually exclusive with knob keyword arguments.
+        **overrides: :class:`~repro.engine.config.EngineConfig` fields by
+            name (``executor_mode="row"``, ``plan_selector="bandit"``,
+            ...), forwarded to :meth:`EngineConfig.from_env`: a knob left
+            out or passed as ``None`` takes its ``REPRO_*`` variable,
+            else the field default. An unknown name raises.
     """
 
-    def __init__(self, config=None, *, enumerator=None, use_views=None,
-                 cost_params=None, executor_mode=None, plan_cache_size=None,
-                 morsel_rows=None, parallel_workers=None,
-                 fusion_enabled=None, feedback_enabled=None,
-                 segment_rows=None, segment_encodings=None,
-                 zone_map_pruning=None, cache_scope=None,
-                 plan_selector=None, regret_cap=None, seed=None):
-        overrides = {
-            "enumerator": enumerator,
-            "use_views": use_views,
-            "cost_params": cost_params,
-            "executor_mode": executor_mode,
-            "plan_cache_size": plan_cache_size,
-            "morsel_rows": morsel_rows,
-            "parallel_workers": parallel_workers,
-            "fusion_enabled": fusion_enabled,
-            "feedback_enabled": feedback_enabled,
-            "segment_rows": segment_rows,
-            "segment_encodings": segment_encodings,
-            "zone_map_pruning": zone_map_pruning,
-            "cache_scope": cache_scope,
-            "plan_selector": plan_selector,
-            "regret_cap": regret_cap,
-            "seed": seed,
-        }
-        passed = sorted(k for k, v in overrides.items() if v is not None)
-        if config is not None:
-            if passed:
-                raise ReproError(
-                    "pass engine knobs either via config= or as keyword "
-                    "arguments, not both (got config plus: %s)"
-                    % ", ".join(passed)
-                )
-            if not isinstance(config, EngineConfig):
-                raise ReproError(
-                    "config must be an EngineConfig, got %r" % (config,)
-                )
-        else:
+    def __init__(self, config=None, **overrides):
+        if config is None:
             config = EngineConfig.from_env(**overrides)
+        elif overrides:
+            raise ReproError(
+                "pass engine knobs either via config= or as keyword "
+                "arguments, not both (got config plus: %s)"
+                % ", ".join(sorted(overrides))
+            )
+        elif not isinstance(config, EngineConfig):
+            raise ReproError(
+                "config must be an EngineConfig, got %r" % (config,)
+            )
         self._config = config
         self.catalog = Catalog(
             segment_rows=config.segment_rows,
@@ -240,31 +174,6 @@ class Database:
                 cached = Executor(self.catalog, self.cost_model, **kwargs)
                 self._hint_executors[key] = cached
             return cached
-
-    # -- removed pre-pipeline shims -------------------------------------
-    def _removed_shim(self, name):
-        raise AttributeError(
-            "Database.%s was removed after its deprecation cycle; use "
-            "db.pipeline.%s instead" % (name, name)
-        )
-
-    @property
-    def rewriter(self):
-        """Removed — use ``db.pipeline.rewriter``."""
-        self._removed_shim("rewriter")
-
-    @rewriter.setter
-    def rewriter(self, fn):
-        self._removed_shim("rewriter")
-
-    @property
-    def statement_hooks(self):
-        """Removed — use ``db.pipeline.statement_hooks``."""
-        self._removed_shim("statement_hooks")
-
-    @statement_hooks.setter
-    def statement_hooks(self, hooks):
-        self._removed_shim("statement_hooks")
 
     @property
     def epoch(self):

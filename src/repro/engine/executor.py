@@ -48,24 +48,14 @@ import time
 import numpy as np
 
 from repro.common import ExecutionError
-from repro.engine.config import (  # noqa: F401 - EXECUTOR_MODES re-exported
+from repro.engine.config import (
+    DEFAULT_MORSEL_ROWS,
+    DEFAULT_PARALLEL_WORKERS,
     EXECUTOR_MODES,
-    default_fusion_enabled,
-    default_zone_map_pruning,
 )
 from repro.engine.fusion import fuse_plan
-from repro.engine.morsels import (
-    MorselPool,
-    default_morsel_rows,
-    default_worker_count,
-    morsel_slices,
-)
-from repro.engine.operators import (  # noqa: F401 - relations re-exported
-    OPS,
-    ColumnarRelation,
-    Relation,
-    operator_for,
-)
+from repro.engine.morsels import MorselPool, morsel_slices
+from repro.engine.operators import OPS, ColumnarRelation, operator_for
 from repro.engine.operators.kernels import (
     cross_indices,
     join_indices,
@@ -128,29 +118,29 @@ class Executor:
             work-stealing thread pool), or ``"row"`` (tuple-at-a-time
             interpreter). All modes return the same rows in the same order
             and charge identical work.
-        morsel_rows: rows per morsel in parallel mode (``None`` reads
-            ``REPRO_MORSEL_SIZE`` via :mod:`repro.engine.config`, default
-            16384). Inputs smaller than two morsels run on the
-            single-threaded vectorized path.
-        n_workers: worker count in parallel mode (``None`` reads
-            ``REPRO_PARALLEL_WORKERS``, default CPU-derived).
+        morsel_rows: rows per morsel in parallel mode. Inputs smaller
+            than two morsels run on the single-threaded vectorized path.
+        n_workers: worker count in parallel mode.
         fusion_enabled: whether ``execute`` collapses eligible
             Filter→Project/Aggregate plan tails into one
-            :class:`~repro.engine.plans.FusedPipelineOp` pass (``None``
-            reads ``REPRO_FUSION``, default on). Fusion never changes
-            rows, order, or work accounting — only how many intermediate
-            relations get materialized.
+            :class:`~repro.engine.plans.FusedPipelineOp` pass. Fusion
+            never changes rows, order, or work accounting — only how
+            many intermediate relations get materialized.
         pruning_enabled: whether scans may skip whole column segments
             whose zone maps prove a pushed-down predicate matches no
-            (or every) row (``None`` reads ``REPRO_ZONE_MAP_PRUNING``,
-            default on). Pruning never changes rows, order, or work —
+            (or every) row. Pruning never changes rows, order, or work —
             only wall time and the ``segments_pruned``/``bytes_decoded``
             telemetry.
+
+    The defaults are :class:`~repro.engine.config.EngineConfig`'s; the
+    executor never reads the environment — ``Database`` hands it
+    ``config.executor_kwargs()``.
     """
 
     def __init__(self, catalog, cost_model=None, mode="vectorized",
-                 morsel_rows=None, n_workers=None, fusion_enabled=None,
-                 pruning_enabled=None):
+                 morsel_rows=DEFAULT_MORSEL_ROWS,
+                 n_workers=DEFAULT_PARALLEL_WORKERS, fusion_enabled=True,
+                 pruning_enabled=True):
         if mode not in EXECUTOR_MODES:
             raise ExecutionError(
                 "executor mode must be one of %r, got %r"
@@ -160,24 +150,12 @@ class Executor:
         self.cost_model = cost_model or CostModel()
         self.mode = mode
         self._backend = _MODE_BACKENDS[mode]
-        self.morsel_rows = (
-            default_morsel_rows() if morsel_rows is None else int(morsel_rows)
-        )
+        self.morsel_rows = int(morsel_rows)
         if self.morsel_rows < 1:
             raise ExecutionError("morsel_rows must be >= 1")
-        self.n_workers = (
-            default_worker_count() if n_workers is None else int(n_workers)
-        )
-        self.fusion_enabled = (
-            default_fusion_enabled()
-            if fusion_enabled is None
-            else bool(fusion_enabled)
-        )
-        self.pruning_enabled = (
-            default_zone_map_pruning()
-            if pruning_enabled is None
-            else bool(pruning_enabled)
-        )
+        self.n_workers = int(n_workers)
+        self.fusion_enabled = bool(fusion_enabled)
+        self.pruning_enabled = bool(pruning_enabled)
         self._pool = MorselPool(self.n_workers) if mode == "parallel" else None
         # Per-run accounting lives in a thread-local so concurrent
         # ``execute()`` calls on one shared Executor (the pipeline

@@ -96,8 +96,8 @@ def executor_params(unit_vector, knobs=None):
     """Map normalized executor-knob settings to ``Executor`` kwargs.
 
     Returns ``{"morsel_rows": int, "n_workers": int,
-    "fusion_enabled": bool}`` suitable for ``Executor(...)`` /
-    ``Database(morsel_rows=..., parallel_workers=..., fusion_enabled=...)``.
+    "fusion_enabled": bool}`` suitable for ``Executor(...)``
+    (``n_workers`` is ``EngineConfig.parallel_workers`` there).
     Vectors shorter than the knob list (e.g. the pre-fusion 2-dim
     tuning vectors) keep working: missing trailing knobs take their spec
     defaults. The fusion knob is continuous for the tuners but maps to a

@@ -16,10 +16,8 @@ supplies the three pieces the executor's ``"parallel"`` mode builds on:
   execution deterministic: scheduling decides only *who* computes a
   morsel, never where its output lands.
 
-Configuration resolves in this order: explicit argument, environment
-variable (``REPRO_MORSEL_SIZE`` / ``REPRO_PARALLEL_WORKERS``, both read
-by :mod:`repro.engine.config` — the engine's single env-reading site),
-default.
+Morsel size and worker count are :class:`~repro.engine.config.
+EngineConfig` knobs; nothing here reads the environment.
 """
 
 import threading
@@ -28,12 +26,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.common import ExecutionError
-from repro.engine.config import (  # noqa: F401 - re-exported compat names
-    DEFAULT_MORSEL_ROWS,
-    MIN_MORSEL_ROWS,
-    default_morsel_rows,
-    default_worker_count,
-)
 
 
 def morsel_slices(n_rows, morsel_rows):
@@ -137,8 +129,8 @@ class MorselPool:
     workers have drained.
     """
 
-    def __init__(self, n_workers=None):
-        self.n_workers = n_workers if n_workers else default_worker_count()
+    def __init__(self, n_workers):
+        self.n_workers = n_workers
         if self.n_workers < 1:
             raise ExecutionError("worker count must be >= 1")
 

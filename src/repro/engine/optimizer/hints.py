@@ -73,8 +73,8 @@ class HintSet:
         return "%s(%s)" % (self.name, ", ".join(parts))
 
 
-#: The exact-legacy arm: planner defaults on every axis. Plans built for
-#: this arm are bit-identical to ``Planner.plan()``'s.
+#: Planner defaults on every axis: the arm ``Planner.plan()`` builds and
+#: the ``cost`` selector's only one.
 DEFAULT_ARM = HintSet(name="default")
 
 #: The pessimistic arm: UES join order, everything else inherited.
@@ -114,10 +114,10 @@ def default_arms():
     """The curated arm set the bandit/pessimistic selectors race.
 
     Five arms spanning the work-differentiating axes — join-order
-    strategy and index usage — plus the exact-legacy default:
+    strategy and index usage:
 
     * ``default`` — the planner exactly as configured (the cost
-      selector's only arm, and the bit-identity anchor);
+      selector's only arm);
     * ``greedy`` — the greedy join-order heuristic;
     * ``exhaustive`` — Selinger DP capped at
       :data:`EXHAUSTIVE_MAX_TABLES` relations;

@@ -17,6 +17,7 @@ from repro.engine import plans as P
 from repro.engine.optimizer.cardinality import TraditionalEstimator
 from repro.engine.optimizer.cost import CostModel, _SinglePredicateView
 from repro.engine.optimizer.hints import (
+    DEFAULT_ARM,
     EXHAUSTIVE_MAX_TABLES,
     PlanCandidate,
 )
@@ -75,43 +76,18 @@ class Planner:
                 names); when given, enumeration is skipped — this is the
                 hook the learned join-order agents use.
         """
-        if query.limit == 0:
-            plan = P.EmptyResult(self._output_columns(query))
-            self.cost_model.annotate(plan, self.estimator, query)
-            return plan
-        view_match = self.catalog.matching_view(query) if self.use_views else None
-        if view_match is not None:
-            view, residual = view_match
-            plan = P.ViewScan(view, residual)
-            plan = self._finalize(plan, query)
-            self.cost_model.annotate(plan, self.estimator, query)
-            return plan
-        if order is None:
-            if len(query.tables) == 1:
-                order = [query.tables[0]]
-            elif self.enumerator == "random":
-                order, __ = random_order(
-                    query, self.estimator, self.cost_model, seed=self.seed
-                )
-            else:
-                order, __ = _ENUMERATORS[self.enumerator](
-                    query, self.estimator, self.cost_model
-                )
-        else:
-            if {t.lower() for t in order} != {t.lower() for t in query.tables}:
-                raise PlanError("explicit order must cover the query's tables")
-        return self._assemble(query, order)
+        return self.plan_with_hints(query, DEFAULT_ARM, order=order)
 
     def plan_with_hints(self, query, hints, order=None):
         """Build a plan under a :class:`~repro.engine.optimizer.hints.
         HintSet` — the candidate-generation entry point.
 
         The hint set's ``join_order`` strategy picks the order
-        (``"default"`` reproduces :meth:`plan` exactly) and
+        (``"default"``: this planner's configured enumerator) and
         ``use_indexes`` overrides access-path selection; execution-time
         hints (fusion/parallel) are carried by the hint set for the
         pipeline, not applied here. An explicit ``order`` beats the
-        strategy, mirroring :meth:`plan`.
+        strategy.
         """
         if query.limit == 0:
             plan = P.EmptyResult(self._output_columns(query))
@@ -206,10 +182,7 @@ class Planner:
     def _assemble(self, query, order, use_indexes=None):
         """Access paths + left-deep joins + finalize + cost annotation.
 
-        The shared back half of :meth:`plan` and :meth:`plan_with_hints`:
-        identical inputs produce identical plans, which is what keeps the
-        default selector bit-compatible with the legacy single-path
-        planner. ``use_indexes=None`` inherits the planner's setting.
+        ``use_indexes=None`` inherits the planner's setting.
         """
         plan = self._access_path(query, order[0], use_indexes=use_indexes)
         joined = [order[0]]

@@ -5,10 +5,8 @@ The middle stage of the plan-selection layer. Candidate generation
 one plan per hint-set arm; a :class:`PlanSelector` picks which candidate
 actually runs:
 
-* :class:`CostSelector` — the legacy single-path behavior: only the
-  ``default`` arm is generated and chosen, so the default config plans
-  bit-identically to the pre-refactor engine (the pipeline short-circuits
-  this selector onto the exact legacy code path).
+* :class:`CostSelector` — the one-arm case: only the ``default`` arm
+  (the planner exactly as configured) is generated and chosen.
 * :class:`BanditSelector` — BAO-lite: a contextual bandit over plan
   features (table count, predicate count/selectivity, estimated rows per
   join level). Per arm it maintains a ridge-regression posterior over
@@ -34,10 +32,7 @@ import threading
 import numpy as np
 
 from repro.common import PlanError, ensure_rng
-from repro.engine.config import (  # noqa: F401 - re-exported surface
-    DEFAULT_REGRET_CAP,
-    PLAN_SELECTORS,
-)
+from repro.engine.config import DEFAULT_REGRET_CAP, PLAN_SELECTORS
 from repro.engine.optimizer.hints import DEFAULT_ARM, UES_ARM, default_arms
 
 #: Feature-vector dimensionality (see :func:`plan_features`).
@@ -77,10 +72,11 @@ class PlanSelector:
     """Strategy interface: which generated candidate runs.
 
     Subclasses implement :meth:`arms` (which hint sets to generate
-    candidates for) and :meth:`select`; :meth:`observe` is the online-
-    training hook the pipeline calls with the measured work of the chosen
-    arm, and :meth:`note_drift` receives cardinality-drift signals from
-    the feedback store.
+    candidates for) and :meth:`select`; :meth:`features` is the context
+    a learning selector wants computed per query, :meth:`observe` is the
+    online-training hook the pipeline calls with the measured work of
+    the chosen arm, and :meth:`note_drift` receives cardinality-drift
+    signals from the feedback store.
     """
 
     name = "abstract"
@@ -88,6 +84,11 @@ class PlanSelector:
     def arms(self, query):
         """Hint sets to generate candidates for (ordered, deterministic)."""
         raise NotImplementedError
+
+    def features(self, query, estimator):
+        """The context vector :meth:`select`/:meth:`observe` receive for
+        ``query`` — ``None`` unless the selector learns from one."""
+        return None
 
     def select(self, candidates, query, features=None):
         """Pick the candidate to execute from a non-empty list."""
@@ -142,14 +143,8 @@ class _ArmState:
 
 
 class CostSelector(PlanSelector):
-    """Today's behavior: the default arm, chosen by estimated cost.
-
-    The pipeline special-cases this selector onto the exact legacy
-    ``Planner.plan()`` path (no candidate fan-out at all), which is what
-    keeps the default config bit-identical to the pre-refactor engine.
-    The methods below exist so the selector still behaves sensibly when
-    driven generically (tests, benchmarks).
-    """
+    """The default arm alone; among several candidates (a caller racing
+    its own set), the cheapest by estimated cost."""
 
     name = "cost"
 
@@ -263,6 +258,9 @@ class BanditSelector(PlanSelector):
 
     def arms(self, query):
         return self._arms
+
+    def features(self, query, estimator):
+        return plan_features(query, estimator)
 
     def _arm_state(self, name):
         """Per-arm state, created lazily — callers may race candidate

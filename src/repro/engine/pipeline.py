@@ -8,17 +8,15 @@ hook list so learned components can observe or replace a stage's output
 without subclassing the :class:`~repro.engine.database.Database` façade.
 
 Between the rewrite and plan stages sits a **plan cache**: an LRU map from
-``(query.signature(), explicit_order)`` to a physical plan, where every
-entry also stores the invalidation token it was planned under. The token
-is **scoped to the tables the query touches**: the catalog's
+``(query.signature(), explicit_order, arm)`` to that arm's plan candidate,
+where every entry also stores the invalidation token it was planned under.
+The token is **scoped to the tables the query touches**: the catalog's
 :meth:`~repro.engine.catalog.Catalog.version_vector` restricted to the
 query's table set, paired with the feedback store's per-table drift
 vector over the same set. A mutation (CREATE/DROP TABLE, CREATE INDEX,
 INSERT, ANALYZE, view registration) bumps only the affected tables'
 versions, so a hot writer on ``orders`` drops cached plans over
-``orders`` while plans over ``customers`` keep hitting — under the
-legacy ``cache_scope="global"`` config the token collapses to the single
-derived epoch and any write anywhere invalidates everything. Repeated
+``orders`` while plans over ``customers`` keep hitting. Repeated
 workload queries (the experiment harness loops, the NEO-lite learning
 loop, AISQL ``PREDICT``) therefore skip join enumeration entirely;
 repeated *SQL text* additionally skips parsing and lowering via a second
@@ -29,12 +27,12 @@ ANALYZE leave warm SQL text warm).
 Cache-key / token invariants:
 
 * the plan cache key is the **full** query signature (joins, predicates,
-  projections, aggregates, grouping, ordering, limit, distinct) plus the
-  explicit join order if one was supplied — queries differing in any of
-  those never share an entry; under a non-default plan selector the
-  hint-set **arm name** joins the key too, so every arm caches its own
-  candidate (scoped invalidation drops all of a query's arms together,
-  since they share the same token);
+  projections, aggregates, grouping, ordering, limit, distinct), the
+  explicit join order if one was supplied, and the hint-set **arm name**
+  (``"default"`` under the ``cost`` selector) — queries differing in any
+  of those never share an entry, and every arm caches its own candidate
+  (scoped invalidation drops all of a query's arms together, since they
+  share the same token);
 * keys are computed **after** the rewrite stage, so a changed rewriter
   maps queries to different signatures and can never revive a plan for a
   query it no longer produces;
@@ -65,7 +63,7 @@ from dataclasses import replace
 from repro.common import ExecutionError, ParseError, PlanError
 from repro.engine.fusion import fuse_plan
 from repro.engine.optimizer.feedback import ingest_execution
-from repro.engine.optimizer.selection import plan_features
+from repro.engine.optimizer.hints import DEFAULT_ARM
 from repro.engine.plans import pretty_analyze
 from repro.engine.sql.ast_nodes import (
     AnalyzeStmt,
@@ -76,32 +74,31 @@ from repro.engine.sql.ast_nodes import (
 )
 from repro.engine.sql.lowering import lower_select
 from repro.engine.sql.parser import parse_sql
-from repro.engine.telemetry import PipelineTelemetry
+from repro.engine.telemetry import PLANNING_STAGES, PipelineTelemetry
 
 #: Pipeline stage names, in execution order.
 PIPELINE_STAGES = ("parse", "lower", "rewrite", "plan", "execute")
+
+
+def _head(sql_text):
+    """A statement's first word, for error messages."""
+    words = sql_text.split(None, 1)
+    return words[0] if words else sql_text
 
 
 def _invalidation_cause(stale, current):
     """Name the token component that invalidated a cached plan.
 
     Diffs a stale ``(catalog_pairs, feedback_pairs)`` token against the
-    current one: a catalog-version mismatch reports ``"table:<name>"``
-    (under the global scope, ``"table:*"``), a feedback-drift mismatch
-    ``"feedback:<name>"``, and a shape change (e.g. the cache scope was
-    reconfigured mid-flight) falls back to ``"token"``.
+    current one: a catalog-version mismatch reports ``"table:<name>"``,
+    a feedback-drift mismatch ``"feedback:<name>"``.
     """
-    try:
-        stale_cat, stale_fb = dict(stale[0]), dict(stale[1])
-        cur_cat, cur_fb = dict(current[0]), dict(current[1])
-    except (TypeError, ValueError, IndexError):
-        return "token"
-    for name in sorted(set(stale_cat) | set(cur_cat)):
-        if stale_cat.get(name) != cur_cat.get(name):
-            return "table:%s" % name
-    for name in sorted(set(stale_fb) | set(cur_fb)):
-        if stale_fb.get(name) != cur_fb.get(name):
-            return "feedback:%s" % name
+    for label, old, new in (("table", stale[0], current[0]),
+                            ("feedback", stale[1], current[1])):
+        old, new = dict(old), dict(new)
+        for name in sorted(set(old) | set(new)):
+            if old.get(name) != new.get(name):
+                return "%s:%s" % (label, name)
     return "token"
 
 
@@ -140,8 +137,8 @@ class ExplainResult:
         invalidation_cause: for ``"invalidated"`` — which token component
             moved (``"table:<name>"`` / ``"feedback:<name>"``), else
             ``None``.
-        arm: the hint-set arm the plan selector chose (``None`` under
-            the default single-path cost selector).
+        arm: the hint-set arm the ``Arm:`` line reports (``None`` when
+            the line is omitted: one candidate, the ``default`` arm).
     """
 
     __slots__ = ("text", "plan", "fused_ops", "cache_hit", "node_stats",
@@ -213,9 +210,8 @@ class PreparedQuery:
         self.query = query
         self.plan = plan
         self.telemetry = telemetry
-        # The chosen arm's HintSet under a non-default plan selector
-        # (``None`` on the legacy single-path route) — execute_prepared
-        # resolves fusion/parallel execution hints from it.
+        # The chosen arm's HintSet — execute_prepared resolves the
+        # fusion/parallel execution hints from it.
         self.hints = hints
 
     @property
@@ -252,9 +248,8 @@ class PlanCache:
     """An LRU cache whose entries are invalidated by token drift.
 
     The token is an arbitrary hashable compared by equality — the
-    pipeline stores per-table version vectors, the legacy global epoch
-    works just as well (and the concurrency suite hammers it with plain
-    integers).
+    pipeline stores per-table version vectors (the concurrency suite
+    hammers it with plain integers).
 
     Args:
         capacity: maximum number of live entries; least-recently-used
@@ -346,10 +341,12 @@ class PlanCache:
             }
 
     def __len__(self):
-        return len(self._entries)
+        with self._lock:
+            return len(self._entries)
 
     def __contains__(self, key):
-        return key in self._entries
+        with self._lock:
+            return key in self._entries
 
     def __repr__(self):
         return "PlanCache(size=%d/%d, hits=%d, misses=%d)" % (
@@ -457,32 +454,15 @@ class QueryPipeline:
                 if result is not None:
                     return result
         telemetry = PipelineTelemetry()
-        # Warm SQL path: a previously lowered SELECT under the current
-        # table set skips parse + lower entirely. The token is the coarse
-        # schema_epoch, not the full version vector — lowering depends
-        # only on name resolution, so inserts/ANALYZE keep this cache hot.
-        schema_epoch = self.db.catalog.schema_epoch
-        t0 = time.perf_counter()
-        query = self.query_cache.get(sql_text, schema_epoch)
+        query, stmt = self._front_end(sql_text, telemetry)
         if query is not None:
-            telemetry.record_stage("lower", time.perf_counter() - t0)
-            return self._run_query(query, telemetry, snapshot=snapshot)
-        t0 = time.perf_counter()
-        stmt = parse_sql(sql_text)
-        telemetry.record_stage("parse", time.perf_counter() - t0)
-        stmt = self._apply_hooks("parse", stmt)
-        if isinstance(stmt, SelectStmt):
-            t0 = time.perf_counter()
-            query = lower_select(stmt, self.db.catalog)
-            query = self._apply_hooks("lower", query)
-            self.query_cache.put(sql_text, query, schema_epoch)
-            telemetry.record_stage("lower", time.perf_counter() - t0)
-            return self._run_query(query, telemetry, snapshot=snapshot)
+            return self.execute_prepared(
+                self._prepare(sql_text, query, telemetry), snapshot=snapshot
+            )
         if snapshot is not None:
             raise ExecutionError(
                 "snapshot sessions are read-only: only SELECT is allowed, "
-                "got %r" % (sql_text.strip().split(None, 1)[0] if
-                            sql_text.strip() else sql_text,)
+                "got %r" % _head(sql_text)
             )
         result = self._run_statement(stmt, telemetry)
         self._accumulate(telemetry)
@@ -492,8 +472,8 @@ class QueryPipeline:
         """Run a structured :class:`ConjunctiveQuery` (rewrite → plan →
         execute), optionally under an explicit left-deep join ``order``
         and/or pinned to a ``snapshot``."""
-        return self._run_query(
-            query, PipelineTelemetry(), order=order, snapshot=snapshot
+        return self.execute_prepared(
+            self.prepare_query(query, order=order), snapshot=snapshot
         )
 
     def prepare_sql(self, sql_text):
@@ -507,25 +487,9 @@ class QueryPipeline:
         (they may mutate).
         """
         telemetry = PipelineTelemetry()
-        schema_epoch = self.db.catalog.schema_epoch
-        t0 = time.perf_counter()
-        query = self.query_cache.get(sql_text, schema_epoch)
-        if query is None:
-            t0 = time.perf_counter()
-            stmt = parse_sql(sql_text)
-            telemetry.record_stage("parse", time.perf_counter() - t0)
-            stmt = self._apply_hooks("parse", stmt)
-            if not isinstance(stmt, SelectStmt):
-                raise ExecutionError(
-                    "prepare_sql supports only SELECT statements, got %r"
-                    % (sql_text.strip().split(None, 1)[0]
-                       if sql_text.strip() else sql_text,)
-                )
-            t0 = time.perf_counter()
-            query = lower_select(stmt, self.db.catalog)
-            query = self._apply_hooks("lower", query)
-            self.query_cache.put(sql_text, query, schema_epoch)
-        telemetry.record_stage("lower", time.perf_counter() - t0)
+        query = self._select_query(
+            sql_text, telemetry, "prepare_sql", ExecutionError
+        )
         return self._prepare(sql_text, query, telemetry)
 
     def lower_sql(self, sql_text):
@@ -536,22 +500,7 @@ class QueryPipeline:
         executing it costs one parse, not two. Only SELECT lowers;
         anything else raises :class:`~repro.common.ParseError`.
         """
-        schema_epoch = self.db.catalog.schema_epoch
-        query = self.query_cache.get(sql_text, schema_epoch)
-        if query is not None:
-            return query
-        stmt = parse_sql(sql_text)
-        stmt = self._apply_hooks("parse", stmt)
-        if not isinstance(stmt, SelectStmt):
-            raise ParseError(
-                "lower_sql supports only SELECT statements, got %r"
-                % (sql_text.strip().split(None, 1)[0]
-                   if sql_text.strip() else sql_text,)
-            )
-        query = lower_select(stmt, self.db.catalog)
-        query = self._apply_hooks("lower", query)
-        self.query_cache.put(sql_text, query, schema_epoch)
-        return query
+        return self._select_query(sql_text, PipelineTelemetry(), "lower_sql")
 
     def prepare_query(self, query, order=None):
         """Plan a structured :class:`ConjunctiveQuery` without executing.
@@ -561,27 +510,64 @@ class QueryPipeline:
         """
         return self._prepare(None, query, PipelineTelemetry(), order=order)
 
+    def _front_end(self, sql_text, telemetry):
+        """Parse → lower through the SQL-text cache: ``(query, stmt)``.
+
+        The one front end behind every SQL entry point, so stage hooks
+        and the warm-text cache apply to all of them alike. A SELECT
+        comes back lowered (``stmt`` is ``None``); any other statement
+        comes back parsed (``query`` is ``None``). The cache token is the
+        coarse ``schema_epoch``, not the full version vector — lowering
+        depends only on name resolution, so inserts/ANALYZE keep warm
+        SQL text warm.
+        """
+        schema_epoch = self.db.catalog.schema_epoch
+        t0 = time.perf_counter()
+        query = self.query_cache.get(sql_text, schema_epoch)
+        if query is None:
+            stmt = parse_sql(sql_text)
+            telemetry.record_stage("parse", time.perf_counter() - t0)
+            stmt = self._apply_hooks("parse", stmt)
+            if not isinstance(stmt, SelectStmt):
+                return None, stmt
+            t0 = time.perf_counter()
+            query = lower_select(stmt, self.db.catalog)
+            query = self._apply_hooks("lower", query)
+            self.query_cache.put(sql_text, query, schema_epoch)
+        telemetry.record_stage("lower", time.perf_counter() - t0)
+        return query, None
+
+    def _select_query(self, sql_text, telemetry, what, error=ParseError):
+        """:meth:`_front_end` for the read-only entry points: the lowered
+        query, or ``error`` naming ``what`` when it is not a SELECT."""
+        query, __ = self._front_end(sql_text, telemetry)
+        if query is None:
+            raise error(
+                "%s supports only SELECT statements, got %r"
+                % (what, _head(sql_text))
+            )
+        return query
+
     def _prepare(self, sql_text, query, telemetry, order=None):
         query = self._rewrite(query, telemetry)
-        plan, hints = self._plan_choice(query, telemetry, order=order)
-        return PreparedQuery(sql_text, query, plan, telemetry, hints=hints)
+        chosen = self._plan(query, telemetry, order=order)
+        return PreparedQuery(
+            sql_text, query, chosen.plan, telemetry, hints=chosen.hints
+        )
 
     def execute_prepared(self, prepared, snapshot=None):
         """Execute a :class:`PreparedQuery`, optionally pinned to a
         :class:`~repro.engine.catalog.CatalogSnapshot`.
 
-        The execution half of the serving layer's read path: the plan was
-        already produced (and its cost estimate charged against a quota),
-        so this runs exactly that plan — against the live catalog, or the
-        pinned snapshot — with the same hook application, feedback
-        ingestion (skipped for snapshot runs), and stats accumulation as
-        :meth:`run_sql`.
+        The execution half of every SELECT — embedded, snapshot, server,
+        EXPLAIN ANALYZE: the plan was already produced (and, on the
+        serving path, its cost estimate charged against a quota), so this
+        runs exactly that plan — against the live catalog, or the pinned
+        snapshot — then applies the execute hooks, closes the feedback
+        and selection loops, and accumulates stats.
         """
         telemetry = prepared.telemetry
-        executor = (
-            self.db.executor if prepared.hints is None
-            else self.db.executor_for(prepared.hints)
-        )
+        executor = self.db.executor_for(prepared.hints)
         t0 = time.perf_counter()
         result = executor.execute(prepared.plan, catalog=snapshot)
         telemetry.record_stage("execute", time.perf_counter() - t0)
@@ -589,6 +575,9 @@ class QueryPipeline:
         telemetry.execution = result.telemetry
         result.pipeline_telemetry = telemetry
         if snapshot is None:
+            # Snapshot runs skip feedback and bandit training: their
+            # actuals describe pinned data and would poison estimates
+            # (and rewards) for the live tables.
             self._ingest_feedback(prepared.query, prepared.plan, result)
             self._observe_selection(telemetry, result)
         self._accumulate(telemetry)
@@ -602,73 +591,41 @@ class QueryPipeline:
         will collapse at execution time.
         """
         telemetry = PipelineTelemetry()
-        t0 = time.perf_counter()
-        stmt = parse_sql(sql_text)
-        telemetry.record_stage("parse", time.perf_counter() - t0)
-        if not isinstance(stmt, SelectStmt):
-            raise ParseError("EXPLAIN supports only SELECT statements")
-        t0 = time.perf_counter()
-        query = lower_select(stmt, self.db.catalog)
-        telemetry.record_stage("lower", time.perf_counter() - t0)
-        query = self._rewrite(query, telemetry)
-        plan, hints = self._plan_choice(query, telemetry, order=None)
-        executor = (
-            self.db.executor if hints is None else self.db.executor_for(hints)
-        )
+        query = self._select_query(sql_text, telemetry, "EXPLAIN")
+        prepared = self._prepare(sql_text, query, telemetry)
         fused_ops = 0
-        if executor.fusion_enabled:
-            __, fused_ops = fuse_plan(plan)
+        if self.db.executor_for(prepared.hints).fusion_enabled:
+            __, fused_ops = fuse_plan(prepared.plan)
         self._accumulate(telemetry)
-        text = plan.pretty()
-        if telemetry.arm is not None:
-            text += "\n" + self._arm_line(telemetry)
+        arm_line = self._arm_line(telemetry)
         return ExplainResult(
-            text=text,
-            plan=plan,
+            text=prepared.plan.pretty() + arm_line,
+            plan=prepared.plan,
             fused_ops=fused_ops,
             cache_hit=bool(telemetry.cache_hit),
             version_vector=telemetry.plan_versions,
             cache_outcome=telemetry.cache_outcome,
             invalidation_cause=telemetry.invalidation_cause,
-            arm=telemetry.arm,
+            arm=telemetry.arm if arm_line else None,
         )
 
     def explain_analyze(self, sql_text):
         """Execute a SELECT and render est-vs-actual rows per plan node.
 
-        The EXPLAIN-ANALYZE view: the query runs for real (through the
-        plan cache, fusion, and — when enabled — feedback ingestion), and
-        the returned :class:`ExplainResult` renders each node of the
-        unfused plan with its estimated rows, executor-counted actual
-        rows, and q-error. ``result`` carries the run's
-        :class:`~repro.engine.executor.ExecutionResult` (rows included),
-        ``node_stats`` the structured per-node records.
+        The EXPLAIN-ANALYZE view: the query runs for real (the same
+        :meth:`_prepare` → :meth:`execute_prepared` route as
+        :meth:`run_sql`), and the returned :class:`ExplainResult`
+        renders each node of the unfused plan with its estimated rows,
+        executor-counted actual rows, and q-error. ``result`` carries
+        the run's :class:`~repro.engine.executor.ExecutionResult` (rows
+        included), ``node_stats`` the structured per-node records.
         """
         telemetry = PipelineTelemetry()
-        t0 = time.perf_counter()
-        stmt = parse_sql(sql_text)
-        telemetry.record_stage("parse", time.perf_counter() - t0)
-        if not isinstance(stmt, SelectStmt):
-            raise ParseError("EXPLAIN ANALYZE supports only SELECT statements")
-        t0 = time.perf_counter()
-        query = lower_select(stmt, self.db.catalog)
-        telemetry.record_stage("lower", time.perf_counter() - t0)
-        query = self._rewrite(query, telemetry)
-        plan, hints = self._plan_choice(query, telemetry, order=None)
-        executor = (
-            self.db.executor if hints is None else self.db.executor_for(hints)
-        )
-        t0 = time.perf_counter()
-        result = executor.execute(plan)
-        telemetry.record_stage("execute", time.perf_counter() - t0)
-        telemetry.execution = result.telemetry
-        result.pipeline_telemetry = telemetry
-        self._ingest_feedback(query, plan, result)
-        self._observe_selection(telemetry, result)
-        self._accumulate(telemetry)
-        node_stats = result.telemetry.node_stats
+        query = self._select_query(sql_text, telemetry, "EXPLAIN ANALYZE")
+        prepared = self._prepare(sql_text, query, telemetry)
+        result = self.execute_prepared(prepared)
         run = result.telemetry
-        text = pretty_analyze(plan, node_stats)
+        text = pretty_analyze(prepared.plan, run.node_stats)
         if run.segments_total:
             text += "\nSegments: %d scanned, %d pruned (%d bytes decoded)" % (
                 run.segments_total - run.segments_pruned,
@@ -683,17 +640,15 @@ class QueryPipeline:
             text += "\nPlan cache: %s" % telemetry.cache_outcome
             if telemetry.invalidation_cause:
                 text += " (%s)" % telemetry.invalidation_cause
-        if telemetry.arm is not None:
-            text += "\n" + self._arm_line(telemetry)
-            wins = self._arm_wins_line()
-            if wins:
-                text += "\n" + wins
+        arm_line = self._arm_line(telemetry)
+        if arm_line:
+            text += arm_line + self._arm_wins_line()
         return ExplainResult(
             text=text,
-            plan=plan,
+            plan=prepared.plan,
             fused_ops=run.fused_ops,
             cache_hit=bool(telemetry.cache_hit),
-            node_stats=node_stats,
+            node_stats=run.node_stats,
             result=result,
             segments_total=run.segments_total,
             segments_pruned=run.segments_pruned,
@@ -701,13 +656,19 @@ class QueryPipeline:
             version_vector=telemetry.plan_versions,
             cache_outcome=telemetry.cache_outcome,
             invalidation_cause=telemetry.invalidation_cause,
-            arm=telemetry.arm,
+            arm=telemetry.arm if arm_line else None,
         )
 
     @staticmethod
     def _arm_line(telemetry):
-        """The one-line arm report EXPLAIN (ANALYZE) appends."""
-        line = "Arm: %s (est_cost=%.1f" % (
+        """The ``Arm:`` line EXPLAIN (ANALYZE) appends, or ``""``.
+
+        Printed only when selection had something to report: more than
+        one candidate was raced, or the chosen arm is not ``default``.
+        """
+        if telemetry.n_candidates < 2 and telemetry.arm == DEFAULT_ARM.name:
+            return ""
+        line = "\nArm: %s (est_cost=%.1f" % (
             telemetry.arm, telemetry.arm_est_cost,
         )
         if telemetry.ues_bound is not None:
@@ -716,13 +677,10 @@ class QueryPipeline:
 
     def _arm_wins_line(self):
         """Per-arm ``wins/picks`` counters from the selector, one line."""
-        selector = getattr(self.db, "plan_selector", None)
-        if selector is None:
-            return ""
-        arms = selector.stats().get("arms", {})
+        arms = self.db.plan_selector.stats().get("arms", {})
         if not arms:
             return ""
-        return "Arm wins: " + ", ".join(
+        return "\nArm wins: " + ", ".join(
             "%s=%d/%d" % (name, st.get("wins") or 0, st.get("picks") or 0)
             for name, st in sorted(arms.items())
         )
@@ -741,74 +699,29 @@ class QueryPipeline:
     def _plan_token(self, query):
         """The plan cache's invalidation token for ``query``.
 
-        Scoped (the ``"table"`` cache scope, the default): the catalog's
-        version vector restricted to the query's tables, paired with the
-        feedback store's per-table drift vector over the same set — only
-        a change touching one of *these* tables moves the token. Under
-        the legacy ``"global"`` scope both halves collapse to single
-        counters keyed ``"*"``, so any change anywhere moves it. Both
-        shapes are ``(catalog_pairs, feedback_pairs)``, which is what
-        lets :func:`_invalidation_cause` diff them uniformly.
+        ``(catalog_pairs, feedback_pairs)``: the catalog's version vector
+        restricted to the query's tables, paired with the feedback
+        store's per-table drift vector over the same set — only a change
+        touching one of *these* tables moves the token.
         """
-        catalog = self.db.catalog
-        config = getattr(self.db, "config", None)
-        if getattr(config, "cache_scope", "table") == "global":
-            return (
-                (("*", catalog.epoch),),
-                (("*", getattr(self.db, "feedback_version", 0)),),
-            )
-        store = getattr(self.db, "feedback", None)
+        store = self.db.feedback
         feedback = () if store is None else store.version_vector(query.tables)
-        return (catalog.version_vector(query.tables), feedback)
+        return (self.db.catalog.version_vector(query.tables), feedback)
 
     def _plan(self, query, telemetry, order=None):
-        t0 = time.perf_counter()
-        key = (
-            query.signature(),
-            None if order is None else tuple(t.lower() for t in order),
-        )
-        token = self._plan_token(query)
-        plan, outcome, stale = self.plan_cache.lookup(key, token)
-        telemetry.cache_hit = plan is not None
-        telemetry.cache_outcome = outcome
-        telemetry.plan_versions = token[0]
-        if outcome == "invalidated":
-            telemetry.invalidation_cause = _invalidation_cause(stale, token)
-        if plan is None:
-            plan = self.db.planner.plan(query, order=order)
-            plan = self._apply_hooks("plan", plan)
-            # Re-read the token: planning may lazily ANALYZE (a version
-            # bump), and the entry must match the state it was built from.
-            self.plan_cache.put(key, plan, self._plan_token(query))
-        telemetry.record_stage("plan", time.perf_counter() - t0)
-        return plan
+        """The plan stage: one candidate per arm, the selector's choice.
 
-    def _plan_choice(self, query, telemetry, order=None):
-        """The plan stage with selector dispatch: ``(plan, hints)``.
-
-        The default cost selector takes the exact legacy single-path
-        route through :meth:`_plan` (one planner call, the legacy cache
-        key, no candidate fan-out) and reports ``hints=None`` — that
-        short-circuit is what keeps the default config bit-identical to
-        the pre-refactor pipeline. Any other selector goes through
-        :meth:`_plan_selected`.
-        """
-        selector = getattr(self.db, "plan_selector", None)
-        if selector is None or selector.name == "cost":
-            return self._plan(query, telemetry, order=order), None
-        return self._plan_selected(query, telemetry, selector, order=order)
-
-    def _plan_selected(self, query, telemetry, selector, order=None):
-        """Candidate generation + selection for a non-default selector.
-
-        One plan-cache entry per arm — key ``(signature, order, arm)``,
-        all sharing the query's scoped token — so repeated queries skip
-        candidate generation entirely; only arms whose entries are cold
-        or invalidated replan. Selection itself always runs (it is the
-        learning step), and the chosen arm's cache outcome is what the
-        telemetry reports.
+        The selector names the arms (``cost``: just ``default``). Each
+        arm has its own plan-cache entry — key ``(signature, order,
+        arm)``, all sharing the query's scoped token — so repeated
+        queries skip candidate generation entirely; only arms whose
+        entries are cold or invalidated replan. Selection itself always
+        runs (it is the learning step), and the chosen arm's cache
+        outcome is what the telemetry reports. Returns the chosen
+        :class:`~repro.engine.optimizer.hints.PlanCandidate`.
         """
         t0 = time.perf_counter()
+        selector = self.db.plan_selector
         sig = query.signature()
         order_t = None if order is None else tuple(t.lower() for t in order)
         token = self._plan_token(query)
@@ -835,7 +748,7 @@ class QueryPipeline:
                     cand = replace(cand, plan=hooked)
                 self.plan_cache.put((sig, order_t, cand.arm), cand, put_token)
                 candidates.append(cand)
-        features = plan_features(query, self.db.planner.estimator)
+        features = selector.features(query, self.db.planner.estimator)
         chosen = selector.select(candidates, query, features)
         outcome, stale = outcomes.get(chosen.arm, ("miss", None))
         telemetry.cache_hit = outcome == "hit"
@@ -845,50 +758,28 @@ class QueryPipeline:
             telemetry.invalidation_cause = _invalidation_cause(stale, token)
         telemetry.arm = chosen.arm
         telemetry.arm_est_cost = chosen.est_cost
+        telemetry.n_candidates = len(candidates)
         telemetry.selection_features = features
         for cand in candidates:
             if cand.bound is not None:
                 telemetry.ues_bound = cand.bound
         telemetry.record_stage("plan", time.perf_counter() - t0)
-        return chosen.plan, chosen.hints
+        return chosen
 
     def _observe_selection(self, telemetry, result):
         """Close the bandit loop: the run's measured work → the selector."""
-        selector = getattr(self.db, "plan_selector", None)
-        if (selector is None or telemetry.arm is None
-                or result.telemetry is None):
+        if result.telemetry is None:
             return
-        selector.observe(
+        self.db.plan_selector.observe(
             telemetry.arm,
             telemetry.selection_features,
             telemetry.arm_est_cost,
             result.telemetry.total_work,
         )
 
-    def _run_query(self, query, telemetry, order=None, snapshot=None):
-        query = self._rewrite(query, telemetry)
-        plan, hints = self._plan_choice(query, telemetry, order=order)
-        executor = (
-            self.db.executor if hints is None else self.db.executor_for(hints)
-        )
-        t0 = time.perf_counter()
-        result = executor.execute(plan, catalog=snapshot)
-        telemetry.record_stage("execute", time.perf_counter() - t0)
-        result = self._apply_hooks("execute", result)
-        telemetry.execution = result.telemetry
-        result.pipeline_telemetry = telemetry
-        if snapshot is None:
-            # Snapshot runs skip feedback and bandit training: their
-            # actuals describe pinned data and would poison estimates
-            # (and rewards) for the live tables.
-            self._ingest_feedback(query, plan, result)
-            self._observe_selection(telemetry, result)
-        self._accumulate(telemetry)
-        return result
-
     def _ingest_feedback(self, query, plan, result):
         """Close the cardinality loop: observed actuals → feedback store."""
-        store = getattr(self.db, "feedback", None)
+        store = self.db.feedback
         if store is None or result.telemetry is None:
             return
         node_stats = result.telemetry.node_stats
@@ -953,29 +844,30 @@ class QueryPipeline:
         count/seconds, the planning-vs-execution wall-time split, and the
         plan/query cache counters.
         """
-        planning = sum(
-            self._stage_totals[s]["seconds"]
-            for s in ("parse", "lower", "rewrite", "plan")
-        )
-        return {
-            "runs": self._runs,
-            "stages": {
+        with self._stats_lock:
+            runs = self._runs
+            stages = {
                 stage: dict(entry)
                 for stage, entry in self._stage_totals.items()
-                if entry["count"]
-            },
-            "planning_seconds": planning,
-            "execution_seconds": self._stage_totals["execute"]["seconds"],
+            }
+        return {
+            "runs": runs,
+            "stages": {k: v for k, v in stages.items() if v["count"]},
+            "planning_seconds": sum(
+                stages[s]["seconds"] for s in PLANNING_STAGES
+            ),
+            "execution_seconds": stages["execute"]["seconds"],
             "plan_cache": self.plan_cache.stats(),
             "query_cache": self.query_cache.stats(),
         }
 
     def reset_stats(self):
         """Zero stage timings and cache counters (cache entries are kept)."""
-        self._runs = 0
-        for entry in self._stage_totals.values():
-            entry["count"] = 0
-            entry["seconds"] = 0.0
+        with self._stats_lock:
+            self._runs = 0
+            for entry in self._stage_totals.values():
+                entry["count"] = 0
+                entry["seconds"] = 0.0
         self.plan_cache.reset_counters()
         self.query_cache.reset_counters()
 

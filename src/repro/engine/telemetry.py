@@ -215,31 +215,33 @@ class PipelineTelemetry:
             plan's version token went stale); ``None`` before planning.
         invalidation_cause: for ``"invalidated"`` only — which token
             component moved: ``"table:<name>"`` (that table's catalog
-            version), ``"feedback:<name>"`` (cardinality drift on that
-            table), or ``"token"`` (scope/shape change). ``None``
-            otherwise.
+            version) or ``"feedback:<name>"`` (cardinality drift on
+            that table). ``None`` otherwise.
         plan_versions: the catalog half of the token the plan stage keyed
             on — ``((table, version), ...)`` restricted to the query's
             tables (``None`` before planning).
         execution: the run's :class:`ExecutionTelemetry`, or ``None`` when
             nothing was executed (EXPLAIN, DDL).
         arm: the hint-set arm the plan selector chose for this run
-            (``None`` under the default single-path cost selector, which
-            never fans out candidates).
+            (``"default"`` under the ``cost`` selector; ``None`` before
+            planning).
         arm_est_cost: the chosen candidate's cost estimate — the number
             the selector compared and the online trainer settles wins and
-            strikes against (``None`` when no selection ran).
+            strikes against (``None`` before planning).
+        n_candidates: how many arm candidates the selector chose among
+            (0 before planning).
         ues_bound: the UES arm's pessimistic cost guarantee for this
             query, when a UES candidate was generated — the regret
             guard's anchor (``None`` otherwise).
         selection_features: the contextual feature vector the bandit
-            selected (and later trains) on; ``None`` when no selection
-            ran.
+            selected (and later trains) on; ``None`` under selectors
+            that do not learn from one.
     """
 
     __slots__ = ("stages", "cache_hit", "cache_outcome",
                  "invalidation_cause", "plan_versions", "execution",
-                 "arm", "arm_est_cost", "ues_bound", "selection_features")
+                 "arm", "arm_est_cost", "n_candidates", "ues_bound",
+                 "selection_features")
 
     def __init__(self):
         self.stages = {}
@@ -250,6 +252,7 @@ class PipelineTelemetry:
         self.execution = None
         self.arm = None
         self.arm_est_cost = None
+        self.n_candidates = 0
         self.ues_bound = None
         self.selection_features = None
 

@@ -5,17 +5,10 @@ Each experiment is a registered function ``(seed, fast) -> [ResultTable]``.
 uses the full settings. Everything is seeded, so tables are reproducible.
 """
 
-import os
-
 import numpy as np
 
 from repro.common import ResultTable, ensure_rng
 from repro.harness.registry import register_experiment
-
-
-def _executor_mode():
-    """Executor mode for experiment databases (env override, else default)."""
-    return os.environ.get("REPRO_EXECUTOR_MODE") or None
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +154,7 @@ def _star_db(seed, fast):
     from repro.engine.database import Database
     from repro.engine import datagen
 
-    db = Database(executor_mode=_executor_mode())
+    db = Database()
     scale = 0.4 if fast else 1.0
     datagen.make_star_schema(
         db.catalog,
@@ -277,7 +270,7 @@ def e4_sql_rewriter(seed=0, fast=False):
     from repro.engine import datagen
     from repro.engine.database import Database
 
-    db = Database(executor_mode=_executor_mode())
+    db = Database()
     names, edges = datagen.make_join_graph_schema(
         db.catalog, "star", n_tables=4,
         rows_per_table=800 if fast else 2000, seed=seed,
@@ -546,7 +539,7 @@ def e8_end_to_end(seed=0, fast=False):
     from repro.engine.optimizer.cardinality import TrueCardinalityEstimator
     from repro.engine.executor import count_join_rows
 
-    db = Database(executor_mode=_executor_mode())
+    db = Database()
     names, edges = datagen.make_join_graph_schema(
         db.catalog, "clique", n_tables=5,
         rows_per_table=400 if fast else 600, seed=seed + 3, prefix="n",

@@ -77,10 +77,12 @@ def test_new_exports_are_the_right_kinds():
     assert inspect.isclass(engine.ExplainResult)
     assert inspect.isclass(engine.FusedPipelineOp)
     assert callable(engine.fuse_plan)
-    # EngineConfig is the documented primary Database ctor argument.
+    # EngineConfig is the documented primary Database ctor argument;
+    # any other keyword is one of its fields.
     sig = inspect.signature(engine.Database.__init__)
     assert "config" in sig.parameters
-    assert "fusion_enabled" in sig.parameters
+    assert engine.Database(fusion_enabled=False).config.fusion_enabled \
+        is False
 
 
 def test_session_surface_present():

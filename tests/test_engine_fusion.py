@@ -4,18 +4,18 @@ Covers the fusion pass as a unit (which tails fuse, which are refused,
 how scan predicates lift), the fused execution path end to end (rows,
 work parity, telemetry), the structured ``ExplainResult``, and the
 ``EngineConfig`` dataclass — including the contract that
-``Database(config=...)`` and the legacy per-knob kwargs wire identical
-engines.
+``Database(config=...)`` and per-knob keyword arguments wire identical
+engines, and the one list of knobs (fields, env metadata, README table).
 """
 
 import dataclasses
+import os
 
 import pytest
 
 from repro.common import ExecutionError, ReproError
 from repro.engine import Database, EngineConfig, fuse_plan
 from repro.engine import plans as P
-from repro.engine.config import default_fusion_enabled
 from repro.engine.plans import PlanError
 from repro.engine.query import Aggregate, Predicate
 
@@ -33,6 +33,47 @@ def _populated(**kwargs):
 
 
 FUSIBLE_SQL = "SELECT tag, COUNT(*), SUM(v) FROM t WHERE k < 5 GROUP BY tag"
+
+#: Every EngineConfig field: a non-default value, the env text that must
+#: parse to it (``None``: the knob has no variable), and the floor small
+#: env values clamp to. A new field without a row fails the knob walk.
+KNOBS = {
+    "executor_mode": ("row", "ROW", None),
+    "morsel_rows": (128, "128", 16),
+    "parallel_workers": (3, "3", 1),
+    "plan_cache_size": (17, None, None),
+    "enumerator": ("greedy", None, None),
+    "use_views": (False, None, None),
+    "cost_params": ({"cpu_tuple_cost": 2.0}, None, None),
+    "fusion_enabled": (False, "off", None),
+    "feedback_enabled": (True, "1", None),
+    "segment_rows": (4096, " 4096 ", 16),
+    "segment_encodings": (("rle", "plain"), "RLE, plain", None),
+    "zone_map_pruning": (False, "no", None),
+    "admission_policy": ("fair-share", "fair-share", None),
+    "tenant_quota": (12345.0, "12345", None),
+    "quota_refill_rate": (678.0, "678", None),
+    "admission_queue_depth": (9, "9", 1),
+    "plan_selector": ("pessimistic", "Pessimistic", None),
+    "regret_cap": (3.5, "3.5", None),
+    "seed": (11, "11", None),
+}
+
+#: Env text no parser/validator accepts, by field type (any text turns a
+#: boolean knob on or off, so booleans have none).
+BAD_ENV_TEXT = {int: "many", float: "lots", str: "bogus", tuple: "zip"}
+
+
+def _readme_knob_rows():
+    """``{knob: row text}`` of the README's "Engine knobs" table."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    table = text.split("#### Engine knobs", 1)[1].split("\n\n#", 1)[0]
+    return {
+        line.split("`")[1]: line
+        for line in table.splitlines() if line.startswith("| `")
+    }
 
 
 # ----------------------------------------------------------------------
@@ -103,7 +144,51 @@ class TestEngineConfig:
     ])
     def test_fusion_env_values(self, monkeypatch, raw, expected):
         monkeypatch.setenv("REPRO_FUSION", raw)
-        assert default_fusion_enabled() is expected
+        assert EngineConfig.from_env().fusion_enabled is expected
+
+    @pytest.mark.parametrize(
+        "knob", dataclasses.fields(EngineConfig), ids=lambda f: f.name)
+    def test_one_list_of_knobs(self, monkeypatch, knob):
+        """Field, env metadata, README row and Database keyword agree."""
+        name = knob.name
+        value, env_text, floor = KNOBS[name]
+        default = getattr(EngineConfig(), name)
+        assert value != default
+        # Database(knob=...) is EngineConfig.from_env(knob=...).
+        via_kwargs = Database(**{name: value}).config
+        assert via_kwargs == EngineConfig.from_env(**{name: value})
+        assert getattr(via_kwargs, name) == value
+        env = knob.metadata.get("env")
+        assert (env is None) == (env_text is None)
+        if env is None:
+            return
+        assert env in _readme_knob_rows()[name]
+        # The variable parses to the value; a keyword beats it; unset or
+        # blank falls back to the default.
+        monkeypatch.setenv(env, env_text)
+        assert getattr(EngineConfig.from_env(), name) == value
+        assert getattr(
+            EngineConfig.from_env(**{name: default}), name) == default
+        monkeypatch.setenv(env, "  ")
+        assert getattr(EngineConfig.from_env(), name) == default
+        if floor is not None:
+            monkeypatch.setenv(env, str(floor - 1))
+            assert getattr(EngineConfig.from_env(), name) == floor
+        if knob.type is bool:
+            for raw in ("0", "false", "OFF", "no"):
+                monkeypatch.setenv(env, raw)
+                assert getattr(EngineConfig.from_env(), name) is False
+            for raw in ("1", "on", "yes"):
+                monkeypatch.setenv(env, raw)
+                assert getattr(EngineConfig.from_env(), name) is True
+        else:
+            monkeypatch.setenv(env, BAD_ENV_TEXT[knob.type])
+            with pytest.raises(ReproError):
+                EngineConfig.from_env()
+
+    def test_unknown_knob_rejected(self):
+        with pytest.raises(TypeError):
+            Database(turbo=True)
 
     def test_executor_kwargs_shape(self):
         cfg = EngineConfig(executor_mode="parallel", morsel_rows=64,
@@ -115,7 +200,7 @@ class TestEngineConfig:
 
 
 # ----------------------------------------------------------------------
-# Database(config=...) vs. legacy kwargs
+# Database(config=...) vs. knob kwargs
 # ----------------------------------------------------------------------
 class TestConfigEquivalence:
     def test_config_and_kwargs_wire_identical_engines(self):

@@ -346,14 +346,48 @@ def _unlimited(query):
     )
 
 
+def _assert_cost_route_is_the_planner(db, query, order, label):
+    """The ``cost`` selector's plan stage is a one-arm run of the general
+    route: what it caches for ``(query, order)`` is bit-identical to
+    ``Planner.plan(query, order)``, under exactly one cache entry, and a
+    warm lookup hits it."""
+    expected = db.planner.plan(query, order=order)
+    cold = db.pipeline.prepare_query(query, order=order)
+    warm = db.pipeline.prepare_query(query, order=order)
+    for prepared in (cold, warm):
+        assert prepared.plan.pretty() == expected.pretty(), label
+        assert prepared.plan.est_cost == expected.est_cost, label
+        assert prepared.telemetry.arm == "default", label
+    assert warm.telemetry.cache_outcome == "hit", label
+    key = (query.signature(),
+           None if order is None else tuple(t.lower() for t in order))
+    entries = [k for k in db.pipeline.plan_cache._entries if k[:2] == key]
+    assert entries == [key + ("default",)], label
+
+
 @pytest.mark.parametrize("catalog_seed", SELECTOR_RACE_SEEDS)
-def test_fuzz_selector_race(catalog_seed):
+def test_fuzz_selector_race(catalog_seed, monkeypatch):
     """The three plan selectors race on identical data: whichever arm
     each one picks, the *results* may never diverge from the cost
     selector's (rows as a multiset, same columns) — measured work may
     differ (that is the point of racing plans), correctness may not.
     Warm reruns must hit the per-arm plan cache under every selector.
+
+    All three take the same plan stage, so the race also pins the
+    collapsed route: the cost selector's cached plan is the planner's,
+    with and without an explicit join order, and only the bandit ever
+    computes ``plan_features``.
     """
+    from repro.engine.optimizer import selection
+
+    feature_calls = []
+    real_plan_features = selection.plan_features
+
+    def spy(query, estimator):
+        feature_calls.append(query)
+        return real_plan_features(query, estimator)
+
+    monkeypatch.setattr(selection, "plan_features", spy)
     mode, fusion = BASE_CONFIG
     dbs, tables = {}, None
     for sel in PLAN_SELECTORS:
@@ -361,16 +395,26 @@ def test_fuzz_selector_race(catalog_seed):
             mode, catalog_seed, fusion=fusion, plan_selector=sel
         )
     rng = random.Random(55_000 + catalog_seed + 1_000_003 * FUZZ_SEED)
+    order_rng = random.Random(56_000 + catalog_seed)
     for case in range(SELECTOR_RACE_CASES):
         query = _unlimited(_random_query(rng, tables))
         label = "catalog_seed=%d case=%d query=%r" % (
             catalog_seed, case, query
         )
-        cold = {sel: dbs[sel].run_query_object(query)
-                for sel in PLAN_SELECTORS}
+        explicit = list(query.tables)
+        order_rng.shuffle(explicit)
+        for order in (None, explicit):
+            _assert_cost_route_is_the_planner(
+                dbs["cost"], query, order, "%s order=%r" % (label, order))
+        cold = {}
+        for sel in PLAN_SELECTORS:
+            seen = len(feature_calls)
+            cold[sel] = dbs[sel].run_query_object(query)
+            assert (len(feature_calls) > seen) == (sel == "bandit"), label
         oracle = cold["cost"]
         oracle_rows = _canonical_rows(oracle.rows)
-        assert oracle.pipeline_telemetry.arm is None, label
+        assert oracle.pipeline_telemetry.arm == "default", label
+        assert oracle.pipeline_telemetry.cache_outcome == "hit", label
         for sel in ("bandit", "pessimistic"):
             res = cold[sel]
             assert res.columns == oracle.columns, label

@@ -373,12 +373,11 @@ class TestExplicitOrders:
 
 
 # ----------------------------------------------------------------------
-# Removed shims and stage hooks
+# Statement hooks, the rewriter and stage hooks
 # ----------------------------------------------------------------------
 class TestShims:
-    """The pre-pipeline ``db.rewriter``/``db.statement_hooks`` shims
-    finished their deprecation cycle: the pipeline spelling is the only
-    one, and the removed names fail loudly with a migration pointer."""
+    """The pipeline's extension points: ``pipeline.statement_hooks``,
+    ``pipeline.rewriter`` and ``pipeline.add_stage_hook``."""
 
     def test_statement_hooks_on_pipeline(self, db):
         db.pipeline.statement_hooks.append(
@@ -407,20 +406,6 @@ class TestShims:
         db.pipeline.rewriter = lambda q: q
         assert len(db.pipeline.plan_cache) == 0
 
-    def test_removed_shims_raise_with_migration_pointer(self, db):
-        with pytest.raises(AttributeError, match="db.pipeline.rewriter"):
-            db.rewriter
-        with pytest.raises(AttributeError, match="db.pipeline.rewriter"):
-            db.rewriter = lambda q: q
-        with pytest.raises(
-            AttributeError, match="db.pipeline.statement_hooks"
-        ):
-            db.statement_hooks
-        with pytest.raises(
-            AttributeError, match="db.pipeline.statement_hooks"
-        ):
-            db.statement_hooks = []
-
     def test_stage_hooks_observe_and_replace(self, db):
         seen = {stage: 0 for stage in PIPELINE_STAGES}
         for stage in ("parse", "lower", "rewrite", "plan", "execute"):
@@ -439,6 +424,30 @@ class TestShims:
         db.query("SELECT COUNT(*) FROM users WHERE age > 21")
         assert seen["parse"] == 1 and seen["lower"] == 1
         assert seen["rewrite"] == 2 and seen["execute"] == 2
+
+    def test_explain_routes_share_the_hooked_front_end(self, db):
+        """EXPLAIN / EXPLAIN ANALYZE take the same parse→lower→cache
+        front end and execute tail as ``execute``: a lower-stage hook
+        that caps the query at 3 rows caps all three alike."""
+        def cap(query):
+            return ConjunctiveQuery(
+                tables=query.tables, predicates=query.predicates,
+                projections=query.projections, limit=3,
+            )
+
+        executed = []
+        db.pipeline.add_stage_hook("lower", cap)
+        db.pipeline.add_stage_hook("execute", executed.append)
+        sql = "SELECT id, age FROM users WHERE age > 21"
+        assert len(db.explain_analyze(sql).result.rows) == 3
+        assert len(executed) == 1  # EXPLAIN ANALYZE applies execute hooks
+        res = db.execute(sql)
+        assert len(res.rows) == 3
+        explained = db.explain(sql)
+        assert "Limit" in explained
+        assert explained.text == db.pipeline.prepare_sql(sql).plan.pretty()
+        assert explained.cache_hit  # same SQL-text and plan cache entries
+        assert res.pipeline_telemetry.cache_hit
 
     def test_unknown_stage_rejected(self, db):
         with pytest.raises(PlanError):

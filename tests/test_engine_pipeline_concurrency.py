@@ -199,31 +199,6 @@ class TestPerTableIsolation:
         assert stats["misses"] == 0, stats
         assert stats["hits"] == total, stats
 
-    def test_global_scope_shows_the_old_behaviour(self):
-        """Control: under ``cache_scope="global"`` the same writer *does*
-        invalidate a-only plans — the contrast the benchmark measures."""
-        db = _build_db("vectorized")
-        gdb = Database(executor_mode="vectorized", cache_scope="global")
-        gdb.execute("CREATE TABLE a (id INT, k INT, v FLOAT)")
-        gdb.catalog.table("a").insert_rows(
-            [(i, i % 7, float(i % 11)) for i in range(400)]
-        )
-        gdb.execute("CREATE TABLE b (id INT)")
-        gdb.execute("ANALYZE")
-        sql = QUERIES[0][0]
-        gdb.execute(sql)
-        gdb.pipeline.plan_cache.reset_counters()
-        gdb.catalog.table("b").insert_rows([(1,)])
-        gdb.execute(sql)
-        assert gdb.pipeline.plan_cache.stats()["invalidations"] == 1
-        # ... while the default per-table scope keeps the plan warm.
-        db.execute(sql)
-        db.pipeline.plan_cache.reset_counters()
-        db.catalog.table("b").insert_rows([(1,)])
-        db.execute(sql)
-        assert db.pipeline.plan_cache.stats()["invalidations"] == 0
-        assert db.pipeline.plan_cache.stats()["hits"] == 1
-
 
 class TestPlanCacheHammer:
     """Raw PlanCache under concurrent get/put/clear from many threads."""
@@ -301,3 +276,34 @@ class TestPlanCacheHammer:
         for t in threads:
             t.join()
         assert not errors, errors[0]
+
+
+class TestReadersTakeTheLocks:
+    """``stats()``/``reset_stats()`` read and zero what ``_accumulate``
+    mutates under ``_stats_lock``, and ``len(cache)``/``key in cache``
+    read what ``put`` mutates under the cache lock — each must wait for
+    that lock, or it can see a half-applied update."""
+
+    @pytest.mark.parametrize("lock_of,reader", [
+        (lambda db: db.pipeline._stats_lock, lambda db: db.pipeline.stats()),
+        (lambda db: db.pipeline._stats_lock,
+         lambda db: db.pipeline.reset_stats()),
+        (lambda db: db.pipeline.plan_cache._lock,
+         lambda db: len(db.pipeline.plan_cache)),
+        (lambda db: db.pipeline.plan_cache._lock,
+         lambda db: "k" in db.pipeline.plan_cache),
+    ], ids=["stats", "reset_stats", "len", "contains"])
+    def test_reader_waits_for_the_writer_lock(self, lock_of, reader):
+        db = _build_db("vectorized")
+        done = threading.Event()
+
+        def read():
+            reader(db)
+            done.set()
+
+        with lock_of(db):
+            thread = threading.Thread(target=read)
+            thread.start()
+            assert not done.wait(0.05)  # blocked while the lock is held
+        thread.join(5)
+        assert done.is_set()

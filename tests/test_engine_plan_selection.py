@@ -319,17 +319,20 @@ SQL = ("SELECT small.id, big.tag FROM small, mid, big "
 
 
 class TestPipelineIntegration:
-    def test_cost_selector_keeps_legacy_cache_keys(self):
+    def test_cost_selector_keys_on_default_arm(self):
         db = _skewed_db()
         db.execute(SQL)
+        db.run_query_object(
+            db.pipeline.lower_sql(SQL), order=["big", "mid", "small"])
         keys = list(db.pipeline.plan_cache._entries)
-        assert keys and all(len(k) == 2 for k in keys), keys
+        assert len(keys) == 2, keys
+        assert all(len(k) == 3 and k[2] == "default" for k in keys), keys
 
     def test_per_arm_cache_entries(self):
         db = _skewed_db(plan_selector="bandit", seed=3)
         db.execute(SQL)
         keys = list(db.pipeline.plan_cache._entries)
-        arms = {k[2] for k in keys if len(k) == 3}
+        arms = {k[2] for k in keys}
         expected = {a.name for a in db.plan_selector.arms(None)}
         assert arms == expected, (arms, expected)
         # Warm rerun: selection still runs, planning hits per-arm cache.
@@ -357,11 +360,15 @@ class TestPipelineIntegration:
         assert summary["arm"] == t.arm
         assert summary["ues_bound"] == t.ues_bound
 
-    def test_cost_selector_telemetry_has_no_arm(self):
+    def test_cost_selector_telemetry_default_arm(self):
         db = _skewed_db()
         res = db.execute(SQL)
-        assert res.pipeline_telemetry.arm is None
-        assert res.pipeline_telemetry.summary()["arm"] is None
+        t = res.pipeline_telemetry
+        assert t.arm == "default"
+        assert t.arm_est_cost == db.pipeline.prepare_sql(SQL).est_cost
+        assert t.n_candidates == 1
+        assert t.ues_bound is None and t.selection_features is None
+        assert t.summary()["arm"] == "default"
 
     def test_explain_and_analyze_report_the_arm(self):
         db = _skewed_db(plan_selector="pessimistic")

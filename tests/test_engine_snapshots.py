@@ -11,12 +11,11 @@ and report what invalidated them).
 
 import pytest
 
-from repro.common import CatalogError, ExecutionError, ReproError
+from repro.common import CatalogError, ExecutionError
 from repro.engine import (
     CatalogSnapshot,
     Database,
     DatabaseSnapshot,
-    EngineConfig,
     Table,
     TableSnapshot,
 )
@@ -319,20 +318,6 @@ class TestScopedPlanCache:
         assert tele.cache_outcome == "invalidated"
         assert tele.invalidation_cause == "table:a"
         assert dict(tele.plan_versions)["a"] == db.catalog.version("a")
-
-    def test_global_scope_invalidates_across_tables(self):
-        db = _small_db(cache_scope="global")
-        db.query("SELECT COUNT(*) FROM a")
-        db.catalog.table("b").insert_rows([(1, 1)])
-        res = db.execute("SELECT COUNT(*) FROM a")
-        tele = res.pipeline_telemetry
-        assert tele.cache_outcome == "invalidated"
-        assert tele.invalidation_cause == "table:*"
-
-    def test_cache_scope_config_validation(self):
-        assert EngineConfig(cache_scope="global").cache_scope == "global"
-        with pytest.raises(ReproError, match="cache_scope"):
-            EngineConfig(cache_scope="per-row")
 
     def test_join_invalidated_by_either_table(self):
         db = _small_db()
