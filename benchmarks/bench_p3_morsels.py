@@ -32,9 +32,10 @@ FAST = os.environ.get("REPRO_BENCH_FAST", "0") == "1"
 
 WORKER_COUNTS = (1, 2, 4, 8)
 
-#: Morsel size for the benchmark: small enough that the E8-scale joins
-#: (tens of thousands of intermediate rows) split into many morsels.
-MORSEL_ROWS = 4096
+#: Morsel size for the benchmark, by ``fast``: small enough that the
+#: workload's joins split into many morsels — tens of thousands of
+#: intermediate rows at full size, a few hundred at the fast size.
+MORSEL_ROWS = {False: 4096, True: 128}
 
 
 def build_workload_plans(fast, seed=0):
@@ -52,10 +53,10 @@ def build_workload_plans(fast, seed=0):
     return db, [db.planner.plan(q) for q in workload]
 
 
-def execute_all(db, plans, mode, n_workers=1, morsel_rows=MORSEL_ROWS):
+def execute_all(db, plans, mode, n_workers=1, fast=False):
     """Execute every plan; returns ``(rows, work, morsels_dispatched)``."""
     ex = Executor(db.catalog, db.cost_model, mode=mode,
-                  morsel_rows=morsel_rows, n_workers=n_workers)
+                  morsel_rows=MORSEL_ROWS[fast], n_workers=n_workers)
     total_rows, total_work, total_morsels = 0, 0.0, 0
     for plan in plans:
         result = ex.execute(plan)
@@ -74,7 +75,7 @@ def measure(fast, repeats=3, seed=0):
         "workload": "E8 clique (rows_per_table=%d, queries=%d)"
         % (400 if fast else 600, 12 if fast else 18),
         "fast": fast,
-        "morsel_rows": MORSEL_ROWS,
+        "morsel_rows": MORSEL_ROWS[fast],
         "cpu_count": os.cpu_count(),
         "modes": {},
     }
@@ -84,7 +85,8 @@ def measure(fast, repeats=3, seed=0):
         best = float("inf")
         for __ in range(repeats):
             t0 = time.perf_counter()
-            rows, work, morsels = execute_all(db, plans, mode, n_workers)
+            rows, work, morsels = execute_all(
+                db, plans, mode, n_workers, fast)
             best = min(best, time.perf_counter() - t0)
         checks[label] = (rows, work)
         out["modes"][label] = {
@@ -118,9 +120,9 @@ def measure(fast, repeats=3, seed=0):
 def test_p3_parallel_parity_all_worker_counts():
     """Every worker count returns identical rows and bit-identical work."""
     db, plans = build_workload_plans(fast=True)
-    baseline = execute_all(db, plans, "vectorized")[:2]
+    baseline = execute_all(db, plans, "vectorized", fast=True)[:2]
     for workers in WORKER_COUNTS:
-        result = execute_all(db, plans, "parallel", n_workers=workers)
+        result = execute_all(db, plans, "parallel", workers, fast=True)
         assert result[:2] == baseline, workers
         assert result[2] > 0, "no morsels dispatched at %d workers" % workers
 
@@ -129,7 +131,8 @@ def test_p3_scaling_benchmark(benchmark):
     """Times parallel execution at 4 workers on the FAST-aware workload."""
     db, plans = build_workload_plans(fast=FAST)
     rows, work, morsels = benchmark.pedantic(
-        execute_all, args=(db, plans, "parallel", 4), rounds=1, iterations=1
+        execute_all, args=(db, plans, "parallel", 4, FAST), rounds=1,
+        iterations=1,
     )
     assert rows > 0 and work > 0 and morsels > 0
 

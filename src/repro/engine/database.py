@@ -22,12 +22,11 @@ The extension points the AI4DB and DB4AI layers use:
   pipeline's rewrite stage.
 * ``pipeline.add_stage_hook`` — observe/replace any stage's output.
 
-Every statement flows through a :class:`~repro.engine.session.context.
-SessionContext` — :meth:`Database.execute` is a thin facade over an
-ungated one (identical behavior and return values to the classic
-surface), and :meth:`Database.session` / :meth:`Database.agent_session`
-hand out gated ones with per-session policy, audit, dry-run, and (for
-agent sessions) transactional rollback.
+Every statement takes the one route of a :class:`~repro.engine.session.
+context.SessionContext` — :meth:`Database.execute` unwraps the result of
+a context with no policy and no audit log, and :meth:`Database.session`
+/ :meth:`Database.agent_session` hand out contexts with per-session
+policy, audit, dry-run, and (for agent sessions) transactional rollback.
 """
 
 import threading
@@ -121,8 +120,7 @@ class Database:
         self.pipeline = QueryPipeline(
             self, plan_cache_size=config.plan_cache_size
         )
-        # The ungated facade session Database.execute routes through —
-        # same code path and return values as calling the pipeline raw.
+        # The context Database.execute unwraps: no policy, no audit log.
         self._session = SessionContext(self)
 
     @property
@@ -221,10 +219,9 @@ class Database:
 
     # ------------------------------------------------------------------
     def execute(self, sql_text):
-        """Execute one SQL (or AISQL) statement through the pipeline.
+        """Execute one SQL (or AISQL) statement.
 
-        A facade over the database's ungated session — behavior and
-        return values are exactly the classic surface:
+        The ``raw`` value of the database's own policy-free session:
 
         Returns:
             For SELECT: an :class:`~repro.engine.executor.ExecutionResult`.
@@ -290,14 +287,14 @@ class DatabaseSnapshot:
     def __init__(self, database):
         self._db = database
         self.catalog = database.catalog.snapshot()
-        # The ungated facade session execute() routes through; reads are
-        # pinned to this snapshot's catalog by the backend.
+        # The context execute() unwraps; its backend pins reads to this
+        # snapshot's catalog and refuses writes.
         self._session = SessionContext(
             database, backend=SnapshotBackend(database, self.catalog)
         )
 
     def session(self, policy=None, audit=None):
-        """A gated :class:`SessionContext` pinned to this snapshot."""
+        """A :class:`SessionContext` pinned to this snapshot."""
         return SessionContext(
             self._db,
             backend=SnapshotBackend(self._db, self.catalog),

@@ -47,12 +47,12 @@ Cache-key / token invariants:
   internals by hand (``db.planner.estimator = ...``) is the one mutation
   the token cannot see — call :meth:`QueryPipeline.invalidate` after it.
 
-Snapshot reads: :meth:`run_sql`/:meth:`run_query` accept an immutable
-:class:`~repro.engine.catalog.CatalogSnapshot`. Planning (and the warm
-plan cache) stays shared with the live database, but execution is pinned
-to the snapshot via the executor's per-run catalog override, feedback
-ingestion is skipped (actuals reflect pinned data), and only SELECT is
-allowed — the ``db.snapshot()`` read API.
+Snapshot reads: :meth:`execute_prepared`/:meth:`run_query` accept an
+immutable :class:`~repro.engine.catalog.CatalogSnapshot`. Planning (and
+the warm plan cache) stays shared with the live database, but execution
+is pinned to the snapshot via the executor's per-run catalog override
+and feedback ingestion is skipped (actuals reflect pinned data) — the
+``db.snapshot()`` read API.
 """
 
 import threading
@@ -435,34 +435,22 @@ class QueryPipeline:
         return value
 
     # -- entry points ------------------------------------------------------
-    def run_sql(self, sql_text, snapshot=None):
+    def run_sql(self, sql_text):
         """Run one SQL (or hooked AISQL) statement through the pipeline.
 
         Returns whatever the statement produces: an
         :class:`~repro.engine.executor.ExecutionResult` for SELECT, a
         status string for DDL/DML/ANALYZE, or the hook's result for
         intercepted statements.
-
-        With ``snapshot`` (a :class:`~repro.engine.catalog.
-        CatalogSnapshot`), only SELECT is accepted, statement hooks are
-        bypassed (they may mutate), and execution reads the pinned
-        snapshot instead of the live catalog.
         """
-        if snapshot is None:
-            for hook in self.statement_hooks:
-                result = hook(self.db, sql_text)
-                if result is not None:
-                    return result
-        telemetry = PipelineTelemetry()
-        query, stmt = self._front_end(sql_text, telemetry)
+        for hook in self.statement_hooks:
+            result = hook(self.db, sql_text)
+            if result is not None:
+                return result
+        query, stmt, telemetry = self.front_end(sql_text)
         if query is not None:
             return self.execute_prepared(
-                self._prepare(sql_text, query, telemetry), snapshot=snapshot
-            )
-        if snapshot is not None:
-            raise ExecutionError(
-                "snapshot sessions are read-only: only SELECT is allowed, "
-                "got %r" % _head(sql_text)
+                self._prepare(sql_text, query, telemetry)
             )
         result = self._run_statement(stmt, telemetry)
         self._accumulate(telemetry)
@@ -476,31 +464,35 @@ class QueryPipeline:
             self.prepare_query(query, order=order), snapshot=snapshot
         )
 
-    def prepare_sql(self, sql_text):
+    def prepare_sql(self, sql_text, front=None):
         """Plan a SELECT through the caches without executing it.
 
         Returns a :class:`PreparedQuery` carrying the lowered query, the
         physical plan, the planning telemetry, and the plan's cost
         estimate. Only SELECT is accepted — preparation exists for the
-        serving layer's read path, where admission control must see the
-        cost estimate *before* execution. Statement hooks are bypassed
-        (they may mutate).
+        read path, where gates and admission control must see the cost
+        estimate *before* execution. Statement hooks are bypassed (they
+        may mutate).
+
+        ``front`` is the ``(query, telemetry)`` pair of a
+        :meth:`front_end` pass the caller already made over this text
+        (the session layer classifies and gates a statement between the
+        front end and the plan stage); planning continues that pass
+        instead of starting a second one.
         """
-        telemetry = PipelineTelemetry()
-        query = self._select_query(
-            sql_text, telemetry, "prepare_sql", ExecutionError
+        query, telemetry = front or self._select_query(
+            sql_text, "prepare_sql", ExecutionError
         )
         return self._prepare(sql_text, query, telemetry)
 
     def lower_sql(self, sql_text):
         """Parse + lower a SELECT to its :class:`ConjunctiveQuery`.
 
-        Shares the SQL-text cache with :meth:`run_sql` (same
-        ``schema_epoch`` token), so classifying a statement and then
-        executing it costs one parse, not two. Only SELECT lowers;
-        anything else raises :class:`~repro.common.ParseError`.
+        Shares the SQL-text cache with every other entry point (same
+        ``schema_epoch`` token). Only SELECT lowers; anything else
+        raises :class:`~repro.common.ParseError`.
         """
-        return self._select_query(sql_text, PipelineTelemetry(), "lower_sql")
+        return self._select_query(sql_text, "lower_sql")[0]
 
     def prepare_query(self, query, order=None):
         """Plan a structured :class:`ConjunctiveQuery` without executing.
@@ -510,17 +502,21 @@ class QueryPipeline:
         """
         return self._prepare(None, query, PipelineTelemetry(), order=order)
 
-    def _front_end(self, sql_text, telemetry):
-        """Parse → lower through the SQL-text cache: ``(query, stmt)``.
+    def front_end(self, sql_text):
+        """Parse → lower through the SQL-text cache:
+        ``(query, stmt, telemetry)``.
 
         The one front end behind every SQL entry point, so stage hooks
         and the warm-text cache apply to all of them alike. A SELECT
         comes back lowered (``stmt`` is ``None``); any other statement
-        comes back parsed (``query`` is ``None``). The cache token is the
-        coarse ``schema_epoch``, not the full version vector — lowering
-        depends only on name resolution, so inserts/ANALYZE keep warm
-        SQL text warm.
+        comes back parsed (``query`` is ``None``); ``telemetry`` is the
+        statement's fresh :class:`PipelineTelemetry`, carrying the
+        parse/lower timings into whatever stages run next. The cache
+        token is the coarse ``schema_epoch``, not the full version
+        vector — lowering depends only on name resolution, so
+        inserts/ANALYZE keep warm SQL text warm.
         """
+        telemetry = PipelineTelemetry()
         schema_epoch = self.db.catalog.schema_epoch
         t0 = time.perf_counter()
         query = self.query_cache.get(sql_text, schema_epoch)
@@ -529,24 +525,25 @@ class QueryPipeline:
             telemetry.record_stage("parse", time.perf_counter() - t0)
             stmt = self._apply_hooks("parse", stmt)
             if not isinstance(stmt, SelectStmt):
-                return None, stmt
+                return None, stmt, telemetry
             t0 = time.perf_counter()
             query = lower_select(stmt, self.db.catalog)
             query = self._apply_hooks("lower", query)
             self.query_cache.put(sql_text, query, schema_epoch)
         telemetry.record_stage("lower", time.perf_counter() - t0)
-        return query, None
+        return query, None, telemetry
 
-    def _select_query(self, sql_text, telemetry, what, error=ParseError):
-        """:meth:`_front_end` for the read-only entry points: the lowered
-        query, or ``error`` naming ``what`` when it is not a SELECT."""
-        query, __ = self._front_end(sql_text, telemetry)
+    def _select_query(self, sql_text, what, error=ParseError):
+        """:meth:`front_end` for the read-only entry points: the lowered
+        query and its telemetry, or ``error`` naming ``what`` when the
+        statement is not a SELECT."""
+        query, __, telemetry = self.front_end(sql_text)
         if query is None:
             raise error(
                 "%s supports only SELECT statements, got %r"
                 % (what, _head(sql_text))
             )
-        return query
+        return query, telemetry
 
     def _prepare(self, sql_text, query, telemetry, order=None):
         query = self._rewrite(query, telemetry)
@@ -590,8 +587,7 @@ class QueryPipeline:
         text, and ``fused_ops`` previews what the executor's fusion pass
         will collapse at execution time.
         """
-        telemetry = PipelineTelemetry()
-        query = self._select_query(sql_text, telemetry, "EXPLAIN")
+        query, telemetry = self._select_query(sql_text, "EXPLAIN")
         prepared = self._prepare(sql_text, query, telemetry)
         fused_ops = 0
         if self.db.executor_for(prepared.hints).fusion_enabled:
@@ -620,8 +616,7 @@ class QueryPipeline:
         the run's :class:`~repro.engine.executor.ExecutionResult` (rows
         included), ``node_stats`` the structured per-node records.
         """
-        telemetry = PipelineTelemetry()
-        query = self._select_query(sql_text, telemetry, "EXPLAIN ANALYZE")
+        query, telemetry = self._select_query(sql_text, "EXPLAIN ANALYZE")
         prepared = self._prepare(sql_text, query, telemetry)
         result = self.execute_prepared(prepared)
         run = result.telemetry

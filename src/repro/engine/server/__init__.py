@@ -17,7 +17,6 @@ from repro.engine.server.admission import (
 )
 from repro.engine.server.driver import TrafficReport, run_traffic, zipf_weights
 from repro.engine.server.server import (
-    DEFAULT_WRITE_COST,
     ISOLATION_LEVELS,
     QueryServer,
     Session,
@@ -31,7 +30,6 @@ __all__ = [
     "TrafficReport",
     "run_traffic",
     "zipf_weights",
-    "DEFAULT_WRITE_COST",
     "ISOLATION_LEVELS",
     "QueryServer",
     "Session",

@@ -38,16 +38,16 @@ from repro.common import ExecutionError
 from repro.engine.database import Database
 from repro.engine.server.admission import AdmissionController
 from repro.engine.session.agent import AgentSession
-from repro.engine.session.context import ServerBackend, SessionContext
+from repro.engine.session.context import (
+    WRITE_STATEMENT_COST,
+    ServerBackend,
+    SessionContext,
+)
 from repro.engine.telemetry import ServingRollup
 
 #: Session isolation levels: pin a fresh snapshot per statement, or one
 #: snapshot for the session's whole lifetime (repeatable read; read-only).
 ISOLATION_LEVELS = ("statement", "session")
-
-#: Flat work charge for one write statement (writes bypass the planner,
-#: so there is no cost estimate to charge; overridable per server).
-DEFAULT_WRITE_COST = 64.0
 
 
 class Session:
@@ -79,9 +79,8 @@ class Session:
             server.pin_snapshot() if isolation == "session" else None
         )
         self.closed = False
-        # The ungated facade context execute() routes through: SELECTs
-        # take admission + snapshot reads, everything else the
-        # single-writer commit path — the classic behavior.
+        # The context execute() unwraps: SELECTs take admission +
+        # snapshot reads, everything else the single-writer commit path.
         self._context = SessionContext(
             server.db, backend=ServerBackend(server, self)
         )
@@ -97,13 +96,12 @@ class Session:
         :class:`~repro.engine.executor.ExecutionResult` for SELECT, a
         status string otherwise).
         """
-        self._check_open()
         return self._context.execute(sql_text).raw
 
     def session_context(self, policy=None, audit=None):
-        """A gated :class:`SessionContext` over this session's tenant:
+        """A :class:`SessionContext` over this session's tenant:
         statements flow through the same admission/commit paths, with
-        per-statement policy checks and audit logging on top."""
+        the given policy checks and audit log on the route."""
         return SessionContext(
             self._server.db,
             backend=ServerBackend(self._server, self),
@@ -119,7 +117,6 @@ class Session:
     def run_query_object(self, query, order=None):
         """Run a structured :class:`ConjunctiveQuery` through admission
         and snapshot execution (the read path for query objects)."""
-        self._check_open()
         prepared = self._server.db.pipeline.prepare_query(query, order=order)
         return self._server._run_read(self, prepared)
 
@@ -130,7 +127,6 @@ class Session:
         cannot express NULLs in bulk); charges the same write cost and
         logs the same commit as SQL writes. Returns the inserted count.
         """
-        self._check_open()
         return self._server._run_write(self, None, table=table, rows=rows)
 
     def snapshot_versions(self):
@@ -145,7 +141,8 @@ class Session:
         return source.version_vector()
 
     def close(self):
-        """Release the session (idempotent)."""
+        """Release the session (idempotent): every context and agent
+        session over it stops at the server's read and write paths."""
         self.closed = True
         self._pinned = None
 
@@ -199,7 +196,7 @@ class QueryServer:
 
     def __init__(self, db=None, config=None, *, admission_policy=None,
                  tenant_quota=None, quota_refill_rate=None, queue_depth=None,
-                 admission_timeout=30.0, write_cost=DEFAULT_WRITE_COST,
+                 admission_timeout=30.0, write_cost=WRITE_STATEMENT_COST,
                  clock=None):
         if db is None:
             db = Database(config=config)
@@ -265,6 +262,7 @@ class QueryServer:
 
     def _run_read(self, session, prepared):
         """Admission → snapshot-pinned execution → settlement."""
+        session._check_open()
         t0 = time.perf_counter()
         ticket = None
         try:
@@ -301,6 +299,7 @@ class QueryServer:
     # -- write path --------------------------------------------------------
     def _run_write(self, session, sql_text, table=None, rows=None):
         """The single-writer commit path (SQL statement or bulk rows)."""
+        session._check_open()
         if session.isolation == "session":
             raise ExecutionError(
                 "session-isolation sessions are read-only (their pinned "
@@ -312,7 +311,7 @@ class QueryServer:
         try:
             with self._commit_lock:
                 if sql_text is not None:
-                    result = self.db.execute(sql_text)
+                    result = self.db.pipeline.run_sql(sql_text)
                 else:
                     result = self.db.catalog.table(table).insert_rows(rows)
                 self._commit_seq += 1

@@ -1,42 +1,47 @@
 """The unified session surface over every way of talking to the engine.
 
-Before this layer, the repo had three parallel entry points —
-``Database.execute`` (embedded), ``db.snapshot()`` (pinned reads), and
-``QueryServer.session()`` (multi-tenant serving) — each with its own
-calling conventions. :class:`SessionContext` is the one abstraction they
-are all facades over: a *backend* strategy object supplies the three
-primitive operations (raw statement, prepared read, write), and the
-context layers classification, policy gates, audit logging, dry-run
-planning, and a single :class:`SessionResult` envelope on top.
+``Database.execute`` (embedded), ``db.snapshot()`` (pinned reads) and
+``QueryServer.session()`` (multi-tenant serving) are all facades over
+:class:`SessionContext`: a *backend* strategy object supplies the two
+primitive operations (``read`` a prepared SELECT, ``write`` anything
+else), and the context layers classification, policy gates, audit
+logging, dry-run planning, and a single :class:`SessionResult` envelope
+on top.
+
+Every statement takes one route, whatever the surface and whatever the
+gates: the pipeline's front end runs once, :func:`classify` reads the
+statement's kind, tables and columns off what it parsed, the statement
+gate runs, then a SELECT is planned *from that same front-end pass*,
+cost-gated, read through the backend and row-gated, and anything else
+is cost-gated and written through the backend; the outcome is audited.
+A session without a policy or an audit log takes the same route — its
+gates simply have nothing to check or record.
 
 Layering: this module sits inside ``repro.engine`` and must not import
 the serving layer (``repro.engine.server``) — the server imports *us*.
 :class:`ServerBackend` therefore duck-types its target: anything with
-``pin_snapshot`` / ``_run_read`` / ``_run_write`` works.
-
-The fast path is preserved exactly: a session with no policy and no
-audit log routes every statement through the backend's raw path — the
-same code path (statement hooks first, warm SQL cache, direct DDL) the
-legacy facades used — and only sniffs the statement head for the result
-envelope. Gates and bookkeeping cost nothing until you ask for them.
+``pin_snapshot`` / ``_run_read`` / ``_run_write`` works. The SQL front
+end has one owner, the pipeline: nothing here imports the parser.
 """
 
-from repro.engine.errors import EngineError, ExecutionError
+from repro.engine.errors import EngineError, ExecutionError, ParseError
 from repro.engine.session.audit import AuditLog  # noqa: F401 (re-export)
-from repro.engine.session.policy import PolicyDecision
+from repro.engine.session.policy import WRITE_KINDS, PolicyDecision
 from repro.engine.sql.ast_nodes import (
     AnalyzeStmt,
     CreateIndexStmt,
     CreateTableStmt,
     InsertStmt,
-    SelectStmt,
 )
-from repro.engine.sql.parser import parse_sql
 
-#: Flat planning-cost stand-in for write statements (mirrors the serving
-#: layer's ``DEFAULT_WRITE_COST`` — writes bypass the planner, so there
-#: is no estimate to read).
+#: Flat cost of one write statement — the cost gate's estimate and the
+#: serving layer's default admission charge (writes bypass the planner,
+#: so there is no estimate to read).
 WRITE_STATEMENT_COST = 64.0
+
+#: Heads that name an extension statement: text the native parser
+#: rejects under one of these still reaches the statement hooks.
+_EXTENSION_KINDS = ("CREATE MODEL", "PREDICT", "EVALUATE", "UNKNOWN")
 
 #: Two-word statement heads the classifier must join before matching.
 _TWO_WORD_KINDS = {
@@ -87,10 +92,14 @@ def split_script(text):
 
 
 def sniff_kind(sql_text):
-    """Classify a statement by its head token(s) — no parsing.
+    """Name a statement by its head token(s) — no parsing.
 
-    Returns one of :data:`~repro.engine.session.policy.STATEMENT_KINDS`
-    (``"UNKNOWN"`` when the head matches nothing).
+    Labels text the front end could not parse: an extension statement's
+    head (:func:`classify`), or the kind an audit record / dry-run
+    preview shows for a statement that failed classification. Never
+    decides how a statement runs. Returns one of
+    :data:`~repro.engine.session.policy.STATEMENT_KINDS` (``"UNKNOWN"``
+    when the head matches nothing).
     """
     tokens = sql_text.strip().split(None, 2)
     if not tokens:
@@ -108,25 +117,32 @@ class StatementInfo:
         sql: the statement text.
         kind: a :data:`~repro.engine.session.policy.STATEMENT_KINDS`
             entry.
-        tables: referenced table names (as deep as classification saw).
-        columns: referenced ``(table, column)`` pairs — for a deep
-            SELECT this covers projections (expanded to all columns for
+        tables: referenced table names.
+        columns: referenced ``(table, column)`` pairs — for a SELECT
+            this covers projections (expanded to all columns for
             ``SELECT *``), predicates, join keys, aggregate arguments,
             grouping and ordering keys, so a policy deny-list catches a
             column *wherever* it appears in the statement.
         query: the lowered :class:`~repro.engine.query.ConjunctiveQuery`
-            when one exists (deep SELECT, or an extension inspector's
+            when one exists (a SELECT, or an extension inspector's
             cost-estimable feature query).
         row_estimate: known row count before execution (INSERT only).
         source: how the info was obtained — ``"inspector"`` /
-            ``"lowered"`` / ``"parsed"`` / ``"sniffed"``.
+            ``"lowered"`` (a native SELECT) / ``"parsed"`` (any other
+            native statement) / ``"sniffed"`` (an unclaimed extension
+            head).
+        front: for ``"lowered"``, the front-end pass itself — the
+            ``(query, telemetry)`` pair
+            :meth:`~repro.engine.pipeline.QueryPipeline.prepare_sql`
+            continues, so the statement is parsed, timed and
+            cache-counted once. ``None`` otherwise.
     """
 
     __slots__ = ("sql", "kind", "tables", "columns", "query",
-                 "row_estimate", "source")
+                 "row_estimate", "source", "front")
 
     def __init__(self, sql, kind, tables=(), columns=(), query=None,
-                 row_estimate=None, source="sniffed"):
+                 row_estimate=None, source="sniffed", front=None):
         self.sql = sql
         self.kind = kind
         self.tables = list(tables)
@@ -134,6 +150,7 @@ class StatementInfo:
         self.query = query
         self.row_estimate = row_estimate
         self.source = source
+        self.front = front
 
     def __repr__(self):
         return "StatementInfo(%s, tables=%r, source=%s)" % (
@@ -178,18 +195,20 @@ def _query_columns(db, query):
     return _dedupe(cols)
 
 
-def classify(db, sql_text, deep=False):
+def classify(db, sql_text):
     """Classify one statement without executing it.
 
     Extension inspectors (``db.pipeline.statement_inspectors`` — the
     read-only companions to statement hooks) are consulted first, so
-    hooked statements (AISQL) classify like native SQL. Otherwise the
-    head tokens are sniffed; with ``deep=True`` native statements are
-    additionally parsed (and SELECTs lowered through the warm SQL-text
-    cache) to resolve the tables and columns they reference.
+    hooked statements (AISQL) classify like native SQL. Everything else
+    goes through the pipeline's front end — comments skipped, ``"parse"``
+    hooks applied, SELECTs lowered through the warm SQL-text cache — and
+    the kind, tables and columns are read off the result. Text the
+    native parser rejects is an extension statement when its head says
+    so (nothing to resolve, but the kind gate still applies).
 
-    Deep classification of a malformed or unresolvable statement raises
-    the same :class:`~repro.common.ParseError` /
+    A malformed or unresolvable native statement raises the same
+    :class:`~repro.common.ParseError` /
     :class:`~repro.common.CatalogError` executing it would.
     """
     for inspector in db.pipeline.statement_inspectors:
@@ -204,21 +223,19 @@ def classify(db, sql_text, deep=False):
                 row_estimate=desc.get("row_estimate"),
                 source="inspector",
             )
-    kind = sniff_kind(sql_text)
-    if not deep:
+    try:
+        query, stmt, telemetry = db.pipeline.front_end(sql_text)
+    except ParseError:
+        kind = sniff_kind(sql_text)
+        if kind not in _EXTENSION_KINDS:
+            raise
         return StatementInfo(sql_text, kind)
-    if kind == "SELECT":
-        query = db.pipeline.lower_sql(sql_text)
+    if query is not None:
         return StatementInfo(
-            sql_text, kind, tables=list(query.tables),
+            sql_text, "SELECT", tables=list(query.tables),
             columns=_query_columns(db, query), query=query,
-            source="lowered",
+            source="lowered", front=(query, telemetry),
         )
-    if kind in ("PREDICT", "EVALUATE", "CREATE MODEL", "UNKNOWN"):
-        # Extension statement with no inspector installed (or noise):
-        # the kind gate still applies, but there is nothing to resolve.
-        return StatementInfo(sql_text, kind)
-    stmt = parse_sql(sql_text)
     if isinstance(stmt, InsertStmt):
         if stmt.columns:
             columns = [(stmt.table, c) for c in stmt.columns]
@@ -244,13 +261,6 @@ def classify(db, sql_text, deep=False):
                   else db.catalog.table_names())
         return StatementInfo(
             sql_text, "ANALYZE", tables=tables, source="parsed")
-    if isinstance(stmt, SelectStmt):  # sniff missed (leading comment etc.)
-        query = db.pipeline.lower_sql(sql_text)
-        return StatementInfo(
-            sql_text, "SELECT", tables=list(query.tables),
-            columns=_query_columns(db, query), query=query,
-            source="lowered",
-        )
     return StatementInfo(sql_text, "UNKNOWN", source="parsed")
 
 
@@ -260,14 +270,13 @@ class SessionResult:
     Attributes:
         sql: the statement text.
         kind: classified statement kind.
-        raw: the legacy return value — an
+        raw: what the statement produced — an
             :class:`~repro.engine.executor.ExecutionResult` for SELECT,
             a status string for DDL/DML/ANALYZE, or the hook result for
             extension statements. The facades (``Database.execute`` et
-            al.) return exactly this, so existing callers never see the
-            envelope.
+            al.) return exactly this.
         decision: the :class:`PolicyDecision` that admitted the
-            statement (``None`` on the ungated fast path).
+            statement (the ``"default"`` allow without a policy).
         est_cost: the planner's pre-execution cost estimate, when one
             existed.
         audit_record: the :class:`~repro.engine.session.audit.
@@ -402,19 +411,13 @@ class DryRunReport:
 
 
 # ---------------------------------------------------------------------------
-# Backends: the three primitive operations each entry point supplies.
+# Backends: the two primitive operations each entry point supplies.
 # ---------------------------------------------------------------------------
 class LocalBackend:
     """Direct embedded execution against a live :class:`Database`."""
 
-    read_only = False
-
     def __init__(self, db):
         self.db = db
-
-    def run_raw(self, sql_text):
-        """The exact legacy path: hooks → warm SQL cache → execute."""
-        return self.db.pipeline.run_sql(sql_text)
 
     def read(self, prepared):
         return self.db.pipeline.execute_prepared(prepared)
@@ -426,16 +429,9 @@ class LocalBackend:
 class SnapshotBackend:
     """Read-only execution pinned to a :class:`CatalogSnapshot`."""
 
-    read_only = True
-
     def __init__(self, db, snapshot):
         self.db = db
         self.snapshot = snapshot
-
-    def run_raw(self, sql_text):
-        # run_sql itself rejects non-SELECT under a snapshot, keeping
-        # the legacy read-only error text.
-        return self.db.pipeline.run_sql(sql_text, snapshot=self.snapshot)
 
     def read(self, prepared):
         return self.db.pipeline.execute_prepared(
@@ -455,18 +451,10 @@ class ServerBackend:
     import the serving layer — it imports us.)
     """
 
-    read_only = False
-
     def __init__(self, server, session):
         self.server = server
         self.session = session
         self.db = server.db
-
-    def run_raw(self, sql_text):
-        if sniff_kind(sql_text) == "SELECT":
-            prepared = self.db.pipeline.prepare_sql(sql_text)
-            return self.server._run_read(self.session, prepared)
-        return self.server._run_write(self.session, sql_text)
 
     def read(self, prepared):
         return self.server._run_read(self.session, prepared)
@@ -482,14 +470,14 @@ class SessionContext:
         db: the underlying :class:`~repro.engine.database.Database`.
         backend: the execution strategy (defaults to a
             :class:`LocalBackend` over ``db``).
-        policy: an optional :class:`Policy`; every statement is
-            classified deeply and checked before (and reads after)
-            execution.
+        policy: an optional :class:`Policy`; every statement is checked
+            before (and reads after) execution.
         audit: an optional :class:`~repro.engine.session.audit.AuditLog`;
             every statement — allowed, denied, or failed — is appended.
 
-    With neither policy nor audit the context is a zero-overhead facade:
-    statements flow through the backend's raw path untouched.
+    The route is the same with or without them: a missing policy is a
+    gate with nothing to check, a missing audit log one with nothing to
+    record.
     """
 
     def __init__(self, db, backend=None, policy=None, audit=None):
@@ -498,51 +486,84 @@ class SessionContext:
         self.policy = policy
         self.audit = audit
 
-    @property
-    def gated(self):
-        """Whether statements go through classify/check/record."""
-        return self.policy is not None or self.audit is not None
-
     # -- unified statement surface --------------------------------------
     def execute(self, sql_text):
         """Run one statement; returns a :class:`SessionResult`.
 
-        Ungated sessions take the exact legacy path. Gated sessions
-        classify the statement (deep — real tables and columns), check
-        the policy, route SELECTs through prepare (so the audit log
-        records estimated vs. actual cost), enforce row limits on the
-        realized result, and audit the outcome — including denials and
-        execution failures.
+        Front end once → classify → statement gate → plan (a SELECT,
+        continuing the classifying pass) or flat-cost (a write) → cost
+        gate → ``backend.read(prepared)`` / ``backend.write(sql_text)``
+        → row gate → audit. Extension statements — claimed by an
+        inspector, or an extension head the native parser rejects — go
+        to ``backend.write`` and so to the statement hooks. A denial or
+        failure at any step is audited with what was known by then,
+        then raised.
         """
-        if not self.gated:
-            raw = self.backend.run_raw(sql_text)
-            return SessionResult(sql_text, sniff_kind(sql_text), raw)
-        return self._execute_gated(sql_text)
+        kind = decision = None
+        seen = {}
+        try:
+            info = classify(self.db, sql_text)
+            kind = info.kind
+            decision = self._gate(sql_text, "check_statement", info)
+            try:
+                prepared, est_cost, __ = self._estimate(info)
+            except EngineError:
+                if info.front is not None:
+                    raise
+                # An extension's feature query that does not plan: the
+                # hook reports the failure in its own words.
+                prepared = est_cost = None
+            seen["est_cost"] = est_cost
+            self._gate(sql_text, "check_cost", est_cost)
+            if prepared is not None:
+                raw = self.backend.read(prepared)
+            else:
+                raw = self.backend.write(sql_text)
+            telemetry = getattr(raw, "telemetry", None)
+            rows = getattr(raw, "rows", None)
+            if telemetry is not None:
+                seen["actual_work"] = telemetry.total_work
+            seen["n_rows"] = (len(rows) if rows is not None
+                              else info.row_estimate)
+            if rows is not None:
+                # Limits on realized size can only be checked after
+                # execution — an overrun is withheld and audited.
+                # Extension reads (AISQL PREDICT) are row-shaped too.
+                self._gate(sql_text, "check_result_rows", len(rows))
+        except EngineError as exc:
+            denial = getattr(exc, "decision", None)
+            if denial is not None:
+                self._audit(sql_text, kind, denial, "denied",
+                            error=denial.reason, **seen)
+            else:
+                self._audit(sql_text, kind or sniff_kind(sql_text),
+                            decision, "error", error=str(exc), **seen)
+            raise
+        record = self._audit(sql_text, kind, decision, "ok",
+                             telemetry=telemetry, **seen)
+        return SessionResult(sql_text, kind, raw, decision=decision,
+                             est_cost=est_cost, audit_record=record)
 
     def query(self, sql_text):
         """Run one SELECT; returns just the rows."""
         return self.execute(sql_text).rows
 
     def explain(self, sql_text):
-        """Plan a SELECT without executing (policy-checked when gated)."""
-        if self.policy is not None:
-            info = classify(self.db, sql_text, deep=True)
-            self.policy.check_statement(info).raise_if_denied(sql_text)
+        """Plan a SELECT without executing (statement-gated first)."""
+        self._gate(sql_text, "check_statement",
+                   classify(self.db, sql_text))
         return self.db.pipeline.explain(sql_text)
 
     def prepare(self, sql_text):
         """Plan a SELECT through the warm caches without executing.
 
-        Returns a :class:`~repro.engine.pipeline.PreparedQuery`; gated
-        sessions check the policy (statement + cost gates) first.
+        Returns a :class:`~repro.engine.pipeline.PreparedQuery`, past
+        the statement and cost gates.
         """
-        if self.policy is not None:
-            info = classify(self.db, sql_text, deep=True)
-            self.policy.check_statement(info).raise_if_denied(sql_text)
-        prepared = self.db.pipeline.prepare_sql(sql_text)
-        if self.policy is not None:
-            self.policy.check_cost(prepared.est_cost).raise_if_denied(
-                sql_text)
+        info = classify(self.db, sql_text)
+        self._gate(sql_text, "check_statement", info)
+        prepared = self.db.pipeline.prepare_sql(sql_text, info.front)
+        self._gate(sql_text, "check_cost", prepared.est_cost)
         return prepared
 
     def run_script(self, script):
@@ -570,170 +591,70 @@ class SessionContext:
         depends on earlier uncommitted DDL in the same script previews
         as an error, which is itself useful signal.
         """
-        previews = []
-        for sql_text in split_script(script):
-            previews.append(self._preview(sql_text))
-        return DryRunReport(previews)
+        return DryRunReport(
+            [self._preview(stmt) for stmt in split_script(script)])
 
     def _preview(self, sql_text):
         try:
-            info = classify(self.db, sql_text, deep=True)
+            info = classify(self.db, sql_text)
         except EngineError as exc:
             return StatementPreview(
                 sql_text, sniff_kind(sql_text), error=str(exc))
         decision = (self.policy.check_statement(info)
                     if self.policy is not None else None)
-        est_cost = None
-        est_rows = None
-        error = None
+        est_cost = est_rows = error = None
         try:
-            if info.kind == "SELECT":
-                prepared = self.db.pipeline.prepare_sql(sql_text)
-                est_cost = prepared.est_cost
-                est_rows = prepared.plan.est_rows
-            elif info.query is not None:
-                # Extension statement (AISQL) whose inspector exposed a
-                # cost-estimable feature query: plan it.
-                prepared = self.db.pipeline.prepare_query(info.query)
-                est_cost = prepared.est_cost
-                est_rows = prepared.plan.est_rows
-            elif info.kind == "INSERT":
-                est_cost = WRITE_STATEMENT_COST
-                est_rows = info.row_estimate
-            elif info.kind in ("CREATE TABLE", "CREATE INDEX", "ANALYZE",
-                               "CREATE MODEL"):
-                est_cost = WRITE_STATEMENT_COST
+            __, est_cost, est_rows = self._estimate(info)
         except EngineError as exc:
             error = str(exc)
-        if (decision is not None and decision.allowed
-                and self.policy is not None):
-            cost_decision = self.policy.check_cost(est_cost)
-            if not cost_decision.allowed:
-                decision = cost_decision
+        if decision is not None and decision.allowed:
+            decision = self.policy.check_cost(est_cost)
         return StatementPreview(
             sql_text, info.kind, tables=info.tables, columns=info.columns,
             decision=decision, est_cost=est_cost, est_rows=est_rows,
             error=error,
         )
 
-    # -- gated execution -------------------------------------------------
+    # -- the steps of the route -------------------------------------------
+    def _gate(self, sql_text, check, subject):
+        """One policy gate: the allowing decision, or
+        :class:`PolicyError`. No policy, nothing to check."""
+        if self.policy is None:
+            return PolicyDecision.allow()
+        return getattr(self.policy, check)(subject).raise_if_denied(sql_text)
+
+    def _estimate(self, info):
+        """``(prepared, est_cost, est_rows)`` of a classified statement,
+        nothing executed. ``prepared`` is set for a native SELECT only:
+        planning continues the front-end pass that classified it. An
+        extension statement whose inspector exposed a cost-estimable
+        feature query is planned for its estimate; writes cost a flat
+        :data:`WRITE_STATEMENT_COST`."""
+        pipeline = self.db.pipeline
+        if info.front is not None:
+            prepared = pipeline.prepare_sql(info.sql, info.front)
+            return prepared, prepared.est_cost, prepared.plan.est_rows
+        if info.query is not None:
+            planned = pipeline.prepare_query(info.query)
+            return None, planned.est_cost, planned.plan.est_rows
+        if info.kind in WRITE_KINDS:
+            return None, WRITE_STATEMENT_COST, info.row_estimate
+        return None, None, None
+
     def _versions(self):
         return dict(self.db.catalog.version_vector())
 
-    def _audit(self, sql_text, kind, decision, status, **fields):
+    def _audit(self, sql_text, kind, decision, status, telemetry=None,
+               **fields):
         if self.audit is None:
             return None
+        if telemetry is not None:
+            fields["telemetry"] = telemetry.brief()
         rule = decision.rule if decision is not None else "default"
         verdict = decision.verdict if decision is not None else "allow"
         return self.audit.record(
             sql_text, kind, verdict, rule, status,
             versions=self._versions(), **fields)
-
-    def _execute_gated(self, sql_text):
-        try:
-            info = classify(self.db, sql_text, deep=True)
-        except EngineError as exc:
-            self._audit(sql_text, sniff_kind(sql_text), None, "error",
-                        error=str(exc))
-            raise
-        decision = (self.policy.check_statement(info)
-                    if self.policy is not None
-                    else PolicyDecision.allow())
-        if not decision.allowed:
-            self._audit(sql_text, info.kind, decision, "denied",
-                        error=decision.reason)
-            decision.raise_if_denied(sql_text)
-        if info.kind == "SELECT":
-            return self._gated_read(sql_text, info, decision)
-        return self._gated_raw(sql_text, info, decision)
-
-    def _gated_read(self, sql_text, info, decision):
-        """SELECT under gates: prepare → cost gate → execute → row gate."""
-        try:
-            prepared = self.db.pipeline.prepare_sql(sql_text)
-        except EngineError as exc:
-            self._audit(sql_text, info.kind, decision, "error",
-                        error=str(exc))
-            raise
-        est_cost = prepared.est_cost
-        if self.policy is not None:
-            cost_decision = self.policy.check_cost(est_cost)
-            if not cost_decision.allowed:
-                self._audit(sql_text, info.kind, cost_decision, "denied",
-                            error=cost_decision.reason, est_cost=est_cost)
-                cost_decision.raise_if_denied(sql_text)
-        try:
-            raw = self.backend.read(prepared)
-        except EngineError as exc:
-            self._audit(sql_text, info.kind, decision, "error",
-                        error=str(exc), est_cost=est_cost)
-            raise
-        n_rows = len(raw.rows)
-        if self.policy is not None:
-            row_decision = self.policy.check_result_rows(n_rows)
-            if not row_decision.allowed:
-                # The read already ran (limits on realized size can only
-                # be checked after execution) — the result is withheld
-                # and the overrun audited.
-                self._audit(sql_text, info.kind, row_decision, "denied",
-                            error=row_decision.reason, est_cost=est_cost,
-                            actual_work=raw.telemetry.total_work,
-                            n_rows=n_rows)
-                row_decision.raise_if_denied(sql_text)
-        record = self._audit(
-            sql_text, info.kind, decision, "ok", est_cost=est_cost,
-            actual_work=raw.telemetry.total_work, n_rows=n_rows,
-            telemetry=raw.telemetry.brief(),
-        )
-        return SessionResult(sql_text, info.kind, raw, decision=decision,
-                             est_cost=est_cost, audit_record=record)
-
-    def _gated_raw(self, sql_text, info, decision):
-        """Everything else under gates: cost gate → raw path → audit."""
-        est_cost = None
-        if info.query is not None:
-            try:
-                est_cost = self.db.pipeline.prepare_query(
-                    info.query).est_cost
-            except EngineError:
-                est_cost = None
-        elif info.kind in ("INSERT", "CREATE TABLE", "CREATE INDEX",
-                           "ANALYZE", "CREATE MODEL"):
-            est_cost = WRITE_STATEMENT_COST
-        if self.policy is not None and est_cost is not None:
-            cost_decision = self.policy.check_cost(est_cost)
-            if not cost_decision.allowed:
-                self._audit(sql_text, info.kind, cost_decision, "denied",
-                            error=cost_decision.reason, est_cost=est_cost)
-                cost_decision.raise_if_denied(sql_text)
-        try:
-            raw = self.backend.run_raw(sql_text)
-        except EngineError as exc:
-            self._audit(sql_text, info.kind, decision, "error",
-                        error=str(exc), est_cost=est_cost)
-            raise
-        telemetry = getattr(raw, "telemetry", None)
-        rows = getattr(raw, "rows", None)
-        n_rows = len(rows) if rows is not None else info.row_estimate
-        if (self.policy is not None and rows is not None):
-            # Extension reads (AISQL PREDICT) return row-shaped results
-            # outside the prepare path; the row gate still applies.
-            row_decision = self.policy.check_result_rows(len(rows))
-            if not row_decision.allowed:
-                self._audit(sql_text, info.kind, row_decision, "denied",
-                            error=row_decision.reason, est_cost=est_cost,
-                            n_rows=len(rows))
-                row_decision.raise_if_denied(sql_text)
-        record = self._audit(
-            sql_text, info.kind, decision, "ok", est_cost=est_cost,
-            actual_work=(telemetry.total_work
-                         if telemetry is not None else None),
-            n_rows=n_rows,
-            telemetry=(telemetry.brief()
-                       if telemetry is not None else None),
-        )
-        return SessionResult(sql_text, info.kind, raw, decision=decision,
-                             est_cost=est_cost, audit_record=record)
 
     def __repr__(self):
         gates = []

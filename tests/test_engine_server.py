@@ -29,7 +29,7 @@ import threading
 import pytest
 
 from repro.common import CatalogError, ExecutionError, ReproError
-from repro.engine import Database, EngineConfig, QueryServer
+from repro.engine import Database, EngineConfig, Policy, QueryServer
 from repro.engine.server import (
     AdmissionController,
     AdmissionError,
@@ -522,6 +522,20 @@ class TestServerSurface:
             sess.query("SELECT COUNT(*) FROM a")
         with pytest.raises(ExecutionError, match="closed"):
             sess.query("SELECT COUNT(*) FROM a")
+
+    def test_close_is_honoured_on_the_route_not_the_facade(self):
+        """Contexts and agent sessions over a closed session stop too."""
+        server = QueryServer(_serving_db())
+        sess = server.session(tenant="t")
+        context = sess.session_context(policy=Policy.unrestricted())
+        agent = server.agent_session()
+        sess.close()
+        agent.close()
+        for handle in (context, agent):
+            with pytest.raises(ExecutionError, match="closed"):
+                handle.execute("SELECT COUNT(*) FROM a")
+            with pytest.raises(ExecutionError, match="closed"):
+                handle.execute("INSERT INTO a VALUES (1, 1, 1.0)")
 
     def test_invalid_isolation_rejected(self):
         server = QueryServer(_serving_db())

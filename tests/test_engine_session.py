@@ -2,9 +2,10 @@
 
 The safety contract under test, per acceptance criteria:
 
-* the three legacy entry points (``Database.execute``, ``db.snapshot()``,
-  ``QueryServer.session``) behave exactly as before while being facades
-  over :class:`SessionContext`;
+* the three entry points (``Database.execute``, ``db.snapshot()``,
+  ``QueryServer.session``) are facades over :class:`SessionContext`,
+  whose one route classifies, gates, then reads or writes — the same
+  way with and without a policy or an audit log;
 * policies catch denied columns wherever they appear (projection,
   predicate, aggregate, AISQL feature list) and row/cost ceilings hold;
 * the audit log records every statement — allowed, denied, and failed —
@@ -34,6 +35,7 @@ from repro.engine import (
 )
 from repro.engine.executor import EXECUTOR_MODES
 from repro.engine.session.context import classify, sniff_kind
+from repro.engine.sql.ast_nodes import InsertStmt
 
 SEED_ROWS = [
     (1, "alice", 30), (2, "bob", 25), (3, "carol", 41),
@@ -86,7 +88,6 @@ class TestClassify:
         info = classify(
             db,
             "SELECT name FROM users WHERE age > 30 ORDER BY id",
-            deep=True,
         )
         assert info.kind == "SELECT"
         assert [t.lower() for t in info.tables] == ["users"]
@@ -97,23 +98,98 @@ class TestClassify:
 
     def test_select_star_expands_all_columns(self):
         db = make_db()
-        info = classify(db, "SELECT * FROM users", deep=True)
+        info = classify(db, "SELECT * FROM users")
         cols = {c.lower() for _, c in info.columns}
         assert cols == {"id", "name", "age"}
 
     def test_deep_insert_reports_rows_and_columns(self):
         db = make_db()
         info = classify(
-            db, "INSERT INTO users VALUES (9, 'zed', 50)", deep=True)
+            db, "INSERT INTO users VALUES (9, 'zed', 50)")
         assert info.kind == "INSERT"
         assert info.row_estimate == 1
         assert {c.lower() for _, c in info.columns} == {"id", "name", "age"}
 
 
 # ----------------------------------------------------------------------
-# Facade equivalence: legacy surfaces are unchanged
+# Facade equivalence: one route behind every surface
 # ----------------------------------------------------------------------
+ROUTE_SCRIPT = (
+    "CREATE TABLE t (a INT)",
+    "INSERT INTO t VALUES (1), (2)",
+    "ANALYZE t",
+    "SELECT name FROM users WHERE age = 25",   # cold: never seen text
+    "SELECT name FROM users WHERE age = 25",   # warm
+    "MAGIC WORD",
+)
+
+ROUTE_GATES = {
+    "none": None,
+    "unrestricted": lambda: {"policy": Policy.unrestricted()},
+    "audit": lambda: {"audit": AuditLog()},
+}
+
+
+def route_runner(surface, gates):
+    """``(db, run)`` — ``run(sql)`` is the statement's ``.raw`` on one
+    surface of a fresh database; with no gates it is the facade's own
+    ``execute``."""
+    db = make_db()
+    db.pipeline.statement_hooks.append(
+        lambda d, text: "HOOKED" if text.startswith("MAGIC") else None)
+    if surface == "database":
+        facade, open_context = db, db.session
+    elif surface == "snapshot":
+        facade = db.snapshot()
+        open_context = facade.session
+    else:
+        facade = QueryServer(db).session(tenant="t1")
+        open_context = facade.session_context
+    if ROUTE_GATES[gates] is None:
+        return db, facade.execute
+    context = open_context(**ROUTE_GATES[gates]())
+    return db, lambda sql: context.execute(sql).raw
+
+
 class TestFacades:
+    @pytest.mark.parametrize("gates", sorted(ROUTE_GATES))
+    @pytest.mark.parametrize("surface", ["database", "snapshot", "server"])
+    def test_the_route_is_one_route(self, surface, gates):
+        """Same script, same values, one front-end pass and one lookup
+        in each cache per SELECT — whatever the surface's gates."""
+        db, run = route_runner(surface, gates)
+        caches = (db.pipeline.query_cache, db.pipeline.plan_cache)
+
+        def lookups():
+            return [c.stats()["hits"] + c.stats()["misses"] for c in caches]
+
+        outcomes, selects = [], []
+        for sql in ROUTE_SCRIPT:
+            before = lookups()
+            try:
+                raw = run(sql)
+            except ExecutionError as exc:
+                outcomes.append(str(exc))
+                continue
+            if hasattr(raw, "rows"):
+                selects.append(raw.pipeline_telemetry)
+                assert [b - a for a, b in zip(before, lookups())] == [1, 1]
+                raw = raw.rows
+            outcomes.append(raw)
+        rows = [("bob",), ("dave",)]
+        if surface == "snapshot":
+            refused = ("snapshot sessions are read-only: only SELECT is "
+                       "allowed")
+            assert outcomes == [refused] * 3 + [rows, rows, refused]
+        else:
+            assert outcomes == ["CREATE TABLE", "INSERT 2", "ANALYZE",
+                                rows, rows, "HOOKED"]
+        cold, warm = selects
+        assert set(cold.stages) == {
+            "parse", "lower", "rewrite", "plan", "execute"}
+        assert set(warm.stages) == {"lower", "rewrite", "plan", "execute"}
+        assert not cold.cache_hit and warm.cache_hit
+
     def test_database_execute_returns_legacy_types(self):
         db = make_db()
         assert db.execute("CREATE TABLE t (a INT)") == "CREATE TABLE"
@@ -165,6 +241,39 @@ class TestFacades:
             assert gated.execute("SELECT COUNT(*) FROM users").rows == [(5,)]
             with pytest.raises(PolicyError):
                 gated.execute("INSERT INTO users VALUES (9, 'x', 1)")
+
+    def test_server_comment_led_select_is_a_snapshot_read(self):
+        """A SELECT behind a leading comment is a SELECT: admitted at
+        its plan's cost, read from a pinned snapshot, nothing committed
+        — and so allowed on a repeatable-read session."""
+        db = make_db()
+        server = QueryServer(db)
+        sql = "-- x\nSELECT name FROM users WHERE age = 25"
+        commits = len(server.commit_history())
+        pins = []
+        pin_snapshot = server.pin_snapshot
+        server.pin_snapshot = lambda: pins.append(1) or pin_snapshot()
+        with server.session(tenant="t1") as session:
+            result = session.execute(sql)
+        assert result.rows == [("bob",), ("dave",)]
+        assert len(pins) == 1
+        assert result.admission.cost == db.pipeline.prepare_sql(sql).est_cost
+        assert result.admission.cost != server.write_cost
+        with server.session(tenant="t1", isolation="session") as pinned:
+            assert pinned.execute(sql).rows == result.rows
+        assert len(server.commit_history()) == commits
+
+    def test_select_never_reaches_statement_hooks(self):
+        """A hook cannot claim SELECT text on any surface: a SELECT is
+        gated before anything executes. (An extension that wants such
+        text registers an inspector.)"""
+        db = make_db()
+        db.pipeline.statement_hooks.append(
+            lambda d, text: "HOOKED" if text.startswith("SELECT") else None)
+        sql = "SELECT COUNT(*) FROM users"
+        assert db.execute(sql).rows == [(5,)]
+        assert db.session().execute(sql).rows == [(5,)]
+        assert db.session(audit=AuditLog()).execute(sql).rows == [(5,)]
 
 
 # ----------------------------------------------------------------------
@@ -237,6 +346,47 @@ class TestPolicy:
     def test_unknown_kind_rejected_in_policy(self):
         with pytest.raises(PolicyError, match="unknown statement kinds"):
             Policy(statement_kinds=("DROP",))
+
+    @pytest.mark.parametrize("sql", ["SELECT region FROM people",
+                                     "-- x\nSELECT region FROM people"],
+                             ids=["plain", "comment-led"])
+    @pytest.mark.parametrize("rules,rule", [
+        ({"deny_tables": ("people",)}, "table-deny"),
+        ({"deny_columns": ("region",)}, "column-deny"),
+        ({"allow_tables": ("users",)}, "table-allow"),
+        ({"statement_kinds": ("SELECT",)}, None),
+    ], ids=["deny_tables", "deny_columns", "allow_tables", "kinds"])
+    def test_verdict_reads_the_parsed_statement_not_its_head(
+            self, rules, rule, sql):
+        """A leading comment changes nothing: same kind, same verdict,
+        same audit record."""
+        db = make_db()
+        db.execute("CREATE TABLE people (id INT, region TEXT)")
+        db.execute("INSERT INTO people VALUES (1, 'west')")
+        assert classify(db, sql).kind == "SELECT"
+        audit = AuditLog()
+        session = db.session(policy=Policy(**rules), audit=audit)
+        if rule is None:
+            assert session.execute(sql).rows == [("west",)]
+        else:
+            with pytest.raises(PolicyError) as exc:
+                session.execute(sql)
+            assert exc.value.decision.rule == rule
+        assert [r.kind for r in audit] == ["SELECT"]
+
+    def test_policy_checks_the_table_a_parse_hook_retargets_to(self):
+        db = make_db()
+        db.execute("CREATE TABLE secret (id INT, name TEXT, age INT)")
+
+        def retarget(stmt):
+            if isinstance(stmt, InsertStmt) and stmt.table == "users":
+                stmt.table = "secret"
+
+        db.pipeline.add_stage_hook("parse", retarget)
+        session = db.session(policy=Policy(deny_tables=("secret",)))
+        with pytest.raises(PolicyError, match="table-deny"):
+            session.execute("INSERT INTO users VALUES (6, 'mallory', 66)")
+        assert db.query("SELECT COUNT(*) FROM secret") == [(0,)]
 
 
 # ----------------------------------------------------------------------
@@ -555,7 +705,6 @@ class TestSessionContextMisc:
     def test_ungated_session_is_transparent(self):
         db = make_db()
         session = db.session()
-        assert not session.gated
         assert session.execute("INSERT INTO users VALUES (6, 'f', 1)"
                                ).raw == "INSERT 1"
 

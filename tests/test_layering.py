@@ -48,6 +48,21 @@ def test_engine_never_imports_ai_layers_statically():
     assert not violations, "\n".join(violations)
 
 
+def test_session_layer_never_imports_the_parser():
+    """The SQL front end has one owner, the pipeline: the session layer
+    classifies what ``QueryPipeline.front_end`` parsed."""
+    session_root = os.path.join(ENGINE_ROOT, "session") + os.sep
+    scanned = [p for p in _engine_modules() if p.startswith(session_root)]
+    assert scanned
+    violations = [
+        "%s:%d imports %s" % (path, lineno, module)
+        for path in scanned
+        for module, lineno in _imported_modules(path)
+        if module.startswith("repro.engine.sql.parser")
+    ]
+    assert not violations, "\n".join(violations)
+
+
 def test_operators_package_exists_and_is_scanned():
     # Guard the guard: the scan must actually cover the operators package.
     paths = list(_engine_modules())
