@@ -117,7 +117,6 @@ bench-summary:
 bench-json:
 	python benchmarks/bench_p1_executor.py
 	python benchmarks/bench_p2_pipeline.py
-	python benchmarks/bench_p3_morsels.py
 	python benchmarks/bench_p4_fusion.py
 	python benchmarks/bench_p5_feedback.py
 	python benchmarks/bench_p6_storage.py

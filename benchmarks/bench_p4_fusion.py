@@ -39,8 +39,6 @@ FAST = os.environ.get("REPRO_BENCH_FAST", "0") == "1"
 #: all of them (the unfused path) visibly costs time and memory.
 N_MEASURE_COLS = 12
 
-PARALLEL_WORKERS = 4
-
 
 def build_workload_plans(fast, seed=0):
     """Wide-table aggregate workload, planned once; ``(db, plans)``."""
@@ -112,10 +110,8 @@ def build_workload_plans(fast, seed=0):
 
 def execute_all(db, plans, mode, fusion):
     """Execute every plan; ``(rows, work, fused_ops)`` totals."""
-    kwargs = {"mode": mode, "fusion_enabled": fusion}
-    if mode == "parallel":
-        kwargs["n_workers"] = PARALLEL_WORKERS
-    ex = Executor(db.catalog, db.cost_model, **kwargs)
+    ex = Executor(db.catalog, db.cost_model, mode=mode,
+                  fusion_enabled=fusion)
     total_rows, total_work, total_fused = 0, 0.0, 0
     for plan in plans:
         result = ex.execute(plan)
@@ -137,7 +133,7 @@ def peak_alloc_bytes(db, plans, mode, fusion):
     return peak
 
 
-def measure(fast, repeats=3, seed=0, modes=("vectorized", "parallel")):
+def measure(fast, repeats=3, seed=0, modes=("vectorized",)):
     """Best-of-``repeats`` timings + peak allocation, fused vs. unfused."""
     db, plans = build_workload_plans(fast, seed=seed)
     out = {
@@ -194,7 +190,7 @@ def test_p4_fusion_parity_and_coverage():
     db, plans = build_workload_plans(fast=True)
     baseline = execute_all(db, plans, "vectorized", fusion=False)
     assert baseline[2] == 0  # fusion off => no fused ops
-    for mode in ("vectorized", "parallel", "row"):
+    for mode in ("vectorized", "row"):
         result = execute_all(db, plans, mode, fusion=True)
         assert result[:2] == baseline[:2], mode
         assert result[2] >= len(plans), (

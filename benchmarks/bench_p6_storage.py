@@ -293,7 +293,7 @@ def test_p6_layout_parity_and_pruning():
     enc_db, enc_plans, __ = layouts["encoded"]
     baseline = execute_all(flat_db, flat_plans, pruning=False)
     assert baseline["segments_pruned"] == 0
-    for mode in ("vectorized", "parallel", "row"):
+    for mode in ("vectorized", "row"):
         totals = execute_all(enc_db, enc_plans, pruning=True, mode=mode)
         assert totals["rows"] == baseline["rows"], mode
         assert totals["work"] == baseline["work"], mode

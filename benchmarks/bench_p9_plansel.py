@@ -146,7 +146,7 @@ def arm_work_table(db, sqls):
     """Measured work per (sql, arm): ``{sql: {arm: total_work}}``.
 
     Plans each distinct statement once per arm via
-    ``Planner.plan_candidates`` and executes on the arm's executor —
+    ``Planner.plan_candidates`` and executes on the database's executor —
     the ground truth the *optimal*, *heuristic*, and *pessimistic*
     strategies are scored from (the workload is read-only, so per-arm
     work is deterministic and independent of sequence position).
@@ -157,7 +157,7 @@ def arm_work_table(db, sqls):
         per_arm = {}
         for hints in default_arms():
             cand = db.planner.plan_candidates(query, [hints])[0]
-            result = db.executor_for(hints).execute(cand.plan)
+            result = db.executor.execute(cand.plan)
             per_arm[hints.name] = result.telemetry.total_work
         table[sql] = per_arm
     return table

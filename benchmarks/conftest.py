@@ -22,7 +22,7 @@ from repro.harness import run_experiment
 FAST = os.environ.get("REPRO_BENCH_FAST", "0") == "1"
 
 
-@pytest.fixture(params=["row", "vectorized", "parallel"])
+@pytest.fixture(params=["row", "vectorized"])
 def executor_mode(request):
     """Parametrizes a benchmark over every executor mode."""
     return request.param

@@ -40,7 +40,6 @@ from repro.engine.config import EXECUTOR_MODES, EngineConfig
 from repro.engine.indexes import BPlusTree, HashIndex
 from repro.engine.executor import ExecutionResult, Executor, count_join_rows
 from repro.engine.fusion import fuse_plan
-from repro.engine.morsels import MorselPool, MorselQueue, morsel_slices
 from repro.engine.operators import (
     ColumnarRelation,
     PhysicalOperator,
@@ -104,8 +103,6 @@ from repro.engine.knobs import (
     KnobResponseSimulator,
     WorkloadProfile,
     default_knobs,
-    executor_knobs,
-    executor_params,
     standard_workloads,
 )
 from repro.engine.txn import (
@@ -175,9 +172,6 @@ __all__ = [
     "QueryFeedbackStore",
     "count_join_rows",
     "fuse_plan",
-    "MorselPool",
-    "MorselQueue",
-    "morsel_slices",
     "PIPELINE_STAGES",
     "PlanCache",
     "PreparedQuery",
@@ -208,8 +202,6 @@ __all__ = [
     "KnobResponseSimulator",
     "WorkloadProfile",
     "default_knobs",
-    "executor_knobs",
-    "executor_params",
     "standard_workloads",
     "Transaction",
     "LockTableSimulator",

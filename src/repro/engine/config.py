@@ -2,9 +2,9 @@
 
 :class:`EngineConfig` is the single owner of every engine knob: a frozen
 dataclass whose instances fully determine how a
-:class:`~repro.engine.database.Database` is wired (executor mode, morsel
-size, worker count, plan-cache capacity, enumerator, view matching, cost
-constants, operator fusion, storage, admission, plan selection). A knob
+:class:`~repro.engine.database.Database` is wired (executor mode,
+plan-cache capacity, enumerator, view matching, cost constants, operator
+fusion, storage, admission, plan selection). A knob
 that can be set from the environment says so on its field — the
 ``REPRO_*`` name, the parser and the floor are :func:`dataclasses.field`
 metadata — and :meth:`EngineConfig.from_env` is the one function in the
@@ -22,22 +22,10 @@ from dataclasses import dataclass, field, fields, replace
 from repro.common import ExecutionError, ReproError
 
 #: Supported executor modes (first entry is the default).
-EXECUTOR_MODES = ("vectorized", "row", "parallel")
+EXECUTOR_MODES = ("vectorized", "row")
 
 #: Supported join enumerators.
 ENUMERATORS = ("dp", "greedy", "random")
-
-#: Default morsel size, in rows (the HyPer paper's ballpark).
-DEFAULT_MORSEL_ROWS = 16384
-
-#: Hard floor on the morsel size knob — smaller morsels are all overhead.
-MIN_MORSEL_ROWS = 16
-
-#: Default worker count in parallel mode: ``min(8, max(2, cpu_count))``,
-#: so the parallel machinery is always exercised (even on one core)
-#: without oversubscribing wide hosts for the small batches this engine
-#: processes.
-DEFAULT_PARALLEL_WORKERS = min(8, max(2, os.cpu_count() or 1))
 
 #: Default LRU capacity of the pipeline's plan (and lowered-query) cache.
 DEFAULT_PLAN_CACHE_SIZE = 256
@@ -122,9 +110,7 @@ class EngineConfig:
     Instances are frozen — derive variants with :meth:`with_changes`.
 
     Attributes:
-        executor_mode: ``"vectorized"``, ``"row"``, or ``"parallel"``.
-        morsel_rows: rows per morsel in parallel mode.
-        parallel_workers: worker count in parallel mode.
+        executor_mode: ``"vectorized"`` or ``"row"``.
         plan_cache_size: LRU capacity of the pipeline's plan cache.
         enumerator: join enumerator (``"dp"``/``"greedy"``/``"random"``).
         use_views: whether the planner may answer from materialized views.
@@ -176,12 +162,6 @@ class EngineConfig:
     executor_mode: str = field(
         default=EXECUTOR_MODES[0],
         metadata=_env("REPRO_EXECUTOR_MODE", str.lower))
-    morsel_rows: int = field(
-        default=DEFAULT_MORSEL_ROWS,
-        metadata=_env("REPRO_MORSEL_SIZE", int, floor=MIN_MORSEL_ROWS))
-    parallel_workers: int = field(
-        default=DEFAULT_PARALLEL_WORKERS,
-        metadata=_env("REPRO_PARALLEL_WORKERS", int, floor=1))
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
     enumerator: str = "dp"
     use_views: bool = True
@@ -252,10 +232,6 @@ class EngineConfig:
                 "enumerator must be one of %r, got %r"
                 % (ENUMERATORS, self.enumerator)
             )
-        if int(self.morsel_rows) < 1:
-            raise ExecutionError("morsel_rows must be >= 1")
-        if int(self.parallel_workers) < 1:
-            raise ExecutionError("parallel_workers must be >= 1")
         if int(self.plan_cache_size) < 1:
             raise ReproError("plan_cache_size must be >= 1")
         if int(self.segment_rows) < 1:
@@ -308,8 +284,6 @@ class EngineConfig:
         """The keyword arguments this config implies for ``Executor``."""
         return {
             "mode": self.executor_mode,
-            "morsel_rows": self.morsel_rows,
-            "n_workers": self.parallel_workers,
             "fusion_enabled": self.fusion_enabled,
             "pruning_enabled": self.zone_map_pruning,
         }

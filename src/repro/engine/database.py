@@ -29,8 +29,6 @@ a context with no policy and no audit log, and :meth:`Database.session`
 policy, audit, dry-run, and (for agent sessions) transactional rollback.
 """
 
-import threading
-
 from repro.common import ReproError, ensure_rng, spawn_rngs
 from repro.engine.catalog import Catalog
 from repro.engine.config import EngineConfig
@@ -100,10 +98,6 @@ class Database:
             regret_cap=config.regret_cap,
             rng=selector_rng,
         )
-        # Per-arm executors for hint sets that override fusion/parallel
-        # execution; built lazily, keyed (mode, fusion_enabled).
-        self._hint_executors = {}
-        self._hint_executor_lock = threading.Lock()
         self.feedback = None
         if config.feedback_enabled:
             self.feedback = QueryFeedbackStore()
@@ -137,41 +131,6 @@ class Database:
         were planned under are current.
         """
         return 0 if self.feedback is None else self.feedback.version
-
-    def executor_for(self, hints=None):
-        """The executor a hint set's execution axes resolve to.
-
-        ``fusion``/``parallel`` are execution hints: they never change
-        measured work (the engine's mode contract), only how the plan is
-        run. ``None`` axes inherit the engine config, in which case the
-        shared default executor is returned; overriding arms get a
-        lazily built executor cached per ``(mode, fusion)`` so the
-        serving layer can plan concurrently without re-wiring state.
-        """
-        if hints is None:
-            return self.executor
-        mode = self._config.executor_mode
-        if hints.parallel is not None:
-            if hints.parallel:
-                mode = "parallel"
-            elif mode == "parallel":
-                mode = "vectorized"
-        fusion = (
-            self.executor.fusion_enabled
-            if hints.fusion is None else bool(hints.fusion)
-        )
-        if mode == self.executor.mode and fusion == self.executor.fusion_enabled:
-            return self.executor
-        key = (mode, fusion)
-        with self._hint_executor_lock:
-            cached = self._hint_executors.get(key)
-            if cached is None:
-                kwargs = self._config.executor_kwargs()
-                kwargs["mode"] = mode
-                kwargs["fusion_enabled"] = fusion
-                cached = Executor(self.catalog, self.cost_model, **kwargs)
-                self._hint_executors[key] = cached
-            return cached
 
     @property
     def epoch(self):

@@ -10,24 +10,17 @@ cost model but on the **actual** cardinalities observed at run time, so:
   optimizer experiments report.
 
 The operator implementations live in :mod:`repro.engine.operators`, one
-module per operator family, each exposing up to three evaluation backends
-behind the uniform :class:`~repro.engine.operators.PhysicalOperator`
-interface. The executor resolves ``plan node → operator → backend`` and
-supplies the evaluation context: catalog, cost model, work accounting,
-per-node actual-row counters, and the morsel-parallel plumbing.
+module per operator family, each exposing two evaluation backends behind
+the uniform :class:`~repro.engine.operators.PhysicalOperator` interface.
+The executor resolves ``plan node → operator → backend`` and supplies the
+evaluation context: catalog, cost model, work accounting, and per-node
+actual-row counters.
 
-Three execution modes share the plan contract and the work accounting:
+Two execution modes — one backend each, the mode names the backend —
+share the plan contract and the work accounting:
 
 * ``"vectorized"`` (the default) keeps every intermediate result columnar —
   NumPy arrays end-to-end, via each operator's ``vectorized`` backend.
-* ``"parallel"`` is the vectorized engine with morsel-driven parallelism:
-  operators' ``morsel`` backends split large batches into fixed-size
-  morsels (:mod:`repro.engine.morsels`) that a work-stealing thread pool
-  evaluates concurrently for filters, hash-join probes, partial
-  aggregation, and DISTINCT pre-deduplication; sort/limit/distinct-merge
-  stay single-threaded so output order is deterministic. Per-morsel
-  results are merged **in morsel order**, so scheduling never leaks into
-  results.
 * ``"row"`` is the original tuple-at-a-time interpreter, kept for
   differential testing and as an executable specification.
 
@@ -45,17 +38,10 @@ a streaming engine).
 import threading
 import time
 
-import numpy as np
-
 from repro.common import ExecutionError
-from repro.engine.config import (
-    DEFAULT_MORSEL_ROWS,
-    DEFAULT_PARALLEL_WORKERS,
-    EXECUTOR_MODES,
-)
+from repro.engine.config import EXECUTOR_MODES
 from repro.engine.fusion import fuse_plan
-from repro.engine.morsels import MorselPool, morsel_slices
-from repro.engine.operators import OPS, ColumnarRelation, operator_for
+from repro.engine.operators import ColumnarRelation, operator_for
 from repro.engine.operators.kernels import (
     cross_indices,
     join_indices,
@@ -63,10 +49,6 @@ from repro.engine.operators.kernels import (
 )
 from repro.engine.optimizer.cost import CostModel
 from repro.engine.telemetry import ExecutionTelemetry, q_error
-
-#: Executor mode → the PhysicalOperator backend it dispatches to.
-_MODE_BACKENDS = {"row": "row", "vectorized": "vectorized",
-                  "parallel": "morsel"}
 
 
 class ExecutionResult:
@@ -105,22 +87,18 @@ class Executor:
     The executor doubles as the *evaluation context* handed to every
     :class:`~repro.engine.operators.PhysicalOperator` backend: operators
     call :meth:`run` to evaluate children, :meth:`charge` for work
-    accounting, :meth:`count` for actual-row attribution, and
-    :meth:`mask`/:meth:`morsels`/:meth:`pmap` for morsel parallelism.
+    accounting, and :meth:`count` for actual-row attribution.
 
     Args:
         catalog: the :class:`~repro.engine.catalog.Catalog`.
         cost_model: the :class:`CostModel` whose constants weight the work
             accounting (pass the knob-derived model so knob settings change
             measured work, closing the tuning feedback loop).
-        mode: ``"vectorized"`` (default, columnar NumPy batches),
-            ``"parallel"`` (morsel-driven vectorized execution on a
-            work-stealing thread pool), or ``"row"`` (tuple-at-a-time
-            interpreter). All modes return the same rows in the same order
-            and charge identical work.
-        morsel_rows: rows per morsel in parallel mode. Inputs smaller
-            than two morsels run on the single-threaded vectorized path.
-        n_workers: worker count in parallel mode.
+        mode: ``"vectorized"`` (default, columnar NumPy batches) or
+            ``"row"`` (tuple-at-a-time interpreter); also the name of the
+            :class:`~repro.engine.operators.PhysicalOperator` backend
+            every node is evaluated with. Both modes return the same rows
+            in the same order and charge identical work.
         fusion_enabled: whether ``execute`` collapses eligible
             Filter→Project/Aggregate plan tails into one
             :class:`~repro.engine.plans.FusedPipelineOp` pass. Fusion
@@ -138,9 +116,7 @@ class Executor:
     """
 
     def __init__(self, catalog, cost_model=None, mode="vectorized",
-                 morsel_rows=DEFAULT_MORSEL_ROWS,
-                 n_workers=DEFAULT_PARALLEL_WORKERS, fusion_enabled=True,
-                 pruning_enabled=True):
+                 fusion_enabled=True, pruning_enabled=True):
         if mode not in EXECUTOR_MODES:
             raise ExecutionError(
                 "executor mode must be one of %r, got %r"
@@ -149,14 +125,8 @@ class Executor:
         self._catalog = catalog
         self.cost_model = cost_model or CostModel()
         self.mode = mode
-        self._backend = _MODE_BACKENDS[mode]
-        self.morsel_rows = int(morsel_rows)
-        if self.morsel_rows < 1:
-            raise ExecutionError("morsel_rows must be >= 1")
-        self.n_workers = int(n_workers)
         self.fusion_enabled = bool(fusion_enabled)
         self.pruning_enabled = bool(pruning_enabled)
-        self._pool = MorselPool(self.n_workers) if mode == "parallel" else None
         # Per-run accounting lives in a thread-local so concurrent
         # ``execute()`` calls on one shared Executor (the pipeline
         # thread-safety tests do this) never mix their work counters.
@@ -295,7 +265,7 @@ class Executor:
         cardinality its unfused twin would have produced.
         """
         op = operator_for(node)
-        method = getattr(op, self._backend)
+        method = getattr(op, self.mode)
         self._child_seconds.append(0.0)
         t0 = time.perf_counter()
         out = method(self, node)
@@ -340,49 +310,6 @@ class Executor:
     def record_segments(self, total, pruned, bytes_decoded):
         """Accumulate one scan's segment-pruning counters."""
         self._telemetry.record_segments(total, pruned, bytes_decoded)
-
-    # -- morsel plumbing (parallel mode) --------------------------------
-    def morsels(self, n_rows):
-        """This input's morsel ranges, or ``[]`` when not worth splitting.
-
-        Only parallel mode splits, and only when the input spans at least
-        two morsels — otherwise the caller uses the identical
-        single-threaded vectorized path, so tiny batches pay no overhead.
-        """
-        if self.mode != "parallel" or n_rows < 2:
-            return []
-        slices = morsel_slices(n_rows, self.morsel_rows)
-        return slices if len(slices) >= 2 else []
-
-    def pmap(self, node, fn, n_tasks):
-        """Run ``fn(i)`` over morsel indices; results in morsel order."""
-        results, worker_stats = self._pool.run(fn, n_tasks)
-        self._telemetry.record_parallel(node.op_name, n_tasks, worker_stats)
-        return results
-
-    def mask(self, node, relation, predicates):
-        """Conjunction mask, morsel-parallel when the batch is large."""
-        slices = self.morsels(len(relation))
-        if not slices or not node.morsel_parallel:
-            return predicate_mask(relation, predicates)
-        compiled = [
-            (relation.arrays[relation.col_pos(p.table, p.column)],
-             OPS[p.op], p.value)
-            for p in predicates
-        ]
-
-        def task(i):
-            start, stop = slices[i]
-            mask = None
-            for arr, op, value in compiled:
-                m = np.asarray(op(arr[start:stop], value))
-                if m.ndim == 0:
-                    m = np.full(stop - start, bool(m))
-                m = m.astype(bool, copy=False)
-                mask = m if mask is None else mask & m
-            return mask
-
-        return np.concatenate(self.pmap(node, task, len(slices)))
 
 
 def count_join_rows(catalog, query, tables):

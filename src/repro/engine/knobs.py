@@ -76,45 +76,6 @@ def default_knobs():
     ]
 
 
-def executor_knobs():
-    """Knobs that configure the real engine's parallel executor.
-
-    Kept separate from :func:`default_knobs` — the E1 response surface is
-    seeded on the 8-knob registry, so extending that list would silently
-    reshuffle every seeded experiment. These knobs instead map directly
-    onto :class:`~repro.engine.executor.Executor` construction via
-    :func:`executor_params`.
-    """
-    return [
-        KnobSpec("morsel_size_rows", 1024, 262144, 16384, log_scale=True),
-        KnobSpec("parallel_workers", 1, 32, 4),
-        KnobSpec("fusion_enabled", 0.0, 1.0, 1.0),
-    ]
-
-
-def executor_params(unit_vector, knobs=None):
-    """Map normalized executor-knob settings to ``Executor`` kwargs.
-
-    Returns ``{"morsel_rows": int, "n_workers": int,
-    "fusion_enabled": bool}`` suitable for ``Executor(...)``
-    (``n_workers`` is ``EngineConfig.parallel_workers`` there).
-    Vectors shorter than the knob list (e.g. the pre-fusion 2-dim
-    tuning vectors) keep working: missing trailing knobs take their spec
-    defaults. The fusion knob is continuous for the tuners but maps to a
-    boolean at 0.5.
-    """
-    knobs = list(knobs) if knobs is not None else executor_knobs()
-    raw = [k.denormalize(u) for k, u in zip(knobs, unit_vector)]
-    raw += [k.default for k in knobs[len(raw):]]
-    params = {
-        "morsel_rows": max(1, int(round(raw[0]))),
-        "n_workers": max(1, int(round(raw[1]))),
-    }
-    if len(raw) >= 3:
-        params["fusion_enabled"] = bool(raw[2] >= 0.5)
-    return params
-
-
 class WorkloadProfile:
     """A workload descriptor the response surface is conditioned on.
 
@@ -286,9 +247,3 @@ class KnobResponseSimulator:
             "work_mem_rows": int(work_mem_raw * 1000),
             "index_probe_cost": float(rpc),
         }
-
-    def executor_params(self, unit_vector):
-        """Map the tuner's ``max_parallel_workers`` knob (index 6) onto the
-        parallel executor's worker count (floored at one worker)."""
-        workers = self.knobs[6].denormalize(unit_vector[6])
-        return {"n_workers": max(1, int(round(workers)))}

@@ -1,13 +1,11 @@
 """Physical-operator layer: one module per operator family.
 
 Each plan-node class maps to a stateless :class:`PhysicalOperator`
-singleton registered in this package's registry. Operators expose up to
-three evaluation backends — ``row`` (tuple-at-a-time interpreter),
-``vectorized`` (columnar NumPy batches), and ``morsel`` (morsel-driven
-parallel; defaults to the vectorized backend when an operator has no
-profitable parallel strategy). The executor stays a thin driver: it
-resolves node → operator → backend and supplies the evaluation context
-(catalog, cost model, work/row accounting, morsel plumbing).
+singleton registered in this package's registry. Operators expose two
+evaluation backends — ``row`` (tuple-at-a-time interpreter) and
+``vectorized`` (columnar NumPy batches). The executor stays a thin
+driver: it resolves node → operator → backend and supplies the
+evaluation context (catalog, cost model, work/row accounting).
 
 Layering: this package sits below the optimizer and must never import
 from :mod:`repro.ai4db` (guarded by a test).

@@ -1,17 +1,16 @@
-"""HashAggregate: grouped and global aggregation in all three backends.
+"""HashAggregate: grouped and global aggregation in both backends.
 
 The columnar helpers here (:func:`aggregate_columnar`,
-:func:`merge_partials`, :func:`global_aggregate`) are shared with the
-fused-pipeline operator, which runs the same aggregation over a
-filtered-but-never-materialized input. Both helpers record the
+:func:`global_aggregate`) are shared with the fused-pipeline operator,
+which runs the same aggregation over a filtered-but-never-materialized
+input. :func:`aggregate_columnar` records the
 aggregate node's actual output cardinality via ``ctx.count`` — the
 group count *before* any LIMIT — so per-node actual-row telemetry is
 identical whether the aggregate ran standalone or absorbed into a fused
 tail.
 
 Group output order is first-appearance order of each key among input
-rows, in every backend (the stable argsort recovers it vectorized; the
-morsel merge assigns positions in morsel order, which equals it).
+rows, in both backends (the stable argsort recovers it vectorized).
 """
 
 import numpy as np
@@ -24,7 +23,7 @@ from repro.engine.operators.base import (
     Relation,
     register,
 )
-from repro.engine.operators.kernels import agg_partial, factorize, segment_reduce
+from repro.engine.operators.kernels import factorize, segment_reduce
 
 
 def output_columns(node):
@@ -63,7 +62,7 @@ def global_aggregate(agg, arr, n):
 
 
 def aggregate_columnar(ctx, node, child):
-    """Single-threaded grouped/global aggregation over ``child``."""
+    """Grouped/global aggregation over ``child``."""
     n = len(child)
     key_pos = [child.col_pos(t, c) for t, c in node.group_by]
     agg_pos = [
@@ -124,57 +123,6 @@ def aggregate_columnar(ctx, node, child):
     return ColumnarRelation(columns, key_arrays + agg_arrays, n_rows=n_groups)
 
 
-def merge_partials(ctx, node, parts, n_input):
-    """Merge per-morsel partial aggregates, in morsel order.
-
-    The first morsel that contains a key defines its output position,
-    which equals the sequential first-appearance order. AVG partials
-    carry ``(sum, count)`` and divide once here. The aggregate charge
-    uses ``n_input`` — the operator's logical input cardinality — so
-    accounting is identical to the single-threaded paths.
-    """
-    group_index = {}
-    merged_keys = []
-    merged = [[] for __ in node.aggregates]
-    for group_keys, states in parts:
-        for local, key in enumerate(group_keys):
-            g = group_index.get(key)
-            if g is None:
-                g = group_index[key] = len(merged_keys)
-                merged_keys.append(key)
-                for state, agg_states in zip(states, merged):
-                    agg_states.append(state[local])
-                continue
-            for agg, state, agg_states in zip(
-                node.aggregates, states, merged
-            ):
-                if agg.func in ("count", "sum"):
-                    agg_states[g] = agg_states[g] + state[local]
-                elif agg.func == "min":
-                    agg_states[g] = min(agg_states[g], state[local])
-                elif agg.func == "max":
-                    agg_states[g] = max(agg_states[g], state[local])
-                else:  # avg carries (sum, count) partials
-                    s, c = agg_states[g]
-                    ds, dc = state[local]
-                    agg_states[g] = (s + ds, c + dc)
-    n_groups = len(merged_keys)
-    key_arrays = [
-        np.asarray(col)
-        for col in ([list(c) for c in zip(*merged_keys)] or
-                    [[] for __ in node.group_by])
-    ]
-    agg_arrays = []
-    for agg, agg_states in zip(node.aggregates, merged):
-        if agg.func == "avg":
-            agg_states = [s / c for s, c in agg_states]
-        agg_arrays.append(np.asarray(agg_states))
-    ctx.charge(node, ctx.cost_model.aggregate(n_input, n_groups))
-    ctx.count(node, n_groups)
-    return ColumnarRelation(output_columns(node), key_arrays + agg_arrays,
-                            n_rows=n_groups)
-
-
 @register(P.HashAggregate)
 class HashAggregateOp(PhysicalOperator):
     """Group-by + aggregate evaluation via hashing."""
@@ -220,30 +168,3 @@ class HashAggregateOp(PhysicalOperator):
 
     def vectorized(self, ctx, node):
         return aggregate_columnar(ctx, node, ctx.run(node.children[0]))
-
-    def morsel(self, ctx, node):
-        child = ctx.run(node.children[0])
-        n = len(child)
-        key_pos = [child.col_pos(t, c) for t, c in node.group_by]
-        slices = ctx.morsels(n) if key_pos else []
-        if not slices:
-            # Global aggregates (always one output row) and sub-morsel
-            # inputs take the single-threaded path.
-            return aggregate_columnar(ctx, node, child)
-        key_cols = [child.arrays[p] for p in key_pos]
-        agg_cols = [
-            None if a.column is None
-            else child.arrays[child.col_pos(a.table, a.column)]
-            for a in node.aggregates
-        ]
-
-        def partial(i):
-            start, stop = slices[i]
-            return agg_partial(
-                node.aggregates,
-                [k[start:stop] for k in key_cols],
-                [None if c is None else c[start:stop] for c in agg_cols],
-            )
-
-        parts = ctx.pmap(node, partial, len(slices))
-        return merge_partials(ctx, node, parts, n)

@@ -3,27 +3,21 @@ contract, and the plan-node → operator registry.
 
 Every physical operator family lives in its own module in this package
 (scan, join, filter/project, aggregate, sort/limit, fused pipeline) and
-subclasses :class:`PhysicalOperator`, implementing up to three evaluation
+subclasses :class:`PhysicalOperator`, implementing two evaluation
 backends:
 
 * :meth:`PhysicalOperator.row` — the tuple-at-a-time interpreter (the
   executable specification);
-* :meth:`PhysicalOperator.vectorized` — columnar NumPy batches;
-* :meth:`PhysicalOperator.morsel` — the morsel-driven parallel variant;
-  it defaults to the vectorized backend, which is exactly the old
-  executor's fallback rule (operators without a dedicated parallel
-  handler ran their vectorized implementation — whose predicate masks
-  already split per-morsel through ``ctx.mask``).
+* :meth:`PhysicalOperator.vectorized` — columnar NumPy batches.
 
 Backends receive ``(ctx, node)`` where ``ctx`` is the
 :class:`~repro.engine.executor.Executor` driving the plan. The executor
 exposes the per-run services operators need: ``ctx.run(child)`` for
 recursive evaluation, ``ctx.charge(node, amount)`` for work accounting,
-``ctx.count(node, n)`` for the per-node actual-row counters,
-``ctx.mask``/``ctx.morsels``/``ctx.pmap`` for morsel-parallel plumbing,
-plus ``ctx.catalog``/``ctx.cost_model``/``ctx.mode``.
+``ctx.count(node, n)`` for the per-node actual-row counters, plus
+``ctx.catalog``/``ctx.cost_model``/``ctx.mode``.
 
-All three backends of one operator are observationally identical: same
+Both backends of one operator are observationally identical: same
 rows in the same order, same ``work``/``operator_work`` charges, and the
 same per-node ``actual_rows`` — the differential fuzzer races them
 against each other to enforce it.
@@ -47,9 +41,8 @@ OPS = {
 #: the row-mode fused aggregation accumulators.
 UNSET = object()
 
-#: The three evaluation backends an operator may implement. ``"parallel"``
-#: executor mode maps to the ``morsel`` backend.
-BACKENDS = ("row", "vectorized", "morsel")
+#: The evaluation backends an operator implements, one per executor mode.
+BACKENDS = ("row", "vectorized")
 
 
 class Relation:
@@ -152,8 +145,7 @@ class PhysicalOperator:
     Subclasses are stateless singletons registered per plan-node type via
     :func:`register`; the executor resolves ``node → operator`` once per
     node and calls the backend matching its mode. A backend a family does
-    not implement raises; :meth:`morsel` defaults to the vectorized
-    backend (the engine-wide parallel fallback rule).
+    not implement raises.
     """
 
     def row(self, ctx, node):
@@ -165,9 +157,6 @@ class PhysicalOperator:
         raise ExecutionError(
             "executor does not support %r in vectorized mode" % (node,)
         )
-
-    def morsel(self, ctx, node):
-        return self.vectorized(ctx, node)
 
 
 #: Plan-node class → operator singleton.

@@ -1,12 +1,4 @@
-"""Filter and Project operators (Project includes DISTINCT dedup).
-
-Filter's vectorized mask goes through ``ctx.mask`` and therefore splits
-into morsels in parallel mode without a dedicated morsel backend.
-Project's morsel backend parallelizes DISTINCT pre-deduplication: each
-morsel keeps its local first occurrences and a single-threaded merge
-walks the surviving candidates in global row order, so the final keep
-set equals the sequential first-occurrence dedup exactly.
-"""
+"""Filter and Project operators (Project includes DISTINCT dedup)."""
 
 import numpy as np
 
@@ -18,7 +10,7 @@ from repro.engine.operators.base import (
     eval_predicates,
     register,
 )
-from repro.engine.operators.kernels import factorize
+from repro.engine.operators.kernels import factorize, predicate_mask
 
 
 @register(P.Filter)
@@ -37,7 +29,7 @@ class FilterOp(PhysicalOperator):
         child = ctx.run(node.children[0])
         ctx.charge(node, ctx.cost_model.params["cpu_tuple_cost"] * len(child))
         if node.predicates:
-            child = child.take(ctx.mask(node, child, node.predicates))
+            child = child.take(predicate_mask(child, node.predicates))
         return child
 
 
@@ -72,48 +64,6 @@ class ProjectOp(PhysicalOperator):
             codes = factorize(arrays)
             __, first = np.unique(codes, return_index=True)
             keep = np.sort(first)  # first-occurrence order, like the dict dedup
-            arrays = [a[keep] for a in arrays]
-            n = len(keep)
-        return ColumnarRelation(node.columns, arrays, n_rows=n)
-
-    def morsel(self, ctx, node):
-        child = ctx.run(node.children[0])
-        positions = [child.col_pos(t, c) for t, c in node.columns]
-        ctx.charge(node, ctx.cost_model.params["cpu_tuple_cost"] * len(child))
-        arrays = [child.arrays[p] for p in positions]
-        n = len(child)
-        slices = ctx.morsels(n) if node.distinct else []
-        if node.distinct and not slices and n:
-            codes = factorize(arrays)
-            __, first = np.unique(codes, return_index=True)
-            keep = np.sort(first)
-            arrays = [a[keep] for a in arrays]
-            n = len(keep)
-        elif slices:
-            # Parallel partial dedup: each morsel keeps its local first
-            # occurrences; the single-threaded merge then walks the
-            # surviving candidates in global row order, so the final keep
-            # set is the global first occurrence per key — identical to
-            # the sequential dedup.
-            def local_firsts(i):
-                start, stop = slices[i]
-                codes = factorize([a[start:stop] for a in arrays])
-                __, first = np.unique(codes, return_index=True)
-                return np.sort(first) + start
-
-            candidates = np.concatenate(
-                ctx.pmap(node, local_firsts, len(slices))
-            )
-            seen = set()
-            keep = []
-            candidate_rows = zip(
-                *(a[candidates].tolist() for a in arrays)
-            )
-            for idx, key in zip(candidates.tolist(), candidate_rows):
-                if key not in seen:
-                    seen.add(key)
-                    keep.append(idx)
-            keep = np.asarray(keep, dtype=np.int64)
             arrays = [a[keep] for a in arrays]
             n = len(keep)
         return ColumnarRelation(node.columns, arrays, n_rows=n)

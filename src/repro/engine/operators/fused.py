@@ -34,12 +34,12 @@ from repro.engine.operators.base import (
     Relation,
     register,
 )
-from repro.engine.operators.kernels import agg_input_columns, agg_partial, factorize
-from repro.engine.operators.aggregate import (
-    aggregate_columnar,
-    merge_partials,
-    output_columns,
+from repro.engine.operators.kernels import (
+    agg_input_columns,
+    factorize,
+    predicate_mask,
 )
+from repro.engine.operators.aggregate import aggregate_columnar, output_columns
 from repro.engine.operators.scan import gather_group, segment_filter
 
 
@@ -121,11 +121,7 @@ def _fused_project(ctx, node, source, keep, n1):
 
 
 def fused_tail(ctx, node, source):
-    """Columnar fused tail: mask once, gather only what the tail reads.
-
-    In parallel mode the mask still evaluates morsel-parallel via
-    ``ctx.mask`` (``FusedPipelineOp`` is morsel-parallel).
-    """
+    """Columnar fused tail: mask once, gather only what the tail reads."""
     n0 = len(source)
     if node.filter_node is not None:
         ctx.charge(
@@ -133,7 +129,7 @@ def fused_tail(ctx, node, source):
             ctx.cost_model.params["cpu_tuple_cost"] * n0,
         )
     if node.predicates:
-        keep = np.flatnonzero(ctx.mask(node, source, node.predicates))
+        keep = np.flatnonzero(predicate_mask(source, node.predicates))
         n1 = len(keep)
     else:
         keep, n1 = None, n0
@@ -242,66 +238,6 @@ def _row_fused_aggregate(ctx, node, source, passes, limit):
     return Relation(output_columns(agg), out)
 
 
-def _pfused_aggregate(ctx, node, source, slices):
-    """Grouped fused tail, morsel-parallel: mask + partial per morsel.
-
-    Each morsel masks its slice of the *source* and partially
-    aggregates the survivors in one task — the filtered relation is
-    never materialized, not even per-morsel. The merge is the same
-    morsel-order merge as unfused parallel aggregation (including the
-    (sum, count) AVG carry); group order is the global
-    first-appearance order among surviving rows, so rows and order
-    match the other modes.
-    """
-    agg = node.agg_node
-    if node.filter_node is not None:
-        ctx.charge(
-            node.filter_node,
-            ctx.cost_model.params["cpu_tuple_cost"] * len(source),
-        )
-    key_cols = [
-        source.arrays[source.col_pos(t, c)] for t, c in agg.group_by
-    ]
-    agg_cols = [
-        None if a.column is None
-        else source.arrays[source.col_pos(a.table, a.column)]
-        for a in agg.aggregates
-    ]
-    compiled = [
-        (source.arrays[source.col_pos(p.table, p.column)],
-         OPS[p.op], p.value)
-        for p in node.predicates
-    ]
-
-    def task(i):
-        start, stop = slices[i]
-        if compiled:
-            mask = None
-            for arr, op, value in compiled:
-                m = np.asarray(op(arr[start:stop], value))
-                if m.ndim == 0:
-                    m = np.full(stop - start, bool(m))
-                m = m.astype(bool, copy=False)
-                mask = m if mask is None else mask & m
-            keep = np.flatnonzero(mask) + start
-            keys = [k[keep] for k in key_cols]
-            vals = [None if c is None else c[keep] for c in agg_cols]
-            n_local = len(keep)
-        else:
-            keys = [k[start:stop] for k in key_cols]
-            vals = [
-                None if c is None else c[start:stop] for c in agg_cols
-            ]
-            n_local = stop - start
-        return n_local, agg_partial(agg.aggregates, keys, vals)
-
-    results = ctx.pmap(node, task, len(slices))
-    n1 = sum(r[0] for r in results)
-    _count_filter_stage(ctx, node, n1)
-    out = merge_partials(ctx, agg, [r[1] for r in results], n1)
-    return _fused_limit(ctx, node, out)
-
-
 def _lazy_scan_shape(table, n_rows):
     """A column-labels-only relation standing in for a scan's output.
 
@@ -313,7 +249,7 @@ def _lazy_scan_shape(table, n_rows):
     return ColumnarRelation(columns, [None] * len(columns), n_rows=n_rows)
 
 
-def _lazy_filter_groups(ctx, node, table, parallel):
+def _lazy_filter_groups(ctx, node, table):
     """Zone-classify and mask every row group against the fused predicates.
 
     Returns ``(n_groups, survivors, n1, n_pruned)``; ``survivors`` is a
@@ -321,20 +257,13 @@ def _lazy_filter_groups(ctx, node, table, parallel):
     whole group survives, proven by its zone maps alone).
     """
     groups = table.row_groups()
-    pruning = ctx.pruning_enabled
-    predicates = node.predicates
-
-    def eval_group(i):
-        return segment_filter(groups[i], predicates, pruning)
-
-    if parallel and len(groups) >= 2 and node.morsel_parallel:
-        results = ctx.pmap(node, eval_group, len(groups))
-    else:
-        results = [eval_group(i) for i in range(len(groups))]
     survivors = []
     n1 = 0
     n_pruned = 0
-    for g, (ids, was_pruned) in zip(groups, results):
+    for g in groups:
+        ids, was_pruned = segment_filter(
+            g, node.predicates, ctx.pruning_enabled
+        )
         if was_pruned:
             n_pruned += 1
             continue
@@ -439,7 +368,7 @@ def _lazy_project(ctx, node, table, survivors, n1):
     return out, nbytes
 
 
-def _lazy_tail(ctx, node, child, parallel):
+def _lazy_tail(ctx, node, child):
     """Late-materializing fused tail over a bare SeqScan's segments.
 
     Instead of running the scan (which would decode every column of
@@ -460,9 +389,7 @@ def _lazy_tail(ctx, node, child, parallel):
             node.filter_node,
             ctx.cost_model.params["cpu_tuple_cost"] * n0,
         )
-    n_groups, survivors, n1, n_pruned = _lazy_filter_groups(
-        ctx, node, table, parallel
-    )
+    n_groups, survivors, n1, n_pruned = _lazy_filter_groups(ctx, node, table)
     _count_filter_stage(ctx, node, n1)
     if node.agg_node is not None:
         out, nbytes = _lazy_aggregate(ctx, node, table, survivors, n1)
@@ -470,72 +397,6 @@ def _lazy_tail(ctx, node, child, parallel):
         out, nbytes = _lazy_project(ctx, node, table, survivors, n1)
     ctx.record_segments(n_groups, n_pruned, nbytes)
     return out
-
-
-def _plazy_aggregate(ctx, node, child):
-    """Grouped fused tail over segments, morsel-parallel.
-
-    Row groups are the morsel boundaries: each pool task zone-classifies
-    one group, masks it in encoded space, decodes only the key/value
-    columns of survivors, and partially aggregates them. The merge is
-    the same group-order merge as :func:`_pfused_aggregate` (partials
-    arrive in table order, so group first-appearance order is global).
-    """
-    agg = node.agg_node
-    table = ctx.catalog.table(child.table)
-    n0 = table.n_rows
-    ctx.charge(child, ctx.cost_model.seq_scan(n0))
-    ctx.record_leaf(child, n0)
-    if node.filter_node is not None:
-        ctx.charge(
-            node.filter_node,
-            ctx.cost_model.params["cpu_tuple_cost"] * n0,
-        )
-    shape = _lazy_scan_shape(table, n0)
-    key_keys = [
-        table.schema.columns[shape.col_pos(t, c)].name.lower()
-        for t, c in agg.group_by
-    ]
-    val_keys = [
-        None if a.column is None
-        else table.schema.columns[shape.col_pos(a.table, a.column)].name.lower()
-        for a in agg.aggregates
-    ]
-    need = list(dict.fromkeys(
-        key_keys + [k for k in val_keys if k is not None]
-    ))
-    groups = table.row_groups()
-    pruning = ctx.pruning_enabled
-    predicates = node.predicates
-
-    def task(i):
-        g = groups[i]
-        ids, was_pruned = segment_filter(g, predicates, pruning)
-        if was_pruned:
-            return 0, None, 0, True
-        if ids is not None and len(ids) == 0:
-            return 0, None, 0, False
-        n_local = g.n_rows if ids is None else len(ids)
-        arrays, nb = gather_group(g, need, ids)
-        by_key = dict(zip(need, arrays))
-        keys = [by_key[k] for k in key_keys]
-        vals = [None if k is None else by_key[k] for k in val_keys]
-        return n_local, agg_partial(agg.aggregates, keys, vals), nb, False
-
-    if len(groups) >= 2 and node.morsel_parallel:
-        results = ctx.pmap(node, task, len(groups))
-    else:
-        results = [task(i) for i in range(len(groups))]
-    ctx.record_segments(
-        len(groups),
-        sum(1 for r in results if r[3]),
-        sum(r[2] for r in results),
-    )
-    n1 = sum(r[0] for r in results)
-    _count_filter_stage(ctx, node, n1)
-    partials = [r[1] for r in results if r[1] is not None]
-    out = merge_partials(ctx, agg, partials, n1)
-    return _fused_limit(ctx, node, out)
 
 
 def _lazy_child(node):
@@ -553,7 +414,7 @@ def _lazy_child(node):
 
 @register(P.FusedPipelineOp)
 class FusedPipelineOpEval(PhysicalOperator):
-    """Evaluates a fused tail in all three backends."""
+    """Evaluates a fused tail in both backends."""
 
     def row(self, ctx, node):
         """Row-mode fused tail: one streaming pass over the source rows.
@@ -589,22 +450,5 @@ class FusedPipelineOpEval(PhysicalOperator):
     def vectorized(self, ctx, node):
         child = _lazy_child(node)
         if child is not None:
-            return _lazy_tail(ctx, node, child, parallel=False)
+            return _lazy_tail(ctx, node, child)
         return fused_tail(ctx, node, ctx.run(node.children[0]))
-
-    def morsel(self, ctx, node):
-        child = _lazy_child(node)
-        agg = node.agg_node
-        if child is not None:
-            if agg is not None and agg.group_by:
-                return _plazy_aggregate(ctx, node, child)
-            return _lazy_tail(ctx, node, child, parallel=True)
-        source = ctx.run(node.children[0])
-        if agg is not None and agg.group_by:
-            slices = ctx.morsels(len(source))
-            if slices:
-                return _pfused_aggregate(ctx, node, source, slices)
-        # Non-grouped tails: the mask still evaluates morsel-parallel via
-        # ``ctx.mask``; gather/dedup/limit stay single-threaded, matching
-        # the unfused operators' merge phases.
-        return fused_tail(ctx, node, source)

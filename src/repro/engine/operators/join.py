@@ -1,14 +1,11 @@
 """Join operators: HashJoin, NestedLoopJoin, CrossJoin.
 
 All joins emit rows in the row interpreter's order — left rows in order,
-each left row's right matches in original right order — so the three
-backends are interchangeable. The morsel backend builds once and probes
-per-morsel; morsel-order concatenation reproduces the monolithic probe.
-Work is charged from observed cardinalities via the cost-model formula
-matching the join algorithm, never from implementation details.
+each left row's right matches in original right order — so the two
+backends are interchangeable. Work is charged from observed
+cardinalities via the cost-model formula matching the join algorithm,
+never from implementation details.
 """
-
-import numpy as np
 
 from repro.engine import plans as P
 from repro.engine.operators.base import (
@@ -17,12 +14,7 @@ from repro.engine.operators.base import (
     Relation,
     register,
 )
-from repro.engine.operators.kernels import (
-    cross_indices,
-    join_build,
-    join_indices,
-    join_probe,
-)
+from repro.engine.operators.kernels import cross_indices, join_indices
 
 
 def join_keys(node, left, right):
@@ -42,7 +34,7 @@ def join_keys(node, left, right):
 
 
 def _v_join(ctx, node, charge):
-    """Single-threaded columnar equi-join shared by hash and NL charges."""
+    """Columnar equi-join shared by hash and NL charges."""
     left = ctx.run(node.children[0])
     right = ctx.run(node.children[1])
     left_pos, right_pos = join_keys(node, left, right)
@@ -56,39 +48,6 @@ def _v_join(ctx, node, charge):
         n_rows=len(il),
     )
     ctx.charge(node, charge(len(left), len(right), len(out)))
-    return out
-
-
-def _p_join(ctx, node, charge):
-    """Morsel-parallel probe: build once, probe disjoint left ranges."""
-    left = ctx.run(node.children[0])
-    right = ctx.run(node.children[1])
-    left_pos, right_pos = join_keys(node, left, right)
-    left_cols = [left.arrays[p] for p in left_pos]
-    right_cols = [right.arrays[p] for p in right_pos]
-    nl, nr = len(left), len(right)
-    slices = ctx.morsels(nl) if nr else []
-    if not slices:
-        il, ir = join_indices(left_cols, right_cols)
-    else:
-        # Build once (shared key codes + sorted build side), probe
-        # per morsel; morsel-order concatenation reproduces the
-        # monolithic probe's left-major output order exactly.
-        lc, rc_sorted, order = join_build(left_cols, right_cols)
-
-        def task(i):
-            start, stop = slices[i]
-            return join_probe(lc[start:stop], rc_sorted, order, base=start)
-
-        parts = ctx.pmap(node, task, len(slices))
-        il = np.concatenate([p[0] for p in parts])
-        ir = np.concatenate([p[1] for p in parts])
-    out = ColumnarRelation(
-        left.columns + right.columns,
-        [a[il] for a in left.arrays] + [a[ir] for a in right.arrays],
-        n_rows=len(il),
-    )
-    ctx.charge(node, charge(nl, nr, len(out)))
     return out
 
 
@@ -118,9 +77,6 @@ class HashJoinOp(PhysicalOperator):
     def vectorized(self, ctx, node):
         return _v_join(ctx, node, ctx.cost_model.hash_join)
 
-    def morsel(self, ctx, node):
-        return _p_join(ctx, node, ctx.cost_model.hash_join)
-
 
 @register(P.NestedLoopJoin)
 class NestedLoopJoinOp(PhysicalOperator):
@@ -148,13 +104,10 @@ class NestedLoopJoinOp(PhysicalOperator):
         # Same matches as the tuple interpreter; only the charge differs.
         return _v_join(ctx, node, ctx.cost_model.nested_loop_join)
 
-    def morsel(self, ctx, node):
-        return _p_join(ctx, node, ctx.cost_model.nested_loop_join)
-
 
 @register(P.CrossJoin)
 class CrossJoinOp(PhysicalOperator):
-    """Cartesian product, left-major order; never morsel-split."""
+    """Cartesian product, left-major order."""
 
     def row(self, ctx, node):
         left = ctx.run(node.children[0])

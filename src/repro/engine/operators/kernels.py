@@ -67,8 +67,7 @@ def join_build(left_cols, right_cols):
     Factorizes the concatenated key columns once (so left and right codes
     are consistent) and sorts the right side. Returns
     ``(left_codes, right_codes_sorted, right_order)`` — everything a probe
-    needs; probes over disjoint left ranges are independent, which is what
-    the parallel executor exploits.
+    needs.
     """
     nl = len(left_cols[0])
     codes = factorize(
@@ -79,19 +78,14 @@ def join_build(left_cols, right_cols):
     return lc, rc[order], order
 
 
-def join_probe(lc, rc_sorted, order, base=0):
-    """Probe phase: row-id pairs for probe codes ``lc``.
-
-    ``base`` offsets the emitted left row ids, so a morsel covering
-    ``lc[start:stop]`` passes ``base=start`` and the concatenation of
-    per-morsel outputs (in morsel order) equals the monolithic probe.
-    """
+def join_probe(lc, rc_sorted, order):
+    """Probe phase: row-id pairs for probe codes ``lc``."""
     nl = len(lc)
     empty = np.empty(0, dtype=np.int64)
     starts = np.searchsorted(rc_sorted, lc, side="left")
     counts = np.searchsorted(rc_sorted, lc, side="right") - starts
     total = int(counts.sum())
-    il = np.repeat(np.arange(base, base + nl, dtype=np.int64), counts)
+    il = np.repeat(np.arange(nl, dtype=np.int64), counts)
     if total == 0:
         return il, empty
     offsets = np.cumsum(counts) - counts
@@ -239,48 +233,3 @@ def agg_input_columns(agg_node, source):
             if key not in seen:
                 seen[key] = source.col_pos(a.table, a.column)
     return list(seen), list(seen.values())
-
-
-def agg_partial(aggregates, keys, vals):
-    """One morsel's partial aggregation, groups in appearance order.
-
-    ``keys``/``vals`` are this morsel's (already masked) key and argument
-    arrays. Returns ``(group_keys, states)`` where ``group_keys`` lists
-    each group's key tuple and ``states[j][g]`` is aggregate ``j``'s
-    partial state for group ``g``: a count, a sum, a min/max, or a
-    ``(sum, count)`` pair for AVG — the carry that lets the merge stay
-    exact instead of averaging averages.
-    """
-    n = len(keys[0]) if keys else 0
-    if n == 0:
-        # A fused morsel can be filtered down to nothing; emit no groups.
-        return [], [[] for __ in aggregates]
-    codes = factorize(keys)
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    seg_starts = np.flatnonzero(
-        np.r_[True, sorted_codes[1:] != sorted_codes[:-1]]
-    )
-    counts = np.diff(np.r_[seg_starts, n])
-    first_rows = order[seg_starts]
-    rank = np.argsort(first_rows, kind="stable")
-    group_keys = list(zip(
-        *(k[first_rows[rank]].tolist() for k in keys)
-    ))
-    states = []
-    for agg, col in zip(aggregates, vals):
-        if agg.func == "count":
-            states.append(counts[rank].tolist())
-            continue
-        sorted_vals = col[order]
-        if agg.func == "avg":
-            sums = segment_reduce("sum", sorted_vals, seg_starts, counts)
-            states.append(list(zip(
-                np.asarray(sums)[rank].tolist(),
-                counts[rank].tolist(),
-            )))
-        else:
-            reduced = segment_reduce(agg.func, sorted_vals, seg_starts,
-                                     counts)
-            states.append(np.asarray(reduced)[rank].tolist())
-    return group_keys, states

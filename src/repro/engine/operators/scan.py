@@ -5,10 +5,9 @@ into a relation and apply pushed-down predicates. The vectorized SeqScan
 works segment-at-a-time: each row group's zone maps are classified
 against the pushed-down predicates (skipping groups that provably match
 nothing), surviving groups evaluate the predicates in *encoded* space
-(dictionary codes / run values), and only surviving rows are decoded. In
-parallel mode row groups are the natural morsel boundaries — each group
-is one pool task. Pruning never changes rows, order, or charged work;
-the flat-layout results are reproduced bit for bit.
+(dictionary codes / run values), and only surviving rows are decoded.
+Pruning never changes rows, order, or charged work; the flat-layout
+results are reproduced bit for bit.
 """
 
 import numpy as np
@@ -22,6 +21,7 @@ from repro.engine.operators.base import (
     eval_predicates,
     register,
 )
+from repro.engine.operators.kernels import predicate_mask
 from repro.engine.segments import PARTIAL, PRUNED
 
 
@@ -149,35 +149,25 @@ class SeqScanOp(PhysicalOperator):
         columns = [(table.name, c.name) for c in table.schema.columns]
         keys = [c.name.lower() for c in table.schema.columns]
         groups = table.row_groups()
-        pruning = ctx.pruning_enabled
-        predicates = node.predicates
-
-        def eval_group(i):
-            g = groups[i]
-            ids, was_pruned = segment_filter(g, predicates, pruning)
+        survivors = []
+        n = n_pruned = nbytes = 0
+        for g in groups:
+            ids, was_pruned = segment_filter(
+                g, node.predicates, ctx.pruning_enabled
+            )
             if was_pruned:
-                return 0, None, 0, True
+                n_pruned += 1
+                continue
             if ids is not None and len(ids) == 0:
-                return 0, None, 0, False
-            n_out = g.n_rows if ids is None else len(ids)
-            arrays, nbytes = gather_group(g, keys, ids)
-            return n_out, arrays, nbytes, False
-
-        if (ctx.mode == "parallel" and len(groups) >= 2
-                and node.morsel_parallel):
-            results = ctx.pmap(node, eval_group, len(groups))
-        else:
-            results = [eval_group(i) for i in range(len(groups))]
-        ctx.record_segments(
-            len(groups),
-            sum(1 for r in results if r[3]),
-            sum(r[2] for r in results),
-        )
-        survivors = [r for r in results if r[1] is not None]
-        n = sum(r[0] for r in survivors)
+                continue
+            arrays, nb = gather_group(g, keys, ids)
+            survivors.append(arrays)
+            n += g.n_rows if ids is None else len(ids)
+            nbytes += nb
+        ctx.record_segments(len(groups), n_pruned, nbytes)
         arrays = []
         for j, col in enumerate(table.schema.columns):
-            parts = [r[1][j] for r in survivors]
+            parts = [group_arrays[j] for group_arrays in survivors]
             if not parts:
                 arrays.append(np.empty(0, dtype=col.dtype.numpy_dtype))
             elif len(parts) == 1:
@@ -204,7 +194,7 @@ class IndexScanOp(PhysicalOperator):
         __, rel = v_table_relation(ctx, node.table, row_ids)
         ctx.charge(node, ctx.cost_model.index_scan(len(row_ids)))
         if node.residual:
-            rel = rel.take(ctx.mask(node, rel, node.residual))
+            rel = rel.take(predicate_mask(rel, node.residual))
         return rel
 
 
@@ -234,7 +224,7 @@ class ViewScanOp(PhysicalOperator):
         ctx.charge(node, ctx.cost_model.seq_scan(view_table.n_rows))
         rel = ColumnarRelation(columns, arrays, n_rows=view_table.n_rows)
         if node.residual:
-            rel = rel.take(ctx.mask(node, rel, node.residual))
+            rel = rel.take(predicate_mask(rel, node.residual))
         return rel
 
 

@@ -1,9 +1,4 @@
-"""Sort and Limit operators.
-
-Both are order-defining, so they never split into morsels: in parallel
-mode they run their vectorized backends single-threaded (the engine-wide
-fallback), acting as the merge phase that pins down output order.
-"""
+"""Sort and Limit operators."""
 
 from repro.engine import plans as P
 from repro.engine.operators.base import (

@@ -2,7 +2,7 @@
 
 A :class:`HintSet` is a small frozen value describing how one *arm* of
 the plan-selection layer wants its plan built — the BAO idea reduced to
-this engine's knobs. Four axes:
+this engine's knobs. Plan hints only, on two axes:
 
 * ``join_order`` — ``"default"`` (the planner's configured enumerator),
   ``"greedy"`` (the greedy heuristic), ``"exhaustive"`` (Selinger DP for
@@ -10,17 +10,13 @@ this engine's knobs. Four axes:
   ``"ues"`` (the pessimistic upper-bound orderer in
   :mod:`repro.engine.optimizer.ues`);
 * ``use_indexes`` — force index scans on/off (``None`` inherits the
-  planner's setting);
-* ``fusion`` — force operator fusion on/off at execution time (``None``
-  inherits the engine config). Fusion never changes measured work, only
-  wall time — it is an execution hint, not a plan hint;
-* ``parallel`` — force morsel-parallel execution on/off (``None``
-  inherits). Same caveat: work-invariant by the engine's mode contract.
+  planner's setting).
 
-:func:`hint_grid` enumerates the full cross product declaratively;
-:func:`default_arms` is the curated subset the selectors race by default
-(the work-differentiating axes only, so the bandit's reward signal —
-measured work — can actually separate the arms).
+Both axes change measured work, which is the bandit's reward signal; how
+a plan is *executed* (mode, fusion) is the engine config's business and
+never varies per arm. :func:`hint_grid` enumerates the cross product
+declaratively; :func:`default_arms` is the curated subset the selectors
+race by default.
 """
 
 from dataclasses import dataclass
@@ -35,23 +31,18 @@ EXHAUSTIVE_MAX_TABLES = 7
 
 @dataclass(frozen=True)
 class HintSet:
-    """One arm's declarative planning/execution hints.
+    """One arm's declarative planning hints.
 
     Attributes:
         name: stable arm identifier (joins the plan-cache key and all
             telemetry/EXPLAIN reporting).
         join_order: one of :data:`JOIN_ORDER_STRATEGIES`.
         use_indexes: tri-state index-scan override (``None`` inherits).
-        fusion: tri-state execution-fusion override (``None`` inherits).
-        parallel: tri-state morsel-parallelism override (``None``
-            inherits).
     """
 
     name: str
     join_order: str = "default"
     use_indexes: bool = None
-    fusion: bool = None
-    parallel: bool = None
 
     def __post_init__(self):
         if not self.name:
@@ -65,11 +56,9 @@ class HintSet:
     def describe(self):
         """A compact human-readable rendering (EXPLAIN / bench tables)."""
         parts = ["order=%s" % self.join_order]
-        for label, value in (("indexes", self.use_indexes),
-                             ("fusion", self.fusion),
-                             ("parallel", self.parallel)):
-            if value is not None:
-                parts.append("%s=%s" % (label, "on" if value else "off"))
+        if self.use_indexes is not None:
+            parts.append(
+                "indexes=%s" % ("on" if self.use_indexes else "off"))
         return "%s(%s)" % (self.name, ", ".join(parts))
 
 
@@ -113,8 +102,7 @@ class PlanCandidate:
 def default_arms():
     """The curated arm set the bandit/pessimistic selectors race.
 
-    Five arms spanning the work-differentiating axes — join-order
-    strategy and index usage:
+    Five arms spanning both axes — join-order strategy and index usage:
 
     * ``default`` — the planner exactly as configured (the cost
       selector's only arm);
@@ -135,30 +123,15 @@ def default_arms():
 
 
 def hint_grid(join_orders=("greedy", "exhaustive", "ues"),
-              index_axis=(True, False), fusion_axis=(None,),
-              parallel_axis=(None,)):
-    """The full declarative cross product of hint axes.
-
-    Defaults enumerate the join-order × index grid with execution axes
-    inherited; pass ``fusion_axis=(True, False)`` /
-    ``parallel_axis=(True, False)`` to expand those too (benchmarks do —
-    selectors usually should not, since fusion/parallelism never move
-    the work-based reward).
-    """
+              index_axis=(True, False)):
+    """The declarative join-order × index cross product of hint sets."""
     arms = []
     for jo in join_orders:
         for idx in index_axis:
-            for fu in fusion_axis:
-                for par in parallel_axis:
-                    bits = [jo]
-                    if idx is not None and not idx:
-                        bits.append("noidx")
-                    if fu is not None:
-                        bits.append("fuse" if fu else "nofuse")
-                    if par is not None:
-                        bits.append("par" if par else "serial")
-                    arms.append(HintSet(
-                        name="+".join(bits), join_order=jo,
-                        use_indexes=idx, fusion=fu, parallel=par,
-                    ))
+            bits = [jo]
+            if idx is not None and not idx:
+                bits.append("noidx")
+            arms.append(HintSet(
+                name="+".join(bits), join_order=jo, use_indexes=idx,
+            ))
     return tuple(arms)

@@ -84,10 +84,8 @@ class Planner:
 
         The hint set's ``join_order`` strategy picks the order
         (``"default"``: this planner's configured enumerator) and
-        ``use_indexes`` overrides access-path selection; execution-time
-        hints (fusion/parallel) are carried by the hint set for the
-        pipeline, not applied here. An explicit ``order`` beats the
-        strategy.
+        ``use_indexes`` overrides access-path selection. An explicit
+        ``order`` beats the strategy.
         """
         if query.limit == 0:
             plan = P.EmptyResult(self._output_columns(query))

@@ -203,16 +203,13 @@ class PreparedQuery:
     warm caches).
     """
 
-    __slots__ = ("sql", "query", "plan", "telemetry", "hints")
+    __slots__ = ("sql", "query", "plan", "telemetry")
 
-    def __init__(self, sql, query, plan, telemetry, hints=None):
+    def __init__(self, sql, query, plan, telemetry):
         self.sql = sql
         self.query = query
         self.plan = plan
         self.telemetry = telemetry
-        # The chosen arm's HintSet — execute_prepared resolves the
-        # fusion/parallel execution hints from it.
-        self.hints = hints
 
     @property
     def est_cost(self):
@@ -548,9 +545,7 @@ class QueryPipeline:
     def _prepare(self, sql_text, query, telemetry, order=None):
         query = self._rewrite(query, telemetry)
         chosen = self._plan(query, telemetry, order=order)
-        return PreparedQuery(
-            sql_text, query, chosen.plan, telemetry, hints=chosen.hints
-        )
+        return PreparedQuery(sql_text, query, chosen.plan, telemetry)
 
     def execute_prepared(self, prepared, snapshot=None):
         """Execute a :class:`PreparedQuery`, optionally pinned to a
@@ -564,9 +559,8 @@ class QueryPipeline:
         and selection loops, and accumulates stats.
         """
         telemetry = prepared.telemetry
-        executor = self.db.executor_for(prepared.hints)
         t0 = time.perf_counter()
-        result = executor.execute(prepared.plan, catalog=snapshot)
+        result = self.db.executor.execute(prepared.plan, catalog=snapshot)
         telemetry.record_stage("execute", time.perf_counter() - t0)
         result = self._apply_hooks("execute", result)
         telemetry.execution = result.telemetry
@@ -590,7 +584,7 @@ class QueryPipeline:
         query, telemetry = self._select_query(sql_text, "EXPLAIN")
         prepared = self._prepare(sql_text, query, telemetry)
         fused_ops = 0
-        if self.db.executor_for(prepared.hints).fusion_enabled:
+        if self.db.executor.fusion_enabled:
             __, fused_ops = fuse_plan(prepared.plan)
         self._accumulate(telemetry)
         arm_line = self._arm_line(telemetry)

@@ -19,11 +19,6 @@ class PhysicalPlan:
         est_cost: optimizer's cumulative cost estimate for the subtree.
     """
 
-    #: Whether the parallel executor may split this operator's input into
-    #: morsels. Order-sensitive operators (Sort, Limit, CrossJoin) and
-    #: leaf shells keep it False and run single-threaded.
-    morsel_parallel = False
-
     def __init__(self, children=()):
         self.children = list(children)
         self.est_rows = None
@@ -76,7 +71,6 @@ class PhysicalPlan:
 class SeqScan(PhysicalPlan):
     """Full scan of a base table, applying pushed-down predicates."""
 
-    morsel_parallel = True
 
     def __init__(self, table, predicates=()):
         super().__init__()
@@ -91,7 +85,6 @@ class SeqScan(PhysicalPlan):
 class IndexScan(PhysicalPlan):
     """Index lookup/range scan on one indexed predicate, plus residual filters."""
 
-    morsel_parallel = True
 
     def __init__(self, table, index_name, predicate, residual=()):
         super().__init__()
@@ -110,7 +103,6 @@ class IndexScan(PhysicalPlan):
 class ViewScan(PhysicalPlan):
     """Scan of a materialized view with residual predicates."""
 
-    morsel_parallel = True
 
     def __init__(self, view, residual=()):
         super().__init__()
@@ -124,7 +116,6 @@ class ViewScan(PhysicalPlan):
 class NestedLoopJoin(PhysicalPlan):
     """Tuple-at-a-time nested loops over the join edges (equi only)."""
 
-    morsel_parallel = True  # probe side splits in parallel mode
 
     def __init__(self, left, right, edges):
         super().__init__([left, right])
@@ -139,7 +130,6 @@ class NestedLoopJoin(PhysicalPlan):
 class HashJoin(PhysicalPlan):
     """Hash join; the right child is the build side."""
 
-    morsel_parallel = True  # probe side splits in parallel mode
 
     def __init__(self, left, right, edges):
         super().__init__([left, right])
@@ -164,7 +154,6 @@ class CrossJoin(PhysicalPlan):
 class Filter(PhysicalPlan):
     """Standalone filter (predicates that could not be pushed into a scan)."""
 
-    morsel_parallel = True
 
     def __init__(self, child, predicates):
         super().__init__([child])
@@ -177,7 +166,6 @@ class Filter(PhysicalPlan):
 class Project(PhysicalPlan):
     """Column projection (and implicit dedup when ``distinct``)."""
 
-    morsel_parallel = True  # DISTINCT pre-dedup splits; the merge is serial
 
     def __init__(self, child, columns, distinct=False):
         super().__init__([child])
@@ -192,7 +180,6 @@ class Project(PhysicalPlan):
 class HashAggregate(PhysicalPlan):
     """Group-by + aggregate evaluation via hashing."""
 
-    morsel_parallel = True  # partial aggregates split; the merge is serial
 
     def __init__(self, child, group_by, aggregates):
         super().__init__([child])
@@ -251,7 +238,6 @@ class FusedPipelineOp(PhysicalPlan):
     both, so one mask stage always suffices.
     """
 
-    morsel_parallel = True  # mask + partial aggregation split per-morsel
 
     def __init__(self, source, predicates=(), filter_node=None,
                  project_node=None, agg_node=None, limit_node=None):
@@ -345,13 +331,6 @@ def pretty_analyze(plan, node_stats):
 
     render(plan, 0, iter(stats))
     return "\n".join(lines)
-
-
-def parallel_operators(plan):
-    """Sorted op names in ``plan`` eligible for morsel-parallel execution."""
-    return sorted({
-        node.op_name for node in plan.walk() if node.morsel_parallel
-    })
 
 
 def operator_counts(plan):

@@ -42,17 +42,12 @@ class ExecutionTelemetry:
 
     Attributes:
         mode: executor mode the plan ran under
-            (``"vectorized"``/``"row"``/``"parallel"``).
+            (``"vectorized"``/``"row"``).
         operators: ``{op_name: {"batches": int, "rows": int,
-            "seconds": float, "morsels": int}}`` — one entry per operator
-            type; ``batches`` counts operator invocations (one batch per
-            invocation in this engine), ``rows`` sums output rows,
-            ``seconds`` sums self-time (child operator time excluded), and
-            ``morsels`` counts morsels dispatched to the worker pool (0
-            outside parallel mode / below the split threshold).
-        workers: ``{worker_id: {"morsels": int, "steals": int,
-            "seconds": float}}`` — per-worker totals across every parallel
-            operator in the run (empty unless morsels were dispatched).
+            "seconds": float}}`` — one entry per operator type;
+            ``batches`` counts operator invocations (one batch per
+            invocation in this engine), ``rows`` sums output rows, and
+            ``seconds`` sums self-time (child operator time excluded).
         fused_ops: how many pipeline stages the executor's fusion pass
             collapsed into a single ``FusedPipelineOp`` for this run (0
             when fusion is disabled or the plan tail did not match).
@@ -78,15 +73,14 @@ class ExecutionTelemetry:
         total_seconds: wall-clock time for the whole plan.
     """
 
-    __slots__ = ("mode", "operators", "workers", "fused_ops",
-                 "node_stats", "segments_total", "segments_pruned",
+    __slots__ = ("mode", "operators", "fused_ops", "node_stats",
+                 "segments_total", "segments_pruned",
                  "bytes_decoded", "catalog_versions", "total_work",
                  "total_seconds")
 
     def __init__(self, mode):
         self.mode = mode
         self.operators = {}
-        self.workers = {}
         self.fused_ops = 0
         self.node_stats = []
         self.segments_total = 0
@@ -99,32 +93,11 @@ class ExecutionTelemetry:
     def record(self, op_name, rows, seconds):
         """Accumulate one operator invocation."""
         entry = self.operators.setdefault(
-            op_name, {"batches": 0, "rows": 0, "seconds": 0.0, "morsels": 0}
+            op_name, {"batches": 0, "rows": 0, "seconds": 0.0}
         )
         entry["batches"] += 1
         entry["rows"] += rows
         entry["seconds"] += seconds
-
-    def record_parallel(self, op_name, n_morsels, worker_stats):
-        """Accumulate one morsel-parallel dispatch for ``op_name``.
-
-        Args:
-            op_name: operator the morsels belong to.
-            n_morsels: how many morsels were dispatched.
-            worker_stats: iterable of
-                :class:`repro.engine.morsels.WorkerStats`.
-        """
-        entry = self.operators.setdefault(
-            op_name, {"batches": 0, "rows": 0, "seconds": 0.0, "morsels": 0}
-        )
-        entry["morsels"] += n_morsels
-        for stats in worker_stats:
-            w = self.workers.setdefault(
-                stats.worker_id, {"morsels": 0, "steals": 0, "seconds": 0.0}
-            )
-            w["morsels"] += stats.morsels
-            w["steals"] += stats.steals
-            w["seconds"] += stats.seconds
 
     def record_segments(self, total, pruned, bytes_decoded):
         """Accumulate one scan's segment counters (pruning telemetry)."""
@@ -180,9 +153,6 @@ class ExecutionTelemetry:
             "total_work": self.total_work,
             "operators": {
                 k: dict(v) for k, v in sorted(self.operators.items())
-            },
-            "workers": {
-                k: dict(v) for k, v in sorted(self.workers.items())
             },
             "node_stats": [dict(e) for e in self.node_stats],
         }

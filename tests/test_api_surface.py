@@ -32,15 +32,13 @@ REQUIRED_EXPORTS = {
     "EXECUTOR_MODES", "EngineConfig", "ExecutionResult", "Executor",
     "ExplainResult", "FusedPipelineOp", "Relation", "count_join_rows",
     "fuse_plan",
-    # pipeline + parallelism
-    "MorselPool", "MorselQueue", "morsel_slices",
+    # pipeline
     "PIPELINE_STAGES", "PlanCache", "QueryPipeline",
     # façade
     "Database",
     # knobs + transactions + helpers
     "KnobSpec", "KnobResponseSimulator", "WorkloadProfile",
-    "default_knobs", "executor_knobs", "executor_params",
-    "standard_workloads",
+    "default_knobs", "standard_workloads",
     "Transaction", "LockTableSimulator", "ScheduleResult",
     "hotspot_workload", "fifo_schedule", "cost_ordered_schedule",
     "datagen", "telemetry",

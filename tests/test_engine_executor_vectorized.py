@@ -1,11 +1,9 @@
-"""Differential tests: vectorized + parallel executors vs. the row interpreter.
+"""Differential tests: the vectorized executor vs. the row interpreter.
 
 Every plan shape runs in every mode on seeded data; all modes must return
 identical rows *in identical order* and charge identical
 ``work``/``operator_work`` (the work-parity invariant that keeps
 "cost gap == misestimation damage" true regardless of executor mode).
-Parallel runs use a deliberately tiny morsel size so the worker pool is
-actually exercised on these small fixtures.
 """
 
 import numpy as np
@@ -30,16 +28,11 @@ def _approx_rows(rows):
     ]
 
 
-#: Executor kwargs that force morsel splitting on small test fixtures.
-PARALLEL_KWARGS = {"morsel_rows": 64, "n_workers": 3}
-
-
 def run_both(catalog, plan, cost_model=None):
     """Execute ``plan`` in every mode, assert parity, return the results."""
     results = {}
     for mode in EXECUTOR_MODES:
-        kwargs = PARALLEL_KWARGS if mode == "parallel" else {}
-        ex = Executor(catalog, cost_model, mode=mode, **kwargs)
+        ex = Executor(catalog, cost_model, mode=mode)
         results[mode] = ex.execute(plan)
     row_res = results["row"]
     approx = _approx_rows(row_res.rows)
@@ -285,13 +278,7 @@ class TestSqlLevelDifferential:
     def _dual_dbs(self, build):
         dbs = {}
         for mode in EXECUTOR_MODES:
-            kwargs = {}
-            if mode == "parallel":
-                kwargs = {
-                    "morsel_rows": PARALLEL_KWARGS["morsel_rows"],
-                    "parallel_workers": PARALLEL_KWARGS["n_workers"],
-                }
-            db = Database(executor_mode=mode, **kwargs)
+            db = Database(executor_mode=mode)
             build(db)
             dbs[mode] = db
         return dbs

@@ -14,7 +14,13 @@ import os
 import pytest
 
 from repro.common import ExecutionError, ReproError
-from repro.engine import Database, EngineConfig, fuse_plan
+from repro.engine import (
+    Database,
+    EngineConfig,
+    Executor,
+    HintSet,
+    fuse_plan,
+)
 from repro.engine import plans as P
 from repro.engine.plans import PlanError
 from repro.engine.query import Aggregate, Predicate
@@ -39,8 +45,6 @@ FUSIBLE_SQL = "SELECT tag, COUNT(*), SUM(v) FROM t WHERE k < 5 GROUP BY tag"
 #: env values clamp to. A new field without a row fails the knob walk.
 KNOBS = {
     "executor_mode": ("row", "ROW", None),
-    "morsel_rows": (128, "128", 16),
-    "parallel_workers": (3, "3", 1),
     "plan_cache_size": (17, None, None),
     "enumerator": ("greedy", None, None),
     "use_views": (False, None, None),
@@ -106,31 +110,42 @@ class TestEngineConfig:
     @pytest.mark.parametrize("bad_kwargs,exc", [
         ({"executor_mode": "turbo"}, ExecutionError),
         ({"enumerator": "exhaustive"}, ReproError),
-        ({"morsel_rows": 0}, ExecutionError),
-        ({"parallel_workers": 0}, ExecutionError),
         ({"plan_cache_size": 0}, ReproError),
     ])
     def test_validation_errors(self, bad_kwargs, exc):
         with pytest.raises(exc):
             EngineConfig(**bad_kwargs)
 
+    def test_parallel_mode_and_execution_hints_are_gone(self, monkeypatch):
+        """The mode matrix is one executor per backend, and hint sets are
+        plan hints only: ``parallel`` is an unknown mode like any other,
+        wherever it is spelled."""
+        message = r"must be one of \('vectorized', 'row'\), got 'parallel'"
+        with pytest.raises(ExecutionError, match=message):
+            EngineConfig(executor_mode="parallel")
+        with pytest.raises(ExecutionError, match=message):
+            Executor(Database().catalog, mode="parallel")
+        monkeypatch.setenv("REPRO_EXECUTOR_MODE", "parallel")
+        with pytest.raises(ExecutionError, match=message):
+            EngineConfig.from_env()
+        with pytest.raises(TypeError):
+            HintSet(name="x", parallel=True)
+        with pytest.raises(TypeError):
+            HintSet(name="x", fusion=False)
+
     def test_from_env_reads_repro_vars(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR_MODE", "row")
-        monkeypatch.setenv("REPRO_MORSEL_SIZE", "128")
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "2")
         monkeypatch.setenv("REPRO_FUSION", "0")
         cfg = EngineConfig.from_env()
         assert cfg.executor_mode == "row"
-        assert cfg.morsel_rows == 128
-        assert cfg.parallel_workers == 2
         assert cfg.fusion_enabled is False
 
     def test_from_env_overrides_beat_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR_MODE", "row")
         monkeypatch.setenv("REPRO_FUSION", "off")
-        cfg = EngineConfig.from_env(executor_mode="parallel",
+        cfg = EngineConfig.from_env(executor_mode="vectorized",
                                     fusion_enabled=True)
-        assert cfg.executor_mode == "parallel"
+        assert cfg.executor_mode == "vectorized"
         assert cfg.fusion_enabled is True
 
     def test_from_env_none_overrides_ignored(self, monkeypatch):
@@ -191,11 +206,9 @@ class TestEngineConfig:
             Database(turbo=True)
 
     def test_executor_kwargs_shape(self):
-        cfg = EngineConfig(executor_mode="parallel", morsel_rows=64,
-                           parallel_workers=3, fusion_enabled=False)
+        cfg = EngineConfig(executor_mode="row", fusion_enabled=False)
         assert cfg.executor_kwargs() == {
-            "mode": "parallel", "morsel_rows": 64, "n_workers": 3,
-            "fusion_enabled": False, "pruning_enabled": True,
+            "mode": "row", "fusion_enabled": False, "pruning_enabled": True,
         }
 
 
@@ -205,20 +218,18 @@ class TestEngineConfig:
 class TestConfigEquivalence:
     def test_config_and_kwargs_wire_identical_engines(self):
         cfg = EngineConfig(
-            executor_mode="parallel", morsel_rows=64, parallel_workers=3,
-            plan_cache_size=17, enumerator="greedy", use_views=False,
+            executor_mode="row", plan_cache_size=17,
+            enumerator="greedy", use_views=False,
             cost_params={"cpu_tuple_cost": 2.0}, fusion_enabled=False,
         )
         via_config = Database(config=cfg)
         via_kwargs = Database(
-            executor_mode="parallel", morsel_rows=64, parallel_workers=3,
-            plan_cache_size=17, enumerator="greedy", use_views=False,
+            executor_mode="row", plan_cache_size=17,
+            enumerator="greedy", use_views=False,
             cost_params={"cpu_tuple_cost": 2.0}, fusion_enabled=False,
         )
         for db in (via_config, via_kwargs):
-            assert db.executor.mode == "parallel"
-            assert db.executor.morsel_rows == 64
-            assert db.executor.n_workers == 3
+            assert db.executor.mode == "row"
             assert db.executor.fusion_enabled is False
             assert db.planner.enumerator == "greedy"
             assert db.planner.use_views is False

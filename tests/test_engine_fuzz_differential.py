@@ -3,13 +3,12 @@
 A seeded generator produces random catalogs (2–4 tables with INT/FLOAT/
 TEXT and nullable-TEXT columns) and random conjunctive queries over them
 (equi-joins, predicates, GROUP BY, aggregates, ORDER BY, LIMIT — including
-LIMIT 0 — and DISTINCT). Every query runs under ``mode="row"``,
-``mode="vectorized"``, and ``mode="parallel"`` (with a tiny morsel size so
-the worker pool really runs), each with operator fusion **on and off** —
-six mode×fusion configurations — and twice per configuration, so the
+LIMIT 0 — and DISTINCT). Every query runs under ``mode="row"`` and
+``mode="vectorized"``, each with operator fusion **on and off** — four
+mode×fusion configurations — and twice per configuration, so the
 suite asserts:
 
-* identical rows in identical order across all six configurations,
+* identical rows in identical order across all four configurations,
 * bit-identical ``work`` and ``operator_work`` (the mode- and
   fusion-independence invariant the cost-gap experiments rely on),
 * identical per-operator **actual_rows** (the executor's per-node output
@@ -56,10 +55,6 @@ CASES_PER_CATALOG = max(1, N_CASES // len(CATALOG_SEEDS))
 #: the whole campaign while the default stays byte-reproducible.
 FUZZ_SEED = int(os.environ.get("REPRO_SEED", "0"))
 
-#: Parallel-mode settings that force morsel splitting on fuzz-size tables.
-MORSEL_ROWS = 64
-N_WORKERS = 3
-
 #: Small segments so every fuzz table seals multiple row groups and the
 #: zone-map/encoding machinery is exercised by every case.
 SEGMENT_ROWS = 32
@@ -67,9 +62,7 @@ SEGMENT_ROWS = 32
 #: Configs raced a third time against a plain-encoding twin database.
 #: Same segment boundaries, so even float aggregation is bit-identical —
 #: the twin runs are compared exactly, not approximately.
-ENCODING_RACE_CONFIGS = [
-    ("vectorized", False), ("vectorized", True), ("parallel", True),
-]
+ENCODING_RACE_CONFIGS = [("vectorized", False), ("vectorized", True)]
 
 #: Every executor mode raced with operator fusion off and on.  The
 #: (row, fusion-off) configuration is the oracle everything else must match.
@@ -107,8 +100,6 @@ def _build_db(mode, seed, fusion=True, segment_encodings=None,
         kwargs["segment_encodings"] = segment_encodings
     if plan_selector is not None:
         kwargs["plan_selector"] = plan_selector
-    if mode == "parallel":
-        kwargs.update(morsel_rows=MORSEL_ROWS, parallel_workers=N_WORKERS)
     db = Database(**kwargs)
     rng = random.Random(seed)
     schema = _make_schema(rng)
@@ -284,8 +275,8 @@ def test_fuzz_differential(catalog_seed):
             assert res.work == base.work, label
             assert res.operator_work == base.operator_work, label
         # Encoded segments vs a plain-encoding twin: identical segment
-        # boundaries mean identical morsel/partial boundaries, so the
-        # comparison is exact — rows, order, work, per-node counts.
+        # boundaries, so the comparison is exact — rows, order, work,
+        # per-node counts.
         for cfg in ENCODING_RACE_CONFIGS:
             enc = cold[cfg]
             plain = plain_dbs[cfg].run_query_object(query)
@@ -816,11 +807,7 @@ class TestEdgeCases:
     def _mode_dbs(self, build):
         dbs = {}
         for mode, fusion in CONFIGS:
-            kwargs = {"executor_mode": mode, "fusion_enabled": fusion}
-            if mode == "parallel":
-                kwargs.update(morsel_rows=MORSEL_ROWS,
-                              parallel_workers=N_WORKERS)
-            db = Database(**kwargs)
+            db = Database(executor_mode=mode, fusion_enabled=fusion)
             build(db)
             dbs[(mode, fusion)] = db
         return dbs
@@ -932,19 +919,6 @@ class TestEdgeCases:
         assert stats.n_distinct == 3
         assert None not in stats.top_values
         assert "None" not in stats.top_values
-
-
-def test_parallel_mode_actually_splits_morsels():
-    """Meta-check: the fuzz fixtures are big enough to dispatch morsels."""
-    db, tables = _build_db("parallel", 0)
-    rng = random.Random(99)
-    dispatched = 0
-    for __ in range(20):
-        res = db.run_query_object(_random_query(rng, tables))
-        dispatched += sum(
-            v["morsels"] for v in res.telemetry.operators.values()
-        )
-    assert dispatched > 0
 
 
 def test_fusion_actually_fires_on_fuzz_workload():

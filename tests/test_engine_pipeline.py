@@ -232,11 +232,7 @@ class TestPlanCache:
 def _mode_dbs(build):
     dbs = {}
     for mode in EXECUTOR_MODES:
-        kwargs = {}
-        if mode == "parallel":
-            # Tiny morsels so the worker pool runs on these small fixtures.
-            kwargs = {"morsel_rows": 64, "parallel_workers": 3}
-        d = Database(executor_mode=mode, **kwargs)
+        d = Database(executor_mode=mode)
         build(d)
         dbs[mode] = d
     return dbs

@@ -12,8 +12,9 @@ data never changes but every cached plan goes stale), asserting:
 * the cache's counters stay consistent with the operations performed
   (``hits + misses == lookups``), which the pre-lock implementation could
   violate via its lookup-then-delete race;
-* concurrent execution works in every executor mode, including the
-  parallel mode whose morsel pool is shared process-wide.
+* concurrent execution works in every executor mode: all query threads
+  share the database's one ``Executor``, whose per-run state is
+  thread-local.
 
 Synchronization discipline (PR 8): all threads release from one
 ``threading.Barrier`` so the race window opens simultaneously, and query
@@ -42,10 +43,7 @@ HEAVY_ROUNDS = 100
 
 
 def _build_db(mode):
-    kwargs = {"executor_mode": mode}
-    if mode == "parallel":
-        kwargs.update(morsel_rows=64, parallel_workers=3)
-    db = Database(**kwargs)
+    db = Database(executor_mode=mode)
     db.execute("CREATE TABLE a (id INT, k INT, v FLOAT)")
     db.catalog.table("a").insert_rows(
         [(i, i % 7, float(i % 11)) for i in range(400)]

@@ -101,15 +101,14 @@ class TestHintSets:
         grid = hint_grid(
             join_orders=("greedy", "ues"),
             index_axis=(True, False),
-            fusion_axis=(True, False),
-            parallel_axis=(None,),
         )
-        assert len(grid) == 2 * 2 * 2
+        assert len(grid) == 2 * 2
         assert len({a.name for a in grid}) == len(grid)
 
     def test_describe_mentions_overridden_axes(self):
-        text = HintSet(name="x", join_order="ues", fusion=False).describe()
-        assert "order=ues" in text and "fusion=off" in text
+        text = HintSet(
+            name="x", join_order="ues", use_indexes=False).describe()
+        assert "order=ues" in text and "indexes=off" in text
 
 
 # ----------------------------------------------------------------------
@@ -405,22 +404,10 @@ class TestPipelineIntegration:
         assert sum(st["observes"] for st in after["arms"].values()) == \
             sum(st["observes"] for st in before["arms"].values())
 
-    def test_executor_for_resolves_execution_hints(self):
-        db = _skewed_db()
-        assert db.executor_for(None) is db.executor
-        assert db.executor_for(HintSet(name="inherit")) is db.executor
-        nofuse = db.executor_for(HintSet(name="nf", fusion=False))
-        assert nofuse is not db.executor
-        assert nofuse.fusion_enabled is False
-        assert db.executor_for(HintSet(name="nf2", fusion=False)) is nofuse
-        par = db.executor_for(HintSet(name="p", parallel=True))
-        assert par.mode == "parallel"
-
     def test_prepared_queries_carry_the_arm(self):
         db = _skewed_db(plan_selector="pessimistic")
         prepared = db.pipeline.prepare_sql(SQL)
-        assert prepared.hints is not None
-        assert prepared.hints.name == "ues"
+        assert prepared.telemetry.arm == "ues"
         result = db.pipeline.execute_prepared(prepared)
         assert result.pipeline_telemetry.arm == "ues"
         assert db.plan_selector.stats()["arms"]["ues"]["observes"] == 1

@@ -13,7 +13,7 @@ The safety contract under test, per acceptance criteria:
   and is queryable as a table;
 * ``dry_run`` plans whole scripts (AISQL included) without executing;
 * ``AgentSession.rollback()`` restores bit-identical state — rows,
-  version vectors, COUNT(*) — in **all six** executor mode × fusion
+  version vectors, COUNT(*) — in **all four** executor mode × fusion
   configurations, embedded and served.
 """
 
@@ -494,7 +494,7 @@ class TestAgentRollback:
     @pytest.mark.parametrize("mode,fusion", MODE_FUSION)
     def test_misbehaving_script_fully_undone(self, mode, fusion):
         """Post-rollback tables, version vectors, and COUNT(*) are
-        bit-identical in all six mode × fusion configs."""
+        bit-identical in all four mode × fusion configs."""
         db = make_db(executor_mode=mode, fusion_enabled=fusion)
         before = table_state(db, "users")
         agent = db.agent_session(policy=Policy(deny_tables=("secrets",)))

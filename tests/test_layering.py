@@ -10,11 +10,14 @@ importing the engine pulls in no AI-layer module.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
 
 import repro.engine
+from repro.engine.operators import BACKENDS
+from repro.engine.operators.base import _REGISTRY
 
 ENGINE_ROOT = os.path.dirname(repro.engine.__file__)
 FORBIDDEN_PREFIXES = ("repro.ai4db", "repro.db4ai")
@@ -89,3 +92,32 @@ def test_importing_operators_loads_no_ai_modules():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_operators_have_one_backend_per_executor_mode():
+    """Every operator evaluates through ``row`` or ``vectorized`` and
+    nothing else — no third backend hides behind the registry."""
+    assert BACKENDS == ("row", "vectorized")
+    assert set(BACKENDS) == set(repro.engine.EXECUTOR_MODES)
+    assert _REGISTRY
+    for op in set(_REGISTRY.values()):
+        public = {
+            name for name, __ in inspect.getmembers(op, inspect.ismethod)
+            if not name.startswith("_")
+        }
+        assert public == set(BACKENDS), (type(op).__name__, public)
+
+
+def test_operator_layer_starts_no_threads():
+    """Operators are single-threaded NumPy; concurrency is the server's
+    (many statements, one thread each), never intra-query."""
+    ops_root = os.path.join(ENGINE_ROOT, "operators") + os.sep
+    scanned = [p for p in _engine_modules() if p.startswith(ops_root)]
+    assert scanned
+    violations = [
+        "%s:%d imports %s" % (path, lineno, module)
+        for path in scanned
+        for module, lineno in _imported_modules(path)
+        if module.split(".")[0] in ("threading", "concurrent")
+    ]
+    assert not violations, "\n".join(violations)

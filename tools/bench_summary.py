@@ -2,7 +2,8 @@
 """One-table summary of every committed BENCH_P*.json artifact.
 
 ``make bench-summary`` (or ``python tools/bench_summary.py``) reads the
-``BENCH_P1.json`` … ``BENCH_P9.json`` files the benchmarks regenerate
+``BENCH_P1.json`` … ``BENCH_P9.json`` files (there is no P3) the
+benchmarks regenerate
 (``make bench-json``) and prints each bench's headline numbers in a
 single fixed-width table — the quick "did a refactor move anything"
 view, without rerunning anything.
@@ -43,17 +44,6 @@ def _p2(result):
     return [
         "warm planning %sx" % _num(result.get("planning_speedup"), "%.1f"),
         "hit rate %s" % _num(warm.get("hit_rate"), "%.2f"),
-    ]
-
-
-def _p3(result):
-    speedups = result.get("speedups", {})
-    if not speedups:
-        return ["no speedups recorded"]
-    best = max(speedups, key=speedups.get)
-    return [
-        "best %s %sx" % (best, _num(speedups[best], "%.2f")),
-        "cpus %s" % result.get("cpu_count", "?"),
     ]
 
 
@@ -136,7 +126,6 @@ def _p9(result):
 BENCHES = (
     ("BENCH_P1", "P1 executor", _p1),
     ("BENCH_P2", "P2 plan cache", _p2),
-    ("BENCH_P3", "P3 morsels", _p3),
     ("BENCH_P4", "P4 fusion", _p4),
     ("BENCH_P5", "P5 feedback", _p5),
     ("BENCH_P6", "P6 storage", _p6),
