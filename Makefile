@@ -5,7 +5,7 @@ PYTHONPATH := src
 export PYTHONPATH
 
 .PHONY: test test-session test-concurrency test-optimizer lint loc fuzz \
-	bench bench-fusion bench-feedback bench-storage bench-snapshots \
+	bench bench-fusion bench-feedback bench-storage \
 	bench-server bench-plansel bench-json bench-summary
 
 # Tier-1 suite (fast; slow-marked full-size benchmarks are deselected by
@@ -86,14 +86,6 @@ bench-storage:
 	python -m pytest benchmarks/bench_p6_storage.py -q -m ''
 	python benchmarks/bench_p6_storage.py
 
-# Per-table version-vector benchmark alone (cold-table warm-plan hit
-# rate must be 100% under a hot writer; prints latency and snapshot pin
-# cost). BENCH_P7.json is the historical record of the race against the
-# deleted global-epoch token and is not regenerated.
-bench-snapshots:
-	python -m pytest benchmarks/bench_p7_snapshots.py -q -m ''
-	python benchmarks/bench_p7_snapshots.py
-
 # Multi-tenant serving benchmark alone (snapshot isolation at 8+
 # sessions, fair-share interference, Zipf traffic), regenerating
 # BENCH_P8.json.
@@ -112,8 +104,7 @@ bench-plansel:
 bench-summary:
 	python tools/bench_summary.py
 
-# Regenerate the committed BENCH_P*.json artifacts at full size (all but
-# P7, a historical record — see bench-snapshots).
+# Regenerate the committed BENCH_P*.json artifacts at full size.
 bench-json:
 	python benchmarks/bench_p1_executor.py
 	python benchmarks/bench_p2_pipeline.py

@@ -17,7 +17,6 @@ from repro.engine.storage import (
     PAGE_BYTES,
     RowGroup,
     Table,
-    TableRestorePoint,
     TableSnapshot,
 )
 from repro.engine.segments import (
@@ -31,7 +30,6 @@ from repro.engine.stats import ColumnStats, EquiDepthHistogram, TableStats
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
 from repro.engine.catalog import (
     Catalog,
-    CatalogRestorePoint,
     CatalogSnapshot,
     IndexDef,
     ViewDef,
@@ -119,7 +117,6 @@ __all__ = [
     "AgentSession",
     "AuditLog",
     "AuditRecord",
-    "CatalogRestorePoint",
     "DryRunReport",
     "EngineError",
     "Policy",
@@ -130,7 +127,6 @@ __all__ = [
     "SessionResult",
     "StatementInfo",
     "StatementPreview",
-    "TableRestorePoint",
     "split_script",
     "ColumnSchema",
     "DataType",

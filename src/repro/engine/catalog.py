@@ -108,6 +108,170 @@ class ViewDef:
         return "ViewDef(%r, rows=%d)" % (self.name, self.n_rows)
 
 
+def _build_index(name, table, column, kind, hypothetical=False):
+    """A fresh :class:`IndexDef` over ``table.column`` as it reads now."""
+    col = table.schema.column(column)  # validates the column exists
+    structure = None
+    if not hypothetical:
+        values = table.column_array(column)
+        pairs = list(zip(values.tolist(), range(len(values))))
+        if kind == "btree":
+            structure = BPlusTree.bulk_load(pairs)
+        else:
+            structure = HashIndex.bulk_load(pairs)
+    return IndexDef(name, table.name, col.name, kind,
+                    hypothetical=hypothetical, structure=structure)
+
+
+class CatalogSnapshot:
+    """The state of a :class:`Catalog` at one version vector, immutable.
+
+    Pins each table's current :class:`~repro.engine.storage.
+    TableSnapshot` plus the statistics, index, and view definitions and
+    the version vector as of capture time. The executor runs plans
+    against one exactly as against the live catalog; mutating methods do
+    not exist, so a write attempt fails loudly. It is also what
+    :meth:`Catalog.restore` rewinds to.
+
+    This class *defines* the lookup surface (``epoch``/``schema_epoch``/
+    ``version``/``version_vector``/``table``/``has_table``/
+    ``table_names``/``indexes``/``index_on``/``views``/
+    ``matching_view``); :class:`Catalog` reuses the very same functions
+    over its live maps.
+
+    An index created *after* the capture is absent here, so a plan
+    probing it raises (plans are built against the live catalog). Index
+    and view definitions are never mutated once registered — the live
+    catalog replaces or drops them when their rows change — so the
+    pinned definitions keep matching the pinned rows.
+    """
+
+    __slots__ = ("_tables", "_stats", "_lazy_stats", "_indexes", "_views",
+                 "_versions", "_epoch", "_schema_epoch")
+
+    def __init__(self, catalog):
+        self._tables = {
+            key: table.snapshot() for key, table in catalog._tables.items()
+        }
+        self._stats = dict(catalog._stats)
+        self._lazy_stats = {}
+        self._indexes = dict(catalog._indexes)
+        self._views = dict(catalog._views)
+        self._versions = dict(catalog._versions)
+        self._epoch = catalog._epoch
+        self._schema_epoch = catalog._schema_epoch
+
+    def snapshot(self):
+        """Snapshots are already immutable; return self."""
+        return self
+
+    @property
+    def epoch(self):
+        """Derived global version: total bumps across all tables.
+
+        Kept as its own counter updated alongside every per-table bump,
+        so reading it is O(1) — the plan cache's hot path never scans
+        tables or sums row counts. Strictly monotonic on the live
+        catalog: drops keep their table's version entry as a floor.
+        """
+        return self._epoch
+
+    @property
+    def schema_epoch(self):
+        """Version of the *table set* alone (create/drop table).
+
+        Inserts, ANALYZE, and index/view changes leave it untouched — it
+        invalidates only what depends on name resolution, such as the
+        pipeline's SQL-text → lowered-query cache.
+        """
+        return self._schema_epoch
+
+    def version(self, name):
+        """The monotonic version of one table (0 if never seen)."""
+        return self._versions.get(name.lower(), 0)
+
+    def version_vector(self, tables=None):
+        """Sorted ``((name, version), ...)`` over ``tables`` (or all).
+
+        The restriction of the version state to a query's table set —
+        the invalidation token caches store per entry.
+        """
+        if tables is None:
+            names = sorted(self._versions)
+        else:
+            names = sorted({t.lower() for t in tables})
+        return tuple((n, self._versions.get(n, 0)) for n in names)
+
+    def table(self, name):
+        """Look up a table (live) / pinned table snapshot by name."""
+        try:
+            return self._tables[name.lower()]
+        except KeyError:
+            raise CatalogError("no table named %r" % (name,))
+
+    def has_table(self, name):
+        """Whether the table exists."""
+        return name.lower() in self._tables
+
+    def table_names(self):
+        """All table names (sorted)."""
+        return sorted(t.name for t in self._tables.values())
+
+    def stats(self, name):
+        """Statistics for a table, computed lazily over the *pinned* data.
+
+        A lazily computed entry is kept beside the captured map, never in
+        it: the live catalog never observes a snapshot read, and
+        ``Catalog.restore`` puts the statistics back exactly as captured.
+        """
+        key = name.lower()
+        stats = self._stats.get(key) or self._lazy_stats.get(key)
+        if stats is None:
+            stats = self._lazy_stats[key] = TableStats.build(self.table(name))
+        return stats
+
+    def indexes(self, table=None):
+        """All indexes, optionally restricted to one table."""
+        out = list(self._indexes.values())
+        if table is not None:
+            out = [i for i in out if i.table.lower() == table.lower()]
+        return out
+
+    def index_on(self, table, column, include_hypothetical=True):
+        """The index on ``table.column`` if one exists, else ``None``."""
+        for idx in self._indexes.values():
+            if (
+                idx.table.lower() == table.lower()
+                and idx.column.lower() == column.lower()
+                and (include_hypothetical or not idx.hypothetical)
+            ):
+                return idx
+        return None
+
+    def views(self):
+        """All materialized views."""
+        return list(self._views.values())
+
+    def matching_view(self, query):
+        """Find ``(view, residual_predicates)`` answering ``query``, if any.
+
+        Prefers the view with the fewest rows (cheapest to scan).
+        """
+        best = None
+        for view in self._views.values():
+            residual = view.matches(query)
+            if residual is None:
+                continue
+            if best is None or view.n_rows < best[0].n_rows:
+                best = (view, residual)
+        return best
+
+    def __repr__(self):
+        return "CatalogSnapshot(tables=%d, epoch=%d)" % (
+            len(self._tables), self._epoch
+        )
+
+
 class Catalog:
     """Holds all tables, statistics, indexes, and materialized views.
 
@@ -141,50 +305,49 @@ class Catalog:
         self.segment_rows = segment_rows
         self.segment_encodings = segment_encodings
 
-    @property
-    def epoch(self):
-        """Derived global version: total bumps across all tables.
-
-        Kept as its own counter updated alongside every per-table bump,
-        so reading it is O(1) — the plan cache's hot path never scans
-        tables or sums row counts. Strictly monotonic: drops keep their
-        table's version entry as a floor.
-        """
-        return self._epoch
-
-    @property
-    def schema_epoch(self):
-        """Version of the *table set* alone (create/drop table).
-
-        Inserts, ANALYZE, and index/view changes leave it untouched — it
-        invalidates only what depends on name resolution, such as the
-        pipeline's SQL-text → lowered-query cache.
-        """
-        return self._schema_epoch
-
     def _bump_table(self, name, n=1):
         key = name.lower()
         self._versions[key] = self._versions.get(key, 0) + n
         self._epoch += n
 
     def _on_table_write(self, table):
-        self._bump_table(table.name)
+        """The write hook on every registered table: bump its version and
+        keep what was derived from its rows true.
 
-    def version(self, name):
-        """The monotonic version of one table (0 if never seen)."""
-        return self._versions.get(name.lower(), 0)
-
-    def version_vector(self, tables=None):
-        """Sorted ``((name, version), ...)`` over ``tables`` (or all).
-
-        The restriction of the catalog's version state to a query's
-        table set — the invalidation token caches store per entry.
+        Each physical index on the table is rebuilt into a **new**
+        :class:`IndexDef` (O(n log n) per write on an indexed table —
+        accepted; an incremental index is future work) and every
+        materialized view reading the table is dropped. Old definitions
+        are never mutated: snapshots pinned earlier keep the ones that
+        match their rows.
         """
-        if tables is None:
-            names = sorted(self._versions)
-        else:
-            names = sorted({t.lower() for t in tables})
-        return tuple((n, self._versions.get(n, 0)) for n in names)
+        self._bump_table(table.name)
+        key = table.name.lower()
+        for name, idx in self._indexes.items():
+            if idx.structure is not None and idx.table.lower() == key:
+                self._indexes[name] = _build_index(
+                    name, table, idx.column, idx.kind)
+        self._drop_views_over(key)
+
+    def _drop_views_over(self, key):
+        for name in [
+            n for n, v in self._views.items()
+            if key in (t.lower() for t in v.query.tables)
+        ]:
+            del self._views[name]
+
+    # -- the lookup surface: one definition, shared with CatalogSnapshot --
+    epoch = CatalogSnapshot.epoch
+    schema_epoch = CatalogSnapshot.schema_epoch
+    version = CatalogSnapshot.version
+    version_vector = CatalogSnapshot.version_vector
+    table = CatalogSnapshot.table
+    has_table = CatalogSnapshot.has_table
+    table_names = CatalogSnapshot.table_names
+    indexes = CatalogSnapshot.indexes
+    index_on = CatalogSnapshot.index_on
+    views = CatalogSnapshot.views
+    matching_view = CatalogSnapshot.matching_view
 
     # ------------------------------------------------------------------
     # Tables
@@ -239,7 +402,7 @@ class Catalog:
         return table
 
     def drop_table(self, name):
-        """Drop a table and its dependent stats and indexes.
+        """Drop a table and its dependent stats, indexes and views.
 
         The table's version entry is kept (and bumped): a later table of
         the same name continues from it, so versions never move backward.
@@ -254,23 +417,9 @@ class Catalog:
             n for n, d in self._indexes.items() if d.table.lower() == key
         ]:
             del self._indexes[idx_name]
+        self._drop_views_over(key)
         self._bump_table(key)
         self._schema_epoch += 1
-
-    def table(self, name):
-        """Look up a table by name."""
-        try:
-            return self._tables[name.lower()]
-        except KeyError:
-            raise CatalogError("no table named %r" % (name,))
-
-    def has_table(self, name):
-        """Whether the table exists."""
-        return name.lower() in self._tables
-
-    def table_names(self):
-        """All table names (sorted)."""
-        return sorted(t.name for t in self._tables.values())
 
     # ------------------------------------------------------------------
     # Statistics
@@ -301,20 +450,8 @@ class Catalog:
         """Create a (real or what-if) single-column index."""
         if name.lower() in {n.lower() for n in self._indexes}:
             raise CatalogError("index %r already exists" % (name,))
-        tbl = self.table(table)
-        tbl.schema.column(column)  # validates the column exists
-        structure = None
-        if not hypothetical:
-            values = tbl.column_array(column)
-            pairs = list(zip(values.tolist(), range(len(values))))
-            if kind == "btree":
-                structure = BPlusTree.bulk_load(pairs)
-            else:
-                structure = HashIndex.bulk_load(pairs)
-        idx = IndexDef(
-            name, tbl.name, tbl.schema.column(column).name, kind,
-            hypothetical=hypothetical, structure=structure,
-        )
+        idx = _build_index(name, self.table(table), column, kind,
+                           hypothetical)
         self._indexes[name] = idx
         self._bump_table(idx.table)
         return idx
@@ -328,24 +465,6 @@ class Catalog:
                 self._bump_table(table)
                 return
         raise CatalogError("no index named %r" % (name,))
-
-    def indexes(self, table=None):
-        """All indexes, optionally restricted to one table."""
-        out = list(self._indexes.values())
-        if table is not None:
-            out = [i for i in out if i.table.lower() == table.lower()]
-        return out
-
-    def index_on(self, table, column, include_hypothetical=True):
-        """The index on ``table.column`` if one exists, else ``None``."""
-        for idx in self._indexes.values():
-            if (
-                idx.table.lower() == table.lower()
-                and idx.column.lower() == column.lower()
-                and (include_hypothetical or not idx.hypothetical)
-            ):
-                return idx
-        return None
 
     def index_size_total(self):
         """Total modeled bytes across all (non-hypothetical) indexes."""
@@ -381,24 +500,6 @@ class Catalog:
         for t in view.query.tables:
             self._bump_table(t)
 
-    def views(self):
-        """All materialized views."""
-        return list(self._views.values())
-
-    def matching_view(self, query):
-        """Find ``(view, residual_predicates)`` answering ``query``, if any.
-
-        Prefers the view with the fewest rows (cheapest to scan).
-        """
-        best = None
-        for view in self._views.values():
-            residual = view.matches(query)
-            if residual is None:
-                continue
-            if best is None or view.n_rows < best[0].n_rows:
-                best = (view, residual)
-        return best
-
     def view_size_total(self):
         """Total modeled bytes across all materialized views."""
         return sum(v.size_bytes() for v in self._views.values())
@@ -409,25 +510,52 @@ class Catalog:
     def snapshot(self):
         """An immutable :class:`CatalogSnapshot` of the current state.
 
-        Cost is O(sum of tail rows) — sealed storage is shared by
-        reference. Readers holding the snapshot see this exact catalog
-        (tables, stats, indexes, views, versions) no matter what writers
-        do to the live one afterwards.
+        Costs O(#tables) when nothing was written since the last one —
+        each table hands back its current
+        :class:`~repro.engine.storage.TableSnapshot`, decoded columns
+        included — plus O(tail rows) for each table written in between;
+        sealed storage is shared by reference. Readers holding the
+        snapshot see this exact catalog (tables, stats, indexes, views,
+        versions) no matter what writers do to the live one afterwards.
         """
         return CatalogSnapshot(self)
 
-    def restore_point(self):
-        """A :class:`CatalogRestorePoint` that can rewind this catalog.
+    def restore(self, snapshot):
+        """Rewind this catalog, and every table in it, to ``snapshot``.
 
-        The write-side sibling of :meth:`snapshot` and the primitive the
-        session API's ``rollback()`` is built on: captures every table's
-        :class:`~repro.engine.storage.TableRestorePoint` plus the
-        catalog's own maps (stats, indexes, views, versions, epochs), and
-        ``restore()`` puts it all back bit-identically — tables created
-        in between vanish, dropped ones reappear, and the version vector
-        returns to its captured values.
+        Puts the captured state back bit-identically:
+
+        * tables created after the capture are detached (their write
+          hook is removed, so later writes through a stale reference
+          cannot bump versions or touch indexes);
+        * tables dropped after the capture come back, each live
+          :class:`~repro.engine.storage.Table` rewound to its pinned
+          :class:`~repro.engine.storage.TableSnapshot`;
+        * statistics, index and view definitions, the version vector,
+          derived epoch and schema epoch return to the captured values.
+
+        Restoring fires no write hook and moves versions **backward** —
+        the one deliberate exception to the catalog's monotonicity rule,
+        sound because the data is rewound with them (a cached plan whose
+        token matches again planned over bit-identical state). Callers
+        that cached plans *during* the rewound window must drop them:
+        the session API calls ``pipeline.invalidate()`` after every
+        restore. Idempotent.
         """
-        return CatalogRestorePoint(self)
+        hook = self._on_table_write
+        for table in self._tables.values():
+            table.remove_write_hook(hook)
+        self._tables = {}
+        for key, pinned in snapshot._tables.items():
+            pinned.table.restore(pinned)
+            pinned.table.add_write_hook(hook)
+            self._tables[key] = pinned.table
+        self._stats = dict(snapshot._stats)
+        self._indexes = dict(snapshot._indexes)
+        self._views = dict(snapshot._views)
+        self._versions = dict(snapshot._versions)
+        self._epoch = snapshot._epoch
+        self._schema_epoch = snapshot._schema_epoch
 
     # ------------------------------------------------------------------
     def total_data_bytes(self):
@@ -456,199 +584,3 @@ class Catalog:
         for v in self.views():
             lines.append("view %s rows=%d" % (v.name, v.n_rows))
         return "\n".join(lines)
-
-
-class CatalogRestorePoint:
-    """A rewind handle for a whole :class:`Catalog`.
-
-    Captures the table map, per-table physical restore points, and the
-    stats / index / view / version maps. ``restore()`` rewinds all of it:
-
-    * tables created after the capture are detached (their write hook is
-      removed so later writes to a stale reference cannot bump versions);
-    * tables dropped after the capture come back, physically rewound;
-    * the version vector, derived epoch, and schema epoch return to the
-      captured values.
-
-    Restoring moves versions **backward** — the one deliberate exception
-    to the catalog's monotonicity rule, sound because the data is
-    rewound with them (a cached plan whose token matches again planned
-    over bit-identical state). Callers that cached plans *during* the
-    rewound window must drop them: the session API calls
-    ``pipeline.invalidate()`` after every restore.
-    """
-
-    __slots__ = ("_catalog", "_tables", "_points", "_stats", "_indexes",
-                 "_views", "_versions", "_epoch", "_schema_epoch")
-
-    def __init__(self, catalog):
-        self._catalog = catalog
-        self._tables = dict(catalog._tables)
-        self._points = {
-            key: table.restore_point()
-            for key, table in catalog._tables.items()
-        }
-        self._stats = dict(catalog._stats)
-        self._indexes = dict(catalog._indexes)
-        self._views = dict(catalog._views)
-        self._versions = dict(catalog._versions)
-        self._epoch = catalog._epoch
-        self._schema_epoch = catalog._schema_epoch
-
-    def version_vector(self, tables=None):
-        """The captured ``((name, version), ...)`` vector (what
-        ``restore()`` returns the catalog to)."""
-        if tables is None:
-            names = sorted(self._versions)
-        else:
-            names = sorted({t.lower() for t in tables})
-        return tuple((n, self._versions.get(n, 0)) for n in names)
-
-    def restore(self):
-        """Rewind the catalog (and every captured table) — idempotent."""
-        cat = self._catalog
-        hook = cat._on_table_write
-        for key, table in cat._tables.items():
-            if key not in self._tables:
-                table.remove_write_hook(hook)
-        cat._tables = dict(self._tables)
-        for point in self._points.values():
-            point.restore()
-        for table in cat._tables.values():
-            if hook not in table._write_hooks:
-                table.add_write_hook(hook)
-        cat._stats = dict(self._stats)
-        cat._indexes = dict(self._indexes)
-        cat._views = dict(self._views)
-        cat._versions = dict(self._versions)
-        cat._epoch = self._epoch
-        cat._schema_epoch = self._schema_epoch
-
-    def __repr__(self):
-        return "CatalogRestorePoint(tables=%d, epoch=%d)" % (
-            len(self._tables), self._epoch
-        )
-
-
-class CatalogSnapshot:
-    """An immutable point-in-time view of a :class:`Catalog`.
-
-    MVCC-style read surface: pins a :class:`~repro.engine.storage.
-    TableSnapshot` per table plus the statistics, index, and view
-    definitions as of snapshot time, stamped with the version vector they
-    were taken at. The executor runs plans against one of these exactly
-    as against the live catalog (same ``table``/``indexes``/``stats``
-    lookup surface); mutating methods simply do not exist, so any write
-    attempt fails loudly rather than corrupting the pinned state.
-
-    Two pinning caveats, both loud rather than silent: an index created
-    *after* the snapshot is absent here, so a plan probing it raises
-    (plans are built against the live catalog); and view definitions
-    embed their live materialized table — views are immutable after
-    registration in this engine, so the pinned definition cannot drift.
-    """
-
-    __slots__ = ("_tables", "_stats", "_indexes", "_views", "_versions",
-                 "_epoch", "_schema_epoch")
-
-    def __init__(self, catalog):
-        self._tables = {
-            key: table.snapshot() for key, table in catalog._tables.items()
-        }
-        self._stats = dict(catalog._stats)
-        self._indexes = dict(catalog._indexes)
-        self._views = dict(catalog._views)
-        self._versions = dict(catalog._versions)
-        self._epoch = catalog.epoch
-        self._schema_epoch = catalog.schema_epoch
-
-    @property
-    def epoch(self):
-        """The derived global version at snapshot time."""
-        return self._epoch
-
-    @property
-    def schema_epoch(self):
-        """The table-set version at snapshot time."""
-        return self._schema_epoch
-
-    def version(self, name):
-        """One table's version at snapshot time (0 if never seen)."""
-        return self._versions.get(name.lower(), 0)
-
-    def version_vector(self, tables=None):
-        """Sorted ``((name, version), ...)`` pinned at snapshot time."""
-        if tables is None:
-            names = sorted(self._versions)
-        else:
-            names = sorted({t.lower() for t in tables})
-        return tuple((n, self._versions.get(n, 0)) for n in names)
-
-    # -- the executor/planner-facing read surface ----------------------
-    def table(self, name):
-        """Look up a pinned :class:`TableSnapshot` by name."""
-        try:
-            return self._tables[name.lower()]
-        except KeyError:
-            raise CatalogError("no table named %r" % (name,))
-
-    def has_table(self, name):
-        """Whether the table existed at snapshot time."""
-        return name.lower() in self._tables
-
-    def table_names(self):
-        """All pinned table names (sorted)."""
-        return sorted(t.name for t in self._tables.values())
-
-    def stats(self, name):
-        """Statistics for a table, computed lazily over the *pinned* data.
-
-        Lazy computation caches locally in the snapshot — the live
-        catalog (and its versions) never observes a snapshot read.
-        """
-        key = name.lower()
-        if key not in self._stats:
-            self._stats[key] = TableStats.build(self.table(name))
-        return self._stats[key]
-
-    def indexes(self, table=None):
-        """Indexes pinned at snapshot time, optionally for one table."""
-        out = list(self._indexes.values())
-        if table is not None:
-            out = [i for i in out if i.table.lower() == table.lower()]
-        return out
-
-    def index_on(self, table, column, include_hypothetical=True):
-        """The pinned index on ``table.column`` if any, else ``None``."""
-        for idx in self._indexes.values():
-            if (
-                idx.table.lower() == table.lower()
-                and idx.column.lower() == column.lower()
-                and (include_hypothetical or not idx.hypothetical)
-            ):
-                return idx
-        return None
-
-    def views(self):
-        """Materialized views pinned at snapshot time."""
-        return list(self._views.values())
-
-    def matching_view(self, query):
-        """``(view, residual_predicates)`` answering ``query``, if any."""
-        best = None
-        for view in self._views.values():
-            residual = view.matches(query)
-            if residual is None:
-                continue
-            if best is None or view.n_rows < best[0].n_rows:
-                best = (view, residual)
-        return best
-
-    def snapshot(self):
-        """Snapshots are already immutable; return self."""
-        return self
-
-    def __repr__(self):
-        return "CatalogSnapshot(tables=%d, epoch=%d)" % (
-            len(self._tables), self._epoch
-        )

@@ -239,8 +239,10 @@ class DatabaseSnapshot:
     via the executor's per-run catalog override. Feedback ingestion is
     skipped for snapshot runs, and non-SELECT statements are rejected.
 
-    Cheap enough to take per query: construction cost is O(unsealed tail
-    rows) across tables, since sealed storage is immutable and shared.
+    Cheap enough to take per query: O(#tables) when nothing was written
+    since the last pin (every table hands back its current snapshot,
+    decoded columns included), plus O(unsealed tail rows) for each table
+    written in between; sealed storage is immutable and shared.
     """
 
     def __init__(self, database):

@@ -483,9 +483,7 @@ def merge_value_counts(segments):
     (Python dicts preserve insertion order) — the incremental statistics
     path ANALYZE uses instead of re-scanning a full column. ``None``
     signals that some segment could not count exactly (NaN-bearing
-    FLOAT), so the caller must fall back to the decoded column. Shared by
-    :class:`~repro.engine.storage.Table` and
-    :class:`~repro.engine.storage.TableSnapshot`.
+    FLOAT), so the caller must fall back to the decoded column.
     """
     merged = {}
     for seg in segments:

@@ -7,7 +7,7 @@ snapshot (:meth:`Database.snapshot`), and served
 need: declarative :class:`Policy` gates, an append-only
 :class:`AuditLog`, script :meth:`~SessionContext.dry_run` planning, and
 — via :class:`AgentSession` — transactional begin/commit/rollback built
-on the catalog's physical restore points.
+on ``Catalog.snapshot()`` / ``Catalog.restore(snapshot)``.
 """
 
 from repro.engine.session.agent import AgentSession

@@ -10,9 +10,10 @@ session stack plus transactional undo:
   :class:`~repro.engine.session.context.SessionContext` machinery);
 * :meth:`dry_run` plans a whole script — AISQL included — without
   executing a byte;
-* :meth:`begin` pins the catalog's physical state via restore points,
-  :meth:`rollback` restores it **bit-identically** (rows, versions,
-  stats, indexes, views), and :meth:`commit` keeps it.
+* :meth:`begin` pins the catalog's state as a
+  :class:`~repro.engine.catalog.CatalogSnapshot`, :meth:`rollback`
+  restores it **bit-identically** (rows, versions, stats, indexes,
+  views), and :meth:`commit` keeps what happened since.
 
 Rollback restores catalog state only. Out-of-catalog side effects —
 most notably models registered in an AISQL ``ModelRegistry`` — are not
@@ -76,29 +77,29 @@ class AgentSession(SessionContext):
             db, backend=backend, policy=policy,
             audit=audit if audit is not None else AuditLog(),
         )
-        self._restore_point = None
+        self._pinned = None
 
     # -- transaction surface ---------------------------------------------
     @property
     def in_transaction(self):
         """Whether :meth:`begin` is active (uncommitted)."""
-        return self._restore_point is not None
+        return self._pinned is not None
 
     def begin(self):
-        """Pin the catalog's current physical state as the undo target.
+        """Pin the catalog's current state (a snapshot) as the undo target.
 
         Server mode additionally takes the server's commit lock, holding
         it until :meth:`commit`/:meth:`rollback` — the transaction is
         one atomic unit in the commit history.
         """
-        if self._restore_point is not None:
+        if self._pinned is not None:
             raise SessionError(
                 "a transaction is already active (nested begin() is not "
                 "supported)")
         if self._server is not None:
             self._server._commit_lock.acquire()
         try:
-            self._restore_point = self.db.catalog.restore_point()
+            self._pinned = self.db.catalog.snapshot()
         except BaseException:
             if self._server is not None:
                 self._server._commit_lock.release()
@@ -109,7 +110,7 @@ class AgentSession(SessionContext):
     def commit(self):
         """Keep everything since :meth:`begin`; discard the undo state."""
         self._require_transaction()
-        self._restore_point = None
+        self._pinned = None
         self._meta("COMMIT")
         if self._server is not None:
             self._server._commit_lock.release()
@@ -126,9 +127,8 @@ class AgentSession(SessionContext):
         to the commit log so the post-rollback state is a committed
         state, and the commit lock is released.
         """
-        point = self._require_transaction()
-        point.restore()
-        self._restore_point = None
+        self.db.catalog.restore(self._require_transaction())
+        self._pinned = None
         self.db.pipeline.invalidate()
         self._meta("ROLLBACK")
         if self._server is not None:
@@ -140,10 +140,10 @@ class AgentSession(SessionContext):
             server._commit_lock.release()
 
     def _require_transaction(self):
-        if self._restore_point is None:
+        if self._pinned is None:
             raise SessionError(
                 "no transaction is active (call begin() first)")
-        return self._restore_point
+        return self._pinned
 
     def _meta(self, kind):
         """Audit a transaction-control event alongside the statements."""
@@ -155,7 +155,7 @@ class AgentSession(SessionContext):
     # -- lifecycle -------------------------------------------------------
     def close(self):
         """Roll back any open transaction and release server resources."""
-        if self._restore_point is not None:
+        if self._pinned is not None:
             self.rollback()
         if self._server_session is not None:
             self._server_session.close()

@@ -9,6 +9,12 @@ sealed data. The page model (rows per page, bytes per value) gives the
 cost model and the hardware-acceleration experiments something physical
 to reason about without real I/O; since segments are encoded, the page
 accounting reflects *encoded* bytes.
+
+There is one captured state: a :class:`TableSnapshot`. The live table
+reads through its *current* snapshot (built on the first read after a
+write, dropped by the next write), ``Table.snapshot()`` hands that same
+object to readers who want to keep it, and ``Table.restore(snapshot)``
+rewinds the table to one.
 """
 
 import numpy as np
@@ -49,14 +55,163 @@ class RowGroup:
         return "RowGroup(start=%d, rows=%d)" % (self.start, self.n_rows)
 
 
+class TableSnapshot:
+    """The state of a :class:`Table` at one version, immutable.
+
+    Pins the table's sealed row groups by reference — they are never
+    mutated after sealing (``insert_rows`` only appends groups,
+    ``replace_column`` builds fresh ones) — plus the tail frozen into one
+    plain-encoded group, so a writer appending to (or re-sealing) the
+    live table never disturbs readers holding the snapshot. Building one
+    costs O(tail rows); decoded columns are cached on it, so every
+    holder of the same snapshot shares them.
+
+    This class *defines* the executor-facing read surface
+    (``row_groups``/``column_array``/``rows``/``column_arrays``/``row``/
+    ``column_value_counts``/``n_segments``); :class:`Table` reuses the
+    very same functions, which read through ``self.snapshot()``. It is
+    also what :meth:`Table.restore` rewinds to.
+    """
+
+    __slots__ = ("table", "schema", "version", "_groups", "_n_sealed",
+                 "_n_rows", "_decoded")
+
+    def __init__(self, table, decoded=None):
+        #: The live :class:`Table` this state was captured from.
+        self.table = table
+        self.schema = table.schema
+        self.version = table._version
+        self._groups = list(table._groups)
+        self._n_sealed = len(self._groups)
+        self._n_rows = table._n_rows
+        self._decoded = {} if decoded is None else decoded
+        if table._tail_rows:
+            segs = {}
+            for c in self.schema.columns:
+                key = c.name.lower()
+                segs[key] = ColumnSegment.encode(
+                    np.asarray(table._tail[key], dtype=c.dtype.numpy_dtype),
+                    c.dtype, ("plain",),
+                )
+            self._groups.append(RowGroup(
+                self._n_rows - table._tail_rows, table._tail_rows, segs
+            ))
+
+    def snapshot(self):
+        """Snapshots are already immutable; return self."""
+        return self
+
+    @property
+    def name(self):
+        """Table name from the schema."""
+        return self.schema.name
+
+    @property
+    def n_rows(self):
+        """Row count (of the live table now, of a snapshot when taken)."""
+        return self._n_rows
+
+    def __len__(self):
+        return self._n_rows
+
+    # -- segment access ------------------------------------------------
+    def row_groups(self):
+        """All row groups in table order, the tail as a synthetic group.
+
+        The tail (when non-empty) is exposed as a plain-encoded group so
+        scans see one uniform sequence of segments.
+        """
+        return list(self.snapshot()._groups)
+
+    @property
+    def n_segments(self):
+        """Number of row groups, counting the non-empty tail as one."""
+        return len(self.snapshot()._groups)
+
+    # -- reads ---------------------------------------------------------
+    def column_array(self, name):
+        """Column ``name`` as one decoded NumPy array (cached)."""
+        snap = self.snapshot()
+        col = snap.schema.column(name)
+        key = col.name.lower()
+        cached = snap._decoded.get(key)
+        if cached is not None:
+            return cached
+        parts = [g.segments[key].decode() for g in snap._groups]
+        if not parts:
+            arr = np.empty(0, dtype=col.dtype.numpy_dtype)
+        elif len(parts) == 1:
+            arr = parts[0]
+        else:
+            arr = np.concatenate(parts)
+        snap._decoded[key] = arr
+        return arr
+
+    def rows(self, indices=None):
+        """Materialize rows as a list of tuples (optionally a subset)."""
+        arrays = list(self.column_arrays(indices).values())
+        if not arrays:
+            return []
+        return list(zip(*(a.tolist() for a in arrays)))
+
+    def column_arrays(self, row_ids=None, columns=None):
+        """Column arrays as ``{name: array}``, optionally gathered by row id.
+
+        Args:
+            row_ids: optional integer array/sequence selecting rows (one
+                fancy-indexing gather per column); ``None`` returns the
+                cached decoded arrays themselves — callers must not
+                mutate them.
+            columns: optional iterable of column names to restrict to.
+        """
+        snap = self.snapshot()
+        if columns is None:
+            names = [c.name.lower() for c in snap.schema.columns]
+        else:
+            names = [c.lower() for c in columns]
+        if row_ids is None:
+            return {name: snap.column_array(name) for name in names}
+        idx = np.asarray(row_ids, dtype=np.int64)
+        return {name: snap.column_array(name)[idx] for name in names}
+
+    def row(self, index):
+        """One row as a tuple."""
+        snap = self.snapshot()
+        if not 0 <= index < snap._n_rows:
+            raise IndexError("row index out of range")
+        return tuple(
+            snap.column_array(c.name)[index] for c in snap.schema.columns
+        )
+
+    # -- statistics ----------------------------------------------------
+    def column_value_counts(self, name):
+        """Merged per-segment value counts, or ``None`` when unsound.
+
+        Returns ``{value: count}`` with keys in first-appearance order
+        (Python dicts preserve insertion order), merging each segment's
+        cached counts — the incremental path ANALYZE uses instead of
+        re-scanning the full column. ``None`` signals that some segment
+        could not count exactly (NaN-bearing FLOAT), so the caller must
+        fall back to the decoded column.
+        """
+        snap = self.snapshot()
+        key = snap.schema.column(name).name.lower()
+        return merge_value_counts(g.segments[key] for g in snap._groups)
+
+    def __repr__(self):
+        return "TableSnapshot(%r, rows=%d, version=%d)" % (
+            self.name, self._n_rows, self.version
+        )
+
+
 class Table:
     """An in-memory table: a :class:`TableSchema` plus column segments.
 
     Rows can be appended (``insert_rows``) and read either row-wise
     (``rows()``) or column-wise (``column_array``). Sealed segments are
-    the canonical representation; full decoded arrays and row views are
-    materialized on demand (and the decoded form is cached until the
-    next write).
+    the canonical representation; every read goes through the table's
+    current :class:`TableSnapshot` (frozen tail + decoded-column cache),
+    which the next write drops.
     """
 
     def __init__(self, schema, columns=None, segment_rows=None,
@@ -73,15 +228,15 @@ class Table:
             tuple(segment_encodings) if segment_encodings
             else DEFAULT_ENCODINGS
         )
-        self._dtypes = {c.name.lower(): c.dtype for c in schema.columns}
         self._groups = []
         self._tail = {c.name.lower(): [] for c in schema.columns}
         self._tail_rows = 0
-        self._tail_group = None
         self._n_rows = 0
-        self._decoded = {}
         self._version = 0
         self._write_hooks = []
+        #: The current TableSnapshot; ``None`` between a write and the
+        #: next read.
+        self._current = None
         if columns is not None:
             normalized = {}
             n_rows = None
@@ -122,17 +277,7 @@ class Table:
             self._tail_rows = self._n_rows - sealed
             # The caller's arrays double as the decoded cache, so
             # column_array() stays zero-copy for freshly built tables.
-            self._decoded = normalized
-
-    @property
-    def name(self):
-        """Table name from the schema."""
-        return self.schema.name
-
-    @property
-    def n_rows(self):
-        """Current row count."""
-        return self._n_rows
+            self._current = TableSnapshot(self, decoded=normalized)
 
     @property
     def segment_rows(self):
@@ -176,106 +321,56 @@ class Table:
         for hook in list(self._write_hooks):
             hook(self)
 
-    def _column_key(self, name):
-        key = name.lower()
-        if key not in self._tail:
+    # -- captured state ------------------------------------------------
+    def snapshot(self):
+        """The current :class:`TableSnapshot` — immutable, safe to keep.
+
+        Free when nothing was written since the last read (the same
+        object comes back, decoded columns included); O(tail rows) after
+        a write, to freeze the tail. Sealed row groups are shared by
+        reference either way.
+        """
+        snap = self._current
+        if snap is None:
+            snap = self._current = TableSnapshot(self)
+        return snap
+
+    def restore(self, snapshot):
+        """Rewind this table to one of its own snapshots.
+
+        Puts back exactly the captured physical state — same sealed
+        groups (by reference), same tail, same row count and ``version``
+        — and makes ``snapshot`` the current one again. Deliberately
+        fires **no** write hook: ``Catalog.restore`` owns the version
+        bookkeeping of a rewind as a whole.
+        """
+        if snapshot.table is not self:
             raise CatalogError(
-                "table %r has no column %r" % (self.name, name)
+                "snapshot of %r was not taken from this table"
+                % (snapshot.name,)
             )
-        return key
+        self._groups = snapshot._groups[:snapshot._n_sealed]
+        self._tail = {c.name.lower(): [] for c in self.schema.columns}
+        self._tail_rows = 0
+        for group in snapshot._groups[snapshot._n_sealed:]:
+            for key, seg in group.segments.items():
+                self._tail[key] = seg.decode().tolist()
+            self._tail_rows = group.n_rows
+        self._n_rows = snapshot._n_rows
+        self._version = snapshot.version
+        self._current = snapshot
 
-    def _tail_array(self, key):
-        return np.asarray(
-            self._tail[key], dtype=self._dtypes[key].numpy_dtype
-        )
-
-    # -- segment access ------------------------------------------------
-    def row_groups(self):
-        """All row groups in table order, the tail as a synthetic group.
-
-        The tail (when non-empty) is exposed as a plain-encoded group so
-        scans see one uniform sequence of segments; it is rebuilt lazily
-        after each write.
-        """
-        if not self._tail_rows:
-            return list(self._groups)
-        if self._tail_group is None:
-            segs = {}
-            for c in self.schema.columns:
-                key = c.name.lower()
-                segs[key] = ColumnSegment.encode(
-                    self._tail_array(key), c.dtype, ("plain",)
-                )
-            self._tail_group = RowGroup(
-                self._n_rows - self._tail_rows, self._tail_rows, segs
-            )
-        return list(self._groups) + [self._tail_group]
-
-    @property
-    def n_segments(self):
-        """Number of row groups, counting the non-empty tail as one."""
-        return len(self._groups) + (1 if self._tail_rows else 0)
-
-    # -- reads ---------------------------------------------------------
-    def column_array(self, name):
-        """Column ``name`` as one decoded NumPy array (cached)."""
-        key = self._column_key(name)
-        cached = self._decoded.get(key)
-        if cached is not None:
-            return cached
-        parts = [g.segments[key].decode() for g in self._groups]
-        if self._tail_rows:
-            parts.append(self._tail_array(key))
-        if not parts:
-            arr = np.empty(0, dtype=self._dtypes[key].numpy_dtype)
-        elif len(parts) == 1:
-            arr = parts[0]
-        else:
-            arr = np.concatenate(parts)
-        self._decoded[key] = arr
-        return arr
-
-    def rows(self, indices=None):
-        """Materialize rows as a list of tuples (optionally a subset)."""
-        arrays = [self.column_array(c.name) for c in self.schema.columns]
-        if not arrays:
-            return []
-        if indices is not None:
-            idx = np.asarray(indices, dtype=np.int64)
-            arrays = [a[idx] for a in arrays]
-        return list(zip(*(a.tolist() for a in arrays)))
-
-    def column_arrays(self, row_ids=None, columns=None):
-        """Column arrays as ``{name: array}``, optionally gathered by row id.
-
-        Args:
-            row_ids: optional integer array/sequence selecting rows (one
-                fancy-indexing gather per column); ``None`` returns the
-                cached decoded arrays themselves — callers must not
-                mutate them.
-            columns: optional iterable of column names to restrict to.
-        """
-        if columns is None:
-            names = [c.name.lower() for c in self.schema.columns]
-        else:
-            names = [c.lower() for c in columns]
-        out = {}
-        if row_ids is None:
-            for name in names:
-                out[name] = self.column_array(name)
-            return out
-        idx = np.asarray(row_ids, dtype=np.int64)
-        for name in names:
-            out[name] = self.column_array(name)[idx]
-        return out
-
-    def row(self, index):
-        """One row as a tuple."""
-        if not 0 <= index < self._n_rows:
-            raise IndexError("row index out of range")
-        return tuple(
-            self.column_array(c.name)[index] for c in self.schema.columns
-        )
+    # -- the read surface: one definition, shared with TableSnapshot -----
+    name = TableSnapshot.name
+    n_rows = TableSnapshot.n_rows
+    __len__ = TableSnapshot.__len__
+    row_groups = TableSnapshot.row_groups
+    n_segments = TableSnapshot.n_segments
+    column_array = TableSnapshot.column_array
+    rows = TableSnapshot.rows
+    column_arrays = TableSnapshot.column_arrays
+    row = TableSnapshot.row
+    column_value_counts = TableSnapshot.column_value_counts
 
     # -- writes --------------------------------------------------------
     def insert_rows(self, rows):
@@ -296,13 +391,12 @@ class Table:
                     "row width %d does not match schema width %d"
                     % (len(r), width)
                 )
+        self._current = None
         for j, col in enumerate(self.schema.columns):
             coerce = col.dtype.coerce
             self._tail[col.name.lower()].extend(coerce(r[j]) for r in rows)
         self._tail_rows += len(rows)
         self._n_rows += len(rows)
-        self._decoded = {}
-        self._tail_group = None
         while self._tail_rows >= self._segment_rows:
             self._seal_tail_chunk()
         self._notify_write()
@@ -332,9 +426,9 @@ class Table:
         :class:`TableSnapshot` pinned before the replace keep serving the
         old values.
         """
-        key = self._column_key(name)
-        dtype = self._dtypes[key]
-        arr = np.asarray(values, dtype=dtype.numpy_dtype)
+        col = self.schema.column(name)
+        key = col.name.lower()
+        arr = np.asarray(values, dtype=col.dtype.numpy_dtype)
         if len(arr) != self._n_rows:
             raise CatalogError(
                 "column %r has %d rows, expected %d"
@@ -344,37 +438,22 @@ class Table:
         for g in self._groups:
             segments = dict(g.segments)
             segments[key] = ColumnSegment.encode(
-                arr[g.start:g.start + g.n_rows], dtype,
+                arr[g.start:g.start + g.n_rows], col.dtype,
                 self._segment_encodings,
             )
             new_groups.append(RowGroup(g.start, g.n_rows, segments))
+        self._current = None
         self._groups = new_groups
         self._tail[key] = arr[self._n_rows - self._tail_rows:].tolist()
-        self._tail_group = None
-        self._decoded.pop(key, None)
-        self._decoded[key] = arr
         self._notify_write()
-
-    # -- statistics ----------------------------------------------------
-    def column_value_counts(self, name):
-        """Merged per-segment value counts, or ``None`` when unsound.
-
-        Returns ``{value: count}`` with keys in first-appearance order
-        (Python dicts preserve insertion order), merging each segment's
-        cached counts — the incremental path ANALYZE uses instead of
-        re-scanning the full column. ``None`` signals that some segment
-        could not count exactly (NaN-bearing FLOAT), so the caller must
-        fall back to the decoded column.
-        """
-        key = self._column_key(name)
-        return merge_value_counts(g.segments[key] for g in self.row_groups())
 
     # -- page / byte model ---------------------------------------------
     def column_encoded_bytes(self, name):
         """Modeled encoded bytes of one column (tail counted as plain)."""
-        key = self._column_key(name)
+        col = self.schema.column(name)
+        key = col.name.lower()
         total = sum(g.segments[key].encoded_bytes() for g in self._groups)
-        return total + self._tail_rows * VALUE_BYTES[self._dtypes[key]]
+        return total + self._tail_rows * VALUE_BYTES[col.dtype]
 
     def encoded_bytes(self):
         """Modeled encoded bytes of the whole table."""
@@ -414,206 +493,8 @@ class Table:
         )
         return max(1, int(-(-effective_rows // per_page)))
 
-    # -- snapshots -----------------------------------------------------
-    def snapshot(self):
-        """An immutable :class:`TableSnapshot` of the current state.
-
-        Cost is O(tail rows): sealed row groups are immutable and shared
-        by reference; only the mutable tail is frozen into a plain-encoded
-        group (the same lazy group ``row_groups`` builds, so a snapshot
-        right after a scan is free).
-        """
-        return TableSnapshot(self)
-
-    def restore_point(self):
-        """A :class:`TableRestorePoint` that can rewind this table.
-
-        The write-side sibling of :meth:`snapshot`: where a snapshot is a
-        detached immutable *view*, a restore point remembers enough of
-        this table's physical state (sealed groups by reference, tail by
-        copy) to put the table itself back bit-identically via
-        ``restore()`` — the primitive the session API's ``rollback()``
-        is built on. Cost is O(tail rows), like a snapshot.
-        """
-        return TableRestorePoint(self)
-
-    def __len__(self):
-        return self._n_rows
-
     def __repr__(self):
         return "Table(%r, rows=%d, segments=%d)" % (
-            self.name, self._n_rows, self.n_segments
-        )
-
-
-class TableRestorePoint:
-    """A rewind handle for one :class:`Table`.
-
-    Captures the table's physical state — the sealed row-group list by
-    reference (sealed groups are immutable: ``insert_rows`` only appends
-    groups and ``replace_column`` builds fresh ones) plus a copy of the
-    mutable tail and the row/version counters. ``restore()`` puts the
-    table back exactly as captured: same groups, same tail, same
-    ``version``; decoded-array caches are dropped so subsequent reads
-    rematerialize from the restored segments.
-
-    Restoring deliberately does **not** fire the table's write hooks:
-    the catalog-level :class:`~repro.engine.catalog.CatalogRestorePoint`
-    owns version bookkeeping for the rewind as a whole.
-    """
-
-    __slots__ = ("_table", "_groups", "_tail", "_tail_rows", "_n_rows",
-                 "_version")
-
-    def __init__(self, table):
-        self._table = table
-        self._groups = list(table._groups)
-        self._tail = {k: list(v) for k, v in table._tail.items()}
-        self._tail_rows = table._tail_rows
-        self._n_rows = table._n_rows
-        self._version = table._version
-
-    @property
-    def table(self):
-        """The live :class:`Table` this point rewinds."""
-        return self._table
-
-    @property
-    def n_rows(self):
-        """Row count at capture time (what ``restore()`` returns to)."""
-        return self._n_rows
-
-    def restore(self):
-        """Rewind the table to the captured state (idempotent)."""
-        t = self._table
-        t._groups = list(self._groups)
-        t._tail = {k: list(v) for k, v in self._tail.items()}
-        t._tail_rows = self._tail_rows
-        t._n_rows = self._n_rows
-        t._version = self._version
-        t._tail_group = None
-        t._decoded = {}
-
-    def __repr__(self):
-        return "TableRestorePoint(%r, rows=%d, version=%d)" % (
-            self._table.name, self._n_rows, self._version
-        )
-
-
-class TableSnapshot:
-    """An immutable point-in-time view of a :class:`Table`.
-
-    Pins the table's sealed row groups by reference — they are never
-    mutated after sealing (``replace_column`` builds fresh groups) — plus
-    the frozen plain-encoded tail group, so a writer appending to (or
-    re-sealing) the live table never disturbs readers holding the
-    snapshot. Implements the executor-facing read surface of ``Table``
-    (``row_groups``/``column_array``/``rows``/``column_arrays``/
-    ``column_value_counts``/``schema``/``n_rows``), so scans and fused
-    pipelines run against one exactly as against the live table.
-    """
-
-    __slots__ = ("schema", "version", "_groups", "_n_rows", "_dtypes",
-                 "_decoded")
-
-    def __init__(self, table):
-        self.schema = table.schema
-        self.version = table.version
-        self._groups = table.row_groups()
-        self._n_rows = table.n_rows
-        self._dtypes = {c.name.lower(): c.dtype for c in table.schema.columns}
-        self._decoded = {}
-
-    @property
-    def name(self):
-        """Table name from the schema."""
-        return self.schema.name
-
-    @property
-    def n_rows(self):
-        """Row count at snapshot time."""
-        return self._n_rows
-
-    @property
-    def n_segments(self):
-        """Number of pinned row groups (the frozen tail counts as one)."""
-        return len(self._groups)
-
-    def row_groups(self):
-        """The pinned row groups, in table order."""
-        return list(self._groups)
-
-    def _column_key(self, name):
-        key = name.lower()
-        if key not in self._dtypes:
-            raise CatalogError(
-                "table %r has no column %r" % (self.name, name)
-            )
-        return key
-
-    def column_array(self, name):
-        """Column ``name`` as one decoded NumPy array (cached)."""
-        key = self._column_key(name)
-        cached = self._decoded.get(key)
-        if cached is not None:
-            return cached
-        parts = [g.segments[key].decode() for g in self._groups]
-        if not parts:
-            arr = np.empty(0, dtype=self._dtypes[key].numpy_dtype)
-        elif len(parts) == 1:
-            arr = parts[0]
-        else:
-            arr = np.concatenate(parts)
-        self._decoded[key] = arr
-        return arr
-
-    def rows(self, indices=None):
-        """Materialize rows as a list of tuples (optionally a subset)."""
-        arrays = [self.column_array(c.name) for c in self.schema.columns]
-        if not arrays:
-            return []
-        if indices is not None:
-            idx = np.asarray(indices, dtype=np.int64)
-            arrays = [a[idx] for a in arrays]
-        return list(zip(*(a.tolist() for a in arrays)))
-
-    def column_arrays(self, row_ids=None, columns=None):
-        """Column arrays as ``{name: array}``, optionally gathered by id."""
-        if columns is None:
-            names = [c.name.lower() for c in self.schema.columns]
-        else:
-            names = [c.lower() for c in columns]
-        out = {}
-        if row_ids is None:
-            for name in names:
-                out[name] = self.column_array(name)
-            return out
-        idx = np.asarray(row_ids, dtype=np.int64)
-        for name in names:
-            out[name] = self.column_array(name)[idx]
-        return out
-
-    def row(self, index):
-        """One row as a tuple."""
-        if not 0 <= index < self._n_rows:
-            raise IndexError("row index out of range")
-        return tuple(
-            self.column_array(c.name)[index] for c in self.schema.columns
-        )
-
-    def column_value_counts(self, name):
-        """Merged per-segment value counts (see ``Table``), or ``None``."""
-        key = self._column_key(name)
-        return merge_value_counts(g.segments[key] for g in self._groups)
-
-    def snapshot(self):
-        """Snapshots are already immutable; return self."""
-        return self
-
-    def __len__(self):
-        return self._n_rows
-
-    def __repr__(self):
-        return "TableSnapshot(%r, rows=%d, version=%d)" % (
-            self.name, self._n_rows, self.version
+            self.name, self._n_rows,
+            len(self._groups) + (1 if self._tail_rows else 0),
         )

@@ -47,7 +47,6 @@ REQUIRED_EXPORTS = {
     "PolicyDecision", "AuditLog", "AuditRecord", "DryRunReport",
     "StatementPreview", "StatementInfo", "split_script",
     "EngineError", "PolicyError", "SessionError", "AdmissionError",
-    "TableRestorePoint", "CatalogRestorePoint",
 }
 
 

@@ -9,6 +9,8 @@ cache and SQL-text cache key on exactly the versions they depend on,
 and report what invalidated them).
 """
 
+import random
+
 import pytest
 
 from repro.common import CatalogError, ExecutionError
@@ -16,11 +18,18 @@ from repro.engine import (
     CatalogSnapshot,
     Database,
     DatabaseSnapshot,
+    QueryServer,
     Table,
     TableSnapshot,
 )
-from repro.engine.catalog import Catalog
-from repro.engine.query import Aggregate, ConjunctiveQuery, Predicate
+from repro.engine.catalog import Catalog, ViewDef
+from repro.engine.executor import EXECUTOR_MODES
+from repro.engine.query import (
+    Aggregate,
+    ConjunctiveQuery,
+    JoinEdge,
+    Predicate,
+)
 from repro.engine.types import ColumnSchema, TableSchema
 
 
@@ -228,6 +237,273 @@ class TestCatalogSnapshot:
         db = _small_db()
         snap = db.catalog.snapshot()
         assert snap.snapshot() is snap
+
+
+class TestOneCapturedState:
+    """A pin hands out the table's *current* snapshot, and a restore
+    point is that same snapshot."""
+
+    def test_unwritten_tables_share_one_snapshot_across_pins(self):
+        db = _small_db()
+        first, second = db.catalog.snapshot(), db.catalog.snapshot()
+        assert first is not second
+        for name in ("a", "b"):
+            assert first.table(name) is second.table(name)
+            assert first.table(name) is db.catalog.table(name).snapshot()
+        db.catalog.table("b").insert_rows([(1, 1)])
+        third = db.catalog.snapshot()
+        assert third.table("a") is first.table("a")
+        assert third.table("b") is not first.table("b")
+        assert first.table("b").n_rows == 60
+
+    def test_live_table_has_no_second_cache(self):
+        t = _small_db().catalog.table("a")
+        assert t.column_array("k") is t.snapshot().column_array("k")
+        assert t.row_groups()[-1] is t.snapshot().row_groups()[-1]
+        for gone in ("_decoded", "_tail_group"):
+            assert not hasattr(t, gone)
+
+    def test_table_restore_rejects_a_foreign_snapshot(self):
+        db = _small_db()
+        with pytest.raises(CatalogError, match="not taken from"):
+            db.catalog.table("a").restore(db.catalog.table("b").snapshot())
+
+    def test_lazy_snapshot_stats_never_reach_the_catalog(self):
+        db = Database()
+        db.execute("CREATE TABLE t (id INT)")
+        db.catalog.table("t").insert_rows([(i,) for i in range(10)])
+        snap = db.catalog.snapshot()  # no ANALYZE has run
+        assert snap.stats("t") is snap.stats("t")  # computed once
+        db.catalog.table("t").insert_rows([(99,)])
+        db.catalog.restore(snap)
+        # Restore put the stats map back as captured (empty): the live
+        # catalog still has to ANALYZE lazily, which bumps the version.
+        version = db.catalog.version("t")
+        assert db.catalog.stats("t").n_rows == 10
+        assert db.catalog.version("t") == version + 1
+
+
+# ----------------------------------------------------------------------
+# snapshot() … restore(snap): a seeded random state machine
+# ----------------------------------------------------------------------
+SEGMENT_ROWS = 8
+POOL = ["t%d" % i for i in range(5)]
+
+
+def _observe(catalog):
+    """Everything ``restore`` promises to put back (sealed groups kept
+    as objects: they must come back by identity, not by value)."""
+    tables = {n: catalog.table(n) for n in catalog.table_names()}
+    return {
+        "vector": catalog.version_vector(),
+        "epochs": (catalog.epoch, catalog.schema_epoch),
+        "tables": tables,
+        "rows": {n: t.rows() for n, t in tables.items()},
+        "versions": {n: t.version for n, t in tables.items()},
+        "sealed": {n: [g for g in t.row_groups()
+                       if g.n_rows == SEGMENT_ROWS]
+                   for n, t in tables.items()},
+        "stats": sorted(catalog._stats),
+        "indexes": sorted((i.name, i.table, i.column)
+                          for i in catalog.indexes()),
+        "views": sorted(v.name for v in catalog.views()),
+    }
+
+
+def _same_state(now, then):
+    for key in ("vector", "epochs", "rows", "versions", "stats", "indexes",
+                "views"):
+        assert now[key] == then[key], key
+    assert now["tables"].keys() == then["tables"].keys()
+    for name, table in then["tables"].items():
+        assert now["tables"][name] is table, name
+        assert len(now["sealed"][name]) == len(then["sealed"][name])
+        for a, b in zip(now["sealed"][name], then["sealed"][name]):
+            assert a is b, name
+
+
+def _random_op(rng, catalog, serial):
+    """Apply one random mutation; returns the table it created, if any."""
+    names = catalog.table_names()
+    op = rng.choice(["create", "insert_tail", "insert_seal", "replace",
+                     "analyze", "index", "view", "drop"])
+    if op == "create" or not names:
+        free = [n for n in POOL if not catalog.has_table(n)]
+        if not free:
+            return None
+        table = catalog.create_table(
+            rng.choice(free), [("id", "INT"), ("k", "INT")])
+        table.insert_rows(
+            [(i, i % 3) for i in range(rng.randrange(0, 20))])
+        return table
+    name = rng.choice(names)
+    table = catalog.table(name)
+    if op == "insert_tail":
+        room = SEGMENT_ROWS - 1 - table.n_rows % SEGMENT_ROWS
+        table.insert_rows([(serial, 1)] * rng.randint(0, room))
+    elif op == "insert_seal":
+        table.insert_rows(
+            [(serial + i, 2) for i in range(rng.randint(8, 20))])
+    elif op == "replace":
+        table.replace_column("k", [serial % 7] * table.n_rows)
+    elif op == "analyze":
+        catalog.analyze(name)
+    elif op == "index":
+        catalog.create_index("ix%d" % serial, name, rng.choice(["id", "k"]),
+                             kind=rng.choice(["btree", "hash"]))
+    elif op == "view":
+        other = rng.choice(names)
+        catalog.register_view(ViewDef(
+            "v%d" % serial,
+            ConjunctiveQuery(tables=sorted({name, other}),
+                             join_edges=[JoinEdge(name, "id", other, "id")]),
+            Table(TableSchema("v%d" % serial,
+                              [ColumnSchema("%s__id" % name, "INT")])),
+        ))
+    elif len(names) > 1:
+        catalog.drop_table(name)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_restore_puts_back_exactly_what_snapshot_captured(seed):
+    rng = random.Random(seed)
+    catalog = Catalog(segment_rows=SEGMENT_ROWS)
+    for serial in range(rng.randint(3, 12)):
+        _random_op(rng, catalog, serial)
+    snap = catalog.snapshot()
+    captured = _observe(catalog)
+    pinned_rows = {n: snap.table(n).rows() for n in snap.table_names()}
+    assert pinned_rows == captured["rows"]
+
+    created = []
+    for serial in range(100, 100 + rng.randint(1, 25)):
+        made = _random_op(rng, catalog, serial)
+        if made is not None:
+            created.append(made)
+    hook_calls = []
+    for table in captured["tables"].values():
+        table.add_write_hook(hook_calls.append)
+    catalog.restore(snap)
+    assert hook_calls == []  # a rewind is not a write
+    _same_state(_observe(catalog), captured)
+
+    # Tables created inside the rewound window are detached: writing
+    # through a stale reference moves no version and no index.
+    for table in created:
+        table.insert_rows([(1, 1)])
+    assert catalog.version_vector() == captured["vector"]
+
+    # The snapshot outlives the restore: further writes to the restored
+    # tables leave its rows alone, and it can be restored to again.
+    for name in captured["tables"]:
+        catalog.table(name).insert_rows([(7, 7)] * rng.randint(1, 12))
+    assert {n: snap.table(n).rows() for n in pinned_rows} == pinned_rows
+    catalog.restore(snap)
+    _same_state(_observe(catalog), captured)
+
+
+# ----------------------------------------------------------------------
+# Indexes and materialized views follow the rows they were built from
+# ----------------------------------------------------------------------
+MODE_FUSION = [(m, f) for m in EXECUTOR_MODES for f in (True, False)]
+POINT = "SELECT a.x FROM a WHERE a.id = 7777"
+JOIN = "SELECT COUNT(*) FROM a, b WHERE a.id = b.id"
+
+
+def _indexed_db(mode, fusion):
+    db = Database(executor_mode=mode, fusion_enabled=fusion)
+    db.execute("CREATE TABLE a (id INT, x INT)")
+    db.catalog.table("a").insert_rows([(i, i % 7) for i in range(2000)])
+    db.execute("CREATE TABLE b (id INT, y INT)")
+    db.catalog.table("b").insert_rows([(i, i % 3) for i in range(50)])
+    db.execute("ANALYZE")
+    db.execute("CREATE INDEX a_id ON a (id)")
+    return db
+
+
+def _materialize_join(db):
+    from repro.ai4db.config.view_advisor import (
+        ViewCandidate,
+        materialize_view,
+    )
+
+    view = materialize_view(db, ViewCandidate(ConjunctiveQuery(
+        tables=["a", "b"], join_edges=[JoinEdge("a", "id", "b", "id")]), 2))
+    assert "ViewScan" in str(db.explain(JOIN))
+    return view
+
+
+@pytest.mark.parametrize("mode,fusion", MODE_FUSION)
+class TestDerivedStructuresTrackWrites:
+    def test_index_sees_inserted_row_on_every_surface(self, mode, fusion):
+        db = _indexed_db(mode, fusion)
+        server = QueryServer(db)
+        before = db.snapshot()
+        old_index = db.catalog.index_on("a", "id")
+        with server.session(isolation="session") as pinned, \
+                server.session() as session:
+            session.execute("INSERT INTO a VALUES (7777, 1)")
+            assert "IndexScan" in str(db.explain(POINT))
+            assert db.query(POINT) == [(1,)]
+            assert db.snapshot().query(POINT) == [(1,)]
+            assert session.execute(POINT).rows == [(1,)]
+            # Pinned before the INSERT: still the old rows *and* the old
+            # index definition, which was replaced, not mutated.
+            assert before.query(POINT) == []
+            assert pinned.execute(POINT).rows == []
+        assert db.catalog.index_on("a", "id") is not old_index
+        assert before.catalog.index_on("a", "id") is old_index
+        assert len(old_index.structure.search(7777)) == 0
+
+    def test_replace_column_rebuilds_the_index(self, mode, fusion):
+        db = _indexed_db(mode, fusion)
+        db.catalog.table("a").replace_column(
+            "id", [i + 10_000 for i in range(2000)])
+        db.execute("ANALYZE a")
+        assert db.query("SELECT a.x FROM a WHERE a.id = 10003") == [(3,)]
+        assert db.query("SELECT a.x FROM a WHERE a.id = 3") == []
+
+    def test_view_is_dropped_by_a_write_to_a_base_table(self, mode, fusion):
+        db = _indexed_db(mode, fusion)
+        server = QueryServer(db)
+        _materialize_join(db)
+        before = db.snapshot()
+        with server.session(isolation="session") as pinned, \
+                server.session() as session:
+            session.execute("INSERT INTO a VALUES (3, 1)")  # a 2nd id=3
+            assert db.catalog.views() == []
+            assert db.query(JOIN) == [(51,)]
+            assert db.snapshot().query(JOIN) == [(51,)]
+            assert session.execute(JOIN).rows == [(51,)]
+            assert before.query(JOIN) == [(50,)]
+            assert pinned.execute(JOIN).rows == [(50,)]
+            assert len(before.catalog.views()) == 1
+
+    def test_view_is_dropped_with_its_base_table(self, mode, fusion):
+        db = _indexed_db(mode, fusion)
+        _materialize_join(db)
+        db.catalog.drop_table("a")
+        assert db.catalog.views() == []
+        db.execute("CREATE TABLE a (id INT, x INT)")
+        db.execute("INSERT INTO a VALUES (1, 1)")
+        assert db.query(JOIN) == [(1,)]
+
+    def test_rollback_brings_index_and_view_back(self, mode, fusion):
+        db = _indexed_db(mode, fusion)
+        view = _materialize_join(db)
+        index = db.catalog.index_on("a", "id")
+        agent = db.agent_session()
+        agent.begin()
+        agent.execute("INSERT INTO a VALUES (7777, 1)")
+        assert agent.execute(POINT).rows == [(1,)]
+        assert db.catalog.views() == []
+        agent.rollback()
+        assert db.catalog.views() == [view]
+        assert db.catalog.index_on("a", "id") is index
+        assert db.query(POINT) == []
+        assert db.query(JOIN) == [(50,)]
+        assert "ViewScan" in str(db.explain(JOIN))
 
 
 class TestDatabaseSnapshot:

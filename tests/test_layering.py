@@ -12,8 +12,10 @@ importing the engine pulls in no AI-layer module.
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import repro.engine
 from repro.engine.operators import BACKENDS
@@ -121,3 +123,34 @@ def test_operator_layer_starts_no_threads():
         if module.split(".")[0] in ("threading", "concurrent")
     ]
     assert not violations, "\n".join(violations)
+
+
+TABLE_READS = ("row_groups", "column_array", "rows", "column_arrays", "row",
+               "column_value_counts", "n_segments", "n_rows", "name")
+CATALOG_READS = ("epoch", "schema_epoch", "version", "version_vector",
+                 "table", "has_table", "table_names", "indexes", "index_on",
+                 "views", "matching_view")
+
+
+def test_each_read_surface_is_written_once():
+    """The live object and its snapshot share one definition per read:
+    the same function (or property) object on both classes, so the two
+    cannot drift apart."""
+    from repro.engine import Catalog, CatalogSnapshot, Table, TableSnapshot
+
+    for live, pinned, names in ((Table, TableSnapshot, TABLE_READS),
+                                (Catalog, CatalogSnapshot, CATALOG_READS)):
+        for name in names:
+            assert getattr(live, name) is getattr(pinned, name), (
+                live.__name__, name)
+
+
+def test_no_restore_point_anywhere_under_src():
+    """A restore point *is* a snapshot — no second captured state."""
+    src_root = Path(ENGINE_ROOT).parents[1]
+    hits = [
+        str(path) for path in src_root.rglob("*.py")
+        if re.search("RestorePoint|restore_point",
+                     path.read_text(encoding="utf-8"))
+    ]
+    assert not hits, hits

@@ -2,7 +2,7 @@
 """One-table summary of every committed BENCH_P*.json artifact.
 
 ``make bench-summary`` (or ``python tools/bench_summary.py``) reads the
-``BENCH_P1.json`` … ``BENCH_P9.json`` files (there is no P3) the
+``BENCH_P1.json`` … ``BENCH_P9.json`` files (there is no P3 or P7) the
 benchmarks regenerate
 (``make bench-json``) and prints each bench's headline numbers in a
 single fixed-width table — the quick "did a refactor move anything"
@@ -79,16 +79,6 @@ def _p6(result):
     ]
 
 
-def _p7(result):
-    return [
-        "hit rate %s vs %s (table vs global)" % (
-            _num(result.get("hit_rate_table"), "%.2f"),
-            _num(result.get("hit_rate_global"), "%.2f"),
-        ),
-        "p95 %sx" % _num(result.get("p95_speedup"), "%.2f"),
-    ]
-
-
 def _p8(result):
     iso = result.get("isolation", {})
     inter = result.get("interference", {})
@@ -129,7 +119,6 @@ BENCHES = (
     ("BENCH_P4", "P4 fusion", _p4),
     ("BENCH_P5", "P5 feedback", _p5),
     ("BENCH_P6", "P6 storage", _p6),
-    ("BENCH_P7", "P7 snapshots", _p7),
     ("BENCH_P8", "P8 server", _p8),
     ("BENCH_P9", "P9 plan selection", _p9),
 )
