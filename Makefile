@@ -6,7 +6,7 @@ export PYTHONPATH
 
 .PHONY: test test-session test-concurrency test-optimizer lint loc fuzz \
 	bench bench-fusion bench-feedback bench-storage \
-	bench-server bench-plansel bench-json bench-summary
+	bench-server bench-plansel bench-json bench-summary bench-pairs
 
 # Tier-1 suite (fast; slow-marked full-size benchmarks are deselected by
 # the pytest addopts default). Lints first — a lint finding fails the run.
@@ -103,6 +103,13 @@ bench-plansel:
 # One-table headline summary of the committed BENCH_P*.json artifacts.
 bench-summary:
 	python tools/bench_summary.py
+
+# Alternating parent/change pairs of the end-to-end benchmark, judged by
+# the choosing-metrics rule. PARENT and CHANGE are two checkouts, e.g.
+#   git archive HEAD~1 | tar -x -C /tmp/parent
+#   make bench-pairs PARENT=/tmp/parent CHANGE=. ARGS="--workload mixed_rw"
+bench-pairs:
+	python tools/bench_pairs.py $(PARENT) $(CHANGE) $(ARGS)
 
 # Regenerate the committed BENCH_P*.json artifacts at full size.
 bench-json:

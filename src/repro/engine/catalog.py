@@ -513,8 +513,9 @@ class Catalog:
         Costs O(#tables) when nothing was written since the last one —
         each table hands back its current
         :class:`~repro.engine.storage.TableSnapshot`, decoded columns
-        included — plus O(tail rows) for each table written in between;
-        sealed storage is shared by reference. Readers holding the
+        included — plus O(#columns) for each table written in between,
+        whose tail is viewed, never copied (writers only append past a
+        view); sealed storage is shared by reference. Readers holding the
         snapshot see this exact catalog (tables, stats, indexes, views,
         versions) no matter what writers do to the live one afterwards.
         """

@@ -241,8 +241,9 @@ class DatabaseSnapshot:
 
     Cheap enough to take per query: O(#tables) when nothing was written
     since the last pin (every table hands back its current snapshot,
-    decoded columns included), plus O(unsealed tail rows) for each table
-    written in between; sealed storage is immutable and shared.
+    decoded columns included), plus O(#columns) for each table written
+    in between (its unsealed tail is viewed read-only, not copied);
+    sealed storage is immutable and shared.
     """
 
     def __init__(self, database):

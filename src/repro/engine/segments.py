@@ -10,9 +10,9 @@ sealed segment carries
   (run-length: one value + length per run; the win for sorted or
   constant stretches) — chosen automatically at seal time by
   :func:`choose_encoding`, and
-* a **zone map** (:class:`ZoneMap`) — min/max over non-NULL values,
-  NULL count, and a distinct estimate — letting the scan path prune the
-  whole segment against a pushed-down predicate without touching data.
+* a **zone map** (:class:`ZoneMap`) — min/max over non-NULL values and
+  the NULL count — letting the scan path prune the whole segment against
+  a pushed-down predicate without touching data.
 
 Everything here preserves the engine's observational contract exactly:
 ``decode()`` reproduces the original values bit-for-bit (value-for-value
@@ -127,7 +127,7 @@ def _run_bounds(arr):
 
 
 class ZoneMap:
-    """Min/max + NULL count + distinct estimate for one sealed segment.
+    """Min/max + NULL count for one segment.
 
     ``min``/``max`` cover non-NULL values only and are ``None`` when the
     segment is empty, all-NULL, or its values are not mutually comparable
@@ -135,13 +135,12 @@ class ZoneMap:
     everything, which is always safe.
     """
 
-    __slots__ = ("min", "max", "null_count", "distinct_est")
+    __slots__ = ("min", "max", "null_count")
 
-    def __init__(self, min_value, max_value, null_count, distinct_est):
+    def __init__(self, min_value, max_value, null_count):
         self.min = min_value
         self.max = max_value
         self.null_count = int(null_count)
-        self.distinct_est = int(distinct_est)
         try:
             if min_value is not None and not (min_value <= max_value):
                 # NaN bounds (or other incoherent ordering): no zone.
@@ -150,12 +149,11 @@ class ZoneMap:
             self.min = self.max = None
 
     @classmethod
-    def build(cls, arr, dtype, distinct_est=None):
+    def build(cls, arr, dtype):
         """Compute the zone map of one segment's raw values."""
         n = len(arr)
         if dtype is DataType.TEXT:
-            values = arr.tolist()
-            non_null = [v for v in values if v is not None]
+            non_null = [v for v in arr.tolist() if v is not None]
             nulls = n - len(non_null)
             lo = hi = None
             if non_null:
@@ -163,20 +161,16 @@ class ZoneMap:
                     lo, hi = min(non_null), max(non_null)
                 except TypeError:  # mixed incomparable types
                     lo = hi = None
-            ndv = distinct_est
-            if ndv is None:
-                ndv = len(set(values) - {None})
-            return cls(lo, hi, nulls, ndv)
+            return cls(lo, hi, nulls)
         if n == 0:
-            return cls(None, None, 0, 0)
+            return cls(None, None, 0)
         lo = arr.min()
         hi = arr.max()
         if dtype is DataType.FLOAT and (np.isnan(lo) or np.isnan(hi)):
             lo = hi = None
         else:
             lo, hi = lo.item(), hi.item()
-        ndv = distinct_est if distinct_est is not None else len(np.unique(arr))
-        return cls(lo, hi, 0, ndv)
+        return cls(lo, hi, 0)
 
     def classify(self, op, value):
         """``PRUNED`` / ``FULL`` / ``PARTIAL`` verdict for one predicate.
@@ -263,8 +257,8 @@ class ZoneMap:
         return False
 
     def __repr__(self):
-        return "ZoneMap(min=%r, max=%r, nulls=%d, ndv=%d)" % (
-            self.min, self.max, self.null_count, self.distinct_est
+        return "ZoneMap(min=%r, max=%r, nulls=%d)" % (
+            self.min, self.max, self.null_count
         )
 
 
@@ -311,10 +305,13 @@ class ColumnSegment:
     * ``dict`` — ``codes`` (narrow unsigned ints) + ``dictionary``
       (distinct values in first-appearance order);
     * ``rle`` — ``values`` (one per run) + ``run_lengths``.
+
+    A plain segment can also be wrapped directly around a typed array
+    (a snapshot does, for the table's tail): no encoding choice, no copy.
     """
 
     __slots__ = ("encoding", "dtype", "n_rows", "values", "codes",
-                 "dictionary", "run_lengths", "_run_ends", "zone_map",
+                 "dictionary", "run_lengths", "_run_ends", "_zone_map",
                  "_value_counts")
 
     def __init__(self, encoding, dtype, n_rows, values=None, codes=None,
@@ -329,8 +326,17 @@ class ColumnSegment:
         self._run_ends = (
             None if run_lengths is None else np.cumsum(run_lengths)
         )
-        self.zone_map = zone_map
+        self._zone_map = zone_map
         self._value_counts = None
+
+    @property
+    def zone_map(self):
+        """The segment's :class:`ZoneMap` (plain segments wrapped without
+        one build it here, once, from their values)."""
+        zone = self._zone_map
+        if zone is None:
+            zone = self._zone_map = ZoneMap.build(self.values, self.dtype)
+        return zone
 
     @classmethod
     def encode(cls, arr, dtype, allowed=DEFAULT_ENCODINGS):
@@ -354,8 +360,7 @@ class ColumnSegment:
             else:
                 codes, dictionary = _numeric_factorize(arr)
             narrow = codes.astype(_narrow_code_dtype(len(dictionary)))
-            zone = ZoneMap.build(dictionary, dtype,
-                                 distinct_est=len(dictionary))
+            zone = ZoneMap.build(dictionary, dtype)
             if dtype is DataType.TEXT and zone.null_count:
                 # Count NULL *rows*, not the dictionary's single None slot.
                 null_code = next(
@@ -366,8 +371,7 @@ class ColumnSegment:
             return cls("dict", dtype, len(arr), codes=narrow,
                        dictionary=dictionary, zone_map=zone)
         # ``plain`` keeps a reference (segments are immutable by contract).
-        return cls("plain", dtype, len(arr), values=arr,
-                   zone_map=ZoneMap.build(arr, dtype))
+        return cls("plain", dtype, len(arr), values=arr)
 
     # -- access --------------------------------------------------------
     def decode(self):

@@ -253,10 +253,11 @@ class QueryServer:
     def pin_snapshot(self):
         """An immutable catalog snapshot pinned **between commits**.
 
-        Taking the commit lock for the pin — O(#tables), plus O(tail
-        rows) for each table written since the previous pin — is what
-        guarantees a snapshot never interleaves with a half-applied
-        write: its version vector always equals a committed state.
+        Taking the commit lock for the pin — O(#tables), plus
+        O(#columns), never O(rows), for each table written since the
+        previous pin — is what guarantees a snapshot never interleaves
+        with a half-applied write: its version vector always equals a
+        committed state.
         """
         with self._commit_lock:
             return self.db.catalog.snapshot()

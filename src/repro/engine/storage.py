@@ -2,8 +2,8 @@
 
 A :class:`Table` stores each column as a sequence of immutable, sealed
 :class:`~repro.engine.segments.ColumnSegment` stripes (shared row-group
-boundaries across columns) plus one mutable tail of Python lists.
-Appends go to the tail and seal into encoded segments at
+boundaries across columns) plus one tail of append-only typed NumPy
+buffers. Appends go to the tail and seal into encoded segments at
 ``segment_rows`` capacity, so batched inserts never re-copy already
 sealed data. The page model (rows per page, bytes per value) gives the
 cost model and the hardware-acceleration experiments something physical
@@ -15,6 +15,12 @@ reads through its *current* snapshot (built on the first read after a
 write, dropped by the next write), ``Table.snapshot()`` hands that same
 object to readers who want to keep it, and ``Table.restore(snapshot)``
 rewinds the table to one.
+
+A snapshot *views* the tail (read-only ``buf[:n]``), never copies it.
+What keeps held views exact: appends only write rows ``[n, n + k)`` of
+a buffer, past every view handed out; growth, sealing,
+``replace_column`` and ``restore`` move the live table to a fresh
+buffer and never resume appending into one a snapshot may view.
 """
 
 import numpy as np
@@ -60,11 +66,12 @@ class TableSnapshot:
 
     Pins the table's sealed row groups by reference — they are never
     mutated after sealing (``insert_rows`` only appends groups,
-    ``replace_column`` builds fresh ones) — plus the tail frozen into one
-    plain-encoded group, so a writer appending to (or re-sealing) the
-    live table never disturbs readers holding the snapshot. Building one
-    costs O(tail rows); decoded columns are cached on it, so every
-    holder of the same snapshot shares them.
+    ``replace_column`` builds fresh ones) — plus the tail as one plain
+    group of read-only views the writer only appends past (module
+    docstring), so a writer appending to (or re-sealing) the live table
+    never disturbs readers holding the snapshot. Building one costs
+    O(#columns), whatever the tail holds; decoded columns are cached on
+    it, so every holder of the same snapshot shares them.
 
     This class *defines* the executor-facing read surface
     (``row_groups``/``column_array``/``rows``/``column_arrays``/``row``/
@@ -85,17 +92,15 @@ class TableSnapshot:
         self._n_sealed = len(self._groups)
         self._n_rows = table._n_rows
         self._decoded = {} if decoded is None else decoded
-        if table._tail_rows:
+        n = table._tail_rows
+        if n:
             segs = {}
             for c in self.schema.columns:
                 key = c.name.lower()
-                segs[key] = ColumnSegment.encode(
-                    np.asarray(table._tail[key], dtype=c.dtype.numpy_dtype),
-                    c.dtype, ("plain",),
-                )
-            self._groups.append(RowGroup(
-                self._n_rows - table._tail_rows, table._tail_rows, segs
-            ))
+                view = table._tail[key][:n]
+                view.flags.writeable = False
+                segs[key] = ColumnSegment("plain", c.dtype, n, values=view)
+            self._groups.append(RowGroup(self._n_rows - n, n, segs))
 
     def snapshot(self):
         """Snapshots are already immutable; return self."""
@@ -210,7 +215,7 @@ class Table:
     Rows can be appended (``insert_rows``) and read either row-wise
     (``rows()``) or column-wise (``column_array``). Sealed segments are
     the canonical representation; every read goes through the table's
-    current :class:`TableSnapshot` (frozen tail + decoded-column cache),
+    current :class:`TableSnapshot` (tail views + decoded-column cache),
     which the next write drops.
     """
 
@@ -229,7 +234,8 @@ class Table:
             else DEFAULT_ENCODINGS
         )
         self._groups = []
-        self._tail = {c.name.lower(): [] for c in schema.columns}
+        #: Per-column typed buffers; rows ``[0, _tail_rows)`` are the tail.
+        self._tail = self._fresh_tail()
         self._tail_rows = 0
         self._n_rows = 0
         self._version = 0
@@ -271,9 +277,7 @@ class Table:
                         self._segment_encodings,
                     )
                 self._groups.append(RowGroup(start, cap, segs))
-            for c in schema.columns:
-                key = c.name.lower()
-                self._tail[key] = normalized[key][sealed:].tolist()
+            self._tail = {k: arr[sealed:] for k, arr in normalized.items()}
             self._tail_rows = self._n_rows - sealed
             # The caller's arrays double as the decoded cache, so
             # column_array() stays zero-copy for freshly built tables.
@@ -326,9 +330,10 @@ class Table:
         """The current :class:`TableSnapshot` — immutable, safe to keep.
 
         Free when nothing was written since the last read (the same
-        object comes back, decoded columns included); O(tail rows) after
-        a write, to freeze the tail. Sealed row groups are shared by
-        reference either way.
+        object comes back, decoded columns included); O(#columns) after
+        a write, to wrap read-only views of the tail buffers — no row is
+        copied or re-encoded. Sealed row groups are shared by reference
+        either way.
         """
         snap = self._current
         if snap is None:
@@ -350,11 +355,11 @@ class Table:
                 % (snapshot.name,)
             )
         self._groups = snapshot._groups[:snapshot._n_sealed]
-        self._tail = {c.name.lower(): [] for c in self.schema.columns}
+        self._tail = self._fresh_tail()
         self._tail_rows = 0
         for group in snapshot._groups[snapshot._n_sealed:]:
-            for key, seg in group.segments.items():
-                self._tail[key] = seg.decode().tolist()
+            # Exactly full views: the next append grows into a fresh buffer.
+            self._tail = {k: seg.values for k, seg in group.segments.items()}
             self._tail_rows = group.n_rows
         self._n_rows = snapshot._n_rows
         self._version = snapshot.version
@@ -376,9 +381,11 @@ class Table:
     def insert_rows(self, rows):
         """Append rows (iterable of sequences aligned with the schema).
 
-        Rows accumulate in the mutable tail; once the tail reaches
-        ``segment_rows`` it seals into encoded segments. Already sealed
-        segments are never touched, so N batched inserts are O(total
+        The whole batch is typed first: a value its column cannot hold
+        (NULL or overflow in INT, text in a number) raises
+        :class:`CatalogError` and leaves the table as it was. The tail
+        seals into encoded segments each time it reaches ``segment_rows``;
+        they are never touched again, so N batched inserts are O(total
         rows), not O(n²).
         """
         rows = list(rows)
@@ -391,31 +398,57 @@ class Table:
                     "row width %d does not match schema width %d"
                     % (len(r), width)
                 )
-        self._current = None
+        batch = {}
         for j, col in enumerate(self.schema.columns):
             coerce = col.dtype.coerce
-            self._tail[col.name.lower()].extend(coerce(r[j]) for r in rows)
-        self._tail_rows += len(rows)
-        self._n_rows += len(rows)
-        while self._tail_rows >= self._segment_rows:
-            self._seal_tail_chunk()
+            try:
+                batch[col.name.lower()] = np.array(
+                    [coerce(r[j]) for r in rows], dtype=col.dtype.numpy_dtype
+                )
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise CatalogError(
+                    "%s column %r of table %r cannot hold an inserted "
+                    "value: %s" % (col.dtype.name, col.name, self.name, exc)
+                ) from None
+        self._current = None
+        cap = self._segment_rows
+        done = 0
+        while done < len(rows):
+            n = self._tail_rows
+            end = min(n + len(rows) - done, cap)
+            for key, arr in batch.items():
+                buf = self._tail[key]
+                if len(buf) < end:
+                    # Grow into a fresh buffer, never past what the tail
+                    # holds before sealing; snapshots keep the old one.
+                    buf = np.empty(min(cap, max(end, 2 * len(buf))), buf.dtype)
+                    buf[:n] = self._tail[key][:n]
+                    self._tail[key] = buf
+                buf[n:end] = arr[done:done + end - n]
+            done += end - n
+            self._n_rows += end - n
+            self._tail_rows = end
+            if end == cap:
+                self._seal_tail()
         self._notify_write()
         return len(rows)
 
-    def _seal_tail_chunk(self):
+    def _fresh_tail(self):
+        return {c.name.lower(): np.empty(0, dtype=c.dtype.numpy_dtype)
+                for c in self.schema.columns}
+
+    def _seal_tail(self):
+        """Seal the full tail: its buffers, exactly ``segment_rows`` long
+        by now, go to the encoder and the table starts fresh ones."""
         cap = self._segment_rows
-        start = self._n_rows - self._tail_rows
-        segs = {}
-        for c in self.schema.columns:
-            key = c.name.lower()
-            tail = self._tail[key]
-            arr = np.asarray(tail[:cap], dtype=c.dtype.numpy_dtype)
-            segs[key] = ColumnSegment.encode(
-                arr, c.dtype, self._segment_encodings
-            )
-            del tail[:cap]
-        self._groups.append(RowGroup(start, cap, segs))
-        self._tail_rows -= cap
+        segs = {
+            key: ColumnSegment.encode(
+                buf, self.schema.column(key).dtype, self._segment_encodings)
+            for key, buf in self._tail.items()
+        }
+        self._groups.append(RowGroup(self._n_rows - cap, cap, segs))
+        self._tail = self._fresh_tail()
+        self._tail_rows = 0
 
     def replace_column(self, name, values):
         """Replace one column's values wholesale (length must match).
@@ -444,7 +477,7 @@ class Table:
             new_groups.append(RowGroup(g.start, g.n_rows, segments))
         self._current = None
         self._groups = new_groups
-        self._tail[key] = arr[self._n_rows - self._tail_rows:].tolist()
+        self._tail[key] = arr[self._n_rows - self._tail_rows:]
         self._notify_write()
 
     # -- page / byte model ---------------------------------------------

@@ -215,6 +215,33 @@ class TestTailSegment:
         assert sealed  # the identity assertion actually ran
         assert table.column_array("a").tolist() == list(range(0, 100)) != []
 
+    def test_pin_after_a_write_does_no_per_row_work(self, monkeypatch):
+        """The tail is typed when written, so the snapshot after a write
+        wraps read-only views of the table's buffers: nothing encoded,
+        nothing copied, however many rows the tail holds."""
+        db = Database()
+        db.execute("CREATE TABLE t (a INT, b FLOAT, c TEXT)")
+        table = db.catalog.table("t")
+        table.insert_rows(
+            [(i, i / 2.0, "c%d" % (i % 3)) for i in range(50_000)])
+        db.catalog.snapshot()
+        encodes = []
+        encode = ColumnSegment.encode.__func__
+        monkeypatch.setattr(ColumnSegment, "encode", classmethod(
+            lambda cls, *args: encodes.append(args) or encode(cls, *args)))
+        table.insert_rows([(50_000, None, None)])
+        group = db.catalog.snapshot().table("t").row_groups()[-1]
+        assert encodes == []
+        assert group.n_rows == 50_001
+        for key, seg in group.segments.items():
+            assert seg.encoding == "plain"
+            assert np.shares_memory(seg.values, table._tail[key])
+            assert isinstance(table._tail[key], np.ndarray)
+            with pytest.raises(ValueError, match="read-only"):
+                seg.values[0] = seg.values[1]
+        assert group.segments["a"].zone_map.max == 50_000
+        assert group.segments["c"].zone_map.null_count == 1
+
     def test_rows_survive_sealing_boundaries(self):
         table = _table(segment_rows=16)
         expected = []

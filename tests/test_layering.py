@@ -154,3 +154,39 @@ def test_no_restore_point_anywhere_under_src():
                      path.read_text(encoding="utf-8"))
     ]
     assert not hits, hits
+
+
+def test_the_tail_has_one_representation():
+    """Typed NumPy buffers, however the tail came to be — there is no
+    Python-list tail to convert to or from, and nothing selects one."""
+    import numpy as np
+
+    from repro.engine import Table, storage
+    from repro.engine.segments import ZoneMap
+    from repro.engine.types import ColumnSchema, TableSchema
+
+    schema = TableSchema("t", [ColumnSchema("a", "INT"),
+                               ColumnSchema("c", "TEXT")])
+
+    def typed(table):
+        return [(type(buf), buf.dtype) for buf in table._tail.values()] == [
+            (np.ndarray, np.dtype(np.int64)), (np.ndarray, np.dtype(object))]
+
+    table = Table(schema, segment_rows=4)
+    assert typed(table)
+    table.insert_rows([(1, "x"), (2, None)])
+    snap = table.snapshot()
+    assert typed(table)
+    table.insert_rows([(i, "y") for i in range(7)])  # seals twice
+    assert typed(table) and table._tail_rows == 1
+    table.replace_column("a", list(range(9)))
+    assert typed(table)
+    table.restore(snap)
+    assert typed(table) and table.rows() == [(1, "x"), (2, None)]
+    built = Table(schema, columns={"a": [1, 2, 3, 4, 5], "c": list("vwxyz")},
+                  segment_rows=4)
+    assert typed(built) and built._tail_rows == 1
+
+    source = Path(storage.__file__).read_text(encoding="utf-8")
+    assert not re.search(r"_tail.*tolist|tolist.*_tail", source)
+    assert not hasattr(ZoneMap, "distinct_est")
