@@ -5,7 +5,7 @@ PYTHONPATH := src
 export PYTHONPATH
 
 .PHONY: test test-session test-concurrency test-optimizer lint loc fuzz \
-	bench bench-fusion bench-feedback bench-storage \
+	bench bench-feedback bench-storage \
 	bench-server bench-plansel bench-json bench-summary bench-pairs
 
 # Tier-1 suite (fast; slow-marked full-size benchmarks are deselected by
@@ -24,10 +24,10 @@ loc:
 	@find src/repro/engine -name '*.py' | xargs cat | wc -l
 
 # Session-layer battery (slow variants included): the safety-gated
-# session API (policy/audit/dry-run/rollback across all mode×fusion
-# configs), the public-surface + error-hierarchy guards, and the
-# agent-session fuzz arm racing random scripts under random policies
-# against a serial oracle.
+# session API (policy/audit/dry-run/rollback), the public-surface +
+# error-hierarchy guards, and the agent-session fuzz arm racing random
+# scripts under random policies against a serial oracle on the
+# reference executor.
 test-session:
 	python -m pytest \
 		tests/test_engine_session.py \
@@ -59,8 +59,9 @@ test-optimizer:
 		tests/test_engine_fuzz_differential.py::test_fuzz_selector_race \
 		-q -m ''
 
-# Differential query fuzzer with a larger case budget than tier-1's ~200.
-# Override the budget: make fuzz FUZZ_CASES=5000
+# Differential query fuzzer (engine vs the reference executor under
+# tests/ and vs stdlib sqlite3) with a larger case budget than tier-1's
+# ~200. Override the budget: make fuzz FUZZ_CASES=5000
 FUZZ_CASES ?= 1000
 fuzz:
 	REPRO_FUZZ_CASES=$(FUZZ_CASES) python -m pytest \
@@ -69,10 +70,6 @@ fuzz:
 # Benchmark suite in fast mode (pytest-benchmark entry points).
 bench:
 	REPRO_BENCH_FAST=1 python -m pytest benchmarks -q -m 'not slow'
-
-# Operator-fusion benchmark alone, including the slow ≥1.3x speedup gate.
-bench-fusion:
-	python -m pytest benchmarks/bench_p4_fusion.py -q -m ''
 
 # Cardinality-feedback benchmark alone (q-error before/after feedback and
 # the drift-driven join-order replan), regenerating BENCH_P5.json.
@@ -113,9 +110,7 @@ bench-pairs:
 
 # Regenerate the committed BENCH_P*.json artifacts at full size.
 bench-json:
-	python benchmarks/bench_p1_executor.py
 	python benchmarks/bench_p2_pipeline.py
-	python benchmarks/bench_p4_fusion.py
 	python benchmarks/bench_p5_feedback.py
 	python benchmarks/bench_p6_storage.py
 	python benchmarks/bench_p8_server.py

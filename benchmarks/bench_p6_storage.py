@@ -149,10 +149,9 @@ def build_layouts(fast, seed=0):
     return layouts
 
 
-def execute_all(db, plans, pruning, mode="vectorized"):
+def execute_all(db, plans, pruning):
     """Execute every plan; totals + accumulated segment telemetry."""
-    ex = Executor(db.catalog, db.cost_model, mode=mode,
-                  fusion_enabled=True, pruning_enabled=pruning)
+    ex = Executor(db.catalog, db.cost_model, pruning_enabled=pruning)
     totals = {
         "rows": 0, "work": 0.0, "segments_total": 0, "segments_pruned": 0,
         "bytes_decoded": 0,
@@ -293,13 +292,11 @@ def test_p6_layout_parity_and_pruning():
     enc_db, enc_plans, __ = layouts["encoded"]
     baseline = execute_all(flat_db, flat_plans, pruning=False)
     assert baseline["segments_pruned"] == 0
-    for mode in ("vectorized", "row"):
-        totals = execute_all(enc_db, enc_plans, pruning=True, mode=mode)
-        assert totals["rows"] == baseline["rows"], mode
-        assert totals["work"] == baseline["work"], mode
-        if mode != "row":  # the row interpreter scans flat arrays
-            assert totals["segments_pruned"] > 0, mode
-            assert totals["bytes_decoded"] < baseline["bytes_decoded"], mode
+    totals = execute_all(enc_db, enc_plans, pruning=True)
+    assert totals["rows"] == baseline["rows"]
+    assert totals["work"] == baseline["work"]
+    assert totals["segments_pruned"] > 0
+    assert totals["bytes_decoded"] < baseline["bytes_decoded"]
 
 
 def test_p6_storage_benchmark(benchmark):

@@ -7,10 +7,7 @@ result tables are printed so ``pytest benchmarks/ --benchmark-only`` output
 doubles as the EXPERIMENTS.md source of truth.
 
 Set ``REPRO_BENCH_FAST=1`` to run the shrunken CI-sized variants.
-Set ``REPRO_EXECUTOR_MODE=row`` to regenerate experiments on the row
-interpreter instead of the vectorized executor; ``bench_p1_executor.py``
-times both modes explicitly via the ``executor_mode`` fixture. Full-size
-runs are marked ``slow`` (deselect with ``-m 'not slow'``).
+Full-size runs are marked ``slow`` (deselect with ``-m 'not slow'``).
 """
 
 import os
@@ -20,12 +17,6 @@ import pytest
 from repro.harness import run_experiment
 
 FAST = os.environ.get("REPRO_BENCH_FAST", "0") == "1"
-
-
-@pytest.fixture(params=["row", "vectorized"])
-def executor_mode(request):
-    """Parametrizes a benchmark over every executor mode."""
-    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,7 @@ from repro.engine.catalog import (
     IndexDef,
     ViewDef,
 )
-from repro.engine.config import EXECUTOR_MODES, EngineConfig
+from repro.engine.config import EngineConfig
 from repro.engine.indexes import BPlusTree, HashIndex
 from repro.engine.executor import ExecutionResult, Executor, count_join_rows
 from repro.engine.fusion import fuse_plan
@@ -153,7 +153,6 @@ __all__ = [
     "ViewDef",
     "BPlusTree",
     "HashIndex",
-    "EXECUTOR_MODES",
     "EngineConfig",
     "ExecutionResult",
     "Executor",

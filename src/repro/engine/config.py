@@ -2,15 +2,14 @@
 
 :class:`EngineConfig` is the single owner of every engine knob: a frozen
 dataclass whose instances fully determine how a
-:class:`~repro.engine.database.Database` is wired (executor mode,
-plan-cache capacity, enumerator, view matching, cost constants, operator
-fusion, storage, admission, plan selection). A knob
-that can be set from the environment says so on its field — the
-``REPRO_*`` name, the parser and the floor are :func:`dataclasses.field`
-metadata — and :meth:`EngineConfig.from_env` is the one function in the
-engine that reads the environment, by walking those fields. The README's
-"Engine knobs" table lists every variable with its default (a test keeps
-it in step with the metadata).
+:class:`~repro.engine.database.Database` is wired (plan-cache
+capacity, enumerator, view matching, cost constants, storage, admission,
+plan selection). A knob that can be set from the environment says so on
+its field — the ``REPRO_*`` name, the parser and the floor are
+:func:`dataclasses.field` metadata — and :meth:`EngineConfig.from_env`
+is the one function in the engine that reads the environment, by walking
+those fields. The README's "Engine knobs" table lists every variable
+with its default (a test keeps it in step with the metadata).
 
 This module sits at the bottom of the engine's import graph (it imports
 only :mod:`repro.common`).
@@ -20,9 +19,6 @@ import os
 from dataclasses import dataclass, field, fields, replace
 
 from repro.common import ExecutionError, ReproError
-
-#: Supported executor modes (first entry is the default).
-EXECUTOR_MODES = ("vectorized", "row")
 
 #: Supported join enumerators.
 ENUMERATORS = ("dp", "greedy", "random")
@@ -110,14 +106,10 @@ class EngineConfig:
     Instances are frozen — derive variants with :meth:`with_changes`.
 
     Attributes:
-        executor_mode: ``"vectorized"`` or ``"row"``.
         plan_cache_size: LRU capacity of the pipeline's plan cache.
         enumerator: join enumerator (``"dp"``/``"greedy"``/``"random"``).
         use_views: whether the planner may answer from materialized views.
         cost_params: overrides for cost-model constants (or ``None``).
-        fusion_enabled: whether the executor collapses
-            Filter→Project→Aggregate plan tails into a single
-            :class:`~repro.engine.plans.FusedPipelineOp` pass.
         feedback_enabled: whether the database closes the cardinality
             feedback loop — ingesting per-node actual cardinalities into
             a :class:`~repro.engine.optimizer.feedback.QueryFeedbackStore`
@@ -159,15 +151,10 @@ class EngineConfig:
             runs are reproducible from their logged seed.
     """
 
-    executor_mode: str = field(
-        default=EXECUTOR_MODES[0],
-        metadata=_env("REPRO_EXECUTOR_MODE", str.lower))
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
     enumerator: str = "dp"
     use_views: bool = True
     cost_params: dict = field(default=None)
-    fusion_enabled: bool = field(
-        default=True, metadata=_env("REPRO_FUSION", _flag))
     # Off by default because feedback deliberately changes planning over
     # time: observed actuals override estimates and drift bumps the plan
     # cache's feedback version. Experiments that assume frozen estimator
@@ -222,11 +209,6 @@ class EngineConfig:
             raise ExecutionError("quota_refill_rate must be >= 0")
         if int(self.admission_queue_depth) < 1:
             raise ExecutionError("admission_queue_depth must be >= 1")
-        if self.executor_mode not in EXECUTOR_MODES:
-            raise ExecutionError(
-                "executor mode must be one of %r, got %r"
-                % (EXECUTOR_MODES, self.executor_mode)
-            )
         if self.enumerator not in ENUMERATORS:
             raise ReproError(
                 "enumerator must be one of %r, got %r"
@@ -282,8 +264,4 @@ class EngineConfig:
 
     def executor_kwargs(self):
         """The keyword arguments this config implies for ``Executor``."""
-        return {
-            "mode": self.executor_mode,
-            "fusion_enabled": self.fusion_enabled,
-            "pruning_enabled": self.zone_map_pruning,
-        }
+        return {"pruning_enabled": self.zone_map_pruning}

@@ -53,7 +53,7 @@ class Database:
             describing the engine (the primary constructor surface).
             Mutually exclusive with knob keyword arguments.
         **overrides: :class:`~repro.engine.config.EngineConfig` fields by
-            name (``executor_mode="row"``, ``plan_selector="bandit"``,
+            name (``segment_rows=4096``, ``plan_selector="bandit"``,
             ...), forwarded to :meth:`EngineConfig.from_env`: a knob left
             out or passed as ``None`` takes its ``REPRO_*`` variable,
             else the field default. An unknown name raises.

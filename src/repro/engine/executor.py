@@ -10,26 +10,23 @@ cost model but on the **actual** cardinalities observed at run time, so:
   optimizer experiments report.
 
 The operator implementations live in :mod:`repro.engine.operators`, one
-module per operator family, each exposing two evaluation backends behind
-the uniform :class:`~repro.engine.operators.PhysicalOperator` interface.
-The executor resolves ``plan node → operator → backend`` and supplies the
-evaluation context: catalog, cost model, work accounting, and per-node
-actual-row counters.
+module per operator family, each exposing one columnar ``evaluate``
+method behind the uniform
+:class:`~repro.engine.operators.PhysicalOperator` interface. The
+executor resolves ``plan node → operator`` and supplies the evaluation
+context: catalog, cost model, work accounting, and per-node actual-row
+counters.
 
-Two execution modes — one backend each, the mode names the backend —
-share the plan contract and the work accounting:
-
-* ``"vectorized"`` (the default) keeps every intermediate result columnar —
-  NumPy arrays end-to-end, via each operator's ``vectorized`` backend.
-* ``"row"`` is the original tuple-at-a-time interpreter, kept for
-  differential testing and as an executable specification.
-
-The modes are *observationally identical*: same rows, in the same
-order, the same ``work``/``operator_work`` numbers — work is charged from
-observed cardinalities, never from implementation details, which is what
-keeps "cost gap == misestimation damage" true in every mode — and the
-same per-node ``actual_rows`` counters, which feed the EXPLAIN ANALYZE
-view and the optimizer's cardinality-feedback loop.
+There is one way a plan runs: its tail is fused
+(:func:`~repro.engine.fusion.fuse_plan`) and every node is evaluated
+columnar — NumPy arrays end-to-end, rows materialized once at the top.
+Work is charged from observed cardinalities, never from implementation
+details, which is what keeps "cost gap == misestimation damage" true;
+the same cardinalities are the per-node ``actual_rows`` counters that
+feed the EXPLAIN ANALYZE view and the optimizer's cardinality-feedback
+loop. What the right rows, order, work and counters *are* is specified
+by the tuple-at-a-time reference executor the test suite races this one
+against (``tests/reference_executor.py``); it is not shipped.
 
 Results are fully materialized (these are analytics-scale experiments, not
 a streaming engine).
@@ -38,8 +35,6 @@ a streaming engine).
 import threading
 import time
 
-from repro.common import ExecutionError
-from repro.engine.config import EXECUTOR_MODES
 from repro.engine.fusion import fuse_plan
 from repro.engine.operators import ColumnarRelation, operator_for
 from repro.engine.operators.kernels import (
@@ -85,8 +80,8 @@ class Executor:
     """Executes physical plans against a catalog.
 
     The executor doubles as the *evaluation context* handed to every
-    :class:`~repro.engine.operators.PhysicalOperator` backend: operators
-    call :meth:`run` to evaluate children, :meth:`charge` for work
+    :class:`~repro.engine.operators.PhysicalOperator`: operators call
+    :meth:`run` to evaluate children, :meth:`charge` for work
     accounting, and :meth:`count` for actual-row attribution.
 
     Args:
@@ -94,38 +89,20 @@ class Executor:
         cost_model: the :class:`CostModel` whose constants weight the work
             accounting (pass the knob-derived model so knob settings change
             measured work, closing the tuning feedback loop).
-        mode: ``"vectorized"`` (default, columnar NumPy batches) or
-            ``"row"`` (tuple-at-a-time interpreter); also the name of the
-            :class:`~repro.engine.operators.PhysicalOperator` backend
-            every node is evaluated with. Both modes return the same rows
-            in the same order and charge identical work.
-        fusion_enabled: whether ``execute`` collapses eligible
-            Filter→Project/Aggregate plan tails into one
-            :class:`~repro.engine.plans.FusedPipelineOp` pass. Fusion
-            never changes rows, order, or work accounting — only how
-            many intermediate relations get materialized.
         pruning_enabled: whether scans may skip whole column segments
             whose zone maps prove a pushed-down predicate matches no
             (or every) row. Pruning never changes rows, order, or work —
             only wall time and the ``segments_pruned``/``bytes_decoded``
             telemetry.
 
-    The defaults are :class:`~repro.engine.config.EngineConfig`'s; the
+    The default is :class:`~repro.engine.config.EngineConfig`'s; the
     executor never reads the environment — ``Database`` hands it
     ``config.executor_kwargs()``.
     """
 
-    def __init__(self, catalog, cost_model=None, mode="vectorized",
-                 fusion_enabled=True, pruning_enabled=True):
-        if mode not in EXECUTOR_MODES:
-            raise ExecutionError(
-                "executor mode must be one of %r, got %r"
-                % (EXECUTOR_MODES, mode)
-            )
+    def __init__(self, catalog, cost_model=None, pruning_enabled=True):
         self._catalog = catalog
         self.cost_model = cost_model or CostModel()
-        self.mode = mode
-        self.fusion_enabled = bool(fusion_enabled)
         self.pruning_enabled = bool(pruning_enabled)
         # Per-run accounting lives in a thread-local so concurrent
         # ``execute()`` calls on one shared Executor (the pipeline
@@ -193,12 +170,12 @@ class Executor:
     def execute(self, plan, catalog=None):
         """Run ``plan``; returns an :class:`ExecutionResult`.
 
-        When :attr:`fusion_enabled` is set, the plan's tail is first run
-        through :func:`~repro.engine.fusion.fuse_plan`. The rewrite is
+        The plan's tail is first run through
+        :func:`~repro.engine.fusion.fuse_plan`. The rewrite is
         per-execution (the caller's plan object — and any plan cache
         holding it — is never mutated), and the fused pass charges work
-        through the original operator nodes, so results and accounting
-        are identical either way.
+        through the original operator nodes, so accounting stays in
+        terms of the plan the caller handed in.
 
         ``catalog`` pins this one run to a different read surface —
         typically a :class:`~repro.engine.catalog.CatalogSnapshot` — via
@@ -212,21 +189,17 @@ class Executor:
         with the version vector of the catalog state the run read.
         """
         original = plan
-        fused_ops = 0
-        if self.fusion_enabled:
-            plan, fused_ops = fuse_plan(plan)
+        plan, fused_ops = fuse_plan(plan)
         self._tls.catalog = catalog
         try:
             self._work = 0.0
             self._op_work = {}
-            self._telemetry = ExecutionTelemetry(mode=self.mode)
+            self._telemetry = ExecutionTelemetry()
             self._telemetry.fused_ops = fused_ops
             self._child_seconds = [0.0]
             self._node_rows = {}
             start = time.perf_counter()
-            relation = self.run(plan)
-            if self.mode != "row":
-                relation = relation.to_relation()
+            relation = self.run(plan).to_relation()
             self._telemetry.total_seconds = time.perf_counter() - start
             self._telemetry.total_work = self._work
             self._telemetry.set_node_stats(self._collect_node_stats(original))
@@ -254,21 +227,20 @@ class Executor:
             })
         return stats
 
-    # -- evaluation context (called by operator backends) ----------------
+    # -- evaluation context (called by operators) ------------------------
     def run(self, node):
-        """Evaluate ``node`` via its registered operator's backend.
+        """Evaluate ``node`` via its registered operator.
 
         Also times the node (self-time, excluding children) and
         auto-records its actual output cardinality; fused pipelines then
         override the counters of the operators they absorbed via
         :meth:`count`, so every original plan node ends up with the
-        cardinality its unfused twin would have produced.
+        cardinality it would have produced unfused.
         """
         op = operator_for(node)
-        method = getattr(op, self.mode)
         self._child_seconds.append(0.0)
         t0 = time.perf_counter()
-        out = method(self, node)
+        out = op.evaluate(self, node)
         elapsed = time.perf_counter() - t0
         child_time = self._child_seconds.pop()
         self._child_seconds[-1] += elapsed

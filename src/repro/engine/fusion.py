@@ -2,8 +2,8 @@
 
 The planner emits plan tails of the shape ``Limit?(HashAggregate(src))``
 or ``Limit?(Project(Sort?(src)))`` where ``src`` is a scan (with pushed
-predicates) or a completed join subtree, optionally under a standalone
-``Filter``. Executing that tail operator-at-a-time materializes the full
+predicates) or a completed join subtree. Executing that tail
+operator-at-a-time materializes the full
 filtered relation just so the next operator can immediately narrow it to
 a handful of columns (or a handful of groups). :func:`fuse_plan` rewrites
 such a tail into a single :class:`~repro.engine.plans.FusedPipelineOp`
@@ -11,22 +11,20 @@ that the executor evaluates in one pass — predicate mask, gather of only
 the columns the tail actually reads, aggregation/dedup/limit — without
 the intermediate relation ever existing.
 
-Fusion is an *execution-time* rewrite, applied by ``Executor.execute``
-when ``fusion_enabled`` is set. The plan cache, EXPLAIN cost annotations,
-and cost-model estimates all stay in terms of the unfused plan; the
-fused node keeps references to the original operator nodes so work
-accounting is charged under the same operator keys, in the same order,
-with the same cardinalities as the unfused interpreter — which is what
-lets the differential fuzzer race fused against unfused execution and
-demand identical ``work``/``operator_work`` numbers.
+Fusion is an *execution-time* rewrite, applied unconditionally by
+``Executor.execute``. The plan cache, EXPLAIN cost annotations, and
+cost-model estimates all stay in terms of the unfused plan; the fused
+node keeps references to the original operator nodes so work accounting
+is charged under the same operator keys, in the same order, with the
+same cardinalities as operator-at-a-time evaluation — which is what
+lets the differential fuzzer race the engine against the never-fusing
+reference executor under ``tests/`` and demand identical
+``work``/``operator_work`` numbers.
 
-The pass deliberately refuses anything order-sensitive or ambiguous:
+The pass deliberately refuses anything order-sensitive or pointless:
 
 * a ``Sort`` anywhere in the tail (fused evaluation has no sort stage);
 * ``EmptyResult`` sources (nothing to fuse);
-* tails where *both* the source scan carries pushed predicates and a
-  standalone ``Filter`` sits above it (two mask stages — rare enough
-  that the general path is fine);
 * bare ``Project`` tails with no predicates, no DISTINCT, and no LIMIT
   (fusion would only relabel the plan).
 """
@@ -92,17 +90,9 @@ def fuse_plan(plan):
         project_node, node = node, node.children[0]
     else:
         return plan, 0
-    filter_node = None
-    if isinstance(node, P.Filter):
-        filter_node, node = node, node.children[0]
     if not isinstance(node, _SOURCE_TYPES):
         return plan, 0
-    source, lifted = _lift_scan_predicates(node)
-    if filter_node is not None and lifted:
-        return plan, 0
-    predicates = (
-        list(filter_node.predicates) if filter_node is not None else lifted
-    )
+    source, predicates = _lift_scan_predicates(node)
     worth_it = (
         agg_node is not None
         or bool(predicates)
@@ -114,7 +104,6 @@ def fuse_plan(plan):
     fused = P.FusedPipelineOp(
         source,
         predicates=predicates,
-        filter_node=filter_node,
         project_node=project_node,
         agg_node=agg_node,
         limit_node=limit_node,

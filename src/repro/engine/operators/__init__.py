@@ -1,24 +1,20 @@
 """Physical-operator layer: one module per operator family.
 
 Each plan-node class maps to a stateless :class:`PhysicalOperator`
-singleton registered in this package's registry. Operators expose two
-evaluation backends — ``row`` (tuple-at-a-time interpreter) and
-``vectorized`` (columnar NumPy batches). The executor stays a thin
-driver: it resolves node → operator → backend and supplies the
-evaluation context (catalog, cost model, work/row accounting).
+singleton registered in this package's registry, with one evaluation
+method (``evaluate``: columnar NumPy batches). The executor stays a thin
+driver: it resolves node → operator and supplies the evaluation context
+(catalog, cost model, work/row accounting).
 
 Layering: this package sits below the optimizer and must never import
 from :mod:`repro.ai4db` (guarded by a test).
 """
 
 from repro.engine.operators.base import (
-    BACKENDS,
     OPS,
-    UNSET,
     ColumnarRelation,
     PhysicalOperator,
     Relation,
-    eval_predicates,
     operator_for,
     register,
     registered_node_types,
@@ -27,19 +23,16 @@ from repro.engine.operators.base import (
 # Importing the family modules registers their operators.
 from repro.engine.operators import scan  # noqa: F401  (registration)
 from repro.engine.operators import join  # noqa: F401  (registration)
-from repro.engine.operators import filter as filter_ops  # noqa: F401
+from repro.engine.operators import project  # noqa: F401  (registration)
 from repro.engine.operators import aggregate  # noqa: F401  (registration)
 from repro.engine.operators import sort  # noqa: F401  (registration)
 from repro.engine.operators import fused  # noqa: F401  (registration)
 
 __all__ = [
-    "BACKENDS",
     "OPS",
-    "UNSET",
     "ColumnarRelation",
     "PhysicalOperator",
     "Relation",
-    "eval_predicates",
     "operator_for",
     "register",
     "registered_node_types",

@@ -1,4 +1,4 @@
-"""HashAggregate: grouped and global aggregation in both backends.
+"""HashAggregate: grouped and global aggregation.
 
 The columnar helpers here (:func:`aggregate_columnar`,
 :func:`global_aggregate`) are shared with the fused-pipeline operator,
@@ -10,7 +10,7 @@ identical whether the aggregate ran standalone or absorbed into a fused
 tail.
 
 Group output order is first-appearance order of each key among input
-rows, in both backends (the stable argsort recovers it vectorized).
+rows (the stable argsort recovers it).
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from repro.engine import plans as P
 from repro.engine.operators.base import (
     ColumnarRelation,
     PhysicalOperator,
-    Relation,
     register,
 )
 from repro.engine.operators.kernels import factorize, segment_reduce
@@ -127,44 +126,5 @@ def aggregate_columnar(ctx, node, child):
 class HashAggregateOp(PhysicalOperator):
     """Group-by + aggregate evaluation via hashing."""
 
-    def row(self, ctx, node):
-        child = ctx.run(node.children[0])
-        key_pos = [child.col_pos(t, c) for t, c in node.group_by]
-        agg_pos = []
-        for agg in node.aggregates:
-            if agg.column is None:
-                agg_pos.append(None)
-            else:
-                agg_pos.append(child.col_pos(agg.table, agg.column))
-        groups = {}
-        for row in child.rows:
-            key = tuple(row[p] for p in key_pos)
-            groups.setdefault(key, []).append(row)
-        if not groups and not node.group_by:
-            groups[()] = []
-        out = []
-        for key, rows in groups.items():
-            values = []
-            for agg, pos in zip(node.aggregates, agg_pos):
-                if agg.func == "count":
-                    values.append(len(rows))
-                    continue
-                col = [r[pos] for r in rows]
-                if not col:
-                    values.append(None)
-                elif agg.func == "sum":
-                    values.append(sum(col))
-                elif agg.func == "avg":
-                    values.append(sum(col) / len(col))
-                elif agg.func == "min":
-                    values.append(min(col))
-                elif agg.func == "max":
-                    values.append(max(col))
-                else:
-                    raise ExecutionError("unknown aggregate %r" % (agg.func,))
-            out.append(key + tuple(values))
-        ctx.charge(node, ctx.cost_model.aggregate(len(child.rows), len(out)))
-        return Relation(output_columns(node), out)
-
-    def vectorized(self, ctx, node):
+    def evaluate(self, ctx, node):
         return aggregate_columnar(ctx, node, ctx.run(node.children[0]))

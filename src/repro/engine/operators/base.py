@@ -2,32 +2,29 @@
 contract, and the plan-node → operator registry.
 
 Every physical operator family lives in its own module in this package
-(scan, join, filter/project, aggregate, sort/limit, fused pipeline) and
-subclasses :class:`PhysicalOperator`, implementing two evaluation
-backends:
+(scan, join, project, aggregate, sort/limit, fused pipeline) and
+subclasses :class:`PhysicalOperator`, implementing its one evaluation
+method, :meth:`PhysicalOperator.evaluate` — columnar NumPy batches in,
+columnar NumPy batches out.
 
-* :meth:`PhysicalOperator.row` — the tuple-at-a-time interpreter (the
-  executable specification);
-* :meth:`PhysicalOperator.vectorized` — columnar NumPy batches.
-
-Backends receive ``(ctx, node)`` where ``ctx`` is the
+``evaluate`` receives ``(ctx, node)`` where ``ctx`` is the
 :class:`~repro.engine.executor.Executor` driving the plan. The executor
 exposes the per-run services operators need: ``ctx.run(child)`` for
 recursive evaluation, ``ctx.charge(node, amount)`` for work accounting,
 ``ctx.count(node, n)`` for the per-node actual-row counters, plus
-``ctx.catalog``/``ctx.cost_model``/``ctx.mode``.
+``ctx.catalog``/``ctx.cost_model``.
 
-Both backends of one operator are observationally identical: same
-rows in the same order, same ``work``/``operator_work`` charges, and the
-same per-node ``actual_rows`` — the differential fuzzer races them
-against each other to enforce it.
+The specification every operator is held to — rows, order,
+``work``/``operator_work`` charges and per-node ``actual_rows`` — is the
+tuple-at-a-time reference executor under ``tests/``; the differential
+fuzzer races the engine against it (and against SQLite).
 """
 
 import operator
 
 from repro.common import ExecutionError
 
-#: Comparison operators predicates may use, shared by every backend.
+#: Comparison operators predicates may use.
 OPS = {
     "=": operator.eq,
     "!=": operator.ne,
@@ -37,16 +34,12 @@ OPS = {
     ">=": operator.ge,
 }
 
-#: Sentinel distinguishing "no value seen yet" from a stored ``None`` in
-#: the row-mode fused aggregation accumulators.
-UNSET = object()
-
-#: The evaluation backends an operator implements, one per executor mode.
-BACKENDS = ("row", "vectorized")
-
 
 class Relation:
-    """An intermediate result: column labels plus materialized rows.
+    """A materialized result: column labels plus rows of Python scalars.
+
+    What :meth:`ColumnarRelation.to_relation` produces for the caller of
+    ``Executor.execute``; operators never pass these between themselves.
 
     Attributes:
         columns: list of ``(table, column)`` labels (lowercased).
@@ -76,10 +69,10 @@ class Relation:
 class ColumnarRelation:
     """An intermediate result carried as aligned NumPy column arrays.
 
-    The vectorized twin of :class:`Relation`: ``arrays[i]`` holds every
-    value of ``columns[i]``. Operators produce new ``ColumnarRelation``
-    batches via masks and fancy indexing; rows are only materialized when
-    the final result is converted with :meth:`to_relation`.
+    ``arrays[i]`` holds every value of ``columns[i]``. Operators produce
+    new ``ColumnarRelation`` batches via masks and fancy indexing; rows
+    are only materialized when the final result is converted with
+    :meth:`to_relation`.
     """
 
     __slots__ = ("columns", "arrays", "_index", "_n")
@@ -119,44 +112,17 @@ class ColumnarRelation:
         return self._n
 
 
-def eval_predicates(relation, predicates):
-    """Rows of a row :class:`Relation` surviving a predicate conjunction."""
-    if not predicates:
-        return relation.rows
-    compiled = [
-        (relation.col_pos(p.table, p.column), OPS[p.op], p.value)
-        for p in predicates
-    ]
-    out = []
-    for row in relation.rows:
-        ok = True
-        for pos, op, value in compiled:
-            if not op(row[pos], value):
-                ok = False
-                break
-        if ok:
-            out.append(row)
-    return out
-
-
 class PhysicalOperator:
     """Uniform interface of one physical operator family.
 
     Subclasses are stateless singletons registered per plan-node type via
     :func:`register`; the executor resolves ``node → operator`` once per
-    node and calls the backend matching its mode. A backend a family does
-    not implement raises.
+    node and calls :meth:`evaluate`.
     """
 
-    def row(self, ctx, node):
-        raise ExecutionError(
-            "executor does not support %r in row mode" % (node,)
-        )
-
-    def vectorized(self, ctx, node):
-        raise ExecutionError(
-            "executor does not support %r in vectorized mode" % (node,)
-        )
+    def evaluate(self, ctx, node):
+        """The node's output as a :class:`ColumnarRelation`."""
+        raise NotImplementedError
 
 
 #: Plan-node class → operator singleton.

@@ -3,35 +3,30 @@
 Evaluates a :class:`~repro.engine.plans.FusedPipelineOp` tail in one pass
 over the source relation: predicate mask, gather of only the columns the
 tail reads, aggregation/dedup/limit — without materializing the filtered
-intermediate. When the source is a bare ``SeqScan`` the columnar
-backends go further and *late-materialize*: predicates are pushed into
+intermediate. When the source is a bare ``SeqScan`` the operator goes
+further and *late-materializes*: predicates are pushed into
 the table's row groups (zone-map pruning plus encoded-space masks) and
 only the columns the tail reads are decoded, only for surviving
 segments. Work is charged through the absorbed operator nodes with
-the same cardinalities and in the same order as the unfused
-interpreters, so ``work``/``operator_work`` are bit-identical with
-fusion on or off.
+the same cardinalities and in the same order as operator-at-a-time
+evaluation of the unfused plan, so ``work``/``operator_work`` are
+bit-identical to the reference executor's (which never fuses).
 
 Actual-row attribution follows the same rule: every absorbed node is
-credited the output cardinality its unfused twin would have produced —
-the filter stage (or the source scan whose pushed predicates were lifted
-into the fused op) gets the survivor count, Project gets its pre-limit
-output (full dedup count under DISTINCT), HashAggregate gets the
-pre-limit group count, and Limit gets the final row count. The
-differential fuzzer compares these per-node counters across fused and
-unfused runs.
+credited the output cardinality it would have produced unfused — the
+source scan whose pushed predicates were lifted into the fused op gets
+the survivor count, Project gets its pre-limit output (full dedup count
+under DISTINCT), HashAggregate gets the pre-limit group count, and
+Limit gets the final row count. The differential fuzzer compares these
+per-node counters against the reference executor's.
 """
 
 import numpy as np
 
-from repro.common import ExecutionError
 from repro.engine import plans as P
 from repro.engine.operators.base import (
-    OPS,
-    UNSET,
     ColumnarRelation,
     PhysicalOperator,
-    Relation,
     register,
 )
 from repro.engine.operators.kernels import (
@@ -39,21 +34,16 @@ from repro.engine.operators.kernels import (
     factorize,
     predicate_mask,
 )
-from repro.engine.operators.aggregate import aggregate_columnar, output_columns
+from repro.engine.operators.aggregate import aggregate_columnar
 from repro.engine.operators.scan import gather_group, segment_filter
 
 
 def _count_filter_stage(ctx, node, n1):
-    """Credit the mask's survivor count to the stage that owns it.
-
-    Either an absorbed standalone ``Filter`` or the source scan whose
-    pushed predicates were lifted into the fused op (``ctx.count``
-    resolves the bare scan copy back to the original plan node). With no
-    predicates at all the source's own auto-count is already right.
+    """Credit the mask's survivor count to the source scan it was lifted
+    from (``ctx.count`` resolves the bare scan copy back to the original
+    plan node). With no predicates the source's own auto-count is right.
     """
-    if node.filter_node is not None:
-        ctx.count(node.filter_node, n1)
-    elif node.predicates:
+    if node.predicates:
         ctx.count(node.children[0], n1)
 
 
@@ -122,120 +112,15 @@ def _fused_project(ctx, node, source, keep, n1):
 
 def fused_tail(ctx, node, source):
     """Columnar fused tail: mask once, gather only what the tail reads."""
-    n0 = len(source)
-    if node.filter_node is not None:
-        ctx.charge(
-            node.filter_node,
-            ctx.cost_model.params["cpu_tuple_cost"] * n0,
-        )
     if node.predicates:
         keep = np.flatnonzero(predicate_mask(source, node.predicates))
         n1 = len(keep)
     else:
-        keep, n1 = None, n0
+        keep, n1 = None, len(source)
     _count_filter_stage(ctx, node, n1)
     if node.agg_node is not None:
         return _fused_aggregate(ctx, node, source, keep, n1)
     return _fused_project(ctx, node, source, keep, n1)
-
-
-def _row_fused_project(ctx, node, source, passes, limit):
-    proj = node.project_node
-    positions = [source.col_pos(t, c) for t, c in proj.columns]
-    out = []
-    seen = set() if proj.distinct else None
-    n1 = 0
-    for row in source.rows:
-        if not passes(row):
-            continue
-        n1 += 1
-        if seen is None:
-            if limit is not None and len(out) >= limit:
-                continue  # keep counting survivors for the Project charge
-            out.append(tuple(row[p] for p in positions))
-            continue
-        # DISTINCT keeps deduplicating past the limit so the Project
-        # stage's actual-row count equals the unfused Project's full
-        # dedup output; only the append is limit-gated.
-        projected = tuple(row[p] for p in positions)
-        if projected in seen:
-            continue
-        seen.add(projected)
-        if limit is None or len(out) < limit:
-            out.append(projected)
-    ctx.charge(proj, ctx.cost_model.params["cpu_tuple_cost"] * n1)
-    _count_filter_stage(ctx, node, n1)
-    ctx.count(proj, n1 if seen is None else len(seen))
-    if node.limit_node is not None:
-        ctx.count(node.limit_node, len(out))
-    return Relation(proj.columns, out)
-
-
-def _row_fused_aggregate(ctx, node, source, passes, limit):
-    agg = node.agg_node
-    key_pos = [source.col_pos(t, c) for t, c in agg.group_by]
-    agg_pos = [
-        None if a.column is None else source.col_pos(a.table, a.column)
-        for a in agg.aggregates
-    ]
-    groups = {}
-    n1 = 0
-    for row in source.rows:
-        if not passes(row):
-            continue
-        n1 += 1
-        key = tuple(row[p] for p in key_pos)
-        states = groups.get(key)
-        if states is None:
-            states = groups[key] = [
-                0 if a.func in ("count", "sum")
-                else ([0, 0] if a.func == "avg" else UNSET)
-                for a in agg.aggregates
-            ]
-        for j, (a, pos) in enumerate(zip(agg.aggregates, agg_pos)):
-            if a.func == "count":
-                states[j] += 1
-                continue
-            value = row[pos]
-            if a.func == "sum":
-                states[j] = states[j] + value
-            elif a.func == "avg":
-                states[j][0] += value
-                states[j][1] += 1
-            elif a.func == "min":
-                if states[j] is UNSET or value < states[j]:
-                    states[j] = value
-            elif a.func == "max":
-                if states[j] is UNSET or value > states[j]:
-                    states[j] = value
-            else:
-                raise ExecutionError(
-                    "unknown aggregate %r" % (a.func,)
-                )
-    out = []
-    for key, states in groups.items():
-        values = []
-        for a, state in zip(agg.aggregates, states):
-            if a.func == "avg":
-                values.append(state[0] / state[1])
-            elif state is UNSET:
-                values.append(None)
-            else:
-                values.append(state)
-        out.append(key + tuple(values))
-    if not groups and not key_pos:
-        # Global aggregate over zero surviving rows: one output row.
-        out.append(tuple(
-            0 if a.func == "count" else None for a in agg.aggregates
-        ))
-    ctx.charge(agg, ctx.cost_model.aggregate(n1, len(out)))
-    _count_filter_stage(ctx, node, n1)
-    ctx.count(agg, len(out))
-    if limit is not None:
-        out = out[: limit]
-    if node.limit_node is not None:
-        ctx.count(node.limit_node, len(out))
-    return Relation(output_columns(agg), out)
 
 
 def _lazy_scan_shape(table, n_rows):
@@ -376,19 +261,14 @@ def _lazy_tail(ctx, node, child):
     row groups: zone maps skip whole segments, residual predicates
     evaluate in encoded space, and only the columns the tail actually
     reads are decoded — only for surviving rows. Charges and counts
-    replay the general path exactly (scan charge, scan row count, filter
-    charge, survivor attribution), so rows/order/work stay bit-identical
-    with late materialization on or off.
+    replay the general path exactly (scan charge, scan row count,
+    survivor attribution), so rows/order/work stay bit-identical with
+    late materialization on or off.
     """
     table = ctx.catalog.table(child.table)
     n0 = table.n_rows
     ctx.charge(child, ctx.cost_model.seq_scan(n0))
     ctx.record_leaf(child, n0)
-    if node.filter_node is not None:
-        ctx.charge(
-            node.filter_node,
-            ctx.cost_model.params["cpu_tuple_cost"] * n0,
-        )
     n_groups, survivors, n1, n_pruned = _lazy_filter_groups(ctx, node, table)
     _count_filter_stage(ctx, node, n1)
     if node.agg_node is not None:
@@ -414,40 +294,9 @@ def _lazy_child(node):
 
 @register(P.FusedPipelineOp)
 class FusedPipelineOpEval(PhysicalOperator):
-    """Evaluates a fused tail in both backends."""
+    """Evaluates a fused tail."""
 
-    def row(self, ctx, node):
-        """Row-mode fused tail: one streaming pass over the source rows.
-
-        The accumulators fold values in row order starting from the same
-        identities the unfused interpreter's ``sum``/``min``/``max`` use,
-        so the outputs are bit-identical, and work is charged through the
-        absorbed operator nodes in the unfused charge order.
-        """
-        source = ctx.run(node.children[0])
-        n0 = len(source.rows)
-        if node.filter_node is not None:
-            ctx.charge(
-                node.filter_node,
-                ctx.cost_model.params["cpu_tuple_cost"] * n0,
-            )
-        compiled = [
-            (source.col_pos(p.table, p.column), OPS[p.op], p.value)
-            for p in node.predicates
-        ]
-
-        def passes(row):
-            for pos, op, value in compiled:
-                if not op(row[pos], value):
-                    return False
-            return True
-
-        limit = None if node.limit_node is None else node.limit_node.n
-        if node.agg_node is not None:
-            return _row_fused_aggregate(ctx, node, source, passes, limit)
-        return _row_fused_project(ctx, node, source, passes, limit)
-
-    def vectorized(self, ctx, node):
+    def evaluate(self, ctx, node):
         child = _lazy_child(node)
         if child is not None:
             return _lazy_tail(ctx, node, child)

@@ -1,17 +1,16 @@
 """Join operators: HashJoin, NestedLoopJoin, CrossJoin.
 
-All joins emit rows in the row interpreter's order — left rows in order,
-each left row's right matches in original right order — so the two
-backends are interchangeable. Work is charged from observed
-cardinalities via the cost-model formula matching the join algorithm,
-never from implementation details.
+All joins emit rows in nested-loop order — left rows in order, each left
+row's right matches in original right order — which is what the
+reference executor under ``tests/`` specifies. Work is charged from
+observed cardinalities via the cost-model formula matching the join
+algorithm, never from implementation details.
 """
 
 from repro.engine import plans as P
 from repro.engine.operators.base import (
     ColumnarRelation,
     PhysicalOperator,
-    Relation,
     register,
 )
 from repro.engine.operators.kernels import cross_indices, join_indices
@@ -55,26 +54,7 @@ def _v_join(ctx, node, charge):
 class HashJoinOp(PhysicalOperator):
     """Hash join (right child is the build side)."""
 
-    def row(self, ctx, node):
-        left = ctx.run(node.children[0])
-        right = ctx.run(node.children[1])
-        left_pos, right_pos = join_keys(node, left, right)
-        buckets = {}
-        for row in right.rows:
-            key = tuple(row[p] for p in right_pos)
-            buckets.setdefault(key, []).append(row)
-        out = []
-        for row in left.rows:
-            key = tuple(row[p] for p in left_pos)
-            for match in buckets.get(key, ()):
-                out.append(row + match)
-        ctx.charge(
-            node,
-            ctx.cost_model.hash_join(len(left.rows), len(right.rows), len(out)),
-        )
-        return Relation(left.columns + right.columns, out)
-
-    def vectorized(self, ctx, node):
+    def evaluate(self, ctx, node):
         return _v_join(ctx, node, ctx.cost_model.hash_join)
 
 
@@ -82,26 +62,8 @@ class HashJoinOp(PhysicalOperator):
 class NestedLoopJoinOp(PhysicalOperator):
     """Nested loops over the join edges (equi only)."""
 
-    def row(self, ctx, node):
-        left = ctx.run(node.children[0])
-        right = ctx.run(node.children[1])
-        left_pos, right_pos = join_keys(node, left, right)
-        out = []
-        for lrow in left.rows:
-            lkey = tuple(lrow[p] for p in left_pos)
-            for rrow in right.rows:
-                if lkey == tuple(rrow[p] for p in right_pos):
-                    out.append(lrow + rrow)
-        ctx.charge(
-            node,
-            ctx.cost_model.nested_loop_join(
-                len(left.rows), len(right.rows), len(out)
-            ),
-        )
-        return Relation(left.columns + right.columns, out)
-
-    def vectorized(self, ctx, node):
-        # Same matches as the tuple interpreter; only the charge differs.
+    def evaluate(self, ctx, node):
+        # Same matches as the hash join; only the charge differs.
         return _v_join(ctx, node, ctx.cost_model.nested_loop_join)
 
 
@@ -109,16 +71,7 @@ class NestedLoopJoinOp(PhysicalOperator):
 class CrossJoinOp(PhysicalOperator):
     """Cartesian product, left-major order."""
 
-    def row(self, ctx, node):
-        left = ctx.run(node.children[0])
-        right = ctx.run(node.children[1])
-        out = [l + r for l in left.rows for r in right.rows]
-        ctx.charge(
-            node, ctx.cost_model.cross_join(len(left.rows), len(right.rows))
-        )
-        return Relation(left.columns + right.columns, out)
-
-    def vectorized(self, ctx, node):
+    def evaluate(self, ctx, node):
         left = ctx.run(node.children[0])
         right = ctx.run(node.children[1])
         il, ir = cross_indices(len(left), len(right))

@@ -1,6 +1,6 @@
 """Vectorized NumPy kernels shared across operator families.
 
-These are the pure array routines the columnar backends are built from:
+These are the pure array routines the columnar operators are built from:
 factorization (dense key codes), the build/probe halves of the
 factorized equi-join, predicate masks, segmented reductions for grouped
 aggregation, and order-preserving sort permutations. They are also used

@@ -1,8 +1,8 @@
 """Scan operators: SeqScan, IndexScan, ViewScan, EmptyResult.
 
 Scans are leaves — they read base-table (or materialized-view) storage
-into a relation and apply pushed-down predicates. The vectorized SeqScan
-works segment-at-a-time: each row group's zone maps are classified
+into a relation and apply pushed-down predicates. SeqScan works
+segment-at-a-time: each row group's zone maps are classified
 against the pushed-down predicates (skipping groups that provably match
 nothing), surviving groups evaluate the predicates in *encoded* space
 (dictionary codes / run values), and only surviving rows are decoded.
@@ -17,19 +17,10 @@ from repro.engine import plans as P
 from repro.engine.operators.base import (
     ColumnarRelation,
     PhysicalOperator,
-    Relation,
-    eval_predicates,
     register,
 )
 from repro.engine.operators.kernels import predicate_mask
 from repro.engine.segments import PARTIAL, PRUNED
-
-
-def table_relation(ctx, table_name):
-    """``(table, column_labels)`` for a base table (row backend)."""
-    table = ctx.catalog.table(table_name)
-    columns = [(table.name, c.name) for c in table.schema.columns]
-    return table, columns
 
 
 def v_table_relation(ctx, table_name, row_ids=None):
@@ -136,14 +127,7 @@ def index_row_ids(ctx, node):
 class SeqScanOp(PhysicalOperator):
     """Full table scan applying pushed-down predicates."""
 
-    def row(self, ctx, node):
-        table, columns = table_relation(ctx, node.table)
-        ctx.charge(node, ctx.cost_model.seq_scan(table.n_rows))
-        relation = Relation(columns, table.rows())
-        rows = eval_predicates(relation, node.predicates)
-        return Relation(columns, rows)
-
-    def vectorized(self, ctx, node):
+    def evaluate(self, ctx, node):
         table = ctx.catalog.table(node.table)
         ctx.charge(node, ctx.cost_model.seq_scan(table.n_rows))
         columns = [(table.name, c.name) for c in table.schema.columns]
@@ -181,15 +165,7 @@ class SeqScanOp(PhysicalOperator):
 class IndexScanOp(PhysicalOperator):
     """Index probe/range scan plus residual predicates."""
 
-    def row(self, ctx, node):
-        row_ids = index_row_ids(ctx, node)
-        table, columns = table_relation(ctx, node.table)
-        ctx.charge(node, ctx.cost_model.index_scan(len(row_ids)))
-        relation = Relation(columns, table.rows(row_ids))
-        rows = eval_predicates(relation, node.residual)
-        return Relation(columns, rows)
-
-    def vectorized(self, ctx, node):
+    def evaluate(self, ctx, node):
         row_ids = index_row_ids(ctx, node)
         __, rel = v_table_relation(ctx, node.table, row_ids)
         ctx.charge(node, ctx.cost_model.index_scan(len(row_ids)))
@@ -202,18 +178,7 @@ class IndexScanOp(PhysicalOperator):
 class ViewScanOp(PhysicalOperator):
     """Scan of a materialized view with residual predicates."""
 
-    def row(self, ctx, node):
-        view_table = node.view.table
-        columns = []
-        for name in view_table.schema.column_names:
-            t, __, c = name.partition("__")
-            columns.append((t, c))
-        ctx.charge(node, ctx.cost_model.seq_scan(view_table.n_rows))
-        relation = Relation(columns, view_table.rows())
-        rows = eval_predicates(relation, node.residual)
-        return Relation(columns, rows)
-
-    def vectorized(self, ctx, node):
+    def evaluate(self, ctx, node):
         view_table = node.view.table
         columns = []
         arrays = []
@@ -232,9 +197,6 @@ class ViewScanOp(PhysicalOperator):
 class EmptyResultOp(PhysicalOperator):
     """Zero-row result (contradictory predicates, LIMIT 0)."""
 
-    def row(self, ctx, node):
-        return Relation(node.columns, [])
-
-    def vectorized(self, ctx, node):
+    def evaluate(self, ctx, node):
         arrays = [np.empty(0, dtype=object) for __ in node.columns]
         return ColumnarRelation(node.columns, arrays, n_rows=0)

@@ -4,7 +4,6 @@ from repro.engine import plans as P
 from repro.engine.operators.base import (
     ColumnarRelation,
     PhysicalOperator,
-    Relation,
     register,
 )
 from repro.engine.operators.kernels import stable_sort_indices
@@ -14,15 +13,7 @@ from repro.engine.operators.kernels import stable_sort_indices
 class SortOp(PhysicalOperator):
     """Stable sort on one key."""
 
-    def row(self, ctx, node):
-        child = ctx.run(node.children[0])
-        pos = child.col_pos(*node.key)
-        ctx.charge(node, ctx.cost_model.sort(len(child.rows)))
-        rows = sorted(child.rows, key=lambda r: r[pos],
-                      reverse=node.descending)
-        return Relation(child.columns, rows)
-
-    def vectorized(self, ctx, node):
+    def evaluate(self, ctx, node):
         child = ctx.run(node.children[0])
         pos = child.col_pos(*node.key)
         ctx.charge(node, ctx.cost_model.sort(len(child)))
@@ -36,11 +27,7 @@ class SortOp(PhysicalOperator):
 class LimitOp(PhysicalOperator):
     """Truncate output to the first ``n`` rows (charge-free)."""
 
-    def row(self, ctx, node):
-        child = ctx.run(node.children[0])
-        return Relation(child.columns, child.rows[: node.n])
-
-    def vectorized(self, ctx, node):
+    def evaluate(self, ctx, node):
         child = ctx.run(node.children[0])
         if node.n >= len(child):
             return child

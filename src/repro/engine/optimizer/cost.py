@@ -165,13 +165,6 @@ class CostModel:
                 + left.est_cost
                 + right.est_cost
             )
-        elif isinstance(node, P.Filter):
-            child = node.children[0]
-            sel = 1.0
-            for __ in node.predicates:
-                sel *= 1.0 / 3.0
-            node.est_rows = child.est_rows * sel
-            node.est_cost = child.est_cost + self.params["cpu_tuple_cost"] * child.est_rows
         elif isinstance(node, P.Project):
             child = node.children[0]
             node.est_rows = child.est_rows

@@ -114,8 +114,8 @@ class ExplainResult:
         text: the plan rendered by ``plan.pretty()``.
         plan: the (unfused) :class:`~repro.engine.plans.PhysicalPlan`.
         fused_ops: how many tail stages the executor's fusion pass will
-            collapse when this plan is executed (0 when fusion is off or
-            the tail is not fusible).
+            collapse when this plan is executed (0 when the tail is
+            not fusible).
         cache_hit: whether the plan came from the plan cache.
         node_stats: for EXPLAIN ANALYZE only — the per-node
             est-vs-actual records from the run's telemetry (plan
@@ -583,9 +583,7 @@ class QueryPipeline:
         """
         query, telemetry = self._select_query(sql_text, "EXPLAIN")
         prepared = self._prepare(sql_text, query, telemetry)
-        fused_ops = 0
-        if self.db.executor.fusion_enabled:
-            __, fused_ops = fuse_plan(prepared.plan)
+        __, fused_ops = fuse_plan(prepared.plan)
         self._accumulate(telemetry)
         arm_line = self._arm_line(telemetry)
         return ExplainResult(

@@ -151,18 +151,6 @@ class CrossJoin(PhysicalPlan):
         return "CrossJoin"
 
 
-class Filter(PhysicalPlan):
-    """Standalone filter (predicates that could not be pushed into a scan)."""
-
-
-    def __init__(self, child, predicates):
-        super().__init__([child])
-        self.predicates = list(predicates)
-
-    def describe(self):
-        return "Filter(%s)" % ", ".join(map(str, self.predicates))
-
-
 class Project(PhysicalPlan):
     """Column projection (and implicit dedup when ``distinct``)."""
 
@@ -231,27 +219,20 @@ class FusedPipelineOp(PhysicalPlan):
     projected) relation.
 
     Exactly one of ``project_node``/``agg_node`` is set. ``predicates``
-    is the *effective* predicate list: either lifted off the source scan
-    or taken from an absorbed standalone ``Filter`` (``filter_node`` is
-    then non-None so the executor can keep charging work under the
-    ``Filter`` operator key). The fusion pass refuses tails that have
-    both, so one mask stage always suffices.
+    is the predicate list lifted off the source scan (every predicate
+    the planner emits is pushed into a scan), so one mask stage always
+    suffices.
     """
 
 
-    def __init__(self, source, predicates=(), filter_node=None,
-                 project_node=None, agg_node=None, limit_node=None):
+    def __init__(self, source, predicates=(), project_node=None,
+                 agg_node=None, limit_node=None):
         super().__init__([source])
         if (project_node is None) == (agg_node is None):
             raise PlanError(
                 "FusedPipelineOp needs exactly one of project_node/agg_node"
             )
-        if filter_node is not None and list(filter_node.predicates) != list(predicates):
-            raise PlanError(
-                "an absorbed Filter must supply the fused predicate list"
-            )
         self.predicates = list(predicates)
-        self.filter_node = filter_node
         self.project_node = project_node
         self.agg_node = agg_node
         self.limit_node = limit_node

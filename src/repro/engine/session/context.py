@@ -496,8 +496,9 @@ class SessionContext:
         → row gate → audit. Extension statements — claimed by an
         inspector, or an extension head the native parser rejects — go
         to ``backend.write`` and so to the statement hooks. A denial or
-        failure at any step is audited with what was known by then,
-        then raised.
+        failure at any step — an :class:`EngineError` or anything else
+        an operator, hook or backend lets escape — is audited with what
+        was known by then, then re-raised unchanged.
         """
         kind = decision = None
         seen = {}
@@ -530,14 +531,18 @@ class SessionContext:
                 # execution — an overrun is withheld and audited.
                 # Extension reads (AISQL PREDICT) are row-shaped too.
                 self._gate(sql_text, "check_result_rows", len(rows))
-        except EngineError as exc:
+        except Exception as exc:
             denial = getattr(exc, "decision", None)
             if denial is not None:
                 self._audit(sql_text, kind, denial, "denied",
                             error=denial.reason, **seen)
             else:
+                error = str(exc)
+                if not isinstance(exc, EngineError):
+                    # Not one of ours: the type is most of the message.
+                    error = "%s: %s" % (type(exc).__name__, error)
                 self._audit(sql_text, kind or sniff_kind(sql_text),
-                            decision, "error", error=str(exc), **seen)
+                            decision, "error", error=error, **seen)
             raise
         record = self._audit(sql_text, kind, decision, "ok",
                              telemetry=telemetry, **seen)

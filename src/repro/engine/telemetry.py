@@ -41,8 +41,6 @@ class ExecutionTelemetry:
     """Per-operator execution counters for one plan run.
 
     Attributes:
-        mode: executor mode the plan ran under
-            (``"vectorized"``/``"row"``).
         operators: ``{op_name: {"batches": int, "rows": int,
             "seconds": float}}`` — one entry per operator type;
             ``batches`` counts operator invocations (one batch per
@@ -50,7 +48,7 @@ class ExecutionTelemetry:
             ``seconds`` sums self-time (child operator time excluded).
         fused_ops: how many pipeline stages the executor's fusion pass
             collapsed into a single ``FusedPipelineOp`` for this run (0
-            when fusion is disabled or the plan tail did not match).
+            when the plan tail did not match).
         node_stats: per-plan-node cardinality records in plan preorder —
             ``[{"op", "est_rows", "actual_rows", "q_error"}]`` — attributed
             to the *original* (pre-fusion) plan's nodes. This is the
@@ -73,13 +71,12 @@ class ExecutionTelemetry:
         total_seconds: wall-clock time for the whole plan.
     """
 
-    __slots__ = ("mode", "operators", "fused_ops", "node_stats",
+    __slots__ = ("operators", "fused_ops", "node_stats",
                  "segments_total", "segments_pruned",
                  "bytes_decoded", "catalog_versions", "total_work",
                  "total_seconds")
 
-    def __init__(self, mode):
-        self.mode = mode
+    def __init__(self):
         self.operators = {}
         self.fused_ops = 0
         self.node_stats = []
@@ -128,12 +125,11 @@ class ExecutionTelemetry:
     def brief(self):
         """A one-line dict digest for logs that keep one row per query.
 
-        The session audit log stores this (mode, work, wall time, fused
-        ops, worst q-error) instead of the full :meth:`summary`, which
+        The session audit log stores this (work, wall time, fused ops,
+        worst q-error) instead of the full :meth:`summary`, which
         carries per-operator and per-node detail too wide for a log row.
         """
         return {
-            "mode": self.mode,
             "total_work": self.total_work,
             "total_seconds": self.total_seconds,
             "fused_ops": self.fused_ops,
@@ -143,7 +139,6 @@ class ExecutionTelemetry:
     def summary(self):
         """A plain-dict snapshot (JSON-friendly)."""
         return {
-            "mode": self.mode,
             "total_seconds": self.total_seconds,
             "fused_ops": self.fused_ops,
             "segments_total": self.segments_total,
@@ -158,8 +153,8 @@ class ExecutionTelemetry:
         }
 
     def __repr__(self):
-        return "ExecutionTelemetry(mode=%r, operators=%d, total=%.6fs)" % (
-            self.mode, len(self.operators), self.total_seconds,
+        return "ExecutionTelemetry(operators=%d, total=%.6fs)" % (
+            len(self.operators), self.total_seconds,
         )
 
 

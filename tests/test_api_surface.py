@@ -29,7 +29,7 @@ REQUIRED_EXPORTS = {
     # indexes
     "BPlusTree", "HashIndex",
     # execution + configuration (this PR's redesigned surface)
-    "EXECUTOR_MODES", "EngineConfig", "ExecutionResult", "Executor",
+    "EngineConfig", "ExecutionResult", "Executor",
     "ExplainResult", "FusedPipelineOp", "Relation", "count_join_rows",
     "fuse_plan",
     # pipeline
@@ -78,8 +78,7 @@ def test_new_exports_are_the_right_kinds():
     # any other keyword is one of its fields.
     sig = inspect.signature(engine.Database.__init__)
     assert "config" in sig.parameters
-    assert engine.Database(fusion_enabled=False).config.fusion_enabled \
-        is False
+    assert engine.Database(use_views=False).config.use_views is False
 
 
 def test_session_surface_present():

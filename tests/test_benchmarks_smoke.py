@@ -60,13 +60,6 @@ def test_every_bench_file_is_covered():
     assert all(_EXP_RE.match(n) or n.startswith("bench_p") for n in BENCH_FILES)
 
 
-def test_makefile_bench_targets_cover_fusion():
-    """``make bench-fusion`` exists and ``bench-json`` regenerates P4."""
-    makefile = (BENCH_DIR.parent / "Makefile").read_text()
-    assert "bench-fusion:" in makefile
-    assert makefile.count("bench_p4_fusion.py") >= 2
-
-
 @pytest.mark.parametrize("name", BENCH_FILES)
 def test_bench_entry_point_fast(name):
     module = _load(name)

@@ -1,50 +1,32 @@
-"""Differential tests: the vectorized executor vs. the row interpreter.
+"""Differential tests: the engine's executor vs. the reference executor.
 
-Every plan shape runs in every mode on seeded data; all modes must return
-identical rows *in identical order* and charge identical
+Every plan shape runs through both on seeded data; the engine must return
+the reference's rows *in identical order*, charge identical
 ``work``/``operator_work`` (the work-parity invariant that keeps
-"cost gap == misestimation damage" true regardless of executor mode).
+"cost gap == misestimation damage" true) and count the same rows out of
+every plan node.
 """
 
 import numpy as np
 import pytest
 
+from reference_executor import ReferenceExecutor, assert_matches_reference
 from repro.common import ExecutionError
-from repro.engine import Database, datagen, plans as P
+from repro.engine import Database, EngineConfig, datagen, plans as P
 from repro.engine.catalog import Catalog
-from repro.engine.executor import EXECUTOR_MODES, Executor, count_join_rows
+from repro.engine.executor import Executor, count_join_rows
+from repro.engine.operators import registered_node_types
 from repro.engine.plans import operator_counts
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
 
 
-def _approx_rows(rows):
-    """Rows with floats wrapped for tolerant comparison (sum order differs)."""
-    return [
-        tuple(
-            pytest.approx(v, rel=1e-9, abs=1e-12) if isinstance(v, float) else v
-            for v in row
-        )
-        for row in rows
-    ]
-
-
 def run_both(catalog, plan, cost_model=None):
-    """Execute ``plan`` in every mode, assert parity, return the results."""
-    results = {}
-    for mode in EXECUTOR_MODES:
-        ex = Executor(catalog, cost_model, mode=mode)
-        results[mode] = ex.execute(plan)
-    row_res = results["row"]
-    approx = _approx_rows(row_res.rows)
-    for mode in EXECUTOR_MODES:
-        if mode == "row":
-            continue
-        res = results[mode]
-        assert res.columns == row_res.columns, mode
-        assert res.rows == approx, mode
-        assert res.work == row_res.work, mode
-        assert res.operator_work == row_res.operator_work, mode
-    return row_res, results["vectorized"]
+    """Execute ``plan`` on the reference and on the engine, assert the
+    observational contract, return ``(reference, engine)`` results."""
+    reference = ReferenceExecutor(catalog, cost_model).execute(plan)
+    engine = Executor(catalog, cost_model).execute(plan)
+    assert_matches_reference(engine, reference)
+    return reference, engine
 
 
 @pytest.fixture
@@ -110,15 +92,17 @@ class TestScans:
                            residual=[])
         run_both(diff_catalog, plan)
 
-    @pytest.mark.parametrize("mode", EXECUTOR_MODES)
-    def test_hash_index_inequality_raises(self, diff_catalog, mode):
-        """Regression: hash probes stay equality-only in every mode."""
+    @pytest.mark.parametrize(
+        "make_executor", [ReferenceExecutor, Executor],
+        ids=["row", "vectorized"])
+    def test_hash_index_inequality_raises(self, diff_catalog, make_executor):
+        """Regression: hash probes stay equality-only, in the engine and
+        in its specification."""
         diff_catalog.create_index("hidx2", "l", "k", kind="hash")
         plan = P.IndexScan("l", "hidx2", Predicate("l", "k", "<", 3),
                            residual=[])
-        ex = Executor(diff_catalog, mode=mode)
         with pytest.raises(ExecutionError):
-            ex.execute(plan)
+            make_executor(diff_catalog).execute(plan)
 
     def test_emptyresult(self, diff_catalog):
         row_res, vec_res = run_both(
@@ -164,10 +148,6 @@ class TestJoins:
 
 
 class TestShaping:
-    def test_filter(self, diff_catalog):
-        plan = P.Filter(seq("l"), [Predicate("l", "v", "<", 0.5)])
-        run_both(diff_catalog, plan)
-
     def test_project(self, diff_catalog):
         plan = P.Project(seq("l"), [("l", "tag"), ("l", "k")], distinct=False)
         run_both(diff_catalog, plan)
@@ -234,7 +214,7 @@ class TestShaping:
 
     @pytest.mark.parametrize("descending", [False, True])
     def test_sort_stable_with_duplicates(self, diff_catalog, descending):
-        # k has heavy duplication: ties must keep input order in both modes.
+        # k has heavy duplication: ties must keep input order.
         plan = P.Sort(seq("l"), key=("l", "k"), descending=descending)
         run_both(diff_catalog, plan)
 
@@ -256,10 +236,9 @@ class TestShaping:
         plan = P.Limit(
             P.Sort(
                 P.HashAggregate(
-                    P.Filter(
-                        P.HashJoin(seq("l"), seq("r"),
-                                   [JoinEdge("l", "k", "r", "k")]),
-                        [Predicate("r", "w", "<", 700)],
+                    P.HashJoin(
+                        seq("l"), seq("r", [Predicate("r", "w", "<", 700)]),
+                        [JoinEdge("l", "k", "r", "k")],
                     ),
                     group_by=[("l", "tag")],
                     aggregates=[Aggregate("count"), Aggregate("sum", "r", "w")],
@@ -272,58 +251,116 @@ class TestShaping:
         run_both(diff_catalog, plan)
 
 
-class TestSqlLevelDifferential:
-    """Planner-produced plans over realistic schemas, both modes."""
+# ----------------------------------------------------------------------
+# Every registered node type, reached through the engine's own operator
+# ----------------------------------------------------------------------
+def _node_type_db():
+    """Tables ``l``/``r`` with a B+Tree index and a materialized join."""
+    from repro.ai4db.config.view_advisor import (
+        ViewCandidate,
+        materialize_view,
+    )
 
-    def _dual_dbs(self, build):
-        dbs = {}
-        for mode in EXECUTOR_MODES:
-            db = Database(executor_mode=mode)
-            build(db)
-            dbs[mode] = db
-        return dbs
+    db = Database()
+    db.execute("CREATE TABLE l (id INT, k INT, v FLOAT, tag TEXT)")
+    db.catalog.table("l").insert_rows(
+        (i, i % 9, (i * 37 % 100) / 10.0, "tag%d" % (i % 4))
+        for i in range(120))
+    db.execute("CREATE TABLE r (k INT, w INT)")
+    db.catalog.table("r").insert_rows((i % 9, i * 7 % 50) for i in range(40))
+    db.execute("ANALYZE")
+    db.execute("CREATE INDEX idx_lk ON l (k)")
+    view = materialize_view(db, ViewCandidate(ConjunctiveQuery(
+        tables=["l", "r"], join_edges=[JoinEdge("l", "k", "r", "k")]), 2))
+    return db, view
+
+
+def _sorted_tail(limit=None):
+    """An ORDER BY tail: fusion refuses it, so Project, Sort (and Limit)
+    run as their own operators."""
+    plan = P.Project(
+        P.Sort(seq("l", [Predicate("l", "k", "<", 6)]), ("l", "v")),
+        [("l", "tag"), ("l", "v")], distinct=True)
+    return plan if limit is None else P.Limit(plan, limit)
+
+
+_LR_EDGE = [JoinEdge("l", "k", "r", "k")]
+
+#: node type -> a plan (given the view) in which the engine evaluates
+#: that type through its own operator. With fusion unconditional, the
+#: unfused Project/Sort/Limit/HashAggregate operators are reached only
+#: by shape, and a registered type with no entry here fails the walk.
+PLAN_REACHING = {
+    P.SeqScan: lambda view: seq("l", [Predicate("l", "tag", ">=", "tag2")]),
+    P.IndexScan: lambda view: P.IndexScan(
+        "l", "idx_lk", Predicate("l", "k", "<=", 3),
+        residual=[Predicate("l", "v", ">", 2.0)]),
+    P.ViewScan: lambda view: P.ViewScan(
+        view, [Predicate("r", "w", "<", 25)]),
+    P.EmptyResult: lambda view: P.Limit(
+        P.EmptyResult([("l", "id"), ("l", "k")]), 3),
+    P.HashJoin: lambda view: P.HashJoin(seq("l"), seq("r"), _LR_EDGE),
+    P.NestedLoopJoin: lambda view: P.NestedLoopJoin(
+        seq("l", [Predicate("l", "k", "<", 4)]), seq("r"), _LR_EDGE),
+    P.CrossJoin: lambda view: P.CrossJoin(
+        seq("l", [Predicate("l", "id", "<", 7)]), seq("r")),
+    P.Project: lambda view: P.Project(seq("l"), [("l", "tag"), ("l", "k")]),
+    P.Sort: lambda view: _sorted_tail(),
+    P.Limit: lambda view: _sorted_tail(limit=5),
+    P.HashAggregate: lambda view: P.HashAggregate(
+        P.Sort(seq("l"), ("l", "v"), descending=True), [("l", "tag")],
+        [Aggregate("count"), Aggregate("sum", "l", "v"),
+         Aggregate("max", "l", "k")]),
+    P.FusedPipelineOp: lambda view: P.Limit(
+        P.HashAggregate(
+            P.HashJoin(seq("l", [Predicate("l", "v", ">", 1.0)]), seq("r"),
+                       _LR_EDGE),
+            [("l", "tag")], [Aggregate("count"), Aggregate("min", "r", "w")]),
+        3),
+}
+
+
+@pytest.mark.parametrize(
+    "node_type", registered_node_types(), ids=lambda cls: cls.__name__)
+def test_every_node_type_runs_through_its_operator(node_type):
+    db, view = _node_type_db()
+    plan = PLAN_REACHING[node_type](view)
+    reference, engine = run_both(db.catalog, plan, db.cost_model)
+    assert node_type.__name__ in engine.telemetry.operators
+    assert len(reference.rows) > 0 or node_type is P.EmptyResult
+
+
+class TestSqlLevelDifferential:
+    """Planner-produced plans over realistic schemas."""
 
     @staticmethod
-    def _assert_workload_parity(dbs, queries):
+    def _assert_workload_parity(db, queries):
+        reference = ReferenceExecutor(db.catalog, db.cost_model)
         for q in queries:
-            res_r = dbs["row"].run_query_object(q)
-            approx = _approx_rows(res_r.rows)
-            for mode in EXECUTOR_MODES:
-                if mode == "row":
-                    continue
-                res = dbs[mode].run_query_object(q)
-                assert res.rows == approx, mode
-                assert res.work == res_r.work, mode
-                assert res.operator_work == res_r.operator_work, mode
+            res = db.run_query_object(q)
+            plan = db.pipeline.prepare_query(q).plan
+            assert_matches_reference(res, reference.execute(plan), repr(q))
 
     def test_star_workload_parity(self):
-        def build(db):
-            datagen.make_star_schema(
-                db.catalog, n_customers=300, n_products=60, n_dates=60,
-                n_sales=3000, seed=0,
-            )
-
-        dbs = self._dual_dbs(build)
+        db = Database()
+        datagen.make_star_schema(
+            db.catalog, n_customers=300, n_products=60, n_dates=60,
+            n_sales=3000, seed=0,
+        )
         self._assert_workload_parity(
-            dbs, datagen.star_workload(n_queries=12, seed=1)
+            db, datagen.star_workload(n_queries=12, seed=1)
         )
 
     def test_clique_workload_parity(self):
-        schema = {}
-
-        def build(db):
-            names, edges = datagen.make_join_graph_schema(
-                db.catalog, "clique", n_tables=4, rows_per_table=200,
-                seed=11, prefix="n", correlated=True,
-            )
-            schema["names"], schema["edges"] = names, edges
-
-        dbs = self._dual_dbs(build)
-        queries = datagen.join_graph_workload(
-            schema["names"], schema["edges"], n_queries=8, seed=12,
-            min_tables=3,
+        db = Database()
+        names, edges = datagen.make_join_graph_schema(
+            db.catalog, "clique", n_tables=4, rows_per_table=200,
+            seed=11, prefix="n", correlated=True,
         )
-        self._assert_workload_parity(dbs, queries)
+        queries = datagen.join_graph_workload(
+            names, edges, n_queries=8, seed=12, min_tables=3,
+        )
+        self._assert_workload_parity(db, queries)
 
     def test_view_scan_parity(self):
         from repro.ai4db.config.view_advisor import (
@@ -350,25 +387,25 @@ class TestSqlLevelDifferential:
 
 
 class TestModePlumbing:
-    def test_invalid_mode_rejected(self, diff_catalog):
-        with pytest.raises(ExecutionError):
-            Executor(diff_catalog, mode="gpu")
-
-    def test_database_default_is_vectorized(self):
-        assert Database().executor.mode == "vectorized"
-
-    def test_env_var_selects_mode(self, monkeypatch):
+    def test_invalid_mode_rejected(self, diff_catalog, monkeypatch):
+        """There is one executor cell and nothing that selects another:
+        every old spelling of a mode or fusion switch is an unknown
+        keyword, and the old environment variables are not read."""
+        with pytest.raises(TypeError):
+            Executor(diff_catalog, mode="row")
+        with pytest.raises(TypeError):
+            Executor(diff_catalog, fusion_enabled=False)
+        with pytest.raises(TypeError):
+            Database(executor_mode="row")
+        with pytest.raises(TypeError):
+            Database(fusion_enabled=False)
         monkeypatch.setenv("REPRO_EXECUTOR_MODE", "row")
-        assert Database().executor.mode == "row"
-
-    def test_explicit_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR_MODE", "row")
-        assert Database(executor_mode="vectorized").executor.mode == "vectorized"
+        monkeypatch.setenv("REPRO_FUSION", "0")
+        assert EngineConfig.from_env() == EngineConfig()
 
 
 class TestTelemetry:
-    @pytest.mark.parametrize("mode", EXECUTOR_MODES)
-    def test_batches_match_plan_shape(self, diff_catalog, mode):
+    def test_batches_match_plan_shape(self, diff_catalog):
         plan = P.Limit(
             P.Sort(
                 P.HashJoin(seq("l"), seq("r"), [JoinEdge("l", "k", "r", "k")]),
@@ -377,15 +414,14 @@ class TestTelemetry:
             ),
             5,
         )
-        res = Executor(diff_catalog, mode=mode).execute(plan)
+        res = Executor(diff_catalog).execute(plan)
         tel = res.telemetry
-        assert tel.mode == mode
         assert {k: v["batches"] for k, v in tel.operators.items()} == \
             operator_counts(plan)
         assert tel.total_seconds > 0
         assert all(v["seconds"] >= 0 for v in tel.operators.values())
         summary = tel.summary()
-        assert summary["mode"] == mode
+        assert "mode" not in summary
         assert set(summary["operators"]) == set(operator_counts(plan))
 
     def test_rows_counted(self, diff_catalog):

@@ -1,8 +1,9 @@
 """Tests for operator fusion + the consolidated EngineConfig surface.
 
 Covers the fusion pass as a unit (which tails fuse, which are refused,
-how scan predicates lift), the fused execution path end to end (rows,
-work parity, telemetry), the structured ``ExplainResult``, and the
+how scan predicates lift), the fused execution path end to end (rows and
+work parity with the never-fusing reference executor, telemetry), the
+structured ``ExplainResult``, and the
 ``EngineConfig`` dataclass — including the contract that
 ``Database(config=...)`` and per-knob keyword arguments wire identical
 engines, and the one list of knobs (fields, env metadata, README table).
@@ -13,11 +14,11 @@ import os
 
 import pytest
 
+from reference_executor import ReferenceExecutor, assert_matches_reference
 from repro.common import ExecutionError, ReproError
 from repro.engine import (
     Database,
     EngineConfig,
-    Executor,
     HintSet,
     fuse_plan,
 )
@@ -26,8 +27,8 @@ from repro.engine.plans import PlanError
 from repro.engine.query import Aggregate, Predicate
 
 
-def _populated(**kwargs):
-    db = Database(**kwargs)
+def _populated():
+    db = Database()
     db.execute("CREATE TABLE t (id INT, k INT, v FLOAT, tag TEXT)")
     rows = ", ".join(
         "(%d, %d, %.3f, 'g%d')" % (i, i % 7, (i * 37 % 100) / 10.0, i % 3)
@@ -44,12 +45,10 @@ FUSIBLE_SQL = "SELECT tag, COUNT(*), SUM(v) FROM t WHERE k < 5 GROUP BY tag"
 #: parse to it (``None``: the knob has no variable), and the floor small
 #: env values clamp to. A new field without a row fails the knob walk.
 KNOBS = {
-    "executor_mode": ("row", "ROW", None),
     "plan_cache_size": (17, None, None),
     "enumerator": ("greedy", None, None),
     "use_views": (False, None, None),
     "cost_params": ({"cpu_tuple_cost": 2.0}, None, None),
-    "fusion_enabled": (False, "off", None),
     "feedback_enabled": (True, "1", None),
     "segment_rows": (4096, " 4096 ", 16),
     "segment_encodings": (("rle", "plain"), "RLE, plain", None),
@@ -85,21 +84,27 @@ def _readme_knob_rows():
 # ----------------------------------------------------------------------
 class TestEngineConfig:
     def test_defaults_are_valid(self):
-        cfg = EngineConfig()
-        assert cfg.executor_mode == "vectorized"
-        assert cfg.fusion_enabled is True
+        knobs = dataclasses.fields(EngineConfig())
+        assert len(knobs) == 15
+        from_env = {k.name for k in knobs if "env" in k.metadata}
+        assert len(from_env) == 11
+        # The README lists exactly those — no row outlives its knob.
+        assert from_env == {
+            name for name, row in _readme_knob_rows().items()
+            if "REPRO_" in row
+        }
 
     def test_frozen(self):
         cfg = EngineConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.executor_mode = "row"
+            cfg.enumerator = "greedy"
 
     def test_with_changes_derives_a_new_config(self):
         cfg = EngineConfig()
-        other = cfg.with_changes(executor_mode="row", fusion_enabled=False)
-        assert other.executor_mode == "row"
-        assert other.fusion_enabled is False
-        assert cfg.executor_mode == "vectorized"  # original untouched
+        other = cfg.with_changes(enumerator="greedy", feedback_enabled=True)
+        assert other.enumerator == "greedy"
+        assert other.feedback_enabled is True
+        assert cfg.enumerator == "dp"  # original untouched
 
     def test_cost_params_copied_defensively(self):
         params = {"cpu_tuple_cost": 2.0}
@@ -108,7 +113,7 @@ class TestEngineConfig:
         assert cfg.cost_params["cpu_tuple_cost"] == 2.0
 
     @pytest.mark.parametrize("bad_kwargs,exc", [
-        ({"executor_mode": "turbo"}, ExecutionError),
+        ({"segment_rows": 0}, ExecutionError),
         ({"enumerator": "exhaustive"}, ReproError),
         ({"plan_cache_size": 0}, ReproError),
     ])
@@ -116,50 +121,35 @@ class TestEngineConfig:
         with pytest.raises(exc):
             EngineConfig(**bad_kwargs)
 
-    def test_parallel_mode_and_execution_hints_are_gone(self, monkeypatch):
-        """The mode matrix is one executor per backend, and hint sets are
-        plan hints only: ``parallel`` is an unknown mode like any other,
-        wherever it is spelled."""
-        message = r"must be one of \('vectorized', 'row'\), got 'parallel'"
-        with pytest.raises(ExecutionError, match=message):
+    def test_parallel_mode_and_execution_hints_are_gone(self):
+        """No executor mode is selectable, ``parallel`` included, and
+        hint sets are plan hints only."""
+        with pytest.raises(TypeError):
             EngineConfig(executor_mode="parallel")
-        with pytest.raises(ExecutionError, match=message):
-            Executor(Database().catalog, mode="parallel")
-        monkeypatch.setenv("REPRO_EXECUTOR_MODE", "parallel")
-        with pytest.raises(ExecutionError, match=message):
-            EngineConfig.from_env()
         with pytest.raises(TypeError):
             HintSet(name="x", parallel=True)
         with pytest.raises(TypeError):
             HintSet(name="x", fusion=False)
 
     def test_from_env_reads_repro_vars(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR_MODE", "row")
-        monkeypatch.setenv("REPRO_FUSION", "0")
+        monkeypatch.setenv("REPRO_PLAN_SELECTOR", "bandit")
+        monkeypatch.setenv("REPRO_FEEDBACK", "1")
         cfg = EngineConfig.from_env()
-        assert cfg.executor_mode == "row"
-        assert cfg.fusion_enabled is False
+        assert cfg.plan_selector == "bandit"
+        assert cfg.feedback_enabled is True
 
     def test_from_env_overrides_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR_MODE", "row")
-        monkeypatch.setenv("REPRO_FUSION", "off")
-        cfg = EngineConfig.from_env(executor_mode="vectorized",
-                                    fusion_enabled=True)
-        assert cfg.executor_mode == "vectorized"
-        assert cfg.fusion_enabled is True
+        monkeypatch.setenv("REPRO_PLAN_SELECTOR", "bandit")
+        monkeypatch.setenv("REPRO_FEEDBACK", "on")
+        cfg = EngineConfig.from_env(plan_selector="cost",
+                                    feedback_enabled=False)
+        assert cfg.plan_selector == "cost"
+        assert cfg.feedback_enabled is False
 
     def test_from_env_none_overrides_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR_MODE", "row")
-        cfg = EngineConfig.from_env(executor_mode=None)
-        assert cfg.executor_mode == "row"
-
-    @pytest.mark.parametrize("raw,expected", [
-        ("0", False), ("false", False), ("OFF", False), ("no", False),
-        ("1", True), ("on", True), ("", True),
-    ])
-    def test_fusion_env_values(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("REPRO_FUSION", raw)
-        assert EngineConfig.from_env().fusion_enabled is expected
+        monkeypatch.setenv("REPRO_PLAN_SELECTOR", "bandit")
+        cfg = EngineConfig.from_env(plan_selector=None)
+        assert cfg.plan_selector == "bandit"
 
     @pytest.mark.parametrize(
         "knob", dataclasses.fields(EngineConfig), ids=lambda f: f.name)
@@ -206,10 +196,8 @@ class TestEngineConfig:
             Database(turbo=True)
 
     def test_executor_kwargs_shape(self):
-        cfg = EngineConfig(executor_mode="row", fusion_enabled=False)
-        assert cfg.executor_kwargs() == {
-            "mode": "row", "fusion_enabled": False, "pruning_enabled": True,
-        }
+        cfg = EngineConfig(zone_map_pruning=False)
+        assert cfg.executor_kwargs() == {"pruning_enabled": False}
 
 
 # ----------------------------------------------------------------------
@@ -218,19 +206,16 @@ class TestEngineConfig:
 class TestConfigEquivalence:
     def test_config_and_kwargs_wire_identical_engines(self):
         cfg = EngineConfig(
-            executor_mode="row", plan_cache_size=17,
-            enumerator="greedy", use_views=False,
-            cost_params={"cpu_tuple_cost": 2.0}, fusion_enabled=False,
+            plan_cache_size=17, enumerator="greedy", use_views=False,
+            cost_params={"cpu_tuple_cost": 2.0}, zone_map_pruning=False,
         )
         via_config = Database(config=cfg)
         via_kwargs = Database(
-            executor_mode="row", plan_cache_size=17,
-            enumerator="greedy", use_views=False,
-            cost_params={"cpu_tuple_cost": 2.0}, fusion_enabled=False,
+            plan_cache_size=17, enumerator="greedy", use_views=False,
+            cost_params={"cpu_tuple_cost": 2.0}, zone_map_pruning=False,
         )
         for db in (via_config, via_kwargs):
-            assert db.executor.mode == "row"
-            assert db.executor.fusion_enabled is False
+            assert db.executor.pruning_enabled is False
             assert db.planner.enumerator == "greedy"
             assert db.planner.use_views is False
             assert db.pipeline.plan_cache.capacity == 17
@@ -239,11 +224,11 @@ class TestConfigEquivalence:
 
     def test_mixing_config_and_kwargs_is_an_error(self):
         with pytest.raises(ReproError, match="not both"):
-            Database(config=EngineConfig(), executor_mode="row")
+            Database(config=EngineConfig(), enumerator="greedy")
 
     def test_config_must_be_engineconfig(self):
         with pytest.raises(ReproError, match="EngineConfig"):
-            Database(config={"executor_mode": "row"})
+            Database(config={"enumerator": "greedy"})
 
     def test_config_property_is_read_only(self):
         db = Database()
@@ -251,9 +236,9 @@ class TestConfigEquivalence:
             db.config = EngineConfig()
 
     def test_default_database_exposes_config(self):
-        db = Database(executor_mode="row")
+        db = Database(enumerator="greedy")
         assert isinstance(db.config, EngineConfig)
-        assert db.config.executor_mode == "row"
+        assert db.config.enumerator == "greedy"
 
 
 # ----------------------------------------------------------------------
@@ -273,17 +258,6 @@ class TestFusePlan:
         assert isinstance(source, P.SeqScan)
         assert list(source.predicates) == []  # stripped: the fused op masks
 
-    def test_standalone_filter_absorbed(self):
-        pred = Predicate("t", "k", "<", 5)
-        plan = P.Limit(
-            P.Project(P.Filter(P.SeqScan("t"), (pred,)), [("t", "tag")]),
-            3,
-        )
-        fused, n = fuse_plan(plan)
-        assert isinstance(fused, P.FusedPipelineOp)
-        assert fused.stages == ["Filter", "Project", "Limit"]
-        assert n == 3
-
     def test_sort_in_tail_refused(self):
         plan = P.Project(
             P.Sort(P.SeqScan("t"), ("t", "k")), [("t", "k")], distinct=True
@@ -293,18 +267,6 @@ class TestFusePlan:
 
     def test_bare_project_not_worth_it(self):
         plan = P.Project(P.SeqScan("t"), [("t", "k")])
-        out, n = fuse_plan(plan)
-        assert out is plan and n == 0
-
-    def test_two_mask_stages_refused(self):
-        """Pushed scan predicates + a standalone Filter: refuse."""
-        plan = P.HashAggregate(
-            P.Filter(
-                P.SeqScan("t", (Predicate("t", "k", "<", 5),)),
-                (Predicate("t", "v", ">", 1.0),),
-            ),
-            [], [Aggregate("count")],
-        )
         out, n = fuse_plan(plan)
         assert out is plan and n == 0
 
@@ -340,35 +302,27 @@ class TestFusePlan:
 # ----------------------------------------------------------------------
 class TestFusedExecution:
     def test_fused_matches_unfused_rows_and_work(self):
-        fused_db = _populated(fusion_enabled=True)
-        plain_db = _populated(fusion_enabled=False)
+        """The engine always fuses, the reference never does."""
+        db = _populated()
+        reference = ReferenceExecutor(db.catalog, db.cost_model)
         for sql in (
             FUSIBLE_SQL,
             "SELECT MIN(v), MAX(v), AVG(v) FROM t WHERE tag = 'g1'",
             "SELECT DISTINCT tag FROM t WHERE k != 3",
             "SELECT id, v FROM t WHERE v > 5.0 LIMIT 7",
         ):
-            a = fused_db.execute(sql)
-            b = plain_db.execute(sql)
-            assert a.rows == b.rows, sql
-            assert a.work == b.work, sql
-            assert a.operator_work == b.operator_work, sql
-            assert a.telemetry.fused_ops > 0, sql
-            assert b.telemetry.fused_ops == 0, sql
+            fused = db.execute(sql)
+            assert fused.telemetry.fused_ops > 0, sql
+            unfused = reference.execute(db.pipeline.prepare_sql(sql).plan)
+            assert_matches_reference(fused, unfused, sql)
 
     def test_telemetry_summary_has_fused_ops(self):
-        db = _populated(fusion_enabled=True)
+        db = _populated()
         res = db.execute(FUSIBLE_SQL)
         assert res.telemetry.summary()["fused_ops"] == res.telemetry.fused_ops
 
-    def test_repro_fusion_env_gates_default_database(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSION", "0")
-        db = _populated()
-        assert db.executor.fusion_enabled is False
-        assert db.execute(FUSIBLE_SQL).telemetry.fused_ops == 0
-
     def test_explain_result_structure(self):
-        db = _populated(fusion_enabled=True)
+        db = _populated()
         res = db.explain(FUSIBLE_SQL)
         # Back-compat: behaves like the classic plan text.
         assert str(res) == res.text
@@ -382,15 +336,11 @@ class TestFusedExecution:
         assert res.cache_hit is False
         assert db.explain(FUSIBLE_SQL).cache_hit is True
 
-    def test_explain_fused_ops_zero_when_disabled(self):
-        db = _populated(fusion_enabled=False)
-        assert db.explain(FUSIBLE_SQL).fused_ops == 0
-
     def test_plan_cache_stays_unfused(self):
         """Fusion must not leak into cached plans: a warm run through the
         cache still reports fused_ops (i.e. fusion re-applies per
         execution, not per plan)."""
-        db = _populated(fusion_enabled=True)
+        db = _populated()
         cold = db.execute(FUSIBLE_SQL)
         warm = db.execute(FUSIBLE_SQL)
         assert warm.pipeline_telemetry.cache_hit is True

@@ -2,36 +2,24 @@
 
 Extends the differential pattern of ``test_engine_executor_vectorized.py``:
 cached-plan re-execution must return identical rows in identical order and
-charge bit-identical work in **both** executor modes, and a cache entry
+charge bit-identical work — on the engine and on a twin database whose
+plans run on the reference executor — and a cache entry
 must be invalidated by every catalog mutation (INSERT / CREATE INDEX /
 ANALYZE / DDL) — no test may ever observe a stale plan.
 """
 
 import pytest
 
+from reference_executor import approx_equal_rows, reference_database
 from repro.common import PlanError
-
-
-def _approx_rows(actual, expected):
-    """Row equality tolerating float summation-order drift across modes."""
-    assert len(actual) == len(expected)
-    for got, want in zip(actual, expected):
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            if isinstance(w, float):
-                assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
-            else:
-                assert g == w
-
 from repro.engine import Database, datagen
-from repro.engine.executor import EXECUTOR_MODES
 from repro.engine.pipeline import PIPELINE_STAGES, PlanCache
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
 
 
 @pytest.fixture
 def db():
-    """A small two-table database built through SQL (vectorized mode)."""
+    """A small two-table database built through SQL."""
     db = Database()
     db.execute("CREATE TABLE users (id INT, name TEXT, age INT, spend FLOAT)")
     db.execute(
@@ -229,10 +217,15 @@ class TestPlanCache:
 # ----------------------------------------------------------------------
 # Tentpole: cached-plan differential behaviour
 # ----------------------------------------------------------------------
+#: The engine, and the same pipeline over the reference executor — under
+#: the ids these tests have always used for the two.
+MAKE_DB = {"vectorized": Database, "row": reference_database}
+
+
 def _mode_dbs(build):
     dbs = {}
-    for mode in EXECUTOR_MODES:
-        d = Database(executor_mode=mode)
+    for mode, make in MAKE_DB.items():
+        d = make()
         build(d)
         dbs[mode] = d
     return dbs
@@ -253,9 +246,9 @@ class TestCachedPlanParity:
         d.catalog.table("l").insert_rows(rng_rows)
         d.execute("ANALYZE")
 
-    @pytest.mark.parametrize("mode", EXECUTOR_MODES)
+    @pytest.mark.parametrize("mode", MAKE_DB)
     def test_warm_equals_cold_single_mode(self, mode):
-        d = Database(executor_mode=mode)
+        d = MAKE_DB[mode]()
         self._build(d)
         cold = d.execute(self.SQL)
         assert cold.pipeline_telemetry.cache_hit is False
@@ -274,11 +267,11 @@ class TestCachedPlanParity:
             results[mode] = d.execute(self.SQL)  # cached re-execution
             assert results[mode].pipeline_telemetry.cache_hit is True
         row_res = results["row"]
-        for mode in EXECUTOR_MODES:
+        for mode in MAKE_DB:
             if mode == "row":
                 continue
             res = results[mode]
-            _approx_rows(res.rows, row_res.rows)
+            assert approx_equal_rows(res.rows, row_res.rows), mode
             assert res.work == row_res.work, mode
             assert res.operator_work == row_res.operator_work, mode
 
@@ -294,7 +287,7 @@ class TestCachedPlanParity:
             d.run_query_object(q)
         warm = {m: d.run_query_object(q) for m, d in dbs.items()}
         assert all(r.pipeline_telemetry.cache_hit for r in warm.values())
-        for mode in EXECUTOR_MODES:
+        for mode in MAKE_DB:
             assert warm[mode].rows == warm["row"].rows, mode
             assert warm[mode].work == warm["row"].work, mode
 
@@ -333,9 +326,9 @@ class TestInvalidation:
         db.query(sql)
         assert db.pipeline.plan_cache.hits > hits_before
 
-    @pytest.mark.parametrize("mode", EXECUTOR_MODES)
+    @pytest.mark.parametrize("mode", MAKE_DB)
     def test_insert_freshness_both_modes(self, mode):
-        d = Database(executor_mode=mode)
+        d = MAKE_DB[mode]()
         d.execute("CREATE TABLE t (a INT)")
         d.execute("INSERT INTO t VALUES (1), (2), (3)")
         q = ConjunctiveQuery(tables=["t"],
@@ -464,7 +457,7 @@ class TestPipelineTelemetry:
         assert tel.cache_hit is False
         assert tel.execution is res.telemetry  # per-operator counters
         summary = tel.summary()
-        assert summary["execution"]["mode"] == "vectorized"
+        assert summary["execution"]["total_work"] == res.work
         assert summary["cache_hit"] is False
 
     def test_warm_run_skips_parse_and_lower(self, db):

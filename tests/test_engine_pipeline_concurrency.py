@@ -12,9 +12,8 @@ data never changes but every cached plan goes stale), asserting:
 * the cache's counters stay consistent with the operations performed
   (``hits + misses == lookups``), which the pre-lock implementation could
   violate via its lookup-then-delete race;
-* concurrent execution works in every executor mode: all query threads
-  share the database's one ``Executor``, whose per-run state is
-  thread-local.
+* concurrent execution works: all query threads share the database's
+  one ``Executor``, whose per-run state is thread-local.
 
 Synchronization discipline (PR 8): all threads release from one
 ``threading.Barrier`` so the race window opens simultaneously, and query
@@ -29,7 +28,6 @@ import threading
 import pytest
 
 from repro.engine import Database
-from repro.engine.executor import EXECUTOR_MODES
 from repro.engine.pipeline import PlanCache
 
 N_THREADS = 4
@@ -42,8 +40,8 @@ HEAVY_THREADS = 8
 HEAVY_ROUNDS = 100
 
 
-def _build_db(mode):
-    db = Database(executor_mode=mode)
+def _build_db():
+    db = Database()
     db.execute("CREATE TABLE a (id INT, k INT, v FLOAT)")
     db.catalog.table("a").insert_rows(
         [(i, i % 7, float(i % 11)) for i in range(400)]
@@ -124,9 +122,8 @@ def _race_queries_against_mutator(db, n_threads, rounds):
 
 
 class TestConcurrentExecution:
-    @pytest.mark.parametrize("mode", EXECUTOR_MODES)
-    def test_queries_with_concurrent_epoch_bumps(self, mode):
-        db = _build_db(mode)
+    def test_queries_with_concurrent_epoch_bumps(self):
+        db = _build_db()
         _race_queries_against_mutator(db, N_THREADS, ROUNDS_PER_THREAD)
         stats = db.pipeline.plan_cache.stats()
         # The mutator provably raced the queries (the event-ordered
@@ -135,9 +132,8 @@ class TestConcurrentExecution:
         assert stats["hits"] + stats["misses"] > 0
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("mode", EXECUTOR_MODES)
-    def test_heavy_epoch_bump_race(self, mode):
-        db = _build_db(mode)
+    def test_heavy_epoch_bump_race(self):
+        db = _build_db()
         total = _race_queries_against_mutator(
             db, HEAVY_THREADS, HEAVY_ROUNDS
         )
@@ -147,7 +143,7 @@ class TestConcurrentExecution:
     def test_no_stale_result_after_mutation_barrier(self):
         """Sequential check the stress test can't do: after the mutation
         thread is quiesced, a fresh query must see the new data."""
-        db = _build_db("vectorized")
+        db = _build_db()
         assert db.query("SELECT COUNT(*) FROM a")[0][0] == 400
 
         done = threading.Event()
@@ -176,9 +172,8 @@ class TestPerTableIsolation:
         db.pipeline.plan_cache.reset_counters()
         return _race_queries_against_mutator(db, n_threads, rounds)
 
-    @pytest.mark.parametrize("mode", EXECUTOR_MODES)
-    def test_writer_on_b_never_evicts_plans_for_a(self, mode):
-        db = _build_db(mode)
+    def test_writer_on_b_never_evicts_plans_for_a(self):
+        db = _build_db()
         total = self._race_warm(db, N_THREADS, ROUNDS_PER_THREAD)
         stats = db.pipeline.plan_cache.stats()
         # Every raced query ran against a warm plan: the writer on b bumps
@@ -188,9 +183,8 @@ class TestPerTableIsolation:
         assert stats["hits"] == total, stats
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("mode", EXECUTOR_MODES)
-    def test_heavy_writer_isolation(self, mode):
-        db = _build_db(mode)
+    def test_heavy_writer_isolation(self):
+        db = _build_db()
         total = self._race_warm(db, HEAVY_THREADS, HEAVY_ROUNDS)
         stats = db.pipeline.plan_cache.stats()
         assert stats["invalidations"] == 0, stats
@@ -292,7 +286,7 @@ class TestReadersTakeTheLocks:
          lambda db: "k" in db.pipeline.plan_cache),
     ], ids=["stats", "reset_stats", "len", "contains"])
     def test_reader_waits_for_the_writer_lock(self, lock_of, reader):
-        db = _build_db("vectorized")
+        db = _build_db()
         done = threading.Event()
 
         def read():

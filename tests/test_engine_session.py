@@ -13,8 +13,7 @@ The safety contract under test, per acceptance criteria:
   and is queryable as a table;
 * ``dry_run`` plans whole scripts (AISQL included) without executing;
 * ``AgentSession.rollback()`` restores bit-identical state — rows,
-  version vectors, COUNT(*) — in **all four** executor mode × fusion
-  configurations, embedded and served.
+  version vectors, COUNT(*) — embedded and served.
 """
 
 import pytest
@@ -33,7 +32,6 @@ from repro.engine import (
     SessionResult,
     split_script,
 )
-from repro.engine.executor import EXECUTOR_MODES
 from repro.engine.session.context import classify, sniff_kind
 from repro.engine.sql.ast_nodes import InsertStmt
 
@@ -43,8 +41,8 @@ SEED_ROWS = [
 ]
 
 
-def make_db(**kwargs):
-    db = Database(**kwargs)
+def make_db():
+    db = Database()
     db.execute("CREATE TABLE users (id INT, name TEXT, age INT)")
     db.execute(
         "INSERT INTO users VALUES "
@@ -313,10 +311,8 @@ class TestPolicy:
             session.execute("ANALYZE users")
 
     def test_row_limit_on_read_enforced_after_execution(self):
-        """Row ceilings bind on the realized result — including through
-        the fused pipeline (fusion on is the default config)."""
+        """Row ceilings bind on the realized result."""
         db = make_db()
-        assert db.executor.fusion_enabled
         audit = AuditLog()
         session = db.session(policy=Policy(max_rows=3), audit=audit)
         with pytest.raises(PolicyError, match="row-limit"):
@@ -406,7 +402,7 @@ class TestAudit:
         assert read.est_cost is not None and read.est_cost > 0
         assert read.actual_work is not None and read.actual_work > 0
         assert read.versions["users"] > 0
-        assert read.telemetry["mode"] in EXECUTOR_MODES
+        assert read.telemetry["total_work"] == read.actual_work
         assert write.kind == "INSERT" and write.n_rows == 1
 
     def test_audit_survives_execution_failure(self):
@@ -421,6 +417,68 @@ class TestAudit:
         assert all(r.status == "error" for r in audit)
         assert audit.records()[0].error  # message captured
         assert audit.failed() == audit.records()
+
+    # A statement that dies with something other than an EngineError —
+    # an operator's raw TypeError on a NULL comparison, say — used to
+    # leave no record at all. Injected at the executor so the regression
+    # does not depend on any particular engine bug staying unfixed.
+    @staticmethod
+    def _raw_type_error(*args, **kwargs):
+        raise TypeError("injected: '<' not supported")
+
+    def test_non_engine_error_is_audited_and_reraised_unchanged(
+            self, monkeypatch):
+        db = make_db()
+        audit = AuditLog()
+        session = db.session(audit=audit)
+        monkeypatch.setattr(db.executor, "execute", self._raw_type_error)
+        with pytest.raises(TypeError, match="injected") as caught:
+            session.execute("SELECT name FROM users WHERE age > 30")
+        # Same exception, same traceback: it still ends where it began.
+        assert caught.traceback[-1].name == "_raw_type_error"
+        rec, = audit.records()
+        assert (rec.kind, rec.decision, rec.status) == (
+            "SELECT", "allow", "error")
+        assert rec.error == "TypeError: injected: '<' not supported"
+        # ... with what was known by then: planned, never measured.
+        assert rec.est_cost > 0 and rec.actual_work is None
+
+    def test_non_engine_error_in_an_agent_transaction(self, monkeypatch):
+        db = make_db()
+        before = table_state(db, "users")
+        agent = db.agent_session()
+        with monkeypatch.context() as patch:
+            with pytest.raises(TypeError, match="injected"):
+                with agent:
+                    agent.execute("INSERT INTO users VALUES (6, 'fred', 60)")
+                    patch.setattr(
+                        db.executor, "execute", self._raw_type_error)
+                    agent.execute("SELECT COUNT(*) FROM users")
+        assert table_state(db, "users") == before  # rolled back
+        assert [(r.kind, r.status) for r in agent.audit] == [
+            ("BEGIN", "ok"), ("INSERT", "ok"), ("SELECT", "error"),
+            ("ROLLBACK", "ok")]
+
+    def test_non_engine_error_in_a_server_session(self, monkeypatch):
+        server = QueryServer(
+            make_db(), tenant_quota=1e6, quota_refill_rate=0.0)
+        audit = AuditLog()
+        with server.session(tenant="a") as sess:
+            context = sess.session_context(audit=audit)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    server.db.executor, "execute", self._raw_type_error)
+                with pytest.raises(TypeError, match="injected"):
+                    context.execute("SELECT COUNT(*) FROM users")
+        rec, = audit.records()
+        assert rec.status == "error" and rec.error.startswith("TypeError")
+        # The admission ticket was cancelled, not leaked ...
+        assert server.admission.balance("a") == pytest.approx(1e6)
+        counters = server.admission.stats()["a"]
+        assert counters["charged"] == pytest.approx(counters["refunded"])
+        # ... and the server still serves the next tenant.
+        assert server.execute(
+            "SELECT COUNT(*) FROM users", tenant="b").rows == [(5,)]
 
     def test_audit_queryable_as_table(self):
         db = make_db()
@@ -487,15 +545,11 @@ class TestDryRun:
 # ----------------------------------------------------------------------
 # AgentSession transactions: the rollback acceptance criterion
 # ----------------------------------------------------------------------
-MODE_FUSION = [(m, f) for m in EXECUTOR_MODES for f in (True, False)]
-
-
 class TestAgentRollback:
-    @pytest.mark.parametrize("mode,fusion", MODE_FUSION)
-    def test_misbehaving_script_fully_undone(self, mode, fusion):
+    def test_misbehaving_script_fully_undone(self):
         """Post-rollback tables, version vectors, and COUNT(*) are
-        bit-identical in all four mode × fusion configs."""
-        db = make_db(executor_mode=mode, fusion_enabled=fusion)
+        bit-identical."""
+        db = make_db()
         before = table_state(db, "users")
         agent = db.agent_session(policy=Policy(deny_tables=("secrets",)))
         with pytest.raises(CatalogError):

@@ -23,7 +23,6 @@ from repro.engine import (
     TableSnapshot,
 )
 from repro.engine.catalog import Catalog, ViewDef
-from repro.engine.executor import EXECUTOR_MODES
 from repro.engine.query import (
     Aggregate,
     ConjunctiveQuery,
@@ -406,13 +405,12 @@ def test_restore_puts_back_exactly_what_snapshot_captured(seed):
 # ----------------------------------------------------------------------
 # Indexes and materialized views follow the rows they were built from
 # ----------------------------------------------------------------------
-MODE_FUSION = [(m, f) for m in EXECUTOR_MODES for f in (True, False)]
 POINT = "SELECT a.x FROM a WHERE a.id = 7777"
 JOIN = "SELECT COUNT(*) FROM a, b WHERE a.id = b.id"
 
 
-def _indexed_db(mode, fusion):
-    db = Database(executor_mode=mode, fusion_enabled=fusion)
+def _indexed_db():
+    db = Database()
     db.execute("CREATE TABLE a (id INT, x INT)")
     db.catalog.table("a").insert_rows([(i, i % 7) for i in range(2000)])
     db.execute("CREATE TABLE b (id INT, y INT)")
@@ -434,10 +432,9 @@ def _materialize_join(db):
     return view
 
 
-@pytest.mark.parametrize("mode,fusion", MODE_FUSION)
 class TestDerivedStructuresTrackWrites:
-    def test_index_sees_inserted_row_on_every_surface(self, mode, fusion):
-        db = _indexed_db(mode, fusion)
+    def test_index_sees_inserted_row_on_every_surface(self):
+        db = _indexed_db()
         server = QueryServer(db)
         before = db.snapshot()
         old_index = db.catalog.index_on("a", "id")
@@ -456,16 +453,16 @@ class TestDerivedStructuresTrackWrites:
         assert before.catalog.index_on("a", "id") is old_index
         assert len(old_index.structure.search(7777)) == 0
 
-    def test_replace_column_rebuilds_the_index(self, mode, fusion):
-        db = _indexed_db(mode, fusion)
+    def test_replace_column_rebuilds_the_index(self):
+        db = _indexed_db()
         db.catalog.table("a").replace_column(
             "id", [i + 10_000 for i in range(2000)])
         db.execute("ANALYZE a")
         assert db.query("SELECT a.x FROM a WHERE a.id = 10003") == [(3,)]
         assert db.query("SELECT a.x FROM a WHERE a.id = 3") == []
 
-    def test_view_is_dropped_by_a_write_to_a_base_table(self, mode, fusion):
-        db = _indexed_db(mode, fusion)
+    def test_view_is_dropped_by_a_write_to_a_base_table(self):
+        db = _indexed_db()
         server = QueryServer(db)
         _materialize_join(db)
         before = db.snapshot()
@@ -480,8 +477,8 @@ class TestDerivedStructuresTrackWrites:
             assert pinned.execute(JOIN).rows == [(50,)]
             assert len(before.catalog.views()) == 1
 
-    def test_view_is_dropped_with_its_base_table(self, mode, fusion):
-        db = _indexed_db(mode, fusion)
+    def test_view_is_dropped_with_its_base_table(self):
+        db = _indexed_db()
         _materialize_join(db)
         db.catalog.drop_table("a")
         assert db.catalog.views() == []
@@ -489,8 +486,8 @@ class TestDerivedStructuresTrackWrites:
         db.execute("INSERT INTO a VALUES (1, 1)")
         assert db.query(JOIN) == [(1,)]
 
-    def test_rollback_brings_index_and_view_back(self, mode, fusion):
-        db = _indexed_db(mode, fusion)
+    def test_rollback_brings_index_and_view_back(self):
+        db = _indexed_db()
         view = _materialize_join(db)
         index = db.catalog.index_on("a", "id")
         agent = db.agent_session()

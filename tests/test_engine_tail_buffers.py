@@ -15,13 +15,12 @@ import random
 import numpy as np
 import pytest
 
+from reference_executor import ReferenceExecutor
 from repro.common import CatalogError
 from repro.engine import Database, QueryServer, Table
-from repro.engine.executor import EXECUTOR_MODES
 from repro.engine.segments import ZoneMap
 from repro.engine.types import ColumnSchema, DataType, TableSchema
 
-MODE_FUSION = [(m, f) for m in EXECUTOR_MODES for f in (True, False)]
 SEGMENT_ROWS = 8
 OPS = ("=", "!=", "<", "<=", ">", ">=")
 LITERALS = (-1, 0, 3, 7, 40, 10**6, 0.5, 3.5, float("nan"), "", "c1", "zz",
@@ -165,25 +164,20 @@ READS = (
 )
 BATCHES = (5, 1, 12, 1, 40, 1)  # tail only, one seal, several seals
 #: Per read, as the list-tail engine (commit 25ea7f0) reported them:
-#: (rows, work, segments_total, segments_pruned, bytes_decoded fused,
-#: bytes_decoded unfused); row mode reads no segments (all three zero).
+#: (rows, work, segments_total, segments_pruned, bytes_decoded).
 PARENT_READINGS = (
-    (0, 5.0, 1, 1, 0, 0), (1, 9.0, 1, 0, 0, 200), (2, 7.0, 1, 0, 40, 200),
-    (0, 6.0, 1, 1, 0, 0), (1, 10.0, 1, 0, 0, 240), (2, 8.0, 1, 0, 48, 240),
-    (0, 18.0, 2, 2, 0, 0), (1, 28.0, 2, 0, 0, 424),
-    (6, 24.0, 2, 0, 144, 424),
-    (0, 19.0, 2, 2, 0, 0), (1, 29.0, 2, 0, 0, 464),
-    (6, 25.0, 2, 0, 152, 464),
-    (19, 78.0, 4, 2, 568, 784), (1, 87.0, 4, 0, 0, 1472),
-    (10, 69.0, 4, 2, 256, 688),
-    (20, 80.0, 4, 2, 600, 824), (1, 88.0, 4, 0, 0, 1512),
-    (10, 70.0, 4, 2, 256, 688),
+    (0, 5.0, 1, 1, 0), (1, 9.0, 1, 0, 0), (2, 7.0, 1, 0, 40),
+    (0, 6.0, 1, 1, 0), (1, 10.0, 1, 0, 0), (2, 8.0, 1, 0, 48),
+    (0, 18.0, 2, 2, 0), (1, 28.0, 2, 0, 0), (6, 24.0, 2, 0, 144),
+    (0, 19.0, 2, 2, 0), (1, 29.0, 2, 0, 0), (6, 25.0, 2, 0, 152),
+    (19, 78.0, 4, 2, 568), (1, 87.0, 4, 0, 0), (10, 69.0, 4, 2, 256),
+    (20, 80.0, 4, 2, 600), (1, 88.0, 4, 0, 0), (10, 70.0, 4, 2, 256),
 )
 
 
-@pytest.mark.parametrize("mode,fusion", MODE_FUSION)
-def test_reads_after_writes_count_what_the_list_tail_counted(mode, fusion):
-    db = Database(executor_mode=mode, fusion_enabled=fusion, segment_rows=16)
+def test_reads_after_writes_count_what_the_list_tail_counted():
+    db = Database(segment_rows=16)
+    reference = ReferenceExecutor(db.catalog, db.cost_model)
     db.execute("CREATE TABLE t (a INT, b FLOAT, c TEXT)")
     readings = []
     serial = 0
@@ -197,12 +191,10 @@ def test_reads_after_writes_count_what_the_list_tail_counted(mode, fusion):
             t = result.telemetry
             readings.append((len(result.rows), result.work, t.segments_total,
                              t.segments_pruned, t.bytes_decoded))
-    expected = [
-        (rows, work, 0, 0, 0) if mode == "row"
-        else (rows, work, total, pruned, fused if fusion else unfused)
-        for rows, work, total, pruned, fused, unfused in PARENT_READINGS
-    ]
-    assert readings == expected
+            # The reference reads the same tail through ``rows()``.
+            spec = reference.execute(db.pipeline.prepare_sql(sql).plan)
+            assert (spec.rows, spec.work) == (result.rows, result.work)
+    assert readings == list(PARENT_READINGS)
 
 
 # ----------------------------------------------------------------------

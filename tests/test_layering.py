@@ -7,6 +7,11 @@ AI-layer imports, or the differential fuzzer's oracle would depend on the
 models it is supposed to referee. Enforced two ways: a static AST scan of
 every engine module's import statements, and a runtime check that
 importing the engine pulls in no AI-layer module.
+
+The same file guards the executor's shape: one evaluation method per
+operator, no knob or keyword that selects a second evaluator, the
+reference executor stays under ``tests/``, and every plan-node type the
+operator layer registers is one the planner (or the fusion pass) emits.
 """
 
 import ast
@@ -18,7 +23,6 @@ import sys
 from pathlib import Path
 
 import repro.engine
-from repro.engine.operators import BACKENDS
 from repro.engine.operators.base import _REGISTRY
 
 ENGINE_ROOT = os.path.dirname(repro.engine.__file__)
@@ -96,18 +100,69 @@ def test_importing_operators_loads_no_ai_modules():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_operators_have_one_backend_per_executor_mode():
-    """Every operator evaluates through ``row`` or ``vectorized`` and
-    nothing else — no third backend hides behind the registry."""
-    assert BACKENDS == ("row", "vectorized")
-    assert set(BACKENDS) == set(repro.engine.EXECUTOR_MODES)
+def test_operators_have_one_evaluation_method():
+    """Every operator evaluates through ``evaluate`` and nothing else —
+    no second backend hides behind the registry or in the sources."""
     assert _REGISTRY
     for op in set(_REGISTRY.values()):
         public = {
             name for name, __ in inspect.getmembers(op, inspect.ismethod)
             if not name.startswith("_")
         }
-        assert public == set(BACKENDS), (type(op).__name__, public)
+        assert public == {"evaluate"}, (type(op).__name__, public)
+    ops_root = os.path.join(ENGINE_ROOT, "operators") + os.sep
+    for path in _engine_modules():
+        if path.startswith(ops_root):
+            assert "def row(" not in Path(path).read_text(encoding="utf-8")
+
+
+def test_nothing_selects_a_second_evaluator():
+    """One executor cell: no config field, constructor keyword or
+    environment variable names an executor mode or a fusion switch."""
+    import dataclasses
+
+    fields = {f.name for f in dataclasses.fields(repro.engine.EngineConfig)}
+    assert not fields & {"executor_mode", "fusion_enabled"}
+    params = set(inspect.signature(repro.engine.Executor.__init__).parameters)
+    assert params == {"self", "catalog", "cost_model", "pruning_enabled"}
+    hits = [
+        path for path in _engine_modules()
+        if re.search("REPRO_EXECUTOR_MODE|REPRO_FUSION|EXECUTOR_MODES",
+                     Path(path).read_text(encoding="utf-8"))
+    ]
+    assert not hits, hits
+
+
+def test_src_never_imports_from_tests():
+    """The reference executor is the test suite's, not a shipped mode:
+    nothing under ``src/`` may import it (or anything else in tests/)."""
+    tests_root = Path(__file__).resolve().parent
+    test_modules = {p.stem for p in tests_root.glob("*.py")} | {"tests"}
+    src_root = Path(ENGINE_ROOT).parents[1]
+    violations = [
+        "%s:%d imports %s" % (path, lineno, module)
+        for path in map(str, src_root.rglob("*.py"))
+        for module, lineno in _imported_modules(path)
+        if module.split(".")[0] in test_modules
+    ]
+    assert not violations, "\n".join(violations)
+
+
+def test_every_registered_plan_node_is_one_the_engine_emits():
+    """A plan-node type with an operator but no producer is dead weight
+    the fuzzer never reaches (the standalone ``Filter`` was one): each
+    registered type must be constructed in the optimizer or the fusion
+    pass."""
+    producers = [p for p in _engine_modules()
+                 if os.sep + "optimizer" + os.sep in p
+                 or p.endswith(os.sep + "fusion.py")]
+    source = "\n".join(
+        Path(p).read_text(encoding="utf-8") for p in producers)
+    never_built = [
+        node_type.__name__ for node_type in _REGISTRY
+        if not re.search(r"\bP\.%s\(" % node_type.__name__, source)
+    ]
+    assert not never_built, never_built
 
 
 def test_operator_layer_starts_no_threads():

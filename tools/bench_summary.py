@@ -2,7 +2,8 @@
 """One-table summary of every committed BENCH_P*.json artifact.
 
 ``make bench-summary`` (or ``python tools/bench_summary.py``) reads the
-``BENCH_P1.json`` … ``BENCH_P9.json`` files (there is no P3 or P7) the
+``BENCH_P2.json`` … ``BENCH_P9.json`` files (P1, P3, P4 and P7 are
+retired — their last readings are rows in EXPERIMENTS.md) the
 benchmarks regenerate
 (``make bench-json``) and prints each bench's headline numbers in a
 single fixed-width table — the quick "did a refactor move anything"
@@ -29,34 +30,12 @@ def _num(value, fmt="%.2f"):
     return fmt % value
 
 
-def _p1(result):
-    modes = result.get("modes", {})
-    row = modes.get("row", {}).get("seconds")
-    vec = modes.get("vectorized", {}).get("seconds")
-    parts = ["vectorized %sx vs row" % _num(result.get("speedup"), "%.1f")]
-    if row is not None and vec is not None:
-        parts.append("%.1fms vs %.0fms" % (vec * 1e3, row * 1e3))
-    return parts
-
-
 def _p2(result):
     warm = result.get("warm", {})
     return [
         "warm planning %sx" % _num(result.get("planning_speedup"), "%.1f"),
         "hit rate %s" % _num(warm.get("hit_rate"), "%.2f"),
     ]
-
-
-def _p4(result):
-    speedups = result.get("speedups", {})
-    parts = ["fused %s %sx" % (mode, _num(ratio, "%.2f"))
-             for mode, ratio in sorted(speedups.items())]
-    alloc = result.get("peak_alloc_ratio")
-    if isinstance(alloc, dict):
-        alloc = max(alloc.values()) if alloc else None
-    if alloc is not None:
-        parts.append("alloc %sx lower" % _num(alloc, "%.1f"))
-    return parts
 
 
 def _p5(result):
@@ -114,9 +93,7 @@ def _p9(result):
 
 #: file stem -> (label, headline extractor over one results[] entry).
 BENCHES = (
-    ("BENCH_P1", "P1 executor", _p1),
     ("BENCH_P2", "P2 plan cache", _p2),
-    ("BENCH_P4", "P4 fusion", _p4),
     ("BENCH_P5", "P5 feedback", _p5),
     ("BENCH_P6", "P6 storage", _p6),
     ("BENCH_P8", "P8 server", _p8),
