@@ -30,7 +30,6 @@ import json
 import os
 import statistics
 
-from repro.engine import datagen
 from repro.engine import plans as P
 from repro.engine.catalog import Catalog
 from repro.engine.database import Database
@@ -38,6 +37,7 @@ from repro.engine.executor import count_join_rows
 from repro.engine.optimizer.feedback import QueryFeedbackStore
 from repro.engine.query import ConjunctiveQuery, JoinEdge, Predicate
 from repro.engine.telemetry import q_error
+from repro.sim import datagen
 
 FAST = os.environ.get("REPRO_BENCH_FAST", "0") == "1"
 

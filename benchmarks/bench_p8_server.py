@@ -11,7 +11,7 @@ Three scenarios over :class:`repro.engine.QueryServer`:
   alone, then again while over-quota tenant A hammers admission with
   expensive queries it can no longer pay for. Fair-share + per-tenant
   buckets must keep B's p95 within 10% of its alone run (slow gate).
-* **Closed-loop traffic** — :func:`repro.engine.server.run_traffic`
+* **Closed-loop traffic** — :func:`repro.sim.run_traffic`
   drives Zipf-skewed tenants through a read/write mix and reports
   throughput, per-tenant percentiles, admission decisions, and commits.
 
@@ -31,8 +31,9 @@ import time
 import pytest
 
 from repro.engine import Database, QueryServer
-from repro.engine.server import AdmissionError, run_traffic
+from repro.engine.server import AdmissionError
 from repro.engine.telemetry import percentile
+from repro.sim import run_traffic
 
 FAST = os.environ.get("REPRO_BENCH_FAST", "0") == "1"
 

@@ -12,24 +12,9 @@ Full-size runs are marked ``slow`` (deselect with ``-m 'not slow'``).
 
 import os
 
-import pytest
-
 from repro.harness import run_experiment
 
 FAST = os.environ.get("REPRO_BENCH_FAST", "0") == "1"
-
-
-@pytest.fixture(scope="session")
-def harness_smoke():
-    """Runs ``python -m repro.harness E8 --fast`` once per session.
-
-    A cheap end-to-end smoke of the staged pipeline (parse → … → execute,
-    plan cache included) through the real harness CLI path; returns the
-    exit code so benchmark tests can assert on it.
-    """
-    from repro.harness.__main__ import main as harness_main
-
-    return harness_main(["E8", "--fast"])
 
 
 def run_experiment_benchmark(benchmark, exp_id, fast=None):

@@ -22,12 +22,13 @@ from repro.ai4db.optimization.cardinality import (
 )
 from repro.ai4db.optimization.end_to_end import NeoLiteOptimizer
 from repro.ai4db.optimization.join_order import MCTSJoinOrderer
-from repro.engine import Database, datagen
+from repro.engine import Database
 from repro.engine.catalog import Catalog
 from repro.engine.optimizer.cardinality import TraditionalEstimator
 from repro.engine.optimizer.cost import CostModel
 from repro.engine.optimizer.join_enum import dp_left_deep, greedy_order
 from repro.ml import q_error_summary
+from repro.sim import datagen
 
 
 def main():

@@ -28,7 +28,7 @@ from repro.ai4db.design.learned_kv import (
 )
 from repro.ai4db.design.txn_mgmt import ConflictClassifier, evaluate_schedulers
 from repro.engine.indexes import BPlusTree
-from repro.engine.txn import hotspot_workload
+from repro.sim.txn import hotspot_workload
 
 
 def main():

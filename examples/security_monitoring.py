@@ -39,8 +39,8 @@ from repro.ai4db.security.sql_injection import (
     SignatureRuleDetector,
     evaluate_detector,
 )
-from repro.engine.telemetry import ACTIVITY_TYPES, kpi_episodes
 from repro.ml import accuracy
+from repro.sim.traces import ACTIVITY_TYPES, kpi_episodes
 
 
 def main():

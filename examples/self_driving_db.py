@@ -24,9 +24,10 @@ from repro.ai4db.config.sql_rewriter import FixedOrderRewriter
 from repro.ai4db.config.view_advisor import GreedyViewAdvisor
 from repro.ai4db.monitoring.forecast import AutoregressiveForecaster
 from repro.ai4db.monitoring.root_cause import ClusterDiagnoser
-from repro.engine import Database, datagen
-from repro.engine.knobs import KnobResponseSimulator, standard_workloads
-from repro.engine.telemetry import arrival_trace, kpi_episodes
+from repro.engine import Database
+from repro.sim import datagen
+from repro.sim.knobs import KnobResponseSimulator, standard_workloads
+from repro.sim.traces import arrival_trace, kpi_episodes
 
 
 def main():

@@ -10,8 +10,12 @@ Subpackages
     bandits, graph networks) — no external ML frameworks.
 ``repro.engine``
     In-memory relational database substrate: SQL parser, catalog with
-    statistics, cost-based optimizer, executor, indexes, knob simulator,
-    transaction simulator, telemetry generator.
+    statistics, cost-based optimizer, executor, indexes, sessions, the
+    query server.
+``repro.sim``
+    Simulators standing in for production substrates: data/workload
+    generators, knob simulator, transaction simulator, trace generators,
+    traffic driver. Imports the engine; never imported by it.
 ``repro.ai4db``
     AI-for-DB components: learned configuration (knobs/indexes/views/
     rewriting/partitioning), learned optimization (cardinality, cost, join

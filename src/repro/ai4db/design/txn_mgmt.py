@@ -18,12 +18,12 @@ Pipeline:
 import numpy as np
 
 from repro.common import NotFittedError, ensure_rng
-from repro.engine.txn import (
+from repro.ml import LogisticRegression, StandardScaler
+from repro.sim.txn import (
     LockTableSimulator,
     cost_ordered_schedule,
     fifo_schedule,
 )
-from repro.ml import LogisticRegression, StandardScaler
 
 
 class TransactionFeaturizer:

@@ -13,8 +13,8 @@ bandit policies treat activity types as arms and realized risk as reward.
 import numpy as np
 
 from repro.common import ensure_rng
-from repro.engine.telemetry import ACTIVITY_TYPES
 from repro.ml import ThompsonBetaBandit, UCB1Bandit
+from repro.sim.traces import ACTIVITY_TYPES
 
 
 class AuditPolicy:

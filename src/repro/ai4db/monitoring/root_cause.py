@@ -11,8 +11,8 @@ accuracy with a handful of labels where the rule baseline is fixed.
 import numpy as np
 
 from repro.common import NotFittedError, ensure_rng
-from repro.engine.telemetry import KPI_NAMES, ROOT_CAUSES
 from repro.ml import KMeans
+from repro.sim.traces import KPI_NAMES, ROOT_CAUSES
 
 
 class RuleBasedDiagnoser:

@@ -21,11 +21,11 @@ import numpy as np
 
 from repro.common import ReproError, ensure_rng
 from repro.engine.database import Database
-from repro.engine.datagen import zipf_integers
 from repro.engine.query import ConjunctiveQuery
 from repro.engine.storage import Table
 from repro.engine.types import ColumnSchema, DataType, TableSchema
 from repro.ml import LogisticRegression, MLPRegressor, StandardScaler
+from repro.sim.datagen import zipf_integers
 
 
 def make_patients_database(n_patients=20000, seed=0):

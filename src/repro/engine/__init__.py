@@ -1,10 +1,12 @@
 """In-memory relational database substrate.
 
-Everything the AI4DB components act on lives here: a SQL front end, a
-catalog with statistics, a pluggable cost-based optimizer, an executor with
-exact work accounting, index structures, and the simulators (knobs,
-transactions, telemetry) that stand in for production substrates per the
-substitution table in DESIGN.md.
+The database kernel the AI4DB components act on: a SQL front end, a
+catalog with statistics, a pluggable cost-based optimizer, an executor
+with exact work accounting, index structures, sessions and the serving
+layer. The simulators that stand in for production substrates (knob
+response, lock table, traces, data generators, the traffic driver — the
+substitution table in DESIGN.md) live beside it in :mod:`repro.sim`,
+which imports this package and is never imported by it.
 """
 
 from repro.engine.errors import (
@@ -92,26 +94,10 @@ from repro.engine.server import (
     QueryServer,
     Session,
     TokenBucket,
-    run_traffic,
 )
 from repro.engine.config import ADMISSION_POLICIES
 from repro.engine.telemetry import ServingRollup
-from repro.engine.knobs import (
-    KnobSpec,
-    KnobResponseSimulator,
-    WorkloadProfile,
-    default_knobs,
-    standard_workloads,
-)
-from repro.engine.txn import (
-    Transaction,
-    LockTableSimulator,
-    ScheduleResult,
-    hotspot_workload,
-    fifo_schedule,
-    cost_ordered_schedule,
-)
-from repro.engine import datagen, telemetry
+from repro.engine import telemetry
 
 __all__ = [
     "AgentSession",
@@ -192,18 +178,5 @@ __all__ = [
     "ServingRollup",
     "Session",
     "TokenBucket",
-    "run_traffic",
-    "KnobSpec",
-    "KnobResponseSimulator",
-    "WorkloadProfile",
-    "default_knobs",
-    "standard_workloads",
-    "Transaction",
-    "LockTableSimulator",
-    "ScheduleResult",
-    "hotspot_workload",
-    "fifo_schedule",
-    "cost_ordered_schedule",
-    "datagen",
     "telemetry",
 ]

@@ -2,10 +2,9 @@
 
 :class:`EngineConfig` is the single owner of every engine knob: a frozen
 dataclass whose instances fully determine how a
-:class:`~repro.engine.database.Database` is wired (plan-cache
-capacity, enumerator, view matching, cost constants, storage, admission,
-plan selection). A knob that can be set from the environment says so on
-its field — the ``REPRO_*`` name, the parser and the floor are
+:class:`~repro.engine.database.Database` is wired (cost constants,
+feedback, storage, admission, plan selection). A knob that can be set
+from the environment says so on its field — the ``REPRO_*`` name, the parser and the floor are
 :func:`dataclasses.field` metadata — and :meth:`EngineConfig.from_env`
 is the one function in the engine that reads the environment, by walking
 those fields. The README's "Engine knobs" table lists every variable
@@ -19,12 +18,6 @@ import os
 from dataclasses import dataclass, field, fields, replace
 
 from repro.common import ExecutionError, ReproError
-
-#: Supported join enumerators.
-ENUMERATORS = ("dp", "greedy", "random")
-
-#: Default LRU capacity of the pipeline's plan (and lowered-query) cache.
-DEFAULT_PLAN_CACHE_SIZE = 256
 
 #: Default capacity of one sealed column segment, in rows.
 DEFAULT_SEGMENT_ROWS = 65536
@@ -106,9 +99,6 @@ class EngineConfig:
     Instances are frozen — derive variants with :meth:`with_changes`.
 
     Attributes:
-        plan_cache_size: LRU capacity of the pipeline's plan cache.
-        enumerator: join enumerator (``"dp"``/``"greedy"``/``"random"``).
-        use_views: whether the planner may answer from materialized views.
         cost_params: overrides for cost-model constants (or ``None``).
         feedback_enabled: whether the database closes the cardinality
             feedback loop — ingesting per-node actual cardinalities into
@@ -151,9 +141,6 @@ class EngineConfig:
             runs are reproducible from their logged seed.
     """
 
-    plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
-    enumerator: str = "dp"
-    use_views: bool = True
     cost_params: dict = field(default=None)
     # Off by default because feedback deliberately changes planning over
     # time: observed actuals override estimates and drift bumps the plan
@@ -209,13 +196,6 @@ class EngineConfig:
             raise ExecutionError("quota_refill_rate must be >= 0")
         if int(self.admission_queue_depth) < 1:
             raise ExecutionError("admission_queue_depth must be >= 1")
-        if self.enumerator not in ENUMERATORS:
-            raise ReproError(
-                "enumerator must be one of %r, got %r"
-                % (ENUMERATORS, self.enumerator)
-            )
-        if int(self.plan_cache_size) < 1:
-            raise ReproError("plan_cache_size must be >= 1")
         if int(self.segment_rows) < 1:
             raise ExecutionError("segment_rows must be >= 1")
         encodings = tuple(self.segment_encodings)
@@ -261,7 +241,3 @@ class EngineConfig:
     def with_changes(self, **changes):
         """A copy of this config with ``changes`` applied (frozen-safe)."""
         return replace(self, **changes)
-
-    def executor_kwargs(self):
-        """The keyword arguments this config implies for ``Executor``."""
-        return {"pruning_enabled": self.zone_map_pruning}

@@ -12,9 +12,9 @@ identical engines).
 
 The extension points the AI4DB and DB4AI layers use:
 
-* ``pipeline.statement_hooks`` — callables that get the raw SQL text
-  first; the AISQL declarative layer registers its ``CREATE MODEL``/
-  ``PREDICT`` handlers here.
+* ``pipeline.statement_hooks`` — callables that get the raw SQL text of
+  statements the native parser does not own; the AISQL declarative
+  layer registers its ``CREATE MODEL``/``PREDICT`` handlers here.
 * ``planner`` attributes — estimator/enumerator/cost model are swappable
   (call ``db.pipeline.invalidate()`` after swapping them in place, since
   the plan cache cannot observe such mutations).
@@ -81,12 +81,11 @@ class Database:
         self.planner = Planner(
             self.catalog,
             cost_model=self.cost_model,
-            enumerator=config.enumerator,
-            use_views=config.use_views,
             seed=config.seed,
         )
         self.executor = Executor(
-            self.catalog, self.cost_model, **config.executor_kwargs()
+            self.catalog, self.cost_model,
+            pruning_enabled=config.zone_map_pruning,
         )
         # One seeded generator per engine: `rng` is the public stream,
         # and the plan selector gets its own spawned child so user draws
@@ -111,9 +110,7 @@ class Database:
             self.feedback.drift_listeners.append(
                 self.plan_selector.note_drift
             )
-        self.pipeline = QueryPipeline(
-            self, plan_cache_size=config.plan_cache_size
-        )
+        self.pipeline = QueryPipeline(self)
         # The context Database.execute unwraps: no policy, no audit log.
         self._session = SessionContext(self)
 

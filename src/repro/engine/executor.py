@@ -97,7 +97,7 @@ class Executor:
 
     The default is :class:`~repro.engine.config.EngineConfig`'s; the
     executor never reads the environment — ``Database`` hands it
-    ``config.executor_kwargs()``.
+    ``config.zone_map_pruning``.
     """
 
     def __init__(self, catalog, cost_model=None, pruning_enabled=True):

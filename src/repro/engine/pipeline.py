@@ -363,7 +363,11 @@ class QueryPipeline:
     Extension points:
 
     * ``statement_hooks`` — callables ``(db, sql_text) -> result or None``
-      that intercept raw SQL before parsing (the AISQL layer lives here).
+      that :meth:`run_sql` offers raw SQL to before parsing (the AISQL
+      layer lives here). The session route sends it only text an
+      inspector claimed or the native parser rejected: a statement the
+      front end parsed runs from that parse (:meth:`prepare_sql` /
+      :meth:`run_statement`).
     * ``rewriter`` — a single ``callable(query) -> query`` applied in the
       rewrite stage (the classic ``Database.rewriter`` attribute).
     * :meth:`add_stage_hook` — per-stage transform hooks
@@ -449,9 +453,7 @@ class QueryPipeline:
             return self.execute_prepared(
                 self._prepare(sql_text, query, telemetry)
             )
-        result = self._run_statement(stmt, telemetry)
-        self._accumulate(telemetry)
-        return result
+        return self.run_statement(stmt, telemetry)
 
     def run_query(self, query, order=None, snapshot=None):
         """Run a structured :class:`ConjunctiveQuery` (rewrite → plan →
@@ -773,27 +775,36 @@ class QueryPipeline:
         if node_stats:
             ingest_execution(store, query, plan, node_stats)
 
-    def _run_statement(self, stmt, telemetry):
-        """DDL/DML/ANALYZE: executed directly against the catalog."""
+    def run_statement(self, stmt, telemetry):
+        """Execute a parsed DDL/DML/ANALYZE statement against the catalog.
+
+        The write-side continuation of a :meth:`front_end` pass, as
+        :meth:`prepare_sql` is the read side's: ``stmt`` and
+        ``telemetry`` are what that pass returned, so the statement is
+        parsed, hooked and timed once. Returns the status string.
+        """
         t0 = time.perf_counter()
         try:
             if isinstance(stmt, CreateTableStmt):
                 self.db.catalog.create_table(stmt.name, stmt.columns)
-                return "CREATE TABLE"
-            if isinstance(stmt, CreateIndexStmt):
+                status = "CREATE TABLE"
+            elif isinstance(stmt, CreateIndexStmt):
                 self.db.catalog.create_index(
                     stmt.name, stmt.table, stmt.column, kind=stmt.kind,
                     hypothetical=stmt.hypothetical,
                 )
-                return "CREATE INDEX"
-            if isinstance(stmt, InsertStmt):
-                return "INSERT %d" % self._insert(stmt)
-            if isinstance(stmt, AnalyzeStmt):
+                status = "CREATE INDEX"
+            elif isinstance(stmt, InsertStmt):
+                status = "INSERT %d" % self._insert(stmt)
+            elif isinstance(stmt, AnalyzeStmt):
                 self.db.catalog.analyze(stmt.table)
-                return "ANALYZE"
-            raise ParseError("unhandled statement %r" % (stmt,))
+                status = "ANALYZE"
+            else:
+                raise ParseError("unhandled statement %r" % (stmt,))
         finally:
             telemetry.record_stage("execute", time.perf_counter() - t0)
+        self._accumulate(telemetry)
+        return status
 
     def _insert(self, stmt):
         table = self.db.catalog.table(stmt.table)

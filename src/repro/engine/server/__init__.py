@@ -4,9 +4,10 @@
 multi-user *system* rather than a library: concurrent sessions, MVCC
 snapshot reads against the PR 7 catalog snapshots, a single-writer
 commit path with a version-vector commit log, per-tenant work-quota
-admission control (fifo / fair-share / shed), and a closed-loop traffic
-driver for benchmarking it all. See ``DESIGN.md`` ("Multi-tenant serving
-& admission control") and ``README.md`` ("Serving layer").
+admission control (fifo / fair-share / shed). The closed-loop traffic
+driver that benchmarks it all is :mod:`repro.sim.driver`. See
+``DESIGN.md`` ("Multi-tenant serving & admission control") and
+``README.md`` ("Serving layer").
 """
 
 from repro.engine.server.admission import (
@@ -15,7 +16,6 @@ from repro.engine.server.admission import (
     AdmissionTicket,
     TokenBucket,
 )
-from repro.engine.server.driver import TrafficReport, run_traffic, zipf_weights
 from repro.engine.server.server import (
     ISOLATION_LEVELS,
     QueryServer,
@@ -27,9 +27,6 @@ __all__ = [
     "AdmissionError",
     "AdmissionTicket",
     "TokenBucket",
-    "TrafficReport",
-    "run_traffic",
-    "zipf_weights",
     "ISOLATION_LEVELS",
     "QueryServer",
     "Session",

@@ -127,7 +127,9 @@ class Session:
         cannot express NULLs in bulk); charges the same write cost and
         logs the same commit as SQL writes. Returns the inserted count.
         """
-        return self._server._run_write(self, None, table=table, rows=rows)
+        catalog = self._server.db.catalog
+        return self._server._run_write(
+            self, lambda: catalog.table(table).insert_rows(rows))
 
     def snapshot_versions(self):
         """The per-table version vector this session currently reads.
@@ -277,11 +279,11 @@ class QueryServer:
             )
             raise
         session.last_admission = ticket
-        snapshot = (
-            session._pinned if session._pinned is not None
-            else self.pin_snapshot()
-        )
         try:
+            snapshot = (
+                session._pinned if session._pinned is not None
+                else self.pin_snapshot()
+            )
             result = self.db.pipeline.execute_prepared(
                 prepared, snapshot=snapshot
             )
@@ -299,8 +301,13 @@ class QueryServer:
         return result
 
     # -- write path --------------------------------------------------------
-    def _run_write(self, session, sql_text, table=None, rows=None):
-        """The single-writer commit path (SQL statement or bulk rows)."""
+    def _run_write(self, session, apply):
+        """The single-writer commit path: admit → lock → apply → log →
+        settle. ``apply`` is the write itself, a zero-argument callable
+        run under the commit lock — a classified SQL statement
+        (:meth:`ServerBackend.write`) or bulk rows
+        (:meth:`Session.insert_rows`); its return value is the write's.
+        """
         session._check_open()
         if session.isolation == "session":
             raise ExecutionError(
@@ -312,10 +319,7 @@ class QueryServer:
         session.last_admission = ticket
         try:
             with self._commit_lock:
-                if sql_text is not None:
-                    result = self.db.pipeline.run_sql(sql_text)
-                else:
-                    result = self.db.catalog.table(table).insert_rows(rows)
+                result = apply()
                 self._commit_seq += 1
                 self.commit_log.append(
                     (self._commit_seq,

@@ -13,16 +13,20 @@ gates: the pipeline's front end runs once, :func:`classify` reads the
 statement's kind, tables and columns off what it parsed, the statement
 gate runs, then a SELECT is planned *from that same front-end pass*,
 cost-gated, read through the backend and row-gated, and anything else
-is cost-gated and written through the backend; the outcome is audited.
-A session without a policy or an audit log takes the same route — its
+is cost-gated and written through the backend — a native statement
+executed *from that same pass* too, so no surface parses (or fires a
+``"parse"`` hook for) a statement twice; the outcome is audited. A
+session without a policy or an audit log takes the same route — its
 gates simply have nothing to check or record.
 
 Layering: this module sits inside ``repro.engine`` and must not import
 the serving layer (``repro.engine.server``) — the server imports *us*.
 :class:`ServerBackend` therefore duck-types its target: anything with
 ``pin_snapshot`` / ``_run_read`` / ``_run_write`` works. The SQL front
-end has one owner, the pipeline: nothing here imports the parser.
+end has one owner, the pipeline: nothing here calls the parser.
 """
+
+from functools import partial
 
 from repro.engine.errors import EngineError, ExecutionError, ParseError
 from repro.engine.session.audit import AuditLog  # noqa: F401 (re-export)
@@ -131,11 +135,13 @@ class StatementInfo:
             ``"lowered"`` (a native SELECT) / ``"parsed"`` (any other
             native statement) / ``"sniffed"`` (an unclaimed extension
             head).
-        front: for ``"lowered"``, the front-end pass itself — the
-            ``(query, telemetry)`` pair
-            :meth:`~repro.engine.pipeline.QueryPipeline.prepare_sql`
-            continues, so the statement is parsed, timed and
-            cache-counted once. ``None`` otherwise.
+        front: the front-end pass that classified a native statement,
+            which running it continues — so the statement is parsed,
+            hooked, timed and cache-counted once. ``(query, telemetry)``
+            for ``"lowered"`` (what :meth:`~repro.engine.pipeline.
+            QueryPipeline.prepare_sql` takes), ``(stmt, telemetry)`` for
+            ``"parsed"`` (what :meth:`~repro.engine.pipeline.
+            QueryPipeline.run_statement` takes). ``None`` otherwise.
     """
 
     __slots__ = ("sql", "kind", "tables", "columns", "query",
@@ -236,6 +242,10 @@ def classify(db, sql_text):
             columns=_query_columns(db, query), query=query,
             source="lowered", front=(query, telemetry),
         )
+    def parsed(kind, **fields):
+        return StatementInfo(sql_text, kind, source="parsed",
+                             front=(stmt, telemetry), **fields)
+
     if isinstance(stmt, InsertStmt):
         if stmt.columns:
             columns = [(stmt.table, c) for c in stmt.columns]
@@ -244,24 +254,17 @@ def classify(db, sql_text):
                        db.catalog.table(stmt.table).schema.column_names]
         else:
             columns = []
-        return StatementInfo(
-            sql_text, "INSERT", tables=[stmt.table], columns=columns,
-            row_estimate=len(stmt.rows), source="parsed",
-        )
+        return parsed("INSERT", tables=[stmt.table], columns=columns,
+                      row_estimate=len(stmt.rows))
     if isinstance(stmt, CreateTableStmt):
-        return StatementInfo(
-            sql_text, "CREATE TABLE", tables=[stmt.name], source="parsed")
+        return parsed("CREATE TABLE", tables=[stmt.name])
     if isinstance(stmt, CreateIndexStmt):
-        return StatementInfo(
-            sql_text, "CREATE INDEX", tables=[stmt.table],
-            columns=[(stmt.table, stmt.column)], source="parsed",
-        )
+        return parsed("CREATE INDEX", tables=[stmt.table],
+                      columns=[(stmt.table, stmt.column)])
     if isinstance(stmt, AnalyzeStmt):
-        tables = ([stmt.table] if stmt.table
-                  else db.catalog.table_names())
-        return StatementInfo(
-            sql_text, "ANALYZE", tables=tables, source="parsed")
-    return StatementInfo(sql_text, "UNKNOWN", source="parsed")
+        return parsed("ANALYZE", tables=([stmt.table] if stmt.table
+                                         else db.catalog.table_names()))
+    return parsed("UNKNOWN")
 
 
 class SessionResult:
@@ -422,8 +425,14 @@ class LocalBackend:
     def read(self, prepared):
         return self.db.pipeline.execute_prepared(prepared)
 
-    def write(self, sql_text):
-        return self.db.pipeline.run_sql(sql_text)
+    def write(self, info):
+        """A native statement continues the front-end pass that
+        classified it; text an inspector claimed, or the native parser
+        rejected, goes to ``run_sql`` — and so to the statement hooks
+        (the rule reads follow: a SELECT never reaches them)."""
+        if info.source == "parsed":
+            return self.db.pipeline.run_statement(*info.front)
+        return self.db.pipeline.run_sql(info.sql)
 
 
 class SnapshotBackend:
@@ -437,30 +446,32 @@ class SnapshotBackend:
         return self.db.pipeline.execute_prepared(
             prepared, snapshot=self.snapshot)
 
-    def write(self, sql_text):
+    def write(self, info):
         raise ExecutionError(
             "snapshot sessions are read-only: only SELECT is allowed")
 
 
-class ServerBackend:
+class ServerBackend(LocalBackend):
     """Execution through a :class:`QueryServer`'s admission + commit paths.
 
     Duck-typed: ``server`` is anything exposing ``pin_snapshot``,
-    ``_run_read(session, prepared)`` and ``_run_write(session, sql)``;
+    ``_run_read(session, prepared)`` and ``_run_write(session, apply)``;
     ``session`` is that server's session handle. (This module must not
-    import the serving layer — it imports us.)
+    import the serving layer — it imports us.) What a write *does* is
+    :meth:`LocalBackend.write`; the server's commit path decides when.
     """
 
     def __init__(self, server, session):
+        super().__init__(server.db)
         self.server = server
         self.session = session
-        self.db = server.db
 
     def read(self, prepared):
         return self.server._run_read(self.session, prepared)
 
-    def write(self, sql_text):
-        return self.server._run_write(self.session, sql_text)
+    def write(self, info):
+        return self.server._run_write(
+            self.session, partial(super().write, info))
 
 
 class SessionContext:
@@ -492,10 +503,10 @@ class SessionContext:
 
         Front end once → classify → statement gate → plan (a SELECT,
         continuing the classifying pass) or flat-cost (a write) → cost
-        gate → ``backend.read(prepared)`` / ``backend.write(sql_text)``
-        → row gate → audit. Extension statements — claimed by an
-        inspector, or an extension head the native parser rejects — go
-        to ``backend.write`` and so to the statement hooks. A denial or
+        gate → ``backend.read(prepared)`` / ``backend.write(info)``
+        → row gate → audit. Of the writes, only extension statements —
+        claimed by an inspector, or an extension head the native parser
+        rejects — reach the statement hooks. A denial or
         failure at any step — an :class:`EngineError` or anything else
         an operator, hook or backend lets escape — is audited with what
         was known by then, then re-raised unchanged.
@@ -509,7 +520,7 @@ class SessionContext:
             try:
                 prepared, est_cost, __ = self._estimate(info)
             except EngineError:
-                if info.front is not None:
+                if info.source == "lowered":
                     raise
                 # An extension's feature query that does not plan: the
                 # hook reports the failure in its own words.
@@ -519,7 +530,7 @@ class SessionContext:
             if prepared is not None:
                 raw = self.backend.read(prepared)
             else:
-                raw = self.backend.write(sql_text)
+                raw = self.backend.write(info)
             telemetry = getattr(raw, "telemetry", None)
             rows = getattr(raw, "rows", None)
             if telemetry is not None:
@@ -567,8 +578,12 @@ class SessionContext:
         """
         info = classify(self.db, sql_text)
         self._gate(sql_text, "check_statement", info)
-        prepared = self.db.pipeline.prepare_sql(sql_text, info.front)
-        self._gate(sql_text, "check_cost", prepared.est_cost)
+        prepared, est_cost, __ = self._estimate(info)
+        if prepared is None:
+            raise ExecutionError(
+                "prepare supports only SELECT statements, got %s"
+                % info.kind)
+        self._gate(sql_text, "check_cost", est_cost)
         return prepared
 
     def run_script(self, script):
@@ -636,7 +651,7 @@ class SessionContext:
         feature query is planned for its estimate; writes cost a flat
         :data:`WRITE_STATEMENT_COST`."""
         pipeline = self.db.pipeline
-        if info.front is not None:
+        if info.source == "lowered":
             prepared = pipeline.prepare_sql(info.sql, info.front)
             return prepared, prepared.est_cost, prepared.plan.est_rows
         if info.query is not None:

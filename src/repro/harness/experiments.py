@@ -108,7 +108,7 @@ def e1_knob_tuning(seed=0, fast=False):
         RandomSearchTuner,
         run_tuning_session,
     )
-    from repro.engine.knobs import KnobResponseSimulator, standard_workloads
+    from repro.sim.knobs import KnobResponseSimulator, standard_workloads
 
     budget = 30 if fast else 60
     pretrain_budget = 60 if fast else 200
@@ -152,7 +152,7 @@ def e1_knob_tuning(seed=0, fast=False):
 # ----------------------------------------------------------------------
 def _star_db(seed, fast):
     from repro.engine.database import Database
-    from repro.engine import datagen
+    from repro.sim import datagen
 
     db = Database()
     scale = 0.4 if fast else 1.0
@@ -181,7 +181,7 @@ def e2_index_advisor(seed=0, fast=False):
         RLIndexAdvisor,
         workload_cost,
     )
-    from repro.engine import datagen
+    from repro.sim import datagen
 
     db = _star_db(seed, fast)
     workload = datagen.star_workload(n_queries=15 if fast else 30, seed=seed + 1)
@@ -227,7 +227,7 @@ def e3_view_advisor(seed=0, fast=False):
         RLViewAdvisor,
         workload_cost_with_views,
     )
-    from repro.engine import datagen
+    from repro.sim import datagen
 
     table = ResultTable(
         "E3: workload cost under a 50 MB view budget",
@@ -267,7 +267,7 @@ def e4_sql_rewriter(seed=0, fast=False):
         make_rewrite_corpus,
         plan_cost,
     )
-    from repro.engine import datagen
+    from repro.sim import datagen
     from repro.engine.database import Database
 
     db = Database()
@@ -321,7 +321,7 @@ def e5_partitioner(seed=0, fast=False):
         PartitioningCostModel,
         RLPartitioner,
     )
-    from repro.engine import datagen
+    from repro.sim import datagen
 
     db = _star_db(seed, fast)
     workload = datagen.star_workload(n_queries=10 if fast else 20, seed=seed + 4)
@@ -358,7 +358,7 @@ def e6_cardinality(seed=0, fast=False):
         QueryFeaturizer,
         generate_training_queries,
     )
-    from repro.engine import datagen
+    from repro.sim import datagen
     from repro.engine.catalog import Catalog
     from repro.engine.optimizer.cardinality import (
         SamplingEstimator,
@@ -445,7 +445,7 @@ def e7_join_order(seed=0, fast=False):
         DQNJoinOrderer,
         compare_orderers,
     )
-    from repro.engine import datagen
+    from repro.sim import datagen
     from repro.engine.catalog import Catalog
     from repro.engine.optimizer.cardinality import TraditionalEstimator
     from repro.engine.optimizer.cost import CostModel
@@ -533,7 +533,7 @@ def e7_join_order(seed=0, fast=False):
 def e8_end_to_end(seed=0, fast=False):
     """Experiment e8_end_to_end (see the register_experiment metadata above)."""
     from repro.ai4db.optimization.end_to_end import NeoLiteOptimizer
-    from repro.engine import datagen
+    from repro.sim import datagen
     from repro.engine.database import Database
     from repro.engine.optimizer.join_enum import dp_left_deep
     from repro.engine.optimizer.cardinality import TrueCardinalityEstimator
@@ -729,7 +729,7 @@ def e11_txn_scheduling(seed=0, fast=False):
         ConflictClassifier,
         evaluate_schedulers,
     )
-    from repro.engine.txn import hotspot_workload
+    from repro.sim.txn import hotspot_workload
 
     n_txns = 120 if fast else 300
     train = hotspot_workload(n_txns=n_txns, hot_fraction=0.7, seed=seed + 1)
@@ -785,7 +785,7 @@ def e12_monitoring(seed=0, fast=False):
         RoundRobinAuditPolicy,
         run_audit_simulation,
     )
-    from repro.engine.telemetry import ACTIVITY_TYPES, arrival_trace, kpi_episodes
+    from repro.sim.traces import ACTIVITY_TYPES, arrival_trace, kpi_episodes
     from repro.ml import accuracy, mean_absolute_error
 
     tables = []
@@ -960,7 +960,7 @@ def e14_governance(seed=0, fast=False):
         SimulatedCrowd,
         majority_vote,
     )
-    from repro.engine import datagen
+    from repro.sim import datagen
     from repro.engine.catalog import Catalog
 
     tables = []
@@ -1238,9 +1238,9 @@ def e17_challenges(seed=0, fast=False):
         CheckpointedTrainer,
         SimulatedCrash,
     )
-    from repro.engine import datagen
+    from repro.sim import datagen
     from repro.engine.catalog import Catalog
-    from repro.engine.knobs import KnobResponseSimulator, standard_workloads
+    from repro.sim.knobs import KnobResponseSimulator, standard_workloads
     from repro.engine.optimizer.cardinality import TraditionalEstimator
 
     tables = []

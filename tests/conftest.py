@@ -8,7 +8,7 @@ import pytest
 
 from repro.engine import Database
 from repro.engine.catalog import Catalog
-from repro.engine import datagen
+from repro.sim import datagen
 
 #: Per-test watchdog in seconds (0 disables). ``make test-concurrency``
 #: sets it so a deadlocked thread test dumps every stack and dies instead

@@ -40,8 +40,9 @@ from repro.ai4db.config.view_advisor import (
     materialize_view,
     workload_cost_with_views,
 )
-from repro.engine import Database, datagen
-from repro.engine.knobs import KnobResponseSimulator, standard_workloads
+from repro.engine import Database
+from repro.sim import datagen
+from repro.sim.knobs import KnobResponseSimulator, standard_workloads
 
 
 @pytest.fixture(scope="module")

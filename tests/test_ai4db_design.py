@@ -26,7 +26,7 @@ from repro.ai4db.design.txn_mgmt import (
 )
 from repro.common import ModelError, NotFittedError
 from repro.engine.indexes import BPlusTree
-from repro.engine.txn import Transaction, hotspot_workload
+from repro.sim.txn import Transaction, hotspot_workload
 
 
 @pytest.fixture(scope="module")

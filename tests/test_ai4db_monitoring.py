@@ -27,8 +27,8 @@ from repro.ai4db.monitoring.root_cause import (
     RuleBasedDiagnoser,
 )
 from repro.common import ModelError, NotFittedError
-from repro.engine.telemetry import ACTIVITY_TYPES, arrival_trace, kpi_episodes
 from repro.ml import accuracy, mean_absolute_error
+from repro.sim.traces import ACTIVITY_TYPES, arrival_trace, kpi_episodes
 
 
 class TestForecasters:
@@ -151,7 +151,7 @@ class TestRootCause:
 
     def test_rules_return_known_causes(self, episodes):
         X, __ = episodes
-        from repro.engine.telemetry import ROOT_CAUSES
+        from repro.sim.traces import ROOT_CAUSES
         for cause in RuleBasedDiagnoser().diagnose_batch(X[:20]):
             assert cause in ROOT_CAUSES
 

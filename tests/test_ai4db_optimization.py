@@ -16,13 +16,14 @@ from repro.ai4db.optimization.join_order import (
     compare_orderers,
 )
 from repro.common import ModelError, NotFittedError
-from repro.engine import Database, datagen
+from repro.engine import Database
 from repro.engine.catalog import Catalog
 from repro.engine.optimizer.cardinality import TraditionalEstimator
 from repro.engine.optimizer.cost import CostModel
 from repro.engine.optimizer.join_enum import dp_left_deep
 from repro.engine.query import ConjunctiveQuery, Predicate
 from repro.ml import q_error_summary
+from repro.sim import datagen
 
 
 @pytest.fixture(scope="module")

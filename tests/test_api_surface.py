@@ -36,12 +36,8 @@ REQUIRED_EXPORTS = {
     "PIPELINE_STAGES", "PlanCache", "QueryPipeline",
     # façade
     "Database",
-    # knobs + transactions + helpers
-    "KnobSpec", "KnobResponseSimulator", "WorkloadProfile",
-    "default_knobs", "standard_workloads",
-    "Transaction", "LockTableSimulator", "ScheduleResult",
-    "hotspot_workload", "fifo_schedule", "cost_ordered_schedule",
-    "datagen", "telemetry",
+    # telemetry records
+    "telemetry",
     # session layer (this PR's redesigned surface)
     "SessionContext", "AgentSession", "SessionResult", "Policy",
     "PolicyDecision", "AuditLog", "AuditRecord", "DryRunReport",
@@ -78,7 +74,8 @@ def test_new_exports_are_the_right_kinds():
     # any other keyword is one of its fields.
     sig = inspect.signature(engine.Database.__init__)
     assert "config" in sig.parameters
-    assert engine.Database(use_views=False).config.use_views is False
+    assert engine.Database(
+        feedback_enabled=True).config.feedback_enabled is True
 
 
 def test_session_surface_present():

@@ -22,10 +22,10 @@ from repro.db4ai.training.fault_tolerance import (
     CheckpointStore,
     SimulatedCrash,
 )
-from repro.engine import datagen
 from repro.engine.catalog import Catalog
-from repro.engine.knobs import KnobResponseSimulator, standard_workloads
 from repro.engine.optimizer.cardinality import TraditionalEstimator
+from repro.sim import datagen
+from repro.sim.knobs import KnobResponseSimulator, standard_workloads
 
 
 @pytest.fixture(scope="module")

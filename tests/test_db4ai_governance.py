@@ -22,8 +22,8 @@ from repro.db4ai.governance.labeling import (
     majority_vote,
 )
 from repro.db4ai.governance.lineage import LineageTable, LineageTracker
-from repro.engine import datagen
 from repro.engine.catalog import Catalog
+from repro.sim import datagen
 
 
 class TestEKG:

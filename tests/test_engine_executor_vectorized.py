@@ -12,12 +12,13 @@ import pytest
 
 from reference_executor import ReferenceExecutor, assert_matches_reference
 from repro.common import ExecutionError
-from repro.engine import Database, EngineConfig, datagen, plans as P
+from repro.engine import Database, EngineConfig, plans as P
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor, count_join_rows
 from repro.engine.operators import registered_node_types
 from repro.engine.plans import operator_counts
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
+from repro.sim import datagen
 
 
 def run_both(catalog, plan, cost_model=None):

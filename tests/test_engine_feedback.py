@@ -13,7 +13,7 @@ import statistics
 
 import pytest
 
-from repro.engine import datagen
+from repro.engine import plans as P
 from repro.engine.catalog import Catalog
 from repro.engine.database import Database
 from repro.engine.executor import count_join_rows
@@ -23,9 +23,9 @@ from repro.engine.optimizer.feedback import (
     QueryFeedbackStore,
     induced_subquery,
 )
-from repro.engine import plans as P
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
 from repro.engine.telemetry import q_error
+from repro.sim import datagen
 
 
 class TestQError:

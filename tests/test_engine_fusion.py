@@ -45,9 +45,6 @@ FUSIBLE_SQL = "SELECT tag, COUNT(*), SUM(v) FROM t WHERE k < 5 GROUP BY tag"
 #: parse to it (``None``: the knob has no variable), and the floor small
 #: env values clamp to. A new field without a row fails the knob walk.
 KNOBS = {
-    "plan_cache_size": (17, None, None),
-    "enumerator": ("greedy", None, None),
-    "use_views": (False, None, None),
     "cost_params": ({"cpu_tuple_cost": 2.0}, None, None),
     "feedback_enabled": (True, "1", None),
     "segment_rows": (4096, " 4096 ", 16),
@@ -85,7 +82,7 @@ def _readme_knob_rows():
 class TestEngineConfig:
     def test_defaults_are_valid(self):
         knobs = dataclasses.fields(EngineConfig())
-        assert len(knobs) == 15
+        assert len(knobs) == 12
         from_env = {k.name for k in knobs if "env" in k.metadata}
         assert len(from_env) == 11
         # The README lists exactly those — no row outlives its knob.
@@ -97,14 +94,15 @@ class TestEngineConfig:
     def test_frozen(self):
         cfg = EngineConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.enumerator = "greedy"
+            cfg.plan_selector = "bandit"
 
     def test_with_changes_derives_a_new_config(self):
         cfg = EngineConfig()
-        other = cfg.with_changes(enumerator="greedy", feedback_enabled=True)
-        assert other.enumerator == "greedy"
+        other = cfg.with_changes(plan_selector="bandit",
+                                 feedback_enabled=True)
+        assert other.plan_selector == "bandit"
         assert other.feedback_enabled is True
-        assert cfg.enumerator == "dp"  # original untouched
+        assert cfg.plan_selector == "cost"  # original untouched
 
     def test_cost_params_copied_defensively(self):
         params = {"cpu_tuple_cost": 2.0}
@@ -114,8 +112,8 @@ class TestEngineConfig:
 
     @pytest.mark.parametrize("bad_kwargs,exc", [
         ({"segment_rows": 0}, ExecutionError),
-        ({"enumerator": "exhaustive"}, ReproError),
-        ({"plan_cache_size": 0}, ReproError),
+        ({"plan_selector": "exhaustive"}, ReproError),
+        ({"admission_policy": "lifo"}, ReproError),
     ])
     def test_validation_errors(self, bad_kwargs, exc):
         with pytest.raises(exc):
@@ -195,9 +193,14 @@ class TestEngineConfig:
         with pytest.raises(TypeError):
             Database(turbo=True)
 
-    def test_executor_kwargs_shape(self):
-        cfg = EngineConfig(zone_map_pruning=False)
-        assert cfg.executor_kwargs() == {"pruning_enabled": False}
+    def test_consumer_arguments_are_not_engine_knobs(self):
+        """The plan cache's capacity and the planner's enumerator /
+        view matching are their owners' constructor arguments, set on
+        ``db.pipeline`` / ``db.planner`` — not ``EngineConfig`` fields."""
+        for name in ("plan_cache_size", "enumerator", "use_views"):
+            with pytest.raises(TypeError):
+                Database(**{name: 1})
+        assert not hasattr(EngineConfig, "executor_kwargs")
 
 
 # ----------------------------------------------------------------------
@@ -206,29 +209,28 @@ class TestEngineConfig:
 class TestConfigEquivalence:
     def test_config_and_kwargs_wire_identical_engines(self):
         cfg = EngineConfig(
-            plan_cache_size=17, enumerator="greedy", use_views=False,
+            segment_rows=4096, plan_selector="pessimistic",
             cost_params={"cpu_tuple_cost": 2.0}, zone_map_pruning=False,
         )
         via_config = Database(config=cfg)
         via_kwargs = Database(
-            plan_cache_size=17, enumerator="greedy", use_views=False,
+            segment_rows=4096, plan_selector="pessimistic",
             cost_params={"cpu_tuple_cost": 2.0}, zone_map_pruning=False,
         )
         for db in (via_config, via_kwargs):
             assert db.executor.pruning_enabled is False
-            assert db.planner.enumerator == "greedy"
-            assert db.planner.use_views is False
-            assert db.pipeline.plan_cache.capacity == 17
+            assert db.catalog.segment_rows == 4096
+            assert db.plan_selector.name == "pessimistic"
             assert db.cost_model.params["cpu_tuple_cost"] == 2.0
         assert via_config.config == via_kwargs.config
 
     def test_mixing_config_and_kwargs_is_an_error(self):
         with pytest.raises(ReproError, match="not both"):
-            Database(config=EngineConfig(), enumerator="greedy")
+            Database(config=EngineConfig(), plan_selector="bandit")
 
     def test_config_must_be_engineconfig(self):
         with pytest.raises(ReproError, match="EngineConfig"):
-            Database(config={"enumerator": "greedy"})
+            Database(config={"plan_selector": "bandit"})
 
     def test_config_property_is_read_only(self):
         db = Database()
@@ -236,9 +238,9 @@ class TestConfigEquivalence:
             db.config = EngineConfig()
 
     def test_default_database_exposes_config(self):
-        db = Database(enumerator="greedy")
+        db = Database(plan_selector="bandit")
         assert isinstance(db.config, EngineConfig)
-        assert db.config.enumerator == "greedy"
+        assert db.config.plan_selector == "bandit"
 
 
 # ----------------------------------------------------------------------

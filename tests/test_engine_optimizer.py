@@ -30,7 +30,7 @@ from repro.engine.optimizer.rules import (
     default_rules,
 )
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
-from repro.engine import datagen
+from repro.sim import datagen
 
 
 class TestTraditionalEstimator:

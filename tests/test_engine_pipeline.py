@@ -12,9 +12,10 @@ import pytest
 
 from reference_executor import approx_equal_rows, reference_database
 from repro.common import PlanError
-from repro.engine import Database, datagen
+from repro.engine import Database
 from repro.engine.pipeline import PIPELINE_STAGES, PlanCache
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
+from repro.sim import datagen
 
 
 @pytest.fixture

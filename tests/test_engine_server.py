@@ -581,6 +581,32 @@ class TestServerSurface:
         assert stats["charged"] == pytest.approx(stats["refunded"])
         assert stats["settled_work"] == 0.0
 
+    def test_snapshot_pin_failure_cancels_the_ticket(self, monkeypatch):
+        """The pin sits between admission and execution: a failure there
+        must refund the charge too, and conservation must keep holding
+        once the tenant's later statements settle."""
+        server = QueryServer(
+            _serving_db(), tenant_quota=1e6, quota_refill_rate=0.0,
+        )
+        sess = server.session(tenant="t")
+
+        def boom():
+            raise ExecutionError("injected pin failure")
+
+        monkeypatch.setattr(server, "pin_snapshot", boom)
+        with pytest.raises(ExecutionError, match="injected pin"):
+            sess.query("SELECT COUNT(*) FROM a")
+        assert server.admission.balance("t") == pytest.approx(1e6)
+        stats = server.admission.stats()["t"]
+        assert stats["charged"] == pytest.approx(stats["refunded"])
+        assert stats["settled_work"] == 0.0
+        monkeypatch.undo()
+        work = sess.execute("SELECT COUNT(*) FROM a").telemetry.total_work
+        stats = server.admission.stats()["t"]
+        assert stats["settled_work"] == pytest.approx(work)
+        assert stats["charged"] - stats["refunded"] == pytest.approx(work)
+        assert server.admission.balance("t") == pytest.approx(1e6 - work)
+
     def test_pre_admission_errors_charge_nothing(self):
         server = QueryServer(
             _serving_db(), tenant_quota=1e6, quota_refill_rate=0.0,

@@ -274,6 +274,66 @@ class TestFacades:
         assert db.session(audit=AuditLog()).execute(sql).rows == [(5,)]
 
 
+    def test_native_write_never_reaches_statement_hooks(self):
+        """The rule reads follow, for writes: a statement the native
+        front end parsed is executed from that parse — only text an
+        inspector claimed or the parser rejected goes to the hooks."""
+        db = make_db()
+        seen = []
+        db.pipeline.statement_hooks.append(
+            lambda d, text: seen.append(text))
+        assert db.execute(
+            "INSERT INTO users VALUES (6, 'fred', 60)") == "INSERT 1"
+        assert db.session(audit=AuditLog()).execute(
+            "ANALYZE users").raw == "ANALYZE"
+        assert seen == []
+        with pytest.raises(ParseError):
+            db.execute("PREDICT nothing")
+        assert seen == ["PREDICT nothing"]
+
+
+# ----------------------------------------------------------------------
+# One front-end pass per statement, on every surface
+# ----------------------------------------------------------------------
+WRITE_STATEMENTS = (
+    "CREATE TABLE h (a INT, b INT)",
+    "INSERT INTO h VALUES (1, 2), (3, 4)",
+    "CREATE INDEX h_a ON h (a)",
+    "ANALYZE h",
+)
+
+WRITE_SURFACES = {
+    "database": lambda db: db.execute,
+    "policy_session": lambda db: db.session(
+        policy=Policy.unrestricted()).execute,
+    "agent_session": lambda db: db.agent_session().execute,
+    "server_session": lambda db: QueryServer(db).session(
+        tenant="t1").execute,
+}
+
+
+@pytest.mark.parametrize("surface", sorted(WRITE_SURFACES))
+def test_parse_hooks_fire_once_per_write(surface):
+    """A non-SELECT is parsed by the pass that classifies it and
+    executed from that parse: ``"parse"`` stage hooks see it once, and
+    the pipeline counts one parse and one run for it."""
+    db = make_db()
+    parsed = []
+    db.pipeline.add_stage_hook(
+        "parse", lambda stmt: parsed.append(type(stmt).__name__))
+    run = WRITE_SURFACES[surface](db)
+    for sql in WRITE_STATEMENTS:
+        del parsed[:]
+        db.pipeline.reset_stats()
+        run(sql)
+        assert len(parsed) == 1, (surface, sql, parsed)
+        stats = db.pipeline.stats()
+        assert stats["runs"] == 1
+        assert stats["stages"]["parse"]["count"] == 1
+        assert stats["stages"]["execute"]["count"] == 1
+    assert db.query("SELECT a, b FROM h ORDER BY a") == [(1, 2), (3, 4)]
+
+
 # ----------------------------------------------------------------------
 # Policy edges
 # ----------------------------------------------------------------------

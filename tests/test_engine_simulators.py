@@ -1,18 +1,18 @@
-"""Tests for the simulators: datagen, knobs, transactions, telemetry."""
+"""The ``repro.sim`` suite: datagen, knobs, transactions, traces."""
 
 import numpy as np
 import pytest
 
 from repro.common import ReproError
 from repro.engine.catalog import Catalog
-from repro.engine import datagen
-from repro.engine.knobs import (
+from repro.sim import datagen
+from repro.sim.knobs import (
     KnobResponseSimulator,
     KnobSpec,
     default_knobs,
     standard_workloads,
 )
-from repro.engine.telemetry import (
+from repro.sim.traces import (
     ACTIVITY_TYPES,
     KPI_NAMES,
     ROOT_CAUSES,
@@ -20,7 +20,7 @@ from repro.engine.telemetry import (
     arrival_trace,
     kpi_episodes,
 )
-from repro.engine.txn import (
+from repro.sim.txn import (
     LockTableSimulator,
     Transaction,
     cost_ordered_schedule,

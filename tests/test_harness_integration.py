@@ -160,8 +160,9 @@ class TestEndToEndIntegration:
 
     def test_knob_simulator_drives_engine_cost_model(self):
         """Knob settings map into engine cost params and change plans' work."""
-        from repro.engine import Database, datagen
-        from repro.engine.knobs import KnobResponseSimulator
+        from repro.engine import Database
+        from repro.sim import datagen
+        from repro.sim.knobs import KnobResponseSimulator
 
         sim = KnobResponseSimulator(seed=0)
         low_mem = np.zeros(sim.dim)

@@ -1,7 +1,8 @@
 """Import-layering guards.
 
-The dependency direction is one-way: ``repro.ai4db`` and ``repro.db4ai``
-build *on* the engine, never the other way around. In particular the
+The dependency direction is one-way: ``repro.ai4db``, ``repro.db4ai``
+and the simulators in ``repro.sim`` build *on* the engine, never the
+other way around. In particular the
 physical-operator layer (``repro.engine.operators``) must stay free of
 AI-layer imports, or the differential fuzzer's oracle would depend on the
 models it is supposed to referee. Enforced two ways: a static AST scan of
@@ -12,6 +13,9 @@ The same file guards the executor's shape: one evaluation method per
 operator, no knob or keyword that selects a second evaluator, the
 reference executor stays under ``tests/``, and every plan-node type the
 operator layer registers is one the planner (or the fusion pass) emits.
+And the engine's edge: the simulator files live in ``repro.sim``, the
+session backends are exactly ``read``/``write``, and the server's commit
+path has one body.
 """
 
 import ast
@@ -23,10 +27,11 @@ import sys
 from pathlib import Path
 
 import repro.engine
+import repro.sim
 from repro.engine.operators.base import _REGISTRY
 
 ENGINE_ROOT = os.path.dirname(repro.engine.__file__)
-FORBIDDEN_PREFIXES = ("repro.ai4db", "repro.db4ai")
+FORBIDDEN_PREFIXES = ("repro.ai4db", "repro.db4ai", "repro.sim")
 
 
 def _engine_modules():
@@ -80,15 +85,14 @@ def test_operators_package_exists_and_is_scanned():
 
 def test_importing_operators_loads_no_ai_modules():
     """Runtime check in a fresh interpreter: importing the engine (and
-    the operators package explicitly) must not load ai4db/db4ai."""
+    the operators package explicitly) must not load ai4db/db4ai/sim."""
     code = (
         "import sys\n"
         "import repro.engine\n"
         "import repro.engine.operators\n"
         "import repro.engine.optimizer.feedback\n"
-        "bad = [m for m in sys.modules"
-        "       if m.startswith(('repro.ai4db', 'repro.db4ai'))]\n"
-        "assert not bad, bad\n"
+        "bad = [m for m in sys.modules if m.startswith(%r)]\n"
+        "assert not bad, bad\n" % (FORBIDDEN_PREFIXES,)
     )
     env = dict(os.environ)
     src = os.path.abspath(os.path.join(ENGINE_ROOT, "..", ".."))
@@ -98,6 +102,54 @@ def test_importing_operators_loads_no_ai_modules():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_simulators_live_outside_the_engine():
+    """``engine/`` holds only the engine: the simulator files are gone
+    from it, ``telemetry.py`` defines telemetry records and their two
+    helpers and nothing else, and no ``repro.sim`` name is re-exported."""
+    for rel in ("txn.py", "knobs.py", "datagen.py",
+                os.path.join("server", "driver.py")):
+        assert not os.path.exists(os.path.join(ENGINE_ROOT, rel)), rel
+    telemetry = Path(ENGINE_ROOT, "telemetry.py").read_text(encoding="utf-8")
+    defined = {
+        node.name for node in ast.parse(telemetry).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert defined == {
+        "q_error", "percentile", "ExecutionTelemetry", "PipelineTelemetry",
+        "_RollupBucket", "ServingRollup",
+    }
+    for package in (repro.engine, repro.engine.server):
+        assert not set(repro.sim.__all__) & set(dir(package)), package
+
+
+def test_backends_are_exactly_read_and_write():
+    """The backend protocol is two operations: ``read(prepared)`` and
+    ``write(info)`` — the classified statement, not its text, so a
+    write is never parsed a second time."""
+    from repro.engine.session import (
+        LocalBackend, ServerBackend, SnapshotBackend,
+    )
+
+    for backend in (LocalBackend, SnapshotBackend, ServerBackend):
+        public = {n for n in dir(backend) if not n.startswith("_")}
+        assert public == {"read", "write"}, (backend.__name__, public)
+        for name, arg in (("read", "prepared"), ("write", "info")):
+            params = inspect.signature(getattr(backend, name)).parameters
+            assert list(params) == ["self", arg], (backend.__name__, name)
+
+
+def test_the_commit_path_has_one_body():
+    """SQL writes and ``Session.insert_rows`` hand their write to the
+    same admit → lock → apply → log → settle sequence; nothing in it
+    asks which kind of write it was given."""
+    run_write = repro.engine.QueryServer._run_write
+    assert list(inspect.signature(run_write).parameters) == [
+        "self", "session", "apply"]
+    body = inspect.getsource(run_write).split('"""')[2]  # past the docstring
+    assert body.count("apply()") == 1
+    assert not re.search("sql_text|run_sql|insert_rows|is not None", body)
 
 
 def test_operators_have_one_evaluation_method():

@@ -2,7 +2,7 @@
 """One-table summary of every committed BENCH_P*.json artifact.
 
 ``make bench-summary`` (or ``python tools/bench_summary.py``) reads the
-``BENCH_P2.json`` … ``BENCH_P9.json`` files (P1, P3, P4 and P7 are
+``BENCH_P5.json`` … ``BENCH_P9.json`` files (P1–P4 and P7 are
 retired — their last readings are rows in EXPERIMENTS.md) the
 benchmarks regenerate
 (``make bench-json``) and prints each bench's headline numbers in a
@@ -28,14 +28,6 @@ def _num(value, fmt="%.2f"):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return str(value)
     return fmt % value
-
-
-def _p2(result):
-    warm = result.get("warm", {})
-    return [
-        "warm planning %sx" % _num(result.get("planning_speedup"), "%.1f"),
-        "hit rate %s" % _num(warm.get("hit_rate"), "%.2f"),
-    ]
 
 
 def _p5(result):
@@ -93,7 +85,6 @@ def _p9(result):
 
 #: file stem -> (label, headline extractor over one results[] entry).
 BENCHES = (
-    ("BENCH_P2", "P2 plan cache", _p2),
     ("BENCH_P5", "P5 feedback", _p5),
     ("BENCH_P6", "P6 storage", _p6),
     ("BENCH_P8", "P8 server", _p8),
