@@ -155,7 +155,7 @@ def measure_replan(fast):
         "cold_join_order": _scan_order(cold_plan),
         "replanned_join_order": _scan_order(warm_plan),
         "join_order_changed": _scan_order(cold_plan) != _scan_order(warm_plan),
-        "replanned_cache_hit": bool(warm.pipeline_telemetry.cache_hit),
+        "replanned_cache_hit": bool(warm.trace.cache_hit),
         "feedback": db.feedback.stats(),
         "cold_work": cold.work,
         "replanned_work": warm.work,

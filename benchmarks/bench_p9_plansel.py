@@ -192,7 +192,7 @@ def run_strategies(fast, seed=0):
     for __name, sql in workload:
         result = bandit_db.execute(sql)
         learned.append(result.telemetry.total_work)
-        arm = result.pipeline_telemetry.arm
+        arm = result.trace.arm
         arm_picks[arm] = arm_picks.get(arm, 0) + 1
 
     # Who wins where: per template, each arm's mean work and the winner.

@@ -96,7 +96,7 @@ from repro.engine.server import (
     TokenBucket,
 )
 from repro.engine.config import ADMISSION_POLICIES
-from repro.engine.telemetry import ServingRollup
+from repro.engine.telemetry import ServingRollup, Span, StatementTrace
 from repro.engine import telemetry
 
 __all__ = [
@@ -177,6 +177,8 @@ __all__ = [
     "QueryServer",
     "ServingRollup",
     "Session",
+    "Span",
+    "StatementTrace",
     "TokenBucket",
     "telemetry",
 ]

@@ -14,8 +14,9 @@ module per operator family, each exposing one columnar ``evaluate``
 method behind the uniform
 :class:`~repro.engine.operators.PhysicalOperator` interface. The
 executor resolves ``plan node → operator`` and supplies the evaluation
-context: catalog, cost model, work accounting, and per-node actual-row
-counters.
+context — a per-run object, not executor state: catalog, cost model,
+work accounting and per-node actual-row counters, all recorded as spans
+of the statement's trace (:mod:`repro.engine.telemetry`).
 
 There is one way a plan runs: its tail is fused
 (:func:`~repro.engine.fusion.fuse_plan`) and every node is evaluated
@@ -32,9 +33,6 @@ Results are fully materialized (these are analytics-scale experiments, not
 a streaming engine).
 """
 
-import threading
-import time
-
 from repro.engine.fusion import fuse_plan
 from repro.engine.operators import ColumnarRelation, operator_for
 from repro.engine.operators.kernels import (
@@ -43,24 +41,34 @@ from repro.engine.operators.kernels import (
     predicate_mask,
 )
 from repro.engine.optimizer.cost import CostModel
-from repro.engine.telemetry import ExecutionTelemetry, q_error
+from repro.engine.telemetry import StatementTrace
 
 
 class ExecutionResult:
-    """Executor output: the result relation plus the work accounting."""
+    """Executor output: the result relation plus the statement's trace.
 
-    def __init__(self, relation, work, operator_work, telemetry=None):
+    Attributes:
+        relation: the materialized result.
+        trace: the :class:`~repro.engine.telemetry.StatementTrace` the
+            run was recorded into.
+        telemetry: that trace's ``execute`` span — per-operator rows,
+            work and time, ``node_stats``, segment counters.
+    """
+
+    def __init__(self, relation, trace):
         self.relation = relation
-        self.work = work
-        self.operator_work = operator_work
-        self._telemetry = telemetry
+        self.trace = trace
+        self.telemetry = trace.execute
 
     @property
-    def telemetry(self):
-        """Per-run :class:`ExecutionTelemetry` (the supported accessor —
-        callers should read it here rather than reaching into the
-        executor's per-run state)."""
-        return self._telemetry
+    def work(self):
+        """The run's exact deterministic work measurement."""
+        return self.telemetry.total_work
+
+    @property
+    def operator_work(self):
+        """``{op_name: work}`` over the operators that charged any."""
+        return self.telemetry.operator_work
 
     @property
     def rows(self):
@@ -76,13 +84,86 @@ class ExecutionResult:
         return "ExecutionResult(rows=%d, work=%.1f)" % (len(self.rows), self.work)
 
 
-class Executor:
-    """Executes physical plans against a catalog.
-
-    The executor doubles as the *evaluation context* handed to every
+class _Run:
+    """One execution's state — the *evaluation context* handed to every
     :class:`~repro.engine.operators.PhysicalOperator`: operators call
     :meth:`run` to evaluate children, :meth:`charge` for work
-    accounting, and :meth:`count` for actual-row attribution.
+    accounting, :meth:`count` for actual-row attribution and
+    :meth:`record_segments` for a scan's storage counters. A fresh
+    object per ``execute()`` call, so concurrent runs on one shared
+    :class:`Executor` never see each other's accounting.
+
+    Attributes:
+        catalog: what operators read from — the live catalog, or the
+            :class:`~repro.engine.catalog.CatalogSnapshot` the run is
+            pinned to.
+        span: the span of the node being evaluated (operator spans nest
+            under it); ``spans`` maps each *original* plan node to its
+            span.
+    """
+
+    __slots__ = ("catalog", "cost_model", "pruning_enabled", "span",
+                 "spans")
+
+    def __init__(self, catalog, cost_model, pruning_enabled, span):
+        self.catalog = catalog
+        self.cost_model = cost_model
+        self.pruning_enabled = pruning_enabled
+        self.span = span
+        self.spans = {}
+
+    def run(self, node):
+        """Evaluate ``node`` via its registered operator, under a span
+        of its own (self time = duration minus the children's).
+
+        Auto-records the node's output cardinality; fused pipelines then
+        override the counters of the operators they absorbed via
+        :meth:`count`, so every original plan node ends up with the
+        cardinality it would have produced unfused.
+        """
+        parent = self.span
+        with parent.child(node.op_name) as span:
+            self.span = span
+            self.spans[id(getattr(node, "origin", node))] = span
+            out = operator_for(node).evaluate(self, node)
+        self.span = parent
+        span.rows = len(out)
+        return out
+
+    def _span_of(self, node):
+        """``node``'s span. A node a fused pipeline absorbed was never
+        :meth:`run`: it gets a zero-time child of the fused span (its
+        time is folded into the fused operator's). ``origin`` resolves
+        the bare scan copies :func:`~repro.engine.fusion.fuse_plan`
+        creates back to the original plan's nodes."""
+        key = id(getattr(node, "origin", node))
+        span = self.spans.get(key)
+        if span is None:
+            span = self.spans[key] = self.span.child(
+                node.op_name, seconds=0.0)
+        return span
+
+    def charge(self, node, amount):
+        """Charge ``amount`` of work to ``node``."""
+        span = self._span_of(node)
+        span.work = amount if span.work is None else span.work + amount
+
+    def count(self, node, n):
+        """Record ``node``'s actual output cardinality (assignment, not
+        accumulation — later, more specific attributions win)."""
+        self._span_of(node).rows = int(n)
+
+    def record_segments(self, node, total, pruned, bytes_decoded, seconds):
+        """A scan's storage counters, on the scan that read them: row
+        groups considered and zone-map-skipped, encoded bytes decoded,
+        and the time the decoding took."""
+        self._span_of(node).attrs.update(
+            segments_total=int(total), segments_pruned=int(pruned),
+            bytes_decoded=int(bytes_decoded), decode_seconds=seconds)
+
+
+class Executor:
+    """Executes physical plans against a catalog.
 
     Args:
         catalog: the :class:`~repro.engine.catalog.Catalog`.
@@ -97,77 +178,16 @@ class Executor:
 
     The default is :class:`~repro.engine.config.EngineConfig`'s; the
     executor never reads the environment — ``Database`` hands it
-    ``config.zone_map_pruning``.
+    ``config.zone_map_pruning``. It holds no per-run state: that lives
+    on the :class:`_Run` each :meth:`execute` call creates.
     """
 
     def __init__(self, catalog, cost_model=None, pruning_enabled=True):
-        self._catalog = catalog
+        self.catalog = catalog
         self.cost_model = cost_model or CostModel()
         self.pruning_enabled = bool(pruning_enabled)
-        # Per-run accounting lives in a thread-local so concurrent
-        # ``execute()`` calls on one shared Executor (the pipeline
-        # thread-safety tests do this) never mix their work counters.
-        self._tls = threading.local()
 
-    # -- per-run state (thread-local) -----------------------------------
-    @property
-    def catalog(self):
-        """The catalog operators read from — per-run overridable.
-
-        Normally the live :class:`~repro.engine.catalog.Catalog` the
-        executor was built with; during an ``execute(plan, catalog=...)``
-        run it resolves (per thread) to the caller-supplied
-        :class:`~repro.engine.catalog.CatalogSnapshot`, which is how
-        snapshot-pinned reads execute through the shared operator layer.
-        """
-        override = getattr(self._tls, "catalog", None)
-        return self._catalog if override is None else override
-
-    @catalog.setter
-    def catalog(self, value):
-        self._catalog = value
-
-    @property
-    def _work(self):
-        return self._tls.work
-
-    @_work.setter
-    def _work(self, value):
-        self._tls.work = value
-
-    @property
-    def _op_work(self):
-        return self._tls.op_work
-
-    @_op_work.setter
-    def _op_work(self, value):
-        self._tls.op_work = value
-
-    @property
-    def _telemetry(self):
-        return self._tls.telemetry
-
-    @_telemetry.setter
-    def _telemetry(self, value):
-        self._tls.telemetry = value
-
-    @property
-    def _child_seconds(self):
-        return self._tls.child_seconds
-
-    @_child_seconds.setter
-    def _child_seconds(self, value):
-        self._tls.child_seconds = value
-
-    @property
-    def _node_rows(self):
-        return self._tls.node_rows
-
-    @_node_rows.setter
-    def _node_rows(self, value):
-        self._tls.node_rows = value
-
-    def execute(self, plan, catalog=None):
+    def execute(self, plan, catalog=None, trace=None):
         """Run ``plan``; returns an :class:`ExecutionResult`.
 
         The plan's tail is first run through
@@ -178,110 +198,36 @@ class Executor:
         terms of the plan the caller handed in.
 
         ``catalog`` pins this one run to a different read surface —
-        typically a :class:`~repro.engine.catalog.CatalogSnapshot` — via
-        a thread-local override of :attr:`catalog`, so concurrent runs on
-        a shared executor can mix live and snapshot reads freely.
+        typically a :class:`~repro.engine.catalog.CatalogSnapshot` — so
+        concurrent runs on a shared executor can mix live and snapshot
+        reads freely.
 
-        After the run, per-node actual output cardinalities (attributed
-        to the *original* plan's nodes even under fusion) are folded into
-        the telemetry as ``node_stats`` — the est-vs-actual view behind
-        EXPLAIN ANALYZE and the optimizer's cardinality feedback — along
-        with the version vector of the catalog state the run read.
+        The run is recorded as an ``execute`` span under ``trace``'s
+        root (a trace of its own when the executor is driven directly):
+        one span per executed node, and every node of the *original*
+        plan tagged with its preorder position and estimate, which is
+        what ``node_stats`` — the est-vs-actual view behind EXPLAIN
+        ANALYZE and the optimizer's cardinality feedback — reads.
         """
-        original = plan
-        plan, fused_ops = fuse_plan(plan)
-        self._tls.catalog = catalog
-        try:
-            self._work = 0.0
-            self._op_work = {}
-            self._telemetry = ExecutionTelemetry()
-            self._telemetry.fused_ops = fused_ops
-            self._child_seconds = [0.0]
-            self._node_rows = {}
-            start = time.perf_counter()
-            relation = self.run(plan).to_relation()
-            self._telemetry.total_seconds = time.perf_counter() - start
-            self._telemetry.total_work = self._work
-            self._telemetry.set_node_stats(self._collect_node_stats(original))
-            version_vector = getattr(self.catalog, "version_vector", None)
+        own = trace is None
+        if own:
+            trace = StatementTrace()
+        fused, fused_ops = fuse_plan(plan)
+        with trace.root.child("execute") as span:
+            run = _Run(self.catalog if catalog is None else catalog,
+                       self.cost_model, self.pruning_enabled, span)
+            span.attrs["fused_ops"] = fused_ops
+            relation = run.run(fused).to_relation()
+            for i, node in enumerate(plan.walk()):
+                attrs = run._span_of(node).attrs
+                attrs["node"] = i
+                attrs["est_rows"] = node.est_rows
+            version_vector = getattr(run.catalog, "version_vector", None)
             if version_vector is not None:
-                self._telemetry.catalog_versions = dict(version_vector())
-            return ExecutionResult(
-                relation, self._work, dict(self._op_work), self._telemetry
-            )
-        finally:
-            self._tls.catalog = None
-
-    def _collect_node_stats(self, original):
-        """Per-node ``{op, est_rows, actual_rows, q_error}`` in preorder."""
-        rows = self._node_rows
-        stats = []
-        for node in original.walk():
-            actual = rows.get(id(node))
-            est = node.est_rows
-            stats.append({
-                "op": node.op_name,
-                "est_rows": est,
-                "actual_rows": actual,
-                "q_error": q_error(est, actual),
-            })
-        return stats
-
-    # -- evaluation context (called by operators) ------------------------
-    def run(self, node):
-        """Evaluate ``node`` via its registered operator.
-
-        Also times the node (self-time, excluding children) and
-        auto-records its actual output cardinality; fused pipelines then
-        override the counters of the operators they absorbed via
-        :meth:`count`, so every original plan node ends up with the
-        cardinality it would have produced unfused.
-        """
-        op = operator_for(node)
-        self._child_seconds.append(0.0)
-        t0 = time.perf_counter()
-        out = op.evaluate(self, node)
-        elapsed = time.perf_counter() - t0
-        child_time = self._child_seconds.pop()
-        self._child_seconds[-1] += elapsed
-        self._telemetry.record(
-            node.op_name, rows=len(out), seconds=elapsed - child_time
-        )
-        self.count(node, len(out))
-        return out
-
-    def charge(self, node, amount):
-        """Charge ``amount`` of work to ``node``'s operator family."""
-        self._work += amount
-        key = node.op_name
-        self._op_work[key] = self._op_work.get(key, 0.0) + amount
-
-    def count(self, node, n):
-        """Record ``node``'s actual output cardinality (assignment, not
-        accumulation — later, more specific attributions win).
-
-        Resolves the node's ``origin`` back-reference first, so counts
-        against the bare scan copies :func:`~repro.engine.fusion.fuse_plan`
-        creates land on the original plan's nodes.
-        """
-        origin = getattr(node, "origin", node)
-        self._node_rows[id(origin)] = int(n)
-
-    def record_leaf(self, node, n):
-        """Book-keep a leaf a fused pipeline evaluated without ``run``.
-
-        The late-materializing fused path consumes a scan's segments
-        directly instead of recursing into :meth:`run`, so it records the
-        scan's telemetry row count (self-time is folded into the fused
-        operator) and cardinality here — exactly what ``run`` would have
-        recorded for the same output size.
-        """
-        self._telemetry.record(node.op_name, rows=int(n), seconds=0.0)
-        self.count(node, n)
-
-    def record_segments(self, total, pruned, bytes_decoded):
-        """Accumulate one scan's segment-pruning counters."""
-        self._telemetry.record_segments(total, pruned, bytes_decoded)
+                span.attrs["catalog_versions"] = dict(version_vector())
+        if own:
+            trace.root.close()
+        return ExecutionResult(relation, trace)
 
 
 def count_join_rows(catalog, query, tables):

@@ -7,12 +7,12 @@ subclasses :class:`PhysicalOperator`, implementing its one evaluation
 method, :meth:`PhysicalOperator.evaluate` — columnar NumPy batches in,
 columnar NumPy batches out.
 
-``evaluate`` receives ``(ctx, node)`` where ``ctx`` is the
-:class:`~repro.engine.executor.Executor` driving the plan. The executor
-exposes the per-run services operators need: ``ctx.run(child)`` for
-recursive evaluation, ``ctx.charge(node, amount)`` for work accounting,
-``ctx.count(node, n)`` for the per-node actual-row counters, plus
-``ctx.catalog``/``ctx.cost_model``.
+``evaluate`` receives ``(ctx, node)`` where ``ctx`` is the per-run
+context the :class:`~repro.engine.executor.Executor` creates for each
+``execute()`` call. It exposes the services operators need:
+``ctx.run(child)`` for recursive evaluation, ``ctx.charge(node, amount)``
+for work accounting, ``ctx.count(node, n)`` for the per-node actual-row
+counters, plus ``ctx.catalog``/``ctx.cost_model``.
 
 The specification every operator is held to — rows, order,
 ``work``/``operator_work`` charges and per-node ``actual_rows`` — is the

@@ -21,6 +21,8 @@ Limit gets the final row count. The differential fuzzer compares these
 per-node counters against the reference executor's.
 """
 
+from time import perf_counter
+
 import numpy as np
 
 from repro.engine import plans as P
@@ -164,8 +166,9 @@ def _lazy_gather(table, survivors, keys):
 
     Decodes only the named columns, only within surviving groups, and
     concatenates in table order — bit-identical to masking the flat
-    columns. Returns ``(arrays, bytes_decoded)``.
+    columns. Returns ``(arrays, (bytes_decoded, seconds))``.
     """
+    t0 = perf_counter()
     dtypes = {
         c.name.lower(): c.dtype.numpy_dtype for c in table.schema.columns
     }
@@ -184,7 +187,7 @@ def _lazy_gather(table, survivors, keys):
             out.append(p[0])
         else:
             out.append(np.concatenate(p))
-    return out, nbytes
+    return out, (nbytes, perf_counter() - t0)
 
 
 def _lazy_aggregate(ctx, node, table, survivors, n1):
@@ -192,10 +195,10 @@ def _lazy_aggregate(ctx, node, table, survivors, n1):
     shape = _lazy_scan_shape(table, n1)
     labels, positions = agg_input_columns(agg, shape)
     keys = [table.schema.columns[p].name.lower() for p in positions]
-    arrays, nbytes = _lazy_gather(table, survivors, keys)
+    arrays, decoded = _lazy_gather(table, survivors, keys)
     sub = ColumnarRelation(labels, arrays, n_rows=n1)
     out = _fused_limit(ctx, node, aggregate_columnar(ctx, agg, sub))
-    return out, nbytes
+    return out, decoded
 
 
 def _lazy_project(ctx, node, table, survivors, n1):
@@ -206,7 +209,7 @@ def _lazy_project(ctx, node, table, survivors, n1):
     uniq = list(dict.fromkeys(keys))
     ctx.charge(proj, ctx.cost_model.params["cpu_tuple_cost"] * n1)
     if proj.distinct:
-        gathered, nbytes = _lazy_gather(table, survivors, uniq)
+        gathered, decoded = _lazy_gather(table, survivors, uniq)
         by_key = dict(zip(uniq, gathered))
         arrays = [by_key[k] for k in keys]
         n = n1
@@ -220,7 +223,7 @@ def _lazy_project(ctx, node, table, survivors, n1):
         out = _fused_limit(
             ctx, node, ColumnarRelation(proj.columns, arrays, n_rows=n)
         )
-        return out, nbytes
+        return out, decoded
     ctx.count(proj, n1)
     limit = None if node.limit_node is None else node.limit_node.n
     take = survivors
@@ -244,13 +247,13 @@ def _lazy_project(ctx, node, table, survivors, n1):
             if remaining == 0:
                 break
         n_out = limit
-    gathered, nbytes = _lazy_gather(table, take, uniq)
+    gathered, decoded = _lazy_gather(table, take, uniq)
     by_key = dict(zip(uniq, gathered))
     arrays = [by_key[k] for k in keys]
     out = ColumnarRelation(proj.columns, arrays, n_rows=n_out)
     if node.limit_node is not None:
         ctx.count(node.limit_node, len(out))
-    return out, nbytes
+    return out, decoded
 
 
 def _lazy_tail(ctx, node, child):
@@ -268,14 +271,14 @@ def _lazy_tail(ctx, node, child):
     table = ctx.catalog.table(child.table)
     n0 = table.n_rows
     ctx.charge(child, ctx.cost_model.seq_scan(n0))
-    ctx.record_leaf(child, n0)
+    ctx.count(child, n0)
     n_groups, survivors, n1, n_pruned = _lazy_filter_groups(ctx, node, table)
     _count_filter_stage(ctx, node, n1)
     if node.agg_node is not None:
-        out, nbytes = _lazy_aggregate(ctx, node, table, survivors, n1)
+        out, decoded = _lazy_aggregate(ctx, node, table, survivors, n1)
     else:
-        out, nbytes = _lazy_project(ctx, node, table, survivors, n1)
-    ctx.record_segments(n_groups, n_pruned, nbytes)
+        out, decoded = _lazy_project(ctx, node, table, survivors, n1)
+    ctx.record_segments(child, n_groups, n_pruned, *decoded)
     return out
 
 

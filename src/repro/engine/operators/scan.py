@@ -10,6 +10,8 @@ Pruning never changes rows, order, or charged work; the flat-layout
 results are reproduced bit for bit.
 """
 
+from time import perf_counter
+
 import numpy as np
 
 from repro.common import ExecutionError
@@ -135,6 +137,7 @@ class SeqScanOp(PhysicalOperator):
         groups = table.row_groups()
         survivors = []
         n = n_pruned = nbytes = 0
+        decoding = 0.0
         for g in groups:
             ids, was_pruned = segment_filter(
                 g, node.predicates, ctx.pruning_enabled
@@ -144,11 +147,13 @@ class SeqScanOp(PhysicalOperator):
                 continue
             if ids is not None and len(ids) == 0:
                 continue
+            t0 = perf_counter()
             arrays, nb = gather_group(g, keys, ids)
+            decoding += perf_counter() - t0
             survivors.append(arrays)
             n += g.n_rows if ids is None else len(ids)
             nbytes += nb
-        ctx.record_segments(len(groups), n_pruned, nbytes)
+        ctx.record_segments(node, len(groups), n_pruned, nbytes, decoding)
         arrays = []
         for j, col in enumerate(table.schema.columns):
             parts = [group_arrays[j] for group_arrays in survivors]

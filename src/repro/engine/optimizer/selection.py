@@ -12,7 +12,7 @@ actually runs:
   join level). Per arm it maintains a ridge-regression posterior over
   log measured work and Thompson-samples it at selection time (seeded —
   every run is reproducible); training happens online from
-  ``ExecutionTelemetry.total_work`` at the pipeline's feedback-ingest
+  the run's measured ``total_work`` at the pipeline's feedback-ingest
   point. Two regret guards bound the tail the learned-optimizer
   literature worries about: an arm is only *eligible* while its
   estimated cost is ≤ ``regret_cap ×`` the UES bound, and an arm whose

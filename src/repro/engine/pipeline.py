@@ -2,8 +2,8 @@
 
 The AI4DB thesis is that every stage of the query lifecycle is a pluggable
 learning target. :class:`QueryPipeline` makes the lifecycle explicit: each
-stage is named, timed into a
-:class:`~repro.engine.telemetry.PipelineTelemetry` record, and carries a
+stage is named, timed as a span of the statement's
+:class:`~repro.engine.telemetry.StatementTrace`, and carries a
 hook list so learned components can observe or replace a stage's output
 without subclassing the :class:`~repro.engine.database.Database` façade.
 
@@ -40,8 +40,8 @@ Cache-key / token invariants:
   planning re-reads the token after the planner runs, because planning
   itself may lazily ANALYZE a table (which bumps that table's version);
 * a stale entry's token is diffed against the current one to report the
-  **invalidation cause** (``table:<name>`` / ``feedback:<name>``) in
-  pipeline telemetry and EXPLAIN ANALYZE;
+  **invalidation cause** (``table:<name>`` / ``feedback:<name>``) on the
+  trace's ``plan`` span and in EXPLAIN ANALYZE;
 * registering a plan-stage hook or swapping the rewriter clears the cache
   outright (hooks may transform plans statefully). Swapping planner
   internals by hand (``db.planner.estimator = ...``) is the one mutation
@@ -50,7 +50,7 @@ Cache-key / token invariants:
 Snapshot reads: :meth:`execute_prepared`/:meth:`run_query` accept an
 immutable :class:`~repro.engine.catalog.CatalogSnapshot`. Planning (and
 the warm plan cache) stays shared with the live database, but execution
-is pinned to the snapshot via the executor's per-run catalog override
+is pinned to the snapshot (the executor's per-run catalog)
 and feedback ingestion is skipped (actuals reflect pinned data) — the
 ``db.snapshot()`` read API.
 """
@@ -64,7 +64,6 @@ from repro.common import ExecutionError, ParseError, PlanError
 from repro.engine.fusion import fuse_plan
 from repro.engine.optimizer.feedback import ingest_execution
 from repro.engine.optimizer.hints import DEFAULT_ARM
-from repro.engine.plans import pretty_analyze
 from repro.engine.sql.ast_nodes import (
     AnalyzeStmt,
     CreateIndexStmt,
@@ -74,7 +73,7 @@ from repro.engine.sql.ast_nodes import (
 )
 from repro.engine.sql.lowering import lower_select
 from repro.engine.sql.parser import parse_sql
-from repro.engine.telemetry import PLANNING_STAGES, PipelineTelemetry
+from repro.engine.telemetry import PLANNING_STAGES, StatementTrace
 
 #: Pipeline stage names, in execution order.
 PIPELINE_STAGES = ("parse", "lower", "rewrite", "plan", "execute")
@@ -102,67 +101,97 @@ def _invalidation_cause(stale, current):
     return "token"
 
 
+def render_explain(plan, trace, arm_stats=None):
+    """EXPLAIN text as a function of the statement's trace.
+
+    Without an ``execute`` span: the plan with the optimizer's
+    estimates. With one (EXPLAIN ANALYZE): each node of the unfused plan
+    with its estimated rows, executor-counted actual rows and q-error,
+    then the scans' segment counters, the version vector the plan stage
+    keyed on and the plan-cache verdict. Both end with the ``Arm:`` line
+    when selection had something to report — more than one candidate
+    was raced, or the chosen arm is not ``default`` — and ANALYZE adds
+    the selector's per-arm ``wins/picks`` (``arm_stats``).
+    """
+    run = trace.execute
+    if run is None:
+        text = plan.pretty()
+    else:
+        stats = iter(run.node_stats)
+
+        def actuals(node):
+            entry = next(stats)
+            est, actual, q = (entry["est_rows"], entry["actual_rows"],
+                              entry["q_error"])
+            return "  (rows=%s actual=%s%s)" % (
+                "?" if est is None else format(est, ".4g"),
+                "?" if actual is None else actual,
+                "" if q is None else " q=%s" % format(q, ".3g"),
+            )
+
+        text = plan.pretty(annotate=actuals)
+        if run.segments_total:
+            text += "\nSegments: %d scanned, %d pruned (%d bytes decoded)" % (
+                run.segments_total - run.segments_pruned,
+                run.segments_pruned,
+                run.bytes_decoded,
+            )
+        if trace.plan_versions:
+            text += "\nVersions: " + ", ".join(
+                "%s=%s" % pair for pair in trace.plan_versions
+            )
+        text += "\nPlan cache: %s" % trace.cache_outcome
+        if trace.invalidation_cause:
+            text += " (%s)" % trace.invalidation_cause
+    if trace.n_candidates < 2 and trace.arm == DEFAULT_ARM.name:
+        return text
+    text += "\nArm: %s (est_cost=%.1f" % (trace.arm, trace.arm_est_cost)
+    if trace.ues_bound is not None:
+        text += ", ues_bound=%.1f" % trace.ues_bound
+    text += ")"
+    if run is not None and arm_stats:
+        text += "\nArm wins: " + ", ".join(
+            "%s=%d/%d" % (name, st.get("wins") or 0, st.get("picks") or 0)
+            for name, st in sorted(arm_stats.items())
+        )
+    return text
+
+
 class ExplainResult:
     """Structured EXPLAIN output.
 
     ``str()`` of an ExplainResult is exactly the classic indented plan
     text (and ``==`` / ``in`` defer to it), so callers that treated
     ``Database.explain`` as returning a string keep working unchanged.
-    The structured fields are the supported surface for tools:
+    Everything else is read off the trace:
 
     Attributes:
-        text: the plan rendered by ``plan.pretty()``.
+        text: :func:`render_explain` of the plan and the trace.
         plan: the (unfused) :class:`~repro.engine.plans.PhysicalPlan`.
-        fused_ops: how many tail stages the executor's fusion pass will
-            collapse when this plan is executed (0 when the tail is
-            not fusible).
-        cache_hit: whether the plan came from the plan cache.
-        node_stats: for EXPLAIN ANALYZE only — the per-node
-            est-vs-actual records from the run's telemetry (plan
-            preorder); ``None`` for a plain EXPLAIN.
+        trace: the statement's
+            :class:`~repro.engine.telemetry.StatementTrace` — cache
+            outcome and invalidation cause, the version vector the plan
+            stage keyed on, the arm; for EXPLAIN ANALYZE also the
+            ``execute`` span (``node_stats``, segment counters).
         result: for EXPLAIN ANALYZE only — the
             :class:`~repro.engine.executor.ExecutionResult` of the run;
             ``None`` for a plain EXPLAIN.
-        segments_total: EXPLAIN ANALYZE only — row groups the run's
-            scans considered (0 for a plain EXPLAIN).
-        segments_pruned: EXPLAIN ANALYZE only — row groups skipped
-            entirely via zone maps.
-        bytes_decoded: EXPLAIN ANALYZE only — modeled encoded bytes of
-            the segments that were actually materialized.
-        version_vector: the per-table catalog versions the plan stage
-            keyed on — ``((table, version), ...)`` restricted to the
-            query's tables (``None`` when planning never ran).
-        cache_outcome: the plan-cache lookup's verdict — ``"hit"``,
-            ``"miss"``, or ``"invalidated"`` (``None`` when unknown).
-        invalidation_cause: for ``"invalidated"`` — which token component
-            moved (``"table:<name>"`` / ``"feedback:<name>"``), else
-            ``None``.
-        arm: the hint-set arm the ``Arm:`` line reports (``None`` when
-            the line is omitted: one candidate, the ``default`` arm).
     """
 
-    __slots__ = ("text", "plan", "fused_ops", "cache_hit", "node_stats",
-                 "result", "segments_total", "segments_pruned",
-                 "bytes_decoded", "version_vector", "cache_outcome",
-                 "invalidation_cause", "arm")
+    __slots__ = ("text", "plan", "trace", "result")
 
-    def __init__(self, text, plan, fused_ops=0, cache_hit=False,
-                 node_stats=None, result=None, segments_total=0,
-                 segments_pruned=0, bytes_decoded=0, version_vector=None,
-                 cache_outcome=None, invalidation_cause=None, arm=None):
-        self.text = text
+    def __init__(self, plan, trace, result=None, arm_stats=None):
+        self.text = render_explain(plan, trace, arm_stats)
         self.plan = plan
-        self.fused_ops = fused_ops
-        self.cache_hit = cache_hit
-        self.node_stats = node_stats
+        self.trace = trace
         self.result = result
-        self.segments_total = segments_total
-        self.segments_pruned = segments_pruned
-        self.bytes_decoded = bytes_decoded
-        self.version_vector = version_vector
-        self.cache_outcome = cache_outcome
-        self.invalidation_cause = invalidation_cause
-        self.arm = arm
+
+    @property
+    def fused_ops(self):
+        """How many tail stages the executor's fusion pass collapsed
+        (EXPLAIN ANALYZE) or will collapse when this plan is executed."""
+        run = self.trace.execute
+        return fuse_plan(self.plan)[1] if run is None else run.fused_ops
 
     def __str__(self):
         return self.text
@@ -182,7 +211,7 @@ class ExplainResult:
 
     def __repr__(self):
         return "ExplainResult(cache_hit=%r, fused_ops=%d)" % (
-            self.cache_hit, self.fused_ops,
+            self.trace.cache_hit, self.fused_ops,
         )
 
 
@@ -197,19 +226,21 @@ class PreparedQuery:
     :meth:`QueryPipeline.execute_prepared` — pinned to the session's
     snapshot — without a second trip through the planner.
 
-    Telemetry note: the embedded :class:`PipelineTelemetry` accumulates
-    across executions, so treat a PreparedQuery as single-shot when you
-    care about per-run stage timings (re-preparing is cheap — it hits the
-    warm caches).
+    ``trace`` is the trace of the statement that planned it (its first
+    execution lands there; a later one forks it — see
+    :meth:`~repro.engine.telemetry.StatementTrace.fork`); ``features``
+    is the context vector the selector chose on and trains on after the
+    run (``None`` under selectors that do not learn from one).
     """
 
-    __slots__ = ("sql", "query", "plan", "telemetry")
+    __slots__ = ("sql", "query", "plan", "trace", "features")
 
-    def __init__(self, sql, query, plan, telemetry):
+    def __init__(self, sql, query, plan, trace, features=None):
         self.sql = sql
         self.query = query
         self.plan = plan
-        self.telemetry = telemetry
+        self.trace = trace
+        self.features = features
 
     @property
     def est_cost(self):
@@ -217,8 +248,8 @@ class PreparedQuery:
 
         The admission currency: comparable to the executor's measured
         ``work`` by construction (same formulas, estimated vs. actual
-        cardinalities), so quota charges settle against
-        ``ExecutionTelemetry.total_work`` in the same unit.
+        cardinalities), so quota charges settle against the run's
+        ``total_work`` in the same unit.
         """
         root = self.plan
         for value in (root.est_cost, root.est_rows):
@@ -228,7 +259,7 @@ class PreparedQuery:
 
     def __repr__(self):
         return "PreparedQuery(est_cost=%.1f, cache_hit=%r)" % (
-            self.est_cost, self.telemetry.cache_hit,
+            self.est_cost, self.trace.cache_hit,
         )
 
 
@@ -448,12 +479,12 @@ class QueryPipeline:
             result = hook(self.db, sql_text)
             if result is not None:
                 return result
-        query, stmt, telemetry = self.front_end(sql_text)
+        query, stmt, trace = self.front_end(sql_text)
         if query is not None:
             return self.execute_prepared(
-                self._prepare(sql_text, query, telemetry)
+                self._prepare(sql_text, query, trace)
             )
-        return self.run_statement(stmt, telemetry)
+        return self.run_statement(stmt, trace)
 
     def run_query(self, query, order=None, snapshot=None):
         """Run a structured :class:`ConjunctiveQuery` (rewrite → plan →
@@ -467,22 +498,23 @@ class QueryPipeline:
         """Plan a SELECT through the caches without executing it.
 
         Returns a :class:`PreparedQuery` carrying the lowered query, the
-        physical plan, the planning telemetry, and the plan's cost
+        physical plan, the statement's trace so far, and the plan's cost
         estimate. Only SELECT is accepted — preparation exists for the
         read path, where gates and admission control must see the cost
         estimate *before* execution. Statement hooks are bypassed (they
         may mutate).
 
-        ``front`` is the ``(query, telemetry)`` pair of a
-        :meth:`front_end` pass the caller already made over this text
-        (the session layer classifies and gates a statement between the
-        front end and the plan stage); planning continues that pass
-        instead of starting a second one.
+        ``front`` is the ``(query, trace)`` pair of a :meth:`front_end`
+        pass the caller already made over this text (the session layer
+        classifies and gates a statement between the front end and the
+        plan stage); planning continues that pass — and that trace —
+        instead of starting a second one. :meth:`explain` and
+        :meth:`explain_analyze` take the same continuation.
         """
-        query, telemetry = front or self._select_query(
+        query, trace = front or self._select_query(
             sql_text, "prepare_sql", ExecutionError
         )
-        return self._prepare(sql_text, query, telemetry)
+        return self._prepare(sql_text, query, trace)
 
     def lower_sql(self, sql_text):
         """Parse + lower a SELECT to its :class:`ConjunctiveQuery`.
@@ -499,55 +531,60 @@ class QueryPipeline:
         The query-object twin of :meth:`prepare_sql` (rewrite → plan via
         the shared plan cache); returns a :class:`PreparedQuery`.
         """
-        return self._prepare(None, query, PipelineTelemetry(), order=order)
+        return self._prepare(None, query, StatementTrace(), order=order)
 
-    def front_end(self, sql_text):
+    def front_end(self, sql_text, trace=None):
         """Parse → lower through the SQL-text cache:
-        ``(query, stmt, telemetry)``.
+        ``(query, stmt, trace)``.
 
         The one front end behind every SQL entry point, so stage hooks
         and the warm-text cache apply to all of them alike. A SELECT
         comes back lowered (``stmt`` is ``None``); any other statement
-        comes back parsed (``query`` is ``None``); ``telemetry`` is the
-        statement's fresh :class:`PipelineTelemetry`, carrying the
-        parse/lower timings into whatever stages run next. The cache
-        token is the coarse ``schema_epoch``, not the full version
-        vector — lowering depends only on name resolution, so
-        inserts/ANALYZE keep warm SQL text warm.
+        comes back parsed (``query`` is ``None``). ``trace`` is the
+        statement's :class:`~repro.engine.telemetry.StatementTrace` —
+        the caller's when the statement entered above the pipeline, a
+        fresh one otherwise — now holding the ``parse``/``lower`` spans,
+        and handed on to whatever stages run next. The cache token is
+        the coarse ``schema_epoch``, not the full version vector —
+        lowering depends only on name resolution, so inserts/ANALYZE
+        keep warm SQL text warm.
         """
-        telemetry = PipelineTelemetry()
+        if trace is None:
+            trace = StatementTrace()
+        root = trace.root
         schema_epoch = self.db.catalog.schema_epoch
         t0 = time.perf_counter()
         query = self.query_cache.get(sql_text, schema_epoch)
-        if query is None:
+        if query is not None:
+            root.child("lower", t0).close()
+            return query, None, trace
+        with root.child("parse", t0):
             stmt = parse_sql(sql_text)
-            telemetry.record_stage("parse", time.perf_counter() - t0)
-            stmt = self._apply_hooks("parse", stmt)
-            if not isinstance(stmt, SelectStmt):
-                return None, stmt, telemetry
-            t0 = time.perf_counter()
+        stmt = self._apply_hooks("parse", stmt)
+        if not isinstance(stmt, SelectStmt):
+            return None, stmt, trace
+        with root.child("lower"):
             query = lower_select(stmt, self.db.catalog)
             query = self._apply_hooks("lower", query)
             self.query_cache.put(sql_text, query, schema_epoch)
-        telemetry.record_stage("lower", time.perf_counter() - t0)
-        return query, None, telemetry
+        return query, None, trace
 
     def _select_query(self, sql_text, what, error=ParseError):
         """:meth:`front_end` for the read-only entry points: the lowered
-        query and its telemetry, or ``error`` naming ``what`` when the
+        query and its trace, or ``error`` naming ``what`` when the
         statement is not a SELECT."""
-        query, __, telemetry = self.front_end(sql_text)
+        query, __, trace = self.front_end(sql_text)
         if query is None:
             raise error(
                 "%s supports only SELECT statements, got %r"
                 % (what, _head(sql_text))
             )
-        return query, telemetry
+        return query, trace
 
-    def _prepare(self, sql_text, query, telemetry, order=None):
-        query = self._rewrite(query, telemetry)
-        chosen = self._plan(query, telemetry, order=order)
-        return PreparedQuery(sql_text, query, chosen.plan, telemetry)
+    def _prepare(self, sql_text, query, trace, order=None):
+        query = self._rewrite(query, trace)
+        chosen, features = self._plan(query, trace, order=order)
+        return PreparedQuery(sql_text, query, chosen.plan, trace, features)
 
     def execute_prepared(self, prepared, snapshot=None):
         """Execute a :class:`PreparedQuery`, optionally pinned to a
@@ -558,48 +595,48 @@ class QueryPipeline:
         serving path, its cost estimate charged against a quota), so this
         runs exactly that plan — against the live catalog, or the pinned
         snapshot — then applies the execute hooks, closes the feedback
-        and selection loops, and accumulates stats.
+        and selection loops, and accumulates stats. Executing the same
+        prepared query again is a new statement: its trace shares the
+        planning spans and only its own ``execute`` is accumulated.
         """
-        telemetry = prepared.telemetry
-        t0 = time.perf_counter()
-        result = self.db.executor.execute(prepared.plan, catalog=snapshot)
-        telemetry.record_stage("execute", time.perf_counter() - t0)
+        trace = prepared.trace
+        if trace.execute is not None:
+            trace = trace.fork()
+        result = self.db.executor.execute(
+            prepared.plan, catalog=snapshot, trace=trace
+        )
         result = self._apply_hooks("execute", result)
-        telemetry.execution = result.telemetry
-        result.pipeline_telemetry = telemetry
         if snapshot is None:
             # Snapshot runs skip feedback and bandit training: their
             # actuals describe pinned data and would poison estimates
             # (and rewards) for the live tables.
-            self._ingest_feedback(prepared.query, prepared.plan, result)
-            self._observe_selection(telemetry, result)
-        self._accumulate(telemetry)
+            store = self.db.feedback
+            if store is not None:
+                ingest_execution(store, prepared.query, prepared.plan,
+                                 result.telemetry.node_stats)
+            self.db.plan_selector.observe(
+                trace.arm, prepared.features, trace.arm_est_cost,
+                result.work,
+            )
+        trace.root.close()
+        self._accumulate(trace)
         return result
 
-    def explain(self, sql_text):
+    def explain(self, sql_text, front=None):
         """Plan a SELECT (through the cache) without executing it.
 
         Returns an :class:`ExplainResult`; its ``str()`` is the plan
         text, and ``fused_ops`` previews what the executor's fusion pass
-        will collapse at execution time.
+        will collapse at execution time. ``front``: as for
+        :meth:`prepare_sql`.
         """
-        query, telemetry = self._select_query(sql_text, "EXPLAIN")
-        prepared = self._prepare(sql_text, query, telemetry)
-        __, fused_ops = fuse_plan(prepared.plan)
-        self._accumulate(telemetry)
-        arm_line = self._arm_line(telemetry)
-        return ExplainResult(
-            text=prepared.plan.pretty() + arm_line,
-            plan=prepared.plan,
-            fused_ops=fused_ops,
-            cache_hit=bool(telemetry.cache_hit),
-            version_vector=telemetry.plan_versions,
-            cache_outcome=telemetry.cache_outcome,
-            invalidation_cause=telemetry.invalidation_cause,
-            arm=telemetry.arm if arm_line else None,
-        )
+        query, trace = front or self._select_query(sql_text, "EXPLAIN")
+        prepared = self._prepare(sql_text, query, trace)
+        trace.root.close()
+        self._accumulate(trace)
+        return ExplainResult(prepared.plan, trace)
 
-    def explain_analyze(self, sql_text):
+    def explain_analyze(self, sql_text, front=None):
         """Execute a SELECT and render est-vs-actual rows per plan node.
 
         The EXPLAIN-ANALYZE view: the query runs for real (the same
@@ -608,82 +645,25 @@ class QueryPipeline:
         renders each node of the unfused plan with its estimated rows,
         executor-counted actual rows, and q-error. ``result`` carries
         the run's :class:`~repro.engine.executor.ExecutionResult` (rows
-        included), ``node_stats`` the structured per-node records.
+        included). ``front``: as for :meth:`prepare_sql`.
         """
-        query, telemetry = self._select_query(sql_text, "EXPLAIN ANALYZE")
-        prepared = self._prepare(sql_text, query, telemetry)
+        query, trace = front or self._select_query(
+            sql_text, "EXPLAIN ANALYZE")
+        prepared = self._prepare(sql_text, query, trace)
         result = self.execute_prepared(prepared)
-        run = result.telemetry
-        text = pretty_analyze(prepared.plan, run.node_stats)
-        if run.segments_total:
-            text += "\nSegments: %d scanned, %d pruned (%d bytes decoded)" % (
-                run.segments_total - run.segments_pruned,
-                run.segments_pruned,
-                run.bytes_decoded,
-            )
-        if telemetry.plan_versions:
-            text += "\nVersions: " + ", ".join(
-                "%s=%s" % pair for pair in telemetry.plan_versions
-            )
-        if telemetry.cache_outcome:
-            text += "\nPlan cache: %s" % telemetry.cache_outcome
-            if telemetry.invalidation_cause:
-                text += " (%s)" % telemetry.invalidation_cause
-        arm_line = self._arm_line(telemetry)
-        if arm_line:
-            text += arm_line + self._arm_wins_line()
         return ExplainResult(
-            text=text,
-            plan=prepared.plan,
-            fused_ops=run.fused_ops,
-            cache_hit=bool(telemetry.cache_hit),
-            node_stats=run.node_stats,
-            result=result,
-            segments_total=run.segments_total,
-            segments_pruned=run.segments_pruned,
-            bytes_decoded=run.bytes_decoded,
-            version_vector=telemetry.plan_versions,
-            cache_outcome=telemetry.cache_outcome,
-            invalidation_cause=telemetry.invalidation_cause,
-            arm=telemetry.arm if arm_line else None,
-        )
-
-    @staticmethod
-    def _arm_line(telemetry):
-        """The ``Arm:`` line EXPLAIN (ANALYZE) appends, or ``""``.
-
-        Printed only when selection had something to report: more than
-        one candidate was raced, or the chosen arm is not ``default``.
-        """
-        if telemetry.n_candidates < 2 and telemetry.arm == DEFAULT_ARM.name:
-            return ""
-        line = "\nArm: %s (est_cost=%.1f" % (
-            telemetry.arm, telemetry.arm_est_cost,
-        )
-        if telemetry.ues_bound is not None:
-            line += ", ues_bound=%.1f" % telemetry.ues_bound
-        return line + ")"
-
-    def _arm_wins_line(self):
-        """Per-arm ``wins/picks`` counters from the selector, one line."""
-        arms = self.db.plan_selector.stats().get("arms", {})
-        if not arms:
-            return ""
-        return "\nArm wins: " + ", ".join(
-            "%s=%d/%d" % (name, st.get("wins") or 0, st.get("picks") or 0)
-            for name, st in sorted(arms.items())
+            prepared.plan, trace, result,
+            self.db.plan_selector.stats().get("arms"),
         )
 
     # -- stages ------------------------------------------------------------
-    def _rewrite(self, query, telemetry):
-        t0 = time.perf_counter()
-        if self._rewriter is not None:
-            out = self._rewriter(query)
-            if out is not None:
-                query = out
-        query = self._apply_hooks("rewrite", query)
-        telemetry.record_stage("rewrite", time.perf_counter() - t0)
-        return query
+    def _rewrite(self, query, trace):
+        with trace.root.child("rewrite"):
+            if self._rewriter is not None:
+                out = self._rewriter(query)
+                if out is not None:
+                    query = out
+            return self._apply_hooks("rewrite", query)
 
     def _plan_token(self, query):
         """The plan cache's invalidation token for ``query``.
@@ -697,7 +677,7 @@ class QueryPipeline:
         feedback = () if store is None else store.version_vector(query.tables)
         return (self.db.catalog.version_vector(query.tables), feedback)
 
-    def _plan(self, query, telemetry, order=None):
+    def _plan(self, query, trace, order=None):
         """The plan stage: one candidate per arm, the selector's choice.
 
         The selector names the arms (``cost``: just ``default``). Each
@@ -706,85 +686,70 @@ class QueryPipeline:
         queries skip candidate generation entirely; only arms whose
         entries are cold or invalidated replan. Selection itself always
         runs (it is the learning step), and the chosen arm's cache
-        outcome is what the telemetry reports. Returns the chosen
-        :class:`~repro.engine.optimizer.hints.PlanCandidate`.
+        outcome is what the ``plan`` span reports. Returns the chosen
+        :class:`~repro.engine.optimizer.hints.PlanCandidate` and the
+        feature vector it was selected on.
         """
-        t0 = time.perf_counter()
-        selector = self.db.plan_selector
-        sig = query.signature()
-        order_t = None if order is None else tuple(t.lower() for t in order)
-        token = self._plan_token(query)
-        candidates, outcomes, missing = [], {}, []
-        for hints in selector.arms(query):
-            cand, outcome, stale = self.plan_cache.lookup(
-                (sig, order_t, hints.name), token
+        with trace.root.child("plan") as span:
+            selector = self.db.plan_selector
+            sig = query.signature()
+            order_t = (None if order is None
+                       else tuple(t.lower() for t in order))
+            token = self._plan_token(query)
+            candidates, outcomes, missing = [], {}, []
+            for hints in selector.arms(query):
+                cand, outcome, stale = self.plan_cache.lookup(
+                    (sig, order_t, hints.name), token
+                )
+                outcomes[hints.name] = (outcome, stale)
+                if cand is None:
+                    missing.append(hints)
+                else:
+                    candidates.append(cand)
+            if missing:
+                fresh = self.db.planner.plan_candidates(
+                    query, missing, order=order
+                )
+                # Re-read the token: planning may lazily ANALYZE (a
+                # version bump), and entries must match the state they
+                # were built from.
+                put_token = self._plan_token(query)
+                for cand in fresh:
+                    hooked = self._apply_hooks("plan", cand.plan)
+                    if hooked is not cand.plan:
+                        cand = replace(cand, plan=hooked)
+                    self.plan_cache.put(
+                        (sig, order_t, cand.arm), cand, put_token)
+                    candidates.append(cand)
+            features = selector.features(query, self.db.planner.estimator)
+            chosen = selector.select(candidates, query, features)
+            outcome, stale = outcomes.get(chosen.arm, ("miss", None))
+            bound = None
+            for cand in candidates:
+                if cand.bound is not None:
+                    bound = cand.bound
+            span.attrs.update(
+                cache_outcome=outcome,
+                invalidation_cause=(
+                    _invalidation_cause(stale, token)
+                    if outcome == "invalidated" else None),
+                plan_versions=token[0],
+                arm=chosen.arm,
+                arm_est_cost=chosen.est_cost,
+                n_candidates=len(candidates),
+                ues_bound=bound,
             )
-            outcomes[hints.name] = (outcome, stale)
-            if cand is None:
-                missing.append(hints)
-            else:
-                candidates.append(cand)
-        if missing:
-            fresh = self.db.planner.plan_candidates(
-                query, missing, order=order
-            )
-            # Re-read the token: planning may lazily ANALYZE (a version
-            # bump), and entries must match the state they were built from.
-            put_token = self._plan_token(query)
-            for cand in fresh:
-                hooked = self._apply_hooks("plan", cand.plan)
-                if hooked is not cand.plan:
-                    cand = replace(cand, plan=hooked)
-                self.plan_cache.put((sig, order_t, cand.arm), cand, put_token)
-                candidates.append(cand)
-        features = selector.features(query, self.db.planner.estimator)
-        chosen = selector.select(candidates, query, features)
-        outcome, stale = outcomes.get(chosen.arm, ("miss", None))
-        telemetry.cache_hit = outcome == "hit"
-        telemetry.cache_outcome = outcome
-        telemetry.plan_versions = token[0]
-        if outcome == "invalidated":
-            telemetry.invalidation_cause = _invalidation_cause(stale, token)
-        telemetry.arm = chosen.arm
-        telemetry.arm_est_cost = chosen.est_cost
-        telemetry.n_candidates = len(candidates)
-        telemetry.selection_features = features
-        for cand in candidates:
-            if cand.bound is not None:
-                telemetry.ues_bound = cand.bound
-        telemetry.record_stage("plan", time.perf_counter() - t0)
-        return chosen
+        return chosen, features
 
-    def _observe_selection(self, telemetry, result):
-        """Close the bandit loop: the run's measured work → the selector."""
-        if result.telemetry is None:
-            return
-        self.db.plan_selector.observe(
-            telemetry.arm,
-            telemetry.selection_features,
-            telemetry.arm_est_cost,
-            result.telemetry.total_work,
-        )
-
-    def _ingest_feedback(self, query, plan, result):
-        """Close the cardinality loop: observed actuals → feedback store."""
-        store = self.db.feedback
-        if store is None or result.telemetry is None:
-            return
-        node_stats = result.telemetry.node_stats
-        if node_stats:
-            ingest_execution(store, query, plan, node_stats)
-
-    def run_statement(self, stmt, telemetry):
+    def run_statement(self, stmt, trace):
         """Execute a parsed DDL/DML/ANALYZE statement against the catalog.
 
         The write-side continuation of a :meth:`front_end` pass, as
-        :meth:`prepare_sql` is the read side's: ``stmt`` and
-        ``telemetry`` are what that pass returned, so the statement is
-        parsed, hooked and timed once. Returns the status string.
+        :meth:`prepare_sql` is the read side's: ``stmt`` and ``trace``
+        are what that pass returned, so the statement is parsed, hooked
+        and timed once. Returns the status string.
         """
-        t0 = time.perf_counter()
-        try:
+        with trace.root.child("execute"):
             if isinstance(stmt, CreateTableStmt):
                 self.db.catalog.create_table(stmt.name, stmt.columns)
                 status = "CREATE TABLE"
@@ -801,9 +766,8 @@ class QueryPipeline:
                 status = "ANALYZE"
             else:
                 raise ParseError("unhandled statement %r" % (stmt,))
-        finally:
-            telemetry.record_stage("execute", time.perf_counter() - t0)
-        self._accumulate(telemetry)
+        trace.root.close()
+        self._accumulate(trace)
         return status
 
     def _insert(self, stmt):
@@ -826,14 +790,18 @@ class QueryPipeline:
             rows = reordered
         return table.insert_rows(rows)
 
-    # -- telemetry ---------------------------------------------------------
-    def _accumulate(self, telemetry):
+    # -- aggregate ---------------------------------------------------------
+    def _accumulate(self, trace):
+        """Add one statement's stage spans to the totals — only the ones
+        it added itself (a forked trace's shared planning was counted
+        with the statement that planned)."""
         with self._stats_lock:
             self._runs += 1
-            for stage, seconds in telemetry.stages.items():
-                entry = self._stage_totals[stage]
-                entry["count"] += 1
-                entry["seconds"] += seconds
+            for span in trace.root.children[trace.shared:]:
+                entry = self._stage_totals.get(span.name)
+                if entry is not None:
+                    entry["count"] += 1
+                    entry["seconds"] += span.seconds
 
     def stats(self):
         """Cumulative pipeline statistics since the last :meth:`reset_stats`.

@@ -45,20 +45,26 @@ class PhysicalPlan:
                 out.update(t.lower() for t in node.view.query.tables)
         return out
 
-    def pretty(self, indent=0):
-        """Render the plan as an indented explain-style string."""
-        pad = "  " * indent
-        label = self.describe()
-        est = ""
-        if self.est_rows is not None:
-            est = "  (rows=%s cost=%s)" % (
-                format(self.est_rows, ".4g"),
-                format(self.est_cost, ".4g") if self.est_cost is not None else "?",
-            )
-        lines = [pad + label + est]
+    def pretty(self, indent=0, annotate=None):
+        """Render the plan as an indented explain-style string.
+
+        ``annotate(node)`` supplies each line's suffix, called in
+        preorder; the default shows the optimizer's estimates.
+        """
+        if annotate is None:
+            annotate = PhysicalPlan._estimates
+        lines = ["  " * indent + self.describe() + annotate(self)]
         for child in self.children:
-            lines.append(child.pretty(indent + 1))
+            lines.append(child.pretty(indent + 1, annotate))
         return "\n".join(lines)
+
+    def _estimates(self):
+        if self.est_rows is None:
+            return ""
+        return "  (rows=%s cost=%s)" % (
+            format(self.est_rows, ".4g"),
+            format(self.est_cost, ".4g") if self.est_cost is not None else "?",
+        )
 
     def describe(self):
         """One-line node description (overridden by subclasses)."""
@@ -279,39 +285,6 @@ def plan_signature(plan):
     for node in plan.walk():
         parts.append(node.describe())
     return tuple(parts)
-
-
-def pretty_analyze(plan, node_stats):
-    """Render a plan EXPLAIN-ANALYZE-style: estimated vs actual rows.
-
-    ``node_stats`` is the executor telemetry's per-node record list, in
-    the same preorder as ``plan.walk()`` (each entry carries ``est_rows``,
-    ``actual_rows`` and ``q_error``). Nodes the run never measured (e.g.
-    a plan that was not executed) render ``actual=?``.
-    """
-    stats = list(node_stats)
-    lines = []
-
-    def fmt(entry):
-        if entry is None:
-            return ""
-        est = entry.get("est_rows")
-        actual = entry.get("actual_rows")
-        q = entry.get("q_error")
-        return "  (rows=%s actual=%s%s)" % (
-            "?" if est is None else format(est, ".4g"),
-            "?" if actual is None else actual,
-            "" if q is None else " q=%s" % format(q, ".3g"),
-        )
-
-    def render(node, depth, it):
-        entry = next(it, None)
-        lines.append("  " * depth + node.describe() + fmt(entry))
-        for child in node.children:
-            render(child, depth + 1, it)
-
-    render(plan, 0, iter(stats))
-    return "\n".join(lines)
 
 
 def operator_counts(plan):

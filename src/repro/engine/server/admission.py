@@ -5,7 +5,7 @@ denominated in the engine's deterministic ``work`` units (the same
 quantity the executor measures and the cost model estimates — see
 ``PAPER.md``'s substitution table). A query is admitted by charging its
 plan's **cost estimate** against its tenant's bucket; when execution
-finishes, the charge is settled against ``ExecutionTelemetry.total_work``
+finishes, the charge is settled against the run's measured ``total_work``
 (over-estimates are refunded, under-estimates charged extra), so over
 time each tenant pays for exactly the work it consumed — the conservation
 property the admission test suite asserts, and the "estimates as
@@ -355,8 +355,8 @@ class AdmissionController:
     def settle(self, ticket, actual_work):
         """Close one admission: refund/charge the estimate's error.
 
-        ``actual_work`` is the executor's measured
-        ``ExecutionTelemetry.total_work``; the tenant's net charge
+        ``actual_work`` is the run's measured ``total_work``; the
+        tenant's net charge
         becomes exactly that (charge ``est`` up front, deposit
         ``est - actual`` here). Idempotent per ticket.
         """

@@ -32,7 +32,6 @@ tenancy.
 
 import itertools
 import threading
-import time
 
 from repro.common import ExecutionError
 from repro.engine.database import Database
@@ -43,7 +42,7 @@ from repro.engine.session.context import (
     ServerBackend,
     SessionContext,
 )
-from repro.engine.telemetry import ServingRollup
+from repro.engine.telemetry import ServingRollup, StatementTrace
 
 #: Session isolation levels: pin a fresh snapshot per statement, or one
 #: snapshot for the session's whole lifetime (repeatable read; read-only).
@@ -129,7 +128,8 @@ class Session:
         """
         catalog = self._server.db.catalog
         return self._server._run_write(
-            self, lambda: catalog.table(table).insert_rows(rows))
+            self, lambda: catalog.table(table).insert_rows(rows),
+            StatementTrace())
 
     def snapshot_versions(self):
         """The per-table version vector this session currently reads.
@@ -264,49 +264,70 @@ class QueryServer:
         with self._commit_lock:
             return self.db.catalog.snapshot()
 
-    def _run_read(self, session, prepared):
-        """Admission → snapshot-pinned execution → settlement."""
-        session._check_open()
-        t0 = time.perf_counter()
-        ticket = None
+    def _admitted(self, session, trace, cost, run):
+        """The bracket every served statement runs in: admit → ``run()``
+        → settle, recorded as the trace's ``admission`` span.
+
+        ``run`` returns ``(result, work)`` — what the caller gets and
+        what the charge settles at (``None``: at the charge itself, a
+        write's flat cost). A statement that fails after
+        admission has its ticket refunded and reads ``"error"``; one
+        admission refuses reads ``"shed"``. The trace is closed and
+        observed by the rollup on every exit, so the rollup and the
+        admission counters count the same statements.
+        """
+        root = trace.root
+        root.attrs["tenant"] = session.tenant
+        root.attrs["session"] = session.session_id
+        span = root.child("admission")
+        session.last_admission = ticket = None
         try:
-            ticket = self.admission.admit(session.tenant, prepared.est_cost)
+            with span:
+                ticket = self.admission.admit(session.tenant, cost)
+            session.last_admission = ticket
+            span.attrs.update(outcome=ticket.outcome, cost=ticket.cost,
+                              queue_wait=ticket.queue_wait)
+            result, work = run()
+            if work is None:
+                work = ticket.cost
+            self.admission.settle(ticket, work)
+            span.attrs["settled"] = work
+            return result
         except Exception:
-            session.last_admission = None
-            self.rollup.observe(
-                session.tenant, session.session_id,
-                time.perf_counter() - t0, 0.0, "shed",
-            )
+            span.attrs["outcome"] = "shed" if ticket is None else "error"
+            if ticket is not None:
+                self.admission.cancel(ticket)
             raise
-        session.last_admission = ticket
-        try:
-            snapshot = (
-                session._pinned if session._pinned is not None
-                else self.pin_snapshot()
-            )
+        finally:
+            root.close()
+            self.rollup.observe(trace)
+
+    def _run_read(self, session, prepared):
+        """Admission → snapshot-pinned execution → settlement (at the
+        run's measured work)."""
+        session._check_open()
+        trace = prepared.trace
+
+        def run():
+            snapshot = session._pinned
+            if snapshot is None:
+                with trace.root.child("pin_snapshot"):
+                    snapshot = self.pin_snapshot()
             result = self.db.pipeline.execute_prepared(
                 prepared, snapshot=snapshot
             )
-        except Exception:
-            self.admission.cancel(ticket)
-            raise
-        actual = result.telemetry.total_work
-        self.admission.settle(ticket, actual)
-        result.admission = ticket
-        self.rollup.observe(
-            session.tenant, session.session_id,
-            time.perf_counter() - t0, actual, ticket.outcome,
-            queue_wait=ticket.queue_wait,
-        )
-        return result
+            return result, result.work
+
+        return self._admitted(session, trace, prepared.est_cost, run)
 
     # -- write path --------------------------------------------------------
-    def _run_write(self, session, apply):
+    def _run_write(self, session, apply, trace):
         """The single-writer commit path: admit → lock → apply → log →
         settle. ``apply`` is the write itself, a zero-argument callable
         run under the commit lock — a classified SQL statement
         (:meth:`ServerBackend.write`) or bulk rows
         (:meth:`Session.insert_rows`); its return value is the write's.
+        Writes settle at their flat charge (there is no plan to measure).
         """
         session._check_open()
         if session.isolation == "session":
@@ -314,10 +335,8 @@ class QueryServer:
                 "session-isolation sessions are read-only (their pinned "
                 "snapshot could never observe the write)"
             )
-        t0 = time.perf_counter()
-        ticket = self.admission.admit(session.tenant, self.write_cost)
-        session.last_admission = ticket
-        try:
+
+        def commit():
             with self._commit_lock:
                 result = apply()
                 self._commit_seq += 1
@@ -325,17 +344,9 @@ class QueryServer:
                     (self._commit_seq,
                      dict(self.db.catalog.version_vector()))
                 )
-        except Exception:
-            self.admission.cancel(ticket)
-            raise
-        # Writes settle at their flat charge (no execution telemetry).
-        self.admission.settle(ticket, ticket.cost)
-        self.rollup.observe(
-            session.tenant, session.session_id,
-            time.perf_counter() - t0, ticket.cost, ticket.outcome,
-            queue_wait=ticket.queue_wait,
-        )
-        return result
+            return result, None
+
+        return self._admitted(session, trace, self.write_cost, commit)
 
     # -- introspection ----------------------------------------------------
     def commit_history(self):

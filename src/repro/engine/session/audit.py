@@ -31,11 +31,14 @@ class AuditRecord:
         status: ``"ok"`` / ``"error"`` / ``"denied"``.
         error: the exception message when status is not ``"ok"``.
         est_cost: planner cost estimate, when one existed pre-execution.
-        actual_work: realized ``ExecutionTelemetry.total_work``.
+        actual_work: the run's measured ``total_work`` (the digest's).
         n_rows: rows returned (reads) or ingested (writes).
         versions: the per-table version vector observed *after* the
             statement (dict, copied).
-        telemetry: :meth:`ExecutionTelemetry.brief` dict, or ``None``.
+        telemetry: the statement trace's
+            :meth:`~repro.engine.telemetry.StatementTrace.brief` digest
+            (``None`` unless a plan ran to completion) — the log keeps
+            these numbers, never the tree.
     """
 
     __slots__ = ("seq", "sql", "kind", "decision", "rule", "status",
@@ -113,11 +116,15 @@ class AuditLog:
         self._records.append(record)
         return record
 
-    def record(self, sql, kind, decision, rule, status, **fields):
-        """Build + append an :class:`AuditRecord` with the next seq."""
+    def record(self, sql, kind, decision, rule, status, trace=None,
+               **fields):
+        """Build + append an :class:`AuditRecord` with the next seq;
+        ``trace`` is the statement's (closed) trace, digested here."""
+        digest = None if trace is None else trace.brief()
         rec = AuditRecord(
             seq=len(self._records) + 1, sql=sql, kind=kind,
-            decision=decision, rule=rule, status=status, **fields)
+            decision=decision, rule=rule, status=status, telemetry=digest,
+            actual_work=digest and digest["total_work"], **fields)
         return self.append(rec)
 
     # -- read side -------------------------------------------------------

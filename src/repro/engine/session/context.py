@@ -15,9 +15,11 @@ gate runs, then a SELECT is planned *from that same front-end pass*,
 cost-gated, read through the backend and row-gated, and anything else
 is cost-gated and written through the backend — a native statement
 executed *from that same pass* too, so no surface parses (or fires a
-``"parse"`` hook for) a statement twice; the outcome is audited. A
-session without a policy or an audit log takes the same route — its
-gates simply have nothing to check or record.
+``"parse"`` hook for) a statement twice; the outcome is audited. The
+statement's :class:`~repro.engine.telemetry.StatementTrace` is created
+here, where it enters, and handed down that same route. A session
+without a policy or an audit log takes the same route — its gates
+simply have nothing to check or record.
 
 Layering: this module sits inside ``repro.engine`` and must not import
 the serving layer (``repro.engine.server``) — the server imports *us*.
@@ -37,6 +39,7 @@ from repro.engine.sql.ast_nodes import (
     CreateTableStmt,
     InsertStmt,
 )
+from repro.engine.telemetry import StatementTrace
 
 #: Flat cost of one write statement — the cost gate's estimate and the
 #: serving layer's default admission charge (writes bypass the planner,
@@ -135,19 +138,21 @@ class StatementInfo:
             ``"lowered"`` (a native SELECT) / ``"parsed"`` (any other
             native statement) / ``"sniffed"`` (an unclaimed extension
             head).
+        trace: the statement's
+            :class:`~repro.engine.telemetry.StatementTrace`.
         front: the front-end pass that classified a native statement,
             which running it continues — so the statement is parsed,
-            hooked, timed and cache-counted once. ``(query, telemetry)``
+            hooked, timed and cache-counted once. ``(query, trace)``
             for ``"lowered"`` (what :meth:`~repro.engine.pipeline.
-            QueryPipeline.prepare_sql` takes), ``(stmt, telemetry)`` for
+            QueryPipeline.prepare_sql` takes), ``(stmt, trace)`` for
             ``"parsed"`` (what :meth:`~repro.engine.pipeline.
             QueryPipeline.run_statement` takes). ``None`` otherwise.
     """
 
     __slots__ = ("sql", "kind", "tables", "columns", "query",
-                 "row_estimate", "source", "front")
+                 "row_estimate", "source", "trace", "front")
 
-    def __init__(self, sql, kind, tables=(), columns=(), query=None,
+    def __init__(self, sql, kind, trace, tables=(), columns=(), query=None,
                  row_estimate=None, source="sniffed", front=None):
         self.sql = sql
         self.kind = kind
@@ -156,6 +161,7 @@ class StatementInfo:
         self.query = query
         self.row_estimate = row_estimate
         self.source = source
+        self.trace = trace
         self.front = front
 
     def __repr__(self):
@@ -201,7 +207,7 @@ def _query_columns(db, query):
     return _dedupe(cols)
 
 
-def classify(db, sql_text):
+def classify(db, sql_text, trace=None):
     """Classify one statement without executing it.
 
     Extension inspectors (``db.pipeline.statement_inspectors`` — the
@@ -215,14 +221,19 @@ def classify(db, sql_text):
 
     A malformed or unresolvable native statement raises the same
     :class:`~repro.common.ParseError` /
-    :class:`~repro.common.CatalogError` executing it would.
+    :class:`~repro.common.CatalogError` executing it would. The front
+    end's spans land in ``trace`` (a fresh one when the caller is not
+    executing the statement).
     """
+    if trace is None:
+        trace = StatementTrace()
     for inspector in db.pipeline.statement_inspectors:
         desc = inspector(db, sql_text)
         if desc is not None:
             return StatementInfo(
                 sql_text,
                 desc.get("kind", "UNKNOWN"),
+                trace,
                 tables=desc.get("tables", ()),
                 columns=_dedupe(desc.get("columns", ())),
                 query=desc.get("query"),
@@ -230,21 +241,21 @@ def classify(db, sql_text):
                 source="inspector",
             )
     try:
-        query, stmt, telemetry = db.pipeline.front_end(sql_text)
+        query, stmt, __ = db.pipeline.front_end(sql_text, trace)
     except ParseError:
         kind = sniff_kind(sql_text)
         if kind not in _EXTENSION_KINDS:
             raise
-        return StatementInfo(sql_text, kind)
+        return StatementInfo(sql_text, kind, trace)
     if query is not None:
         return StatementInfo(
-            sql_text, "SELECT", tables=list(query.tables),
+            sql_text, "SELECT", trace, tables=list(query.tables),
             columns=_query_columns(db, query), query=query,
-            source="lowered", front=(query, telemetry),
+            source="lowered", front=(query, trace),
         )
     def parsed(kind, **fields):
-        return StatementInfo(sql_text, kind, source="parsed",
-                             front=(stmt, telemetry), **fields)
+        return StatementInfo(sql_text, kind, trace, source="parsed",
+                             front=(stmt, trace), **fields)
 
     if isinstance(stmt, InsertStmt):
         if stmt.columns:
@@ -311,8 +322,8 @@ class SessionResult:
 
     @property
     def telemetry(self):
-        """The run's :class:`ExecutionTelemetry`, when the statement
-        executed through the executor."""
+        """The run's ``execute`` span, when the statement executed
+        through the executor."""
         return getattr(self.raw, "telemetry", None)
 
     @property
@@ -455,7 +466,8 @@ class ServerBackend(LocalBackend):
     """Execution through a :class:`QueryServer`'s admission + commit paths.
 
     Duck-typed: ``server`` is anything exposing ``pin_snapshot``,
-    ``_run_read(session, prepared)`` and ``_run_write(session, apply)``;
+    ``_run_read(session, prepared)`` and
+    ``_run_write(session, apply, trace)``;
     ``session`` is that server's session handle. (This module must not
     import the serving layer — it imports us.) What a write *does* is
     :meth:`LocalBackend.write`; the server's commit path decides when.
@@ -471,7 +483,7 @@ class ServerBackend(LocalBackend):
 
     def write(self, info):
         return self.server._run_write(
-            self.session, partial(super().write, info))
+            self.session, partial(super().write, info), info.trace)
 
 
 class SessionContext:
@@ -509,39 +521,39 @@ class SessionContext:
         rejects — reach the statement hooks. A denial or
         failure at any step — an :class:`EngineError` or anything else
         an operator, hook or backend lets escape — is audited with what
-        was known by then, then re-raised unchanged.
+        was known by then (its trace closed like any other), then
+        re-raised unchanged.
         """
         kind = decision = None
-        seen = {}
+        trace = StatementTrace()
+        seen = {"trace": trace}
         try:
-            info = classify(self.db, sql_text)
-            kind = info.kind
-            decision = self._gate(sql_text, "check_statement", info)
-            try:
-                prepared, est_cost, __ = self._estimate(info)
-            except EngineError:
-                if info.source == "lowered":
-                    raise
-                # An extension's feature query that does not plan: the
-                # hook reports the failure in its own words.
-                prepared = est_cost = None
-            seen["est_cost"] = est_cost
-            self._gate(sql_text, "check_cost", est_cost)
-            if prepared is not None:
-                raw = self.backend.read(prepared)
-            else:
-                raw = self.backend.write(info)
-            telemetry = getattr(raw, "telemetry", None)
-            rows = getattr(raw, "rows", None)
-            if telemetry is not None:
-                seen["actual_work"] = telemetry.total_work
-            seen["n_rows"] = (len(rows) if rows is not None
-                              else info.row_estimate)
-            if rows is not None:
-                # Limits on realized size can only be checked after
-                # execution — an overrun is withheld and audited.
-                # Extension reads (AISQL PREDICT) are row-shaped too.
-                self._gate(sql_text, "check_result_rows", len(rows))
+            with trace.root:
+                info = classify(self.db, sql_text, trace)
+                kind = info.kind
+                decision = self._gate(sql_text, "check_statement", info)
+                try:
+                    prepared, est_cost, __ = self._estimate(info)
+                except EngineError:
+                    if info.source == "lowered":
+                        raise
+                    # An extension's feature query that does not plan:
+                    # the hook reports the failure in its own words.
+                    prepared = est_cost = None
+                seen["est_cost"] = est_cost
+                self._gate(sql_text, "check_cost", est_cost)
+                if prepared is not None:
+                    raw = self.backend.read(prepared)
+                else:
+                    raw = self.backend.write(info)
+                rows = getattr(raw, "rows", None)
+                seen["n_rows"] = (len(rows) if rows is not None
+                                  else info.row_estimate)
+                if rows is not None:
+                    # Limits on realized size can only be checked after
+                    # execution — an overrun is withheld and audited.
+                    # Extension reads (AISQL PREDICT) are row-shaped too.
+                    self._gate(sql_text, "check_result_rows", len(rows))
         except Exception as exc:
             denial = getattr(exc, "decision", None)
             if denial is not None:
@@ -555,8 +567,7 @@ class SessionContext:
                 self._audit(sql_text, kind or sniff_kind(sql_text),
                             decision, "error", error=error, **seen)
             raise
-        record = self._audit(sql_text, kind, decision, "ok",
-                             telemetry=telemetry, **seen)
+        record = self._audit(sql_text, kind, decision, "ok", **seen)
         return SessionResult(sql_text, kind, raw, decision=decision,
                              est_cost=est_cost, audit_record=record)
 
@@ -565,10 +576,12 @@ class SessionContext:
         return self.execute(sql_text).rows
 
     def explain(self, sql_text):
-        """Plan a SELECT without executing (statement-gated first)."""
-        self._gate(sql_text, "check_statement",
-                   classify(self.db, sql_text))
-        return self.db.pipeline.explain(sql_text)
+        """Plan a SELECT without executing (statement-gated first);
+        planning continues the pass that classified it."""
+        info = classify(self.db, sql_text)
+        self._gate(sql_text, "check_statement", info)
+        return self.db.pipeline.explain(
+            sql_text, info.front if info.source == "lowered" else None)
 
     def prepare(self, sql_text):
         """Plan a SELECT through the warm caches without executing.
@@ -664,12 +677,9 @@ class SessionContext:
     def _versions(self):
         return dict(self.db.catalog.version_vector())
 
-    def _audit(self, sql_text, kind, decision, status, telemetry=None,
-               **fields):
+    def _audit(self, sql_text, kind, decision, status, **fields):
         if self.audit is None:
             return None
-        if telemetry is not None:
-            fields["telemetry"] = telemetry.brief()
         rule = decision.rule if decision is not None else "default"
         verdict = decision.verdict if decision is not None else "allow"
         return self.audit.record(

@@ -1,14 +1,24 @@
-"""The engine's telemetry records.
+"""The engine's one telemetry record: a span tree per statement.
 
-:class:`ExecutionTelemetry` (per-operator batch/row/time counters the
-executor fills in while running a plan), :class:`PipelineTelemetry`
-(per-stage timings of one trip through the pipeline) and
-:class:`ServingRollup` (per-tenant / per-session accounting of served
-statements), plus the two helpers they share with their readers:
-:func:`q_error` and :func:`percentile`.
+A :class:`StatementTrace` is created once where a statement enters and
+handed down explicitly; every layer the statement passes opens a
+:class:`Span` under it (stages under the root, one span per executed
+plan node under ``execute`` — the tree is drawn in DESIGN.md,
+"Statement trace"), and everything that reports on the statement —
+``result.telemetry``, ``work``, EXPLAIN, the audit digest, the
+aggregates (:class:`ServingRollup`, ``QueryPipeline.stats()``) — is a
+read of that tree. The aggregates keep numbers, never trees: a trace
+lives as long as the result that carries it. Also here: :func:`q_error`
+and :func:`percentile`, the two helpers the readers share.
 """
 
 import threading
+import time
+
+_clock = time.perf_counter
+
+#: Root spans counted as "planning" (everything before execution).
+PLANNING_STAGES = ("parse", "lower", "rewrite", "plan")
 
 
 def q_error(est_rows, actual_rows):
@@ -26,226 +36,256 @@ def q_error(est_rows, actual_rows):
     return max(est / actual, actual / est)
 
 
-class ExecutionTelemetry:
-    """Per-operator execution counters for one plan run.
+class Span:
+    """One timed step of a statement — the tree's only node type.
 
     Attributes:
-        operators: ``{op_name: {"batches": int, "rows": int,
-            "seconds": float}}`` — one entry per operator type;
-            ``batches`` counts operator invocations (one batch per
-            invocation in this engine), ``rows`` sums output rows, and
-            ``seconds`` sums self-time (child operator time excluded).
-        fused_ops: how many pipeline stages the executor's fusion pass
-            collapsed into a single ``FusedPipelineOp`` for this run (0
-            when the plan tail did not match).
-        node_stats: per-plan-node cardinality records in plan preorder —
-            ``[{"op", "est_rows", "actual_rows", "q_error"}]`` — attributed
-            to the *original* (pre-fusion) plan's nodes. This is the
-            est-vs-actual view EXPLAIN ANALYZE renders and the signal the
-            optimizer's cardinality-feedback loop ingests.
-        segments_total: column-storage row groups the run's scans
-            considered (0 when no base-table scan ran).
-        segments_pruned: of those, how many a zone map proved irrelevant
-            to the pushed-down predicates — skipped without decoding.
-        bytes_decoded: modeled encoded bytes of the segments the scans
-            actually decoded (late materialization counts only the
-            columns read, only for surviving segments).
-        catalog_versions: ``{table: version}`` of the catalog state the
-            run read — the live catalog's current versions, or the pinned
-            vector when the run executed against a
-            :class:`~repro.engine.catalog.CatalogSnapshot`.
-        total_work: the run's exact deterministic work measurement (the
-            same number as ``ExecutionResult.work``) — the currency the
-            serving layer's admission control settles quota charges in.
-        total_seconds: wall-clock time for the whole plan.
+        name: the stage (``"plan"``) or operator (``"SeqScan"``) name.
+        start: ``time.perf_counter()`` when the step began.
+        seconds: its duration; ``None`` while it is open. ``with span:``
+            closes it however the block exits, so a failing statement
+            still leaves a closed tree.
+        rows: output cardinality (operator spans; attributed to the
+            unfused plan's nodes, so fusion never changes it).
+        work: deterministic work charged to this node, ``None`` when it
+            was never charged.
+        attrs: what the step decided or counted (DESIGN.md lists them).
+        children: sub-steps, in the order they began (an empty tuple
+            until the first one).
+
+    The execution reads (``total_work``, ``operators``, ``node_stats``,
+    the segment counters, …) aggregate over the span's subtree; they are
+    what ``result.telemetry`` — the ``execute`` span — is read through.
     """
 
-    __slots__ = ("operators", "fused_ops", "node_stats",
-                 "segments_total", "segments_pruned",
-                 "bytes_decoded", "catalog_versions", "total_work",
-                 "total_seconds")
+    __slots__ = ("name", "start", "seconds", "rows", "work", "attrs",
+                 "children")
 
-    def __init__(self):
-        self.operators = {}
-        self.fused_ops = 0
-        self.node_stats = []
-        self.segments_total = 0
-        self.segments_pruned = 0
-        self.bytes_decoded = 0
-        self.catalog_versions = {}
-        self.total_work = 0.0
-        self.total_seconds = 0.0
+    def __init__(self, name, start=None, seconds=None):
+        self.name = name
+        self.start = _clock() if start is None else start
+        self.seconds = seconds
+        self.rows = None
+        self.work = None
+        self.attrs = {}
+        # Most spans are leaves: a list each would double the containers
+        # a statement allocates, and the collector runs on that count.
+        self.children = ()
 
-    def record(self, op_name, rows, seconds):
-        """Accumulate one operator invocation."""
-        entry = self.operators.setdefault(
-            op_name, {"batches": 0, "rows": 0, "seconds": 0.0}
-        )
-        entry["batches"] += 1
-        entry["rows"] += rows
-        entry["seconds"] += seconds
+    def child(self, name, start=None, seconds=None):
+        """Open (``seconds=0.0``: record a zero-time) sub-step."""
+        span = Span(name, start, seconds)
+        if self.children:
+            self.children.append(span)
+        else:
+            self.children = [span]
+        return span
 
-    def record_segments(self, total, pruned, bytes_decoded):
-        """Accumulate one scan's segment counters (pruning telemetry)."""
-        self.segments_total += int(total)
-        self.segments_pruned += int(pruned)
-        self.bytes_decoded += int(bytes_decoded)
+    def close(self):
+        """Stamp the end. An enclosing layer may stamp a root again
+        later; the last stamp wins."""
+        self.seconds = _clock() - self.start
 
-    def set_node_stats(self, stats):
-        """Attach the per-node est-vs-actual records (plan preorder)."""
-        self.node_stats = list(stats)
+    def __enter__(self):
+        return self
 
-    def actual_rows_by_operator(self):
-        """``{op_name: total actual output rows}`` over the node stats."""
+    def __exit__(self, *exc_info):
+        self.seconds = _clock() - self.start
+        return False
+
+    def walk(self):
+        """Every span of the subtree, preorder."""
+        yield self
+        for child in self.children:
+            yield from child.walk()
+
+    def _charged(self, out=None):
+        """Charged spans in the order they were charged: operators
+        charge after their children ran, so postorder."""
+        out = [] if out is None else out
+        for child in self.children:
+            child._charged(out)
+        if self.work is not None:
+            out.append(self)
+        return out
+
+    @property
+    def self_seconds(self):
+        """Duration minus the part the direct children cover — summed
+        over a tree, the parts give the whole."""
+        return self.seconds - sum(c.seconds for c in self.children)
+
+    @property
+    def total_work(self):
+        """The subtree's exact work: charges summed in charge order, so
+        the float is the one a running total would have produced."""
+        total = 0.0
+        for span in self._charged():
+            total += span.work
+        return total
+
+    @property
+    def operator_work(self):
+        """``{op_name: work}`` over the charged operators."""
         totals = {}
-        for entry in self.node_stats:
-            if entry["actual_rows"] is None:
-                continue
-            op = entry["op"]
-            totals[op] = totals.get(op, 0) + entry["actual_rows"]
+        for span in self._charged():
+            totals[span.name] = totals.get(span.name, 0.0) + span.work
         return totals
 
-    def max_q_error(self):
-        """Worst per-node q-error of the run (``None`` if unmeasured)."""
-        errors = [e["q_error"] for e in self.node_stats
-                  if e["q_error"] is not None]
-        return max(errors) if errors else None
+    @property
+    def operators(self):
+        """``{op_name: {"batches", "rows", "seconds"}}`` over the
+        operator spans below: invocations, output rows, self time."""
+        out = {}
+        for child in self.children:
+            for span in child.walk():
+                entry = out.setdefault(
+                    span.name, {"batches": 0, "rows": 0, "seconds": 0.0})
+                entry["batches"] += 1
+                entry["rows"] += span.rows or 0
+                entry["seconds"] += span.self_seconds
+        return out
 
-    def brief(self):
-        """A one-line dict digest for logs that keep one row per query.
+    @property
+    def node_stats(self):
+        """Per-plan-node ``{"op", "est_rows", "actual_rows", "q_error"}``
+        in the *unfused* plan's preorder — what EXPLAIN ANALYZE renders
+        and cardinality feedback ingests."""
+        nodes = sorted((s for s in self.walk() if "node" in s.attrs),
+                       key=lambda s: s.attrs["node"])
+        return [{
+            "op": s.name,
+            "est_rows": s.attrs["est_rows"],
+            "actual_rows": s.rows,
+            "q_error": q_error(s.attrs["est_rows"], s.rows),
+        } for s in nodes]
 
-        The session audit log stores this (work, wall time, fused ops,
-        worst q-error) instead of the full :meth:`summary`, which
-        carries per-operator and per-node detail too wide for a log row.
-        """
-        return {
-            "total_work": self.total_work,
-            "total_seconds": self.total_seconds,
-            "fused_ops": self.fused_ops,
-            "max_q_error": self.max_q_error(),
-        }
+    def _sum(self, attr):
+        return sum(s.attrs.get(attr, 0) for s in self.walk())
+
+    segments_total = property(
+        lambda self: self._sum("segments_total"),
+        doc="Row groups the subtree's scans considered.")
+    segments_pruned = property(
+        lambda self: self._sum("segments_pruned"),
+        doc="Of those, how many a zone map skipped without decoding.")
+    bytes_decoded = property(
+        lambda self: self._sum("bytes_decoded"),
+        doc="Modeled encoded bytes of the segments actually decoded.")
+    fused_ops = property(
+        lambda self: self.attrs.get("fused_ops", 0),
+        doc="Tail stages the fusion pass collapsed for this run.")
+    catalog_versions = property(
+        lambda self: self.attrs.get("catalog_versions", {}),
+        doc="``{table: version}`` of the catalog state the run read.")
 
     def summary(self):
-        """A plain-dict snapshot (JSON-friendly)."""
+        """The subtree as plain dicts and lists (JSON-friendly)."""
         return {
-            "total_seconds": self.total_seconds,
-            "fused_ops": self.fused_ops,
-            "segments_total": self.segments_total,
-            "segments_pruned": self.segments_pruned,
-            "bytes_decoded": self.bytes_decoded,
-            "catalog_versions": dict(self.catalog_versions),
-            "total_work": self.total_work,
-            "operators": {
-                k: dict(v) for k, v in sorted(self.operators.items())
-            },
-            "node_stats": [dict(e) for e in self.node_stats],
+            "name": self.name, "start": self.start,
+            "seconds": self.seconds, "rows": self.rows, "work": self.work,
+            "attrs": dict(self.attrs),
+            "children": [c.summary() for c in self.children],
         }
 
     def __repr__(self):
-        return "ExecutionTelemetry(operators=%d, total=%.6fs)" % (
-            len(self.operators), self.total_seconds,
-        )
+        return "Span(%s, %s, children=%d)" % (
+            self.name,
+            "open" if self.seconds is None else "%.6fs" % self.seconds,
+            len(self.children))
 
 
-#: Pipeline stages counted as "planning" (everything before execution).
-PLANNING_STAGES = ("parse", "lower", "rewrite", "plan")
+#: What the ``plan`` span records, readable straight off the trace.
+_PLAN_ATTRS = ("cache_outcome", "invalidation_cause", "plan_versions",
+               "arm", "arm_est_cost", "n_candidates", "ues_bound")
 
 
-class PipelineTelemetry:
-    """Per-stage timings for one trip through the query pipeline.
-
-    Extends the per-operator :class:`ExecutionTelemetry` with the
-    stage-level view: how long each named pipeline stage (parse, lower,
-    rewrite, plan, execute) took, whether the plan came from the plan
-    cache, and — via :attr:`execution` — the operator counters of the run
-    itself.
+class StatementTrace:
+    """One statement's life: a root :class:`Span` and reads of its tree.
 
     Attributes:
-        stages: ``{stage_name: seconds}`` for the stages that actually ran.
-        cache_hit: ``True``/``False`` once the plan stage ran (``None`` for
-            statements that never reach planning, e.g. DDL).
-        cache_outcome: what the plan-cache lookup concluded — ``"hit"``,
-            ``"miss"`` (never cached), or ``"invalidated"`` (a cached
-            plan's version token went stale); ``None`` before planning.
-        invalidation_cause: for ``"invalidated"`` only — which token
-            component moved: ``"table:<name>"`` (that table's catalog
-            version) or ``"feedback:<name>"`` (cardinality drift on
-            that table). ``None`` otherwise.
-        plan_versions: the catalog half of the token the plan stage keyed
-            on — ``((table, version), ...)`` restricted to the query's
-            tables (``None`` before planning).
-        execution: the run's :class:`ExecutionTelemetry`, or ``None`` when
-            nothing was executed (EXPLAIN, DDL).
-        arm: the hint-set arm the plan selector chose for this run
-            (``"default"`` under the ``cost`` selector; ``None`` before
-            planning).
-        arm_est_cost: the chosen candidate's cost estimate — the number
-            the selector compared and the online trainer settles wins and
-            strikes against (``None`` before planning).
-        n_candidates: how many arm candidates the selector chose among
-            (0 before planning).
-        ues_bound: the UES arm's pessimistic cost guarantee for this
-            query, when a UES candidate was generated — the regret
-            guard's anchor (``None`` otherwise).
-        selection_features: the contextual feature vector the bandit
-            selected (and later trains) on; ``None`` under selectors
-            that do not learn from one.
+        root: the ``statement`` span; its children are the stages.
+        shared: how many leading root children belong to an earlier
+            statement (:meth:`fork`) — aggregates skip them.
+
+    The ``plan`` span's attributes (``cache_outcome``, ``arm``, …) read
+    as attributes of the trace, ``None`` before planning.
     """
 
-    __slots__ = ("stages", "cache_hit", "cache_outcome",
-                 "invalidation_cause", "plan_versions", "execution",
-                 "arm", "arm_est_cost", "n_candidates", "ues_bound",
-                 "selection_features")
+    __slots__ = ("root", "shared")
 
     def __init__(self):
-        self.stages = {}
-        self.cache_hit = None
-        self.cache_outcome = None
-        self.invalidation_cause = None
-        self.plan_versions = None
-        self.execution = None
-        self.arm = None
-        self.arm_est_cost = None
-        self.n_candidates = 0
-        self.ues_bound = None
-        self.selection_features = None
+        self.root = Span("statement")
+        self.shared = 0
 
-    def record_stage(self, stage, seconds):
-        """Accumulate wall time for one pipeline stage."""
-        self.stages[stage] = self.stages.get(stage, 0.0) + seconds
+    def fork(self):
+        """A new statement over the same planning: re-executing one
+        prepared query shares its planning spans by reference and adds
+        only its own ``execute``. The root starts where the planning
+        did, so the shared children stay inside it."""
+        twin = StatementTrace()
+        twin.root.start = self.root.start
+        twin.root.children = [s for s in self.root.children
+                              if s.name in PLANNING_STAGES]
+        twin.shared = len(twin.root.children)
+        return twin
+
+    def span(self, name):
+        """The stage span called ``name``, or ``None``."""
+        for span in self.root.children:
+            if span.name == name:
+                return span
+        return None
 
     @property
-    def planning_seconds(self):
-        """Total time spent before execution (parse + lower + rewrite + plan)."""
-        return sum(self.stages.get(s, 0.0) for s in PLANNING_STAGES)
+    def execute(self):
+        """The ``execute`` span (``result.telemetry``), or ``None``."""
+        return self.span("execute")
+
+    def __getattr__(self, name):
+        if name not in _PLAN_ATTRS:
+            raise AttributeError(name)
+        plan = self.span("plan")
+        return None if plan is None else plan.attrs.get(name)
 
     @property
-    def execution_seconds(self):
-        """Time spent in the execute stage."""
-        return self.stages.get("execute", 0.0)
+    def cache_hit(self):
+        """Whether the chosen plan came from the plan cache (``None``
+        before planning)."""
+        outcome = self.cache_outcome
+        return None if outcome is None else outcome == "hit"
 
-    def summary(self):
-        """A plain-dict snapshot (JSON-friendly)."""
+    @property
+    def stages(self):
+        """``{stage: seconds}`` of the root's children."""
+        out = {}
+        for span in self.root.children:
+            out[span.name] = out.get(span.name, 0.0) + span.seconds
+        return out
+
+    def brief(self):
+        """The executed plan's one-row digest (work, wall time, fused
+        ops, worst q-error) — what the audit log keeps of a trace;
+        ``None`` unless a plan ran to completion."""
+        run = self.execute
+        stats = run.node_stats if run is not None else None
+        if not stats:
+            return None
+        errors = [e["q_error"] for e in stats if e["q_error"] is not None]
         return {
-            "stages": dict(self.stages),
-            "planning_seconds": self.planning_seconds,
-            "execution_seconds": self.execution_seconds,
-            "cache_hit": self.cache_hit,
-            "cache_outcome": self.cache_outcome,
-            "invalidation_cause": self.invalidation_cause,
-            "plan_versions": None if self.plan_versions is None
-            else [list(p) for p in self.plan_versions],
-            "arm": self.arm,
-            "arm_est_cost": self.arm_est_cost,
-            "ues_bound": self.ues_bound,
-            "execution": None if self.execution is None
-            else self.execution.summary(),
+            "total_work": run.total_work,
+            "total_seconds": run.seconds,
+            "fused_ops": run.fused_ops,
+            "max_q_error": max(errors) if errors else None,
         }
 
+    def summary(self):
+        """The whole tree as plain dicts and lists (JSON-friendly)."""
+        return self.root.summary()
+
     def __repr__(self):
-        return "PipelineTelemetry(planning=%.6fs, execution=%.6fs, hit=%r)" % (
-            self.planning_seconds, self.execution_seconds, self.cache_hit,
-        )
+        return "StatementTrace(%s)" % ", ".join(
+            s.name for s in self.root.children)
 
 
 def percentile(values, q):
@@ -298,14 +338,18 @@ class _RollupBucket:
 
 
 class ServingRollup:
-    """Per-tenant and per-session aggregation of served queries.
+    """Per-tenant and per-session aggregation of served statements.
 
-    The serving layer (:class:`~repro.engine.server.QueryServer`) records
-    every statement it completes here: which tenant and session issued
-    it, how long it took end to end (admission wait included), how much
-    deterministic ``work`` it charged, and what the admission verdict was
-    (``"admitted"`` / ``"queued"`` / ``"shed"``). Thread-safe — sessions
-    on many threads observe into one shared rollup.
+    The serving layer (:class:`~repro.engine.server.QueryServer`)
+    observes the trace of every statement that reached admission — on
+    every exit, so this view and the admission counters describe the
+    same statements. Read off the trace: the tenant and session (root
+    attributes), the end-to-end time (root duration, admission wait
+    included), and the ``admission`` span's outcome (``"admitted"`` /
+    ``"queued"`` / ``"shed"``, or ``"error"`` when the statement failed
+    after admission), queue wait and settled ``work``. Keeps numbers,
+    not traces. Thread-safe — sessions on many threads observe into one
+    shared rollup.
     """
 
     def __init__(self):
@@ -313,28 +357,17 @@ class ServingRollup:
         self._tenants = {}
         self._sessions = {}
 
-    def observe(self, tenant, session_id, seconds, work, outcome,
-                queue_wait=0.0):
-        """Record one completed (or shed) statement."""
+    def observe(self, trace):
+        """Record one served (or shed, or failed) statement."""
+        root = trace.root
+        admission = trace.span("admission").attrs
+        sample = (root.seconds, admission.get("settled", 0.0),
+                  admission["outcome"], admission.get("queue_wait", 0.0))
         with self._lock:
-            self._tenants.setdefault(tenant, _RollupBucket()).observe(
-                seconds, work, outcome, queue_wait
-            )
-            self._sessions.setdefault(session_id, _RollupBucket()).observe(
-                seconds, work, outcome, queue_wait
-            )
-
-    def tenant_work(self, tenant):
-        """Total settled work recorded for one tenant (0.0 if unseen)."""
-        with self._lock:
-            bucket = self._tenants.get(tenant)
-            return 0.0 if bucket is None else bucket.total_work
-
-    def tenant_latencies(self, tenant):
-        """A copy of one tenant's per-statement latency samples."""
-        with self._lock:
-            bucket = self._tenants.get(tenant)
-            return [] if bucket is None else list(bucket.latencies)
+            self._tenants.setdefault(
+                root.attrs["tenant"], _RollupBucket()).observe(*sample)
+            self._sessions.setdefault(
+                root.attrs["session"], _RollupBucket()).observe(*sample)
 
     def summary(self):
         """JSON-friendly per-tenant / per-session rollup snapshot."""

@@ -30,7 +30,7 @@ from repro.engine.operators.base import OPS, Relation
 from repro.engine.operators.join import join_keys
 from repro.engine.operators.scan import index_row_ids
 from repro.engine.optimizer.cost import CostModel
-from repro.engine.telemetry import ExecutionTelemetry, q_error
+from repro.engine.telemetry import StatementTrace
 
 
 def eval_predicates(relation, predicates):
@@ -232,24 +232,27 @@ EVALUATORS = {
 
 class _Run:
     """One execution's accounting: the ``ctx`` the evaluations above
-    recurse, charge and (implicitly, per node) count through."""
+    recurse, charge and (implicitly, per node) count through — one span
+    per plan node, nested as the plan is."""
 
-    def __init__(self, catalog, cost_model):
+    def __init__(self, catalog, cost_model, span):
         self.catalog = catalog
         self.cost_model = cost_model
-        self.work = 0.0
-        self.operator_work = {}
-        self.node_rows = {}
+        self.span = span
+        self.spans = {}
 
     def run(self, node):
-        out = EVALUATORS[type(node)](self, node)
-        self.node_rows[id(node)] = len(out)
+        parent = self.span
+        with parent.child(node.op_name) as span:
+            self.span = self.spans[id(node)] = span
+            out = EVALUATORS[type(node)](self, node)
+        self.span = parent
+        span.rows = len(out)
         return out
 
     def charge(self, node, amount):
-        self.work += amount
-        key = node.op_name
-        self.operator_work[key] = self.operator_work.get(key, 0.0) + amount
+        span = self.spans[id(node)]
+        span.work = amount if span.work is None else span.work + amount
 
 
 class ReferenceExecutor:
@@ -264,27 +267,22 @@ class ReferenceExecutor:
         self.catalog = catalog
         self.cost_model = cost_model or CostModel()
 
-    def execute(self, plan, catalog=None):
+    def execute(self, plan, catalog=None, trace=None):
         """Run ``plan`` (against ``catalog`` when given, e.g. a pinned
-        ``CatalogSnapshot``); returns an ``ExecutionResult`` whose
-        telemetry carries ``total_work`` and the per-node ``node_stats``
-        in the engine's format. ``fused_ops`` is always 0."""
-        run = _Run(self.catalog if catalog is None else catalog,
-                   self.cost_model)
-        relation = run.run(plan)
-        telemetry = ExecutionTelemetry()
-        telemetry.total_work = run.work
-        telemetry.set_node_stats([
-            {
-                "op": node.op_name,
-                "est_rows": node.est_rows,
-                "actual_rows": run.node_rows[id(node)],
-                "q_error": q_error(node.est_rows, run.node_rows[id(node)]),
-            }
-            for node in plan.walk()
-        ])
-        return ExecutionResult(
-            relation, run.work, run.operator_work, telemetry)
+        ``CatalogSnapshot``); returns an ``ExecutionResult`` over the
+        same record the engine builds — an ``execute`` span with one
+        span per node — so ``work``, ``operator_work`` and
+        ``node_stats`` are read through the engine's own accessors.
+        ``fused_ops`` is always 0."""
+        trace = trace or StatementTrace()
+        with trace.root.child("execute") as span:
+            run = _Run(self.catalog if catalog is None else catalog,
+                       self.cost_model, span)
+            relation = run.run(plan)
+            for i, node in enumerate(plan.walk()):
+                run.spans[id(node)].attrs.update(
+                    node=i, est_rows=node.est_rows)
+        return ExecutionResult(relation, trace)
 
 
 def reference_database(**knobs):

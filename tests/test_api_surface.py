@@ -36,8 +36,8 @@ REQUIRED_EXPORTS = {
     "PIPELINE_STAGES", "PlanCache", "QueryPipeline",
     # façade
     "Database",
-    # telemetry records
-    "telemetry",
+    # the one telemetry record: a span tree per statement
+    "telemetry", "StatementTrace", "Span",
     # session layer (this PR's redesigned surface)
     "SessionContext", "AgentSession", "SessionResult", "Policy",
     "PolicyDecision", "AuditLog", "AuditRecord", "DryRunReport",
@@ -52,6 +52,17 @@ def test_all_names_resolve():
             "repro.engine.__all__ exports %r but the attribute is missing"
             % name
         )
+
+
+def test_one_telemetry_record():
+    """The per-statement records collapsed into one span tree: the old
+    class names are gone from the package and from its telemetry module,
+    with no compatibility alias left behind."""
+    for name in ("ExecutionTelemetry", "PipelineTelemetry"):
+        assert not hasattr(engine, name)
+        assert not hasattr(engine.telemetry, name)
+    assert inspect.isclass(engine.StatementTrace)
+    assert inspect.isclass(engine.Span)
 
 
 def test_all_has_no_duplicates():

@@ -196,12 +196,12 @@ class TestDatabaseFeedbackLoop:
         assert db.feedback_version > v0
         # The cached plan predates the drift, so the next run must replan…
         res2 = db.run_query_object(q)
-        assert res2.pipeline_telemetry.cache_hit is False
+        assert res2.trace.cache_hit is False
         # …and the replanned run re-observes a now-stable actual with a
         # corrected estimate — no new drift, so the cache goes warm.
         v_after = db.feedback_version
         res3 = db.run_query_object(q)
-        assert res3.pipeline_telemetry.cache_hit is True
+        assert res3.trace.cache_hit is True
         assert db.feedback_version == v_after
         assert res3.rows == res1.rows
 
@@ -225,8 +225,9 @@ class TestDatabaseFeedbackLoop:
             "SELECT COUNT(*) FROM facts WHERE a < 10 AND b < 10"
         )
         assert "actual=" in res.text and "rows=" in res.text
-        assert res.node_stats
-        leaf = res.node_stats[-1]
+        node_stats = res.trace.execute.node_stats
+        assert node_stats == res.result.telemetry.node_stats
+        leaf = node_stats[-1]
         assert leaf["op"] == "SeqScan"
         assert leaf["actual_rows"] == 500
         assert leaf["q_error"] > 2.0
@@ -234,7 +235,8 @@ class TestDatabaseFeedbackLoop:
         res2 = db.explain_analyze(
             "SELECT COUNT(*) FROM facts WHERE a < 10 AND b < 10"
         )
-        assert res2.node_stats[-1]["q_error"] == pytest.approx(1.0)
+        assert res2.trace.execute.node_stats[-1]["q_error"] == \
+            pytest.approx(1.0)
 
     def test_stable_workload_keeps_cache_warm(self):
         db = _correlated_db()
@@ -247,7 +249,7 @@ class TestDatabaseFeedbackLoop:
         v = db.feedback_version
         for __ in range(3):
             res = db.run_query_object(q)
-        assert res.pipeline_telemetry.cache_hit is True
+        assert res.trace.cache_hit is True
         assert db.feedback_version == v
 
 
@@ -395,6 +397,6 @@ class TestJoinOrderReplan:
         # The drifted version invalidates the cached q3 plan; the re-run
         # replans and does strictly less work than the cold execution.
         res2 = db.run_query_object(q3)
-        assert res2.pipeline_telemetry.cache_hit is False
+        assert res2.trace.cache_hit is False
         assert res2.rows == []
         assert res2.work < res1.work

@@ -292,7 +292,7 @@ def test_fuzz_differential(catalog_seed):
         warm = db.run_query_object(query)
         # Cold vs. warm: second run must hit the plan cache and be
         # observationally identical (same executor => exact equality).
-        assert warm.pipeline_telemetry.cache_hit is True, label
+        assert warm.trace.cache_hit is True, label
         assert warm.rows == cold.rows, label
         assert warm.work == cold.work, label
         assert warm.operator_work == cold.operator_work, label
@@ -378,8 +378,8 @@ def _assert_cost_route_is_the_planner(db, query, order, label):
     for prepared in (cold, warm):
         assert prepared.plan.pretty() == expected.pretty(), label
         assert prepared.plan.est_cost == expected.est_cost, label
-        assert prepared.telemetry.arm == "default", label
-    assert warm.telemetry.cache_outcome == "hit", label
+        assert prepared.trace.arm == "default", label
+    assert warm.trace.cache_outcome == "hit", label
     key = (query.signature(),
            None if order is None else tuple(t.lower() for t in order))
     entries = [k for k in db.pipeline.plan_cache._entries if k[:2] == key]
@@ -431,8 +431,8 @@ def test_fuzz_selector_race(catalog_seed, monkeypatch):
             assert (len(feature_calls) > seen) == (sel == "bandit"), label
         oracle = cold["cost"]
         oracle_rows = _canonical_rows(oracle.rows)
-        assert oracle.pipeline_telemetry.arm == "default", label
-        assert oracle.pipeline_telemetry.cache_outcome == "hit", label
+        assert oracle.trace.arm == "default", label
+        assert oracle.trace.cache_outcome == "hit", label
         for sel in ("bandit", "pessimistic"):
             res = cold[sel]
             assert res.columns == oracle.columns, label
@@ -442,9 +442,9 @@ def test_fuzz_selector_race(catalog_seed, monkeypatch):
                 % (label, sel, oracle.rows[:10], sel, res.rows[:10])
             )
             # Selection ran: the run is attributed to a named arm.
-            assert res.pipeline_telemetry.arm is not None, label
+            assert res.trace.arm is not None, label
             warm = dbs[sel].run_query_object(query)
-            assert warm.pipeline_telemetry.cache_outcome == "hit", label
+            assert warm.trace.cache_outcome == "hit", label
             assert _canonical_rows(warm.rows) == oracle_rows, label
     # The bandit must actually have explored: every arm it races has
     # been pulled at least once over the campaign.

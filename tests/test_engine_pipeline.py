@@ -252,9 +252,9 @@ class TestCachedPlanParity:
         d = MAKE_DB[mode]()
         self._build(d)
         cold = d.execute(self.SQL)
-        assert cold.pipeline_telemetry.cache_hit is False
+        assert cold.trace.cache_hit is False
         warm = d.execute(self.SQL)
-        assert warm.pipeline_telemetry.cache_hit is True
+        assert warm.trace.cache_hit is True
         assert warm.rows == cold.rows
         assert warm.columns == cold.columns
         assert warm.work == cold.work
@@ -266,7 +266,7 @@ class TestCachedPlanParity:
         for mode, d in dbs.items():
             d.execute(self.SQL)  # populate the cache
             results[mode] = d.execute(self.SQL)  # cached re-execution
-            assert results[mode].pipeline_telemetry.cache_hit is True
+            assert results[mode].trace.cache_hit is True
         row_res = results["row"]
         for mode in MAKE_DB:
             if mode == "row":
@@ -287,7 +287,7 @@ class TestCachedPlanParity:
         for d in dbs.values():
             d.run_query_object(q)
         warm = {m: d.run_query_object(q) for m, d in dbs.items()}
-        assert all(r.pipeline_telemetry.cache_hit for r in warm.values())
+        assert all(r.trace.cache_hit for r in warm.values())
         for mode in MAKE_DB:
             assert warm[mode].rows == warm["row"].rows, mode
             assert warm[mode].work == warm["row"].work, mode
@@ -356,10 +356,10 @@ class TestExplicitOrders:
         assert len(d.pipeline.plan_cache) >= 2
         # Re-running either order hits its own entry.
         r = d.run_query_object(q, order=order_a)
-        assert r.pipeline_telemetry.cache_hit is True
+        assert r.trace.cache_hit is True
         # And the implicit (enumerator-chosen) plan is a third entry.
         r2 = d.run_query_object(q)
-        assert r2.pipeline_telemetry.cache_hit is False
+        assert r2.trace.cache_hit is False
 
 
 # ----------------------------------------------------------------------
@@ -436,8 +436,8 @@ class TestShims:
         explained = db.explain(sql)
         assert "Limit" in explained
         assert explained.text == db.pipeline.prepare_sql(sql).plan.pretty()
-        assert explained.cache_hit  # same SQL-text and plan cache entries
-        assert res.pipeline_telemetry.cache_hit
+        assert explained.trace.cache_hit  # same SQL-text and plan cache entries
+        assert res.trace.cache_hit
 
     def test_unknown_stage_rejected(self, db):
         with pytest.raises(PlanError):
@@ -450,21 +450,22 @@ class TestShims:
 class TestPipelineTelemetry:
     def test_per_run_record(self, db):
         res = db.execute("SELECT COUNT(*) FROM users WHERE spend > 3")
-        tel = res.pipeline_telemetry
+        tel = res.trace
         assert set(tel.stages) == {"parse", "lower", "rewrite", "plan",
                                    "execute"}
-        assert tel.planning_seconds > 0
-        assert tel.execution_seconds > 0
+        assert all(seconds > 0 for seconds in tel.stages.values())
         assert tel.cache_hit is False
-        assert tel.execution is res.telemetry  # per-operator counters
-        summary = tel.summary()
-        assert summary["execution"]["total_work"] == res.work
-        assert summary["cache_hit"] is False
+        assert tel.execute is res.telemetry  # per-operator counters
+        summary = tel.summary()  # the same tree, as plain dicts
+        assert [c["name"] for c in summary["children"]] == list(tel.stages)
+        assert summary["children"][-1]["attrs"]["fused_ops"] == \
+            res.telemetry.fused_ops
+        assert res.telemetry.total_work == res.work
 
     def test_warm_run_skips_parse_and_lower(self, db):
         sql = "SELECT COUNT(*) FROM users WHERE spend > 3"
         db.execute(sql)
-        warm = db.execute(sql).pipeline_telemetry
+        warm = db.execute(sql).trace
         assert "parse" not in warm.stages
         assert warm.cache_hit is True
 
@@ -483,6 +484,31 @@ class TestPipelineTelemetry:
         s2 = db.pipeline.stats()
         assert s2["runs"] == 0 and s2["plan_cache"]["hits"] == 0
         assert s2["plan_cache"]["size"] == 1  # entries survive a reset
+
+    def test_reexecuting_a_prepared_query_counts_each_run_once(self, db):
+        """Two executions of one ``PreparedQuery`` are two statements
+        over one planning pass: each has its own ``execute`` span, the
+        planning spans are shared by reference, and the stats add only
+        what each call added."""
+        db.pipeline.reset_stats()
+        prepared = db.pipeline.prepare_sql(
+            "SELECT COUNT(*) FROM users WHERE spend > 3")
+        first = db.pipeline.execute_prepared(prepared)
+        second = db.pipeline.execute_prepared(prepared)
+        assert first.rows == second.rows and first.work == second.work
+        assert first.trace is prepared.trace
+        assert second.trace is not first.trace
+        assert second.telemetry is not first.telemetry
+        planning = first.trace.root.children[:-1]
+        assert [s.name for s in planning] == [
+            "parse", "lower", "rewrite", "plan"]
+        assert second.trace.root.children[:-1] == planning  # same objects
+        assert second.trace.shared == len(planning)
+        stages = db.pipeline.stats()["stages"]
+        assert {k: v["count"] for k, v in stages.items()} == {
+            "parse": 1, "lower": 1, "rewrite": 1, "plan": 1, "execute": 2}
+        assert stages["execute"]["seconds"] == pytest.approx(
+            first.telemetry.seconds + second.telemetry.seconds)
 
     def test_explain_uses_cache_without_executing(self, db):
         sql = "SELECT name FROM users WHERE age > 30"

@@ -336,53 +336,55 @@ class TestPipelineIntegration:
         assert arms == expected, (arms, expected)
         # Warm rerun: selection still runs, planning hits per-arm cache.
         res = db.execute(SQL)
-        assert res.pipeline_telemetry.cache_outcome == "hit"
-        assert res.pipeline_telemetry.arm in expected
+        assert res.trace.cache_outcome == "hit"
+        assert res.trace.arm in expected
 
     def test_scoped_invalidation_drops_all_arms_of_a_query(self):
         db = _skewed_db(plan_selector="bandit", seed=3)
         db.execute(SQL)
         db.execute("INSERT INTO mid VALUES (1000, 1, 1.0)")
         res = db.execute(SQL)
-        assert res.pipeline_telemetry.cache_outcome == "invalidated"
-        assert res.pipeline_telemetry.invalidation_cause == "table:mid"
+        assert res.trace.cache_outcome == "invalidated"
+        assert res.trace.invalidation_cause == "table:mid"
 
     def test_telemetry_carries_arm_and_bound(self):
         db = _skewed_db(plan_selector="bandit", seed=3)
         res = db.execute(SQL)
-        t = res.pipeline_telemetry
+        t = res.trace
         assert t.arm is not None
         assert t.arm_est_cost >= 1.0
         assert t.ues_bound is not None and t.ues_bound >= 1.0
-        assert t.selection_features is not None
-        summary = t.summary()
-        assert summary["arm"] == t.arm
-        assert summary["ues_bound"] == t.ues_bound
+        assert db.pipeline.prepare_sql(SQL).features is not None
+        plan_span = [c for c in t.summary()["children"]
+                     if c["name"] == "plan"][0]
+        assert plan_span["attrs"]["arm"] == t.arm
+        assert plan_span["attrs"]["ues_bound"] == t.ues_bound
 
     def test_cost_selector_telemetry_default_arm(self):
         db = _skewed_db()
         res = db.execute(SQL)
-        t = res.pipeline_telemetry
+        t = res.trace
         assert t.arm == "default"
         assert t.arm_est_cost == db.pipeline.prepare_sql(SQL).est_cost
         assert t.n_candidates == 1
-        assert t.ues_bound is None and t.selection_features is None
-        assert t.summary()["arm"] == "default"
+        assert t.ues_bound is None
+        assert db.pipeline.prepare_sql(SQL).features is None
+        assert t.span("plan").attrs["arm"] == "default"
 
     def test_explain_and_analyze_report_the_arm(self):
         db = _skewed_db(plan_selector="pessimistic")
         ex = db.explain(SQL)
-        assert ex.arm == "ues"
+        assert ex.trace.arm == "ues"
         assert "Arm: ues" in ex.text
         ana = db.explain_analyze(SQL)
-        assert ana.arm == "ues"
+        assert ana.trace.arm == "ues"
         assert "Arm: ues" in ana.text
         assert "Arm wins:" in ana.text
 
     def test_explain_default_selector_text_unchanged(self):
         db = _skewed_db()
         ex = db.explain(SQL)
-        assert ex.arm is None
+        assert ex.trace.arm == "default" and ex.trace.n_candidates == 1
         assert "Arm" not in ex.text
 
     def test_bandit_trains_online_from_total_work(self):
@@ -407,9 +409,9 @@ class TestPipelineIntegration:
     def test_prepared_queries_carry_the_arm(self):
         db = _skewed_db(plan_selector="pessimistic")
         prepared = db.pipeline.prepare_sql(SQL)
-        assert prepared.telemetry.arm == "ues"
+        assert prepared.trace.arm == "ues"
         result = db.pipeline.execute_prepared(prepared)
-        assert result.pipeline_telemetry.arm == "ues"
+        assert result.trace.arm == "ues"
         assert db.plan_selector.stats()["arms"]["ues"]["observes"] == 1
 
     def test_same_seed_same_selection_sequence(self):
@@ -419,7 +421,7 @@ class TestPipelineIntegration:
             arms = []
             for i in range(10):
                 res = db.execute(SQL)
-                arms.append(res.pipeline_telemetry.arm)
+                arms.append(res.trace.arm)
             runs.append(arms)
         assert runs[0] == runs[1]
 

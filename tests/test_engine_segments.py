@@ -382,21 +382,23 @@ class TestExplainAnalyzeCounters:
     def test_pruning_surfaces_in_explain_analyze(self):
         db = self._db()
         res = db.explain_analyze("SELECT id FROM t WHERE id < 40")
-        assert res.segments_total > 0
-        assert res.segments_pruned > 0
-        assert res.segments_pruned < res.segments_total
+        run = res.trace.execute
+        assert run.segments_total > 0
+        assert run.segments_pruned > 0
+        assert run.segments_pruned < run.segments_total
         assert "pruned" in str(res)
         assert sorted(r[0] for r in res.result.rows) == list(range(40))
 
     def test_pruning_disabled_scans_everything(self):
         db = self._db(zone_map_pruning=False)
         res = db.explain_analyze("SELECT id FROM t WHERE id < 40")
-        assert res.segments_total > 0
-        assert res.segments_pruned == 0
+        assert res.trace.execute.segments_total > 0
+        assert res.trace.execute.segments_pruned == 0
         assert sorted(r[0] for r in res.result.rows) == list(range(40))
 
     def test_bytes_decoded_drops_with_late_materialization(self):
         db = self._db()
         narrow = db.explain_analyze("SELECT id FROM t WHERE id < 40")
         wide = db.explain_analyze("SELECT id, v, tag FROM t")
-        assert 0 < narrow.bytes_decoded < wide.bytes_decoded
+        assert (0 < narrow.trace.execute.bytes_decoded
+                < wide.trace.execute.bytes_decoded)

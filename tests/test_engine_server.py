@@ -6,7 +6,7 @@ nothing depends on wall time:
 * **Quota conservation** — for every tenant whose tickets were all
   settled, ``charged - refunded == settled_work``, and through the
   server the settled work equals the sum of the executor's measured
-  ``ExecutionTelemetry.total_work`` (estimates are the admission
+  ``total_work`` (estimates are the admission
   currency, actuals are the settlement).
 * **No starvation under fair-share** — with two tenants queued, grants
   alternate round-robin; a flooding tenant cannot push the other's
@@ -178,7 +178,9 @@ class TestQuotaConservation:
             "SELECT COUNT(*) FROM a WHERE k = 3",  # warm plan
         ):
             result = sess.execute(sql)
-            assert result.admission.settled
+            assert sess.last_admission.settled
+            assert result.trace.span("admission").attrs["settled"] == \
+                result.telemetry.total_work
             total += result.telemetry.total_work
         stats = server.admission.stats()["t"]
         assert stats["settled_work"] == pytest.approx(total)
@@ -201,6 +203,32 @@ class TestQuotaConservation:
         assert stats["charged"] == pytest.approx(128.0)
         assert stats["settled_work"] == pytest.approx(128.0)
         assert stats["refunded"] == pytest.approx(0.0)
+
+    def test_failed_statements_stay_in_the_rollup(self):
+        """The admission counters and the rollup count the same
+        statements: one that fails after admission is refunded, and
+        observed as an ``"error"`` that settled no work."""
+        db = Database()
+        db.execute("CREATE TABLE t (a INT, c TEXT)")
+        db.catalog.table("t").insert_rows([(1, "x"), (2, None)])
+        server = QueryServer(db, tenant_quota=1e6, quota_refill_rate=0.0)
+        sess = server.session(tenant="t1")
+        good = sess.execute("SELECT a FROM t")
+        with pytest.raises(TypeError):  # TEXT NULL < 'y'
+            sess.execute("SELECT a FROM t WHERE c < 'y'")
+        with pytest.raises(CatalogError):
+            sess.execute("INSERT INTO t VALUES ('abc', 'q')")
+        stats = server.stats()
+        admission = stats["admission"]["t1"]
+        rollup = stats["rollup"]["tenants"]["t1"]
+        assert admission["admitted"] == 3 and admission["shed"] == 0
+        assert rollup["queries"] == admission["admitted"]
+        assert rollup["outcomes"] == {"admitted": 1, "error": 2}
+        assert rollup["total_work"] == good.work == admission["settled_work"]
+        # Both failures were refunded in full.
+        assert server.admission.balance("t1") == pytest.approx(
+            1e6 - good.work)
+        assert stats["rollup"]["sessions"][sess.session_id] == rollup
 
 
 def _wait_until(predicate, timeout=5.0, tick=0.005):
@@ -450,8 +478,9 @@ class TestTenantIsolation:
 
         for __ in range(10):
             result = b_sess.execute("SELECT COUNT(*) FROM a WHERE k = 3")
-            assert result.admission.outcome == "admitted"
-            assert result.admission.queue_wait == 0.0
+            admission = result.trace.span("admission").attrs
+            assert admission["outcome"] == "admitted"
+            assert admission["queue_wait"] == 0.0
             assert result.rows == [(57,)]
         b_stats = server.admission.stats()["B"]
         assert b_stats["queued"] == 0

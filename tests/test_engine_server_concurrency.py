@@ -11,7 +11,7 @@ property a test can check exactly, under real thread interleaving:
 These tests race barrier-synchronized writer and reader threads (through
 server sessions — the only supported write path), then check:
 
-* every read's ``ExecutionTelemetry.catalog_versions`` is a member of
+* every read's ``telemetry.catalog_versions`` is a member of
   ``QueryServer.committed_vectors()``;
 * per reader, observed vectors are monotonically non-decreasing
   (statement isolation never travels back in time);

@@ -170,7 +170,7 @@ class TestFacades:
                 outcomes.append(str(exc))
                 continue
             if hasattr(raw, "rows"):
-                selects.append(raw.pipeline_telemetry)
+                selects.append(raw.trace)
                 assert [b - a for a, b in zip(before, lookups())] == [1, 1]
                 raw = raw.rows
             outcomes.append(raw)
@@ -183,9 +183,10 @@ class TestFacades:
             assert outcomes == ["CREATE TABLE", "INSERT 2", "ANALYZE",
                                 rows, rows, "HOOKED"]
         cold, warm = selects
-        assert set(cold.stages) == {
-            "parse", "lower", "rewrite", "plan", "execute"}
-        assert set(warm.stages) == {"lower", "rewrite", "plan", "execute"}
+        served = ["admission", "pin_snapshot"] if surface == "server" else []
+        assert list(warm.stages) == (
+            ["lower", "rewrite", "plan"] + served + ["execute"])
+        assert list(cold.stages) == ["parse"] + list(warm.stages)
         assert not cold.cache_hit and warm.cache_hit
 
     def test_database_execute_returns_legacy_types(self):
@@ -255,8 +256,9 @@ class TestFacades:
             result = session.execute(sql)
         assert result.rows == [("bob",), ("dave",)]
         assert len(pins) == 1
-        assert result.admission.cost == db.pipeline.prepare_sql(sql).est_cost
-        assert result.admission.cost != server.write_cost
+        charged = result.trace.span("admission").attrs["cost"]
+        assert charged == db.pipeline.prepare_sql(sql).est_cost
+        assert charged != server.write_cost
         with server.session(tenant="t1", isolation="session") as pinned:
             assert pinned.execute(sql).rows == result.rows
         assert len(server.commit_history()) == commits
@@ -843,3 +845,30 @@ class TestSessionContextMisc:
         session = db.session(policy=Policy(deny_tables=("users",)))
         with pytest.raises(PolicyError):
             session.explain("SELECT name FROM users")
+
+    @pytest.mark.parametrize(
+        "surface", ["embedded", "snapshot", "server", "agent"])
+    def test_explain_makes_one_front_end_pass(self, surface):
+        """A session EXPLAIN plans from the pass that classified it:
+        one SQL-text-cache lookup per EXPLAIN, cold or warm — what
+        ``db.explain`` costs, and the rule writes already follow."""
+        db = make_db()
+        session = {
+            "embedded": db.session,
+            "snapshot": lambda: db.snapshot().session(),
+            "server": lambda: QueryServer(db).session().session_context(),
+            "agent": db.agent_session,
+        }[surface]()
+        sql = "SELECT name FROM users WHERE age > 30"
+        db.pipeline.reset_stats()
+        cold = session.explain(sql)
+        assert db.pipeline.query_cache.stats()["misses"] == 1
+        assert db.pipeline.query_cache.stats()["hits"] == 0
+        warm = session.explain(sql)
+        assert db.pipeline.query_cache.stats()["misses"] == 1
+        assert db.pipeline.query_cache.stats()["hits"] == 1
+        assert str(cold) == str(warm) == str(db.explain(sql))
+        assert list(cold.trace.stages) == [
+            "parse", "lower", "rewrite", "plan"]
+        with pytest.raises(ParseError, match="EXPLAIN supports only"):
+            session.explain("ANALYZE users")

@@ -538,7 +538,7 @@ class TestDatabaseSnapshot:
         db.query("SELECT COUNT(*) FROM a")  # warm the plan
         snap = db.snapshot()
         res = snap.execute("SELECT COUNT(*) FROM a")
-        assert res.pipeline_telemetry.cache_outcome == "hit"
+        assert res.trace.cache_outcome == "hit"
 
     def test_run_query_object_pinned(self):
         db = _small_db()
@@ -587,7 +587,7 @@ class TestScopedPlanCache:
         db.query("SELECT COUNT(*) FROM a")
         db.catalog.table("a").insert_rows([(1, 1)])
         res = db.execute("SELECT COUNT(*) FROM a")
-        tele = res.pipeline_telemetry
+        tele = res.trace
         assert tele.cache_outcome == "invalidated"
         assert tele.invalidation_cause == "table:a"
         assert dict(tele.plan_versions)["a"] == db.catalog.version("a")
@@ -598,8 +598,8 @@ class TestScopedPlanCache:
         db.query(sql)
         db.catalog.table("b").insert_rows([(1, 1)])
         res = db.execute(sql)
-        assert res.pipeline_telemetry.cache_outcome == "invalidated"
-        assert res.pipeline_telemetry.invalidation_cause == "table:b"
+        assert res.trace.cache_outcome == "invalidated"
+        assert res.trace.invalidation_cause == "table:b"
 
     def test_explain_analyze_reports_versions_and_outcome(self):
         db = _small_db()
@@ -607,13 +607,13 @@ class TestScopedPlanCache:
         db.query(sql)
         db.catalog.table("a").insert_rows([(1, 1)])
         out = db.explain_analyze(sql)
-        assert out.cache_outcome == "invalidated"
-        assert out.invalidation_cause == "table:a"
-        assert dict(out.version_vector)["a"] == db.catalog.version("a")
+        assert out.trace.cache_outcome == "invalidated"
+        assert out.trace.invalidation_cause == "table:a"
+        assert dict(out.trace.plan_versions)["a"] == db.catalog.version("a")
         assert "Versions: a=%d" % db.catalog.version("a") in out.text
         assert "Plan cache: invalidated (table:a)" in out.text
         warm = db.explain_analyze(sql)
-        assert warm.cache_outcome == "hit"
+        assert warm.trace.cache_outcome == "hit"
         assert "Plan cache: hit" in warm.text
 
 

@@ -106,8 +106,9 @@ def test_importing_operators_loads_no_ai_modules():
 
 def test_the_simulators_live_outside_the_engine():
     """``engine/`` holds only the engine: the simulator files are gone
-    from it, ``telemetry.py`` defines telemetry records and their two
-    helpers and nothing else, and no ``repro.sim`` name is re-exported."""
+    from it, ``telemetry.py`` defines the span tree, its one aggregate
+    and their two helpers — not the per-layer records it replaced — and
+    no ``repro.sim`` name is re-exported."""
     for rel in ("txn.py", "knobs.py", "datagen.py",
                 os.path.join("server", "driver.py")):
         assert not os.path.exists(os.path.join(ENGINE_ROOT, rel)), rel
@@ -117,11 +118,31 @@ def test_the_simulators_live_outside_the_engine():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     assert defined == {
-        "q_error", "percentile", "ExecutionTelemetry", "PipelineTelemetry",
+        "q_error", "percentile", "Span", "StatementTrace",
         "_RollupBucket", "ServingRollup",
     }
     for package in (repro.engine, repro.engine.server):
         assert not set(repro.sim.__all__) & set(dir(package)), package
+
+
+def test_one_trace_per_statement_and_nothing_beside_it():
+    """The statement's record is the trace it was handed: the executor's
+    per-run state is an object, not a thread-local; nothing staples a
+    telemetry record or an admission ticket onto a result after it was
+    built; and the names of the records the trace replaced appear
+    nowhere under ``engine/``."""
+    executor = Path(ENGINE_ROOT, "executor.py").read_text(encoding="utf-8")
+    assert "threading" not in executor
+    stapled = re.compile(
+        r"(?<!self)\.(pipeline_telemetry|admission)\s*=[^=]")
+    gone = re.compile(
+        r"ExecutionTelemetry|PipelineTelemetry|pretty_analyze"
+        r"|threading\.local")
+    for path in _engine_modules():
+        text = Path(path).read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), 1):
+            assert not stapled.search(line), (path, lineno, line)
+            assert not gone.search(line), (path, lineno, line)
 
 
 def test_backends_are_exactly_read_and_write():
@@ -141,12 +162,12 @@ def test_backends_are_exactly_read_and_write():
 
 
 def test_the_commit_path_has_one_body():
-    """SQL writes and ``Session.insert_rows`` hand their write to the
-    same admit → lock → apply → log → settle sequence; nothing in it
-    asks which kind of write it was given."""
+    """SQL writes and ``Session.insert_rows`` hand their write (and the
+    statement's trace) to the same admit → lock → apply → log → settle
+    sequence; nothing in it asks which kind of write it was given."""
     run_write = repro.engine.QueryServer._run_write
     assert list(inspect.signature(run_write).parameters) == [
-        "self", "session", "apply"]
+        "self", "session", "apply", "trace"]
     body = inspect.getsource(run_write).split('"""')[2]  # past the docstring
     assert body.count("apply()") == 1
     assert not re.search("sql_text|run_sql|insert_rows|is not None", body)
