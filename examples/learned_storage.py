@@ -13,6 +13,7 @@ Run:  python examples/learned_storage.py
 
 import numpy as np
 
+from repro.ai4db.design.btree import BPlusTree
 from repro.ai4db.design.learned_index import (
     ALEXLiteIndex,
     BinarySearchIndex,
@@ -27,7 +28,6 @@ from repro.ai4db.design.learned_kv import (
     classic_designs,
 )
 from repro.ai4db.design.txn_mgmt import ConflictClassifier, evaluate_schedulers
-from repro.engine.indexes import BPlusTree
 from repro.sim.txn import hotspot_workload
 
 

@@ -1,5 +1,6 @@
 """Learned database design (paper §2.1, category 3)."""
 
+from repro.ai4db.design.btree import BPlusTree
 from repro.ai4db.design.learned_index import (
     RMIIndex,
     PGMIndex,
@@ -22,6 +23,7 @@ from repro.ai4db.design.txn_mgmt import (
 )
 
 __all__ = [
+    "BPlusTree",
     "RMIIndex",
     "PGMIndex",
     "ALEXLiteIndex",

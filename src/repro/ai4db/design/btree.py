@@ -1,11 +1,10 @@
-"""Index structures: B+Tree and hash index.
+"""B+Tree: the traditional index the learned indexes are measured against.
 
-The B+Tree here is the *traditional* baseline the learned indexes in
-:mod:`repro.ai4db.design.learned_index` compete with, and also what the
-executor's IndexScan uses. Keys map to lists of row ids (duplicates allowed).
-Probe methods (``search``/``range_search``) return NumPy ``int64`` row-id
-arrays so the vectorized executor can gather columns without a Python-list
-round trip.
+The paper's E9 baseline (with :class:`~repro.ai4db.design.learned_index.
+BinarySearchIndex`), not an engine part: the engine's IndexScan probes a
+cached sort of the column (``TableSnapshot.sorted_column``). Keys map to
+lists of row ids (duplicates allowed); ``search``/``range_search`` return
+NumPy ``int64`` row-id arrays.
 """
 
 import bisect
@@ -215,40 +214,3 @@ class BPlusTree:
         for key, row_id in sorted(pairs, key=lambda kv: kv[0]):
             tree.insert(key, row_id)
         return tree
-
-
-class HashIndex:
-    """Equality-only index: a dict from key to row-id list."""
-
-    def __init__(self):
-        self._map = {}
-        self._n_entries = 0
-
-    def insert(self, key, row_id):
-        """Insert one (key, row_id) pair."""
-        self._map.setdefault(key, []).append(row_id)
-        self._n_entries += 1
-
-    def search(self, key):
-        """Row ids for an exact key match (int64 array, empty when absent)."""
-        return _as_ids(self._map.get(key, ()))
-
-    @property
-    def n_keys(self):
-        """Number of distinct keys."""
-        return len(self._map)
-
-    def __len__(self):
-        return self._n_entries
-
-    def size_bytes(self, key_bytes=8, ptr_bytes=8):
-        """Modeled size: hash directory plus entries."""
-        return len(self._map) * (key_bytes + ptr_bytes) + self._n_entries * ptr_bytes
-
-    @classmethod
-    def bulk_load(cls, pairs):
-        """Build from an iterable of (key, row_id) pairs."""
-        index = cls()
-        for key, row_id in pairs:
-            index.insert(key, row_id)
-        return index

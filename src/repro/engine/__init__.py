@@ -2,7 +2,7 @@
 
 The database kernel the AI4DB components act on: a SQL front end, a
 catalog with statistics, a pluggable cost-based optimizer, an executor
-with exact work accounting, index structures, sessions and the serving
+with exact work accounting, indexes, sessions and the serving
 layer. The simulators that stand in for production substrates (knob
 response, lock table, traces, data generators, the traffic driver — the
 substitution table in DESIGN.md) live beside it in :mod:`repro.sim`,
@@ -37,7 +37,6 @@ from repro.engine.catalog import (
     ViewDef,
 )
 from repro.engine.config import EngineConfig
-from repro.engine.indexes import BPlusTree, HashIndex
 from repro.engine.executor import ExecutionResult, Executor, count_join_rows
 from repro.engine.fusion import fuse_plan
 from repro.engine.operators import (
@@ -137,8 +136,6 @@ __all__ = [
     "CatalogSnapshot",
     "IndexDef",
     "ViewDef",
-    "BPlusTree",
-    "HashIndex",
     "EngineConfig",
     "ExecutionResult",
     "Executor",

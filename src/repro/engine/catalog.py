@@ -7,28 +7,28 @@ optimizer estimates from.
 """
 
 from repro.common import CatalogError
-from repro.engine.indexes import BPlusTree, HashIndex
 from repro.engine.stats import TableStats
 from repro.engine.storage import Table
 from repro.engine.types import ColumnSchema, TableSchema
 
 
 class IndexDef:
-    """Catalog entry for an index.
+    """Catalog entry for an index: metadata only.
+
+    The data a probe reads is the indexed column's cached sort on the
+    table snapshot the plan runs over (``TableSnapshot.sorted_column``),
+    so a definition never goes stale and survives writes unchanged.
 
     Attributes:
         name: unique index name.
         table: indexed table name.
         column: indexed column name.
-        kind: ``"btree"`` or ``"hash"``.
-        hypothetical: when True the index has no physical structure — it
-            exists only for what-if costing (the index-advisor workflow).
-        structure: the physical :class:`BPlusTree`/:class:`HashIndex`, or
-            ``None`` for hypothetical indexes.
+        kind: ``"btree"`` or ``"hash"`` (a hash index answers only ``=``).
+        hypothetical: when True the index cannot be probed — it exists
+            only for what-if costing (the index-advisor workflow).
     """
 
-    def __init__(self, name, table, column, kind="btree", hypothetical=False,
-                 structure=None):
+    def __init__(self, name, table, column, kind="btree", hypothetical=False):
         if kind not in ("btree", "hash"):
             raise CatalogError("index kind must be 'btree' or 'hash'")
         self.name = name
@@ -36,14 +36,9 @@ class IndexDef:
         self.column = column
         self.kind = kind
         self.hypothetical = hypothetical
-        self.structure = structure
 
-    def size_bytes(self, n_rows, n_distinct=None):
-        """Actual or modeled size of the index."""
-        if self.structure is not None:
-            return self.structure.size_bytes()
-        # Hypothetical: model as one key + one pointer per row plus 20%
-        # structural overhead.
+    def size_bytes(self, n_rows):
+        """Modeled size: one key + one pointer per row plus 20% overhead."""
         return int(n_rows * (8 + 8) * 1.2)
 
     def __repr__(self):
@@ -108,21 +103,6 @@ class ViewDef:
         return "ViewDef(%r, rows=%d)" % (self.name, self.n_rows)
 
 
-def _build_index(name, table, column, kind, hypothetical=False):
-    """A fresh :class:`IndexDef` over ``table.column`` as it reads now."""
-    col = table.schema.column(column)  # validates the column exists
-    structure = None
-    if not hypothetical:
-        values = table.column_array(column)
-        pairs = list(zip(values.tolist(), range(len(values))))
-        if kind == "btree":
-            structure = BPlusTree.bulk_load(pairs)
-        else:
-            structure = HashIndex.bulk_load(pairs)
-    return IndexDef(name, table.name, col.name, kind,
-                    hypothetical=hypothetical, structure=structure)
-
-
 class CatalogSnapshot:
     """The state of a :class:`Catalog` at one version vector, immutable.
 
@@ -140,10 +120,11 @@ class CatalogSnapshot:
     over its live maps.
 
     An index created *after* the capture is absent here, so a plan
-    probing it raises (plans are built against the live catalog). Index
-    and view definitions are never mutated once registered — the live
-    catalog replaces or drops them when their rows change — so the
-    pinned definitions keep matching the pinned rows.
+    probing it raises (plans are built against the live catalog). An
+    index definition is metadata — a probe reads the pinned table
+    snapshot's own sort — and a view definition is never mutated once
+    registered (the live catalog drops it when its rows change), so both
+    keep matching the pinned rows.
     """
 
     __slots__ = ("_tables", "_stats", "_lazy_stats", "_indexes", "_views",
@@ -312,22 +293,14 @@ class Catalog:
 
     def _on_table_write(self, table):
         """The write hook on every registered table: bump its version and
-        keep what was derived from its rows true.
+        drop every materialized view reading it.
 
-        Each physical index on the table is rebuilt into a **new**
-        :class:`IndexDef` (O(n log n) per write on an indexed table —
-        accepted; an incremental index is future work) and every
-        materialized view reading the table is dropped. Old definitions
-        are never mutated: snapshots pinned earlier keep the ones that
-        match their rows.
+        Reads no rows. Indexes need nothing: the write dropped the
+        table's current snapshot and its column sorts with it, the next
+        probe re-sorts, and snapshots pinned earlier keep their own.
         """
         self._bump_table(table.name)
-        key = table.name.lower()
-        for name, idx in self._indexes.items():
-            if idx.structure is not None and idx.table.lower() == key:
-                self._indexes[name] = _build_index(
-                    name, table, idx.column, idx.kind)
-        self._drop_views_over(key)
+        self._drop_views_over(table.name.lower())
 
     def _drop_views_over(self, key):
         for name in [
@@ -450,8 +423,11 @@ class Catalog:
         """Create a (real or what-if) single-column index."""
         if name.lower() in {n.lower() for n in self._indexes}:
             raise CatalogError("index %r already exists" % (name,))
-        idx = _build_index(name, self.table(table), column, kind,
-                           hypothetical)
+        target = self.table(table)
+        col = target.schema.column(column)  # validates the column exists
+        idx = IndexDef(name, target.name, col.name, kind, hypothetical)
+        if not hypothetical:
+            target.sorted_column(col.name)  # DDL pays for the first sort
         self._indexes[name] = idx
         self._bump_table(idx.table)
         return idx
@@ -465,16 +441,6 @@ class Catalog:
                 self._bump_table(table)
                 return
         raise CatalogError("no index named %r" % (name,))
-
-    def index_size_total(self):
-        """Total modeled bytes across all (non-hypothetical) indexes."""
-        total = 0
-        for idx in self._indexes.values():
-            if idx.hypothetical:
-                continue
-            n_rows = self.table(idx.table).n_rows
-            total += idx.size_bytes(n_rows)
-        return total
 
     # ------------------------------------------------------------------
     # Materialized views

@@ -94,7 +94,12 @@ def gather_group(group, keys, ids):
 
 
 def index_row_ids(ctx, node):
-    """Resolve an IndexScan's probe to a sorted NumPy row-id array."""
+    """Resolve an IndexScan's probe to a sorted NumPy row-id array.
+
+    An index holds no data of its own: the probe is a binary search on
+    the table snapshot's cached sort of the indexed column, so it always
+    matches the rows it runs over.
+    """
     idx = None
     for cand in ctx.catalog.indexes(node.table):
         if cand.name == node.index_name:
@@ -107,22 +112,16 @@ def index_row_ids(ctx, node):
             "cannot execute a plan using hypothetical index %r" % (idx.name,)
         )
     pred = node.predicate
-    structure = idx.structure
-    if pred.op == "=":
-        row_ids = structure.search(pred.value)
-    elif idx.kind == "hash":
+    if idx.kind == "hash" and pred.op != "=":
         raise ExecutionError("hash index supports only equality probes")
-    elif pred.op == "<":
-        row_ids = structure.range_search(high=pred.value, inclusive=(True, False))
-    elif pred.op == "<=":
-        row_ids = structure.range_search(high=pred.value, inclusive=(True, True))
-    elif pred.op == ">":
-        row_ids = structure.range_search(low=pred.value, inclusive=(False, True))
-    elif pred.op == ">=":
-        row_ids = structure.range_search(low=pred.value, inclusive=(True, True))
-    else:
+    keys, row_ids = ctx.catalog.table(node.table).sorted_column(idx.column)
+    lo = np.searchsorted(keys, pred.value, "left")
+    hi = np.searchsorted(keys, pred.value, "right")
+    window = {"=": (lo, hi), "<": (0, lo), "<=": (0, hi),
+              ">": (hi, None), ">=": (lo, None)}.get(pred.op)
+    if window is None:
         raise ExecutionError("index scan cannot evaluate %r" % (pred,))
-    return np.sort(np.asarray(row_ids, dtype=np.int64))
+    return np.sort(row_ids[slice(*window)])
 
 
 @register(P.SeqScan)

@@ -33,7 +33,7 @@ from repro.engine.segments import (
     ColumnSegment,
     merge_value_counts,
 )
-from repro.engine.types import TableSchema
+from repro.engine.types import DataType, TableSchema
 
 #: Logical page size used by the cost model, in bytes.
 PAGE_BYTES = 8192
@@ -70,18 +70,20 @@ class TableSnapshot:
     group of read-only views the writer only appends past (module
     docstring), so a writer appending to (or re-sealing) the live table
     never disturbs readers holding the snapshot. Building one costs
-    O(#columns), whatever the tail holds; decoded columns are cached on
-    it, so every holder of the same snapshot shares them.
+    O(#columns), whatever the tail holds; decoded columns and column
+    sorts (what an index probes) are cached on it, so every holder of the
+    same snapshot shares them and a write, which drops the table's
+    current snapshot, drops them with it.
 
     This class *defines* the executor-facing read surface
     (``row_groups``/``column_array``/``rows``/``column_arrays``/``row``/
-    ``column_value_counts``/``n_segments``); :class:`Table` reuses the
-    very same functions, which read through ``self.snapshot()``. It is
-    also what :meth:`Table.restore` rewinds to.
+    ``sorted_column``/``column_value_counts``/``n_segments``);
+    :class:`Table` reuses the very same functions, which read through
+    ``self.snapshot()``. It is also what :meth:`Table.restore` rewinds to.
     """
 
     __slots__ = ("table", "schema", "version", "_groups", "_n_sealed",
-                 "_n_rows", "_decoded")
+                 "_n_rows", "_decoded", "_sorted")
 
     def __init__(self, table, decoded=None):
         #: The live :class:`Table` this state was captured from.
@@ -92,6 +94,7 @@ class TableSnapshot:
         self._n_sealed = len(self._groups)
         self._n_rows = table._n_rows
         self._decoded = {} if decoded is None else decoded
+        self._sorted = {}
         n = table._tail_rows
         if n:
             segs = {}
@@ -151,6 +154,32 @@ class TableSnapshot:
             arr = np.concatenate(parts)
         snap._decoded[key] = arr
         return arr
+
+    def sorted_column(self, name):
+        """``(keys, row_ids)``: column ``name`` stably sorted (cached).
+
+        ``keys`` ascends and ``row_ids[i]`` is the row ``keys[i]`` came
+        from, equal keys in row order. Only valid values are held — NaN
+        (a FLOAT NULL) and ``None`` are left out — so ``np.searchsorted``
+        on ``keys`` is exact and a probe never returns a NULL row.
+        """
+        snap = self.snapshot()
+        col = snap.schema.column(name)
+        key = col.name.lower()
+        cached = snap._sorted.get(key)
+        if cached is not None:
+            return cached
+        values = snap.column_array(key)
+        if col.dtype is DataType.TEXT:
+            row_ids = np.flatnonzero([v is not None for v in values])
+        elif col.dtype is DataType.FLOAT:
+            row_ids = np.flatnonzero(~np.isnan(values))
+        else:
+            row_ids = np.arange(len(values))
+        values = values[row_ids]
+        order = np.argsort(values, kind="stable")
+        cached = snap._sorted[key] = (values[order], row_ids[order])
+        return cached
 
     def rows(self, indices=None):
         """Materialize rows as a list of tuples (optionally a subset)."""
@@ -372,6 +401,7 @@ class Table:
     row_groups = TableSnapshot.row_groups
     n_segments = TableSnapshot.n_segments
     column_array = TableSnapshot.column_array
+    sorted_column = TableSnapshot.sorted_column
     rows = TableSnapshot.rows
     column_arrays = TableSnapshot.column_arrays
     row = TableSnapshot.row

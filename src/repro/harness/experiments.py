@@ -606,6 +606,7 @@ def e8_end_to_end(seed=0, fast=False):
 )
 def e9_learned_index(seed=0, fast=False):
     """Experiment e9_learned_index (see the register_experiment metadata above)."""
+    from repro.ai4db.design.btree import BPlusTree
     from repro.ai4db.design.learned_index import (
         ALEXLiteIndex,
         BinarySearchIndex,
@@ -613,7 +614,6 @@ def e9_learned_index(seed=0, fast=False):
         RMIIndex,
         evaluate_index,
     )
-    from repro.engine.indexes import BPlusTree
 
     rng = ensure_rng(seed)
     n_keys = 20000 if fast else 100000

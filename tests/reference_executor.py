@@ -6,10 +6,11 @@ runs: same plan in; rows, order, ``work``, ``operator_work`` and per-node
 :class:`~repro.engine.optimizer.cost.CostModel` formulas on the
 cardinalities it observes. It never fuses, never prunes, and reads
 storage through ``table.rows()`` (Python lists), so it shares none of the
-engine's columnar kernels, segment masks or late materialization — only
-the plan-node classes, the cost formulas, and three helpers that decide
-*what a plan means* rather than how to run it (index-probe resolution,
-join-key orientation, aggregate output labels).
+engine's columnar kernels, segment masks, column sorts or late
+materialization — only the plan-node classes, the cost formulas, and two
+helpers that decide *what a plan means* rather than how to run it
+(join-key orientation, aggregate output labels). An index probe is
+resolved here by looking at every row.
 
 This was the engine's ``row`` executor mode until it stopped being
 shipped; it lives here because a reference needs neither a config knob
@@ -28,7 +29,6 @@ from repro.engine.executor import ExecutionResult
 from repro.engine.operators.aggregate import output_columns
 from repro.engine.operators.base import OPS, Relation
 from repro.engine.operators.join import join_keys
-from repro.engine.operators.scan import index_row_ids
 from repro.engine.optimizer.cost import CostModel
 from repro.engine.telemetry import StatementTrace
 
@@ -68,12 +68,26 @@ def _seq_scan(ctx, node):
     return Relation(columns, rows)
 
 
+def _is_null(value):
+    return value is None or (isinstance(value, float) and math.isnan(value))
+
+
 def _index_scan(ctx, node):
-    row_ids = index_row_ids(ctx, node)
+    """Resolve the probe tuple-at-a-time: an index holds valid keys only
+    (a NULL row is never returned), a hash index answers only ``=``."""
+    idx = next((i for i in ctx.catalog.indexes(node.table)
+                if i.name == node.index_name), None)
+    if idx is None or idx.hypothetical:
+        raise ExecutionError("index %r cannot be probed" % (node.index_name,))
+    pred = node.predicate
+    if pred.op == "!=" or (idx.kind == "hash" and pred.op != "="):
+        raise ExecutionError("%s index cannot evaluate %r" % (idx.kind, pred))
     table, columns = table_relation(ctx, node.table)
-    ctx.charge(node, ctx.cost_model.index_scan(len(row_ids)))
-    relation = Relation(columns, table.rows(row_ids))
-    rows = eval_predicates(relation, node.residual)
+    pos = table.schema.column_index(idx.column)
+    matched = [row for row in table.rows()
+               if not _is_null(row[pos]) and OPS[pred.op](row[pos], pred.value)]
+    ctx.charge(node, ctx.cost_model.index_scan(len(matched)))
+    rows = eval_predicates(Relation(columns, matched), node.residual)
     return Relation(columns, rows)
 
 

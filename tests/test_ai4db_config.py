@@ -40,7 +40,8 @@ from repro.ai4db.config.view_advisor import (
     materialize_view,
     workload_cost_with_views,
 )
-from repro.engine import Database
+from repro.engine import Database, Predicate
+from repro.engine import plans as P
 from repro.sim import datagen
 from repro.sim.knobs import KnobResponseSimulator, standard_workloads
 
@@ -160,9 +161,14 @@ class TestIndexAdvisor:
             star_db.catalog, star_workload, budget=1
         )
         built = realize_indexes(star_db.catalog, picks)
+        assert built
         for idx in built:
             assert not idx.hypothetical
-            assert idx.structure is not None
+            # A real index can be probed (a what-if one raises).
+            key = star_db.catalog.table(idx.table).column_array(idx.column)[0]
+            probe = P.IndexScan(idx.table, idx.name,
+                                Predicate(idx.table, idx.column, "=", key))
+            assert star_db.executor.execute(probe).rows
 
 
 class TestViewAdvisor:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ai4db.design.btree import BPlusTree
 from repro.ai4db.design.learned_index import (
     ALEXLiteIndex,
     BinarySearchIndex,
@@ -25,7 +26,6 @@ from repro.ai4db.design.txn_mgmt import (
     evaluate_schedulers,
 )
 from repro.common import ModelError, NotFittedError
-from repro.engine.indexes import BPlusTree
 from repro.sim.txn import Transaction, hotspot_workload
 
 

@@ -26,8 +26,6 @@ REQUIRED_EXPORTS = {
     # query model + catalog
     "Aggregate", "ConjunctiveQuery", "JoinEdge", "Predicate",
     "Catalog", "IndexDef", "ViewDef",
-    # indexes
-    "BPlusTree", "HashIndex",
     # execution + configuration (this PR's redesigned surface)
     "EngineConfig", "ExecutionResult", "Executor",
     "ExplainResult", "FusedPipelineOp", "Relation", "count_join_rows",
@@ -63,6 +61,17 @@ def test_one_telemetry_record():
         assert not hasattr(engine.telemetry, name)
     assert inspect.isclass(engine.StatementTrace)
     assert inspect.isclass(engine.Span)
+
+
+def test_index_structures_are_not_engine_exports():
+    """An index is metadata plus a sort its snapshot caches; the B+Tree
+    is the paper's E9 baseline and lives in ``repro.ai4db.design``."""
+    from repro.ai4db.design import BPlusTree
+
+    assert inspect.isclass(BPlusTree)
+    for name in ("BPlusTree", "HashIndex"):
+        assert name not in engine.__all__
+        assert not hasattr(engine, name)
 
 
 def test_all_has_no_duplicates():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common import CatalogError, PlanError
+from repro.common import CatalogError, ExecutionError, PlanError
+from repro.engine import plans as P
 from repro.engine.catalog import Catalog, ViewDef
+from repro.engine.executor import Executor
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
 from repro.engine.stats import ColumnStats, EquiDepthHistogram
 from repro.engine.storage import Table
@@ -282,7 +284,8 @@ class TestCatalog:
         t.insert_rows([(i % 10,) for i in range(50)])
         idx = cat.create_index("idx_a", "t", "a")
         assert not idx.hypothetical
-        assert len(idx.structure.search(3)) > 0
+        probe = P.IndexScan("t", "idx_a", Predicate("t", "a", "=", 3))
+        assert len(Executor(cat).execute(probe).rows) == 5
         assert cat.index_on("t", "a") is idx
         cat.drop_index("idx_a")
         assert cat.index_on("t", "a") is None
@@ -292,8 +295,11 @@ class TestCatalog:
         t = cat.create_table("t", [("a", "INT")])
         t.insert_rows([(1,)])
         idx = cat.create_index("h", "t", "a", hypothetical=True)
-        assert idx.structure is None
+        assert idx.hypothetical
         assert idx.size_bytes(1000) > 0
+        probe = P.IndexScan("t", "h", Predicate("t", "a", "=", 1))
+        with pytest.raises(ExecutionError, match="hypothetical"):
+            Executor(cat).execute(probe)
 
     def test_index_on_missing_column_rejected(self):
         cat = Catalog()

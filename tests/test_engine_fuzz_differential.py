@@ -1,7 +1,8 @@
 """Randomized differential query fuzzer: the engine against two oracles.
 
 A seeded generator produces random catalogs (2–4 tables with INT/FLOAT/
-TEXT and nullable-TEXT columns) and random conjunctive queries over them
+TEXT and nullable-TEXT columns, btree/hash indexes on a seeded subset of
+the non-nullable ones) and random conjunctive queries over them
 (equi-joins, predicates, GROUP BY, aggregates, ORDER BY, LIMIT — including
 LIMIT 0 — and DISTINCT). The engine has one executor cell (columnar,
 always fused); every query is judged against:
@@ -59,6 +60,7 @@ from reference_executor import (
     reference_database,
 )
 from repro.engine import Database
+from repro.engine.plans import IndexScan
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
 
 #: Total fuzz budget, split across catalog seeds.
@@ -77,6 +79,8 @@ SEGMENT_ROWS = 32
 
 AGG_FUNCS = ("count", "sum", "avg", "min", "max")
 CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
+#: Columns ``_build_db`` may index (never the nullable ``ntag``).
+INDEXABLE = ("id", "k", "v", "tag")
 
 
 # ----------------------------------------------------------------------
@@ -112,6 +116,15 @@ def _build_db(seed, make=Database, **knobs):
                 None if rng.random() < 0.3 else "n%d" % rng.randrange(3),
             ))
         db.catalog.table(name).insert_rows(rows)
+    # Indexes on a seeded subset of the non-nullable columns (drawn after
+    # every row, so the data is what it was without them): the planner
+    # picks IndexScan where it is cheaper, and that route is raced too.
+    for name in schema:
+        for column in INDEXABLE:
+            if rng.random() < 0.4:
+                db.execute("CREATE INDEX %s_%s ON %s (%s) USING %s" % (
+                    name, column, name, column,
+                    rng.choice(("btree", "hash"))))
     db.execute("ANALYZE")
     return db, sorted(schema)
 
@@ -969,6 +982,23 @@ def test_fusion_actually_fires_on_fuzz_workload():
         for __ in range(20)
     )
     assert fused_hits > 0
+
+
+def test_index_scan_actually_fires_on_fuzz_workload():
+    """Meta-check: the seeded catalogs carry btree and hash indexes and the
+    generated queries probe them, so the IndexScan route really is raced
+    against the reference's row-by-row probe and SQLite."""
+    kinds, ops = set(), set()
+    for seed in CATALOG_SEEDS:
+        db, tables = _build_db(seed)
+        kinds.update(idx.kind for idx in db.catalog.indexes())
+        rng = random.Random(4242 + seed)
+        for __ in range(20):
+            plan = db.pipeline.prepare_query(_random_query(rng, tables)).plan
+            ops.update(node.predicate.op for node in plan.walk()
+                       if isinstance(node, IndexScan))
+    assert kinds == {"btree", "hash"}
+    assert "=" in ops and ops & {"<", "<=", ">", ">="}, ops
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,24 @@
-"""Tests for the B+Tree and hash index, including property-based checks."""
+"""Tests for the index probe and the B+Tree it is measured against.
+
+The engine's index is a cached sort of one column probed with
+``np.searchsorted`` (``index_row_ids``); the B+Tree is the paper's E9
+baseline and lives in ``repro.ai4db.design``.
+"""
+
+import math
+import operator
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common import CatalogError
-from repro.engine.indexes import BPlusTree, HashIndex
+from repro.ai4db.design.btree import BPlusTree
+from repro.common import CatalogError, ExecutionError
+from repro.engine import plans as P
+from repro.engine.catalog import Catalog
+from repro.engine.operators.scan import index_row_ids
+from repro.engine.query import Predicate
 
 
 class TestBPlusTreeBasics:
@@ -68,31 +81,10 @@ class TestBPlusTreeBasics:
         assert sorted(tree.range_search("apple", "mango")) == [1, 2, 3]
 
 
-class TestHashIndex:
-    def test_insert_and_search(self):
-        idx = HashIndex()
-        idx.insert("k", 1)
-        idx.insert("k", 2)
-        assert sorted(idx.search("k")) == [1, 2]
-        assert len(idx.search("missing")) == 0
-        assert idx.n_keys == 1
-        assert len(idx) == 2
-
-    def test_bulk_load(self):
-        idx = HashIndex.bulk_load([(i % 3, i) for i in range(9)])
-        assert sorted(idx.search(0)) == [0, 3, 6]
-
-
 class TestProbeArrayReturns:
     def test_btree_probes_return_int64_arrays(self):
         tree = BPlusTree.bulk_load([(i, i) for i in range(10)], order=4)
         for ids in (tree.search(3), tree.search(99), tree.range_search(2, 5)):
-            assert isinstance(ids, np.ndarray)
-            assert ids.dtype == np.int64
-
-    def test_hash_probes_return_int64_arrays(self):
-        idx = HashIndex.bulk_load([("a", 0), ("a", 1)])
-        for ids in (idx.search("a"), idx.search("zzz")):
             assert isinstance(ids, np.ndarray)
             assert ids.dtype == np.int64
 
@@ -138,3 +130,80 @@ def test_btree_items_sorted_and_complete(keys):
     assert emitted == sorted(set(keys))
     total = sum(len(ids) for __, ids in tree.items())
     assert total == len(keys)
+
+
+# ----------------------------------------------------------------------
+# The engine's probe: searchsorted over the snapshot's column sort
+# ----------------------------------------------------------------------
+_OPS = {"=": operator.eq, "<": operator.lt, "<=": operator.le,
+        ">": operator.gt, ">=": operator.ge}
+
+_INT_KEYS = st.integers(min_value=-20, max_value=20)
+_FLOAT_KEYS = st.one_of(
+    st.none(), st.integers(min_value=-20, max_value=20).map(lambda i: i / 2))
+_TEXT_KEYS = st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b", "n1"]))
+
+
+def _probe(catalog, op, value, index="ix"):
+    node = P.IndexScan("t", index, Predicate("t", "k", op, value))
+    return index_row_ids(SimpleNamespace(catalog=catalog), node)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("INT"), st.lists(_INT_KEYS, max_size=60), _INT_KEYS),
+    st.tuples(st.just("FLOAT"), st.lists(_FLOAT_KEYS, max_size=60),
+              _FLOAT_KEYS.filter(lambda v: v is not None)),
+    st.tuples(st.just("TEXT"), st.lists(_TEXT_KEYS, max_size=60),
+              _TEXT_KEYS.filter(lambda v: v is not None)),
+))
+def test_index_probe_matches_brute_force_filter(case):
+    """Property: every operator through ``index_row_ids`` equals filtering
+    the valid (non-NULL) keys by hand — duplicates, NaN and None included."""
+    dtype, keys, value = case
+    catalog = Catalog(segment_rows=16)
+    catalog.create_table("t", [("k", dtype)]).insert_rows([(k,) for k in keys])
+    catalog.create_index("ix", "t", "k")
+    for op, fn in _OPS.items():
+        expected = [i for i, k in enumerate(keys)
+                    if k is not None and fn(k, value)]
+        row_ids = _probe(catalog, op, value)
+        assert row_ids.dtype == np.int64
+        assert row_ids.tolist() == expected, op
+
+
+class TestIndexProbe:
+    def _catalog(self, kind="btree"):
+        catalog = Catalog()
+        catalog.create_table("t", [("k", "FLOAT")]).insert_rows(
+            [(3.0,), (None,), (1.0,), (3.0,), (math.nan,)])
+        catalog.create_index("ix", "t", "k", kind=kind)
+        return catalog
+
+    def test_sort_holds_valid_keys_only_and_is_stable(self):
+        keys, row_ids = self._catalog().table("t").sorted_column("k")
+        assert keys.tolist() == [1.0, 3.0, 3.0]
+        assert row_ids.tolist() == [2, 0, 3]
+
+    def test_sort_is_cached_on_the_snapshot_and_dropped_by_a_write(self):
+        table = self._catalog().table("t")
+        pinned = table.snapshot()
+        first = table.sorted_column("k")
+        assert table.sorted_column("k") is first
+        assert pinned.sorted_column("k") is first
+        table.insert_rows([(0.5,)])
+        assert table.sorted_column("k")[0].tolist() == [0.5, 1.0, 3.0, 3.0]
+        assert pinned.sorted_column("k") is first
+
+    def test_hash_answers_only_equality(self):
+        catalog = self._catalog(kind="hash")
+        assert _probe(catalog, "=", 3.0).tolist() == [0, 3]
+        with pytest.raises(ExecutionError, match="only equality"):
+            _probe(catalog, "<", 3.0)
+
+    def test_unknown_index_and_operator_rejected(self):
+        catalog = self._catalog()
+        with pytest.raises(ExecutionError, match="not found"):
+            _probe(catalog, "=", 3.0, index="nope")
+        with pytest.raises(ExecutionError, match="cannot evaluate"):
+            _probe(catalog, "!=", 3.0)

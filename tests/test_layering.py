@@ -24,6 +24,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import repro.engine
@@ -253,8 +254,9 @@ def test_operator_layer_starts_no_threads():
     assert not violations, "\n".join(violations)
 
 
-TABLE_READS = ("row_groups", "column_array", "rows", "column_arrays", "row",
-               "column_value_counts", "n_segments", "n_rows", "name")
+TABLE_READS = ("row_groups", "column_array", "sorted_column", "rows",
+               "column_arrays", "row", "column_value_counts", "n_segments",
+               "n_rows", "name")
 CATALOG_READS = ("epoch", "schema_epoch", "version", "version_vector",
                  "table", "has_table", "table_names", "indexes", "index_on",
                  "views", "matching_view")
@@ -271,6 +273,37 @@ def test_each_read_surface_is_written_once():
         for name in names:
             assert getattr(live, name) is getattr(pinned, name), (
                 live.__name__, name)
+
+
+def test_an_index_is_metadata_and_the_write_hook_reads_no_rows():
+    """The engine holds no index structure: nothing under ``engine/``
+    names ``BPlusTree``/``HashIndex``, ``IndexDef`` carries no
+    ``structure``, and the catalog's write hook only bumps the version
+    and drops views — "index matches its rows" follows from the sort
+    living on the table snapshot, not from rebuilding on write."""
+    from repro.engine import Catalog, IndexDef
+
+    hits = [
+        path for path in _engine_modules()
+        if re.search(r"BPlusTree|HashIndex|\.structure\b",
+                     Path(path).read_text(encoding="utf-8"))
+    ]
+    assert not hits, hits
+    assert not os.path.exists(os.path.join(ENGINE_ROOT, "indexes.py"))
+    idx = IndexDef("i", "t", "c")
+    assert sorted(vars(idx)) == ["column", "hypothetical", "kind", "name",
+                                 "table"]
+
+    hook = ast.parse(textwrap.dedent(
+        inspect.getsource(Catalog._on_table_write)))
+    called = {
+        ast.unparse(node.func) for node in ast.walk(hook)
+        if isinstance(node, ast.Call)
+    }
+    assert called == {"self._bump_table", "self._drop_views_over",
+                      "table.name.lower"}, called
+    drop = inspect.getsource(Catalog._drop_views_over)
+    assert "table(" not in drop and "rows" not in drop
 
 
 def test_no_restore_point_anywhere_under_src():
