@@ -35,6 +35,7 @@ a streaming engine).
 
 from repro.engine.fusion import fuse_plan
 from repro.engine.operators import ColumnarRelation, operator_for
+from repro.engine.operators.join import join_keys
 from repro.engine.operators.kernels import (
     cross_indices,
     join_indices,
@@ -266,15 +267,7 @@ def count_join_rows(catalog, query, tables):
         rel_t = filtered(nxt)
         edges = query.edges_between(joined, nxt)
         if edges:
-            current_index = current._index
-            left_pos, right_pos = [], []
-            for e in edges:
-                if (e.left_table.lower(), e.left_column.lower()) in current_index:
-                    left_pos.append(current.col_pos(e.left_table, e.left_column))
-                    right_pos.append(rel_t.col_pos(e.right_table, e.right_column))
-                else:
-                    left_pos.append(current.col_pos(e.right_table, e.right_column))
-                    right_pos.append(rel_t.col_pos(e.left_table, e.left_column))
+            left_pos, right_pos = join_keys(edges, current, rel_t)
             il, ir = join_indices(
                 [current.arrays[p] for p in left_pos],
                 [rel_t.arrays[p] for p in right_pos],

@@ -10,7 +10,7 @@ identical whether the aggregate ran standalone or absorbed into a fused
 tail.
 
 Group output order is first-appearance order of each key among input
-rows (the stable argsort recovers it).
+rows (a stable sort of the dense key codes recovers it).
 """
 
 import numpy as np
@@ -22,7 +22,8 @@ from repro.engine.operators.base import (
     PhysicalOperator,
     register,
 )
-from repro.engine.operators.kernels import factorize, segment_reduce
+from repro.engine.operators.kernels import (
+    factorize, segment_reduce, stable_code_order)
 
 
 def output_columns(node):
@@ -60,8 +61,10 @@ def global_aggregate(agg, arr, n):
     raise ExecutionError("unknown aggregate %r" % (agg.func,))
 
 
-def aggregate_columnar(ctx, node, child):
-    """Grouped/global aggregation over ``child``."""
+def aggregate_columnar(ctx, node, child, key_codes=None):
+    """Grouped/global aggregation over ``child``. ``key_codes`` may give,
+    per GROUP BY key, int codes computed for it already (equal values,
+    equal codes) in place of grouping on its values (``None``)."""
     n = len(child)
     key_pos = [child.col_pos(t, c) for t, c in node.group_by]
     agg_pos = [
@@ -95,13 +98,13 @@ def aggregate_columnar(ctx, node, child):
         ctx.count(node, 0)
         arrays = [np.empty(0, dtype=object) for __ in columns]
         return ColumnarRelation(columns, arrays, n_rows=0)
-    codes = factorize([child.arrays[p] for p in key_pos])
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    seg_starts = np.flatnonzero(
-        np.r_[True, sorted_codes[1:] != sorted_codes[:-1]]
-    )
-    counts = np.diff(np.r_[seg_starts, n])
+    codes = factorize([
+        child.arrays[p] if c is None else c
+        for p, c in zip(key_pos, key_codes or [None] * len(key_pos))
+    ])
+    order = stable_code_order(codes)
+    counts = np.bincount(codes)  # dense codes: every group is non-empty
+    seg_starts = np.cumsum(counts) - counts
     first_rows = order[seg_starts]  # stable sort -> global first occurrence
     group_rank = np.argsort(first_rows, kind="stable")  # appearance order
     key_arrays = [

@@ -38,6 +38,7 @@ from repro.engine.operators.kernels import (
 )
 from repro.engine.operators.aggregate import aggregate_columnar
 from repro.engine.operators.scan import gather_group, segment_filter
+from repro.engine.segments import object_codes
 
 
 def _count_filter_stage(ctx, node, n1):
@@ -190,6 +191,28 @@ def _lazy_gather(table, survivors, keys):
     return out, (nbytes, perf_counter() - t0)
 
 
+def _segment_codes(survivors, key, values):
+    """Int codes (not dense) of object column ``key`` over the surviving
+    rows: one hash lookup per dictionary entry of a dict segment, one per
+    row of the gathered ``values`` elsewhere (plain, RLE, the tail). One
+    numbering spans them all, so equality is dict equality throughout."""
+    seen = {}
+    parts = []
+    start = 0
+    for g, ids in survivors:
+        seg = g.segments[key]
+        stop = start + (g.n_rows if ids is None else len(ids))
+        if seg.encoding == "dict":
+            remap = np.array([seen.setdefault(v, len(seen))
+                              for v in seg.dictionary.tolist()],
+                             dtype=np.int64)
+            parts.append(remap[seg.codes if ids is None else seg.codes[ids]])
+        else:
+            parts.append(object_codes(values[start:stop], seen))
+        start = stop
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
 def _lazy_aggregate(ctx, node, table, survivors, n1):
     agg = node.agg_node
     shape = _lazy_scan_shape(table, n1)
@@ -197,7 +220,11 @@ def _lazy_aggregate(ctx, node, table, survivors, n1):
     keys = [table.schema.columns[p].name.lower() for p in positions]
     arrays, decoded = _lazy_gather(table, survivors, keys)
     sub = ColumnarRelation(labels, arrays, n_rows=n1)
-    out = _fused_limit(ctx, node, aggregate_columnar(ctx, agg, sub))
+    key_codes = [
+        _segment_codes(survivors, keys[j], arrays[j])
+        if arrays[j].dtype == object else None
+        for j in (sub.col_pos(t, c) for t, c in agg.group_by)]
+    out = _fused_limit(ctx, node, aggregate_columnar(ctx, agg, sub, key_codes))
     return out, decoded
 
 

@@ -16,11 +16,12 @@ from repro.engine.operators.base import (
 from repro.engine.operators.kernels import cross_indices, join_indices
 
 
-def join_keys(node, left, right):
-    """Positions of the join-key columns in the two child relations."""
+def join_keys(edges, left, right):
+    """Positions of the ``edges``' key columns in the two relations
+    being joined (each edge may name either side first)."""
     left_index = left._index
     left_pos, right_pos = [], []
-    for e in node.edges:
+    for e in edges:
         if (e.left_table.lower(), e.left_column.lower()) in left_index:
             lp = left.col_pos(e.left_table, e.left_column)
             rp = right.col_pos(e.right_table, e.right_column)
@@ -36,7 +37,7 @@ def _v_join(ctx, node, charge):
     """Columnar equi-join shared by hash and NL charges."""
     left = ctx.run(node.children[0])
     right = ctx.run(node.children[1])
-    left_pos, right_pos = join_keys(node, left, right)
+    left_pos, right_pos = join_keys(node.edges, left, right)
     il, ir = join_indices(
         [left.arrays[p] for p in left_pos],
         [right.arrays[p] for p in right_pos],

@@ -1,43 +1,45 @@
 """Vectorized NumPy kernels shared across operator families.
 
 These are the pure array routines the columnar operators are built from:
-factorization (dense key codes), the build/probe halves of the
-factorized equi-join, predicate masks, segmented reductions for grouped
+factorization (dense key codes) and the stable sort of those codes, the
+counting equi-join, predicate masks, segmented reductions for grouped
 aggregation, and order-preserving sort permutations. They are also used
 by :func:`repro.engine.executor.count_join_rows` (the oracle cardinality
 helper), which is why they live apart from any single operator module.
 
 Every kernel is deterministic and order-preserving by construction —
 join probes emit left-major row order, groups surface in first-appearance
-order, sorts are stable — because the row interpreter defines the
-engine's observable semantics and the vectorized kernels must reproduce
-it bit-for-bit.
+order, sorts are stable — because that is what the reference executor
+under ``tests/`` produces and the engine must reproduce bit for bit.
 """
 
 import numpy as np
 
 from repro.common import ExecutionError
 from repro.engine.operators.base import OPS
+from repro.engine.segments import object_codes
 
 
 def column_codes(arr):
     """Dense int64 codes for one column (equal values ⇒ equal codes).
 
-    Non-object dtypes use ``np.unique``. Object columns (TEXT, nullable)
-    use a first-appearance dict instead: sort-based ``np.unique`` would
-    try to order the values and raise ``TypeError`` on ``None`` or mixed
-    types, while dict equality matches the row interpreter's hash-based
-    semantics exactly (``None == None`` groups/joins, no ordering needed).
+    Integer columns whose value span is below twice their length are
+    ranked in O(n) — ``bincount`` presence, ``cumsum``, gather — which is
+    exactly ``np.unique``'s inverse (both are ranks among the sorted
+    distinct values). Wider spans, floats and bools use ``np.unique``.
+    Object columns (TEXT, nullable) use :func:`object_codes`: sort-based
+    ``np.unique`` would raise ``TypeError`` on ``None`` or mixed types.
     """
     if arr.dtype == object:
-        codes = np.empty(len(arr), dtype=np.int64)
-        seen = {}
-        for i, value in enumerate(arr):
-            code = seen.get(value)
-            if code is None:
-                code = seen[value] = len(seen)
-            codes[i] = code
-        return codes
+        return object_codes(arr)
+    if arr.dtype.kind in "iu" and len(arr):
+        lo = arr.min()
+        if int(arr.max()) - int(lo) < 2 * len(arr):
+            # In intp: exact for narrow signed dtypes, and modulo 2**64
+            # (still exact, the span being small) for uint64 past int64.
+            offsets = np.subtract(arr, lo, dtype=np.intp)
+            ranks = np.cumsum(np.bincount(offsets) > 0) - 1
+            return ranks[offsets]
     __, inv = np.unique(arr, return_inverse=True)
     return np.ascontiguousarray(inv, dtype=np.int64).ravel()
 
@@ -45,8 +47,9 @@ def column_codes(arr):
 def factorize(columns):
     """Dense int64 codes identifying each row's tuple over ``columns``.
 
-    Rows with equal key tuples receive equal codes; codes are compacted
-    after every column so multi-column keys cannot overflow.
+    Rows with equal key tuples receive equal codes, and every code in
+    ``0..codes.max()`` occurs; codes are compacted after every column so
+    multi-column keys cannot overflow.
     """
     codes = None
     for arr in columns:
@@ -55,61 +58,48 @@ def factorize(columns):
             codes = inv
         else:
             width = int(inv.max()) + 1 if len(inv) else 1
-            codes = codes * width + inv
-            __, codes = np.unique(codes, return_inverse=True)
-            codes = np.ascontiguousarray(codes, dtype=np.int64).ravel()
+            codes = column_codes(codes * width + inv)
     return codes
 
 
-def join_build(left_cols, right_cols):
-    """Build phase of the factorized equi-join: shared key codes.
+def stable_code_order(codes):
+    """``np.argsort(codes, kind="stable")`` for non-negative int codes.
 
-    Factorizes the concatenated key columns once (so left and right codes
-    are consistent) and sorts the right side. Returns
-    ``(left_codes, right_codes_sorted, right_order)`` — everything a probe
-    needs.
+    Sorts on the narrowest unsigned dtype holding the largest code (the
+    same permutation), so NumPy radix-sorts the 8- and 16-bit cases.
     """
-    nl = len(left_cols[0])
-    codes = factorize(
-        [np.concatenate([l, r]) for l, r in zip(left_cols, right_cols)]
-    )
-    lc, rc = codes[:nl], codes[nl:]
-    order = np.argsort(rc, kind="stable")
-    return lc, rc[order], order
-
-
-def join_probe(lc, rc_sorted, order):
-    """Probe phase: row-id pairs for probe codes ``lc``."""
-    nl = len(lc)
-    empty = np.empty(0, dtype=np.int64)
-    starts = np.searchsorted(rc_sorted, lc, side="left")
-    counts = np.searchsorted(rc_sorted, lc, side="right") - starts
-    total = int(counts.sum())
-    il = np.repeat(np.arange(nl, dtype=np.int64), counts)
-    if total == 0:
-        return il, empty
-    offsets = np.cumsum(counts) - counts
-    pos = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(offsets, counts)
-        + np.repeat(starts, counts)
-    )
-    return il, order[pos]
+    top = int(codes.max()) if len(codes) else 0
+    narrow = codes.astype(np.min_scalar_type(top), copy=False)
+    return np.argsort(narrow, kind="stable")
 
 
 def join_indices(left_cols, right_cols):
     """Row-id pairs ``(il, ir)`` of the equi-join of two key-column sets.
 
-    Output order matches the row interpreter's hash join exactly: left
-    rows in order, and for each left row its right matches in original
-    right order (the stable argsort keeps within-key right order intact).
+    Both sides share one factorization; each left row finds its code's
+    run among the code-sorted right rows by counting (``bincount`` and
+    prefix sums). Output order is the reference hash join's: left rows in
+    order, each one's right matches in original right order.
     """
     nl, nr = len(left_cols[0]), len(right_cols[0])
     empty = np.empty(0, dtype=np.int64)
     if nl == 0 or nr == 0:
         return empty, empty.copy()
-    lc, rc_sorted, order = join_build(left_cols, right_cols)
-    return join_probe(lc, rc_sorted, order)
+    codes = factorize(
+        [np.concatenate([l, r]) for l, r in zip(left_cols, right_cols)]
+    )
+    lc, rc = codes[:nl], codes[nl:]
+    per_code = np.bincount(rc, minlength=int(codes.max()) + 1)
+    counts = per_code[lc]
+    il = np.repeat(np.arange(nl, dtype=np.int64), counts)
+    if len(il) == 0:
+        return il, empty
+    # Match j of left row i is right row starts[i] + j of the code-grouped
+    # order, and output row offsets[i] + j.
+    starts = (np.cumsum(per_code) - per_code)[lc]
+    offsets = np.cumsum(counts) - counts
+    pos = np.arange(len(il)) + np.repeat(starts - offsets, counts)
+    return il, stable_code_order(rc)[pos]
 
 
 def cross_indices(nl, nr):

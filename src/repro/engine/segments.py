@@ -81,26 +81,33 @@ def _narrow_code_dtype(n_distinct):
     return np.uint32
 
 
-def _object_factorize(arr):
-    """First-appearance codes + dictionary for an object column.
+def object_codes(arr, seen=None):
+    """First-appearance int64 codes of an object array.
 
     Hash-based (dict equality) rather than sort-based, so ``None`` and
-    mixed types factorize exactly like the row interpreter groups them.
+    mixed types get codes exactly as the reference executor groups and
+    joins them (``None`` equals ``None``; no ordering needed). ``seen``
+    (value -> code) continues one numbering across several arrays and is
+    extended in place.
     """
+    seen = {} if seen is None else seen
     codes = np.empty(len(arr), dtype=np.int64)
-    seen = {}
     for i, value in enumerate(arr.tolist()):
         code = seen.get(value)
         if code is None:
             code = seen[value] = len(seen)
         codes[i] = code
-    dictionary = np.empty(len(seen), dtype=object)
-    dictionary[:] = list(seen)
-    return codes, dictionary
+    return codes
 
 
-def _numeric_factorize(arr):
-    """First-appearance codes + dictionary for an int64/float64 column."""
+def _factorize(arr):
+    """First-appearance codes + dictionary of one segment's values."""
+    if arr.dtype == object:
+        seen = {}
+        codes = object_codes(arr, seen)
+        dictionary = np.empty(len(seen), dtype=object)
+        dictionary[:] = list(seen)
+        return codes, dictionary
     uniq, first, inv = np.unique(arr, return_index=True, return_inverse=True)
     inv = np.ascontiguousarray(inv, dtype=np.int64).ravel()
     order = np.argsort(first, kind="stable")
@@ -355,10 +362,7 @@ class ColumnSegment:
             return cls("rle", dtype, len(arr), values=run_values,
                        run_lengths=lengths, zone_map=zone)
         if encoding == "dict":
-            if dtype is DataType.TEXT:
-                codes, dictionary = _object_factorize(arr)
-            else:
-                codes, dictionary = _numeric_factorize(arr)
+            codes, dictionary = _factorize(arr)
             narrow = codes.astype(_narrow_code_dtype(len(dictionary)))
             zone = ZoneMap.build(dictionary, dtype)
             if dtype is DataType.TEXT and zone.null_count:
@@ -441,10 +445,7 @@ class ColumnSegment:
                                   counts.astype(np.int64))
             return self._value_counts
         if self.encoding == "rle":
-            if self.dtype is DataType.TEXT:
-                codes, dictionary = _object_factorize(self.values)
-            else:
-                codes, dictionary = _numeric_factorize(self.values)
+            codes, dictionary = _factorize(self.values)
             counts = np.zeros(len(dictionary), dtype=np.int64)
             np.add.at(counts, codes, self.run_lengths)
             self._value_counts = (dictionary, counts)
@@ -452,12 +453,8 @@ class ColumnSegment:
         arr = self.values
         if self.dtype is DataType.FLOAT and bool(np.isnan(arr).any()):
             return None
-        if self.dtype is DataType.TEXT:
-            codes, dictionary = _object_factorize(arr)
-            counts = np.bincount(codes, minlength=len(dictionary))
-        else:
-            codes, dictionary = _numeric_factorize(arr)
-            counts = np.bincount(codes, minlength=len(dictionary))
+        codes, dictionary = _factorize(arr)
+        counts = np.bincount(codes, minlength=len(dictionary))
         self._value_counts = (dictionary, counts.astype(np.int64))
         return self._value_counts
 

@@ -110,7 +110,7 @@ def _empty_result(ctx, node):
 def _hash_join(ctx, node):
     left = ctx.run(node.children[0])
     right = ctx.run(node.children[1])
-    left_pos, right_pos = join_keys(node, left, right)
+    left_pos, right_pos = join_keys(node.edges, left, right)
     buckets = {}
     for row in right.rows:
         key = tuple(row[p] for p in right_pos)
@@ -130,7 +130,7 @@ def _hash_join(ctx, node):
 def _nested_loop_join(ctx, node):
     left = ctx.run(node.children[0])
     right = ctx.run(node.children[1])
-    left_pos, right_pos = join_keys(node, left, right)
+    left_pos, right_pos = join_keys(node.edges, left, right)
     out = []
     for lrow in left.rows:
         lkey = tuple(lrow[p] for p in left_pos)

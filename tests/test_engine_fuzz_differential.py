@@ -152,11 +152,13 @@ def _random_query(rng, tables):
     order_by, limit, distinct = None, None, False
     if shape < 0.4:
         # Aggregation query; ~half the time grouped, sometimes on the
-        # nullable column (the latent all-NULL-group-key class).
+        # nullable column (the latent all-NULL-group-key class), and
+        # sometimes on a TEXT key plus an INT key (codes read from the
+        # segment dictionaries combined with codes of values).
         if rng.random() < 0.75:
             t = rng.choice(chosen)
-            key = rng.choice(["k", "tag", "ntag", "ntag"])
-            group_by.append((t, key))
+            keys = rng.choice(["k", "tag", "ntag", "ntag", "tag,k", "ntag,k"])
+            group_by.extend((t, key) for key in keys.split(","))
         for __ in range(rng.randint(1, 3)):
             func = rng.choice(AGG_FUNCS)
             if func == "count":

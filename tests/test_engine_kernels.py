@@ -1,0 +1,235 @@
+"""Property tests for the key-coding kernels, and a guard that GROUP BY
+on a TEXT column codes its keys from the segment dictionaries.
+
+``column_codes`` must equal ``np.unique``'s inverse, ``stable_code_order``
+must equal a stable ``argsort``, and ``join_indices`` must equal a
+left-major nested loop — whatever shortcut each takes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from reference_executor import ReferenceExecutor, assert_matches_reference
+from repro.engine import Database
+from repro.engine.operators import fused, kernels
+from repro.engine.operators.kernels import (
+    column_codes,
+    join_indices,
+    stable_code_order,
+)
+
+INT_DTYPES = ("int8", "int16", "int32", "int64",
+              "uint8", "uint16", "uint32", "uint64")
+
+
+def _unique_inverse(arr):
+    return np.unique(arr, return_inverse=True)[1].astype(np.int64).ravel()
+
+
+# ----------------------------------------------------------------------
+# column_codes == np.unique's inverse
+# ----------------------------------------------------------------------
+@st.composite
+def int_columns(draw):
+    """An integer array of any width and sign, its values packed into a
+    window narrow enough for the counting path or wide enough to miss it."""
+    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
+    info = np.iinfo(dtype)
+    n = draw(st.integers(min_value=0, max_value=60))
+    width = draw(st.sampled_from([0, 1, 2 * n - 1, 2 * n, 2 * n + 1, 2 ** 70]))
+    lo = draw(st.integers(min_value=int(info.min), max_value=int(info.max)))
+    hi = min(int(info.max), lo + max(width, 0))
+    values = draw(st.lists(st.integers(min_value=lo, max_value=hi),
+                           min_size=n, max_size=n))
+    return np.array(values, dtype=dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_columns())
+def test_column_codes_equal_unique_inverse(arr):
+    codes = column_codes(arr)
+    assert codes.dtype == np.int64
+    assert np.array_equal(codes, _unique_inverse(arr))
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES)
+@pytest.mark.parametrize("values", [
+    [], [7], [3, 3, 3], [5, 0, 5, 2, 0],
+    [-5, -1, -5, -3], [-2 ** 63, 2 ** 63 - 1, -2 ** 63],
+    [2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1, 2 ** 63],
+    list(range(127, -129, -1)),
+], ids=["empty", "one", "constant", "small", "negative", "int64-ends",
+        "uint64-high", "span-past-int8"])
+def test_column_codes_edge_arrays(dtype, values):
+    info = np.iinfo(dtype)
+    kept = [v for v in values if info.min <= v <= info.max]
+    arr = np.array(kept, dtype=dtype)
+    assert np.array_equal(column_codes(arr), _unique_inverse(arr))
+
+
+@pytest.mark.parametrize("span, sorts", [
+    (1, False), (2 * 40 - 1, False), (2 * 40, True), (2 * 40 + 1, True),
+])
+def test_column_codes_sort_only_past_the_span_threshold(monkeypatch, span,
+                                                        sorts):
+    """n values whose max - min is ``span``: below 2n they are ranked by
+    counting, from 2n on ``np.unique`` sorts them — same codes either way."""
+    rng = np.random.default_rng(span)
+    arr = rng.integers(0, span + 1, 40) - 1_000
+    arr[:2] = (-1_000, -1_000 + span)
+    calls = []
+    real_unique = np.unique
+    monkeypatch.setattr(np, "unique",
+                        lambda *a, **k: calls.append(1) or real_unique(*a, **k))
+    codes = column_codes(arr)
+    assert bool(calls) is sorts
+    monkeypatch.undo()
+    assert np.array_equal(codes, _unique_inverse(arr))
+
+
+def test_column_codes_on_objects_group_none_with_none():
+    arr = np.array(["b", None, "a", "b", None, 1, 1.0], dtype=object)
+    assert column_codes(arr).tolist() == [0, 1, 2, 0, 1, 3, 3]
+
+
+# ----------------------------------------------------------------------
+# stable_code_order == stable argsort
+# ----------------------------------------------------------------------
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 256, 257, 65_536, 65_537]),
+       st.lists(st.integers(min_value=0, max_value=2 ** 32 - 1),
+                max_size=400))
+def test_stable_code_order_equals_stable_argsort(k, draws):
+    codes = np.array([d % k for d in draws] + [k - 1], dtype=np.int64)
+    assert np.array_equal(stable_code_order(codes),
+                          np.argsort(codes, kind="stable"))
+
+
+def test_stable_code_order_of_nothing():
+    assert len(stable_code_order(np.empty(0, dtype=np.int64))) == 0
+
+
+# ----------------------------------------------------------------------
+# join_indices == a left-major nested loop
+# ----------------------------------------------------------------------
+def _nested_loop(left_cols, right_cols):
+    nl = len(left_cols[0])
+    nr = len(right_cols[0])
+    pairs = [(i, j) for i in range(nl) for j in range(nr)
+             if all(l[i] == r[j] for l, r in zip(left_cols, right_cols))]
+    return [i for i, __ in pairs], [j for __, j in pairs]
+
+
+_KEY_VALUES = {
+    "int": st.integers(min_value=-3, max_value=3),
+    "text": st.one_of(st.none(), st.sampled_from(["a", "b", "c"])),
+}
+
+
+@st.composite
+def join_sides(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_KEY_VALUES)),
+                          min_size=1, max_size=2))
+    sides = []
+    for __ in range(2):
+        n = draw(st.integers(min_value=0, max_value=25))
+        cols = []
+        for kind in kinds:
+            values = draw(st.lists(_KEY_VALUES[kind], min_size=n, max_size=n))
+            cols.append(np.array(values, dtype=np.int64 if kind == "int"
+                                 else object))
+        sides.append(cols)
+    return sides
+
+
+@settings(max_examples=200, deadline=None)
+@given(join_sides())
+def test_join_indices_equal_nested_loop(sides):
+    left_cols, right_cols = sides
+    il, ir = join_indices(left_cols, right_cols)
+    assert il.dtype == ir.dtype == np.int64
+    assert (il.tolist(), ir.tolist()) == _nested_loop(left_cols, right_cols)
+
+
+@pytest.mark.parametrize("left, right", [
+    ([1, 2, 2, 3], [2, 9, 2, 1]),          # duplicates on both sides
+    ([1, 2], [3, 4]),                      # no matches
+    ([], [1, 2]),                          # empty left
+    ([1, 2], []),                          # empty right
+    ([None, "a", None], ["a", None, None]),  # NULL keys match NULL keys
+])
+def test_join_indices_examples(left, right):
+    dtype = object if None in left + right else np.int64
+    lc = [np.array(left, dtype=dtype)]
+    rc = [np.array(right, dtype=dtype)]
+    il, ir = join_indices(lc, rc)
+    assert (il.tolist(), ir.tolist()) == _nested_loop(lc, rc)
+
+
+# ----------------------------------------------------------------------
+# GROUP BY a TEXT column codes its keys from the segments
+# ----------------------------------------------------------------------
+SEG = 64
+
+
+def _mixed_text_rows():
+    """Rows sealing three dict-encoded TEXT segments, one RLE and one
+    plain (high-cardinality) segment, plus a tail holding NULLs."""
+    texts = []
+    for s in range(3):
+        texts += [None if s == 2 and i % 7 == 0 else "abcde"[i % 5]
+                  for i in range(SEG)]
+    texts += ["a"] * (SEG // 2) + ["f"] * (SEG // 2)
+    texts += ["a" if i % 9 == 0 else "u%d" % i for i in range(SEG)]
+    texts += [None if i % 2 else "b" for i in range(20)]
+    return [(i % 7, i * 0.25, t) for i, t in enumerate(texts)]
+
+
+@pytest.fixture
+def mixed_text_db():
+    db = Database(segment_rows=SEG)
+    db.execute("CREATE TABLE s (k INT, v FLOAT, t TEXT)")
+    db.catalog.table("s").insert_rows(_mixed_text_rows())
+    db.execute("ANALYZE")
+    groups = db.catalog.table("s").row_groups()
+    assert [g.segments["t"].encoding for g in groups] == [
+        "dict", "dict", "dict", "rle", "plain", "plain"]
+    return db
+
+
+@pytest.mark.parametrize("sql, key_pos, keep", [
+    ("SELECT s.t, COUNT(*), SUM(s.v) FROM s GROUP BY s.t",
+     0, lambda k, v: True),
+    ("SELECT s.t, MIN(s.v), COUNT(*) FROM s WHERE s.k < 4 GROUP BY s.t",
+     0, lambda k, v: k < 4),
+    ("SELECT s.t, s.k, COUNT(*), AVG(s.v) FROM s GROUP BY s.t, s.k",
+     0, lambda k, v: True),
+    ("SELECT s.k, s.t, MAX(s.v) FROM s WHERE s.v > 20.0 GROUP BY s.k, s.t",
+     1, lambda k, v: v > 20.0),
+])
+def test_text_group_keys_come_from_segment_dictionaries(
+        mixed_text_db, monkeypatch, sql, key_pos, keep):
+    db = mixed_text_db
+    plan = db.pipeline.prepare_sql(sql).plan
+    seen = []
+    real = kernels.object_codes
+
+    def counted(arr, *args):
+        seen.append(len(arr))
+        return real(arr, *args)
+
+    # Every caller of the object factorizer on the query path.
+    monkeypatch.setattr(kernels, "object_codes", counted)
+    monkeypatch.setattr(fused, "object_codes", counted)
+    result = db.executor.execute(plan)
+    monkeypatch.undo()
+
+    assert result.telemetry.fused_ops
+    reference = ReferenceExecutor(db.catalog, db.cost_model).execute(plan)
+    assert_matches_reference(result, reference, sql)
+    assert any(row[key_pos] is None for row in result.rows)
+    # Only the RLE segment, the plain segment and the tail are coded
+    # value by value: exactly their rows that pass the WHERE clause.
+    rest = _mixed_text_rows()[3 * SEG:]
+    assert sum(seen) == sum(1 for k, v, __ in rest if keep(k, v))
