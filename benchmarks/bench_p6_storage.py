@@ -1,10 +1,10 @@
 """P6 benchmark: segmented encoded storage vs. the seed's flat layout.
 
 Builds a clustered, low-cardinality fact table twice — once emulating the
-seed layout (a single plain-encoded segment, zone-map pruning off: flat
-NumPy arrays) and once with encoded 4K-row segments (dictionary/RLE where
-profitable, zone maps on) — plans an analytical workload once per
-database, and times pure plan execution. The observational contract
+seed layout (a single plain-encoded segment: flat NumPy arrays, whose one
+zone map spans the whole table and so prunes nothing) and once with
+encoded 4K-row segments (dictionary/RLE where profitable) — plans an
+analytical workload once per database, and times pure plan execution. The observational contract
 holds throughout: both layouts report identical rows and bit-identical
 ``work``, so the wall-clock ratio isolates what the storage layer saves
 (segments skipped via zone maps, predicates evaluated on dictionary
@@ -125,16 +125,15 @@ def _queries(n):
 
 
 def build_layouts(fast, seed=0):
-    """``{label: (db, plans, pruning)}`` for the two storage layouts."""
+    """``{label: (db, plans)}`` for the two storage layouts."""
     n = _n_rows(fast)
     rows = _rows(n, seed=seed)
     layouts = {}
-    for label, kwargs, pruning in (
+    for label, kwargs in (
         # One plain segment spanning the whole table == the seed's flat
         # NumPy arrays (nothing to prune, nothing encoded).
-        ("flat", {"segment_rows": n, "segment_encodings": ("plain",),
-                  "zone_map_pruning": False}, False),
-        ("encoded", {"segment_rows": SEGMENT_ROWS}, True),
+        ("flat", {"segment_rows": n, "segment_encodings": ("plain",)}),
+        ("encoded", {"segment_rows": SEGMENT_ROWS}),
     ):
         db = Database(**kwargs)
         db.catalog.register_table(Table(
@@ -145,13 +144,13 @@ def build_layouts(fast, seed=0):
         db.catalog.table("fact").insert_rows(rows)
         db.catalog.analyze("fact")
         plans = [db.planner.plan(q) for q in _queries(n)]
-        layouts[label] = (db, plans, pruning)
+        layouts[label] = (db, plans)
     return layouts
 
 
-def execute_all(db, plans, pruning):
+def execute_all(db, plans):
     """Execute every plan; totals + accumulated segment telemetry."""
-    ex = Executor(db.catalog, db.cost_model, pruning_enabled=pruning)
+    ex = Executor(db.catalog, db.cost_model)
     totals = {
         "rows": 0, "work": 0.0, "segments_total": 0, "segments_pruned": 0,
         "bytes_decoded": 0,
@@ -170,12 +169,12 @@ def execute_all(db, plans, pruning):
     return totals
 
 
-def peak_alloc_bytes(db, plans, pruning):
+def peak_alloc_bytes(db, plans):
     """tracemalloc peak during one full pass (intermediates included)."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        execute_all(db, plans, pruning)
+        execute_all(db, plans)
         __, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -242,12 +241,12 @@ def measure(fast, repeats=3, seed=0):
         "configs": {},
     }
     checks = {}
-    for label, (db, plans, pruning) in layouts.items():
+    for label, (db, plans) in layouts.items():
         best = float("inf")
         totals = None
         for __ in range(repeats):
             t0 = time.perf_counter()
-            totals = execute_all(db, plans, pruning)
+            totals = execute_all(db, plans)
             best = min(best, time.perf_counter() - t0)
         checks[label] = (totals["rows"], totals["work"])
         seg_total = totals["segments_total"]
@@ -260,7 +259,7 @@ def measure(fast, repeats=3, seed=0):
             "prune_rate": totals["segments_pruned"] / max(1, seg_total),
             "bytes_decoded": totals["bytes_decoded"],
             "table_encoded_bytes": db.catalog.table("fact").encoded_bytes(),
-            "peak_alloc_bytes": peak_alloc_bytes(db, plans, pruning),
+            "peak_alloc_bytes": peak_alloc_bytes(db, plans),
         }
     assert checks["encoded"] == checks["flat"], (
         "encoded layout diverges from flat: %r vs %r"
@@ -288,11 +287,11 @@ def measure(fast, repeats=3, seed=0):
 def test_p6_layout_parity_and_pruning():
     """Encoded segments change neither rows nor work, and pruning fires."""
     layouts = build_layouts(fast=True)
-    flat_db, flat_plans, __ = layouts["flat"]
-    enc_db, enc_plans, __ = layouts["encoded"]
-    baseline = execute_all(flat_db, flat_plans, pruning=False)
+    flat_db, flat_plans = layouts["flat"]
+    enc_db, enc_plans = layouts["encoded"]
+    baseline = execute_all(flat_db, flat_plans)
     assert baseline["segments_pruned"] == 0
-    totals = execute_all(enc_db, enc_plans, pruning=True)
+    totals = execute_all(enc_db, enc_plans)
     assert totals["rows"] == baseline["rows"]
     assert totals["work"] == baseline["work"]
     assert totals["segments_pruned"] > 0
@@ -301,9 +300,9 @@ def test_p6_layout_parity_and_pruning():
 
 def test_p6_storage_benchmark(benchmark):
     """Times the encoded-layout pass on the FAST-aware workload."""
-    db, plans, pruning = build_layouts(fast=FAST)["encoded"]
+    db, plans = build_layouts(fast=FAST)["encoded"]
     totals = benchmark.pedantic(
-        execute_all, args=(db, plans, pruning), rounds=1, iterations=1,
+        execute_all, args=(db, plans), rounds=1, iterations=1,
     )
     assert totals["rows"] > 0 and totals["segments_pruned"] > 0
 

@@ -189,8 +189,7 @@ def run_interference(fast, seed=0):
     # never waits — fair-share admits it on the fast path), keeping the
     # flood's cost an admission-path cost, not a GIL-preemption storm.
     server = QueryServer(
-        db, admission_policy="fair-share",
-        tenant_quota=quota, quota_refill_rate=0.0,
+        db, tenant_quota=quota, quota_refill_rate=0.0,
         admission_timeout=0.05,
     )
     b_sess = server.session(tenant="B")
@@ -232,7 +231,6 @@ def run_interference(fast, seed=0):
     p95_alone = percentile(alone, 0.95)
     p95_contended = percentile(contended, 0.95)
     return {
-        "policy": "fair-share",
         "b_queries": b_queries,
         "p50_alone_seconds": percentile(alone, 0.50),
         "p50_contended_seconds": percentile(contended, 0.50),
@@ -252,10 +250,7 @@ def run_interference(fast, seed=0):
 def run_traffic_scenario(fast, seed=0):
     __, __, __, requests = _sizes(fast)
     db = _build(fast, seed=seed)
-    server = QueryServer(
-        db, admission_policy="fair-share",
-        tenant_quota=1e9, quota_refill_rate=1e6,
-    )
+    server = QueryServer(db, tenant_quota=1e9, quota_refill_rate=1e6)
     report = run_traffic(
         server,
         read_pool=READ_QUERIES,

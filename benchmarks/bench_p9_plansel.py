@@ -28,7 +28,7 @@ query sequence and ``BENCH_P9.json`` records who wins where.
   this PR's refactor replaced.
 
 Acceptance gates (PR 10): the bandit's total work beats the heuristic
-arm's, while its p95 per-query work stays within ``regret_cap`` x the
+arm's, while its p95 per-query work stays within ``REGRET_CAP`` x the
 UES arm's p95 — it may explore, but the regret guard and strike-demotion
 keep the tail bounded.
 
@@ -49,6 +49,7 @@ import pytest
 
 from repro.engine import Database
 from repro.engine.optimizer.hints import default_arms
+from repro.engine.optimizer.selection import REGRET_CAP
 from repro.engine.telemetry import percentile
 
 FAST = os.environ.get("REPRO_BENCH_FAST", "0") == "1"
@@ -208,7 +209,6 @@ def run_strategies(fast, seed=0):
             "winner": min(per_arm, key=per_arm.get),
         }
 
-    regret_cap = bandit_db.config.regret_cap
     strategies = {
         "optimal": _series_stats(optimal),
         "learned": _series_stats(learned),
@@ -220,7 +220,7 @@ def run_strategies(fast, seed=0):
         "queries": len(workload),
         "distinct_statements": len(distinct),
         "mix": dict(MIX),
-        "regret_cap": regret_cap,
+        "regret_cap": REGRET_CAP,
         "strategies": strategies,
         "who_wins_where": who_wins,
         "bandit_arm_picks": dict(sorted(arm_picks.items())),
@@ -232,7 +232,7 @@ def run_strategies(fast, seed=0):
             ),
             "learned_p95_le_cap_x_ues_p95": (
                 strategies["learned"]["p95_work"]
-                <= regret_cap * strategies["pessimistic"]["p95_work"]
+                <= REGRET_CAP * strategies["pessimistic"]["p95_work"]
             ),
         },
     }
@@ -280,7 +280,7 @@ def test_p9_plansel_benchmark(benchmark):
 @pytest.mark.slow
 def test_p9_gates_full_size():
     """Acceptance gates at full size: the bandit beats the heuristic arm
-    on total work while its p95 stays within regret_cap x the UES arm's
+    on total work while its p95 stays within REGRET_CAP x the UES arm's
     p95."""
     result = run_strategies(fast=False)
     gates = result["gates"]

@@ -94,7 +94,6 @@ from repro.engine.server import (
     Session,
     TokenBucket,
 )
-from repro.engine.config import ADMISSION_POLICIES
 from repro.engine.telemetry import ServingRollup, Span, StatementTrace
 from repro.engine import telemetry
 
@@ -168,7 +167,6 @@ __all__ = [
     "ues_order",
     "Database",
     "DatabaseSnapshot",
-    "ADMISSION_POLICIES",
     "AdmissionController",
     "AdmissionError",
     "QueryServer",

@@ -113,7 +113,7 @@ class CatalogSnapshot:
     not exist, so a write attempt fails loudly. It is also what
     :meth:`Catalog.restore` rewinds to.
 
-    This class *defines* the lookup surface (``epoch``/``schema_epoch``/
+    This class *defines* the lookup surface (``schema_epoch``/
     ``version``/``version_vector``/``table``/``has_table``/
     ``table_names``/``indexes``/``index_on``/``views``/
     ``matching_view``); :class:`Catalog` reuses the very same functions
@@ -128,7 +128,7 @@ class CatalogSnapshot:
     """
 
     __slots__ = ("_tables", "_stats", "_lazy_stats", "_indexes", "_views",
-                 "_versions", "_epoch", "_schema_epoch")
+                 "_versions", "_schema_epoch")
 
     def __init__(self, catalog):
         self._tables = {
@@ -139,23 +139,11 @@ class CatalogSnapshot:
         self._indexes = dict(catalog._indexes)
         self._views = dict(catalog._views)
         self._versions = dict(catalog._versions)
-        self._epoch = catalog._epoch
         self._schema_epoch = catalog._schema_epoch
 
     def snapshot(self):
         """Snapshots are already immutable; return self."""
         return self
-
-    @property
-    def epoch(self):
-        """Derived global version: total bumps across all tables.
-
-        Kept as its own counter updated alongside every per-table bump,
-        so reading it is O(1) — the plan cache's hot path never scans
-        tables or sums row counts. Strictly monotonic on the live
-        catalog: drops keep their table's version entry as a floor.
-        """
-        return self._epoch
 
     @property
     def schema_epoch(self):
@@ -248,9 +236,7 @@ class CatalogSnapshot:
         return best
 
     def __repr__(self):
-        return "CatalogSnapshot(tables=%d, epoch=%d)" % (
-            len(self._tables), self._epoch
-        )
+        return "CatalogSnapshot(tables=%d)" % len(self._tables)
 
 
 class Catalog:
@@ -261,12 +247,10 @@ class Catalog:
     :meth:`version_vector`): DDL, ANALYZE, index and view changes bump it
     explicitly, and a write hook installed on every table covers direct
     ``Table.insert_rows`` bulk loads (the data generators) without any
-    polling of row counts. The derived global :attr:`epoch` — the sum of
-    all per-table bumps — is maintained as its own O(1) counter, and a
-    coarser :attr:`schema_epoch` moves only when the set of tables
-    changes (what SQL-text lowering depends on). Caches key on the
-    version vector restricted to the tables they cover, so a hot writer
-    on one table never invalidates plans over the others.
+    polling of row counts. A coarser :attr:`schema_epoch` moves only when
+    the set of tables changes (what SQL-text lowering depends on). Caches
+    key on the version vector restricted to the tables they cover, so a
+    hot writer on one table never invalidates plans over the others.
     """
 
     def __init__(self, segment_rows=None, segment_encodings=None):
@@ -276,9 +260,8 @@ class Catalog:
         self._views = {}
         # Per-table versions survive drop_table (the entry is the floor a
         # re-created table of the same name continues from), keeping
-        # every published version — and the derived epoch — monotonic.
+        # every published version monotonic.
         self._versions = {}
-        self._epoch = 0
         self._schema_epoch = 0
         # Storage knobs applied to tables this catalog creates; ``None``
         # means the Table defaults. Pre-built tables (register_table)
@@ -286,10 +269,9 @@ class Catalog:
         self.segment_rows = segment_rows
         self.segment_encodings = segment_encodings
 
-    def _bump_table(self, name, n=1):
+    def _bump_table(self, name):
         key = name.lower()
-        self._versions[key] = self._versions.get(key, 0) + n
-        self._epoch += n
+        self._versions[key] = self._versions.get(key, 0) + 1
 
     def _on_table_write(self, table):
         """The write hook on every registered table: bump its version and
@@ -310,7 +292,6 @@ class Catalog:
             del self._views[name]
 
     # -- the lookup surface: one definition, shared with CatalogSnapshot --
-    epoch = CatalogSnapshot.epoch
     schema_epoch = CatalogSnapshot.schema_epoch
     version = CatalogSnapshot.version
     version_vector = CatalogSnapshot.version_vector
@@ -498,8 +479,8 @@ class Catalog:
         * tables dropped after the capture come back, each live
           :class:`~repro.engine.storage.Table` rewound to its pinned
           :class:`~repro.engine.storage.TableSnapshot`;
-        * statistics, index and view definitions, the version vector,
-          derived epoch and schema epoch return to the captured values.
+        * statistics, index and view definitions, the version vector and
+          the schema epoch return to the captured values.
 
         Restoring fires no write hook and moves versions **backward** —
         the one deliberate exception to the catalog's monotonicity rule,
@@ -521,7 +502,6 @@ class Catalog:
         self._indexes = dict(snapshot._indexes)
         self._views = dict(snapshot._views)
         self._versions = dict(snapshot._versions)
-        self._epoch = snapshot._epoch
         self._schema_epoch = snapshot._schema_epoch
 
     # ------------------------------------------------------------------

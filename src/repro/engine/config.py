@@ -32,13 +32,6 @@ SEGMENT_ENCODINGS = ("plain", "dict", "rle")
 #: Default encoding set offered to the encoder at seal time.
 DEFAULT_SEGMENT_ENCODINGS = ("dict", "rle", "plain")
 
-#: Admission policies the query server's controller supports (first entry
-#: is the default): ``fifo`` queues over-quota queries in strict arrival
-#: order, ``fair-share`` queues per tenant and grants round-robin so one
-#: flooding tenant cannot starve the rest, ``shed`` rejects immediately
-#: and never blocks.
-ADMISSION_POLICIES = ("fifo", "fair-share", "shed")
-
 #: Default per-tenant token-bucket capacity, in work units (the executor's
 #: deterministic ``work`` measurement is the admission currency).
 DEFAULT_TENANT_QUOTA = 200_000.0
@@ -46,7 +39,8 @@ DEFAULT_TENANT_QUOTA = 200_000.0
 #: Default token-bucket refill rate, in work units per second.
 DEFAULT_QUOTA_REFILL = 100_000.0
 
-#: Default bound on queries waiting for admission across all tenants.
+#: Default bound on queries waiting for admission across all tenants
+#: (0: an over-quota query is shed at once, never queued).
 DEFAULT_ADMISSION_QUEUE_DEPTH = 256
 
 #: Plan-selection strategies the pipeline's plan stage supports (first
@@ -54,10 +48,6 @@ DEFAULT_ADMISSION_QUEUE_DEPTH = 256
 #: ``bandit`` is the BAO-lite contextual bandit over hint-set arms,
 #: ``pessimistic`` always the UES upper-bound plan.
 PLAN_SELECTORS = ("cost", "bandit", "pessimistic")
-
-#: Default regret cap: a learned arm is eligible only while its estimated
-#: cost is at most this multiple of the UES bound.
-DEFAULT_REGRET_CAP = 2.0
 
 #: Default engine seed (bandit Thompson sampling, random enumerator,
 #: traffic drivers) — every stochastic component derives from it.
@@ -112,29 +102,19 @@ class EngineConfig:
         segment_encodings: encodings the sealer may choose among
             (subset of ``("plain", "dict", "rle")``); ``plain`` is
             always a legal fallback even when omitted.
-        zone_map_pruning: whether scans consult per-segment zone maps
-            to skip segments that cannot satisfy pushed-down
-            predicates. Pruning never changes results — only the
-            ``segments_pruned`` / ``bytes_decoded`` telemetry.
-        admission_policy: how the query server treats over-quota
-            queries — ``"fifo"`` (queue in arrival order), ``"fair-share"``
-            (queue per tenant, grant round-robin), or ``"shed"`` (reject
-            immediately, never block).
         tenant_quota: per-tenant token-bucket capacity in work units —
             the deterministic executor ``work`` each admitted query
             charges its cost estimate against.
         quota_refill_rate: token-bucket refill rate, work units/second.
         admission_queue_depth: bound on queries waiting for admission
-            across all tenants; arrivals beyond it are shed even under
-            queueing policies.
+            across all tenants (each waits in its tenant's queue, granted
+            round-robin); arrivals beyond it are shed, so ``0`` sheds
+            every over-quota query at once.
         plan_selector: plan-selection strategy — ``"cost"`` (the one
             ``default`` arm: the planner exactly as configured),
             ``"bandit"`` (BAO-lite: a contextual bandit racing hint-set
             arms, trained online from measured work), or
             ``"pessimistic"`` (always the UES upper-bound plan).
-        regret_cap: bandit eligibility guard — an arm may only be picked
-            while its estimated cost is ≤ ``regret_cap ×`` the UES
-            bound for the same query. Must be ≥ 1.
         seed: engine seed; one :class:`numpy.random.Generator` derived
             from it drives every stochastic component (bandit Thompson
             sampling, the random join enumerator, traffic drivers), so
@@ -154,11 +134,6 @@ class EngineConfig:
     segment_encodings: tuple = field(
         default=DEFAULT_SEGMENT_ENCODINGS,
         metadata=_env("REPRO_SEGMENT_ENCODINGS", _names))
-    zone_map_pruning: bool = field(
-        default=True, metadata=_env("REPRO_ZONE_MAP_PRUNING", _flag))
-    admission_policy: str = field(
-        default=ADMISSION_POLICIES[0],
-        metadata=_env("REPRO_ADMISSION_POLICY", str.lower))
     tenant_quota: float = field(
         default=DEFAULT_TENANT_QUOTA,
         metadata=_env("REPRO_TENANT_QUOTA", float))
@@ -167,13 +142,10 @@ class EngineConfig:
         metadata=_env("REPRO_QUOTA_REFILL", float))
     admission_queue_depth: int = field(
         default=DEFAULT_ADMISSION_QUEUE_DEPTH,
-        metadata=_env("REPRO_ADMISSION_QUEUE_DEPTH", int, floor=1))
+        metadata=_env("REPRO_ADMISSION_QUEUE_DEPTH", int, floor=0))
     plan_selector: str = field(
         default=PLAN_SELECTORS[0],
         metadata=_env("REPRO_PLAN_SELECTOR", str.lower))
-    regret_cap: float = field(
-        default=DEFAULT_REGRET_CAP,
-        metadata=_env("REPRO_REGRET_CAP", float))
     seed: int = field(
         default=DEFAULT_SEED, metadata=_env("REPRO_SEED", int))
 
@@ -183,19 +155,12 @@ class EngineConfig:
                 "plan_selector must be one of %r, got %r"
                 % (PLAN_SELECTORS, self.plan_selector)
             )
-        if float(self.regret_cap) < 1.0:
-            raise ExecutionError("regret_cap must be >= 1.0")
-        if self.admission_policy not in ADMISSION_POLICIES:
-            raise ReproError(
-                "admission_policy must be one of %r, got %r"
-                % (ADMISSION_POLICIES, self.admission_policy)
-            )
         if float(self.tenant_quota) <= 0:
             raise ExecutionError("tenant_quota must be > 0")
         if float(self.quota_refill_rate) < 0:
             raise ExecutionError("quota_refill_rate must be >= 0")
-        if int(self.admission_queue_depth) < 1:
-            raise ExecutionError("admission_queue_depth must be >= 1")
+        if int(self.admission_queue_depth) < 0:
+            raise ExecutionError("admission_queue_depth must be >= 0")
         if int(self.segment_rows) < 1:
             raise ExecutionError("segment_rows must be >= 1")
         encodings = tuple(self.segment_encodings)

@@ -4,7 +4,8 @@ Ties the front end (parser + lowering), the optimizer (rewriter, planner)
 and the executor together behind an explicit staged
 :class:`~repro.engine.pipeline.QueryPipeline`
 (parse → lower → rewrite → plan → execute, with a plan cache keyed on the
-full query signature + catalog epoch). Construction is driven by one
+full query signature and checked against the per-table versions of the
+tables the query reads). Construction is driven by one
 frozen :class:`~repro.engine.config.EngineConfig` — pass one via
 ``Database(config=...)``, or name individual knobs as keyword arguments
 and :meth:`EngineConfig.from_env` builds it (both spellings wire
@@ -83,20 +84,14 @@ class Database:
             cost_model=self.cost_model,
             seed=config.seed,
         )
-        self.executor = Executor(
-            self.catalog, self.cost_model,
-            pruning_enabled=config.zone_map_pruning,
-        )
+        self.executor = Executor(self.catalog, self.cost_model)
         # One seeded generator per engine: `rng` is the public stream,
         # and the plan selector gets its own spawned child so user draws
         # never perturb the (reproducible) selection sequence.
         self.rng = ensure_rng(config.seed)
         selector_rng, = spawn_rngs(config.seed, 1)
-        self.plan_selector = make_selector(
-            config.plan_selector,
-            regret_cap=config.regret_cap,
-            rng=selector_rng,
-        )
+        self.plan_selector = make_selector(config.plan_selector,
+                                           rng=selector_rng)
         self.feedback = None
         if config.feedback_enabled:
             self.feedback = QueryFeedbackStore()
@@ -123,22 +118,11 @@ class Database:
     def feedback_version(self):
         """The feedback store's drift generation (0 when feedback is off).
 
-        Part of the plan cache's invalidation token: cached plans hit
-        only while both the catalog epoch and the feedback version they
-        were planned under are current.
+        Cached plans hit only while both the catalog versions and the
+        feedback state of their tables are the ones they were planned
+        under.
         """
         return 0 if self.feedback is None else self.feedback.version
-
-    @property
-    def epoch(self):
-        """The catalog's derived global version counter.
-
-        A shim over :attr:`Catalog.epoch` — the sum of every per-table
-        version bump, kept O(1). Callers that need precision should use
-        ``db.catalog.version_vector(tables)`` instead; one global number
-        cannot say *what* changed.
-        """
-        return self.catalog.epoch
 
     def version_vector(self, tables=None):
         """Per-table catalog versions, optionally restricted to ``tables``."""
@@ -261,11 +245,6 @@ class DatabaseSnapshot:
             audit=audit,
         )
 
-    @property
-    def epoch(self):
-        """The derived global version pinned at snapshot time."""
-        return self.catalog.epoch
-
     def version_vector(self, tables=None):
         """The pinned per-table versions (what this session reads)."""
         return self.catalog.version_vector(tables)
@@ -290,6 +269,5 @@ class DatabaseSnapshot:
         )
 
     def __repr__(self):
-        return "DatabaseSnapshot(epoch=%d, tables=%d)" % (
-            self.catalog.epoch, len(self.catalog.table_names())
-        )
+        return "DatabaseSnapshot(tables=%d)" % len(
+            self.catalog.table_names())

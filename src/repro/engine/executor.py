@@ -103,13 +103,11 @@ class _Run:
             span.
     """
 
-    __slots__ = ("catalog", "cost_model", "pruning_enabled", "span",
-                 "spans")
+    __slots__ = ("catalog", "cost_model", "span", "spans")
 
-    def __init__(self, catalog, cost_model, pruning_enabled, span):
+    def __init__(self, catalog, cost_model, span):
         self.catalog = catalog
         self.cost_model = cost_model
-        self.pruning_enabled = pruning_enabled
         self.span = span
         self.spans = {}
 
@@ -171,22 +169,18 @@ class Executor:
         cost_model: the :class:`CostModel` whose constants weight the work
             accounting (pass the knob-derived model so knob settings change
             measured work, closing the tuning feedback loop).
-        pruning_enabled: whether scans may skip whole column segments
-            whose zone maps prove a pushed-down predicate matches no
-            (or every) row. Pruning never changes rows, order, or work —
-            only wall time and the ``segments_pruned``/``bytes_decoded``
-            telemetry.
 
-    The default is :class:`~repro.engine.config.EngineConfig`'s; the
-    executor never reads the environment — ``Database`` hands it
-    ``config.zone_map_pruning``. It holds no per-run state: that lives
-    on the :class:`_Run` each :meth:`execute` call creates.
+    Scans always consult zone maps to skip whole column segments a
+    pushed-down predicate provably matches no (or every) row of; that
+    never changes rows, order, or work — only wall time and the
+    ``segments_pruned``/``bytes_decoded`` telemetry. The executor holds
+    no per-run state: that lives on the :class:`_Run` each
+    :meth:`execute` call creates.
     """
 
-    def __init__(self, catalog, cost_model=None, pruning_enabled=True):
+    def __init__(self, catalog, cost_model=None):
         self.catalog = catalog
         self.cost_model = cost_model or CostModel()
-        self.pruning_enabled = bool(pruning_enabled)
 
     def execute(self, plan, catalog=None, trace=None):
         """Run ``plan``; returns an :class:`ExecutionResult`.
@@ -216,7 +210,7 @@ class Executor:
         fused, fused_ops = fuse_plan(plan)
         with trace.root.child("execute") as span:
             run = _Run(self.catalog if catalog is None else catalog,
-                       self.cost_model, self.pruning_enabled, span)
+                       self.cost_model, span)
             span.attrs["fused_ops"] = fused_ops
             relation = run.run(fused).to_relation()
             for i, node in enumerate(plan.walk()):

@@ -149,9 +149,7 @@ def _lazy_filter_groups(ctx, node, table):
     n1 = 0
     n_pruned = 0
     for g in groups:
-        ids, was_pruned = segment_filter(
-            g, node.predicates, ctx.pruning_enabled
-        )
+        ids, was_pruned = segment_filter(g, node.predicates)
         if was_pruned:
             n_pruned += 1
             continue

@@ -35,7 +35,7 @@ def v_table_relation(ctx, table_name, row_ids=None):
     return table, ColumnarRelation(columns, arrays, n_rows=n)
 
 
-def segment_filter(group, predicates, pruning):
+def segment_filter(group, predicates):
     """Survivor row ids of one row group under a predicate conjunction.
 
     Returns ``(ids, was_pruned)``: ``ids`` is ``None`` when every row
@@ -55,9 +55,6 @@ def segment_filter(group, predicates, pruning):
         if zone.range_hazard(p.op, p.value):
             residual.append(p)
             hazards.append(p)
-            continue
-        if not pruning:
-            residual.append(p)
             continue
         verdict = zone.classify(p.op, p.value)
         if verdict == PRUNED:
@@ -138,9 +135,7 @@ class SeqScanOp(PhysicalOperator):
         n = n_pruned = nbytes = 0
         decoding = 0.0
         for g in groups:
-            ids, was_pruned = segment_filter(
-                g, node.predicates, ctx.pruning_enabled
-            )
+            ids, was_pruned = segment_filter(g, node.predicates)
             if was_pruned:
                 n_pruned += 1
                 continue

@@ -21,13 +21,6 @@ DEFAULT_COST_PARAMS = {
     "sort_cost_factor": 1.2,     # multiplier on n*log2(n)
     "work_mem_rows": 100000,     # hash build rows before spilling
     "spill_penalty": 3.0,        # multiplier when a hash build spills
-    # How much of a scan's cost zone-map pruning is assumed to save per
-    # unit of predicted prune fraction. 0.0 (the default) keeps the cost
-    # model exact against the executor's measured work, which charges
-    # the full scan regardless of pruning; tuning experiments can raise
-    # it to let the optimizer favour scans over selective predicates on
-    # clustered columns.
-    "zone_map_discount": 0.0,
 }
 
 
@@ -47,16 +40,14 @@ class CostModel:
             self.params.update(params)
 
     # -- primitive formulas ------------------------------------------------
-    def seq_scan(self, n_rows, prune_fraction=0.0):
+    def seq_scan(self, n_rows):
         """Cost of scanning ``n_rows`` tuples.
 
-        ``prune_fraction`` is the predicted fraction of segments zone
-        maps will skip; it only discounts the cost when the
-        ``zone_map_discount`` knob is non-zero.
+        Zone-map pruning earns no discount: the executor charges the full
+        scan whether or not segments are skipped, which keeps the model
+        exact against measured work.
         """
-        discount = self.params["zone_map_discount"]
-        factor = 1.0 - discount * min(1.0, max(0.0, prune_fraction))
-        return self.params["cpu_tuple_cost"] * max(0.0, n_rows) * factor
+        return self.params["cpu_tuple_cost"] * max(0.0, n_rows)
 
     def index_scan(self, n_matching):
         """Cost of an index probe returning ``n_matching`` tuples."""
@@ -127,16 +118,7 @@ class CostModel:
             base_rows = estimator.estimate_table(
                 _SinglePredicateView(query, node.table, ()), node.table
             )
-            prune_fraction = 0.0
-            if self.params["zone_map_discount"] > 0.0 and base_rows > 0:
-                # Proxy: the more selective the pushed predicates, the
-                # larger the fraction of segments whose zones exclude
-                # them (exact on clustered columns, optimistic on
-                # scattered ones).
-                prune_fraction = min(
-                    1.0, max(0.0, 1.0 - node.est_rows / base_rows)
-                )
-            node.est_cost = self.seq_scan(base_rows, prune_fraction)
+            node.est_cost = self.seq_scan(base_rows)
         elif isinstance(node, P.IndexScan):
             preds = [node.predicate] + list(node.residual)
             sub = _SinglePredicateView(query, node.table, preds)

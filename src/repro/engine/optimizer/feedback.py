@@ -18,8 +18,9 @@ The store carries a monotonically increasing :attr:`~QueryFeedbackStore.
 version` that bumps only when an observation reveals **drift** — the
 estimate the plan was built from missed the actual by at least
 ``drift_threshold`` q-error (or a previously stored actual changed).
-The query pipeline keys its plan cache on ``(catalog epoch, feedback
-version)``, so a drift observation invalidates cached plans and the next
+The query pipeline checks each cached plan against the catalog versions
+and the store's per-table drift state of the tables it reads, so a drift
+observation invalidates cached plans over the drifted tables and the next
 run replans with corrected estimates — while well-estimated workloads
 keep their warm cache untouched.
 """

@@ -15,7 +15,7 @@ actually runs:
   the run's measured ``total_work`` at the pipeline's feedback-ingest
   point. Two regret guards bound the tail the learned-optimizer
   literature worries about: an arm is only *eligible* while its
-  estimated cost is ≤ ``regret_cap ×`` the UES bound, and an arm whose
+  estimated cost is ≤ :data:`REGRET_CAP` × the UES bound, and an arm whose
   measured work repeatedly betrays its estimate (or whose queries keep
   triggering cardinality-drift feedback) is demoted for a cooldown.
 * :class:`PessimisticSelector` — always the UES arm: worst-case-bounded
@@ -32,8 +32,13 @@ import threading
 import numpy as np
 
 from repro.common import PlanError, ensure_rng
-from repro.engine.config import DEFAULT_REGRET_CAP, PLAN_SELECTORS
+from repro.engine.config import PLAN_SELECTORS
 from repro.engine.optimizer.hints import DEFAULT_ARM, UES_ARM, default_arms
+
+#: The bandit's regret cap: a learned arm is eligible only while its
+#: estimated cost is at most this multiple of the UES bound, and measured
+#: work above this multiple of an arm's own estimate is a strike.
+REGRET_CAP = 2.0
 
 #: Feature-vector dimensionality (see :func:`plan_features`).
 FEATURE_DIM = 8
@@ -223,15 +228,13 @@ class BanditSelector(PlanSelector):
         arms: hint sets to race (default :func:`default_arms`; must
             include the UES arm — it is the regret anchor and the
             fallback when every learned arm is ineligible).
-        regret_cap: an arm is eligible only while its estimated cost is
-            ≤ ``regret_cap ×`` the UES bound for the same query.
         rng: seed or :class:`numpy.random.Generator` for Thompson
             sampling (thread the engine's configured seed through here —
             selection sequences are then exactly reproducible).
         exploration: posterior-width multiplier (bigger = more
             exploration).
         demote_after: strikes before an arm is demoted. A strike is a
-            broken promise — measured work above ``regret_cap ×`` the
+            broken promise — measured work above :data:`REGRET_CAP` × the
             arm's own estimate — or a drift notification from the
             feedback store against the arm's last pick.
         demote_for: selections a demoted arm sits out.
@@ -239,14 +242,11 @@ class BanditSelector(PlanSelector):
 
     name = "bandit"
 
-    def __init__(self, arms=None, regret_cap=DEFAULT_REGRET_CAP, rng=None,
-                 exploration=0.5, demote_after=3, demote_for=50):
+    def __init__(self, arms=None, rng=None, exploration=0.5, demote_after=3,
+                 demote_for=50):
         self._arms = tuple(arms) if arms is not None else default_arms()
         if not any(a.name == UES_ARM.name for a in self._arms):
             self._arms = self._arms + (UES_ARM,)
-        if regret_cap < 1.0:
-            raise PlanError("regret_cap must be >= 1.0, got %r" % regret_cap)
-        self.regret_cap = float(regret_cap)
         self.exploration = float(exploration)
         self.demote_after = int(demote_after)
         self.demote_for = int(demote_for)
@@ -278,7 +278,7 @@ class BanditSelector(PlanSelector):
             if c.arm == UES_ARM.name:
                 out.append(c)  # the anchor is always eligible
                 continue
-            if bound is not None and c.est_cost > self.regret_cap * bound:
+            if bound is not None and c.est_cost > REGRET_CAP * bound:
                 continue
             if self._arm_state(c.arm).demoted_until > self._selections:
                 continue
@@ -340,7 +340,7 @@ class BanditSelector(PlanSelector):
             state.total_est += float(est_cost or 0.0)
             if est_cost and actual_work <= float(est_cost) * 1.0000001:
                 state.wins += 1
-            elif est_cost and actual_work > self.regret_cap * float(est_cost):
+            elif est_cost and actual_work > REGRET_CAP * float(est_cost):
                 self._strike(arm, state)
 
     def note_drift(self, tables):
@@ -366,7 +366,7 @@ class BanditSelector(PlanSelector):
         with self._lock:
             return {
                 "selector": self.name,
-                "regret_cap": self.regret_cap,
+                "regret_cap": REGRET_CAP,
                 "selections": self._selections,
                 "arms": {
                     name: st.summary()
@@ -375,15 +375,14 @@ class BanditSelector(PlanSelector):
             }
 
 
-def make_selector(name, *, regret_cap=DEFAULT_REGRET_CAP, rng=None,
-                  arms=None):
+def make_selector(name, *, rng=None, arms=None):
     """Build the named selector (``"cost"``/``"bandit"``/``"pessimistic"``)."""
     if name == "cost":
         return CostSelector()
     if name == "pessimistic":
         return PessimisticSelector()
     if name == "bandit":
-        return BanditSelector(arms=arms, regret_cap=regret_cap, rng=rng)
+        return BanditSelector(arms=arms, rng=rng)
     raise PlanError(
         "plan_selector must be one of %r, got %r" % (PLAN_SELECTORS, name)
     )

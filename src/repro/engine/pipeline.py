@@ -78,6 +78,10 @@ from repro.engine.telemetry import PLANNING_STAGES, StatementTrace
 #: Pipeline stage names, in execution order.
 PIPELINE_STAGES = ("parse", "lower", "rewrite", "plan", "execute")
 
+#: LRU capacity of a pipeline's plan cache and of its SQL-text →
+#: lowered-query cache.
+PLAN_CACHE_CAPACITY = 256
+
 
 def _head(sql_text):
     """A statement's first word, for error messages."""
@@ -264,11 +268,11 @@ class PreparedQuery:
 
 
 class _CacheEntry:
-    __slots__ = ("value", "epoch", "hits")
+    __slots__ = ("value", "token", "hits")
 
-    def __init__(self, value, epoch):
+    def __init__(self, value, token):
         self.value = value
-        self.epoch = epoch
+        self.token = token
         self.hits = 0
 
 
@@ -285,15 +289,15 @@ class PlanCache:
 
     Counters (``hits``/``misses``/``invalidations``) are cumulative until
     :meth:`reset_counters`; entries survive counter resets and are dropped
-    only by epoch drift, LRU eviction, or :meth:`clear`.
+    only by token drift, LRU eviction, or :meth:`clear`.
 
     Thread safety: every operation holds one internal lock, so concurrent
-    ``execute()`` calls (and a mutator bumping the catalog epoch between
+    ``execute()`` calls (and a mutator bumping table versions between
     them) see a consistent cache — lookup + stale-entry removal is atomic,
     and counters never drift from the entries they describe.
     """
 
-    def __init__(self, capacity=256):
+    def __init__(self, capacity=PLAN_CACHE_CAPACITY):
         if capacity < 1:
             raise PlanError("plan cache capacity must be >= 1")
         self.capacity = capacity
@@ -303,13 +307,13 @@ class PlanCache:
         self.misses = 0
         self.invalidations = 0
 
-    def get(self, key, epoch):
-        """The cached value for ``key`` at token ``epoch``, or ``None``.
+    def get(self, key, token):
+        """The cached value for ``key`` at ``token``, or ``None``.
 
         An entry stored under a different token is stale: it is removed,
         counted as an invalidation, and the lookup is a miss.
         """
-        return self.lookup(key, epoch)[0]
+        return self.lookup(key, token)[0]
 
     def lookup(self, key, token):
         """Like :meth:`get`, but reports what happened and why.
@@ -326,8 +330,8 @@ class PlanCache:
             if entry is None:
                 self.misses += 1
                 return None, "miss", None
-            if entry.epoch != token:
-                stale = entry.epoch
+            if entry.token != token:
+                stale = entry.token
                 del self._entries[key]
                 self.invalidations += 1
                 self.misses += 1
@@ -337,10 +341,10 @@ class PlanCache:
             self.hits += 1
             return entry.value, "hit", None
 
-    def put(self, key, value, epoch):
+    def put(self, key, value, token):
         """Insert/replace ``key``, evicting the LRU entry if over capacity."""
         with self._lock:
-            self._entries[key] = _CacheEntry(value, epoch)
+            self._entries[key] = _CacheEntry(value, token)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -388,8 +392,6 @@ class QueryPipeline:
     Args:
         database: the owning :class:`~repro.engine.database.Database`
             (supplies catalog, planner, executor).
-        plan_cache_size: LRU capacity of the plan cache (and of the
-            SQL-text → lowered-query cache).
 
     Extension points:
 
@@ -410,7 +412,7 @@ class QueryPipeline:
     planning-vs-execution split plus plan-cache hit/miss counters.
     """
 
-    def __init__(self, database, plan_cache_size=256):
+    def __init__(self, database):
         self.db = database
         self.statement_hooks = []
         # Read-only companions to statement_hooks: callables
@@ -422,8 +424,8 @@ class QueryPipeline:
         self.statement_inspectors = []
         self.stage_hooks = {stage: [] for stage in PIPELINE_STAGES}
         self._rewriter = None
-        self.plan_cache = PlanCache(plan_cache_size)
-        self.query_cache = PlanCache(plan_cache_size)
+        self.plan_cache = PlanCache()
+        self.query_cache = PlanCache()
         self._runs = 0
         self._stats_lock = threading.Lock()
         self._stage_totals = {
@@ -840,7 +842,7 @@ class QueryPipeline:
     def invalidate(self):
         """Drop every cached plan and lowered query.
 
-        Needed only for mutations the catalog epoch cannot observe, such
+        Needed only for mutations the catalog versions cannot observe, such
         as swapping ``db.planner.estimator`` in place.
         """
         self.plan_cache.clear()

@@ -12,17 +12,13 @@ property the admission test suite asserts, and the "estimates as
 admission currency, validated against actuals" loop that *Are We Ready
 For Learned Cardinality Estimation?* (PAPERS.md) motivates.
 
-Over-quota queries are handled per :data:`ADMISSION_POLICIES`:
-
-* ``"fifo"`` — wait in strict arrival order across all tenants. Simple,
-  but a broke tenant at the head blocks everyone (documented
-  head-of-line hazard; the contrast fair-share exists to fix).
-* ``"fair-share"`` — wait in a per-tenant queue; grants walk the tenants
-  round-robin, skipping tenants whose bucket cannot pay yet, so one
-  flooding tenant can neither starve the others nor block them behind
-  its debt.
-* ``"shed"`` — never wait: an over-quota query raises
-  :class:`AdmissionError` immediately (load shedding).
+An over-quota query waits in its tenant's queue. Grants walk the
+tenants round-robin, skipping tenants whose bucket cannot pay yet, so one
+flooding tenant can neither starve the others nor block them behind its
+debt. An arrival that would push the total number of waiters past
+``queue_depth`` is shed with :class:`AdmissionError` instead; a depth of
+0 therefore never queues — every over-quota query is shed at once (load
+shedding).
 
 Determinism: the controller takes an injectable ``clock`` so tests drive
 refill with a manual clock and assert grant *order*, not wall time.
@@ -34,7 +30,6 @@ from collections import OrderedDict, deque
 
 from repro.common import ExecutionError
 from repro.engine.config import (
-    ADMISSION_POLICIES,
     DEFAULT_ADMISSION_QUEUE_DEPTH,
     DEFAULT_QUOTA_REFILL,
     DEFAULT_TENANT_QUOTA,
@@ -139,11 +134,10 @@ class AdmissionController:
     """Grants, queues, or sheds queries against per-tenant work quotas.
 
     Args:
-        policy: one of :data:`ADMISSION_POLICIES`.
         tenant_quota: token-bucket capacity per tenant, in work units.
         quota_refill_rate: bucket refill rate, work units per second.
         queue_depth: bound on waiters across all tenants; arrivals beyond
-            it are shed even under queueing policies.
+            it are shed (``0``: never wait).
         timeout: max seconds a query may wait for admission (real time,
             measured on ``time.monotonic`` regardless of ``clock``).
         clock: the time source for bucket refill — injectable so tests
@@ -154,15 +148,8 @@ class AdmissionController:
     on a short timeout so pure time-based refill makes progress.
     """
 
-    def __init__(self, policy=None, tenant_quota=None, quota_refill_rate=None,
+    def __init__(self, tenant_quota=None, quota_refill_rate=None,
                  queue_depth=None, timeout=30.0, clock=None):
-        policy = ADMISSION_POLICIES[0] if policy is None else policy
-        if policy not in ADMISSION_POLICIES:
-            raise ExecutionError(
-                "admission policy must be one of %r, got %r"
-                % (ADMISSION_POLICIES, policy)
-            )
-        self.policy = policy
         self.tenant_quota = (
             DEFAULT_TENANT_QUOTA if tenant_quota is None
             else float(tenant_quota)
@@ -179,9 +166,7 @@ class AdmissionController:
         self._clock = time.monotonic if clock is None else clock
         self._cond = threading.Condition()
         self._buckets = {}
-        # fifo: one global arrival-order queue of _Waiter.
-        self._fifo = deque()
-        # fair-share: per-tenant queues, walked round-robin from _rr_pos.
+        # Per-tenant queues of _Waiter, walked round-robin from _rr_pos.
         self._tenant_queues = OrderedDict()
         self._rr_order = []
         self._rr_pos = 0
@@ -209,16 +194,13 @@ class AdmissionController:
             bucket.refill(now)
 
     def _queue_len(self):
-        if self.policy == "fifo":
-            return len(self._fifo)
         return sum(len(q) for q in self._tenant_queues.values())
 
     def _discard(self, waiter):
         """Eagerly remove a timed-out waiter from its queue, so abandoned
         entries never inflate the queue depth (a stale depth would shunt
         later arrivals onto the slow queued path for no reason)."""
-        queue = (self._fifo if self.policy == "fifo"
-                 else self._tenant_queues.get(waiter.tenant))
+        queue = self._tenant_queues.get(waiter.tenant)
         if queue:
             try:
                 queue.remove(waiter)
@@ -226,7 +208,7 @@ class AdmissionController:
                 pass  # already granted-and-popped concurrently
 
     def _grant_ready(self):
-        """Grant every waiter that is now eligible, in policy order.
+        """Grant every waiter that is now eligible, round-robin.
 
         Returns how many waiters were granted (callers notify the
         condition only when that is nonzero, so idle ticks never wake
@@ -234,23 +216,9 @@ class AdmissionController:
         """
         self._refill_all()
         granted = 0
-        if self.policy == "fifo":
-            # Strict arrival order: only the head may be considered.
-            while self._fifo:
-                head = self._fifo[0]
-                if head.abandoned:
-                    self._fifo.popleft()
-                    continue
-                if not self._buckets[head.tenant].can_pay(head.cost):
-                    break
-                self._buckets[head.tenant].charge(head.cost)
-                head.granted = True
-                self._fifo.popleft()
-                granted += 1
-            return granted
-        # fair-share: walk tenants round-robin from the pointer, granting
-        # at most one query per tenant per lap, skipping tenants whose
-        # bucket cannot pay yet (no cross-tenant head-of-line blocking).
+        # Walk tenants round-robin from the pointer, granting at most one
+        # query per tenant per lap, skipping tenants whose bucket cannot
+        # pay yet (no cross-tenant head-of-line blocking).
         progress = True
         while progress:
             progress = False
@@ -281,7 +249,8 @@ class AdmissionController:
 
         Returns an :class:`AdmissionTicket` (outcome ``"admitted"`` or
         ``"queued"``); raises :class:`AdmissionError` when the query is
-        shed (policy ``"shed"``, a full queue, or an admission timeout).
+        shed (a full queue — always, at depth 0 — or an admission
+        timeout).
         Callers **must** pair every returned ticket with a
         :meth:`settle` (or :meth:`cancel` on execution failure), or the
         estimate's error is never refunded.
@@ -291,41 +260,27 @@ class AdmissionController:
             bucket = self._bucket(tenant)
             bucket.refill(self._clock())
             counters = self._counters[tenant]
-            # Work-conserving fast path. fifo: strict global arrival
-            # order, so anyone queued anywhere blocks the shortcut (the
-            # documented head-of-line hazard). fair-share: ordering is
-            # per-tenant, so a payable tenant with no waiters of its own
-            # is admitted immediately — exactly what its next round-robin
-            # lap would do, without waking every parked waiter.
-            if self.policy == "fifo":
-                unobstructed = not self._fifo
-            else:
-                unobstructed = not self._tenant_queues.get(tenant)
-            if unobstructed and bucket.can_pay(cost):
+            # Work-conserving fast path: ordering is per-tenant, so a
+            # payable tenant with no waiters of its own is admitted
+            # immediately — exactly what its next round-robin lap would
+            # do, without waking every parked waiter.
+            if not self._tenant_queues.get(tenant) and bucket.can_pay(cost):
                 bucket.charge(cost)
                 counters["admitted"] += 1
                 counters["charged"] += cost
                 self._seq += 1
                 return AdmissionTicket(tenant, cost, "admitted", 0.0,
                                        self._seq)
-            if self.policy == "shed":
-                counters["shed"] += 1
-                raise AdmissionError(
-                    "tenant %r over quota (%.1f tokens < %.1f cost); "
-                    "policy 'shed' rejects rather than queues"
-                    % (tenant, bucket.tokens, cost)
-                )
             if self._queue_len() >= self.queue_depth:
                 counters["shed"] += 1
                 raise AdmissionError(
-                    "admission queue full (%d waiting)" % self._queue_len()
+                    "tenant %r over quota and admission queue full "
+                    "(%d of %d waiting)"
+                    % (tenant, self._queue_len(), self.queue_depth)
                 )
             self._seq += 1
             waiter = _Waiter(tenant, cost, self._seq)
-            if self.policy == "fifo":
-                self._fifo.append(waiter)
-            else:
-                self._tenant_queues.setdefault(tenant, deque()).append(waiter)
+            self._tenant_queues.setdefault(tenant, deque()).append(waiter)
             counters["queued"] += 1
             t_wait0 = time.monotonic()
             deadline = t_wait0 + self.timeout
@@ -417,6 +372,6 @@ class AdmissionController:
 
     def __repr__(self):
         with self._cond:
-            return "AdmissionController(%s, tenants=%d, waiting=%d)" % (
-                self.policy, len(self._buckets), self._queue_len(),
+            return "AdmissionController(tenants=%d, waiting=%d)" % (
+                len(self._buckets), self._queue_len(),
             )

@@ -21,9 +21,10 @@ Database` into a multi-user system:
 * **Admission control** (:mod:`repro.engine.server.admission`) charges
   each query's cost estimate against its tenant's work-quota token
   bucket before execution and settles the estimate against the measured
-  ``total_work`` afterwards; over-quota queries queue (fifo /
-  fair-share) or shed, per
-  :attr:`~repro.engine.config.EngineConfig.admission_policy`.
+  ``total_work`` afterwards; over-quota queries wait in per-tenant
+  queues granted round-robin, and are shed once
+  :attr:`~repro.engine.config.EngineConfig.admission_queue_depth`
+  queries are already waiting (at depth 0, at once).
 
 The NeurDB-style split (PAPERS.md): the engine stays a fast
 single-caller library; this layer owns sessions, scheduling, and
@@ -177,10 +178,9 @@ class QueryServer:
         config: an :class:`~repro.engine.config.EngineConfig` — used to
             build ``db`` when none is given, and as the source of the
             admission knobs. Defaults to the database's own config.
-        admission_policy / tenant_quota / quota_refill_rate /
-        queue_depth: override the config's admission knobs.
+        tenant_quota / quota_refill_rate: override the config's quota
+            knobs (the queue depth is always the config's).
         admission_timeout: max seconds a query waits for admission.
-        write_cost: flat work charge per write statement.
         clock: injectable time source for quota refill (tests).
 
     Attributes:
@@ -196,10 +196,8 @@ class QueryServer:
             per-tenant / per-session query accounting.
     """
 
-    def __init__(self, db=None, config=None, *, admission_policy=None,
-                 tenant_quota=None, quota_refill_rate=None, queue_depth=None,
-                 admission_timeout=30.0, write_cost=WRITE_STATEMENT_COST,
-                 clock=None):
+    def __init__(self, db=None, config=None, *, tenant_quota=None,
+                 quota_refill_rate=None, admission_timeout=30.0, clock=None):
         if db is None:
             db = Database(config=config)
         elif config is not None and config is not db.config:
@@ -210,20 +208,16 @@ class QueryServer:
         self.db = db
         config = db.config
         self.admission = AdmissionController(
-            policy=(config.admission_policy if admission_policy is None
-                    else admission_policy),
             tenant_quota=(config.tenant_quota if tenant_quota is None
                           else tenant_quota),
             quota_refill_rate=(
                 config.quota_refill_rate if quota_refill_rate is None
                 else quota_refill_rate
             ),
-            queue_depth=(config.admission_queue_depth if queue_depth is None
-                         else queue_depth),
+            queue_depth=config.admission_queue_depth,
             timeout=admission_timeout,
             clock=clock,
         )
-        self.write_cost = float(write_cost)
         self.rollup = ServingRollup()
         self._commit_lock = threading.RLock()
         self._session_ids = itertools.count(1)
@@ -327,7 +321,8 @@ class QueryServer:
         run under the commit lock — a classified SQL statement
         (:meth:`ServerBackend.write`) or bulk rows
         (:meth:`Session.insert_rows`); its return value is the write's.
-        Writes settle at their flat charge (there is no plan to measure).
+        Writes settle at their flat charge, :data:`WRITE_STATEMENT_COST`
+        (there is no plan to measure).
         """
         session._check_open()
         if session.isolation == "session":
@@ -346,7 +341,7 @@ class QueryServer:
                 )
             return result, None
 
-        return self._admitted(session, trace, self.write_cost, commit)
+        return self._admitted(session, trace, WRITE_STATEMENT_COST, commit)
 
     # -- introspection ----------------------------------------------------
     def commit_history(self):
@@ -372,6 +367,4 @@ class QueryServer:
         }
 
     def __repr__(self):
-        return "QueryServer(policy=%s, commits=%d)" % (
-            self.admission.policy, self._commit_seq,
-        )
+        return "QueryServer(commits=%d)" % self._commit_seq

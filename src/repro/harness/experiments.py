@@ -577,7 +577,7 @@ def e8_end_to_end(seed=0, fast=False):
 
     # Pipeline phase split: replay the held-out workload cold vs. warm
     # through the staged pipeline. The warm pass hits the plan cache
-    # (keyed on query signature + catalog epoch), so its planning phase
+    # (keyed on query signature + table versions), so its planning phase
     # collapses while execution work stays identical.
     split = ResultTable(
         "E8b: pipeline planning-vs-execution split (plan cache cold/warm)",

@@ -74,6 +74,14 @@ def test_index_structures_are_not_engine_exports():
         assert not hasattr(engine, name)
 
 
+def test_admission_has_no_policy_list():
+    """Admission has one discipline, so there is no list of policies to
+    export (nor a config field choosing among them)."""
+    assert "ADMISSION_POLICIES" not in engine.__all__
+    assert not hasattr(engine, "ADMISSION_POLICIES")
+    assert not hasattr(engine.EngineConfig(), "admission_policy")
+
+
 def test_all_has_no_duplicates():
     assert len(engine.__all__) == len(set(engine.__all__))
 

@@ -49,13 +49,10 @@ KNOBS = {
     "feedback_enabled": (True, "1", None),
     "segment_rows": (4096, " 4096 ", 16),
     "segment_encodings": (("rle", "plain"), "RLE, plain", None),
-    "zone_map_pruning": (False, "no", None),
-    "admission_policy": ("fair-share", "fair-share", None),
     "tenant_quota": (12345.0, "12345", None),
     "quota_refill_rate": (678.0, "678", None),
-    "admission_queue_depth": (9, "9", 1),
+    "admission_queue_depth": (9, "9", 0),
     "plan_selector": ("pessimistic", "Pessimistic", None),
-    "regret_cap": (3.5, "3.5", None),
     "seed": (11, "11", None),
 }
 
@@ -82,9 +79,9 @@ def _readme_knob_rows():
 class TestEngineConfig:
     def test_defaults_are_valid(self):
         knobs = dataclasses.fields(EngineConfig())
-        assert len(knobs) == 12
+        assert len(knobs) == 9
         from_env = {k.name for k in knobs if "env" in k.metadata}
-        assert len(from_env) == 11
+        assert len(from_env) == 8
         # The README lists exactly those — no row outlives its knob.
         assert from_env == {
             name for name, row in _readme_knob_rows().items()
@@ -113,7 +110,7 @@ class TestEngineConfig:
     @pytest.mark.parametrize("bad_kwargs,exc", [
         ({"segment_rows": 0}, ExecutionError),
         ({"plan_selector": "exhaustive"}, ReproError),
-        ({"admission_policy": "lifo"}, ReproError),
+        ({"admission_queue_depth": -1}, ReproError),
     ])
     def test_validation_errors(self, bad_kwargs, exc):
         with pytest.raises(exc):
@@ -194,9 +191,9 @@ class TestEngineConfig:
             Database(turbo=True)
 
     def test_consumer_arguments_are_not_engine_knobs(self):
-        """The plan cache's capacity and the planner's enumerator /
-        view matching are their owners' constructor arguments, set on
-        ``db.pipeline`` / ``db.planner`` — not ``EngineConfig`` fields."""
+        """The plan cache's capacity (a pipeline constant) and the
+        planner's enumerator / view matching (set on ``db.planner``) are
+        not ``EngineConfig`` fields."""
         for name in ("plan_cache_size", "enumerator", "use_views"):
             with pytest.raises(TypeError):
                 Database(**{name: 1})
@@ -210,15 +207,14 @@ class TestConfigEquivalence:
     def test_config_and_kwargs_wire_identical_engines(self):
         cfg = EngineConfig(
             segment_rows=4096, plan_selector="pessimistic",
-            cost_params={"cpu_tuple_cost": 2.0}, zone_map_pruning=False,
+            cost_params={"cpu_tuple_cost": 2.0},
         )
         via_config = Database(config=cfg)
         via_kwargs = Database(
             segment_rows=4096, plan_selector="pessimistic",
-            cost_params={"cpu_tuple_cost": 2.0}, zone_map_pruning=False,
+            cost_params={"cpu_tuple_cost": 2.0},
         )
         for db in (via_config, via_kwargs):
-            assert db.executor.pruning_enabled is False
             assert db.catalog.segment_rows == 4096
             assert db.plan_selector.name == "pessimistic"
             assert db.cost_model.params["cpu_tuple_cost"] == 2.0

@@ -131,8 +131,8 @@ class TestTrueEstimatorAndCache:
         assert len(calls) == 1
 
     def test_cache_invalidated_on_epoch_change(self, chain_catalog):
-        # Regression: the memo must observe Catalog.epoch — counts cached
-        # before an INSERT/DDL were previously served stale forever.
+        # Regression: the memo must observe the catalog's versions —
+        # counts cached before an INSERT/DDL were once served stale forever.
         catalog, names, edges = chain_catalog
         est = TrueCardinalityEstimator(
             lambda q, ts: count_join_rows(catalog, q, ts), catalog=catalog

@@ -1,4 +1,4 @@
-"""Staged-pipeline tests: plan cache, epoch invalidation, stage telemetry.
+"""Staged-pipeline tests: plan cache, version invalidation, stage telemetry.
 
 Extends the differential pattern of ``test_engine_executor_vectorized.py``:
 cached-plan re-execution must return identical rows in identical order and
@@ -115,15 +115,22 @@ class TestSignature:
 
 
 # ----------------------------------------------------------------------
-# Satellite: catalog epoch
+# Catalog versions: every mutation advances the per-table vector
 # ----------------------------------------------------------------------
+def _advanced(before, after):
+    """No table's version moved back, and at least one moved forward."""
+    before, after = dict(before), dict(after)
+    return after != before and all(
+        after.get(name, 0) >= v for name, v in before.items())
+
+
 class TestCatalogEpoch:
     def test_bumps_on_every_mutation(self, db):
-        seen = [db.epoch]
+        seen = [db.version_vector()]
 
         def bumped():
-            seen.append(db.epoch)
-            assert seen[-1] > seen[-2], "epoch did not advance"
+            seen.append(db.version_vector())
+            assert _advanced(seen[-2], seen[-1]), "versions did not advance"
 
         db.execute("CREATE TABLE t2 (a INT)")
         bumped()
@@ -139,15 +146,17 @@ class TestCatalogEpoch:
         bumped()
 
     def test_direct_insert_rows_advances_epoch(self, db):
-        """Bulk loads bypassing SQL (the datagen path) still move the epoch."""
-        before = db.epoch
+        """Bulk loads bypassing SQL (the datagen path) still move the
+        table's version."""
+        before = db.version_vector()
         db.catalog.table("users").insert_rows([(999, "zz", 30, 1.0)])
-        assert db.epoch > before
+        assert _advanced(before, db.version_vector())
+        assert dict(db.version_vector())["users"] == dict(before)["users"] + 1
 
     def test_drop_table_stays_monotonic(self, db):
-        before = db.epoch
-        db.catalog.drop_table("orders")  # removes 400 rows from the sum
-        assert db.epoch > before
+        before = db.version_vector()
+        db.catalog.drop_table("orders")  # the entry outlives the table
+        assert _advanced(before, db.version_vector())
 
     def test_view_registration_bumps(self, db):
         from repro.ai4db.config.view_advisor import (
@@ -162,12 +171,18 @@ class TestCatalogEpoch:
         )
         workload = datagen.star_workload(n_queries=8, seed=1)
         cand = enumerate_view_candidates(workload)[0]
-        before = db2.epoch
+        before = db2.version_vector()
         materialize_view(db2, cand)
-        assert db2.epoch > before
+        assert _advanced(before, db2.version_vector())
 
     def test_database_exposes_catalog_epoch(self, db):
-        assert db.epoch == db.catalog.epoch
+        """The database's version state is the catalog's per-table
+        vector; there is no global counter beside it."""
+        assert db.version_vector() == db.catalog.version_vector()
+        assert db.version_vector(["users"]) == \
+            db.catalog.version_vector(["users"])
+        assert not hasattr(db, "epoch")
+        assert not hasattr(db.catalog, "epoch")
 
 
 # ----------------------------------------------------------------------
@@ -176,9 +191,9 @@ class TestCatalogEpoch:
 class TestPlanCache:
     def test_hit_miss_and_counters(self):
         cache = PlanCache(capacity=4)
-        assert cache.get("k", epoch=1) is None
-        cache.put("k", "plan", epoch=1)
-        assert cache.get("k", epoch=1) == "plan"
+        assert cache.get("k", token=1) is None
+        cache.put("k", "plan", token=1)
+        assert cache.get("k", token=1) == "plan"
         assert cache.stats() == {
             "hits": 1, "misses": 1, "invalidations": 0, "size": 1,
             "capacity": 4,
@@ -186,8 +201,8 @@ class TestPlanCache:
 
     def test_epoch_drift_invalidates(self):
         cache = PlanCache(capacity=4)
-        cache.put("k", "plan", epoch=1)
-        assert cache.get("k", epoch=2) is None
+        cache.put("k", "plan", token=1)
+        assert cache.get("k", token=2) is None
         assert cache.invalidations == 1
         assert len(cache) == 0
 
@@ -323,7 +338,7 @@ class TestInvalidation:
         db.execute("ANALYZE orders")
         db.query(sql)
         assert db.pipeline.plan_cache.invalidations >= 1
-        # The replanned query caches again under the new epoch.
+        # The replanned query caches again under the new versions.
         db.query(sql)
         assert db.pipeline.plan_cache.hits > hits_before
 

@@ -2,11 +2,11 @@
 
 The plan cache is shared by every thread that calls ``Database.execute``.
 These tests hammer it from N query threads while a mutation thread bumps
-``Catalog.epoch`` (INSERT + ANALYZE on a *different* table, so the queried
-data never changes but every cached plan goes stale), asserting:
+table versions (INSERT + ANALYZE on a *different* table, so the queried
+data never changes), asserting:
 
-* no thread ever observes a wrong result (a stale plan served after an
-  epoch bump would still be correct here by construction — what we check
+* no thread ever observes a wrong result (a stale plan served after a
+  version bump would still be correct here by construction — what we check
   is that nothing crashes, results stay exact, and invalidations are
   actually recorded);
 * the cache's counters stay consistent with the operations performed
@@ -61,7 +61,7 @@ QUERIES = [
 
 
 def _race_queries_against_mutator(db, n_threads, rounds):
-    """Race ``n_threads`` query loops against an epoch-bumping mutator.
+    """Race ``n_threads`` query loops against a version-bumping mutator.
 
     Every thread starts from one barrier; the mutator sets
     ``first_mutation`` after its first INSERT+ANALYZE and keeps mutating
@@ -84,7 +84,7 @@ def _race_queries_against_mutator(db, n_threads, rounds):
                 res = db.execute(sql)
                 assert res.rows == expected, (sql, res.rows)
             # The provably-raced phase: these rounds run strictly after
-            # at least one epoch bump, while bumps keep coming.
+            # at least one version bump, while bumps keep coming.
             assert first_mutation.wait(timeout=30.0), "mutator never ran"
             for i in range(POST_MUTATION_ROUNDS):
                 sql, expected = QUERIES[i % len(QUERIES)]
@@ -94,8 +94,8 @@ def _race_queries_against_mutator(db, n_threads, rounds):
             errors.append(exc)
 
     def mutation_loop():
-        # Bump the epoch via a table the queries never touch: every
-        # cached plan goes stale without changing any expected result.
+        # Bump versions via a table the queries never touch: writes race
+        # the queries without changing any expected result.
         try:
             barrier.wait()
             while not stop.is_set():

@@ -21,9 +21,9 @@ table disappears between planning attempts.
 import numpy as np
 import pytest
 
-from repro.common import CatalogError, ExecutionError, PlanError, ReproError
+from repro.common import CatalogError, PlanError, ReproError
 from repro.engine import Database, EngineConfig
-from repro.engine.config import DEFAULT_REGRET_CAP, PLAN_SELECTORS
+from repro.engine.config import PLAN_SELECTORS
 from repro.engine.optimizer.hints import (
     DEFAULT_ARM,
     HintSet,
@@ -36,6 +36,7 @@ from repro.engine.optimizer.selection import (
     BanditSelector,
     CostSelector,
     FEATURE_DIM,
+    REGRET_CAP,
     PessimisticSelector,
     make_selector,
     plan_features,
@@ -202,9 +203,10 @@ class TestSelectors:
         assert sel.stats()["arms"]["ues"]["picks"] == 1
 
     def test_bandit_regret_cap_excludes_expensive_arms(self):
-        """An arm whose estimate exceeds regret_cap × the UES bound is
+        """An arm whose estimate exceeds REGRET_CAP × the UES bound is
         never selected, no matter what Thompson sampling says."""
-        sel = BanditSelector(regret_cap=2.0, rng=0)
+        assert REGRET_CAP == 2.0  # the candidate costs below assume it
+        sel = BanditSelector(rng=0)
         cands = _fake_candidates(cheap=8.0, expensive=25.0, ues=10.0)
         query = _join_query()
         x = np.zeros(FEATURE_DIM)
@@ -217,14 +219,18 @@ class TestSelectors:
         assert expensive["picks"] == 0
 
     def test_bandit_regret_cap_validated(self):
-        with pytest.raises(PlanError):
+        """The cap is the module constant, reported by ``stats()``; a
+        caller still passing one is refused, not silently ignored."""
+        assert BanditSelector(rng=0).stats()["regret_cap"] == REGRET_CAP
+        with pytest.raises(TypeError):
             BanditSelector(regret_cap=0.5)
+        with pytest.raises(TypeError):
+            make_selector("bandit", regret_cap=3.0)
 
     def test_bandit_strikes_demote_broken_promises(self):
-        """Measured work repeatedly above regret_cap × the arm's own
+        """Measured work repeatedly above REGRET_CAP × the arm's own
         estimate demotes it for a cooldown; the UES anchor never is."""
-        sel = BanditSelector(regret_cap=2.0, rng=0, demote_after=3,
-                             demote_for=10)
+        sel = BanditSelector(rng=0, demote_after=3, demote_for=10)
         x = np.zeros(FEATURE_DIM)
         x[0] = 1.0
         for __ in range(3):
@@ -281,7 +287,6 @@ class TestConfigKnobs:
     def test_defaults(self):
         cfg = EngineConfig()
         assert cfg.plan_selector == "cost"
-        assert cfg.regret_cap == DEFAULT_REGRET_CAP
         assert cfg.seed == 0
 
     def test_invalid_selector_rejected(self):
@@ -289,23 +294,25 @@ class TestConfigKnobs:
             EngineConfig(plan_selector="bogus")
 
     def test_invalid_regret_cap_rejected(self):
-        with pytest.raises(ExecutionError):
+        """``regret_cap`` is no longer a knob: any value is refused, on
+        the config and on the Database keyword route alike."""
+        with pytest.raises(TypeError):
             EngineConfig(regret_cap=0.5)
+        with pytest.raises(TypeError):
+            Database(regret_cap=4.0)
 
     def test_env_wiring(self, monkeypatch):
         monkeypatch.setenv("REPRO_PLAN_SELECTOR", "pessimistic")
-        monkeypatch.setenv("REPRO_REGRET_CAP", "3.5")
         monkeypatch.setenv("REPRO_SEED", "11")
         cfg = EngineConfig.from_env()
         assert cfg.plan_selector == "pessimistic"
-        assert cfg.regret_cap == 3.5
         assert cfg.seed == 11
 
     def test_database_builds_the_configured_selector(self):
         assert Database().plan_selector.name == "cost"
-        db = Database(plan_selector="bandit", regret_cap=4.0)
+        db = Database(plan_selector="bandit")
         assert db.plan_selector.name == "bandit"
-        assert db.plan_selector.regret_cap == 4.0
+        assert db.plan_selector.stats()["regret_cap"] == REGRET_CAP
         assert Database(plan_selector="pessimistic").plan_selector.name \
             == "pessimistic"
 

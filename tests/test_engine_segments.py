@@ -370,8 +370,8 @@ class TestSegmentReduce:
 
 
 class TestExplainAnalyzeCounters:
-    def _db(self, **kwargs):
-        db = Database(segment_rows=16, **kwargs)
+    def _db(self):
+        db = Database(segment_rows=16)
         db.execute("CREATE TABLE t (id INT, v FLOAT, tag TEXT)")
         db.catalog.table("t").insert_rows([
             (i, float(i) / 2.0, "g%d" % (i // 50)) for i in range(200)
@@ -387,13 +387,6 @@ class TestExplainAnalyzeCounters:
         assert run.segments_pruned > 0
         assert run.segments_pruned < run.segments_total
         assert "pruned" in str(res)
-        assert sorted(r[0] for r in res.result.rows) == list(range(40))
-
-    def test_pruning_disabled_scans_everything(self):
-        db = self._db(zone_map_pruning=False)
-        res = db.explain_analyze("SELECT id FROM t WHERE id < 40")
-        assert res.trace.execute.segments_total > 0
-        assert res.trace.execute.segments_pruned == 0
         assert sorted(r[0] for r in res.result.rows) == list(range(40))
 
     def test_bytes_decoded_drops_with_late_materialization(self):

@@ -12,9 +12,9 @@ nothing depends on wall time:
   alternate round-robin; a flooding tenant cannot push the other's
   waiters behind its own backlog (asserted on grant *order*, not
   latency).
-* **Shed never blocks** — policy ``"shed"`` raises
-  :class:`AdmissionError` immediately for an over-quota tenant; no
-  waiter is ever parked.
+* **Shed never blocks** — at ``admission_queue_depth=0`` an over-quota
+  tenant gets :class:`AdmissionError` immediately; no waiter is ever
+  parked.
 * **Tenant isolation** — an over-quota tenant's debt affects only its
   own bucket: a well-behaved tenant is admitted without queueing and
   its warm plan-cache hits stay intact.
@@ -35,6 +35,7 @@ from repro.engine.server import (
     AdmissionError,
     TokenBucket,
 )
+from repro.engine.session.context import WRITE_STATEMENT_COST
 
 
 class ManualClock:
@@ -50,8 +51,8 @@ class ManualClock:
         self.t += float(dt)
 
 
-def _serving_db():
-    db = Database()
+def _serving_db(**knobs):
+    db = Database(**knobs)
     db.execute("CREATE TABLE a (id INT, k INT, v FLOAT)")
     db.catalog.table("a").insert_rows(
         [(i, i % 7, float(i % 11)) for i in range(400)]
@@ -119,7 +120,7 @@ class TestQuotaConservation:
     def test_charged_minus_refunded_equals_settled_work(self):
         clock = ManualClock()
         ctl = AdmissionController(
-            policy="fifo", tenant_quota=1000.0, quota_refill_rate=0.0,
+            tenant_quota=1000.0, quota_refill_rate=0.0,
             clock=clock,
         )
         # Mix of over- and under-estimates; all settled.
@@ -141,7 +142,7 @@ class TestQuotaConservation:
 
     def test_settle_is_idempotent(self):
         ctl = AdmissionController(
-            policy="fifo", tenant_quota=1000.0, quota_refill_rate=0.0,
+            tenant_quota=1000.0, quota_refill_rate=0.0,
             clock=ManualClock(),
         )
         ticket = ctl.admit("t", 100.0)
@@ -153,7 +154,7 @@ class TestQuotaConservation:
 
     def test_cancel_refunds_the_full_charge(self):
         ctl = AdmissionController(
-            policy="fifo", tenant_quota=1000.0, quota_refill_rate=0.0,
+            tenant_quota=1000.0, quota_refill_rate=0.0,
             clock=ManualClock(),
         )
         ticket = ctl.admit("t", 123.0)
@@ -194,14 +195,14 @@ class TestQuotaConservation:
     def test_write_path_settles_at_flat_cost(self):
         server = QueryServer(
             _serving_db(), tenant_quota=1e6, quota_refill_rate=0.0,
-            write_cost=64.0,
         )
         sess = server.session(tenant="w")
         sess.execute("CREATE TABLE z (id INT)")
         sess.insert_rows("z", [(1,), (2,)])
         stats = server.admission.stats()["w"]
-        assert stats["charged"] == pytest.approx(128.0)
-        assert stats["settled_work"] == pytest.approx(128.0)
+        assert stats["charged"] == pytest.approx(2 * WRITE_STATEMENT_COST)
+        assert stats["settled_work"] == pytest.approx(
+            2 * WRITE_STATEMENT_COST)
         assert stats["refunded"] == pytest.approx(0.0)
 
     def test_failed_statements_stay_in_the_rollup(self):
@@ -243,7 +244,7 @@ def _wait_until(predicate, timeout=5.0, tick=0.005):
 class TestFairShareNoStarvation:
     def _controller(self, clock, **kwargs):
         defaults = dict(
-            policy="fair-share", tenant_quota=100.0, quota_refill_rate=0.0,
+            tenant_quota=100.0, quota_refill_rate=0.0,
             timeout=10.0, clock=clock,
         )
         defaults.update(kwargs)
@@ -285,8 +286,8 @@ class TestFairShareNoStarvation:
             return ctl.stats()[tenant]["admitted"] - 1  # minus the drain
 
         # Lap 1: +150 tokens each (-100 -> 50): exactly one grant per
-        # tenant is affordable. If fair-share were broken (e.g. strict
-        # arrival order), both grants could go to hog — the counters
+        # tenant is affordable. If grants were not round-robin (e.g.
+        # strict arrival order), both could go to hog — the counters
         # below would never reach (1, 1).
         clock.advance(3.0)
         ctl.kick()
@@ -317,45 +318,10 @@ class TestFairShareNoStarvation:
         assert stats["meek"]["queued"] == 2
         assert stats["meek"]["shed"] == 0
 
-    def test_fifo_head_of_line_contrast(self):
-        """The hazard fair-share fixes: under fifo, a broke tenant at the
-        head blocks a payable tenant behind it until refill arrives."""
-        clock = ManualClock()
-        ctl = AdmissionController(
-            policy="fifo", tenant_quota=100.0, quota_refill_rate=50.0,
-            timeout=60.0, clock=clock,
-        )
-        broke = ctl.admit("broke", 100.0)
-        ctl.settle(broke, 500.0)  # deep debt: -400 tokens
-        assert ctl.balance("broke") < 0
-
-        def waiter(tenant):
-            ticket = ctl.admit(tenant, 10.0)
-            ctl.settle(ticket, 10.0)
-
-        t1 = threading.Thread(target=waiter, args=("broke",), daemon=True)
-        t1.start()
-        _wait_until(lambda: ctl.queue_depth_now() == 1)
-        # "rich" could pay immediately, but fifo parks it behind "broke":
-        # the manual clock mints no tokens, so rich must still be waiting.
-        t2 = threading.Thread(target=waiter, args=("rich",), daemon=True)
-        t2.start()
-        _wait_until(lambda: ctl.queue_depth_now() == 2)
-        threading.Event().wait(0.03)
-        assert ctl.stats()["rich"]["admitted"] == 0  # blocked head-of-line
-        assert ctl.queue_depth_now() == 2
-        # Refill pays off broke's debt; both then drain in arrival order.
-        clock.advance(1e6)
-        ctl.kick()
-        t1.join(timeout=5.0)
-        t2.join(timeout=5.0)
-        assert not t1.is_alive() and not t2.is_alive()
-        assert ctl.stats()["rich"]["admitted"] == 1
-        assert ctl.stats()["broke"]["admitted"] == 2
-
     def test_fair_share_skips_broke_tenant(self):
-        """Same setup as the fifo contrast: fair-share grants the payable
-        tenant straight past the broke one's waiter."""
+        """A broke tenant's parked waiter never blocks another tenant:
+        the payable one is granted straight past it (no head-of-line
+        blocking across tenants)."""
         clock = ManualClock()
         ctl = self._controller(clock, quota_refill_rate=50.0, timeout=15.0)
         broke = ctl.admit("broke", 100.0)
@@ -373,7 +339,7 @@ class TestFairShareNoStarvation:
         while ctl.queue_depth_now() < 1:
             threading.Event().wait(0.005)
         ticket = ctl.admit("rich", 10.0)
-        assert ticket.outcome in ("admitted", "queued")
+        assert ticket.outcome == "admitted"
         ctl.settle(ticket, 10.0)
         # Unblock the broke waiter so the thread exits.
         clock.advance(1e9)
@@ -386,7 +352,7 @@ class TestShedNeverBlocks:
     def test_over_quota_raises_immediately(self):
         clock = ManualClock()
         ctl = AdmissionController(
-            policy="shed", tenant_quota=100.0, quota_refill_rate=0.0,
+            tenant_quota=100.0, quota_refill_rate=0.0, queue_depth=0,
             clock=clock,
         )
         ticket = ctl.admit("t", 100.0)
@@ -399,24 +365,31 @@ class TestShedNeverBlocks:
         assert stats["queued"] == 0
 
     def test_shed_through_the_server(self):
+        """A depth-0 server sheds the first over-quota statement at once:
+        the first read (admissible at a full bucket) leaves the tenant in
+        debt, and the second raises without ever waiting."""
         server = QueryServer(
-            _serving_db(), admission_policy="shed", tenant_quota=10.0,
+            _serving_db(admission_queue_depth=0), tenant_quota=10.0,
             quota_refill_rate=0.0,
         )
+        assert server.admission.queue_depth == 0
         sess = server.session(tenant="t")
+        sess.query("SELECT COUNT(*) FROM a")
         with pytest.raises(AdmissionError):
-            for __ in range(100):
-                sess.query("SELECT COUNT(*) FROM a")
+            sess.query("SELECT COUNT(*) FROM a")
+        assert server.admission.queue_depth_now() == 0
         stats = server.admission.stats()["t"]
-        assert stats["shed"] >= 1
+        assert stats["shed"] == 1
+        assert stats["queued"] == 0
         # Shed outcomes are visible in the rollup too.
         outcomes = server.rollup.summary()["tenants"]["t"]["outcomes"]
-        assert outcomes.get("shed", 0) >= 1
+        assert outcomes == {"admitted": 1, "shed": 1}
 
     def test_queue_full_sheds_even_under_queueing_policies(self):
+        """A positive depth queues up to the bound and sheds beyond it."""
         clock = ManualClock()
         ctl = AdmissionController(
-            policy="fifo", tenant_quota=10.0, quota_refill_rate=10.0,
+            tenant_quota=10.0, quota_refill_rate=10.0,
             queue_depth=1, timeout=15.0, clock=clock,
         )
         first = ctl.admit("t", 10.0)
@@ -455,8 +428,7 @@ class TestTenantIsolation:
         eleven 458-work point lookups fit comfortably.
         """
         server = QueryServer(
-            _serving_db(), admission_policy="fair-share",
-            tenant_quota=6000.0, quota_refill_rate=0.0,
+            _serving_db(), tenant_quota=6000.0, quota_refill_rate=0.0,
             admission_timeout=0.05,
         )
         b_sess = server.session(tenant="B")
@@ -492,8 +464,7 @@ class TestTenantIsolation:
     def test_debt_is_charged_to_the_misestimated_tenant_only(self):
         clock = ManualClock()
         ctl = AdmissionController(
-            policy="fair-share", tenant_quota=100.0, quota_refill_rate=0.0,
-            clock=clock,
+            tenant_quota=100.0, quota_refill_rate=0.0, clock=clock,
         )
         bad = ctl.admit("bad", 10.0)
         ctl.settle(bad, 400.0)  # 40x under-estimate
@@ -649,39 +620,38 @@ class TestServerSurface:
 
 class TestConfigPlumbing:
     def test_env_knobs_flow_into_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ADMISSION_POLICY", "fair-share")
         monkeypatch.setenv("REPRO_TENANT_QUOTA", "12345")
         monkeypatch.setenv("REPRO_QUOTA_REFILL", "678")
         monkeypatch.setenv("REPRO_ADMISSION_QUEUE_DEPTH", "9")
         config = EngineConfig.from_env()
-        assert config.admission_policy == "fair-share"
         assert config.tenant_quota == 12345.0
         assert config.quota_refill_rate == 678.0
         assert config.admission_queue_depth == 9
         server = QueryServer(config=config)
-        assert server.admission.policy == "fair-share"
         assert server.admission.tenant_quota == 12345.0
         assert server.admission.quota_refill_rate == 678.0
         assert server.admission.queue_depth == 9
 
-    def test_invalid_env_policy_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ADMISSION_POLICY", "lottery")
-        with pytest.raises(ReproError):
-            EngineConfig.from_env()
-
     def test_config_validation(self):
-        with pytest.raises(ReproError):
-            EngineConfig(admission_policy="nope")
         with pytest.raises(ReproError):
             EngineConfig(tenant_quota=0)
         with pytest.raises(ReproError):
             EngineConfig(quota_refill_rate=-1)
         with pytest.raises(ReproError):
-            EngineConfig(admission_queue_depth=0)
+            EngineConfig(admission_queue_depth=-1)
+
+    def test_queue_depth_zero_means_never_wait(self, monkeypatch):
+        """Depth 0 is a legal setting — the shedding controller — from a
+        keyword and from the environment alike."""
+        assert EngineConfig(admission_queue_depth=0).admission_queue_depth \
+            == 0
+        monkeypatch.setenv("REPRO_ADMISSION_QUEUE_DEPTH", "0")
+        config = EngineConfig.from_env()
+        assert config.admission_queue_depth == 0
+        assert QueryServer(config=config).admission.queue_depth == 0
 
     def test_kwargs_override_config(self):
-        config = EngineConfig(admission_policy="fifo", tenant_quota=111.0)
-        server = QueryServer(config=config, admission_policy="shed",
-                             tenant_quota=222.0)
-        assert server.admission.policy == "shed"
+        config = EngineConfig(admission_queue_depth=0, tenant_quota=111.0)
+        server = QueryServer(config=config, tenant_quota=222.0)
         assert server.admission.tenant_quota == 222.0
+        assert server.admission.queue_depth == 0

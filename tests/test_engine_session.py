@@ -32,7 +32,11 @@ from repro.engine import (
     SessionResult,
     split_script,
 )
-from repro.engine.session.context import classify, sniff_kind
+from repro.engine.session.context import (
+    WRITE_STATEMENT_COST,
+    classify,
+    sniff_kind,
+)
 from repro.engine.sql.ast_nodes import InsertStmt
 
 SEED_ROWS = [
@@ -258,7 +262,7 @@ class TestFacades:
         assert len(pins) == 1
         charged = result.trace.span("admission").attrs["cost"]
         assert charged == db.pipeline.prepare_sql(sql).est_cost
-        assert charged != server.write_cost
+        assert charged != WRITE_STATEMENT_COST
         with server.session(tenant="t1", isolation="session") as pinned:
             assert pinned.execute(sql).rows == result.rows
         assert len(server.commit_history()) == commits

@@ -1,7 +1,7 @@
 """Per-table version vectors and MVCC-style catalog snapshots (PR 7).
 
 Covers the versioning contract (which mutations bump which table's
-version, the O(1) derived epoch, monotonicity across drop/create), the
+version, an O(1) version read, monotonicity across drop/create), the
 snapshot pinning contract (``TableSnapshot``/``CatalogSnapshot``/
 ``DatabaseSnapshot`` keep serving the state they were taken at while
 writers move the live objects), and the scoped cache contract (plan
@@ -80,47 +80,51 @@ class TestPerTableVersions:
         assert dict(db.catalog.version_vector(["nope"]))["nope"] == 0
 
     def test_epoch_is_sum_of_bumps(self):
+        """Each write bumps exactly its own table's entry, by one."""
         db = _small_db()
-        epoch = db.epoch
+        before = dict(db.version_vector())
         db.catalog.table("a").insert_rows([(1, 1)])
         db.catalog.table("b").insert_rows([(1, 1)])
-        assert db.epoch == epoch + 2
-        assert db.epoch == sum(v for __, v in db.catalog.version_vector())
+        assert dict(db.version_vector()) == {
+            "a": before["a"] + 1, "b": before["b"] + 1}
 
     def test_epoch_read_never_scans_tables(self):
-        """Regression for the O(#tables) hot path: ``Catalog.epoch`` used
-        to sum every table's row count on every plan-cache lookup. Now it
-        must be a stored counter — reading it may not touch ``n_rows``."""
+        """Reading the version state — every plan-cache lookup's token —
+        is a lookup of stored counters: it may not touch ``n_rows``."""
         catalog = Catalog()
 
         class ExplodingTable(Table):
             @property
             def n_rows(self):
-                raise AssertionError("epoch read touched Table.n_rows")
+                raise AssertionError("version read touched Table.n_rows")
 
         for i in range(5):
             catalog.register_table(ExplodingTable(
                 TableSchema("t%d" % i, [ColumnSchema("id", "INT")])
             ))
         for __ in range(3):
-            assert catalog.epoch == 5  # one bump per registration
+            # One bump per registration.
+            assert catalog.version_vector() == tuple(
+                ("t%d" % i, 1) for i in range(5))
         assert catalog.version("t0") == 1
 
     def test_drop_create_keeps_versions_monotonic(self):
-        """Satellite (a): a re-created table continues from the dropped
-        one's version floor, and the derived epoch never moves backward."""
+        """A re-created table continues from the dropped one's version
+        floor, and no entry of the version vector ever moves backward."""
         db = _small_db()
         observed_versions = [db.catalog.version("a")]
-        observed_epochs = [db.epoch]
+        observed_vectors = [dict(db.version_vector())]
         for __ in range(3):
             db.catalog.drop_table("a")
-            observed_epochs.append(db.epoch)
+            observed_vectors.append(dict(db.version_vector()))
             db.execute("CREATE TABLE a (id INT, k INT)")
             db.catalog.table("a").insert_rows([(1, 1)])
             observed_versions.append(db.catalog.version("a"))
-            observed_epochs.append(db.epoch)
+            observed_vectors.append(dict(db.version_vector()))
         assert observed_versions == sorted(set(observed_versions))
-        assert observed_epochs == sorted(set(observed_epochs))
+        for before, after in zip(observed_vectors, observed_vectors[1:]):
+            assert after != before
+            assert all(after[name] >= v for name, v in before.items())
 
     def test_table_write_hook_fires_and_removes(self):
         t = Table(TableSchema("t", [ColumnSchema("id", "INT")]))
@@ -229,9 +233,9 @@ class TestCatalogSnapshot:
         db.execute("CREATE TABLE t (id INT)")
         db.catalog.table("t").insert_rows([(i,) for i in range(10)])
         snap = db.catalog.snapshot()  # no ANALYZE has run
-        epoch = db.epoch
+        vec = db.version_vector()
         assert snap.stats("t").n_rows == 10  # computed over pinned data
-        assert db.epoch == epoch  # the live catalog never observed it
+        assert db.version_vector() == vec  # the live catalog never saw it
 
     def test_snapshot_is_idempotent(self):
         db = _small_db()
@@ -296,7 +300,7 @@ def _observe(catalog):
     tables = {n: catalog.table(n) for n in catalog.table_names()}
     return {
         "vector": catalog.version_vector(),
-        "epochs": (catalog.epoch, catalog.schema_epoch),
+        "schema_epoch": catalog.schema_epoch,
         "tables": tables,
         "rows": {n: t.rows() for n, t in tables.items()},
         "versions": {n: t.version for n, t in tables.items()},
@@ -311,8 +315,8 @@ def _observe(catalog):
 
 
 def _same_state(now, then):
-    for key in ("vector", "epochs", "rows", "versions", "stats", "indexes",
-                "views"):
+    for key in ("vector", "schema_epoch", "rows", "versions", "stats",
+                "indexes", "views"):
         assert now[key] == then[key], key
     assert now["tables"].keys() == then["tables"].keys()
     for name, table in then["tables"].items():
@@ -608,11 +612,11 @@ class TestDatabaseSnapshot:
     def test_epoch_and_vector_pinned(self):
         db = _small_db()
         snap = db.snapshot()
-        epoch, vec = snap.epoch, snap.version_vector(["a"])
+        vec = snap.version_vector()
         db.catalog.table("a").insert_rows([(1, 1)])
-        assert snap.epoch == epoch
-        assert snap.version_vector(["a"]) == vec
-        assert db.epoch == epoch + 1
+        assert snap.version_vector() == vec
+        assert dict(db.version_vector()) == dict(vec, a=dict(vec)["a"] + 1)
+        assert not hasattr(snap, "epoch")
         assert "DatabaseSnapshot" in repr(snap)
 
 

@@ -198,11 +198,25 @@ def test_nothing_selects_a_second_evaluator():
     fields = {f.name for f in dataclasses.fields(repro.engine.EngineConfig)}
     assert not fields & {"executor_mode", "fusion_enabled"}
     params = set(inspect.signature(repro.engine.Executor.__init__).parameters)
-    assert params == {"self", "catalog", "cost_model", "pruning_enabled"}
+    assert params == {"self", "catalog", "cost_model"}
     hits = [
         path for path in _engine_modules()
         if re.search("REPRO_EXECUTOR_MODE|REPRO_FUSION|EXECUTOR_MODES",
                      Path(path).read_text(encoding="utf-8"))
+    ]
+    assert not hits, hits
+
+
+def test_removed_options_stay_removed():
+    """One admission discipline, pruning that is not a switch, a regret
+    cap that is a constant: no engine module names the options that
+    used to select otherwise."""
+    pattern = re.compile(r"fifo|ADMISSION_POLICIES|pruning_enabled|"
+                         r"zone_map_discount|REPRO_REGRET_CAP")
+    hits = [
+        "%s: %s" % (os.path.relpath(path, ENGINE_ROOT), match.group(0))
+        for path in _engine_modules()
+        for match in pattern.finditer(Path(path).read_text(encoding="utf-8"))
     ]
     assert not hits, hits
 
@@ -257,9 +271,9 @@ def test_operator_layer_starts_no_threads():
 TABLE_READS = ("row_groups", "column_array", "sorted_column", "rows",
                "column_arrays", "row", "column_value_counts", "n_segments",
                "n_rows", "name")
-CATALOG_READS = ("epoch", "schema_epoch", "version", "version_vector",
-                 "table", "has_table", "table_names", "indexes", "index_on",
-                 "views", "matching_view")
+CATALOG_READS = ("schema_epoch", "version", "version_vector", "table",
+                 "has_table", "table_names", "indexes", "index_on", "views",
+                 "matching_view")
 
 
 def test_each_read_surface_is_written_once():
