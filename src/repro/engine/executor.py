@@ -33,7 +33,7 @@ Results are fully materialized (these are analytics-scale experiments, not
 a streaming engine).
 """
 
-from repro.engine.fusion import fuse_plan
+from repro.engine.fusion import fuse_plan, plan_reads
 from repro.engine.operators import ColumnarRelation, operator_for
 from repro.engine.operators.join import join_keys
 from repro.engine.operators.kernels import (
@@ -85,6 +85,10 @@ class ExecutionResult:
         return "ExecutionResult(rows=%d, work=%.1f)" % (len(self.rows), self.work)
 
 
+#: ``_Run._reads`` before the read set is first asked for.
+_UNREAD = object()
+
+
 class _Run:
     """One execution's state — the *evaluation context* handed to every
     :class:`~repro.engine.operators.PhysicalOperator`: operators call
@@ -101,15 +105,28 @@ class _Run:
         span: the span of the node being evaluated (operator spans nest
             under it); ``spans`` maps each *original* plan node to its
             span.
+        plan: the (fused) plan being run.
     """
 
-    __slots__ = ("catalog", "cost_model", "span", "spans")
+    __slots__ = ("catalog", "cost_model", "span", "spans", "plan", "_reads")
 
-    def __init__(self, catalog, cost_model, span):
+    def __init__(self, catalog, cost_model, span, plan):
         self.catalog = catalog
         self.cost_model = cost_model
         self.span = span
         self.spans = {}
+        self.plan = plan
+        self._reads = _UNREAD
+
+    @property
+    def reads(self):
+        """The run's read set, :func:`~repro.engine.fusion.plan_reads` of
+        :attr:`plan` — the ``(table, column)`` labels a SeqScan emits, or
+        ``None`` for every column — computed on first use, so a run with
+        no SeqScan operator (a late-materialized tail) does not pay."""
+        if self._reads is _UNREAD:
+            self._reads = plan_reads(self.plan)
+        return self._reads
 
     def run(self, node):
         """Evaluate ``node`` via its registered operator, under a span
@@ -210,7 +227,7 @@ class Executor:
         fused, fused_ops = fuse_plan(plan)
         with trace.root.child("execute") as span:
             run = _Run(self.catalog if catalog is None else catalog,
-                       self.cost_model, span)
+                       self.cost_model, span, fused)
             span.attrs["fused_ops"] = fused_ops
             relation = run.run(fused).to_relation()
             for i, node in enumerate(plan.walk()):

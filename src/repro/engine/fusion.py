@@ -71,6 +71,40 @@ def _lift_scan_predicates(node):
     return bare, lifted
 
 
+def plan_reads(plan):
+    """Lower-cased ``(table, column)`` labels a (fused) plan reads above
+    its scans: the tail's group-by, aggregate and project columns, the
+    lifted predicates, every join edge, IndexScan/ViewScan residual and
+    Sort key (a scan evaluates its own predicates on its segments). Or
+    ``None`` — every column — when no Project/HashAggregate tail narrows
+    the output (``SELECT *``)."""
+    top = plan
+    while isinstance(top, (P.Limit, P.Sort)):
+        top = top.children[0]
+    if not isinstance(top, (P.Project, P.HashAggregate, P.FusedPipelineOp)):
+        return None
+    reads = []
+    for node in plan.walk():
+        if isinstance(node, P.FusedPipelineOp):
+            reads += [(p.table, p.column) for p in node.predicates]
+            node = node.agg_node or node.project_node
+        if isinstance(node, P.Project):
+            reads += node.columns
+        elif isinstance(node, P.HashAggregate):
+            reads += node.group_by
+            reads += [(a.table, a.column) for a in node.aggregates
+                      if a.column is not None]
+        elif isinstance(node, (P.HashJoin, P.NestedLoopJoin)):
+            for e in node.edges:
+                reads += [(e.left_table, e.left_column),
+                          (e.right_table, e.right_column)]
+        elif isinstance(node, (P.IndexScan, P.ViewScan)):
+            reads += [(p.table, p.column) for p in node.residual]
+        elif isinstance(node, P.Sort):
+            reads.append(node.key)
+    return {(t.lower(), c.lower()) for t, c in reads}
+
+
 def fuse_plan(plan):
     """Rewrite ``plan``'s tail into a ``FusedPipelineOp`` when profitable.
 

@@ -63,8 +63,9 @@ def global_aggregate(agg, arr, n):
 
 def aggregate_columnar(ctx, node, child, key_codes=None):
     """Grouped/global aggregation over ``child``. ``key_codes`` may give,
-    per GROUP BY key, int codes computed for it already (equal values,
-    equal codes) in place of grouping on its values (``None``)."""
+    per GROUP BY key, ``(codes, dictionary)`` computed already (equal
+    values, equal codes; ``dictionary[code]`` is output in place of the
+    column, which ``child`` need not hold) or ``None``."""
     n = len(child)
     key_pos = [child.col_pos(t, c) for t, c in node.group_by]
     agg_pos = [
@@ -98,17 +99,20 @@ def aggregate_columnar(ctx, node, child, key_codes=None):
         ctx.count(node, 0)
         arrays = [np.empty(0, dtype=object) for __ in columns]
         return ColumnarRelation(columns, arrays, n_rows=0)
+    coded = key_codes or [None] * len(key_pos)
     codes = factorize([
-        child.arrays[p] if c is None else c
-        for p, c in zip(key_pos, key_codes or [None] * len(key_pos))
+        child.arrays[p] if c is None else c[0]
+        for p, c in zip(key_pos, coded)
     ])
     order = stable_code_order(codes)
     counts = np.bincount(codes)  # dense codes: every group is non-empty
     seg_starts = np.cumsum(counts) - counts
     first_rows = order[seg_starts]  # stable sort -> global first occurrence
     group_rank = np.argsort(first_rows, kind="stable")  # appearance order
+    firsts = first_rows[group_rank]
     key_arrays = [
-        child.arrays[p][first_rows[group_rank]] for p in key_pos
+        child.arrays[p][firsts] if c is None else c[1].take(c[0][firsts])
+        for p, c in zip(key_pos, coded)
     ]
     agg_arrays = []
     for agg, pos in zip(node.aggregates, agg_pos):

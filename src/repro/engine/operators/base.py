@@ -22,6 +22,8 @@ fuzzer races the engine against it (and against SQLite).
 
 import operator
 
+import numpy as np
+
 from repro.common import ExecutionError
 
 #: Comparison operators predicates may use.
@@ -96,9 +98,11 @@ class ColumnarRelation:
         return self._index[key]
 
     def take(self, selector):
-        """A new relation holding the rows picked by a mask or index array."""
-        arrays = [a[selector] for a in self.arrays]
-        return ColumnarRelation(self.columns, arrays)
+        """A new relation holding the rows picked by a mask or index array
+        (a mask becomes row ids once, then one ``take`` per column)."""
+        ids = np.flatnonzero(selector) if selector.dtype == bool else selector
+        return ColumnarRelation(
+            self.columns, [a.take(ids) for a in self.arrays], n_rows=len(ids))
 
     def to_relation(self):
         """Materialize as a row :class:`Relation` (Python scalar tuples)."""

@@ -7,7 +7,12 @@ intermediate. When the source is a bare ``SeqScan`` the operator goes
 further and *late-materializes*: predicates are pushed into
 the table's row groups (zone-map pruning plus encoded-space masks) and
 only the columns the tail reads are decoded, only for surviving
-segments. Work is charged through the absorbed operator nodes with
+segments. A TEXT GROUP BY key is never gathered from its dict segments:
+it is coded from their dictionaries, and each group outputs the entry
+that coded it — equal TEXT values (``str``/``None``) are identical, so
+that is the group's first-row value. Its other segments are gathered to
+be coded row by row, and a key an aggregate reads is gathered whole.
+Work is charged through the absorbed operator nodes with
 the same cardinalities and in the same order as operator-at-a-time
 evaluation of the unfused plan, so ``work``/``operator_work`` are
 bit-identical to the reference executor's (which never fuses).
@@ -20,8 +25,6 @@ under DISTINCT), HashAggregate gets the pre-limit group count, and
 Limit gets the final row count. The differential fuzzer compares these
 per-node counters against the reference executor's.
 """
-
-from time import perf_counter
 
 import numpy as np
 
@@ -37,8 +40,9 @@ from repro.engine.operators.kernels import (
     predicate_mask,
 )
 from repro.engine.operators.aggregate import aggregate_columnar
-from repro.engine.operators.scan import gather_group, segment_filter
+from repro.engine.operators.scan import filter_groups, gather
 from repro.engine.segments import object_codes
+from repro.engine.types import DataType
 
 
 def _count_filter_stage(ctx, node, n1):
@@ -97,10 +101,11 @@ def _fused_project(ctx, node, source, keep, n1):
         )
     ctx.count(proj, n1)
     if keep is None:
+        # ``source`` may hold only the rows a limit keeps (``_head``).
         out = ColumnarRelation(
             proj.columns,
             [source.arrays[p] for p in positions],
-            n_rows=n1,
+            n_rows=len(source),
         )
         return _fused_limit(ctx, node, out)
     limit = None if node.limit_node is None else node.limit_node.n
@@ -137,66 +142,17 @@ def _lazy_scan_shape(table, n_rows):
     return ColumnarRelation(columns, [None] * len(columns), n_rows=n_rows)
 
 
-def _lazy_filter_groups(ctx, node, table):
-    """Zone-classify and mask every row group against the fused predicates.
-
-    Returns ``(n_groups, survivors, n1, n_pruned)``; ``survivors`` is a
-    list of ``(group, ids)`` pairs in table order (``ids=None`` means the
-    whole group survives, proven by its zone maps alone).
-    """
-    groups = table.row_groups()
-    survivors = []
-    n1 = 0
-    n_pruned = 0
-    for g in groups:
-        ids, was_pruned = segment_filter(g, node.predicates)
-        if was_pruned:
-            n_pruned += 1
-            continue
-        if ids is not None and len(ids) == 0:
-            continue
-        survivors.append((g, ids))
-        n1 += g.n_rows if ids is None else len(ids)
-    return len(groups), survivors, n1, n_pruned
-
-
-def _lazy_gather(table, survivors, keys):
-    """Concatenated arrays for ``keys`` over the surviving rows.
-
-    Decodes only the named columns, only within surviving groups, and
-    concatenates in table order — bit-identical to masking the flat
-    columns. Returns ``(arrays, (bytes_decoded, seconds))``.
-    """
-    t0 = perf_counter()
-    dtypes = {
-        c.name.lower(): c.dtype.numpy_dtype for c in table.schema.columns
-    }
-    parts = [[] for __ in keys]
-    nbytes = 0
-    for g, ids in survivors:
-        arrays, nb = gather_group(g, keys, ids)
-        nbytes += nb
-        for j, a in enumerate(arrays):
-            parts[j].append(a)
-    out = []
-    for k, p in zip(keys, parts):
-        if not p:
-            out.append(np.empty(0, dtype=dtypes[k]))
-        elif len(p) == 1:
-            out.append(p[0])
-        else:
-            out.append(np.concatenate(p))
-    return out, (nbytes, perf_counter() - t0)
-
-
-def _segment_codes(survivors, key, values):
-    """Int codes (not dense) of object column ``key`` over the surviving
-    rows: one hash lookup per dictionary entry of a dict segment, one per
-    row of the gathered ``values`` elsewhere (plain, RLE, the tail). One
-    numbering spans them all, so equality is dict equality throughout."""
+def _segment_codes(table, survivors, key, values=None):
+    """``((codes, dictionary), decoded)`` of TEXT column ``key`` over the
+    surviving rows: int codes (not dense), the value each code stands
+    for, and ``(bytes, seconds)`` decoded. A dict segment costs one hash
+    lookup per dictionary entry and is never decoded; any other segment
+    costs one per row of ``values`` (the column gathered over the
+    survivors) or, without it, of its rows gathered here. One numbering
+    spans all segments, so equality is dict equality throughout."""
     seen = {}
     parts = []
-    start = 0
+    start = nbytes = seconds = 0
     for g, ids in survivors:
         seg = g.segments[key]
         stop = start + (g.n_rows if ids is None else len(ids))
@@ -204,11 +160,21 @@ def _segment_codes(survivors, key, values):
             remap = np.array([seen.setdefault(v, len(seen))
                               for v in seg.dictionary.tolist()],
                              dtype=np.int64)
-            parts.append(remap[seg.codes if ids is None else seg.codes[ids]])
+            parts.append(remap.take(
+                seg.codes if ids is None else seg.codes.take(ids)))
         else:
-            parts.append(object_codes(values[start:stop], seen))
+            if values is None:
+                (part,), (nb, dt) = gather(table, [(g, ids)], [key])
+                nbytes += nb
+                seconds += dt
+            else:
+                part = values[start:stop]
+            parts.append(object_codes(part, seen))
         start = stop
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    codes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    dictionary = np.empty(len(seen), dtype=object)
+    dictionary[:] = list(seen)
+    return (codes, dictionary), (nbytes, seconds)
 
 
 def _lazy_aggregate(ctx, node, table, survivors, n1):
@@ -216,80 +182,68 @@ def _lazy_aggregate(ctx, node, table, survivors, n1):
     shape = _lazy_scan_shape(table, n1)
     labels, positions = agg_input_columns(agg, shape)
     keys = [table.schema.columns[p].name.lower() for p in positions]
-    arrays, decoded = _lazy_gather(table, survivors, keys)
-    sub = ColumnarRelation(labels, arrays, n_rows=n1)
-    key_codes = [
-        _segment_codes(survivors, keys[j], arrays[j])
-        if arrays[j].dtype == object else None
-        for j in (sub.col_pos(t, c) for t, c in agg.group_by)]
+    group_keys = [c.lower() for __, c in agg.group_by]
+    inputs = {a.column.lower() for a in agg.aggregates if a.column is not None}
+    text = {k for k in group_keys
+            if table.schema.column(k).dtype is DataType.TEXT}
+    # A TEXT key is coded from the segments and never gathered, unless
+    # an aggregate reads it too.
+    gathered = [k for k in keys if k not in text or k in inputs]
+    arrays, (nbytes, seconds) = gather(table, survivors, gathered)
+    by_key = dict(zip(gathered, arrays))
+    key_codes = []
+    for k in group_keys:
+        coded = None
+        if k in text:
+            coded, (nb, dt) = _segment_codes(
+                table, survivors, k, by_key.get(k))
+            nbytes, seconds = nbytes + nb, seconds + dt
+        key_codes.append(coded)
+    sub = ColumnarRelation(labels, [by_key.get(k) for k in keys], n_rows=n1)
     out = _fused_limit(ctx, node, aggregate_columnar(ctx, agg, sub, key_codes))
-    return out, decoded
+    return out, (nbytes, seconds)
 
 
 def _lazy_project(ctx, node, table, survivors, n1):
     proj = node.project_node
     shape = _lazy_scan_shape(table, n1)
-    positions = [shape.col_pos(t, c) for t, c in proj.columns]
-    keys = [table.schema.columns[p].name.lower() for p in positions]
-    uniq = list(dict.fromkeys(keys))
-    ctx.charge(proj, ctx.cost_model.params["cpu_tuple_cost"] * n1)
-    if proj.distinct:
-        gathered, decoded = _lazy_gather(table, survivors, uniq)
-        by_key = dict(zip(uniq, gathered))
-        arrays = [by_key[k] for k in keys]
-        n = n1
-        if n:
-            codes = factorize(arrays)
-            __, first = np.unique(codes, return_index=True)
-            firsts = np.sort(first)  # first-occurrence order
-            arrays = [a[firsts] for a in arrays]
-            n = len(firsts)
-        ctx.count(proj, n)
-        out = _fused_limit(
-            ctx, node, ColumnarRelation(proj.columns, arrays, n_rows=n)
-        )
-        return out, decoded
-    ctx.count(proj, n1)
+    keys = list(dict.fromkeys(
+        table.schema.columns[shape.col_pos(t, c)].name.lower()
+        for t, c in proj.columns))
     limit = None if node.limit_node is None else node.limit_node.n
-    take = survivors
-    n_out = n1
-    if limit is not None and limit < n1:
+    n = n1
+    if not proj.distinct and limit is not None and limit < n1:
         # Rows (and whole groups) past the limit are never gathered.
-        take = []
-        remaining = limit
-        for g, ids in survivors:
-            n_loc = g.n_rows if ids is None else len(ids)
-            if n_loc <= remaining:
-                take.append((g, ids))
-                remaining -= n_loc
-            else:
-                trimmed = (
-                    np.arange(remaining, dtype=np.int64)
-                    if ids is None else ids[:remaining]
-                )
-                take.append((g, trimmed))
-                remaining = 0
-            if remaining == 0:
-                break
-        n_out = limit
-    gathered, decoded = _lazy_gather(table, take, uniq)
-    by_key = dict(zip(uniq, gathered))
-    arrays = [by_key[k] for k in keys]
-    out = ColumnarRelation(proj.columns, arrays, n_rows=n_out)
-    if node.limit_node is not None:
-        ctx.count(node.limit_node, len(out))
-    return out, decoded
+        survivors, n = _head(survivors, limit), limit
+    arrays, decoded = gather(table, survivors, keys)
+    source = ColumnarRelation(
+        [(table.name, k) for k in keys], arrays, n_rows=n)
+    return _fused_project(ctx, node, source, None, n1), decoded
+
+
+def _head(survivors, n):
+    """The first ``n`` surviving rows, as ``(group, ids)`` pairs."""
+    head = []
+    for g, ids in survivors:
+        if n <= 0:
+            break
+        n_loc = g.n_rows if ids is None else len(ids)
+        if n_loc > n:
+            ids = np.arange(n, dtype=np.int64) if ids is None else ids[:n]
+        head.append((g, ids))
+        n -= n_loc
+    return head
 
 
 def _lazy_tail(ctx, node, child):
     """Late-materializing fused tail over a bare SeqScan's segments.
 
-    Instead of running the scan (which would decode every column of
-    every segment), the fused predicates are pushed all the way into the
-    row groups: zone maps skip whole segments, residual predicates
-    evaluate in encoded space, and only the columns the tail actually
-    reads are decoded — only for surviving rows. Charges and counts
-    replay the general path exactly (scan charge, scan row count,
+    Instead of running the scan (which would decode the lifted
+    predicates' columns whole), the fused predicates are pushed all the
+    way into the row groups: zone maps skip whole segments, residual
+    predicates evaluate in encoded space, and only the columns the tail
+    actually reads are decoded — only for surviving rows. Charges and
+    counts replay the general path exactly (scan charge, scan row count,
     survivor attribution), so rows/order/work stay bit-identical with
     late materialization on or off.
     """
@@ -297,7 +251,8 @@ def _lazy_tail(ctx, node, child):
     n0 = table.n_rows
     ctx.charge(child, ctx.cost_model.seq_scan(n0))
     ctx.count(child, n0)
-    n_groups, survivors, n1, n_pruned = _lazy_filter_groups(ctx, node, table)
+    n_groups, survivors, n1, n_pruned = filter_groups(
+        table, node.predicates)
     _count_filter_stage(ctx, node, n1)
     if node.agg_node is not None:
         out, decoded = _lazy_aggregate(ctx, node, table, survivors, n1)

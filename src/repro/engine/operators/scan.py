@@ -5,9 +5,12 @@ into a relation and apply pushed-down predicates. SeqScan works
 segment-at-a-time: each row group's zone maps are classified
 against the pushed-down predicates (skipping groups that provably match
 nothing), surviving groups evaluate the predicates in *encoded* space
-(dictionary codes / run values), and only surviving rows are decoded.
-Pruning never changes rows, order, or charged work; the flat-layout
-results are reproduced bit for bit.
+(one dictionary/run-space conjunction per column), and only the columns
+the plan reads (:func:`~repro.engine.fusion.plan_reads`) are decoded,
+only for surviving rows. Pruning never changes rows, order, or charged
+work; the flat-layout results are reproduced bit for bit.
+:func:`filter_groups` and :func:`gather` are the one scan loop, shared
+with the fused pipeline's late-materializing tail.
 """
 
 from time import perf_counter
@@ -44,50 +47,88 @@ def segment_filter(group, predicates):
     is only skipped when no predicate is hazardous to leave unevaluated
     (see :meth:`ZoneMap.range_hazard`) — hazardous predicates are always
     evaluated so the segmented path raises exactly where the flat path
-    would.
+    would. The residual predicates are grouped by column, and each
+    column's conjunction is one :meth:`ColumnSegment.mask` call.
     """
-    residual = []
+    residual = {}
     hazards = []
     pruned = False
     for p in predicates:
-        seg = group.segments[p.column.lower()]
-        zone = seg.zone_map
-        if zone.range_hazard(p.op, p.value):
-            residual.append(p)
-            hazards.append(p)
+        key, pred = p.column.lower(), (p.op, p.value)
+        zone = group.segments[key].zone_map
+        if zone.range_hazard(*pred):
+            residual.setdefault(key, []).append(pred)
+            hazards.append((key, pred))
             continue
-        verdict = zone.classify(p.op, p.value)
+        verdict = zone.classify(*pred)
         if verdict == PRUNED:
             pruned = True
         elif verdict == PARTIAL:
-            residual.append(p)
+            residual.setdefault(key, []).append(pred)
         # FULL: every row provably passes — the predicate drops out.
     if pruned:
-        for p in hazards:
-            group.segments[p.column.lower()].mask(p.op, p.value)
+        for key, pred in hazards:
+            group.segments[key].mask([pred])
         return np.empty(0, dtype=np.int64), True
     mask = None
-    for p in residual:
-        m = group.segments[p.column.lower()].mask(p.op, p.value)
+    for key, conjunction in residual.items():
+        m = group.segments[key].mask(conjunction)
         mask = m if mask is None else mask & m
     if mask is None:
         return None, False
     return np.flatnonzero(mask), False
 
 
-def gather_group(group, keys, ids):
-    """Materialize ``keys`` columns of one group's surviving rows.
+def filter_groups(table, predicates):
+    """Zone-classify and mask every row group against ``predicates``.
 
-    Returns ``(arrays, bytes_decoded)``; ``ids=None`` decodes the whole
-    group. ``bytes_decoded`` is the modeled encoded footprint of every
-    segment that was materialized.
+    Returns ``(n_groups, survivors, n_rows, n_pruned)``; ``survivors`` is
+    a list of ``(group, ids)`` pairs in table order (``ids=None`` means
+    the whole group survives, proven by its zone maps alone) and
+    ``n_rows`` counts their rows.
     """
-    segs = [group.segments[k] for k in keys]
-    if ids is None:
-        arrays = [s.decode() for s in segs]
-    else:
-        arrays = [s.take(ids) for s in segs]
-    return arrays, sum(s.encoded_bytes() for s in segs)
+    groups = table.row_groups()
+    survivors = []
+    n_rows = 0
+    n_pruned = 0
+    for g in groups:
+        ids, was_pruned = segment_filter(g, predicates)
+        if was_pruned:
+            n_pruned += 1
+            continue
+        if ids is not None and len(ids) == 0:
+            continue
+        survivors.append((g, ids))
+        n_rows += g.n_rows if ids is None else len(ids)
+    return len(groups), survivors, n_rows, n_pruned
+
+
+def gather(table, survivors, keys):
+    """Concatenated arrays for columns ``keys`` over the surviving rows.
+
+    Decodes only the named columns, only within surviving groups, and
+    concatenates in table order — bit-identical to masking the flat
+    columns. Returns ``(arrays, (bytes_decoded, seconds))``, the bytes
+    being the encoded footprint of every segment materialized.
+    """
+    t0 = perf_counter()
+    parts = [[] for __ in keys]
+    nbytes = 0
+    for g, ids in survivors:
+        for j, k in enumerate(keys):
+            seg = g.segments[k]
+            parts[j].append(seg.decode() if ids is None else seg.take(ids))
+            nbytes += seg.encoded_bytes()
+    out = []
+    for k, p in zip(keys, parts):
+        if not p:
+            dtype = table.schema.column(k).dtype.numpy_dtype
+            out.append(np.empty(0, dtype=dtype))
+        elif len(p) == 1:
+            out.append(p[0])
+        else:
+            out.append(np.concatenate(p))
+    return out, (nbytes, perf_counter() - t0)
 
 
 def index_row_ids(ctx, node):
@@ -128,36 +169,15 @@ class SeqScanOp(PhysicalOperator):
     def evaluate(self, ctx, node):
         table = ctx.catalog.table(node.table)
         ctx.charge(node, ctx.cost_model.seq_scan(table.n_rows))
-        columns = [(table.name, c.name) for c in table.schema.columns]
+        n_groups, survivors, n, n_pruned = filter_groups(
+            table, node.predicates)
+        reads, name = ctx.reads, table.name.lower()
         keys = [c.name.lower() for c in table.schema.columns]
-        groups = table.row_groups()
-        survivors = []
-        n = n_pruned = nbytes = 0
-        decoding = 0.0
-        for g in groups:
-            ids, was_pruned = segment_filter(g, node.predicates)
-            if was_pruned:
-                n_pruned += 1
-                continue
-            if ids is not None and len(ids) == 0:
-                continue
-            t0 = perf_counter()
-            arrays, nb = gather_group(g, keys, ids)
-            decoding += perf_counter() - t0
-            survivors.append(arrays)
-            n += g.n_rows if ids is None else len(ids)
-            nbytes += nb
-        ctx.record_segments(node, len(groups), n_pruned, nbytes, decoding)
-        arrays = []
-        for j, col in enumerate(table.schema.columns):
-            parts = [group_arrays[j] for group_arrays in survivors]
-            if not parts:
-                arrays.append(np.empty(0, dtype=col.dtype.numpy_dtype))
-            elif len(parts) == 1:
-                arrays.append(parts[0])
-            else:
-                arrays.append(np.concatenate(parts))
-        return ColumnarRelation(columns, arrays, n_rows=n)
+        keys = [k for k in keys if reads is None or (name, k) in reads]
+        arrays, decoded = gather(table, survivors, keys)
+        ctx.record_segments(node, n_groups, n_pruned, *decoded)
+        return ColumnarRelation(
+            [(table.name, k) for k in keys], arrays, n_rows=n)
 
 
 @register(P.IndexScan)

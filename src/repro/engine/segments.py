@@ -16,9 +16,10 @@ sealed segment carries
 
 Everything here preserves the engine's observational contract exactly:
 ``decode()`` reproduces the original values bit-for-bit (value-for-value
-for objects), ``mask(op, value)`` returns the same boolean vector the
-flat NumPy evaluation would (including the scalar-collapse rule for
-incomparable types, and raising the same ``TypeError`` a flat
+for objects), ``mask(predicates)`` — a conjunction on one column, ANDed
+in dictionary/run space and mapped to rows with one ``take`` — returns
+the AND of the flat NumPy evaluations (including the scalar-collapse
+rule for incomparable types, and raising the same ``TypeError`` a flat
 object-array comparison would raise), and :meth:`ZoneMap.classify` only
 returns ``PRUNED``/``FULL`` verdicts that the flat evaluation provably
 agrees with — anything uncertain (NaN bounds, mixed types, NULLs under
@@ -383,7 +384,7 @@ class ColumnSegment:
         if self.encoding == "plain":
             return self.values
         if self.encoding == "dict":
-            return self.dictionary[self.codes]
+            return self.dictionary.take(self.codes)
         return np.repeat(self.values, self.run_lengths)
 
     def take(self, ids):
@@ -391,38 +392,40 @@ class ColumnSegment:
         if self.encoding == "plain":
             return self.values[ids]
         if self.encoding == "dict":
-            return self.dictionary[self.codes[ids]]
+            return self.dictionary.take(self.codes.take(ids))
         runs = np.searchsorted(self._run_ends, ids, side="right")
         return self.values[runs]
 
-    def mask(self, op, value):
-        """Boolean mask of ``column <op> value`` evaluated in encoded space.
+    def mask(self, predicates):
+        """Boolean row mask of a conjunction on this column, evaluated in
+        encoded space.
 
-        Dictionary segments compare the *dictionary* (one comparison per
-        distinct value) and map the verdicts through the codes;
-        run-length segments compare one value per run and repeat.
-        Identical to the flat evaluation, including the scalar-collapse
-        rule for incomparable types (a scalar verdict applies to every
-        row) and any ``TypeError`` an object-array comparison raises.
+        ``predicates`` is a list of ``(op, value)`` pairs. Each is
+        compared against the *dictionary* (dict: one comparison per
+        distinct value), the run values (RLE) or the values (plain); the
+        verdicts are ANDed there and mapped to rows once — ``take``
+        through the codes, ``repeat`` over the run lengths. The result
+        equals the AND of the flat evaluations, including the
+        scalar-collapse rule for incomparable types (a scalar verdict
+        applies to every row) and any ``TypeError`` an object-array
+        comparison raises.
         """
-        fn = _OPS.get(op)
-        if fn is None:
-            raise ExecutionError("unknown predicate operator %r" % (op,))
+        space = self.dictionary if self.encoding == "dict" else self.values
+        hits = None
+        for op, value in predicates:
+            fn = _OPS.get(op)
+            if fn is None:
+                raise ExecutionError("unknown predicate operator %r" % (op,))
+            m = np.asarray(fn(space, value))
+            if m.ndim == 0:
+                m = np.full(len(space), bool(m))
+            m = m.astype(bool, copy=False)
+            hits = m if hits is None else hits & m
         if self.encoding == "dict":
-            hits = np.asarray(fn(self.dictionary, value))
-            if hits.ndim == 0:
-                return np.full(self.n_rows, bool(hits))
-            return hits.astype(bool, copy=False)[self.codes]
+            return hits.take(self.codes)
         if self.encoding == "rle":
-            hits = np.asarray(fn(self.values, value))
-            if hits.ndim == 0:
-                return np.full(self.n_rows, bool(hits))
-            return np.repeat(hits.astype(bool, copy=False),
-                             self.run_lengths)
-        m = np.asarray(fn(self.values, value))
-        if m.ndim == 0:
-            return np.full(self.n_rows, bool(m))
-        return m.astype(bool, copy=False)
+            return np.repeat(hits, self.run_lengths)
+        return hits
 
     # -- statistics ----------------------------------------------------
     def value_counts(self):

@@ -79,6 +79,8 @@ SEGMENT_ROWS = 32
 
 AGG_FUNCS = ("count", "sum", "avg", "min", "max")
 CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
+#: Every fuzz table's columns, in schema order.
+COLUMNS = ("id", "k", "v", "tag", "ntag")
 #: Columns ``_build_db`` may index (never the nullable ``ntag``).
 INDEXABLE = ("id", "k", "v", "tag")
 
@@ -129,8 +131,15 @@ def _build_db(seed, make=Database, **knobs):
     return db, sorted(schema)
 
 
-def _random_query(rng, tables):
-    """One random conjunctive query over a connected subset of ``tables``."""
+def _random_query(rng, tables, star=False):
+    """One random conjunctive query over a connected subset of ``tables``.
+
+    Joins also filter on a column outside the select list (an IndexScan
+    residual when the column is indexed), and with ``star`` some are
+    ``SELECT *`` — so a scan whose read set drops a column the plan
+    reads fails the case. ``SELECT *`` columns follow the plan's join
+    order, so only callers comparing one plan's output set ``star``.
+    """
     n = rng.randint(1, min(3, len(tables)))
     chosen = rng.sample(tables, n)
     edges = []
@@ -167,6 +176,13 @@ def _random_query(rng, tables):
                 t = rng.choice(chosen)
                 col = rng.choice(["k", "v", "id"])
                 aggregates.append(Aggregate(func, t, col))
+    elif star and n > 1 and rng.random() < 0.25:
+        # SELECT *: no Project narrows the join, every column is read.
+        if rng.random() < 0.5:
+            order_by = ((rng.choice(chosen), rng.choice(["id", "k", "v"])),
+                        rng.random() < 0.5)
+        if rng.random() < 0.35:
+            limit = rng.choice([0, 1, 3, 10, 500])
     else:
         # Projection query over 1–3 random columns; DISTINCT may include
         # the nullable column.
@@ -180,6 +196,14 @@ def _random_query(rng, tables):
                 order_by = ((t, col), rng.random() < 0.5)
         if rng.random() < 0.35:
             limit = rng.choice([0, 1, 3, 10, 500])
+        if n > 1:
+            t = rng.choice(chosen)
+            unread = [c for c in INDEXABLE if (t, c) not in projections]
+            col = rng.choice(unread)
+            value = {"id": rng.randrange(150), "k": rng.randrange(12),
+                     "v": round(rng.uniform(-8.0, 8.0), 3),
+                     "tag": "tag%d" % rng.randrange(5)}[col]
+            predicates.append(Predicate(t, col, rng.choice(CMP_OPS), value))
     return ConjunctiveQuery(
         tables=chosen,
         join_edges=edges,
@@ -223,7 +247,7 @@ def _render_sql(query, limit=True):
             else "%s(%s.%s)" % (agg.func.upper(), agg.table, agg.column)
         )
     sql = "SELECT %s%s FROM %s" % (
-        "DISTINCT " if query.distinct else "", ", ".join(items),
+        "DISTINCT " if query.distinct else "", ", ".join(items) or "*",
         ", ".join(query.tables),
     )
     where = [
@@ -253,7 +277,7 @@ def _null_safe(row):
     return tuple((x is not None, 0 if x is None else x) for x in row)
 
 
-def _assert_matches_sqlite(lite, query, sql, engine_rows, label):
+def _assert_matches_sqlite(lite, query, sql, result, label):
     """The engine's answer to ``sql`` (``query`` rendered) against SQLite's.
 
     Unordered output is a multiset (compared sorted, floats with the
@@ -261,8 +285,16 @@ def _assert_matches_sqlite(lite, query, sql, engine_rows, label):
     of sort-key values (ties may legitimately permute the other columns);
     LIMIT n is a pick-any-n contract, so a limited answer must have
     SQLite's row count and be drawn from the un-limited multiset (exact:
-    only projections carry a LIMIT, and they fold nothing).
+    only projections carry a LIMIT, and they fold nothing). Under
+    ``SELECT *`` the engine's columns follow its join order, SQLite's
+    the FROM list: the engine's rows are compared in SQLite's order.
     """
+    shown = query.projections
+    engine_rows = result.rows
+    if not (shown or query.aggregates or query.group_by):
+        shown = [(t, c) for t in query.tables for c in COLUMNS]
+        pos = [result.columns.index(tc) for tc in shown]
+        engine_rows = [tuple(r[p] for p in pos) for r in engine_rows]
     theirs = lite.execute(sql).fetchall()
     if query.limit is None:
         assert approx_equal_rows(sorted(engine_rows, key=_null_safe),
@@ -279,7 +311,7 @@ def _assert_matches_sqlite(lite, query, sql, engine_rows, label):
             "sql=%s\nextra=%r" % (label, sql, extra)
         )
     if query.order_by is not None:
-        pos = query.projections.index(query.order_by[0])
+        pos = shown.index(query.order_by[0])
         assert [r[pos] for r in engine_rows] == [r[pos] for r in theirs], (
             "%s: sort-key sequence diverges from SQLite\nsql=%s"
             % (label, sql)
@@ -299,7 +331,7 @@ def test_fuzz_differential(catalog_seed):
     lite = _sqlite_twin(db, tables)
     rng = random.Random(10_000 + catalog_seed + 1_000_003 * FUZZ_SEED)
     for case in range(CASES_PER_CATALOG):
-        query = _random_query(rng, tables)
+        query = _random_query(rng, tables, star=True)
         label = "catalog_seed=%d case=%d query=%r" % (
             catalog_seed, case, query
         )
@@ -333,7 +365,7 @@ def test_fuzz_differential(catalog_seed):
             "%s: SQL text and query object disagree\nsql=%s\ntext=%r\n"
             "object=%r" % (label, sql, text.rows[:10], cold.rows[:10])
         )
-        _assert_matches_sqlite(lite, query, sql, cold.rows, label)
+        _assert_matches_sqlite(lite, query, sql, cold, label)
 
 
 # ----------------------------------------------------------------------
@@ -1001,6 +1033,30 @@ def test_index_scan_actually_fires_on_fuzz_workload():
                        if isinstance(node, IndexScan))
     assert kinds == {"btree", "hash"}
     assert "=" in ops and ops & {"<", "<=", ">", ">="}, ops
+
+
+def test_read_set_cases_fire_on_fuzz_workload():
+    """Meta-check: the differential stream holds ``SELECT *`` joins and
+    joins with an IndexScan residual on a column outside the select list
+    — the two ways a scan's read set could drop a column the plan reads."""
+    star = residual = 0
+    for seed in CATALOG_SEEDS:
+        db, tables = _build_db(seed)
+        rng = random.Random(10_000 + seed + 1_000_003 * FUZZ_SEED)
+        for __ in range(CASES_PER_CATALOG):
+            query = _random_query(rng, tables, star=True)
+            if len(query.tables) < 2:
+                continue
+            shown = set(query.projections) | set(query.group_by)
+            if not (shown or query.aggregates):
+                star += 1
+                continue
+            plan = db.pipeline.prepare_query(query).plan
+            residual += any(
+                (p.table, p.column) not in shown
+                for node in plan.walk() if isinstance(node, IndexScan)
+                for p in node.residual)
+    assert star and residual, (star, residual)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ must equal a stable ``argsort``, and ``join_indices`` must equal a
 left-major nested loop — whatever shortcut each takes.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from repro.engine.operators.kernels import (
     join_indices,
     stable_code_order,
 )
+from repro.engine.segments import ColumnSegment
 
 INT_DTYPES = ("int8", "int16", "int32", "int64",
               "uint8", "uint16", "uint32", "uint64")
@@ -219,9 +222,19 @@ def test_text_group_keys_come_from_segment_dictionaries(
         seen.append(len(arr))
         return real(arr, *args)
 
-    # Every caller of the object factorizer on the query path.
+    # Every caller of the object factorizer on the query path, and every
+    # way a segment hands out its values.
     monkeypatch.setattr(kernels, "object_codes", counted)
     monkeypatch.setattr(fused, "object_codes", counted)
+    read = []
+    for method in ("decode", "take"):
+        real_method = getattr(ColumnSegment, method)
+
+        def spy(seg, *args, _real=real_method):
+            read.append(seg)
+            return _real(seg, *args)
+
+        monkeypatch.setattr(ColumnSegment, method, spy)
     result = db.executor.execute(plan)
     monkeypatch.undo()
 
@@ -233,3 +246,51 @@ def test_text_group_keys_come_from_segment_dictionaries(
     # value by value: exactly their rows that pass the WHERE clause.
     rest = _mixed_text_rows()[3 * SEG:]
     assert sum(seen) == sum(1 for k, v, __ in rest if keep(k, v))
+    # The key's dictionary segments are never decoded or taken from.
+    text_dicts = [g.segments["t"] for g in db.catalog.table("s").row_groups()
+                  if g.segments["t"].encoding == "dict"]
+    assert len(text_dicts) == 3
+    assert not [s for s in read if any(s is d for d in text_dicts)]
+
+
+@pytest.mark.parametrize("where", [
+    "",  # the NULL group's MIN compares None with None: both raise
+    " WHERE s.k != 2 AND s.v < 80.0",  # no NULL row survives
+])
+def test_text_key_also_an_aggregate_input_is_gathered(mixed_text_db, where):
+    db = mixed_text_db
+    sql = "SELECT s.t, MIN(s.t), COUNT(*) FROM s%s GROUP BY s.t" % where
+    plan = db.pipeline.prepare_sql(sql).plan
+    reference = ReferenceExecutor(db.catalog, db.cost_model)
+    try:
+        expected = reference.execute(plan)
+    except TypeError:
+        with pytest.raises(TypeError, match="NoneType"):
+            db.executor.execute(plan)
+        return
+    result = db.executor.execute(plan)
+    assert result.telemetry.fused_ops
+    assert_matches_reference(result, expected, sql)
+    assert [r[0] for r in result.rows] == [r[1] for r in result.rows]
+    assert len(result.rows) > 10
+
+
+@pytest.mark.parametrize("first, second", [(-0.0, 0.0), (0.0, -0.0)])
+def test_float_key_returns_its_first_rows_value_bit_for_bit(
+        mixed_text_db, first, second):
+    """0.0 and -0.0 are one group; its key is the first row's value."""
+    db = mixed_text_db
+    db.execute("CREATE TABLE z (x FLOAT, t TEXT)")
+    db.catalog.table("z").insert_rows(
+        [(first, "p")] * SEG + [(second, "q")] * SEG + [(second, "r")] * 3)
+    sql = "SELECT z.x, z.t, COUNT(*) FROM z GROUP BY z.x, z.t"
+    plan = db.pipeline.prepare_sql(sql).plan
+    result = db.executor.execute(plan)
+    reference = ReferenceExecutor(db.catalog, db.cost_model).execute(plan)
+    assert_matches_reference(result, reference, sql)
+    signs = [math.copysign(1.0, r[0]) for r in result.rows]
+    assert signs == [math.copysign(1.0, v) for v in (first, second, second)]
+    assert [r[1:] for r in result.rows] == [("p", SEG), ("q", SEG), ("r", 3)]
+    z = db.execute("SELECT z.x, COUNT(*) FROM z GROUP BY z.x").rows
+    assert len(z) == 1 and math.copysign(1.0, z[0][0]) == math.copysign(
+        1.0, first)

@@ -14,6 +14,7 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common import ExecutionError
 from repro.engine import Database
@@ -66,6 +67,50 @@ def _cases():
         ("rle-text-nulls", sorted_text, DataType.TEXT, "rle"),
         ("plain-float-nan", nan_float, DataType.FLOAT, "plain"),
     ]
+
+
+RANGE_OPS = ("<", "<=", ">", ">=")
+
+#: Per type: the values a generated column draws from (NULL and NaN
+#: included) and a literal of another type, which ``=``/``!=`` compare
+#: as unequal and a range comparison refuses.
+_POOLS = {
+    DataType.INT: ([-3, -1, 0, 2, 5], "zz"),
+    DataType.FLOAT: ([-1.5, -0.0, 0.0, 0.5, 2.0, float("inf"),
+                      float("nan")], "zz"),
+    DataType.TEXT: (["a", "b", "bb", "c", None], 5),
+}
+
+
+@st.composite
+def _encoded_columns(draw):
+    """``(values, dtype, segment)``: 4–10 runs of 4–9 equal values from
+    at most four distinct ones, sealed as a plain, dict or RLE segment
+    (a FLOAT column holding NaN stays plain)."""
+    dtype = draw(st.sampled_from(list(_POOLS)))
+    pool = draw(st.lists(st.sampled_from(_POOLS[dtype][0]), min_size=1,
+                         max_size=4, unique_by=repr))
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool),
+                                   st.integers(4, 9)),
+                         min_size=4, max_size=10))
+    arr = np.empty(sum(n for __, n in runs), dtype=dtype.numpy_dtype)
+    arr[:] = [v for v, n in runs for __ in range(n)]
+    encoding = draw(st.sampled_from(("plain", "dict", "rle")))
+    seg = ColumnSegment.encode(arr, dtype, allowed=(encoding,))
+    nan = dtype is DataType.FLOAT and bool(np.isnan(arr).any())
+    assert seg.encoding == ("plain" if nan else encoding)
+    return arr, dtype, seg
+
+
+def _predicates(dtype):
+    """One ``(op, literal)``: the literal is a pool value, a value between
+    pool values, or of another type."""
+    values, other = _POOLS[dtype]
+    if dtype is DataType.TEXT:
+        literals = [v for v in values if v is not None] + ["ab", other]
+    else:
+        literals = values + [1.25, -2, other]
+    return st.tuples(st.sampled_from(list(OPS)), st.sampled_from(literals))
 
 
 class TestEncodings:
@@ -168,7 +213,7 @@ class TestMaskParity:
                       for v in (mid, float(arr[0]), -1e9)]
         for op, value in probes:
             np.testing.assert_array_equal(
-                seg.mask(op, value), _flat_mask(arr, op, value),
+                seg.mask([(op, value)]), _flat_mask(arr, op, value),
                 err_msg="%s %s %r" % (label, op, value),
             )
 
@@ -179,7 +224,28 @@ class TestMaskParity:
         with pytest.raises(TypeError):
             _flat_mask(text, "<", "b")
         with pytest.raises(TypeError):
-            seg.mask("<", "b")
+            seg.mask([("<", "b")])
+
+    @settings(max_examples=400, deadline=None)
+    @given(_encoded_columns(), st.data())
+    def test_conjunction_mask_equals_and_of_flat(self, column, data):
+        """One column's conjunction, evaluated once in dictionary/run
+        space, is the AND of the flat evaluations — or raises
+        ``TypeError`` exactly where one of them does."""
+        arr, dtype, seg = column
+        preds = data.draw(st.lists(_predicates(dtype), min_size=1,
+                                   max_size=3))
+        try:
+            expected = np.logical_and.reduce(
+                [_flat_mask(arr, op, value) for op, value in preds])
+        except TypeError:
+            with pytest.raises(TypeError):
+                seg.mask(preds)
+            return
+        null_range = (dtype is DataType.TEXT and None in arr.tolist()
+                      and any(op in RANGE_OPS for op, __ in preds))
+        assert not null_range  # a NULL-bearing TEXT range always raises
+        np.testing.assert_array_equal(seg.mask(preds), expected)
 
 
 def _table(segment_rows=16, segment_encodings=None):
@@ -395,3 +461,28 @@ class TestExplainAnalyzeCounters:
         wide = db.explain_analyze("SELECT id, v, tag FROM t")
         assert (0 < narrow.trace.execute.bytes_decoded
                 < wide.trace.execute.bytes_decoded)
+
+    def test_scans_under_a_join_decode_only_the_columns_read(self):
+        """``f ⋈ d1`` grouped on ``d1.b``: the scans decode ``f.k``,
+        ``f.v``, ``d1.id`` and ``d1.b`` — not the full width."""
+        db = Database(segment_rows=16)
+        db.execute("CREATE TABLE f (id INT, k INT, g INT, v FLOAT, c TEXT)")
+        db.execute("CREATE TABLE d1 (id INT, a INT, b INT)")
+        db.catalog.table("f").insert_rows(
+            (i, i % 10, i % 5, i / 4.0, "c%d" % (i % 3)) for i in range(96))
+        db.catalog.table("d1").insert_rows(
+            (i, i % 4, i % 3) for i in range(10))
+        db.execute("ANALYZE")
+        res = db.explain_analyze(
+            "SELECT d1.b, COUNT(*), SUM(f.v) FROM f, d1 WHERE f.k = d1.id"
+            " AND f.g >= 1 AND f.g < 3 GROUP BY d1.b")
+        read = {"f": ("k", "v"), "d1": ("id", "b")}
+        expected = full = 0
+        for name, columns in read.items():
+            for g in db.catalog.table(name).row_groups():
+                expected += sum(g.segments[c].encoded_bytes()
+                                for c in columns)
+                full += sum(s.encoded_bytes() for s in g.segments.values())
+        assert res.trace.execute.segments_pruned == 0
+        assert res.trace.execute.bytes_decoded == expected < full
+        assert "(%d bytes decoded)" % expected in str(res)
