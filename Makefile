@@ -24,7 +24,7 @@ lint:
 # engine count is a ratchet: above ENGINE_LOC_MAX the target (and CI's
 # "Engine line count" step) fails, so growing engine/ is a reviewed
 # one-line edit here; lower it whenever a PR shrinks the engine.
-ENGINE_LOC_MAX := 11582
+ENGINE_LOC_MAX := 11635
 loc:
 	@engine=$$(find src/repro/engine -name '*.py' | xargs cat | wc -l); \
 	printf 'engine %s\n' $$engine; \
@@ -59,13 +59,15 @@ test-concurrency:
 
 # Optimizer battery (slow variants included): plan selection (hint-set
 # arms, UES bounds, bandit/pessimistic selectors, regret caps), the
-# classic optimizer suite, cardinality feedback, and the selector-race
-# fuzz arm (three selectors vs the cost oracle on random catalogs).
+# classic optimizer suite, cardinality feedback, the planning memo and
+# bisect histogram parity, and the selector-race fuzz arm (three
+# selectors vs the cost oracle on random catalogs).
 test-optimizer:
 	python -m pytest \
 		tests/test_engine_plan_selection.py \
 		tests/test_engine_optimizer.py \
 		tests/test_engine_feedback.py \
+		tests/test_engine_plan_memo.py \
 		tests/test_engine_fuzz_differential.py::test_fuzz_selector_race \
 		-q -m ''
 

@@ -19,10 +19,18 @@ so planners can swap estimators freely.
 import numpy as np
 
 from repro.common import ensure_rng
+from repro.engine.operators.base import OPS
 
 
 class CardinalityEstimator:
-    """Abstract estimator interface used by the planner and enumerators."""
+    """Abstract estimator interface used by the planner and enumerators.
+
+    An estimator must be a pure function of the induced sub-query — the
+    requested tables in ``query.tables`` order, their predicates and the
+    edges inside them (``feedback.induced_subquery``) — under a fixed
+    catalog: the planner memoizes answers per planning call by that
+    identity (:meth:`planning_scope`).
+    """
 
     def estimate_table(self, query, table):
         """Estimated rows of ``table`` after the query's local predicates."""
@@ -32,9 +40,53 @@ class CardinalityEstimator:
         """Estimated join-result rows over ``tables`` (iterable of names)."""
         raise NotImplementedError
 
+    def planning_scope(self, query):
+        """A fresh :class:`EstimateMemo` over this estimator for one
+        planning call of ``query``."""
+        return EstimateMemo(self, query)
+
+
+class EstimateMemo:
+    """One planning call's estimates, shared by all its arms: each induced
+    sub-query is asked once. A call on the root ``query`` is keyed by its
+    lower-cased table set; a query view adds its ``memo_overrides(tables)``
+    (tables whose predicates differ from the root's). Table and subset
+    answers are kept apart; exceptions are not cached. ``table_product``
+    answers subset misses from this memo's table answers."""
+
+    def __init__(self, estimator, query, table_product=None):
+        self.estimator = estimator
+        self._query = query
+        self._product = table_product
+        self._tables, self._subsets = {}, {}
+
+    def _key(self, query, tables, key):
+        if query is self._query:
+            return key
+        diff = query.memo_overrides(tables)
+        return (key, diff) if diff else key
+
+    def estimate_table(self, query, table):
+        key = self._key(query, (table,), table.lower())
+        if key not in self._tables:
+            self._tables[key] = self.estimator.estimate_table(query, table)
+        return self._tables[key]
+
+    def estimate_subset(self, query, tables):
+        key = self._key(query, tables, frozenset(t.lower() for t in tables))
+        if key not in self._subsets:
+            self._subsets[key] = (
+                self.estimator.estimate_subset(query, tables)
+                if self._product is None
+                else self._product(query, tables, self.estimate_table))
+        return self._subsets[key]
+
 
 class TraditionalEstimator(CardinalityEstimator):
     """Histogram + independence estimator (the System-R rules).
+
+    In a planning call the per-table factors of :meth:`_product` come
+    from the call's memo, so each table is estimated once.
 
     Args:
         catalog: catalog providing per-table statistics.
@@ -42,6 +94,9 @@ class TraditionalEstimator(CardinalityEstimator):
 
     def __init__(self, catalog):
         self.catalog = catalog
+
+    def planning_scope(self, query):
+        return EstimateMemo(self, query, table_product=self._product)
 
     def _predicate_selectivity(self, pred):
         stats = self.catalog.stats(pred.table)
@@ -72,12 +127,17 @@ class TraditionalEstimator(CardinalityEstimator):
         return 1.0 / max(ndv_left, ndv_right, 1)
 
     def estimate_subset(self, query, tables):
+        return self._product(query, tables, self.estimate_table)
+
+    def _product(self, query, tables, table_rows):
+        """``table_rows(query, t)`` over ``tables`` in ``query.tables``
+        order, times each inner edge's selectivity in edge order."""
         tables = [t for t in query.tables if t.lower() in {x.lower() for x in tables}]
         if not tables:
             return 0.0
         rows = 1.0
         for t in tables:
-            rows *= self.estimate_table(query, t)
+            rows *= table_rows(query, t)
         subset = {t.lower() for t in tables}
         for edge in query.join_edges:
             if edge.left_table.lower() in subset and edge.right_table.lower() in subset:
@@ -122,29 +182,18 @@ class SamplingEstimator(CardinalityEstimator):
         return self._samples[key]
 
     @staticmethod
-    def _apply_pred(mask, cols, pred):
-        arr = cols[pred.column.lower()]
-        op = pred.op
-        v = pred.value
-        if op == "=":
-            return mask & (arr == v)
-        if op == "!=":
-            return mask & (arr != v)
-        if op == "<":
-            return mask & (arr < v)
-        if op == "<=":
-            return mask & (arr <= v)
-        if op == ">":
-            return mask & (arr > v)
-        return mask & (arr >= v)
+    def _mask(query, table, cols, n_sample):
+        """Which sampled rows of ``table`` pass the query's predicates."""
+        mask = np.ones(n_sample, dtype=bool)
+        for pred in query.predicates_on(table):
+            mask = mask & OPS[pred.op](cols[pred.column.lower()], pred.value)
+        return mask
 
     def estimate_table(self, query, table):
         cols, n_total, n_sample = self._sample(table)
         if n_sample == 0:
             return 0.0
-        mask = np.ones(n_sample, dtype=bool)
-        for pred in query.predicates_on(table):
-            mask = self._apply_pred(mask, cols, pred)
+        mask = self._mask(query, table, cols, n_sample)
         return float(mask.sum()) / n_sample * n_total
 
     def estimate_subset(self, query, tables):
@@ -157,9 +206,7 @@ class SamplingEstimator(CardinalityEstimator):
         scale = 1.0
         first = names[0]
         cols, n_total, n_sample = self._sample(first)
-        mask = np.ones(n_sample, dtype=bool)
-        for pred in query.predicates_on(first):
-            mask = self._apply_pred(mask, cols, pred)
+        mask = self._mask(query, first, cols, n_sample)
         current = {
             (first.lower(), cname): arr[mask] for cname, arr in cols.items()
         }
@@ -174,9 +221,7 @@ class SamplingEstimator(CardinalityEstimator):
                 if not edges:
                     continue
                 cols_t, n_total_t, n_sample_t = self._sample(t)
-                mask_t = np.ones(n_sample_t, dtype=bool)
-                for pred in query.predicates_on(t):
-                    mask_t = self._apply_pred(mask_t, cols_t, pred)
+                mask_t = self._mask(query, t, cols_t, n_sample_t)
                 right = {c: a[mask_t] for c, a in cols_t.items()}
                 edge = edges[0]
                 if edge.left_table.lower() in joined:

@@ -186,6 +186,7 @@ class _SinglePredicateView:
         self._predicates = list(predicates)
         self.tables = query.tables
         self.join_edges = query.join_edges
+        self._override = None
 
     @property
     def predicates(self):
@@ -195,6 +196,17 @@ class _SinglePredicateView:
         if table.lower() == self._table:
             return list(self._predicates)
         return self._query.predicates_on(table)
+
+    def memo_overrides(self, tables):
+        """The planning memo's key part, built once: ``((table, predicate
+        keys),)`` when this view's predicates differ from the query's."""
+        override = self._override
+        if override is None:
+            preds = self._predicates
+            override = self._override = () if preds == self._query.predicates_on(
+                self._table) else ((self._table, tuple(p.key() for p in preds)),)
+        mine = override and any(t.lower() == self._table for t in tables)
+        return override if mine else ()
 
     def signature(self):
         return (

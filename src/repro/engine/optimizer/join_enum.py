@@ -32,16 +32,13 @@ def order_cost(query, order, estimator, cost_model):
         raise PlanError("order must cover exactly the query's tables")
     total = 0.0
     first = order[0]
+    bare = _NoPredicateView(query)
     current_rows = estimator.estimate_table(query, first)
-    total += cost_model.seq_scan(
-        estimator.estimate_subset(_no_predicates(query), [first])
-    )
+    total += cost_model.seq_scan(estimator.estimate_subset(bare, [first]))
     joined = [first]
     for t in order[1:]:
         right_rows = estimator.estimate_table(query, t)
-        total += cost_model.seq_scan(
-            estimator.estimate_subset(_no_predicates(query), [t])
-        )
+        total += cost_model.seq_scan(estimator.estimate_subset(bare, [t]))
         out_rows = estimator.estimate_subset(query, joined + [t])
         edges = query.edges_between(joined, t)
         if edges:
@@ -66,12 +63,14 @@ class _NoPredicateView:
     def predicates_on(self, table):
         return []
 
+    def memo_overrides(self, tables):
+        """The planning memo's key part: ``(table, ())`` for each of
+        ``tables`` the query filters."""
+        return tuple(sorted((t.lower(), ()) for t in tables
+                            if self._query.predicates_on(t)))
+
     def signature(self):
         return (self._query.signature(), "__nopred__")
-
-
-def _no_predicates(query):
-    return _NoPredicateView(query)
 
 
 def dp_left_deep(query, estimator, cost_model):
@@ -90,15 +89,9 @@ def dp_left_deep(query, estimator, cost_model):
     index = {t.lower(): i for i, t in enumerate(tables)}
     # best[frozenset of indices] = (cost_without_scans, rows, order tuple)
     best = {}
-    rows_cache = {}
-
-    def filtered_rows(i):
-        if i not in rows_cache:
-            rows_cache[i] = estimator.estimate_table(query, tables[i])
-        return rows_cache[i]
-
     for i in range(n):
-        best[frozenset([i])] = (0.0, filtered_rows(i), (tables[i],))
+        best[frozenset([i])] = (
+            0.0, estimator.estimate_table(query, tables[i]), (tables[i],))
 
     adjacency = [set() for _ in range(n)]
     for e in query.join_edges:
@@ -122,7 +115,7 @@ def dp_left_deep(query, estimator, cost_model):
                 out_rows = estimator.estimate_subset(
                     query, [tables[k] for k in new_set]
                 )
-                right_rows = filtered_rows(j)
+                right_rows = estimator.estimate_table(query, tables[j])
                 if j in connected:
                     __, join_cost = cost_model.choose_join(
                         rows_s, right_rows, out_rows
@@ -142,6 +135,21 @@ def dp_left_deep(query, estimator, cost_model):
     return order, order_cost(query, order, estimator, cost_model)
 
 
+def _grow(query, first, pick, connected=True):
+    """A left-deep order from ``first``: ``pick(order, pool)`` chooses each
+    next table among those adjacent to the prefix (among all remaining
+    ones when none is, or when not ``connected``)."""
+    order = [first]
+    remaining = [t for t in query.tables if t.lower() != first.lower()]
+    while remaining:
+        adjacent = [t for t in remaining
+                    if connected and query.edges_between(order, t)]
+        nxt = pick(order, adjacent or remaining)
+        order.append(nxt)
+        remaining.remove(nxt)
+    return order
+
+
 def greedy_order(query, estimator, cost_model):
     """Greedy left-deep order: start at the smallest filtered table, then
     repeatedly join the adjacent table minimizing the intermediate size.
@@ -149,22 +157,9 @@ def greedy_order(query, estimator, cost_model):
     Returns:
         ``(order, cost)``.
     """
-    tables = list(query.tables)
-    remaining = {t.lower(): t for t in tables}
-    start = min(tables, key=lambda t: estimator.estimate_table(query, t))
-    order = [start]
-    del remaining[start.lower()]
-    while remaining:
-        adjacent = [
-            t for t in remaining.values() if query.edges_between(order, t)
-        ]
-        pool = adjacent if adjacent else list(remaining.values())
-        nxt = min(
-            pool,
-            key=lambda t: estimator.estimate_subset(query, order + [t]),
-        )
-        order.append(nxt)
-        del remaining[nxt.lower()]
+    start = min(query.tables, key=lambda t: estimator.estimate_table(query, t))
+    order = _grow(query, start, lambda order, pool: min(
+        pool, key=lambda t: estimator.estimate_subset(query, order + [t])))
     return order, order_cost(query, order, estimator, cost_model)
 
 
@@ -175,18 +170,8 @@ def random_order(query, estimator, cost_model, seed=None, connected=True):
         ``(order, cost)``.
     """
     rng = ensure_rng(seed)
-    tables = list(query.tables)
-    remaining = {t.lower(): t for t in tables}
-    first = tables[int(rng.integers(0, len(tables)))]
-    order = [first]
-    del remaining[first.lower()]
-    while remaining:
-        pool = list(remaining.values())
-        if connected:
-            adjacent = [t for t in pool if query.edges_between(order, t)]
-            if adjacent:
-                pool = adjacent
-        nxt = pool[int(rng.integers(0, len(pool)))]
-        order.append(nxt)
-        del remaining[nxt.lower()]
+    tables = query.tables
+    order = _grow(query, tables[int(rng.integers(0, len(tables)))],
+                  lambda order, pool: pool[int(rng.integers(0, len(pool)))],
+                  connected)
     return order, order_cost(query, order, estimator, cost_model)

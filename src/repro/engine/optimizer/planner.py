@@ -10,6 +10,11 @@ components replace:
 
 That pluggability is the point: every AI4DB optimization experiment is
 "swap one axis, hold the rest fixed, measure executed work".
+
+Each planning call wraps the estimator in one
+:class:`~repro.engine.optimizer.cardinality.EstimateMemo`, shared by every
+arm's enumerator, access paths, assembly and cost annotation, so
+``optimizer.plan.ms`` pays each distinct sub-query estimate once.
 """
 
 from repro.common import CatalogError, PlanError
@@ -87,22 +92,26 @@ class Planner:
         ``use_indexes`` overrides access-path selection. An explicit
         ``order`` beats the strategy.
         """
+        return self._plan(query, hints, order,
+                          self.estimator.planning_scope(query))
+
+    def _plan(self, query, hints, order, memo):
         if query.limit == 0:
             plan = P.EmptyResult(self._output_columns(query))
-            self.cost_model.annotate(plan, self.estimator, query)
+            self.cost_model.annotate(plan, memo, query)
             return plan
         view_match = self.catalog.matching_view(query) if self.use_views else None
         if view_match is not None:
             view, residual = view_match
             plan = P.ViewScan(view, residual)
             plan = self._finalize(plan, query)
-            self.cost_model.annotate(plan, self.estimator, query)
+            self.cost_model.annotate(plan, memo, query)
             return plan
         if order is None:
-            order = self._hint_order(query, hints)
+            order = self._hint_order(query, hints, memo)
         elif {t.lower() for t in order} != {t.lower() for t in query.tables}:
             raise PlanError("explicit order must cover the query's tables")
-        return self._assemble(query, order, use_indexes=hints.use_indexes)
+        return self._assemble(query, order, memo, use_indexes=hints.use_indexes)
 
     def plan_candidates(self, query, arms, order=None):
         """One :class:`~repro.engine.optimizer.hints.PlanCandidate` per arm.
@@ -110,14 +119,16 @@ class Planner:
         Each candidate carries the arm's plan and the cost model's
         estimate for it; the UES arm additionally carries its pessimistic
         :func:`~repro.engine.optimizer.ues.bound_cost` guarantee (the
-        regret guard's anchor). Unknown tables surface as
+        regret guard's anchor). All arms share one estimate memo, which
+        is dropped when the call returns. Unknown tables surface as
         :class:`~repro.common.CatalogError` — never a raw ``KeyError`` —
         so dropped-table races fail uniformly across all selectors.
         """
+        memo = self.estimator.planning_scope(query)
         candidates = []
         for hints in arms:
             try:
-                plan = self.plan_with_hints(query, hints, order=order)
+                plan = self._plan(query, hints, order, memo)
             except KeyError as exc:  # defensive: unify on CatalogError
                 raise CatalogError(
                     "planning failed for arm %r: unknown catalog object %s"
@@ -137,37 +148,21 @@ class Planner:
             ))
         return candidates
 
-    def _hint_order(self, query, hints):
+    def _hint_order(self, query, hints, memo):
         """The left-deep order a hint set's join-order strategy produces."""
         if len(query.tables) == 1:
             return [query.tables[0]]
         strategy = hints.join_order
         if strategy == "ues":
-            order, __ = ues_order(self.catalog, query)
-            return order
-        if strategy == "greedy":
-            order, __ = greedy_order(query, self.estimator, self.cost_model)
-            return order
+            return ues_order(self.catalog, query)[0]
         if strategy == "exhaustive":
-            if len(query.tables) <= EXHAUSTIVE_MAX_TABLES:
-                order, __ = dp_left_deep(
-                    query, self.estimator, self.cost_model
-                )
-            else:
-                order, __ = greedy_order(
-                    query, self.estimator, self.cost_model
-                )
-            return order
-        # "default": whatever this planner is configured with.
-        if self.enumerator == "random":
-            order, __ = random_order(
-                query, self.estimator, self.cost_model, seed=self.seed
-            )
-        else:
-            order, __ = _ENUMERATORS[self.enumerator](
-                query, self.estimator, self.cost_model
-            )
-        return order
+            strategy = ("dp" if len(query.tables) <= EXHAUSTIVE_MAX_TABLES
+                        else "greedy")
+        elif strategy == "default":  # whatever this planner is configured with
+            strategy = self.enumerator
+        if strategy == "random":
+            return random_order(query, memo, self.cost_model, seed=self.seed)[0]
+        return _ENUMERATORS[strategy](query, memo, self.cost_model)[0]
 
     @staticmethod
     def _plan_cost(plan):
@@ -177,20 +172,20 @@ class Planner:
                 return max(1.0, float(value))
         return 1.0
 
-    def _assemble(self, query, order, use_indexes=None):
+    def _assemble(self, query, order, memo, use_indexes=None):
         """Access paths + left-deep joins + finalize + cost annotation.
 
         ``use_indexes=None`` inherits the planner's setting.
         """
-        plan = self._access_path(query, order[0], use_indexes=use_indexes)
+        plan = self._access_path(query, order[0], memo, use_indexes)
         joined = [order[0]]
         for t in order[1:]:
-            right = self._access_path(query, t, use_indexes=use_indexes)
+            right = self._access_path(query, t, memo, use_indexes)
             edges = query.edges_between(joined, t)
             if edges:
-                left_rows = self.estimator.estimate_subset(query, joined)
-                right_rows = self.estimator.estimate_table(query, t)
-                out_rows = self.estimator.estimate_subset(query, joined + [t])
+                left_rows = memo.estimate_subset(query, joined)
+                right_rows = memo.estimate_table(query, t)
+                out_rows = memo.estimate_subset(query, joined + [t])
                 kind, __ = self.cost_model.choose_join(
                     left_rows, right_rows, out_rows
                 )
@@ -202,11 +197,11 @@ class Planner:
                 plan = P.CrossJoin(plan, right)
             joined.append(t)
         plan = self._finalize(plan, query)
-        self.cost_model.annotate(plan, self.estimator, query)
+        self.cost_model.annotate(plan, memo, query)
         return plan
 
     # ------------------------------------------------------------------
-    def _access_path(self, query, table, use_indexes=None):
+    def _access_path(self, query, table, memo, use_indexes=None):
         """Choose SeqScan vs IndexScan for one base table.
 
         ``use_indexes`` overrides the planner-level setting per call (the
@@ -230,7 +225,7 @@ class Planner:
                 continue
             if idx.kind == "hash" and pred.op != "=":
                 continue
-            matching = self.estimator.estimate_table(
+            matching = memo.estimate_table(
                 _SinglePredicateView(query, table, [pred]), table
             )
             if best is None or matching < best[0]:

@@ -43,6 +43,7 @@ guard compares learned arms against.
 import math
 
 from repro.common import CatalogError, PlanError
+from repro.engine.optimizer.cardinality import CardinalityEstimator
 
 
 def max_frequency(catalog, table, column):
@@ -203,7 +204,7 @@ def bound_cost(catalog, query, cost_model, order=None, bounds=None):
     return order, bounds, total
 
 
-class UpperBoundEstimator:
+class UpperBoundEstimator(CardinalityEstimator):
     """A :class:`~repro.engine.optimizer.cardinality.CardinalityEstimator`
     view of the UES bounds — answers every subset query with its bound.
 

@@ -275,8 +275,9 @@ def choose_encoding(arr, dtype, allowed=DEFAULT_ENCODINGS):
 
     Rules (first match wins):
 
-    * FLOAT segments containing NaN stay ``plain`` — NaN breaks the
-      equality semantics both dictionary and run-length rely on.
+    * FLOAT segments containing NaN, or both ``0.0`` and ``-0.0``, stay
+      ``plain`` — dictionary and run-length both rely on equality, which
+      NaN breaks and which cannot tell the two zeros apart.
     * ``"rle"`` when the average run length is at least
       :data:`MIN_AVG_RUN` (sorted/constant stretches).
     * ``"dict"`` when the distinct count is at most a quarter of the
@@ -288,8 +289,11 @@ def choose_encoding(arr, dtype, allowed=DEFAULT_ENCODINGS):
     n = len(arr)
     if n == 0:
         return "plain"
-    if dtype is DataType.FLOAT and bool(np.isnan(arr).any()):
-        return "plain"
+    if dtype is DataType.FLOAT:
+        zero_signs = np.signbit(arr[arr == 0])
+        if bool(np.isnan(arr).any()) or (
+                zero_signs.any() and not zero_signs.all()):
+            return "plain"
     if "rle" in allowed:
         n_runs = len(_run_bounds(arr))
         if n / max(1, n_runs) >= MIN_AVG_RUN:

@@ -64,7 +64,8 @@ def tokenize(text):
     """Tokenize SQL text into a list of :class:`Token` ending with EOF.
 
     Raises:
-        ParseError: on unterminated strings or unexpected characters.
+        ParseError: on unterminated strings, malformed numbers or
+            unexpected characters.
     """
     tokens = []
     i = 0
@@ -101,7 +102,10 @@ def tokenize(text):
                 else:
                     break
             raw = text[start:i]
-            value = float(raw) if (seen_dot or seen_exp) else int(raw)
+            try:
+                value = float(raw) if (seen_dot or seen_exp) else int(raw)
+            except ValueError:  # "1e+", or a digit int() rejects ("²")
+                raise ParseError("malformed number %r" % raw, start) from None
             tokens.append(Token(TokenType.NUMBER, value, start))
             continue
         if ch == "'":

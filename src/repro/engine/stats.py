@@ -7,7 +7,9 @@ independence across predicates — because those assumptions are exactly what
 the learned approaches the tutorial surveys were built to fix.
 """
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,16 +25,25 @@ class EquiDepthHistogram:
     and the histogram covers only the residual distribution. Without the
     MCV list, heavy hitters collapse quantile edges and wreck both point
     and range estimates.
+
+    Lookups bisect the ``edges`` list (non-decreasing) and the sorted MCV
+    values, reading sequential prefix sums of their counts — a bucket
+    walk's additions in its order, so results are bit-identical to one.
     """
 
     def __init__(self, edges, counts, n_distinct, mcv=None, total=None):
-        self.edges = np.asarray(edges, dtype=float)
+        self.edges = [float(e) for e in edges]
         self.counts = np.asarray(counts, dtype=float)
         if len(self.edges) != len(self.counts) + 1:
             raise CatalogError("histogram needs len(edges) == len(counts)+1")
         self.n_distinct = max(1, int(n_distinct))
         #: exact counts of the most common values (value -> count)
         self.mcv = dict(mcv or {})
+        self._mcv_keys = sorted(self.mcv)
+        self._mcv_below = list(accumulate(
+            (self.mcv[v] for v in self._mcv_keys), initial=0))
+        # 0.0, then the numpy scalars a bucket walk's accumulator holds.
+        self._below = list(accumulate(self.counts, initial=0.0))
         self._mcv_total = float(sum(self.mcv.values()))
         self._resid_total = float(self.counts.sum())
         self.total = float(total) if total is not None else (
@@ -85,32 +96,28 @@ class EquiDepthHistogram:
         """Fraction of *residual* values < x (or <= x when inclusive)."""
         if self._resid_total == 0:
             return 0.0
-        if x < self.edges[0]:
+        edges = self.edges
+        if x < edges[0]:
             return 0.0
-        if x > self.edges[-1] or (inclusive and x == self.edges[-1]):
+        if x > edges[-1] or (inclusive and x == edges[-1]):
             return 1.0
-        acc = 0.0
-        for i in range(len(self.counts)):
-            lo, hi = self.edges[i], self.edges[i + 1]
-            if x >= hi:
-                acc += self.counts[i]
-                continue
-            if x <= lo:
-                break
+        # Buckets [0, k) lie wholly at or below x, and bucket k may hold
+        # it (a NaN probe interpolates into bucket 0, as a walk would).
+        k = bisect_right(edges, x) - 1 if x == x else 0
+        acc = self._below[k]
+        if k < len(self.counts) and not x <= edges[k]:
+            lo, hi = edges[k], edges[k + 1]
             span = hi - lo
-            frac = (x - lo) / span if span > 0 else 0.5
-            acc += self.counts[i] * frac
-            break
+            acc += self.counts[k] * ((x - lo) / span if span > 0 else 0.5)
         return min(1.0, acc / self._resid_total)
 
     def _fraction_below(self, x, inclusive):
         """Estimated fraction of all values < x (or <= x when inclusive)."""
         if self.total == 0:
             return 0.0
-        mcv_below = sum(
-            c for v, c in self.mcv.items()
-            if v < x or (inclusive and v == x)
-        )
+        # MCV values < x (<= x when inclusive); none compare with NaN.
+        bisect = bisect_right if inclusive else bisect_left
+        mcv_below = self._mcv_below[bisect(self._mcv_keys, x) if x == x else 0]
         resid = self._resid_fraction_below(x, inclusive) * self._resid_total
         return min(1.0, (mcv_below + resid) / self.total)
 

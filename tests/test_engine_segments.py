@@ -86,7 +86,7 @@ _POOLS = {
 def _encoded_columns(draw):
     """``(values, dtype, segment)``: 4–10 runs of 4–9 equal values from
     at most four distinct ones, sealed as a plain, dict or RLE segment
-    (a FLOAT column holding NaN stays plain)."""
+    (a FLOAT column holding NaN, or both zeros, stays plain)."""
     dtype = draw(st.sampled_from(list(_POOLS)))
     pool = draw(st.lists(st.sampled_from(_POOLS[dtype][0]), min_size=1,
                          max_size=4, unique_by=repr))
@@ -97,8 +97,10 @@ def _encoded_columns(draw):
     arr[:] = [v for v, n in runs for __ in range(n)]
     encoding = draw(st.sampled_from(("plain", "dict", "rle")))
     seg = ColumnSegment.encode(arr, dtype, allowed=(encoding,))
-    nan = dtype is DataType.FLOAT and bool(np.isnan(arr).any())
-    assert seg.encoding == ("plain" if nan else encoding)
+    plain = dtype is DataType.FLOAT and (
+        bool(np.isnan(arr).any())
+        or len({repr(v) for v in arr.tolist() if v == 0}) == 2)
+    assert seg.encoding == ("plain" if plain else encoding)
     return arr, dtype, seg
 
 
@@ -129,6 +131,33 @@ class TestEncodings:
             assert decoded.tolist() == arr.tolist()
         ids = np.array([0, len(arr) - 1, len(arr) // 2, 1], dtype=np.int64)
         np.testing.assert_array_equal(seg.take(ids), arr[ids])
+
+    def test_mixed_signed_zeros_keep_their_sign(self):
+        arr = np.array([0.0, -0.0] * 40000 + [1.0] * 100)
+        seg = ColumnSegment.encode(arr, DataType.FLOAT)
+        assert seg.encoding == "plain"
+        assert np.signbit(seg.decode()).sum() == 40000
+        # One sign of zero alone still compresses.
+        assert ColumnSegment.encode(
+            np.array([-0.0] * 64), DataType.FLOAT).encoding == "rle"
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.lists(
+               st.tuples(st.sampled_from([0.0, -0.0, float("nan"),
+                                          float("inf"), float("-inf"), 1.5]),
+                         st.integers(1, 9)),
+               min_size=1, max_size=12),
+           allowed=st.sampled_from([("dict", "rle", "plain"), ("dict",),
+                                    ("rle",)]))
+    def test_float_round_trip_is_bit_exact(self, runs, allowed):
+        arr = np.array([v for v, n in runs for __ in range(n)])
+        seg = ColumnSegment.encode(arr, DataType.FLOAT, allowed=allowed)
+        decoded = seg.decode()
+        assert decoded.dtype == arr.dtype
+        assert decoded.view(np.int64).tolist() == arr.view(np.int64).tolist()
+        ids = np.arange(len(arr))[::-1].copy()
+        assert (seg.take(ids).view(np.int64).tolist()
+                == arr[ids].view(np.int64).tolist())
 
     def test_forced_plain(self):
         arr = np.zeros(50, dtype=np.int64)  # would pick rle by default

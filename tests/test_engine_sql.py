@@ -1,6 +1,7 @@
 """Tests for the SQL front end: lexer, parser, lowering."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common import ParseError
 from repro.engine.sql import (
@@ -56,6 +57,42 @@ class TestLexer:
         toks = tokenize("")
         assert len(toks) == 1
         assert toks[0].type is TokenType.EOF
+
+    @pytest.mark.parametrize("text, position", [
+        ("SELECT x FROM t WHERE x < 1e+", 26),
+        ("SELECT x FROM t WHERE x < 2.5e-", 26),
+        ("SELECT x FROM t WHERE x < ²", 26),
+        ("SELECT x FROM t WHERE x < 3²", 26),
+        ("SELECT x FROM t WHERE x < -1.²", 26),
+    ])
+    def test_malformed_number_is_a_parse_error(self, text, position):
+        with pytest.raises(ParseError) as err:
+            tokenize(text)
+        assert err.value.position == position
+
+    def test_malformed_number_reaches_the_session_as_engine_error(self):
+        from repro.common import EngineError
+        from repro.engine import Database
+        from repro.engine.session import AuditLog
+
+        db = Database()
+        db.execute("CREATE TABLE t (x INT)")
+        audit = AuditLog()
+        session = db.session(audit=audit)
+        with pytest.raises(EngineError):
+            session.execute("SELECT x FROM t WHERE x < 1e+")
+        assert audit.records()[-1].status == "error"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789²³٣.eE+- x", max_size=12))
+    def test_numeric_text_tokenizes_or_raises_parse_error(self, text):
+        try:
+            toks = tokenize(text)
+        except ParseError:
+            return
+        for tok in toks:
+            if tok.type is TokenType.NUMBER:
+                assert isinstance(tok.value, (int, float))
 
 
 class TestParserSelect:
