@@ -9,13 +9,14 @@ group count *before* any LIMIT — so per-node actual-row telemetry is
 identical whether the aggregate ran standalone or absorbed into a fused
 tail.
 
-Group output order is first-appearance order of each key among input
-rows (a stable sort of the dense key codes recovers it).
+Rows are never sorted: each aggregate folds per group code in row order
+(:func:`~repro.engine.operators.kernels.group_reduce`); groups come out
+in first-appearance order. FLOAT ``SUM``/``AVG``, grouped or global, add
+left to right from 0.0 — the reference executor's fold, bit for bit.
 """
 
 import numpy as np
 
-from repro.common import ExecutionError
 from repro.engine import plans as P
 from repro.engine.operators.base import (
     ColumnarRelation,
@@ -23,7 +24,7 @@ from repro.engine.operators.base import (
     register,
 )
 from repro.engine.operators.kernels import (
-    factorize, segment_reduce, stable_code_order)
+    factorize, first_rows, group_reduce)
 
 
 def output_columns(node):
@@ -34,38 +35,23 @@ def output_columns(node):
 
 
 def global_aggregate(agg, arr, n):
-    """One global aggregate value over a full column (or ``None``)."""
+    """One global aggregate value over a full column (``None`` for all
+    but ``COUNT`` over no rows): :func:`group_reduce` over one group, so
+    global and grouped aggregates share one fold."""
     if agg.func == "count":
         return n
     if n == 0:
         return None
-    if arr.dtype == object:
-        col = arr.tolist()
-        if agg.func == "sum":
-            return sum(col)
-        if agg.func == "avg":
-            return sum(col) / len(col)
-        if agg.func == "min":
-            return min(col)
-        if agg.func == "max":
-            return max(col)
-    else:
-        if agg.func == "sum":
-            return arr.sum()
-        if agg.func == "avg":
-            return arr.sum() / n
-        if agg.func == "min":
-            return arr.min()
-        if agg.func == "max":
-            return arr.max()
-    raise ExecutionError("unknown aggregate %r" % (agg.func,))
+    return group_reduce(agg.func, arr, np.zeros(n, dtype=np.uint8),
+                        np.array([n]), np.array([0]))[0]
 
 
 def aggregate_columnar(ctx, node, child, key_codes=None):
     """Grouped/global aggregation over ``child``. ``key_codes`` may give,
     per GROUP BY key, ``(codes, dictionary)`` computed already (equal
-    values, equal codes; ``dictionary[code]`` is output in place of the
-    column, which ``child`` need not hold) or ``None``."""
+    values, equal codes, not necessarily dense; ``dictionary[code]`` is
+    output in place of the column, which ``child`` need not hold) or
+    ``None``. One coded key is grouped on its codes as they are."""
     n = len(child)
     key_pos = [child.col_pos(t, c) for t, c in node.group_by]
     agg_pos = [
@@ -76,21 +62,13 @@ def aggregate_columnar(ctx, node, child, key_codes=None):
     if not key_pos:
         # Global aggregate: always exactly one output row, even on empty
         # input (count -> 0, other aggregates -> None).
-        values = []
-        for agg, pos in zip(node.aggregates, agg_pos):
-            values.append(
-                global_aggregate(
-                    agg, None if pos is None else child.arrays[pos], n
-                )
-            )
         arrays = []
-        for v in values:
-            if v is None:
-                a = np.empty(1, dtype=object)
-                a[0] = None
-            else:
-                a = np.asarray([v])
-            arrays.append(a)
+        for agg, pos in zip(node.aggregates, agg_pos):
+            v = global_aggregate(
+                agg, None if pos is None else child.arrays[pos], n)
+            # An empty object array holds None.
+            arrays.append(np.empty(1, dtype=object) if v is None
+                          else np.asarray([v]))
         ctx.charge(node, ctx.cost_model.aggregate(n, 1))
         ctx.count(node, 1)
         return ColumnarRelation(columns, arrays, n_rows=1)
@@ -100,30 +78,26 @@ def aggregate_columnar(ctx, node, child, key_codes=None):
         arrays = [np.empty(0, dtype=object) for __ in columns]
         return ColumnarRelation(columns, arrays, n_rows=0)
     coded = key_codes or [None] * len(key_pos)
-    codes = factorize([
-        child.arrays[p] if c is None else c[0]
-        for p, c in zip(key_pos, coded)
-    ])
-    order = stable_code_order(codes)
-    counts = np.bincount(codes)  # dense codes: every group is non-empty
-    seg_starts = np.cumsum(counts) - counts
-    first_rows = order[seg_starts]  # stable sort -> global first occurrence
-    group_rank = np.argsort(first_rows, kind="stable")  # appearance order
-    firsts = first_rows[group_rank]
+    if len(coded) == 1 and coded[0] is not None:
+        codes = coded[0][0]  # grouped on the given codes, dense or not
+    else:
+        codes = factorize([child.arrays[p] if c is None else c[0]
+                           for p, c in zip(key_pos, coded)])
+    counts = np.bincount(codes)
+    first = first_rows(codes, counts)
+    present = np.flatnonzero(counts)
+    groups = present[np.argsort(first[present])]  # appearance order
+    firsts = first[groups]
     key_arrays = [
         child.arrays[p][firsts] if c is None else c[1].take(c[0][firsts])
         for p, c in zip(key_pos, coded)
     ]
-    agg_arrays = []
-    for agg, pos in zip(node.aggregates, agg_pos):
-        if agg.func == "count":
-            vals = counts
-        else:
-            vals = segment_reduce(
-                agg.func, child.arrays[pos][order], seg_starts, counts
-            )
-        agg_arrays.append(np.asarray(vals)[group_rank])
-    n_groups = len(counts)
+    agg_arrays = [
+        group_reduce(agg.func, None if pos is None else child.arrays[pos],
+                     codes, counts, first)[groups]
+        for agg, pos in zip(node.aggregates, agg_pos)
+    ]
+    n_groups = len(groups)
     ctx.charge(node, ctx.cost_model.aggregate(n, n_groups))
     ctx.count(node, n_groups)
     return ColumnarRelation(columns, key_arrays + agg_arrays, n_rows=n_groups)

@@ -11,7 +11,8 @@ segments. A TEXT GROUP BY key is never gathered from its dict segments:
 it is coded from their dictionaries, and each group outputs the entry
 that coded it — equal TEXT values (``str``/``None``) are identical, so
 that is the group's first-row value. Its other segments are gathered to
-be coded row by row, and a key an aggregate reads is gathered whole.
+be coded row by row, and a key an aggregate reads is gathered whole. An
+INT key is coded from dictionaries only if every surviving segment has one.
 Work is charged through the absorbed operator nodes with
 the same cardinalities and in the same order as operator-at-a-time
 evaluation of the unfused plan, so ``work``/``operator_work`` are
@@ -36,6 +37,7 @@ from repro.engine.operators.base import (
 )
 from repro.engine.operators.kernels import (
     agg_input_columns,
+    column_codes,
     factorize,
     predicate_mask,
 )
@@ -144,12 +146,12 @@ def _lazy_scan_shape(table, n_rows):
 
 def _segment_codes(table, survivors, key, values=None):
     """``((codes, dictionary), decoded)`` of TEXT column ``key`` over the
-    surviving rows: int codes (not dense), the value each code stands
-    for, and ``(bytes, seconds)`` decoded. A dict segment costs one hash
-    lookup per dictionary entry and is never decoded; any other segment
-    costs one per row of ``values`` (the column gathered over the
-    survivors) or, without it, of its rows gathered here. One numbering
-    spans all segments, so equality is dict equality throughout."""
+    surviving rows: narrow unsigned codes (not dense), the value each
+    code stands for, and ``(bytes, seconds)`` decoded. A dict segment
+    costs one hash lookup per dictionary entry and is never decoded; any
+    other segment costs one per row of ``values`` (the column gathered
+    over the survivors) or, without it, of its rows gathered here. One
+    numbering spans all segments, so equality is dict equality."""
     seen = {}
     parts = []
     start = nbytes = seconds = 0
@@ -157,11 +159,11 @@ def _segment_codes(table, survivors, key, values=None):
         seg = g.segments[key]
         stop = start + (g.n_rows if ids is None else len(ids))
         if seg.encoding == "dict":
-            remap = np.array([seen.setdefault(v, len(seen))
-                              for v in seg.dictionary.tolist()],
-                             dtype=np.int64)
-            parts.append(remap.take(
-                seg.codes if ids is None else seg.codes.take(ids)))
+            remap = [seen.setdefault(v, len(seen))
+                     for v in seg.dictionary.tolist()]
+            rows = seg.codes if ids is None else seg.codes.take(ids)
+            narrow = np.min_scalar_type(len(seen))
+            parts.append(np.array(remap, dtype=narrow).take(rows))
         else:
             if values is None:
                 (part,), (nb, dt) = gather(table, [(g, ids)], [key])
@@ -169,12 +171,31 @@ def _segment_codes(table, survivors, key, values=None):
                 seconds += dt
             else:
                 part = values[start:stop]
-            parts.append(object_codes(part, seen))
+            rows = object_codes(part, seen)
+            parts.append(rows.astype(np.min_scalar_type(len(seen))))
         start = stop
-    codes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    codes = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8)
     dictionary = np.empty(len(seen), dtype=object)
     dictionary[:] = list(seen)
     return (codes, dictionary), (nbytes, seconds)
+
+
+def _dict_segment_codes(survivors, key):
+    """``(codes, dictionary)`` of INT column ``key``, every surviving
+    segment dict-encoded: the dictionaries are ranked together once
+    (:func:`column_codes`) and each segment's codes map through its slice
+    of the ranks. Narrow unsigned codes, not dense; none decoded."""
+    segs = [g.segments[key] for g, __ in survivors]
+    values = np.concatenate([s.dictionary for s in segs])
+    ranks = column_codes(values)
+    dictionary = np.empty(int(ranks.max()) + 1, dtype=values.dtype)
+    dictionary[ranks] = values
+    ranks = ranks.astype(np.min_scalar_type(len(dictionary)))
+    ends = np.cumsum([len(s.dictionary) for s in segs])[:-1]
+    return np.concatenate([
+        r.take(s.codes if ids is None else s.codes.take(ids))
+        for r, s, (__, ids) in zip(np.split(ranks, ends), segs, survivors)
+    ]), dictionary
 
 
 def _lazy_aggregate(ctx, node, table, survivors, n1):
@@ -184,17 +205,25 @@ def _lazy_aggregate(ctx, node, table, survivors, n1):
     keys = [table.schema.columns[p].name.lower() for p in positions]
     group_keys = [c.lower() for __, c in agg.group_by]
     inputs = {a.column.lower() for a in agg.aggregates if a.column is not None}
-    text = {k for k in group_keys
-            if table.schema.column(k).dtype is DataType.TEXT}
-    # A TEXT key is coded from the segments and never gathered, unless
-    # an aggregate reads it too.
-    gathered = [k for k in keys if k not in text or k in inputs]
+    dtypes = {k: table.schema.column(k).dtype for k in group_keys}
+    text = {k for k in group_keys if dtypes[k] is DataType.TEXT}
+    # A TEXT key is coded from the segments and never gathered, unless an
+    # aggregate reads it too; an INT key only if no aggregate reads it and
+    # every surviving segment is dict-encoded.
+    dict_int = {k for k in group_keys
+                if dtypes[k] is DataType.INT and k not in inputs and survivors
+                and all(g.segments[k].encoding == "dict"
+                        for g, __ in survivors)}
+    gathered = [k for k in keys
+                if k not in dict_int and (k not in text or k in inputs)]
     arrays, (nbytes, seconds) = gather(table, survivors, gathered)
     by_key = dict(zip(gathered, arrays))
     key_codes = []
     for k in group_keys:
         coded = None
-        if k in text:
+        if k in dict_int:
+            coded = _dict_segment_codes(survivors, k)
+        elif k in text:
             coded, (nb, dt) = _segment_codes(
                 table, survivors, k, by_key.get(k))
             nbytes, seconds = nbytes + nb, seconds + dt

@@ -2,7 +2,7 @@
 
 These are the pure array routines the columnar operators are built from:
 factorization (dense key codes) and the stable sort of those codes, the
-counting equi-join, predicate masks, segmented reductions for grouped
+counting equi-join, predicate masks, per-group-code folds for grouped
 aggregation, and order-preserving sort permutations. They are also used
 by :func:`repro.engine.executor.count_join_rows` (the oracle cardinality
 helper), which is why they live apart from any single operator module.
@@ -123,77 +123,65 @@ def predicate_mask(relation, predicates):
     return mask
 
 
-def _coerce_numeric(sorted_vals, func):
-    """Numeric view of an object array of homogeneous Python scalars.
+#: Python folds for object-valued (TEXT) aggregate inputs.
+PY_FOLDS = {
+    "sum": sum,
+    "avg": lambda vals: sum(vals) / len(vals),
+    "min": min,
+    "max": max,
+}
 
-    Returns ``None`` when the values are not uniformly ``int`` or
-    uniformly ``float`` (``bool`` is deliberately excluded — it is a
-    distinct type under Python's aggregate semantics), or when an int
-    sum could overflow int64; callers then keep the Python fallback.
+
+def first_rows(codes, counts):
+    """Row of each code's first occurrence (0 for a code with no rows),
+    given ``counts = np.bincount(codes)``. Scans a prefix that grows
+    fourfold until every occurring code is found, so no row-index array
+    longer than that prefix is built."""
+    n = len(codes)
+    first = np.full(len(counts), n, dtype=np.intp)
+    lo, hi = 0, min(n, 4096)
+    while True:
+        np.minimum.at(first, codes[lo:hi], np.arange(lo, hi, dtype=np.intp))
+        if hi == n or np.count_nonzero(first < n) == np.count_nonzero(counts):
+            first[first == n] = 0
+            return first
+        lo, hi = hi, min(n, 4 * hi)
+
+
+def group_reduce(func, values, codes, counts, first):
+    """``func`` of ``values`` per group code, in row order, without a sort.
+
+    Returns one slot per code (``counts[c]`` rows carry code ``c``, the
+    first being ``first[c]``; slots of absent codes hold junk). FLOAT
+    ``sum``/``avg`` use ``np.bincount`` weights, which add left to right
+    in row order from 0.0 — the reference executor's left fold, bit for
+    bit; INT ``sum`` and ``min``/``max`` use ``ufunc.at`` (``min``/``max``
+    seeded with each group's first value); object values fold in Python.
     """
-    if not len(sorted_vals):
-        return None
-    head = type(sorted_vals[0])
-    if head is int:
-        for v in sorted_vals:
-            if type(v) is not int:
-                return None
-        try:
-            vals = sorted_vals.astype(np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return None
-        if func in ("sum", "avg"):
-            bound = max(abs(int(vals.min())), abs(int(vals.max())))
-            if bound * len(vals) >= 2 ** 63:
-                return None
-        return vals
-    if head is float:
-        for v in sorted_vals:
-            if type(v) is not float:
-                return None
-        return sorted_vals.astype(np.float64)
-    return None
-
-
-def segment_reduce(func, sorted_vals, seg_starts, counts):
-    """Per-group reduction over values pre-sorted so groups are contiguous.
-
-    Object-dtype inputs holding uniformly ``int`` or uniformly ``float``
-    scalars are coerced to a numeric dtype so the reductions run through
-    ``np.ufunc.reduceat`` (int sums only when provably overflow-free);
-    genuinely mixed object values keep the per-group Python fallback.
-    """
-    if sorted_vals.dtype == object:
-        coerced = _coerce_numeric(sorted_vals, func)
-        if coerced is not None:
-            return segment_reduce(func, coerced, seg_starts, counts)
-        bounds = np.r_[seg_starts, len(sorted_vals)]
-        segments = [
-            sorted_vals[bounds[i]:bounds[i + 1]].tolist()
-            for i in range(len(seg_starts))
-        ]
-        if func == "sum":
-            vals = [sum(s) for s in segments]
-        elif func == "avg":
-            vals = [sum(s) / len(s) for s in segments]
-        elif func == "min":
-            vals = [min(s) for s in segments]
-        elif func == "max":
-            vals = [max(s) for s in segments]
-        else:
-            raise ExecutionError("unknown aggregate %r" % (func,))
-        out = np.empty(len(vals), dtype=object)
-        out[:] = vals
+    if func == "count":
+        return counts
+    fold = PY_FOLDS.get(func)
+    if fold is None:
+        raise ExecutionError("unknown aggregate %r" % (func,))
+    if values.dtype == object:
+        groups = [[] for __ in range(len(counts))]
+        for c, v in zip(codes.tolist(), values.tolist()):
+            groups[c].append(v)
+        out = np.empty(len(groups), dtype=object)
+        out[:] = [fold(g) if g else None for g in groups]
         return out
-    if func == "sum":
-        return np.add.reduceat(sorted_vals, seg_starts)
-    if func == "avg":
-        return np.add.reduceat(sorted_vals, seg_starts) / counts
-    if func == "min":
-        return np.minimum.reduceat(sorted_vals, seg_starts)
-    if func == "max":
-        return np.maximum.reduceat(sorted_vals, seg_starts)
-    raise ExecutionError("unknown aggregate %r" % (func,))
+    if func in ("min", "max"):
+        out = values[first]
+        with np.errstate(invalid="ignore"):  # a NaN propagates, silently
+            (np.minimum if func == "min" else np.maximum).at(
+                out, codes, values)
+        return out
+    if values.dtype.kind == "f":
+        sums = np.bincount(codes, weights=values, minlength=len(counts))
+    else:
+        sums = np.zeros(len(counts), dtype=values.dtype)
+        np.add.at(sums, codes, values)
+    return sums if func == "sum" else sums / np.maximum(counts, 1)
 
 
 def stable_sort_indices(key, descending):

@@ -72,8 +72,8 @@ def max_frequency(catalog, table, column):
             raise CatalogError(
                 "table %r has no column %r" % (table, column)
             )
-    if counts:
-        return float(max(1, max(counts.values())))
+    if counts is not None and len(counts[1]):
+        return float(max(1, int(counts[1].max())))
     # Fallback: ANALYZE stats (NaN-bearing FLOAT segments cannot count).
     try:
         stats = catalog.stats(table)

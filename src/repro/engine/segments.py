@@ -73,15 +73,6 @@ _OPS = {
 _RANGE_OPS = ("<", "<=", ">", ">=")
 
 
-def _narrow_code_dtype(n_distinct):
-    """Smallest unsigned dtype able to index ``n_distinct`` dictionary slots."""
-    if n_distinct <= 0xFF:
-        return np.uint8
-    if n_distinct <= 0xFFFF:
-        return np.uint16
-    return np.uint32
-
-
 def object_codes(arr, seen=None):
     """First-appearance int64 codes of an object array.
 
@@ -368,7 +359,7 @@ class ColumnSegment:
                        run_lengths=lengths, zone_map=zone)
         if encoding == "dict":
             codes, dictionary = _factorize(arr)
-            narrow = codes.astype(_narrow_code_dtype(len(dictionary)))
+            narrow = codes.astype(np.min_scalar_type(len(dictionary)))
             zone = ZoneMap.build(dictionary, dtype)
             if dtype is DataType.TEXT and zone.null_count:
                 # Count NULL *rows*, not the dictionary's single None slot.
@@ -433,36 +424,34 @@ class ColumnSegment:
 
     # -- statistics ----------------------------------------------------
     def value_counts(self):
-        """``(values, counts)`` in first-appearance order, or ``None``.
+        """``(values, counts)`` of the segment's distinct values, or ``None``.
 
-        Free for dictionary segments, one pass over the runs for RLE,
-        computed once and cached for plain segments. Returns ``None``
-        when exact counting is unsound (FLOAT segments containing NaN),
-        signalling callers to fall back to a full-column scan.
+        Free for dictionary segments, one pass over the runs for RLE, one
+        ``np.unique`` for plain numeric segments (which keeps the first of
+        ``0.0``/``-0.0``, as a dict would); computed once and cached.
+        Returns ``None`` when exact counting is unsound (FLOAT segments
+        containing NaN), signalling callers to fall back to a full-column
+        scan.
         """
         if self._value_counts is not None:
             return self._value_counts
-        if self.n_rows == 0:
-            empty = np.empty(0, dtype=self.dtype.numpy_dtype)
-            self._value_counts = (empty, np.empty(0, dtype=np.int64))
-            return self._value_counts
-        if self.encoding == "dict":
-            counts = np.bincount(self.codes, minlength=len(self.dictionary))
-            self._value_counts = (self.dictionary,
-                                  counts.astype(np.int64))
-            return self._value_counts
-        if self.encoding == "rle":
-            codes, dictionary = _factorize(self.values)
-            counts = np.zeros(len(dictionary), dtype=np.int64)
-            np.add.at(counts, codes, self.run_lengths)
-            self._value_counts = (dictionary, counts)
-            return self._value_counts
         arr = self.values
-        if self.dtype is DataType.FLOAT and bool(np.isnan(arr).any()):
+        if self.encoding == "dict":
+            values = self.dictionary
+            counts = np.bincount(self.codes, minlength=len(values))
+        elif self.encoding == "rle" or self.dtype is DataType.TEXT:
+            codes, values = _factorize(arr)
+            counts = np.bincount(codes, weights=self.run_lengths,
+                                 minlength=len(values))
+        elif self.dtype is DataType.FLOAT and bool(np.isnan(arr).any()):
             return None
-        codes, dictionary = _factorize(arr)
-        counts = np.bincount(codes, minlength=len(dictionary))
-        self._value_counts = (dictionary, counts.astype(np.int64))
+        else:
+            values, counts = np.unique(arr, return_counts=True)
+            zero = np.searchsorted(values, 0)
+            if (self.dtype is DataType.FLOAT and zero < len(values)
+                    and values[zero] == 0):
+                values[zero] = arr[np.argmax(arr == 0)]
+        self._value_counts = (values, counts.astype(np.int64))
         return self._value_counts
 
     def encoded_bytes(self):
@@ -484,21 +473,31 @@ class ColumnSegment:
         )
 
 
-def merge_value_counts(segments):
-    """Merged exact value counts across ``segments``, or ``None``.
+def merge_value_counts(segments, dtype):
+    """Merged exact ``(values, counts)`` of a ``dtype`` column's
+    ``segments``, or ``None`` — the incremental statistics path ANALYZE
+    uses instead of re-scanning a full column.
 
-    Returns ``{value: count}`` with keys in first-appearance order
-    (Python dicts preserve insertion order) — the incremental statistics
-    path ANALYZE uses instead of re-scanning a full column. ``None``
-    signals that some segment could not count exactly (NaN-bearing
-    FLOAT), so the caller must fall back to the decoded column.
+    Numeric values come out ascending (one concatenate, a stable sort and
+    ``reduceat``, so of ``0.0``/``-0.0`` the first in segment order is
+    kept); TEXT values in first-appearance order, numbered through one
+    dict. ``None`` signals that some segment could not count exactly
+    (NaN-bearing FLOAT), so the caller must fall back to the decoded
+    column.
     """
-    merged = {}
-    for seg in segments:
-        vc = seg.value_counts()
-        if vc is None:
-            return None
-        values, counts = vc
-        for v, c in zip(values.tolist(), counts.tolist()):
-            merged[v] = merged.get(v, 0) + c
-    return merged
+    parts = [seg.value_counts() for seg in segments]
+    if any(vc is None for vc in parts):
+        return None
+    values = np.concatenate(
+        [v for v, __ in parts] + [np.empty(0, dtype=dtype.numpy_dtype)])
+    counts = np.concatenate([c for __, c in parts] + [np.empty(0, np.int64)])
+    if dtype is DataType.TEXT:
+        codes, values = _factorize(values)
+        counts = np.bincount(codes, weights=counts, minlength=len(values))
+        return values, counts.astype(np.int64)
+    if len(values):
+        order = np.argsort(values, kind="stable")
+        values, counts = values[order], counts[order]
+        starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+        values, counts = values[starts], np.add.reduceat(counts, starts)
+    return values, counts

@@ -54,27 +54,43 @@ class EquiDepthHistogram:
 
     @classmethod
     def build(cls, values, n_buckets=32):
-        """Build from raw values: extract MCVs, bucket the residual."""
-        values = np.asarray(values, dtype=float)
-        values = values[~np.isnan(values)]
-        if values.size == 0:
-            return cls(np.array([0.0, 0.0]), np.array([0.0]), 1)
-        uniq, freq = np.unique(values, return_counts=True)
-        ndv = len(uniq)
-        threshold = max(2.0, values.size / max(1, n_buckets))
-        heavy = freq >= threshold
-        mcv = {float(v): int(c) for v, c in zip(uniq[heavy], freq[heavy])}
-        residual = values[~np.isin(values, uniq[heavy])]
+        """Build from raw values: count them (integers as integers, the
+        rest as floats with NaN dropped), then :meth:`from_counts`."""
+        values = np.asarray(values)
+        if values.dtype.kind not in "iu":
+            values = values.astype(float)
+            values = values[~np.isnan(values)]
+        uniq, counts = np.unique(values, return_counts=True)
+        return cls.from_counts(uniq, counts, n_buckets=n_buckets)
+
+    @classmethod
+    def from_counts(cls, values, counts, n_buckets=32):
+        """Build from distinct ``values`` (ascending, NaN-free) and their
+        ``counts``: values at least ``max(2, total / n_buckets)`` times
+        frequent are the MCVs (picked by a mask); the rest, repeated in
+        the given — sorted — order, is cut at its quantiles. Distinct
+        values and MCVs are counted on ``values`` as given (int64 for INT
+        columns, so integers past 2**53 stay apart); edges and MCV keys
+        are floats."""
+        total = int(counts.sum())
+        if total == 0:
+            return cls([0.0, 0.0], [0.0], 1)
+        heavy = counts >= max(2.0, total / max(1, n_buckets))
+        mcv = {}
+        for v, c in zip(values[heavy].tolist(), counts[heavy].tolist()):
+            mcv[float(v)] = mcv.get(float(v), 0) + c
+        light = ~heavy
+        residual = np.repeat(values[light].astype(float), counts[light])
         if residual.size == 0:
-            lo = float(uniq[0])
-            return cls(np.array([lo, lo]), np.array([0.0]), ndv, mcv=mcv)
+            lo = float(values[0])
+            return cls([lo, lo], [0.0], len(values), mcv=mcv)
         buckets = max(1, min(n_buckets, residual.size))
         qs = np.linspace(0.0, 1.0, buckets + 1)
         edges = np.unique(np.quantile(residual, qs))
         if len(edges) == 1:
             edges = np.array([edges[0], edges[0]])
-        counts, __ = np.histogram(residual, bins=edges)
-        return cls(edges, counts.astype(float), ndv, mcv=mcv)
+        hist, __ = np.histogram(residual, bins=edges)
+        return cls(edges, hist.astype(float), len(values), mcv=mcv)
 
     @property
     def min(self):
@@ -126,9 +142,16 @@ class EquiDepthHistogram:
 
         Supported ops: ``=``, ``!=``, ``<``, ``<=``, ``>``, ``>=``.
         Equality on an MCV is exact; otherwise it uses the uniform-
-        frequency assumption over the residual distinct values.
+        frequency assumption over the residual distinct values. A literal
+        that is not a number (``'x'`` against an INT column) equals no
+        value: ``=`` is 0, ``!=`` is 1 and a range is the fixed 1/3.
         """
-        value = float(value)
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            if op not in ("=", "!=", "<", "<=", ">", ">="):
+                raise CatalogError("unsupported operator %r" % (op,))
+            return {"=": 0.0, "!=": 1.0}.get(op, 1.0 / 3.0)
         if op == "=":
             if self.total == 0:
                 return 0.0
@@ -176,50 +199,35 @@ class ColumnStats:
         self.top_values = dict(top_values or {})
 
     @classmethod
-    def build(cls, name, dtype, values, n_buckets=32, n_top=10):
-        """Collect stats from a column array."""
-        n_rows = len(values)
-        if dtype is DataType.TEXT:
-            # Hash-based counting: nullable TEXT columns hold None, which
-            # sort-based np.unique cannot order. NULLs are excluded from
-            # the NDV and the MCV list, as in PostgreSQL's stats.
-            freq = Counter(v for v in values if v is not None)
-            top = {
-                str(v): int(c)
-                for v, c in sorted(freq.items(), key=lambda kv: -kv[1])[:n_top]
-            }
-            return cls(name, dtype, n_rows, len(freq), histogram=None,
-                       top_values=top)
-        hist = EquiDepthHistogram.build(values, n_buckets=n_buckets)
-        return cls(name, dtype, n_rows, hist.n_distinct, histogram=hist)
-
-    @classmethod
-    def build_from_counts(cls, name, dtype, counts, n_buckets=32, n_top=10):
-        """Collect stats from a merged ``{value: count}`` map.
-
-        The incremental ANALYZE path: segment value counts (free for
-        dictionary segments, one pass over the runs for RLE) merge into
-        ``counts`` instead of re-scanning the decoded column. Results
-        are identical to :meth:`build` on the raw values — the merge
-        preserves first-appearance order, so TEXT most-common-value ties
-        resolve the same way, and numeric histograms are built from the
-        expanded multiset, which equals the raw column's multiset.
-        """
-        n_rows = sum(counts.values())
-        if dtype is DataType.TEXT:
-            freq = {v: c for v, c in counts.items() if v is not None}
-            top = {
-                str(v): int(c)
-                for v, c in sorted(freq.items(), key=lambda kv: -kv[1])[:n_top]
-            }
-            return cls(name, dtype, n_rows, len(freq), histogram=None,
-                       top_values=top)
-        values = np.repeat(
-            np.asarray(list(counts), dtype=float),
-            np.asarray(list(counts.values()), dtype=np.int64),
-        )
-        hist = EquiDepthHistogram.build(values, n_buckets=n_buckets)
-        return cls(name, dtype, n_rows, hist.n_distinct, histogram=hist)
+    def build(cls, name, dtype, values, counts=None, n_buckets=32, n_top=10):
+        """Collect stats from a column array or, given ``counts``, from
+        its distinct ``values`` and their counts (the incremental ANALYZE
+        path, :meth:`~repro.engine.storage.Table.column_value_counts`).
+        Both give the same statistics: TEXT most-common-value ties
+        resolve in first-appearance order either way, and a histogram
+        depends only on the multiset."""
+        if dtype is not DataType.TEXT:
+            if counts is None:
+                n_rows = len(values)
+                hist = EquiDepthHistogram.build(values, n_buckets=n_buckets)
+            else:
+                n_rows = int(counts.sum())
+                hist = EquiDepthHistogram.from_counts(values, counts,
+                                                      n_buckets=n_buckets)
+            return cls(name, dtype, n_rows, hist.n_distinct, histogram=hist)
+        # Hash-based counting: nullable TEXT columns hold None, which
+        # sort-based np.unique cannot order. NULLs are excluded from the
+        # NDV and the MCV list, as in PostgreSQL's stats.
+        freq = (Counter(values) if counts is None
+                else dict(zip(values.tolist(), counts.tolist())))
+        n_rows = sum(freq.values())
+        freq.pop(None, None)
+        top = {
+            str(v): int(c)
+            for v, c in sorted(freq.items(), key=lambda kv: -kv[1])[:n_top]
+        }
+        return cls(name, dtype, n_rows, len(freq), histogram=None,
+                   top_values=top)
 
     def selectivity(self, op, value):
         """Selectivity of ``column <op> value`` using histogram or NDV."""
@@ -264,7 +272,7 @@ class TableStats:
         """Collect statistics from a :class:`repro.engine.storage.Table`.
 
         Prefers the incremental per-segment path: each column's cached
-        segment value counts merge into one map
+        segment value counts merge into one ``(values, counts)`` pair
         (:meth:`~repro.engine.storage.Table.column_value_counts`), so
         ANALYZE never decodes a dictionary or RLE segment. Columns a
         segment cannot count exactly (NaN-bearing FLOAT) fall back to
@@ -273,18 +281,11 @@ class TableStats:
         value_counts = getattr(table, "column_value_counts", None)
         col_stats = []
         for col in table.schema.columns:
-            counts = None if value_counts is None else value_counts(col.name)
-            if counts is not None:
-                col_stats.append(
-                    ColumnStats.build_from_counts(
-                        col.name, col.dtype, counts, n_buckets=n_buckets
-                    )
-                )
-                continue
-            values = table.column_array(col.name)
-            col_stats.append(
-                ColumnStats.build(col.name, col.dtype, values, n_buckets=n_buckets)
-            )
+            counted = None if value_counts is None else value_counts(col.name)
+            if counted is None:
+                counted = (table.column_array(col.name),)
+            col_stats.append(ColumnStats.build(
+                col.name, col.dtype, *counted, n_buckets=n_buckets))
         return cls(table.name, table.n_rows, col_stats)
 
     def column(self, name):

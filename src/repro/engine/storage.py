@@ -221,16 +221,18 @@ class TableSnapshot:
     def column_value_counts(self, name):
         """Merged per-segment value counts, or ``None`` when unsound.
 
-        Returns ``{value: count}`` with keys in first-appearance order
-        (Python dicts preserve insertion order), merging each segment's
-        cached counts — the incremental path ANALYZE uses instead of
-        re-scanning the full column. ``None`` signals that some segment
-        could not count exactly (NaN-bearing FLOAT), so the caller must
-        fall back to the decoded column.
+        Returns ``(values, counts)`` arrays — numeric values ascending,
+        TEXT values in first-appearance order — merging each segment's
+        cached counts (:func:`~repro.engine.segments.merge_value_counts`):
+        the incremental path ANALYZE uses instead of re-scanning the full
+        column. ``None`` signals that some segment could not count
+        exactly (NaN-bearing FLOAT), so the caller must fall back to the
+        decoded column.
         """
         snap = self.snapshot()
-        key = snap.schema.column(name).name.lower()
-        return merge_value_counts(g.segments[key] for g in snap._groups)
+        col = snap.schema.column(name)
+        return merge_value_counts(
+            [g.segments[col.name.lower()] for g in snap._groups], col.dtype)
 
     def __repr__(self):
         return "TableSnapshot(%r, rows=%d, version=%d)" % (

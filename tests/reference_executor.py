@@ -174,6 +174,16 @@ def _project(ctx, node):
     return Relation(node.columns, rows)
 
 
+def _left_fold(col):
+    """``((0 + c0) + c1) + …`` in row order: the SUM fold order the
+    engine must match bit for bit. Spelled out rather than ``sum(col)``,
+    whose float result changed in CPython 3.12 (compensated summation)."""
+    total = 0
+    for value in col:
+        total = total + value
+    return total
+
+
 def _hash_aggregate(ctx, node):
     child = ctx.run(node.children[0])
     key_pos = [child.col_pos(t, c) for t, c in node.group_by]
@@ -200,9 +210,9 @@ def _hash_aggregate(ctx, node):
             if not col:
                 values.append(None)
             elif agg.func == "sum":
-                values.append(sum(col))
+                values.append(_left_fold(col))
             elif agg.func == "avg":
-                values.append(sum(col) / len(col))
+                values.append(_left_fold(col) / len(col))
             elif agg.func == "min":
                 values.append(min(col))
             elif agg.func == "max":
@@ -317,7 +327,9 @@ def node_counts(result):
 
 
 def approx_equal_rows(rows_a, rows_b):
-    """Row-list equality, float-tolerant where fold order may differ."""
+    """Row-list equality, float-tolerant: for an oracle that folds floats
+    in an order of its own (SQLite). The engine and the reference fold
+    identically, so they are compared exactly (:func:`same_rows`)."""
     if len(rows_a) != len(rows_b):
         return False
     for ra, rb in zip(rows_a, rows_b):
@@ -332,12 +344,19 @@ def approx_equal_rows(rows_a, rows_b):
     return True
 
 
+def same_rows(rows_a, rows_b):
+    """Row-list equality bit for bit: floats by ``repr``, so ``-0.0``
+    differs from ``0.0`` and a NaN equals a NaN."""
+    return repr(rows_a) == repr(rows_b)
+
+
 def assert_matches_reference(result, reference, label=""):
     """The observational contract, engine result vs reference result:
-    same columns, rows and order (float-tolerant), bit-identical ``work``
-    and ``operator_work``, identical per-node ``actual_rows``."""
+    same columns, rows and order (floats bit for bit: both fold SUM/AVG
+    left to right in row order), bit-identical ``work`` and
+    ``operator_work``, identical per-node ``actual_rows``."""
     assert result.columns == reference.columns, label
-    assert approx_equal_rows(result.rows, reference.rows), (
+    assert same_rows(result.rows, reference.rows), (
         "%s: rows diverge from the reference\nreference=%r\nengine=%r"
         % (label, reference.rows[:10], result.rows[:10])
     )

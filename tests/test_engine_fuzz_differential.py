@@ -9,8 +9,9 @@ always fused); every query is judged against:
 
 * the **reference executor** (``tests/reference_executor.py``): the
   tuple-at-a-time specification, handed the *same physical plan* —
-  identical rows in identical order (float-tolerant where fold order
-  differs), bit-identical ``work`` and ``operator_work`` (the invariant
+  identical rows in identical order (floats bit for bit: both fold
+  SUM/AVG left to right in row order), bit-identical ``work`` and
+  ``operator_work`` (the invariant
   the cost-gap experiments rely on), and identical per-operator
   **actual_rows** (preorder over the unfused plan — fused pipelines must
   attribute counts to the original nodes they replace);
@@ -58,6 +59,7 @@ from reference_executor import (
     assert_matches_reference,
     node_counts,
     reference_database,
+    same_rows,
 )
 from repro.engine import Database
 from repro.engine.plans import IndexScan
@@ -671,8 +673,8 @@ def test_fuzz_server_mode_matches_serial_oracle(config):
     Sessions share read-only tables and privately own one writable table
     each, so per-session outcomes are deterministic even under real
     concurrency: rows, ``total_work``, and per-node actual_rows must all
-    match the serial engine twin exactly and the reference twin under
-    the usual contract (rows float-tolerant, work and counts exact).
+    match the serial engine twin and the reference twin exactly (floats
+    bit for bit).
     Admission is configured generously so scheduling never sheds or
     reorders anything — this isolates the snapshot-execution and
     single-writer-commit machinery.
@@ -726,12 +728,7 @@ def test_fuzz_server_mode_matches_serial_oracle(config):
             for op_i, (got, want) in enumerate(
                 zip(concurrent_results[idx], oracle)
             ):
-                same = got == want
-                if not same and side == "reference" and got[0] == "read":
-                    # The reference folds floats in row order.
-                    same = (approx_equal_rows(got[1], want[1])
-                            and got[2:] == want[2:])
-                assert same, (
+                assert same_rows([got], [want]), (
                     "%s op=%d diverges from serial oracle\nconcurrent=%r\n"
                     "serial=%r" % (label, op_i, got, want)
                 )

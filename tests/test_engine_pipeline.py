@@ -10,7 +10,7 @@ ANALYZE / DDL) — no test may ever observe a stale plan.
 
 import pytest
 
-from reference_executor import approx_equal_rows, reference_database
+from reference_executor import reference_database, same_rows
 from repro.common import PlanError
 from repro.engine import Database
 from repro.engine.pipeline import PIPELINE_STAGES, PlanCache
@@ -287,7 +287,7 @@ class TestCachedPlanParity:
             if mode == "row":
                 continue
             res = results[mode]
-            assert approx_equal_rows(res.rows, row_res.rows), mode
+            assert same_rows(res.rows, row_res.rows), mode
             assert res.work == row_res.work, mode
             assert res.operator_work == row_res.operator_work, mode
 

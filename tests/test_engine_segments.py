@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common import ExecutionError
 from repro.engine import Database
-from repro.engine.operators.kernels import segment_reduce
+from repro.engine.operators.kernels import first_rows, group_reduce
 from repro.engine.segments import (
     FULL,
     PARTIAL,
@@ -415,7 +415,9 @@ class TestIncrementalAnalyze:
 
 
 class TestSegmentReduce:
-    """The vectorized object-dtype fallback must match the Python loop."""
+    """The per-group-code fold (``group_reduce``): numeric arrays fold
+    per code with ``bincount``/``ufunc.at`` — rows of a group need not be
+    contiguous — and object values fold in Python."""
 
     @staticmethod
     def _obj(values):
@@ -423,45 +425,49 @@ class TestSegmentReduce:
         arr[:] = values
         return arr
 
-    def test_int_objects_vectorize(self):
-        vals = self._obj([1, 2, 3, 10, 20])
-        starts = np.array([0, 3])
-        counts = np.array([3, 2])
-        out = segment_reduce("sum", vals, starts, counts)
-        assert out.dtype != object
-        assert out.tolist() == [6, 30]
-        assert segment_reduce("avg", vals, starts, counts).tolist() == [2.0, 15.0]
-        assert segment_reduce("min", vals, starts, counts).tolist() == [1, 10]
-        assert segment_reduce("max", vals, starts, counts).tolist() == [3, 20]
+    @staticmethod
+    def _reduce(func, vals, codes):
+        codes = np.asarray(codes, dtype=np.uint8)
+        counts = np.bincount(codes)
+        return group_reduce(func, vals, codes, counts,
+                            first_rows(codes, counts))
 
-    def test_float_objects_vectorize(self):
-        vals = self._obj([1.5, 2.5, -1.0, 4.0])
-        starts = np.array([0, 2])
-        counts = np.array([2, 2])
-        out = segment_reduce("sum", vals, starts, counts)
+    def test_int_values_fold_per_code(self):
+        vals = np.array([1, 20, 2, 10, 3])
+        codes = [0, 1, 0, 1, 0]  # interleaved groups: no sort needed
+        out = self._reduce("sum", vals, codes)
+        assert out.dtype == np.int64
+        assert out.tolist() == [6, 30]
+        assert self._reduce("avg", vals, codes).tolist() == [2.0, 15.0]
+        assert self._reduce("min", vals, codes).tolist() == [1, 10]
+        assert self._reduce("max", vals, codes).tolist() == [3, 20]
+        assert self._reduce("count", vals, codes).tolist() == [3, 2]
+
+    def test_float_values_fold_per_code(self):
+        vals = np.array([1.5, -1.0, 2.5, 4.0, 1e16, 1.0, -1e16])
+        out = self._reduce("sum", vals, [0, 1, 0, 1, 2, 2, 2])
         assert out.dtype == np.float64
-        assert out.tolist() == [4.0, 3.0]
+        # Left to right from 0.0: (1e16 + 1.0) rounds the 1.0 away.
+        assert out.tolist() == [4.0, 3.0, 0.0]
 
     def test_mixed_objects_keep_fallback(self):
         vals = self._obj([1, 2.5, 3])
-        out = segment_reduce("sum", vals, np.array([0]), np.array([3]))
+        out = self._reduce("sum", vals, [0, 0, 0])
         assert out.dtype == object
         assert out.tolist() == [6.5]
 
     def test_big_ints_keep_exact_python_arithmetic(self):
         big = 2 ** 70
         vals = self._obj([big, big])
-        out = segment_reduce("sum", vals, np.array([0]), np.array([2]))
-        assert out.tolist() == [2 ** 71]
+        assert self._reduce("sum", vals, [0, 0]).tolist() == [2 ** 71]
         near = 2 ** 62
         vals = self._obj([near, near, near])
-        out = segment_reduce("sum", vals, np.array([0]), np.array([3]))
+        out = self._reduce("sum", vals, [0, 0, 0])
         assert out.tolist() == [3 * 2 ** 62]  # > int64 max: exact Python sum
 
     def test_unknown_func_raises(self):
         with pytest.raises(ExecutionError):
-            segment_reduce("median", self._obj([1]), np.array([0]),
-                           np.array([1]))
+            self._reduce("median", self._obj([1]), [0])
 
 
 class TestExplainAnalyzeCounters:
