@@ -138,7 +138,7 @@ class CatalogSnapshot:
         self._lazy_stats = {}
         self._indexes = dict(catalog._indexes)
         self._views = dict(catalog._views)
-        self._versions = dict(catalog._versions)
+        self._versions = dict(sorted(catalog._versions.items()))
         self._schema_epoch = catalog._schema_epoch
 
     def snapshot(self):
@@ -170,6 +170,10 @@ class CatalogSnapshot:
         else:
             names = sorted({t.lower() for t in tables})
         return tuple((n, self._versions.get(n, 0)) for n in names)
+
+    def version_map(self):
+        """``{table: version}`` in name order, by reference: read only."""
+        return self._versions
 
     def table(self, name):
         """Look up a table (live) / pinned table snapshot by name."""
@@ -251,6 +255,10 @@ class Catalog:
     the set of tables changes (what SQL-text lowering depends on). Caches
     key on the version vector restricted to the tables they cover, so a
     hot writer on one table never invalidates plans over the others.
+
+    Every mutating call bumps a table version as its last change, and
+    each bump moves a private generation counter; :meth:`snapshot` hands
+    out one :class:`CatalogSnapshot` per generation.
     """
 
     def __init__(self, segment_rows=None, segment_encodings=None):
@@ -263,6 +271,8 @@ class Catalog:
         # every published version monotonic.
         self._versions = {}
         self._schema_epoch = 0
+        self._generation = 0
+        self._current = None  # (generation, CatalogSnapshot)
         # Storage knobs applied to tables this catalog creates; ``None``
         # means the Table defaults. Pre-built tables (register_table)
         # keep whatever layout they were constructed with.
@@ -272,6 +282,7 @@ class Catalog:
     def _bump_table(self, name):
         key = name.lower()
         self._versions[key] = self._versions.get(key, 0) + 1
+        self._generation += 1
 
     def _on_table_write(self, table):
         """The write hook on every registered table: bump its version and
@@ -281,8 +292,8 @@ class Catalog:
         table's current snapshot and its column sorts with it, the next
         probe re-sorts, and snapshots pinned earlier keep their own.
         """
-        self._bump_table(table.name)
         self._drop_views_over(table.name.lower())
+        self._bump_table(table.name)
 
     def _drop_views_over(self, key):
         for name in [
@@ -302,6 +313,10 @@ class Catalog:
     index_on = CatalogSnapshot.index_on
     views = CatalogSnapshot.views
     matching_view = CatalogSnapshot.matching_view
+
+    def version_map(self):
+        """``{table: version}`` in name order, a copy."""
+        return dict(self.version_vector())
 
     # ------------------------------------------------------------------
     # Tables
@@ -340,8 +355,8 @@ class Catalog:
         )
         self._tables[key] = table
         table.add_write_hook(self._on_table_write)
-        self._bump_table(key)
         self._schema_epoch += 1
+        self._bump_table(key)
         return table
 
     def register_table(self, table):
@@ -351,8 +366,8 @@ class Catalog:
             raise CatalogError("table %r already exists" % (table.name,))
         self._tables[key] = table
         table.add_write_hook(self._on_table_write)
-        self._bump_table(key)
         self._schema_epoch += 1
+        self._bump_table(key)
         return table
 
     def drop_table(self, name):
@@ -372,8 +387,8 @@ class Catalog:
         ]:
             del self._indexes[idx_name]
         self._drop_views_over(key)
-        self._bump_table(key)
         self._schema_epoch += 1
+        self._bump_table(key)
 
     # ------------------------------------------------------------------
     # Statistics
@@ -455,18 +470,24 @@ class Catalog:
     # Snapshots
     # ------------------------------------------------------------------
     def snapshot(self):
-        """An immutable :class:`CatalogSnapshot` of the current state.
+        """The immutable :class:`CatalogSnapshot` of the current state.
 
-        Costs O(#tables) when nothing was written since the last one —
-        each table hands back its current
-        :class:`~repro.engine.storage.TableSnapshot`, decoded columns
-        included — plus O(#columns) for each table written in between,
-        whose tail is viewed, never copied (writers only append past a
-        view); sealed storage is shared by reference. Readers holding the
-        snapshot see this exact catalog (tables, stats, indexes, views,
-        versions) no matter what writers do to the live one afterwards.
+        The same object until the next mutation, as ``Table.snapshot()``
+        per table. The first call after one builds it: O(#tables), each
+        table handing back its current
+        :class:`~repro.engine.storage.TableSnapshot` (O(#columns) for a
+        written table, whose tail is viewed, never copied). The
+        generation is read before building and a mutation moves it after
+        its last change, so a snapshot built mid-mutation is never handed
+        to a later reader. Holders see this exact catalog (tables, stats,
+        indexes, views, versions) whatever writers do afterwards.
         """
-        return CatalogSnapshot(self)
+        generation, current = self._generation, self._current
+        if current is not None and current[0] == generation:
+            return current[1]
+        snap = CatalogSnapshot(self)
+        self._current = (generation, snap)
+        return snap
 
     def restore(self, snapshot):
         """Rewind this catalog, and every table in it, to ``snapshot``.
@@ -488,7 +509,7 @@ class Catalog:
         token matches again planned over bit-identical state). Callers
         that cached plans *during* the rewound window must drop them:
         the session API calls ``pipeline.invalidate()`` after every
-        restore. Idempotent.
+        restore. Idempotent; ``snapshot`` becomes the current one.
         """
         hook = self._on_table_write
         for table in self._tables.values():
@@ -503,6 +524,8 @@ class Catalog:
         self._views = dict(snapshot._views)
         self._versions = dict(snapshot._versions)
         self._schema_epoch = snapshot._schema_epoch
+        self._generation += 1
+        self._current = (self._generation, snapshot)
 
     # ------------------------------------------------------------------
     def total_data_bytes(self):

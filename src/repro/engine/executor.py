@@ -33,7 +33,7 @@ Results are fully materialized (these are analytics-scale experiments, not
 a streaming engine).
 """
 
-from repro.engine.fusion import fuse_plan, plan_reads
+from repro.engine.fusion import prepare_plan
 from repro.engine.operators import ColumnarRelation, operator_for
 from repro.engine.operators.join import join_keys
 from repro.engine.operators.kernels import (
@@ -85,10 +85,6 @@ class ExecutionResult:
         return "ExecutionResult(rows=%d, work=%.1f)" % (len(self.rows), self.work)
 
 
-#: ``_Run._reads`` before the read set is first asked for.
-_UNREAD = object()
-
-
 class _Run:
     """One execution's state — the *evaluation context* handed to every
     :class:`~repro.engine.operators.PhysicalOperator`: operators call
@@ -105,28 +101,19 @@ class _Run:
         span: the span of the node being evaluated (operator spans nest
             under it); ``spans`` maps each *original* plan node to its
             span.
-        plan: the (fused) plan being run.
+        reads: the ``(table, column)`` labels a SeqScan or IndexScan
+            emits (:func:`~repro.engine.fusion.plan_reads`), ``None``
+            for every column.
     """
 
-    __slots__ = ("catalog", "cost_model", "span", "spans", "plan", "_reads")
+    __slots__ = ("catalog", "cost_model", "span", "spans", "reads")
 
-    def __init__(self, catalog, cost_model, span, plan):
+    def __init__(self, catalog, cost_model, span, reads):
         self.catalog = catalog
         self.cost_model = cost_model
         self.span = span
         self.spans = {}
-        self.plan = plan
-        self._reads = _UNREAD
-
-    @property
-    def reads(self):
-        """The run's read set, :func:`~repro.engine.fusion.plan_reads` of
-        :attr:`plan` — the ``(table, column)`` labels a SeqScan emits, or
-        ``None`` for every column — computed on first use, so a run with
-        no SeqScan operator (a late-materialized tail) does not pay."""
-        if self._reads is _UNREAD:
-            self._reads = plan_reads(self.plan)
-        return self._reads
+        self.reads = reads
 
     def run(self, node):
         """Evaluate ``node`` via its registered operator, under a span
@@ -202,12 +189,12 @@ class Executor:
     def execute(self, plan, catalog=None, trace=None):
         """Run ``plan``; returns an :class:`ExecutionResult`.
 
-        The plan's tail is first run through
-        :func:`~repro.engine.fusion.fuse_plan`. The rewrite is
-        per-execution (the caller's plan object — and any plan cache
-        holding it — is never mutated), and the fused pass charges work
-        through the original operator nodes, so accounting stays in
-        terms of the plan the caller handed in.
+        The plan is prepared once (:func:`~repro.engine.fusion.
+        prepare_plan`): its first run fuses the tail, lists the nodes
+        and computes the read set, memoized on the plan object for every
+        later run on any route. The caller's nodes are never rewritten,
+        and the fused pass charges work through them, so accounting
+        stays in terms of the plan the caller handed in.
 
         ``catalog`` pins this one run to a different read surface —
         typically a :class:`~repro.engine.catalog.CatalogSnapshot` — so
@@ -219,24 +206,25 @@ class Executor:
         one span per executed node, and every node of the *original*
         plan tagged with its preorder position and estimate, which is
         what ``node_stats`` — the est-vs-actual view behind EXPLAIN
-        ANALYZE and the optimizer's cardinality feedback — reads.
+        ANALYZE and the optimizer's cardinality feedback — reads —
+        and ``catalog_versions``, the read surface's ``version_map()``.
         """
         own = trace is None
         if own:
             trace = StatementTrace()
-        fused, fused_ops = fuse_plan(plan)
+        fused, fused_ops, nodes, reads = prepare_plan(plan)
         with trace.root.child("execute") as span:
             run = _Run(self.catalog if catalog is None else catalog,
-                       self.cost_model, span, fused)
+                       self.cost_model, span, reads)
             span.attrs["fused_ops"] = fused_ops
             relation = run.run(fused).to_relation()
-            for i, node in enumerate(plan.walk()):
+            for i, node in enumerate(nodes):
                 attrs = run._span_of(node).attrs
                 attrs["node"] = i
                 attrs["est_rows"] = node.est_rows
-            version_vector = getattr(run.catalog, "version_vector", None)
-            if version_vector is not None:
-                span.attrs["catalog_versions"] = dict(version_vector())
+            version_map = getattr(run.catalog, "version_map", None)
+            if version_map is not None:
+                span.attrs["catalog_versions"] = version_map()
         if own:
             trace.root.close()
         return ExecutionResult(relation, trace)

@@ -12,8 +12,9 @@ the columns the tail actually reads, aggregation/dedup/limit — without
 the intermediate relation ever existing.
 
 Fusion is an *execution-time* rewrite, applied unconditionally by
-``Executor.execute``. The plan cache, EXPLAIN cost annotations, and
-cost-model estimates all stay in terms of the unfused plan; the fused
+``Executor.execute`` once per plan object (:func:`prepare_plan`). The
+plan cache, EXPLAIN cost annotations, and cost-model estimates all stay
+in terms of the unfused plan; the fused
 node keeps references to the original operator nodes so work accounting
 is charged under the same operator keys, in the same order, with the
 same cardinalities as operator-at-a-time evaluation — which is what
@@ -110,7 +111,8 @@ def fuse_plan(plan):
 
     Returns ``(plan, fused_ops)``: the (possibly rewritten) plan and the
     number of pipeline stages the fused node absorbed (0 when the tail
-    does not match or fusion would not save a materialization).
+    does not match or fusion would not save a materialization). The
+    caller's plan is never mutated.
     """
     node = plan
     limit_node = None
@@ -146,3 +148,18 @@ def fuse_plan(plan):
     fused.est_rows = top.est_rows
     fused.est_cost = top.est_cost
     return fused, fused.fused_ops
+
+
+def prepare_plan(plan):
+    """``(fused, fused_ops, nodes, reads)``: :func:`fuse_plan`, the
+    unfused preorder node list and the fused plan's :func:`plan_reads`,
+    memoized on ``plan`` by its first execution. They depend only on
+    the plan's structure, which planning fixes, so the memo is never
+    invalidated (racing first runs compute equal values); a plan-stage
+    hook's new object gets its own. Do not mutate a plan once it ran."""
+    memo = getattr(plan, "_prepared", None)
+    if memo is None:
+        fused, fused_ops = fuse_plan(plan)
+        memo = plan._prepared = (
+            fused, fused_ops, list(plan.walk()), plan_reads(fused))
+    return memo

@@ -73,18 +73,45 @@ def stable_code_order(codes):
     return np.argsort(narrow, kind="stable")
 
 
+def _direct_join(left, right):
+    """:func:`join_indices` of one signed-integer key through a position
+    table over the right (build) keys' span: one scatter, one gather.
+    ``None`` unless those keys span at most ``2 * (nl + nr)`` values and
+    are unique (duplicates would share a slot)."""
+    lo = right.min()
+    span = int(right.max()) - int(lo)
+    if span > 2 * (len(left) + len(right)):
+        return None
+    where = np.full(span + 1, -1, dtype=np.int64)
+    where[np.subtract(right, lo, dtype=np.intp)] = np.arange(len(right))
+    if np.count_nonzero(where >= 0) < len(right):
+        return None
+    lo = np.int64(lo)
+    inside = np.flatnonzero((left >= lo) & (left <= lo + span))
+    pos = where[np.subtract(left[inside], lo, dtype=np.intp)]
+    hit = pos >= 0
+    return inside[hit], pos[hit]
+
+
 def join_indices(left_cols, right_cols):
     """Row-id pairs ``(il, ir)`` of the equi-join of two key-column sets.
 
-    Both sides share one factorization; each left row finds its code's
-    run among the code-sorted right rows by counting (``bincount`` and
-    prefix sums). Output order is the reference hash join's: left rows in
-    order, each one's right matches in original right order.
+    A unique, narrow signed-integer build key maps directly
+    (:func:`_direct_join`). Otherwise both sides share one
+    factorization; each left row finds its code's run among the
+    code-sorted right rows by counting (``bincount`` and prefix sums).
+    Output order is the reference hash join's: left rows in order, each
+    one's right matches in original right order.
     """
     nl, nr = len(left_cols[0]), len(right_cols[0])
     empty = np.empty(0, dtype=np.int64)
     if nl == 0 or nr == 0:
         return empty, empty.copy()
+    if len(left_cols) == 1 and (
+            left_cols[0].dtype.kind == right_cols[0].dtype.kind == "i"):
+        pairs = _direct_join(left_cols[0], right_cols[0])
+        if pairs is not None:
+            return pairs
     codes = factorize(
         [np.concatenate([l, r]) for l, r in zip(left_cols, right_cols)]
     )

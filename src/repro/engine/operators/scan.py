@@ -7,7 +7,8 @@ against the pushed-down predicates (skipping groups that provably match
 nothing), surviving groups evaluate the predicates in *encoded* space
 (one dictionary/run-space conjunction per column), and only the columns
 the plan reads (:func:`~repro.engine.fusion.plan_reads`) are decoded,
-only for surviving rows. Pruning never changes rows, order, or charged
+only for surviving rows; an IndexScan likewise gathers only those
+columns at its probed row ids. Pruning never changes rows, order, or charged
 work; the flat-layout results are reproduced bit for bit.
 :func:`filter_groups` and :func:`gather` are the one scan loop, shared
 with the fused pipeline's late-materializing tail.
@@ -26,16 +27,6 @@ from repro.engine.operators.base import (
 )
 from repro.engine.operators.kernels import predicate_mask
 from repro.engine.segments import PARTIAL, PRUNED
-
-
-def v_table_relation(ctx, table_name, row_ids=None):
-    """``(table, ColumnarRelation)`` of a base table's column arrays."""
-    table = ctx.catalog.table(table_name)
-    columns = [(table.name, c.name) for c in table.schema.columns]
-    data = table.column_arrays(row_ids)
-    arrays = [data[c.name.lower()] for c in table.schema.columns]
-    n = table.n_rows if row_ids is None else len(row_ids)
-    return table, ColumnarRelation(columns, arrays, n_rows=n)
 
 
 def segment_filter(group, predicates):
@@ -186,7 +177,14 @@ class IndexScanOp(PhysicalOperator):
 
     def evaluate(self, ctx, node):
         row_ids = index_row_ids(ctx, node)
-        __, rel = v_table_relation(ctx, node.table, row_ids)
+        table = ctx.catalog.table(node.table)
+        reads, name = ctx.reads, table.name.lower()
+        names = [c.name for c in table.schema.columns
+                 if reads is None or (name, c.name.lower()) in reads]
+        data = table.column_arrays(row_ids, names)
+        rel = ColumnarRelation([(table.name, c) for c in names],
+                               [data[c.lower()] for c in names],
+                               n_rows=len(row_ids))
         ctx.charge(node, ctx.cost_model.index_scan(len(row_ids)))
         if node.residual:
             rel = rel.take(predicate_mask(rel, node.residual))

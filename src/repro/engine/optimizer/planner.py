@@ -17,6 +17,8 @@ arm's enumerator, access paths, assembly and cost annotation, so
 ``optimizer.plan.ms`` pays each distinct sub-query estimate once.
 """
 
+from numbers import Number
+
 from repro.common import CatalogError, PlanError
 from repro.engine import plans as P
 from repro.engine.optimizer.cardinality import TraditionalEstimator
@@ -28,8 +30,34 @@ from repro.engine.optimizer.hints import (
 )
 from repro.engine.optimizer.join_enum import dp_left_deep, greedy_order, random_order
 from repro.engine.optimizer.ues import bound_cost, ues_order
+from repro.engine.types import DataType
 
 _ENUMERATORS = {"dp": dp_left_deep, "greedy": greedy_order}
+
+
+def _kind_mismatch(catalog, p):
+    """The column's :class:`DataType` when predicate ``p`` compares a
+    number with text, else ``None`` (unknown names are not its business)."""
+    text = isinstance(p.value, str)
+    if (not (text or isinstance(p.value, Number)) or isinstance(p.value, bool)
+            or not catalog.has_table(p.table)
+            or not catalog.table(p.table).schema.has_column(p.column)):
+        return None
+    dtype = catalog.table(p.table).schema.column(p.column).dtype
+    return dtype if text != (dtype is DataType.TEXT) else None
+
+
+def check_range_types(catalog, query):
+    """PostgreSQL's rule: ``< <= > >=`` between a number and text — an
+    INT/FLOAT column and a text literal, or a TEXT column and a number —
+    raises :class:`~repro.common.PlanError`, whatever the access path.
+    ``=``/``!=`` answer (nothing equals the other kind), never through
+    an index, whose sorted keys cannot be searched for one."""
+    for p in query.predicates:
+        dtype = p.op in ("<", "<=", ">", ">=") and _kind_mismatch(catalog, p)
+        if dtype:
+            raise PlanError("cannot compare %s column %s.%s with %r using %s"
+                            % (dtype.name, p.table, p.column, p.value, p.op))
 
 
 class Planner:
@@ -96,6 +124,7 @@ class Planner:
                           self.estimator.planning_scope(query))
 
     def _plan(self, query, hints, order, memo):
+        check_range_types(self.catalog, query)
         if query.limit == 0:
             plan = P.EmptyResult(self._output_columns(query))
             self.cost_model.annotate(plan, memo, query)
@@ -216,7 +245,7 @@ class Planner:
         table_rows = max(1.0, float(self.catalog.table(table).n_rows))
         best = None
         for pred in preds:
-            if pred.op == "!=":
+            if pred.op == "!=" or _kind_mismatch(self.catalog, pred):
                 continue
             idx = self.catalog.index_on(
                 table, pred.column, include_hypothetical=self.include_hypothetical

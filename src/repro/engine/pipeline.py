@@ -61,7 +61,7 @@ from collections import OrderedDict
 from dataclasses import replace
 
 from repro.common import ExecutionError, ParseError, PlanError
-from repro.engine.fusion import fuse_plan
+from repro.engine.fusion import prepare_plan
 from repro.engine.optimizer.feedback import ingest_execution
 from repro.engine.optimizer.hints import DEFAULT_ARM
 from repro.engine.sql.ast_nodes import (
@@ -194,8 +194,7 @@ class ExplainResult:
     def fused_ops(self):
         """How many tail stages the executor's fusion pass collapsed
         (EXPLAIN ANALYZE) or will collapse when this plan is executed."""
-        run = self.trace.execute
-        return fuse_plan(self.plan)[1] if run is None else run.fused_ops
+        return prepare_plan(self.plan)[1]
 
     def __str__(self):
         return self.text
@@ -442,15 +441,17 @@ class QueryPipeline:
     def rewriter(self, fn):
         self._rewriter = fn
         # Conservative: a different rewriter may map the same input query
-        # to different plans; start from a cold cache.
-        self.plan_cache.clear()
+        # to different plans, and may have mutated cached lowered queries
+        # in place; start from cold caches.
+        self.invalidate()
 
     def add_stage_hook(self, stage, hook):
         """Register a transform hook on one named stage.
 
         The hook receives the stage's output and may return a replacement
         (or ``None`` to leave it unchanged). Registering a hook clears the
-        plan cache, since cached plans were produced without it.
+        plan cache, since cached plans were produced without it (and a
+        ``"rewrite"`` hook the SQL-text cache, as a rewriter does).
         """
         if stage not in self.stage_hooks:
             raise PlanError(
@@ -458,7 +459,7 @@ class QueryPipeline:
                 % (stage, ", ".join(PIPELINE_STAGES))
             )
         self.stage_hooks[stage].append(hook)
-        self.plan_cache.clear()
+        (self.invalidate if stage == "rewrite" else self.plan_cache.clear)()
         return hook
 
     def _apply_hooks(self, stage, value):
@@ -481,10 +482,10 @@ class QueryPipeline:
             result = hook(self.db, sql_text)
             if result is not None:
                 return result
-        query, stmt, trace = self.front_end(sql_text)
+        query, stmt, trace, sig = self.front_end(sql_text)
         if query is not None:
             return self.execute_prepared(
-                self._prepare(sql_text, query, trace)
+                self._prepare(sql_text, query, trace, sig=sig)
             )
         return self.run_statement(stmt, trace)
 
@@ -506,17 +507,17 @@ class QueryPipeline:
         estimate *before* execution. Statement hooks are bypassed (they
         may mutate).
 
-        ``front`` is the ``(query, trace)`` pair of a :meth:`front_end`
+        ``front`` is the ``(query, trace, signature)`` of a :meth:`front_end`
         pass the caller already made over this text (the session layer
         classifies and gates a statement between the front end and the
         plan stage); planning continues that pass — and that trace —
         instead of starting a second one. :meth:`explain` and
         :meth:`explain_analyze` take the same continuation.
         """
-        query, trace = front or self._select_query(
+        query, trace, sig = front or self._select_query(
             sql_text, "prepare_sql", ExecutionError
         )
-        return self._prepare(sql_text, query, trace)
+        return self._prepare(sql_text, query, trace, sig=sig)
 
     def lower_sql(self, sql_text):
         """Parse + lower a SELECT to its :class:`ConjunctiveQuery`.
@@ -537,7 +538,7 @@ class QueryPipeline:
 
     def front_end(self, sql_text, trace=None):
         """Parse → lower through the SQL-text cache:
-        ``(query, stmt, trace)``.
+        ``(query, stmt, trace, signature)``.
 
         The one front end behind every SQL entry point, so stage hooks
         and the warm-text cache apply to all of them alike. A SELECT
@@ -549,43 +550,51 @@ class QueryPipeline:
         and handed on to whatever stages run next. The cache token is
         the coarse ``schema_epoch``, not the full version vector —
         lowering depends only on name resolution, so inserts/ANALYZE
-        keep warm SQL text warm.
+        keep warm SQL text warm. An entry also stores the lowered query's
+        ``signature()``, the plan-cache key while the rewrite stage is
+        empty (``signature`` is ``None`` for a non-SELECT).
         """
         if trace is None:
             trace = StatementTrace()
         root = trace.root
         schema_epoch = self.db.catalog.schema_epoch
         t0 = time.perf_counter()
-        query = self.query_cache.get(sql_text, schema_epoch)
-        if query is not None:
+        hit = self.query_cache.get(sql_text, schema_epoch)
+        if hit is not None:
             root.child("lower", t0).close()
-            return query, None, trace
+            return hit[0], None, trace, hit[1]
         with root.child("parse", t0):
             stmt = parse_sql(sql_text)
         stmt = self._apply_hooks("parse", stmt)
         if not isinstance(stmt, SelectStmt):
-            return None, stmt, trace
+            return None, stmt, trace, None
         with root.child("lower"):
             query = lower_select(stmt, self.db.catalog)
             query = self._apply_hooks("lower", query)
-            self.query_cache.put(sql_text, query, schema_epoch)
-        return query, None, trace
+            sig = query.signature()
+            self.query_cache.put(sql_text, (query, sig), schema_epoch)
+        return query, None, trace, sig
 
     def _select_query(self, sql_text, what, error=ParseError):
-        """:meth:`front_end` for the read-only entry points: the lowered
-        query and its trace, or ``error`` naming ``what`` when the
+        """:meth:`front_end` for the read-only entry points: ``(query,
+        trace, signature)``, or ``error`` naming ``what`` when the
         statement is not a SELECT."""
-        query, __, trace = self.front_end(sql_text)
+        query, __, trace, sig = self.front_end(sql_text)
         if query is None:
             raise error(
                 "%s supports only SELECT statements, got %r"
                 % (what, _head(sql_text))
             )
-        return query, trace
+        return query, trace, sig
 
-    def _prepare(self, sql_text, query, trace, order=None):
+    def _prepare(self, sql_text, query, trace, order=None, sig=None):
+        # The lowered query's signature keys the plan cache only while
+        # the rewrite stage is empty: an in-place rewriter returns None,
+        # and its output must never be served its input's key.
+        if self._rewriter is not None or self.stage_hooks["rewrite"]:
+            sig = None
         query = self._rewrite(query, trace)
-        chosen, features = self._plan(query, trace, order=order)
+        chosen, features = self._plan(query, trace, order=order, sig=sig)
         return PreparedQuery(sql_text, query, chosen.plan, trace, features)
 
     def execute_prepared(self, prepared, snapshot=None):
@@ -632,8 +641,8 @@ class QueryPipeline:
         will collapse at execution time. ``front``: as for
         :meth:`prepare_sql`.
         """
-        query, trace = front or self._select_query(sql_text, "EXPLAIN")
-        prepared = self._prepare(sql_text, query, trace)
+        query, trace, sig = front or self._select_query(sql_text, "EXPLAIN")
+        prepared = self._prepare(sql_text, query, trace, sig=sig)
         trace.root.close()
         self._accumulate(trace)
         return ExplainResult(prepared.plan, trace)
@@ -649,9 +658,9 @@ class QueryPipeline:
         the run's :class:`~repro.engine.executor.ExecutionResult` (rows
         included). ``front``: as for :meth:`prepare_sql`.
         """
-        query, trace = front or self._select_query(
+        query, trace, sig = front or self._select_query(
             sql_text, "EXPLAIN ANALYZE")
-        prepared = self._prepare(sql_text, query, trace)
+        prepared = self._prepare(sql_text, query, trace, sig=sig)
         result = self.execute_prepared(prepared)
         return ExplainResult(
             prepared.plan, trace, result,
@@ -679,7 +688,7 @@ class QueryPipeline:
         feedback = () if store is None else store.version_vector(query.tables)
         return (self.db.catalog.version_vector(query.tables), feedback)
 
-    def _plan(self, query, trace, order=None):
+    def _plan(self, query, trace, order=None, sig=None):
         """The plan stage: one candidate per arm, the selector's choice.
 
         The selector names the arms (``cost``: just ``default``). Each
@@ -690,11 +699,13 @@ class QueryPipeline:
         runs (it is the learning step), and the chosen arm's cache
         outcome is what the ``plan`` span reports. Returns the chosen
         :class:`~repro.engine.optimizer.hints.PlanCandidate` and the
-        feature vector it was selected on.
+        feature vector it was selected on. ``sig``: ``query.signature()``
+        when the caller holds it.
         """
         with trace.root.child("plan") as span:
             selector = self.db.plan_selector
-            sig = query.signature()
+            if sig is None:
+                sig = query.signature()
             order_t = (None if order is None
                        else tuple(t.lower() for t in order))
             token = self._plan_token(query)

@@ -326,7 +326,9 @@ class AdmissionController:
             counters = self._counters[ticket.tenant]
             counters["refunded"] += delta
             counters["settled_work"] += actual
-            if self._grant_ready():
+            # With no tenant waiting there is nothing to grant: the next
+            # admit refills the buckets it reads.
+            if any(self._tenant_queues.values()) and self._grant_ready():
                 self._cond.notify_all()
 
     def cancel(self, ticket):

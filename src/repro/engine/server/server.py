@@ -249,11 +249,12 @@ class QueryServer:
     def pin_snapshot(self):
         """An immutable catalog snapshot pinned **between commits**.
 
-        Taking the commit lock for the pin — O(#tables), plus
-        O(#columns), never O(rows), for each table written since the
-        previous pin — is what guarantees a snapshot never interleaves
-        with a half-applied write: its version vector always equals a
-        committed state.
+        Taking the commit lock for the pin is what guarantees a snapshot
+        never interleaves with a half-applied write: its version vector
+        always equals a committed state. Pins between two commits share
+        one snapshot (``Catalog.snapshot()`` reuses it until the next
+        mutation); the first pin after a commit builds it — O(#tables),
+        plus O(#columns), never O(rows), per table written.
         """
         with self._commit_lock:
             return self.db.catalog.snapshot()

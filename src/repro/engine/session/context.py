@@ -129,7 +129,8 @@ class StatementInfo:
             this covers projections (expanded to all columns for
             ``SELECT *``), predicates, join keys, aggregate arguments,
             grouping and ordering keys, so a policy deny-list catches a
-            column *wherever* it appears in the statement.
+            column *wherever* it appears in the statement. Built on
+            first read (a policy or a dry run) for a SELECT.
         query: the lowered :class:`~repro.engine.query.ConjunctiveQuery`
             when one exists (a SELECT, or an extension inspector's
             cost-estimable feature query).
@@ -142,14 +143,14 @@ class StatementInfo:
             :class:`~repro.engine.telemetry.StatementTrace`.
         front: the front-end pass that classified a native statement,
             which running it continues — so the statement is parsed,
-            hooked, timed and cache-counted once. ``(query, trace)``
-            for ``"lowered"`` (what :meth:`~repro.engine.pipeline.
+            hooked, timed and cache-counted once. ``(query, trace,
+            signature)`` for ``"lowered"`` (what :meth:`~repro.engine.pipeline.
             QueryPipeline.prepare_sql` takes), ``(stmt, trace)`` for
             ``"parsed"`` (what :meth:`~repro.engine.pipeline.
             QueryPipeline.run_statement` takes). ``None`` otherwise.
     """
 
-    __slots__ = ("sql", "kind", "tables", "columns", "query",
+    __slots__ = ("sql", "kind", "tables", "_columns", "query",
                  "row_estimate", "source", "trace", "front")
 
     def __init__(self, sql, kind, trace, tables=(), columns=(), query=None,
@@ -157,12 +158,19 @@ class StatementInfo:
         self.sql = sql
         self.kind = kind
         self.tables = list(tables)
-        self.columns = list(columns)
+        self._columns = columns if callable(columns) else list(columns)
         self.query = query
         self.row_estimate = row_estimate
         self.source = source
         self.trace = trace
         self.front = front
+
+    @property
+    def columns(self):
+        """The referenced ``(table, column)`` pairs (see the class)."""
+        if callable(self._columns):
+            self._columns = self._columns()
+        return self._columns
 
     def __repr__(self):
         return "StatementInfo(%s, tables=%r, source=%s)" % (
@@ -241,7 +249,7 @@ def classify(db, sql_text, trace=None):
                 source="inspector",
             )
     try:
-        query, stmt, __ = db.pipeline.front_end(sql_text, trace)
+        query, stmt, __, sig = db.pipeline.front_end(sql_text, trace)
     except ParseError:
         kind = sniff_kind(sql_text)
         if kind not in _EXTENSION_KINDS:
@@ -250,8 +258,8 @@ def classify(db, sql_text, trace=None):
     if query is not None:
         return StatementInfo(
             sql_text, "SELECT", trace, tables=list(query.tables),
-            columns=_query_columns(db, query), query=query,
-            source="lowered", front=(query, trace),
+            columns=partial(_query_columns, db, query), query=query,
+            source="lowered", front=(query, trace, sig),
         )
     def parsed(kind, **fields):
         return StatementInfo(sql_text, kind, trace, source="parsed",
@@ -633,6 +641,7 @@ class SessionContext:
         except EngineError as exc:
             return StatementPreview(
                 sql_text, sniff_kind(sql_text), error=str(exc))
+        columns = info.columns  # before planning runs the rewrite stage
         decision = (self.policy.check_statement(info)
                     if self.policy is not None else None)
         est_cost = est_rows = error = None
@@ -643,7 +652,7 @@ class SessionContext:
         if decision is not None and decision.allowed:
             decision = self.policy.check_cost(est_cost)
         return StatementPreview(
-            sql_text, info.kind, tables=info.tables, columns=info.columns,
+            sql_text, info.kind, tables=info.tables, columns=columns,
             decision=decision, est_cost=est_cost, est_rows=est_rows,
             error=error,
         )

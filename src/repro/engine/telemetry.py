@@ -12,6 +12,7 @@ lives as long as the result that carries it. Also here: :func:`q_error`
 and :func:`percentile`, the two helpers the readers share.
 """
 
+import math
 import threading
 import time
 
@@ -302,11 +303,23 @@ def percentile(values, q):
     return ordered[idx]
 
 
+#: Ratio between consecutive latency-histogram bin edges.
+_BIN_RATIO = 1.1
+_LOG_RATIO = math.log(_BIN_RATIO)
+
+
 class _RollupBucket:
-    """One aggregation cell of a :class:`ServingRollup` (tenant or session)."""
+    """One aggregation cell of a :class:`ServingRollup` (tenant or session).
+
+    Counts, outcomes and totals are exact; latencies are counted in
+    log-spaced bins (``bins``: ``floor(log_1.1(seconds))`` → count, ``-inf``
+    for zero), ~220 of them between 1 µs and 1000 s however many
+    statements arrive. A percentile reports its bin's geometric midpoint,
+    within ``sqrt(1.1) - 1`` < 5% of the exact nearest-rank value.
+    """
 
     __slots__ = ("queries", "outcomes", "total_work", "total_seconds",
-                 "queue_seconds", "latencies")
+                 "queue_seconds", "bins")
 
     def __init__(self):
         self.queries = 0
@@ -314,7 +327,7 @@ class _RollupBucket:
         self.total_work = 0.0
         self.total_seconds = 0.0
         self.queue_seconds = 0.0
-        self.latencies = []
+        self.bins = {}
 
     def observe(self, seconds, work, outcome, queue_wait):
         self.queries += 1
@@ -322,7 +335,18 @@ class _RollupBucket:
         self.total_work += work
         self.total_seconds += seconds
         self.queue_seconds += queue_wait
-        self.latencies.append(seconds)
+        key = (math.floor(math.log(seconds) / _LOG_RATIO) if seconds > 0
+               else -math.inf)
+        self.bins[key] = self.bins.get(key, 0) + 1
+
+    def quantile(self, q):
+        """The nearest-rank ``q``-quantile (0..1), 0.0 when empty."""
+        rank = min(self.queries - 1, int(round(q * (self.queries - 1))))
+        for key in sorted(self.bins):
+            rank -= self.bins[key]
+            if rank < 0:
+                return _BIN_RATIO ** (key + 0.5)
+        return 0.0
 
     def summary(self):
         return {
@@ -331,9 +355,9 @@ class _RollupBucket:
             "total_work": self.total_work,
             "total_seconds": self.total_seconds,
             "queue_seconds": self.queue_seconds,
-            "p50_seconds": percentile(self.latencies, 0.50),
-            "p95_seconds": percentile(self.latencies, 0.95),
-            "p99_seconds": percentile(self.latencies, 0.99),
+            "p50_seconds": self.quantile(0.50),
+            "p95_seconds": self.quantile(0.95),
+            "p99_seconds": self.quantile(0.99),
         }
 
 
@@ -348,7 +372,8 @@ class ServingRollup:
     included), and the ``admission`` span's outcome (``"admitted"`` /
     ``"queued"`` / ``"shed"``, or ``"error"`` when the statement failed
     after admission), queue wait and settled ``work``. Keeps numbers,
-    not traces. Thread-safe — sessions on many threads observe into one
+    not traces, in constant memory per tenant and session (percentiles
+    within 5%). Thread-safe — sessions on many threads observe into one
     shared rollup.
     """
 

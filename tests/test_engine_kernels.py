@@ -171,6 +171,96 @@ def test_join_indices_examples(left, right):
 
 
 # ----------------------------------------------------------------------
+# join_indices == the factorizing join, on every key the direct path
+# could take
+# ----------------------------------------------------------------------
+def _factorizing_join(left_cols, right_cols):
+    """``join_indices`` before it mapped unique integer build keys
+    directly: one shared factorization and a counting probe."""
+    nl, nr = len(left_cols[0]), len(right_cols[0])
+    empty = np.empty(0, dtype=np.int64)
+    if nl == 0 or nr == 0:
+        return empty, empty.copy()
+    codes = kernels.factorize(
+        [np.concatenate([l, r]) for l, r in zip(left_cols, right_cols)]
+    )
+    lc, rc = codes[:nl], codes[nl:]
+    per_code = np.bincount(rc, minlength=int(codes.max()) + 1)
+    counts = per_code[lc]
+    il = np.repeat(np.arange(nl, dtype=np.int64), counts)
+    if len(il) == 0:
+        return il, empty
+    starts = (np.cumsum(per_code) - per_code)[lc]
+    offsets = np.cumsum(counts) - counts
+    pos = np.arange(len(il)) + np.repeat(starts - offsets, counts)
+    return il, stable_code_order(rc)[pos]
+
+
+SIGNED = ("int8", "int16", "int32", "int64")
+
+
+@st.composite
+def integer_join_sides(draw):
+    """One or two signed-integer key columns per side, each side its own
+    width: build keys unique or not, spans inside or far past
+    ``2 * (nl + nr)``, negative keys, empty sides."""
+    n_keys = draw(st.sampled_from([1, 1, 1, 2]))
+    nl = draw(st.integers(min_value=0, max_value=30))
+    nr = draw(st.integers(min_value=0, max_value=30))
+    sides = []
+    for n, build in ((nl, False), (nr, True)):
+        cols = []
+        for __ in range(n_keys):
+            dtype = np.dtype(draw(st.sampled_from(SIGNED)))
+            info = np.iinfo(dtype)
+            span = draw(st.sampled_from([2 * (nl + nr), 4 * (nl + nr) + 9,
+                                         int(info.max)]))
+            lo = draw(st.integers(min_value=max(int(info.min), -200),
+                                  max_value=50))
+            hi = min(int(info.max), lo + span)
+            keys = st.integers(min_value=lo, max_value=hi)
+            unique = build and draw(st.booleans())
+            values = draw(st.lists(keys, min_size=n, max_size=n,
+                                   unique=unique))
+            cols.append(np.array(values, dtype=dtype))
+        sides.append(cols)
+    return sides
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_join_sides())
+def test_join_indices_equal_the_factorizing_join(sides):
+    left_cols, right_cols = sides
+    il, ir = join_indices(left_cols, right_cols)
+    ol, orr = _factorizing_join(left_cols, right_cols)
+    assert il.dtype == ol.dtype and ir.dtype == orr.dtype
+    assert il.tolist() == ol.tolist() and ir.tolist() == orr.tolist()
+
+
+@pytest.mark.parametrize("right, direct", [
+    ([5, -3, 0, 7, 2], True),               # unique, narrow span
+    ([5, -3, 0, 5, 2], False),              # duplicate build key
+    ([0, 10_000], False),                   # span wider than 2 * (nl + nr)
+])
+def test_direct_join_only_for_unique_narrow_build_keys(monkeypatch, right,
+                                                       direct):
+    took = []
+    real = kernels._direct_join
+
+    def spy(*args):
+        out = real(*args)
+        took.append(out is not None)
+        return out
+
+    monkeypatch.setattr(kernels, "_direct_join", spy)
+    left = [np.array([7, 5, 1, -3, 5, 10_000, 2], dtype=np.int16)]
+    rc = [np.array(right, dtype=np.int64)]
+    il, ir = join_indices(left, rc)
+    assert (il.tolist(), ir.tolist()) == _nested_loop(left, rc)
+    assert any(took) == direct
+
+
+# ----------------------------------------------------------------------
 # GROUP BY a TEXT column codes its keys from the segments
 # ----------------------------------------------------------------------
 SEG = 64
