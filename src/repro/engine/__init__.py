@@ -50,21 +50,7 @@ from repro.engine.optimizer.feedback import (
     FeedbackCorrectedEstimator,
     QueryFeedbackStore,
 )
-from repro.engine.optimizer.hints import (
-    HintSet,
-    PlanCandidate,
-    default_arms,
-    hint_grid,
-)
-from repro.engine.optimizer.selection import (
-    BanditSelector,
-    CostSelector,
-    PessimisticSelector,
-    PlanSelector,
-    make_selector,
-)
-from repro.engine.optimizer.ues import bound_cost, ues_order
-from repro.engine.config import PLAN_SELECTORS
+from repro.engine.optimizer.ues import ues_order
 from repro.engine.pipeline import (
     PIPELINE_STAGES,
     ExplainResult,
@@ -153,17 +139,6 @@ __all__ = [
     "PlanCache",
     "PreparedQuery",
     "QueryPipeline",
-    "PLAN_SELECTORS",
-    "HintSet",
-    "PlanCandidate",
-    "default_arms",
-    "hint_grid",
-    "PlanSelector",
-    "CostSelector",
-    "BanditSelector",
-    "PessimisticSelector",
-    "make_selector",
-    "bound_cost",
     "ues_order",
     "Database",
     "DatabaseSnapshot",

@@ -3,7 +3,7 @@
 :class:`EngineConfig` is the single owner of every engine knob: a frozen
 dataclass whose instances fully determine how a
 :class:`~repro.engine.database.Database` is wired (cost constants,
-feedback, storage, admission, plan selection). A knob that can be set
+feedback, storage, admission, seed). A knob that can be set
 from the environment says so on its field — the ``REPRO_*`` name, the parser and the floor are
 :func:`dataclasses.field` metadata — and :meth:`EngineConfig.from_env`
 is the one function in the engine that reads the environment, by walking
@@ -17,7 +17,7 @@ only :mod:`repro.common`).
 import os
 from dataclasses import dataclass, field, fields, replace
 
-from repro.common import ExecutionError, ReproError
+from repro.common import ExecutionError
 
 #: Default capacity of one sealed column segment, in rows.
 DEFAULT_SEGMENT_ROWS = 65536
@@ -43,14 +43,8 @@ DEFAULT_QUOTA_REFILL = 100_000.0
 #: (0: an over-quota query is shed at once, never queued).
 DEFAULT_ADMISSION_QUEUE_DEPTH = 256
 
-#: Plan-selection strategies the pipeline's plan stage supports (first
-#: entry is the default): ``cost`` plans the one ``default`` arm,
-#: ``bandit`` is the BAO-lite contextual bandit over hint-set arms,
-#: ``pessimistic`` always the UES upper-bound plan.
-PLAN_SELECTORS = ("cost", "bandit", "pessimistic")
-
-#: Default engine seed (bandit Thompson sampling, random enumerator,
-#: traffic drivers) — every stochastic component derives from it.
+#: Default engine seed (random enumerator, traffic drivers) — every
+#: stochastic component derives from it.
 DEFAULT_SEED = 0
 
 #: Environment spellings that turn a boolean knob off.
@@ -110,15 +104,10 @@ class EngineConfig:
             across all tenants (each waits in its tenant's queue, granted
             round-robin); arrivals beyond it are shed, so ``0`` sheds
             every over-quota query at once.
-        plan_selector: plan-selection strategy — ``"cost"`` (the one
-            ``default`` arm: the planner exactly as configured),
-            ``"bandit"`` (BAO-lite: a contextual bandit racing hint-set
-            arms, trained online from measured work), or
-            ``"pessimistic"`` (always the UES upper-bound plan).
         seed: engine seed; one :class:`numpy.random.Generator` derived
-            from it drives every stochastic component (bandit Thompson
-            sampling, the random join enumerator, traffic drivers), so
-            runs are reproducible from their logged seed.
+            from it drives every stochastic component (the random join
+            enumerator, traffic drivers), so runs are reproducible from
+            their logged seed.
     """
 
     cost_params: dict = field(default=None)
@@ -143,18 +132,10 @@ class EngineConfig:
     admission_queue_depth: int = field(
         default=DEFAULT_ADMISSION_QUEUE_DEPTH,
         metadata=_env("REPRO_ADMISSION_QUEUE_DEPTH", int, floor=0))
-    plan_selector: str = field(
-        default=PLAN_SELECTORS[0],
-        metadata=_env("REPRO_PLAN_SELECTOR", str.lower))
     seed: int = field(
         default=DEFAULT_SEED, metadata=_env("REPRO_SEED", int))
 
     def __post_init__(self):
-        if self.plan_selector not in PLAN_SELECTORS:
-            raise ReproError(
-                "plan_selector must be one of %r, got %r"
-                % (PLAN_SELECTORS, self.plan_selector)
-            )
         if float(self.tenant_quota) <= 0:
             raise ExecutionError("tenant_quota must be > 0")
         if float(self.quota_refill_rate) < 0:

@@ -17,7 +17,8 @@ The extension points the AI4DB and DB4AI layers use:
   statements the native parser does not own; the AISQL declarative
   layer registers its ``CREATE MODEL``/``PREDICT`` handlers here.
 * ``planner`` attributes — estimator/enumerator/cost model are swappable
-  (call ``db.pipeline.invalidate()`` after swapping them in place, since
+  (``db.planner.enumerator = "ues"`` plans pessimistically; call
+  ``db.pipeline.invalidate()`` after swapping any of them in place, since
   the plan cache cannot observe such mutations).
 * ``pipeline.rewriter`` — optional query rewriter applied in the
   pipeline's rewrite stage.
@@ -30,7 +31,7 @@ a context with no policy and no audit log, and :meth:`Database.session`
 policy, audit, dry-run, and (for agent sessions) transactional rollback.
 """
 
-from repro.common import ReproError, ensure_rng, spawn_rngs
+from repro.common import ReproError, ensure_rng
 from repro.engine.catalog import Catalog
 from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor, count_join_rows
@@ -40,7 +41,6 @@ from repro.engine.optimizer.feedback import (
     QueryFeedbackStore,
 )
 from repro.engine.optimizer.planner import Planner
-from repro.engine.optimizer.selection import make_selector
 from repro.engine.pipeline import QueryPipeline
 from repro.engine.session.agent import AgentSession
 from repro.engine.session.context import SessionContext, SnapshotBackend
@@ -54,7 +54,7 @@ class Database:
             describing the engine (the primary constructor surface).
             Mutually exclusive with knob keyword arguments.
         **overrides: :class:`~repro.engine.config.EngineConfig` fields by
-            name (``segment_rows=4096``, ``plan_selector="bandit"``,
+            name (``segment_rows=4096``, ``feedback_enabled=True``,
             ...), forwarded to :meth:`EngineConfig.from_env`: a knob left
             out or passed as ``None`` takes its ``REPRO_*`` variable,
             else the field default. An unknown name raises.
@@ -85,13 +85,8 @@ class Database:
             seed=config.seed,
         )
         self.executor = Executor(self.catalog, self.cost_model)
-        # One seeded generator per engine: `rng` is the public stream,
-        # and the plan selector gets its own spawned child so user draws
-        # never perturb the (reproducible) selection sequence.
+        # One seeded generator per engine: the public stream.
         self.rng = ensure_rng(config.seed)
-        selector_rng, = spawn_rngs(config.seed, 1)
-        self.plan_selector = make_selector(config.plan_selector,
-                                           rng=selector_rng)
         self.feedback = None
         if config.feedback_enabled:
             self.feedback = QueryFeedbackStore()
@@ -99,11 +94,6 @@ class Database:
             # estimates with observed actuals on exact sub-query hits.
             self.planner.estimator = FeedbackCorrectedEstimator(
                 self.planner.estimator, self.feedback
-            )
-            # Drift demotes a misbehaving learned arm: the feedback
-            # store's ingest hook notifies the selector on every drift.
-            self.feedback.drift_listeners.append(
-                self.plan_selector.note_drift
             )
         self.pipeline = QueryPipeline(self)
         # The context Database.execute unwraps: no policy, no audit log.

@@ -186,15 +186,15 @@ class Executor:
         self.catalog = catalog
         self.cost_model = cost_model or CostModel()
 
-    def execute(self, plan, catalog=None, trace=None):
+    def execute(self, plan, catalog=None, trace=None, memo=None):
         """Run ``plan``; returns an :class:`ExecutionResult`.
 
-        The plan is prepared once (:func:`~repro.engine.fusion.
-        prepare_plan`): its first run fuses the tail, lists the nodes
-        and computes the read set, memoized on the plan object for every
-        later run on any route. The caller's nodes are never rewritten,
-        and the fused pass charges work through them, so accounting
-        stays in terms of the plan the caller handed in.
+        ``memo`` is the plan's :func:`~repro.engine.fusion.prepare_plan`
+        tuple — fused tail, node list, read set — as the pipeline's plan
+        cache holds it; without one the plan is prepared for this call.
+        The caller's nodes are never rewritten, and the fused pass
+        charges work through them, so accounting stays in terms of the
+        plan the caller handed in.
 
         ``catalog`` pins this one run to a different read surface —
         typically a :class:`~repro.engine.catalog.CatalogSnapshot` — so
@@ -212,7 +212,7 @@ class Executor:
         own = trace is None
         if own:
             trace = StatementTrace()
-        fused, fused_ops, nodes, reads = prepare_plan(plan)
+        fused, fused_ops, nodes, reads = memo or prepare_plan(plan)
         with trace.root.child("execute") as span:
             run = _Run(self.catalog if catalog is None else catalog,
                        self.cost_model, span, reads)

@@ -11,8 +11,9 @@ that the executor evaluates in one pass — predicate mask, gather of only
 the columns the tail actually reads, aggregation/dedup/limit — without
 the intermediate relation ever existing.
 
-Fusion is an *execution-time* rewrite, applied unconditionally by
-``Executor.execute`` once per plan object (:func:`prepare_plan`). The
+Fusion is an *execution-time* rewrite, applied unconditionally: once
+per cached plan (:func:`prepare_plan`, stored in the plan-cache entry)
+or once per ``Executor.execute`` call on a plan handed in directly. The
 plan cache, EXPLAIN cost annotations, and cost-model estimates all stay
 in terms of the unfused plan; the fused
 node keeps references to the original operator nodes so work accounting
@@ -152,14 +153,11 @@ def fuse_plan(plan):
 
 def prepare_plan(plan):
     """``(fused, fused_ops, nodes, reads)``: :func:`fuse_plan`, the
-    unfused preorder node list and the fused plan's :func:`plan_reads`,
-    memoized on ``plan`` by its first execution. They depend only on
-    the plan's structure, which planning fixes, so the memo is never
-    invalidated (racing first runs compute equal values); a plan-stage
-    hook's new object gets its own. Do not mutate a plan once it ran."""
-    memo = getattr(plan, "_prepared", None)
-    if memo is None:
-        fused, fused_ops = fuse_plan(plan)
-        memo = plan._prepared = (
-            fused, fused_ops, list(plan.walk()), plan_reads(fused))
-    return memo
+    unfused preorder node list and the fused plan's :func:`plan_reads`.
+    They depend only on the plan's structure, which planning fixes, so
+    the plan cache stores them beside the plan and every warm run reuses
+    them (the plan itself never points back at them, so an evicted plan
+    is freed by reference counting). Do not mutate a plan once it is
+    prepared."""
+    fused, fused_ops = fuse_plan(plan)
+    return fused, fused_ops, list(plan.walk()), plan_reads(fused)

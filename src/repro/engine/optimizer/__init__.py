@@ -7,16 +7,6 @@ from repro.engine.optimizer.cardinality import (
     TrueCardinalityEstimator,
 )
 from repro.engine.optimizer.cost import CostModel
-from repro.engine.optimizer.hints import (
-    DEFAULT_ARM,
-    EXHAUSTIVE_MAX_TABLES,
-    HintSet,
-    JOIN_ORDER_STRATEGIES,
-    PlanCandidate,
-    UES_ARM,
-    default_arms,
-    hint_grid,
-)
 from repro.engine.optimizer.join_enum import (
     dp_left_deep,
     greedy_order,
@@ -24,17 +14,8 @@ from repro.engine.optimizer.join_enum import (
     order_cost,
 )
 from repro.engine.optimizer.planner import Planner
-from repro.engine.optimizer.selection import (
-    BanditSelector,
-    CostSelector,
-    PessimisticSelector,
-    PlanSelector,
-    make_selector,
-    plan_features,
-)
 from repro.engine.optimizer.ues import (
     UpperBoundEstimator,
-    bound_cost,
     max_frequency,
     ues_bounds,
     ues_order,
@@ -61,22 +42,7 @@ __all__ = [
     "random_order",
     "order_cost",
     "Planner",
-    "HintSet",
-    "PlanCandidate",
-    "DEFAULT_ARM",
-    "UES_ARM",
-    "JOIN_ORDER_STRATEGIES",
-    "EXHAUSTIVE_MAX_TABLES",
-    "default_arms",
-    "hint_grid",
-    "PlanSelector",
-    "CostSelector",
-    "BanditSelector",
-    "PessimisticSelector",
-    "make_selector",
-    "plan_features",
     "UpperBoundEstimator",
-    "bound_cost",
     "max_frequency",
     "ues_bounds",
     "ues_order",

@@ -89,9 +89,6 @@ class QueryFeedbackStore:
         self.observations = 0
         self.drifts = 0
         self._table_versions = {}
-        #: Callables invoked with the drifting table list on every drift
-        #: (the plan-selection layer registers its arm-demotion hook here).
-        self.drift_listeners = []
 
     def observe(self, query, tables, est_rows, actual_rows):
         """Record one node's actual output cardinality.
@@ -134,8 +131,6 @@ class QueryFeedbackStore:
                 self._table_versions[key_t] = (
                     self._table_versions.get(key_t, 0) + 1
                 )
-            for listener in self.drift_listeners:
-                listener(tables)
             return True
         return False
 

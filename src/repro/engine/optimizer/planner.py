@@ -4,16 +4,19 @@
 components replace:
 
 * the **cardinality estimator** (traditional / sampling / learned MSCN-lite),
-* the **join enumerator** (``"dp"``, ``"greedy"``, ``"random"``, or an
-  explicit order supplied by an RL/MCTS agent),
+* the **join enumerator** (``"dp"``, ``"greedy"``, ``"random"``,
+  ``"ues"`` — the pessimistic upper-bound order of
+  :mod:`repro.engine.optimizer.ues` — or an explicit order supplied by an
+  RL/MCTS agent),
 * the **cost model** (whose constants the knob tuner moves).
 
 That pluggability is the point: every AI4DB optimization experiment is
 "swap one axis, hold the rest fixed, measure executed work".
+:meth:`Planner.plan` is the one entry point and yields one plan.
 
 Each planning call wraps the estimator in one
-:class:`~repro.engine.optimizer.cardinality.EstimateMemo`, shared by every
-arm's enumerator, access paths, assembly and cost annotation, so
+:class:`~repro.engine.optimizer.cardinality.EstimateMemo`, shared by the
+enumerator, access paths, assembly and cost annotation, so
 ``optimizer.plan.ms`` pays each distinct sub-query estimate once.
 """
 
@@ -23,14 +26,12 @@ from repro.common import CatalogError, PlanError
 from repro.engine import plans as P
 from repro.engine.optimizer.cardinality import TraditionalEstimator
 from repro.engine.optimizer.cost import CostModel, _SinglePredicateView
-from repro.engine.optimizer.hints import (
-    DEFAULT_ARM,
-    EXHAUSTIVE_MAX_TABLES,
-    PlanCandidate,
-)
 from repro.engine.optimizer.join_enum import dp_left_deep, greedy_order, random_order
-from repro.engine.optimizer.ues import bound_cost, ues_order
+from repro.engine.optimizer.ues import ues_order
 from repro.engine.types import DataType
+
+#: Values of :attr:`Planner.enumerator`.
+ENUMERATORS = ("dp", "greedy", "random", "ues")
 
 _ENUMERATORS = {"dp": dp_left_deep, "greedy": greedy_order}
 
@@ -69,7 +70,7 @@ class Planner:
             histogram estimator.
         cost_model: a :class:`CostModel`; default constants unless knobs say
             otherwise.
-        enumerator: ``"dp"``, ``"greedy"`` or ``"random"``.
+        enumerator: ``"dp"``, ``"greedy"``, ``"random"`` or ``"ues"``.
         use_views: consider matching materialized views.
         use_indexes: consider index scans as access paths.
         include_hypothetical: treat what-if indexes as usable (for advisor
@@ -91,8 +92,6 @@ class Planner:
         self.catalog = catalog
         self.estimator = estimator or TraditionalEstimator(catalog)
         self.cost_model = cost_model or CostModel()
-        if enumerator not in ("dp", "greedy", "random"):
-            raise PlanError("enumerator must be dp, greedy, or random")
         self.enumerator = enumerator
         self.use_views = use_views
         self.use_indexes = use_indexes
@@ -100,6 +99,18 @@ class Planner:
         self.seed = seed
 
     # ------------------------------------------------------------------
+    @property
+    def enumerator(self):
+        """The join enumerator: one of :data:`ENUMERATORS`."""
+        return self._enumerator
+
+    @enumerator.setter
+    def enumerator(self, name):
+        if name not in ENUMERATORS:
+            raise PlanError("enumerator must be one of %s, got %r"
+                            % (", ".join(ENUMERATORS), name))
+        self._enumerator = name
+
     def plan(self, query, order=None):
         """Produce an annotated physical plan for ``query``.
 
@@ -108,22 +119,19 @@ class Planner:
             order: optional explicit left-deep join order (list of table
                 names); when given, enumeration is skipped — this is the
                 hook the learned join-order agents use.
+
+        Unknown tables surface as :class:`~repro.common.CatalogError`,
+        never a raw ``KeyError``, so a table dropped between lowering
+        and planning fails the same way on every route.
         """
-        return self.plan_with_hints(query, DEFAULT_ARM, order=order)
+        memo = self.estimator.planning_scope(query)
+        try:
+            return self._plan(query, order, memo)
+        except KeyError as exc:  # defensive: unify on CatalogError
+            raise CatalogError(
+                "planning failed: unknown catalog object %s" % (exc,))
 
-    def plan_with_hints(self, query, hints, order=None):
-        """Build a plan under a :class:`~repro.engine.optimizer.hints.
-        HintSet` — the candidate-generation entry point.
-
-        The hint set's ``join_order`` strategy picks the order
-        (``"default"``: this planner's configured enumerator) and
-        ``use_indexes`` overrides access-path selection. An explicit
-        ``order`` beats the strategy.
-        """
-        return self._plan(query, hints, order,
-                          self.estimator.planning_scope(query))
-
-    def _plan(self, query, hints, order, memo):
+    def _plan(self, query, order, memo):
         check_range_types(self.catalog, query)
         if query.limit == 0:
             plan = P.EmptyResult(self._output_columns(query))
@@ -137,79 +145,27 @@ class Planner:
             self.cost_model.annotate(plan, memo, query)
             return plan
         if order is None:
-            order = self._hint_order(query, hints, memo)
+            order = self._order(query, memo)
         elif {t.lower() for t in order} != {t.lower() for t in query.tables}:
             raise PlanError("explicit order must cover the query's tables")
-        return self._assemble(query, order, memo, use_indexes=hints.use_indexes)
+        return self._assemble(query, order, memo)
 
-    def plan_candidates(self, query, arms, order=None):
-        """One :class:`~repro.engine.optimizer.hints.PlanCandidate` per arm.
-
-        Each candidate carries the arm's plan and the cost model's
-        estimate for it; the UES arm additionally carries its pessimistic
-        :func:`~repro.engine.optimizer.ues.bound_cost` guarantee (the
-        regret guard's anchor). All arms share one estimate memo, which
-        is dropped when the call returns. Unknown tables surface as
-        :class:`~repro.common.CatalogError` — never a raw ``KeyError`` —
-        so dropped-table races fail uniformly across all selectors.
-        """
-        memo = self.estimator.planning_scope(query)
-        candidates = []
-        for hints in arms:
-            try:
-                plan = self._plan(query, hints, order, memo)
-            except KeyError as exc:  # defensive: unify on CatalogError
-                raise CatalogError(
-                    "planning failed for arm %r: unknown catalog object %s"
-                    % (hints.name, exc)
-                )
-            bound = None
-            if hints.join_order == "ues" and len(query.tables) > 0:
-                __, ___, bound = bound_cost(
-                    self.catalog, query, self.cost_model
-                )
-            candidates.append(PlanCandidate(
-                arm=hints.name,
-                hints=hints,
-                plan=plan,
-                est_cost=self._plan_cost(plan),
-                bound=bound,
-            ))
-        return candidates
-
-    def _hint_order(self, query, hints, memo):
-        """The left-deep order a hint set's join-order strategy produces."""
+    def _order(self, query, memo):
+        """The left-deep order this planner's enumerator produces."""
         if len(query.tables) == 1:
             return [query.tables[0]]
-        strategy = hints.join_order
-        if strategy == "ues":
+        if self.enumerator == "ues":
             return ues_order(self.catalog, query)[0]
-        if strategy == "exhaustive":
-            strategy = ("dp" if len(query.tables) <= EXHAUSTIVE_MAX_TABLES
-                        else "greedy")
-        elif strategy == "default":  # whatever this planner is configured with
-            strategy = self.enumerator
-        if strategy == "random":
+        if self.enumerator == "random":
             return random_order(query, memo, self.cost_model, seed=self.seed)[0]
-        return _ENUMERATORS[strategy](query, memo, self.cost_model)[0]
+        return _ENUMERATORS[self.enumerator](query, memo, self.cost_model)[0]
 
-    @staticmethod
-    def _plan_cost(plan):
-        """A plan's whole-tree cost estimate (floored at 1.0)."""
-        for value in (plan.est_cost, plan.est_rows):
-            if value is not None:
-                return max(1.0, float(value))
-        return 1.0
-
-    def _assemble(self, query, order, memo, use_indexes=None):
-        """Access paths + left-deep joins + finalize + cost annotation.
-
-        ``use_indexes=None`` inherits the planner's setting.
-        """
-        plan = self._access_path(query, order[0], memo, use_indexes)
+    def _assemble(self, query, order, memo):
+        """Access paths + left-deep joins + finalize + cost annotation."""
+        plan = self._access_path(query, order[0], memo)
         joined = [order[0]]
         for t in order[1:]:
-            right = self._access_path(query, t, memo, use_indexes)
+            right = self._access_path(query, t, memo)
             edges = query.edges_between(joined, t)
             if edges:
                 left_rows = memo.estimate_subset(query, joined)
@@ -230,17 +186,10 @@ class Planner:
         return plan
 
     # ------------------------------------------------------------------
-    def _access_path(self, query, table, memo, use_indexes=None):
-        """Choose SeqScan vs IndexScan for one base table.
-
-        ``use_indexes`` overrides the planner-level setting per call (the
-        hint-set axis); ``None`` inherits it.
-        """
-        allow_indexes = (
-            self.use_indexes if use_indexes is None else use_indexes
-        )
+    def _access_path(self, query, table, memo):
+        """Choose SeqScan vs IndexScan for one base table."""
         preds = query.predicates_on(table)
-        if not (allow_indexes and preds):
+        if not (self.use_indexes and preds):
             return P.SeqScan(table, preds)
         table_rows = max(1.0, float(self.catalog.table(table).n_rows))
         best = None

@@ -33,11 +33,12 @@ pin — and every level's bound dominates the true join cardinality
 whenever the max frequencies are exact.
 
 :func:`ues_order` greedily grows the prefix that minimizes the running
-bound (the UES policy: smallest bound first), and :func:`bound_cost`
-prices the resulting order with the engine's own
-:class:`~repro.engine.optimizer.cost.CostModel` evaluated at the bound
-cardinalities — the pessimistic cost the plan-selection layer's regret
-guard compares learned arms against.
+bound (the UES policy: smallest bound first). It is the planner's
+``"ues"`` join enumerator (``Planner(enumerator="ues")``): the order is
+chosen from the bounds, and access paths, join operators and the cost
+annotation are the planner's as for every other enumerator.
+:class:`UpperBoundEstimator` answers sub-query cardinalities with the
+same bounds, for pricing any plan pessimistically.
 """
 
 import math
@@ -168,40 +169,6 @@ def ues_order(catalog, query):
         order.append(nxt)
         del remaining[nxt.lower()]
     return order, bounds
-
-
-def bound_cost(catalog, query, cost_model, order=None, bounds=None):
-    """Pessimistic total cost of a left-deep order at its bounds.
-
-    Prices base-table scans at their exact row counts and every join at
-    the bound cardinalities with the engine's cost model (cheaper of
-    hash/nested-loop at the bounds, cross join when disconnected). The
-    result is the UES guarantee in the engine's work unit: under sound
-    bounds no execution of this order can be charged more than this by
-    the cost model's formulas.
-
-    Returns:
-        ``(order, bounds, total_cost)``; ``order``/``bounds`` default to
-        :func:`ues_order`'s.
-    """
-    if order is None:
-        order, bounds = ues_order(catalog, query)
-    elif bounds is None:
-        bounds = ues_bounds(catalog, query, order)
-    total = cost_model.seq_scan(max(1.0, float(catalog.table(order[0]).n_rows)))
-    prefix = [order[0]]
-    for level, t in enumerate(order[1:], start=1):
-        right_rows = max(1.0, float(catalog.table(t).n_rows))
-        total += cost_model.seq_scan(right_rows)
-        if query.edges_between(prefix, t):
-            __, join_cost = cost_model.choose_join(
-                bounds[level - 1], right_rows, bounds[level]
-            )
-        else:
-            join_cost = cost_model.cross_join(bounds[level - 1], right_rows)
-        total += join_cost
-        prefix.append(t)
-    return order, bounds, total
 
 
 class UpperBoundEstimator(CardinalityEstimator):

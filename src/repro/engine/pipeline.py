@@ -8,8 +8,10 @@ hook list so learned components can observe or replace a stage's output
 without subclassing the :class:`~repro.engine.database.Database` façade.
 
 Between the rewrite and plan stages sits a **plan cache**: an LRU map from
-``(query.signature(), explicit_order, arm)`` to that arm's plan candidate,
-where every entry also stores the invalidation token it was planned under.
+``(query.signature(), explicit_order)`` to the plan
+:meth:`~repro.engine.optimizer.planner.Planner.plan` built and its
+:func:`~repro.engine.fusion.prepare_plan` memo, where every entry also
+stores the invalidation token it was planned under.
 The token is **scoped to the tables the query touches**: the catalog's
 :meth:`~repro.engine.catalog.Catalog.version_vector` restricted to the
 query's table set, paired with the feedback store's per-table drift
@@ -27,12 +29,9 @@ ANALYZE leave warm SQL text warm).
 Cache-key / token invariants:
 
 * the plan cache key is the **full** query signature (joins, predicates,
-  projections, aggregates, grouping, ordering, limit, distinct), the
-  explicit join order if one was supplied, and the hint-set **arm name**
-  (``"default"`` under the ``cost`` selector) — queries differing in any
-  of those never share an entry, and every arm caches its own candidate
-  (scoped invalidation drops all of a query's arms together, since they
-  share the same token);
+  projections, aggregates, grouping, ordering, limit, distinct) and the
+  explicit join order if one was supplied — queries differing in either
+  never share an entry;
 * keys are computed **after** the rewrite stage, so a changed rewriter
   maps queries to different signatures and can never revive a plan for a
   query it no longer produces;
@@ -44,8 +43,9 @@ Cache-key / token invariants:
   trace's ``plan`` span and in EXPLAIN ANALYZE;
 * registering a plan-stage hook or swapping the rewriter clears the cache
   outright (hooks may transform plans statefully). Swapping planner
-  internals by hand (``db.planner.estimator = ...``) is the one mutation
-  the token cannot see — call :meth:`QueryPipeline.invalidate` after it.
+  internals by hand (``db.planner.estimator = ...``,
+  ``db.planner.enumerator = "ues"``) is the one mutation the token cannot
+  see — call :meth:`QueryPipeline.invalidate` after it.
 
 Snapshot reads: :meth:`execute_prepared`/:meth:`run_query` accept an
 immutable :class:`~repro.engine.catalog.CatalogSnapshot`. Planning (and
@@ -58,12 +58,10 @@ and feedback ingestion is skipped (actuals reflect pinned data) — the
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import replace
 
 from repro.common import ExecutionError, ParseError, PlanError
-from repro.engine.fusion import prepare_plan
+from repro.engine.fusion import fuse_plan, prepare_plan
 from repro.engine.optimizer.feedback import ingest_execution
-from repro.engine.optimizer.hints import DEFAULT_ARM
 from repro.engine.sql.ast_nodes import (
     AnalyzeStmt,
     CreateIndexStmt,
@@ -105,17 +103,14 @@ def _invalidation_cause(stale, current):
     return "token"
 
 
-def render_explain(plan, trace, arm_stats=None):
+def render_explain(plan, trace):
     """EXPLAIN text as a function of the statement's trace.
 
     Without an ``execute`` span: the plan with the optimizer's
     estimates. With one (EXPLAIN ANALYZE): each node of the unfused plan
     with its estimated rows, executor-counted actual rows and q-error,
     then the scans' segment counters, the version vector the plan stage
-    keyed on and the plan-cache verdict. Both end with the ``Arm:`` line
-    when selection had something to report — more than one candidate
-    was raced, or the chosen arm is not ``default`` — and ANALYZE adds
-    the selector's per-arm ``wins/picks`` (``arm_stats``).
+    keyed on and the plan-cache verdict.
     """
     run = trace.execute
     if run is None:
@@ -147,17 +142,6 @@ def render_explain(plan, trace, arm_stats=None):
         text += "\nPlan cache: %s" % trace.cache_outcome
         if trace.invalidation_cause:
             text += " (%s)" % trace.invalidation_cause
-    if trace.n_candidates < 2 and trace.arm == DEFAULT_ARM.name:
-        return text
-    text += "\nArm: %s (est_cost=%.1f" % (trace.arm, trace.arm_est_cost)
-    if trace.ues_bound is not None:
-        text += ", ues_bound=%.1f" % trace.ues_bound
-    text += ")"
-    if run is not None and arm_stats:
-        text += "\nArm wins: " + ", ".join(
-            "%s=%d/%d" % (name, st.get("wins") or 0, st.get("picks") or 0)
-            for name, st in sorted(arm_stats.items())
-        )
     return text
 
 
@@ -175,7 +159,7 @@ class ExplainResult:
         trace: the statement's
             :class:`~repro.engine.telemetry.StatementTrace` — cache
             outcome and invalidation cause, the version vector the plan
-            stage keyed on, the arm; for EXPLAIN ANALYZE also the
+            stage keyed on; for EXPLAIN ANALYZE also the
             ``execute`` span (``node_stats``, segment counters).
         result: for EXPLAIN ANALYZE only — the
             :class:`~repro.engine.executor.ExecutionResult` of the run;
@@ -184,8 +168,8 @@ class ExplainResult:
 
     __slots__ = ("text", "plan", "trace", "result")
 
-    def __init__(self, plan, trace, result=None, arm_stats=None):
-        self.text = render_explain(plan, trace, arm_stats)
+    def __init__(self, plan, trace, result=None):
+        self.text = render_explain(plan, trace)
         self.plan = plan
         self.trace = trace
         self.result = result
@@ -194,7 +178,7 @@ class ExplainResult:
     def fused_ops(self):
         """How many tail stages the executor's fusion pass collapsed
         (EXPLAIN ANALYZE) or will collapse when this plan is executed."""
-        return prepare_plan(self.plan)[1]
+        return fuse_plan(self.plan)[1]
 
     def __str__(self):
         return self.text
@@ -231,19 +215,19 @@ class PreparedQuery:
 
     ``trace`` is the trace of the statement that planned it (its first
     execution lands there; a later one forks it — see
-    :meth:`~repro.engine.telemetry.StatementTrace.fork`); ``features``
-    is the context vector the selector chose on and trains on after the
-    run (``None`` under selectors that do not learn from one).
+    :meth:`~repro.engine.telemetry.StatementTrace.fork`); ``memo`` is the
+    plan's :func:`~repro.engine.fusion.prepare_plan` tuple, from the
+    plan-cache entry, which every execution reuses.
     """
 
-    __slots__ = ("sql", "query", "plan", "trace", "features")
+    __slots__ = ("sql", "query", "plan", "trace", "memo")
 
-    def __init__(self, sql, query, plan, trace, features=None):
+    def __init__(self, sql, query, plan, trace, memo):
         self.sql = sql
         self.query = query
         self.plan = plan
         self.trace = trace
-        self.features = features
+        self.memo = memo
 
     @property
     def est_cost(self):
@@ -594,8 +578,8 @@ class QueryPipeline:
         if self._rewriter is not None or self.stage_hooks["rewrite"]:
             sig = None
         query = self._rewrite(query, trace)
-        chosen, features = self._plan(query, trace, order=order, sig=sig)
-        return PreparedQuery(sql_text, query, chosen.plan, trace, features)
+        plan, memo = self._plan(query, trace, order=order, sig=sig)
+        return PreparedQuery(sql_text, query, plan, trace, memo)
 
     def execute_prepared(self, prepared, snapshot=None):
         """Execute a :class:`PreparedQuery`, optionally pinned to a
@@ -606,7 +590,7 @@ class QueryPipeline:
         serving path, its cost estimate charged against a quota), so this
         runs exactly that plan — against the live catalog, or the pinned
         snapshot — then applies the execute hooks, closes the feedback
-        and selection loops, and accumulates stats. Executing the same
+        loop, and accumulates stats. Executing the same
         prepared query again is a new statement: its trace shares the
         planning spans and only its own ``execute`` is accumulated.
         """
@@ -614,21 +598,15 @@ class QueryPipeline:
         if trace.execute is not None:
             trace = trace.fork()
         result = self.db.executor.execute(
-            prepared.plan, catalog=snapshot, trace=trace
+            prepared.plan, catalog=snapshot, trace=trace, memo=prepared.memo
         )
         result = self._apply_hooks("execute", result)
-        if snapshot is None:
-            # Snapshot runs skip feedback and bandit training: their
-            # actuals describe pinned data and would poison estimates
-            # (and rewards) for the live tables.
-            store = self.db.feedback
-            if store is not None:
-                ingest_execution(store, prepared.query, prepared.plan,
-                                 result.telemetry.node_stats)
-            self.db.plan_selector.observe(
-                trace.arm, prepared.features, trace.arm_est_cost,
-                result.work,
-            )
+        store = self.db.feedback
+        if snapshot is None and store is not None:
+            # Snapshot runs skip feedback: their actuals describe pinned
+            # data and would poison estimates for the live tables.
+            ingest_execution(store, prepared.query, prepared.plan,
+                             result.telemetry.node_stats)
         trace.root.close()
         self._accumulate(trace)
         return result
@@ -662,10 +640,7 @@ class QueryPipeline:
             sql_text, "EXPLAIN ANALYZE")
         prepared = self._prepare(sql_text, query, trace, sig=sig)
         result = self.execute_prepared(prepared)
-        return ExplainResult(
-            prepared.plan, trace, result,
-            self.db.plan_selector.stats().get("arms"),
-        )
+        return ExplainResult(prepared.plan, trace, result)
 
     # -- stages ------------------------------------------------------------
     def _rewrite(self, query, trace):
@@ -689,70 +664,38 @@ class QueryPipeline:
         return (self.db.catalog.version_vector(query.tables), feedback)
 
     def _plan(self, query, trace, order=None, sig=None):
-        """The plan stage: one candidate per arm, the selector's choice.
+        """The plan stage: ``(plan, memo)`` for ``query``.
 
-        The selector names the arms (``cost``: just ``default``). Each
-        arm has its own plan-cache entry — key ``(signature, order,
-        arm)``, all sharing the query's scoped token — so repeated
-        queries skip candidate generation entirely; only arms whose
-        entries are cold or invalidated replan. Selection itself always
-        runs (it is the learning step), and the chosen arm's cache
-        outcome is what the ``plan`` span reports. Returns the chosen
-        :class:`~repro.engine.optimizer.hints.PlanCandidate` and the
-        feature vector it was selected on. ``sig``: ``query.signature()``
+        One plan-cache lookup under key ``(signature, order)``; on a miss
+        :meth:`~repro.engine.optimizer.planner.Planner.plan` builds the
+        plan, the ``"plan"`` hooks see it, and it is stored with its
+        :func:`~repro.engine.fusion.prepare_plan` memo. The ``plan``
+        span reports the cache outcome. ``sig``: ``query.signature()``
         when the caller holds it.
         """
         with trace.root.child("plan") as span:
-            selector = self.db.plan_selector
             if sig is None:
                 sig = query.signature()
-            order_t = (None if order is None
-                       else tuple(t.lower() for t in order))
+            key = (sig, None if order is None
+                   else tuple(t.lower() for t in order))
             token = self._plan_token(query)
-            candidates, outcomes, missing = [], {}, []
-            for hints in selector.arms(query):
-                cand, outcome, stale = self.plan_cache.lookup(
-                    (sig, order_t, hints.name), token
-                )
-                outcomes[hints.name] = (outcome, stale)
-                if cand is None:
-                    missing.append(hints)
-                else:
-                    candidates.append(cand)
-            if missing:
-                fresh = self.db.planner.plan_candidates(
-                    query, missing, order=order
-                )
+            entry, outcome, stale = self.plan_cache.lookup(key, token)
+            if entry is None:
+                plan = self._apply_hooks(
+                    "plan", self.db.planner.plan(query, order=order))
+                entry = (plan, prepare_plan(plan))
                 # Re-read the token: planning may lazily ANALYZE (a
-                # version bump), and entries must match the state they
-                # were built from.
-                put_token = self._plan_token(query)
-                for cand in fresh:
-                    hooked = self._apply_hooks("plan", cand.plan)
-                    if hooked is not cand.plan:
-                        cand = replace(cand, plan=hooked)
-                    self.plan_cache.put(
-                        (sig, order_t, cand.arm), cand, put_token)
-                    candidates.append(cand)
-            features = selector.features(query, self.db.planner.estimator)
-            chosen = selector.select(candidates, query, features)
-            outcome, stale = outcomes.get(chosen.arm, ("miss", None))
-            bound = None
-            for cand in candidates:
-                if cand.bound is not None:
-                    bound = cand.bound
+                # version bump), and the entry must match the state it
+                # was built from.
+                self.plan_cache.put(key, entry, self._plan_token(query))
             span.attrs.update(
                 cache_outcome=outcome,
                 invalidation_cause=(
                     _invalidation_cause(stale, token)
                     if outcome == "invalidated" else None),
                 plan_versions=token[0],
-                arm=chosen.arm,
-                arm_est_cost=chosen.est_cost,
-                n_candidates=len(candidates),
-                ues_bound=bound,
             )
-        return chosen, features
+        return entry
 
     def run_statement(self, stmt, trace):
         """Execute a parsed DDL/DML/ANALYZE statement against the catalog.

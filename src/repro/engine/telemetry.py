@@ -197,8 +197,7 @@ class Span:
 
 
 #: What the ``plan`` span records, readable straight off the trace.
-_PLAN_ATTRS = ("cache_outcome", "invalidation_cause", "plan_versions",
-               "arm", "arm_est_cost", "n_candidates", "ues_bound")
+_PLAN_ATTRS = ("cache_outcome", "invalidation_cause", "plan_versions")
 
 
 class StatementTrace:
@@ -209,7 +208,7 @@ class StatementTrace:
         shared: how many leading root children belong to an earlier
             statement (:meth:`fork`) — aggregates skip them.
 
-    The ``plan`` span's attributes (``cache_outcome``, ``arm``, …) read
+    The ``plan`` span's attributes (``cache_outcome``, …) read
     as attributes of the trace, ``None`` before planning.
     """
 

@@ -291,13 +291,14 @@ class ReferenceExecutor:
         self.catalog = catalog
         self.cost_model = cost_model or CostModel()
 
-    def execute(self, plan, catalog=None, trace=None):
+    def execute(self, plan, catalog=None, trace=None, memo=None):
         """Run ``plan`` (against ``catalog`` when given, e.g. a pinned
         ``CatalogSnapshot``); returns an ``ExecutionResult`` over the
         same record the engine builds — an ``execute`` span with one
         span per node — so ``work``, ``operator_work`` and
         ``node_stats`` are read through the engine's own accessors.
-        ``fused_ops`` is always 0."""
+        ``fused_ops`` is always 0, and the plan cache's ``memo`` (the
+        engine's fused tail and read set) goes unused."""
         trace = trace or StatementTrace()
         with trace.root.child("execute") as span:
             run = _Run(self.catalog if catalog is None else catalog,

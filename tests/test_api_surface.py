@@ -82,6 +82,31 @@ def test_admission_has_no_policy_list():
     assert not hasattr(engine.EngineConfig(), "admission_policy")
 
 
+def test_plan_selection_is_gone():
+    """One plan per statement: no selector, hint set or arm is exported,
+    their modules are gone, and UES is a value of the planner's
+    ``enumerator`` (``ues_order`` stays exported)."""
+    import importlib
+
+    for name in ("PlanSelector", "CostSelector", "BanditSelector",
+                 "PessimisticSelector", "make_selector", "HintSet",
+                 "PlanCandidate", "default_arms", "hint_grid",
+                 "PLAN_SELECTORS", "bound_cost"):
+        assert name not in engine.__all__
+        assert not hasattr(engine, name)
+        assert not hasattr(engine.optimizer, name)
+    for module in ("selection", "hints"):
+        try:
+            importlib.import_module("repro.engine.optimizer." + module)
+        except ModuleNotFoundError:
+            continue
+        raise AssertionError("repro.engine.optimizer.%s is back" % module)
+    assert not hasattr(engine.EngineConfig(), "plan_selector")
+    assert "ues_order" in engine.__all__
+    planner = engine.optimizer.Planner(engine.Catalog(), enumerator="ues")
+    assert planner.enumerator == "ues"
+
+
 def test_all_has_no_duplicates():
     assert len(engine.__all__) == len(set(engine.__all__))
 

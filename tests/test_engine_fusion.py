@@ -19,9 +19,9 @@ from repro.common import ExecutionError, ReproError
 from repro.engine import (
     Database,
     EngineConfig,
-    HintSet,
     fuse_plan,
 )
+from repro import engine
 from repro.engine import plans as P
 from repro.engine.plans import PlanError
 from repro.engine.query import Aggregate, Predicate
@@ -52,13 +52,12 @@ KNOBS = {
     "tenant_quota": (12345.0, "12345", None),
     "quota_refill_rate": (678.0, "678", None),
     "admission_queue_depth": (9, "9", 0),
-    "plan_selector": ("pessimistic", "Pessimistic", None),
     "seed": (11, "11", None),
 }
 
 #: Env text no parser/validator accepts, by field type (any text turns a
 #: boolean knob on or off, so booleans have none).
-BAD_ENV_TEXT = {int: "many", float: "lots", str: "bogus", tuple: "zip"}
+BAD_ENV_TEXT = {int: "many", float: "lots", tuple: "zip"}
 
 
 def _readme_knob_rows():
@@ -79,9 +78,9 @@ def _readme_knob_rows():
 class TestEngineConfig:
     def test_defaults_are_valid(self):
         knobs = dataclasses.fields(EngineConfig())
-        assert len(knobs) == 9
+        assert len(knobs) == 8
         from_env = {k.name for k in knobs if "env" in k.metadata}
-        assert len(from_env) == 8
+        assert len(from_env) == 7
         # The README lists exactly those — no row outlives its knob.
         assert from_env == {
             name for name, row in _readme_knob_rows().items()
@@ -91,15 +90,15 @@ class TestEngineConfig:
     def test_frozen(self):
         cfg = EngineConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.plan_selector = "bandit"
+            cfg.segment_rows = 4096
 
     def test_with_changes_derives_a_new_config(self):
         cfg = EngineConfig()
-        other = cfg.with_changes(plan_selector="bandit",
+        other = cfg.with_changes(segment_rows=4096,
                                  feedback_enabled=True)
-        assert other.plan_selector == "bandit"
+        assert other.segment_rows == 4096
         assert other.feedback_enabled is True
-        assert cfg.plan_selector == "cost"  # original untouched
+        assert cfg.segment_rows == 65536  # original untouched
 
     def test_cost_params_copied_defensively(self):
         params = {"cpu_tuple_cost": 2.0}
@@ -109,7 +108,7 @@ class TestEngineConfig:
 
     @pytest.mark.parametrize("bad_kwargs,exc", [
         ({"segment_rows": 0}, ExecutionError),
-        ({"plan_selector": "exhaustive"}, ReproError),
+        ({"segment_encodings": ("zip",)}, ReproError),
         ({"admission_queue_depth": -1}, ReproError),
     ])
     def test_validation_errors(self, bad_kwargs, exc):
@@ -118,33 +117,30 @@ class TestEngineConfig:
 
     def test_parallel_mode_and_execution_hints_are_gone(self):
         """No executor mode is selectable, ``parallel`` included, and
-        hint sets are plan hints only."""
+        there are no per-plan hint sets left to carry one."""
         with pytest.raises(TypeError):
             EngineConfig(executor_mode="parallel")
-        with pytest.raises(TypeError):
-            HintSet(name="x", parallel=True)
-        with pytest.raises(TypeError):
-            HintSet(name="x", fusion=False)
+        assert not hasattr(engine, "HintSet")
 
     def test_from_env_reads_repro_vars(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_SELECTOR", "bandit")
+        monkeypatch.setenv("REPRO_SEGMENT_ROWS", "4096")
         monkeypatch.setenv("REPRO_FEEDBACK", "1")
         cfg = EngineConfig.from_env()
-        assert cfg.plan_selector == "bandit"
+        assert cfg.segment_rows == 4096
         assert cfg.feedback_enabled is True
 
     def test_from_env_overrides_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_SELECTOR", "bandit")
+        monkeypatch.setenv("REPRO_SEGMENT_ROWS", "4096")
         monkeypatch.setenv("REPRO_FEEDBACK", "on")
-        cfg = EngineConfig.from_env(plan_selector="cost",
+        cfg = EngineConfig.from_env(segment_rows=1024,
                                     feedback_enabled=False)
-        assert cfg.plan_selector == "cost"
+        assert cfg.segment_rows == 1024
         assert cfg.feedback_enabled is False
 
     def test_from_env_none_overrides_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_SELECTOR", "bandit")
-        cfg = EngineConfig.from_env(plan_selector=None)
-        assert cfg.plan_selector == "bandit"
+        monkeypatch.setenv("REPRO_SEGMENT_ROWS", "4096")
+        cfg = EngineConfig.from_env(segment_rows=None)
+        assert cfg.segment_rows == 4096
 
     @pytest.mark.parametrize(
         "knob", dataclasses.fields(EngineConfig), ids=lambda f: f.name)
@@ -206,27 +202,27 @@ class TestEngineConfig:
 class TestConfigEquivalence:
     def test_config_and_kwargs_wire_identical_engines(self):
         cfg = EngineConfig(
-            segment_rows=4096, plan_selector="pessimistic",
+            segment_rows=4096, feedback_enabled=True,
             cost_params={"cpu_tuple_cost": 2.0},
         )
         via_config = Database(config=cfg)
         via_kwargs = Database(
-            segment_rows=4096, plan_selector="pessimistic",
+            segment_rows=4096, feedback_enabled=True,
             cost_params={"cpu_tuple_cost": 2.0},
         )
         for db in (via_config, via_kwargs):
             assert db.catalog.segment_rows == 4096
-            assert db.plan_selector.name == "pessimistic"
+            assert db.feedback is not None
             assert db.cost_model.params["cpu_tuple_cost"] == 2.0
         assert via_config.config == via_kwargs.config
 
     def test_mixing_config_and_kwargs_is_an_error(self):
         with pytest.raises(ReproError, match="not both"):
-            Database(config=EngineConfig(), plan_selector="bandit")
+            Database(config=EngineConfig(), segment_rows=4096)
 
     def test_config_must_be_engineconfig(self):
         with pytest.raises(ReproError, match="EngineConfig"):
-            Database(config={"plan_selector": "bandit"})
+            Database(config={"segment_rows": 4096})
 
     def test_config_property_is_read_only(self):
         db = Database()
@@ -234,9 +230,9 @@ class TestConfigEquivalence:
             db.config = EngineConfig()
 
     def test_default_database_exposes_config(self):
-        db = Database(plan_selector="bandit")
+        db = Database(segment_rows=4096)
         assert isinstance(db.config, EngineConfig)
-        assert db.config.plan_selector == "bandit"
+        assert db.config.segment_rows == 4096
 
 
 # ----------------------------------------------------------------------

@@ -62,6 +62,7 @@ from reference_executor import (
     same_rows,
 )
 from repro.engine import Database
+from repro.engine.optimizer.planner import ENUMERATORS
 from repro.engine.plans import IndexScan
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
 
@@ -371,20 +372,19 @@ def test_fuzz_differential(catalog_seed):
 
 
 # ----------------------------------------------------------------------
-# Plan-selector axis: cost vs bandit vs pessimistic must agree on results
+# Join-enumerator axis: dp vs greedy vs random vs ues must agree on results
 # ----------------------------------------------------------------------
-#: Catalog seeds and cases for the selector race (candidate generation
-#: fans out several plans per cold query, so the budget is smaller).
-SELECTOR_RACE_SEEDS = (0, 1)
-SELECTOR_RACE_CASES = max(10, CASES_PER_CATALOG // 2)
-PLAN_SELECTORS = ("cost", "bandit", "pessimistic")
+#: Catalog seeds and cases for the enumerator race (every cold query is
+#: planned and run once per enumerator, so the budget is smaller).
+ENUMERATOR_RACE_SEEDS = (0, 1)
+ENUMERATOR_RACE_CASES = max(10, CASES_PER_CATALOG // 2)
 
 
 def _canonical_rows(rows):
     """An order-independent, float-tolerant row-multiset fingerprint.
 
     Different join orders legitimately reorder unordered output and
-    change float fold order, so selector parity is a multiset property
+    change float fold order, so enumerator parity is a multiset property
     (rounded to 6 decimals) rather than exact list equality.
     """
     return sorted(
@@ -398,7 +398,7 @@ def _unlimited(query):
 
     LIMIT n over unordered output is a pick-any-n contract: different
     join orders may legitimately return different subsets, so the
-    selector race compares only fully-determined result multisets.
+    enumerator race compares only fully-determined result multisets.
     LIMIT 0 stays (its result is exactly empty under every plan).
     """
     if query.limit in (None, 0):
@@ -416,10 +416,10 @@ def _unlimited(query):
     )
 
 
-def _assert_cost_route_is_the_planner(db, query, order, label):
-    """The ``cost`` selector's plan stage is a one-arm run of the general
-    route: what it caches for ``(query, order)`` is bit-identical to
-    ``Planner.plan(query, order)``, under exactly one cache entry, and a
+def _assert_the_route_is_the_planner(db, query, order, label):
+    """The plan stage is one cache lookup and one ``Planner.plan`` call:
+    what it caches for ``(query, order)`` is bit-identical to
+    ``Planner.plan(query, order)``, under exactly one cache key, and a
     warm lookup hits it."""
     expected = db.planner.plan(query, order=order)
     cold = db.pipeline.prepare_query(query, order=order)
@@ -427,79 +427,56 @@ def _assert_cost_route_is_the_planner(db, query, order, label):
     for prepared in (cold, warm):
         assert prepared.plan.pretty() == expected.pretty(), label
         assert prepared.plan.est_cost == expected.est_cost, label
-        assert prepared.trace.arm == "default", label
+    assert warm.plan is cold.plan, label
     assert warm.trace.cache_outcome == "hit", label
     key = (query.signature(),
            None if order is None else tuple(t.lower() for t in order))
     entries = [k for k in db.pipeline.plan_cache._entries if k[:2] == key]
-    assert entries == [key + ("default",)], label
+    assert entries == [key], label
 
 
-@pytest.mark.parametrize("catalog_seed", SELECTOR_RACE_SEEDS)
-def test_fuzz_selector_race(catalog_seed, monkeypatch):
-    """The three plan selectors race on identical data: whichever arm
-    each one picks, the *results* may never diverge from the cost
-    selector's (rows as a multiset, same columns) — measured work may
-    differ (that is the point of racing plans), correctness may not.
-    Warm reruns must hit the per-arm plan cache under every selector.
-
-    All three take the same plan stage, so the race also pins the
-    collapsed route: the cost selector's cached plan is the planner's,
-    with and without an explicit join order, and only the bandit ever
-    computes ``plan_features``.
-    """
-    from repro.engine.optimizer import selection
-
-    feature_calls = []
-    real_plan_features = selection.plan_features
-
-    def spy(query, estimator):
-        feature_calls.append(query)
-        return real_plan_features(query, estimator)
-
-    monkeypatch.setattr(selection, "plan_features", spy)
+@pytest.mark.parametrize("catalog_seed", ENUMERATOR_RACE_SEEDS)
+def test_fuzz_enumerator_race(catalog_seed):
+    """The four join enumerators race on identical data: whichever order
+    each one picks, the *results* may never diverge from ``dp``'s (rows
+    as a multiset, same columns) — measured work may differ (that is
+    the point of racing orders), correctness may not. Warm reruns must
+    hit the plan cache under every enumerator, and each one's cached
+    plan is the planner's, with and without an explicit join order."""
     dbs, tables = {}, None
-    for sel in PLAN_SELECTORS:
-        dbs[sel], tables = _build_db(catalog_seed, plan_selector=sel)
+    for enumerator in ENUMERATORS:
+        dbs[enumerator], tables = _build_db(catalog_seed)
+        dbs[enumerator].planner.enumerator = enumerator
     rng = random.Random(55_000 + catalog_seed + 1_000_003 * FUZZ_SEED)
     order_rng = random.Random(56_000 + catalog_seed)
-    for case in range(SELECTOR_RACE_CASES):
+    for case in range(ENUMERATOR_RACE_CASES):
         query = _unlimited(_random_query(rng, tables))
         label = "catalog_seed=%d case=%d query=%r" % (
             catalog_seed, case, query
         )
         explicit = list(query.tables)
         order_rng.shuffle(explicit)
-        for order in (None, explicit):
-            _assert_cost_route_is_the_planner(
-                dbs["cost"], query, order, "%s order=%r" % (label, order))
         cold = {}
-        for sel in PLAN_SELECTORS:
-            seen = len(feature_calls)
-            cold[sel] = dbs[sel].run_query_object(query)
-            assert (len(feature_calls) > seen) == (sel == "bandit"), label
-        oracle = cold["cost"]
+        for enumerator, db in dbs.items():
+            for order in (None, explicit):
+                _assert_the_route_is_the_planner(
+                    db, query, order, "%s %s order=%r" % (
+                        label, enumerator, order))
+            cold[enumerator] = db.run_query_object(query)
+        oracle = cold["dp"]
         oracle_rows = _canonical_rows(oracle.rows)
-        assert oracle.trace.arm == "default", label
-        assert oracle.trace.cache_outcome == "hit", label
-        for sel in ("bandit", "pessimistic"):
-            res = cold[sel]
+        for enumerator, res in cold.items():
+            assert res.trace.cache_outcome == "hit", label
             assert res.columns == oracle.columns, label
             assert _canonical_rows(res.rows) == oracle_rows, (
-                "%s: %s selector rows diverge from cost oracle\n"
-                "cost=%r\n%s=%r"
-                % (label, sel, oracle.rows[:10], sel, res.rows[:10])
+                "%s: %s enumerator rows diverge from dp\n"
+                "dp=%r\n%s=%r"
+                % (label, enumerator, oracle.rows[:10], enumerator,
+                   res.rows[:10])
             )
-            # Selection ran: the run is attributed to a named arm.
-            assert res.trace.arm is not None, label
-            warm = dbs[sel].run_query_object(query)
+            warm = dbs[enumerator].run_query_object(query)
             assert warm.trace.cache_outcome == "hit", label
             assert _canonical_rows(warm.rows) == oracle_rows, label
-    # The bandit must actually have explored: every arm it races has
-    # been pulled at least once over the campaign.
-    stats = dbs["bandit"].plan_selector.stats()
-    assert stats["selections"] >= SELECTOR_RACE_CASES
-    assert all(st["picks"] > 0 for st in stats["arms"].values()), stats
 
 
 #: Queries per run of the snapshot-isolation race below.

@@ -23,7 +23,7 @@ from repro.engine.optimizer.cardinality import (
     SamplingEstimator,
     TraditionalEstimator,
 )
-from repro.engine.optimizer.hints import default_arms
+from repro.engine.optimizer.planner import ENUMERATORS
 from repro.engine.query import ConjunctiveQuery, JoinEdge, Predicate
 from repro.engine.stats import ColumnStats, EquiDepthHistogram
 from test_engine_fuzz_differential import (
@@ -67,13 +67,10 @@ class _CountingEstimator(CardinalityEstimator):
 # ----------------------------------------------------------------------
 # Each distinct question reaches the estimator once per planning call
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("selector, enumerator", [
-    ("bandit", "dp"), ("cost", "greedy"), ("cost", "random"),
-])
-def test_each_induced_subquery_reaches_the_estimator_once(selector,
-                                                          enumerator):
+@pytest.mark.parametrize("enumerator", ENUMERATORS)
+def test_each_induced_subquery_reaches_the_estimator_once(enumerator):
     for seed in CATALOG_SEEDS[:4]:
-        db, tables = _build_db(seed, plan_selector=selector)
+        db, tables = _build_db(seed)
         db.planner.enumerator = enumerator
         counter = _CountingEstimator(db.planner.estimator)
         db.planner.estimator = counter
@@ -81,17 +78,15 @@ def test_each_induced_subquery_reaches_the_estimator_once(selector,
         asked = 0
         for case in range(15):
             query = _random_query(rng, tables)
-            arms = db.plan_selector.arms(query)
-            assert len(arms) == (5 if selector == "bandit" else 1)
             counter.calls.clear()
-            db.planner.plan_candidates(query, arms)
+            db.planner.plan(query)
             label = "seed=%d case=%d %r" % (seed, case, query)
             assert len(counter.calls) == len(set(counter.calls)), label
             asked += len(counter.calls)
             # The memo is dropped with the call: the next call asks again.
             if query.limit != 0 and len(query.tables) > 1:
                 counter.calls.clear()
-                db.planner.plan_candidates(query, arms[:1])
+                db.planner.plan(query)
                 assert counter.calls, label
         assert asked > 0
 
@@ -182,8 +177,9 @@ def _node_estimates(plan):
 
 
 def _observe(seed, config):
-    """Every arm's plan, then the executed statement's EXPLAIN, for 12
-    random queries on fuzz catalog ``seed`` (executing feeds feedback)."""
+    """Every enumerator's plan, then the executed statement's EXPLAIN,
+    for 12 random queries on fuzz catalog ``seed`` (executing feeds
+    feedback)."""
     db, tables = _build_db(seed, feedback_enabled=(config == "feedback"))
     if config == "sampling":
         db.planner.estimator = SamplingEstimator(
@@ -192,9 +188,11 @@ def _observe(seed, config):
     seen = []
     for __ in range(12):
         query = _random_query(rng, tables)
-        for cand in db.planner.plan_candidates(query, default_arms()):
-            seen.append((cand.arm, repr(cand.est_cost), cand.plan.pretty(),
-                         _node_estimates(cand.plan)))
+        for enumerator in ENUMERATORS:
+            db.planner.enumerator = enumerator
+            plan = db.planner.plan(query)
+            seen.append((enumerator, plan.pretty(), _node_estimates(plan)))
+        db.planner.enumerator = "dp"
         db.run_query_object(query)
         sql = _render_sql(query)
         explain = db.explain(sql)

@@ -175,8 +175,12 @@ def test_the_plan_span_says_why(battery, surface):
     assert cases["denied"][0].cache_outcome is None  # never planned
     for case in ("cold", "warm", "invalidated"):
         trace = cases[case][0]
-        assert trace.arm == "default" and trace.n_candidates == 1
         assert dict(trace.plan_versions).keys() == {"t"}
+        assert set(trace.span("plan").attrs) == {
+            "cache_outcome", "invalidation_cause", "plan_versions"}
+        for gone in ("arm", "arm_est_cost", "n_candidates", "ues_bound"):
+            with pytest.raises(AttributeError):
+                getattr(trace, gone)
 
 
 @pytest.mark.parametrize("surface", SURFACES)

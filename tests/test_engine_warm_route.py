@@ -1,8 +1,9 @@
 """Warm statements run what the caches hold.
 
-* **A plan is prepared once.** Its first execution fuses the tail, lists
-  the unfused nodes and computes the read set, memoized on the plan
-  object; every later run of that plan, on every route, reuses them.
+* **A plan is prepared once.** Planning it fuses the tail, lists the
+  unfused nodes and computes the read set; the plan-cache entry holds
+  that memo beside the plan, so every later run on every route reuses
+  it, and an evicted plan is freed by reference counting.
 * **The SQL-text cache carries the plan-cache key** (the lowered query's
   signature), reused only while the rewrite stage is empty — an
   in-place rewriter must never be served the plan of its input query.
@@ -15,6 +16,7 @@
   histogram whose percentiles are within 5% of the exact ones.
 """
 
+import gc
 import threading
 import tracemalloc
 from collections import Counter
@@ -24,6 +26,7 @@ import pytest
 
 from repro.engine import Database, QueryServer, fusion
 from repro.engine.catalog import Catalog, CatalogSnapshot, ViewDef
+from repro.engine.plans import PhysicalPlan
 from repro.engine.query import ConjunctiveQuery, JoinEdge
 from repro.engine.server import AdmissionController
 from repro.engine.storage import Table
@@ -53,6 +56,13 @@ WARM = {
     "group": "SELECT a.k, COUNT(*) FROM a WHERE a.v < 40.0 GROUP BY a.k",
     "star": "SELECT * FROM b WHERE b.w = 1",
 }
+
+#: Statements that never repeat: ``%d`` is a fresh literal each time.
+COLD = (
+    "SELECT COUNT(*), SUM(b.w) FROM a, b WHERE a.id = b.id AND a.id < %d",
+    "SELECT a.k, COUNT(*) FROM a WHERE a.v < %d.5 GROUP BY a.k",
+    "SELECT a.id, a.v FROM a WHERE a.id = %d",
+)
 
 #: route -> a statement runner over ``db``
 ROUTES = {
@@ -96,19 +106,43 @@ def test_second_run_recomputes_nothing_the_caches_hold(monkeypatch, route,
     assert second.telemetry.node_stats == first.telemetry.node_stats
 
 
-def test_the_memo_lives_on_the_plan_object():
+def test_the_memo_lives_in_the_cache_entry():
     db = _db()
     prepared = db.pipeline.prepare_sql(WARM["join"])
-    assert not hasattr(prepared.plan, "_prepared")
-    db.pipeline.execute_prepared(prepared)
-    fused, fused_ops, nodes, reads = prepared.plan._prepared
+    fused, fused_ops, nodes, reads = prepared.memo
     assert nodes == list(prepared.plan.walk())
     assert (fused_ops, reads) == (
         fusion.fuse_plan(prepared.plan)[1],
         fusion.plan_reads(fusion.fuse_plan(prepared.plan)[0]))
+    (entry,) = db.pipeline.plan_cache._entries.values()
+    assert entry.value[0] is prepared.plan
+    assert entry.value[1] is prepared.memo
+    assert not hasattr(prepared.plan, "_prepared")
+    db.pipeline.execute_prepared(prepared)
     again = db.pipeline.prepare_sql(WARM["join"])
     assert again.plan is prepared.plan
-    assert again.plan._prepared[0] is fused
+    assert again.memo is prepared.memo
+
+
+def test_cold_statements_leave_no_plan_for_the_cycle_collector():
+    """An evicted plan is freed by reference counting: 2,000 cold
+    statements — eight times the plan cache — leave no plan node that
+    only the cycle collector could reclaim."""
+    db = _db()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for i in range(2000):
+            db.execute(COLD[i % len(COLD)] % i)
+        gc.collect()
+        cyclic = [o for o in gc.garbage if isinstance(o, PhysicalPlan)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert len(db.pipeline.plan_cache) == 256
+    assert cyclic == []
 
 
 def test_index_scan_gathers_only_the_read_set(monkeypatch):

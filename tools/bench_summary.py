@@ -2,7 +2,7 @@
 """One-table summary of every committed BENCH_P*.json artifact.
 
 ``make bench-summary`` (or ``python tools/bench_summary.py``) reads the
-``BENCH_P5.json`` … ``BENCH_P9.json`` files (P1–P4 and P7 are
+``BENCH_P5.json`` … ``BENCH_P8.json`` files (P1–P4, P7 and P9 are
 retired — their last readings are rows in EXPERIMENTS.md) the
 benchmarks regenerate
 (``make bench-json``) and prints each bench's headline numbers in a
@@ -66,29 +66,11 @@ def _p8(result):
     ]
 
 
-def _p9(result):
-    strategies = result.get("strategies", {})
-
-    def total(name):
-        return strategies.get(name, {}).get("total_work")
-
-    gates = result.get("gates", {})
-    return [
-        "work optimal %s / learned %s / ues %s / greedy %s" % (
-            _num(total("optimal"), "%.0f"), _num(total("learned"), "%.0f"),
-            _num(total("pessimistic"), "%.0f"),
-            _num(total("heuristic"), "%.0f"),
-        ),
-        "gates %s" % ("ok" if gates and all(gates.values()) else gates),
-    ]
-
-
 #: file stem -> (label, headline extractor over one results[] entry).
 BENCHES = (
     ("BENCH_P5", "P5 feedback", _p5),
     ("BENCH_P6", "P6 storage", _p6),
     ("BENCH_P8", "P8 server", _p8),
-    ("BENCH_P9", "P9 plan selection", _p9),
 )
 
 
