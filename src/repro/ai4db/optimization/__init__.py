@@ -1,9 +1,15 @@
-"""Learned database optimization: estimation, join ordering, end-to-end."""
+"""Learned database optimization: estimation, cardinality feedback, join
+ordering, end-to-end."""
 
 from repro.ai4db.optimization.cardinality import (
     QueryFeaturizer,
     LearnedCardinalityEstimator,
     generate_training_queries,
+)
+from repro.ai4db.optimization.feedback import (
+    FeedbackCorrectedEstimator,
+    FeedbackLoop,
+    QueryFeedbackStore,
 )
 from repro.ai4db.optimization.cost import LearnedCostModel, PlanFeaturizer
 from repro.ai4db.optimization.join_order import (
@@ -17,6 +23,9 @@ __all__ = [
     "QueryFeaturizer",
     "LearnedCardinalityEstimator",
     "generate_training_queries",
+    "FeedbackCorrectedEstimator",
+    "FeedbackLoop",
+    "QueryFeedbackStore",
     "LearnedCostModel",
     "PlanFeaturizer",
     "MCTSJoinOrderer",

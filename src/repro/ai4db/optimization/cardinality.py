@@ -16,9 +16,9 @@ so it can drive the standard planner directly (experiment E8).
 
 import numpy as np
 
+from repro.ai4db.optimization.feedback import induced_subquery
 from repro.common import ModelError, NotFittedError, ensure_rng
 from repro.engine.optimizer.cardinality import CardinalityEstimator
-from repro.engine.optimizer.feedback import induced_subquery
 from repro.engine.query import ConjunctiveQuery, Predicate
 from repro.engine.types import DataType
 from repro.ml import MLPRegressor
@@ -151,7 +151,7 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         """Retrain on the base corpus plus a feedback store's observations.
 
         Args:
-            store: a :class:`~repro.engine.optimizer.feedback.
+            store: a :class:`~repro.ai4db.optimization.feedback.
                 QueryFeedbackStore` whose remembered (sub-query → actual
                 cardinality) pairs extend the training set. Out-of-vocab
                 observations (tables the featurizer never saw) are

@@ -46,10 +46,6 @@ from repro.engine.operators import (
     operator_for,
     registered_node_types,
 )
-from repro.engine.optimizer.feedback import (
-    FeedbackCorrectedEstimator,
-    QueryFeedbackStore,
-)
 from repro.engine.optimizer.ues import ues_order
 from repro.engine.pipeline import (
     PIPELINE_STAGES,
@@ -131,8 +127,6 @@ __all__ = [
     "PhysicalOperator",
     "operator_for",
     "registered_node_types",
-    "FeedbackCorrectedEstimator",
-    "QueryFeedbackStore",
     "count_join_rows",
     "fuse_plan",
     "PIPELINE_STAGES",

@@ -3,7 +3,7 @@
 :class:`EngineConfig` is the single owner of every engine knob: a frozen
 dataclass whose instances fully determine how a
 :class:`~repro.engine.database.Database` is wired (cost constants,
-feedback, storage, admission, seed). A knob that can be set
+storage, admission, seed). A knob that can be set
 from the environment says so on its field — the ``REPRO_*`` name, the parser and the floor are
 :func:`dataclasses.field` metadata — and :meth:`EngineConfig.from_env`
 is the one function in the engine that reads the environment, by walking
@@ -47,15 +47,6 @@ DEFAULT_ADMISSION_QUEUE_DEPTH = 256
 #: stochastic component derives from it.
 DEFAULT_SEED = 0
 
-#: Environment spellings that turn a boolean knob off.
-_FALSEY = {"0", "false", "off", "no"}
-
-
-def _flag(raw):
-    """A boolean knob's env spelling: anything but 0/false/off/no is on."""
-    return raw.lower() not in _FALSEY
-
-
 def _names(raw):
     """A comma-separated name list (``dict,rle``) as a lowercase tuple."""
     return tuple(p.strip().lower() for p in raw.split(",") if p.strip())
@@ -84,12 +75,6 @@ class EngineConfig:
 
     Attributes:
         cost_params: overrides for cost-model constants (or ``None``).
-        feedback_enabled: whether the database closes the cardinality
-            feedback loop — ingesting per-node actual cardinalities into
-            a :class:`~repro.engine.optimizer.feedback.QueryFeedbackStore`
-            after each execution, correcting the planner's estimator
-            from observed actuals, and keying the plan cache on the
-            feedback version so drifted estimates trigger re-planning.
         segment_rows: capacity of one sealed column segment, in rows.
             Appends accumulate in a mutable tail that seals into an
             immutable, encoded segment once it reaches this size.
@@ -111,12 +96,6 @@ class EngineConfig:
     """
 
     cost_params: dict = field(default=None)
-    # Off by default because feedback deliberately changes planning over
-    # time: observed actuals override estimates and drift bumps the plan
-    # cache's feedback version. Experiments that assume frozen estimator
-    # behavior stay byte-stable unless feedback is opted into.
-    feedback_enabled: bool = field(
-        default=False, metadata=_env("REPRO_FEEDBACK", _flag))
     segment_rows: int = field(
         default=DEFAULT_SEGMENT_ROWS,
         metadata=_env("REPRO_SEGMENT_ROWS", int, floor=MIN_SEGMENT_ROWS))

@@ -36,10 +36,6 @@ from repro.engine.catalog import Catalog
 from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor, count_join_rows
 from repro.engine.optimizer.cost import CostModel
-from repro.engine.optimizer.feedback import (
-    FeedbackCorrectedEstimator,
-    QueryFeedbackStore,
-)
 from repro.engine.optimizer.planner import Planner
 from repro.engine.pipeline import QueryPipeline
 from repro.engine.session.agent import AgentSession
@@ -54,10 +50,10 @@ class Database:
             describing the engine (the primary constructor surface).
             Mutually exclusive with knob keyword arguments.
         **overrides: :class:`~repro.engine.config.EngineConfig` fields by
-            name (``segment_rows=4096``, ``feedback_enabled=True``,
-            ...), forwarded to :meth:`EngineConfig.from_env`: a knob left
-            out or passed as ``None`` takes its ``REPRO_*`` variable,
-            else the field default. An unknown name raises.
+            name (``segment_rows=4096``, ``seed=7``, ...), forwarded
+            to :meth:`EngineConfig.from_env`: a knob left out or passed
+            as ``None`` takes its ``REPRO_*`` variable, else the field
+            default. An unknown name raises.
     """
 
     def __init__(self, config=None, **overrides):
@@ -87,14 +83,6 @@ class Database:
         self.executor = Executor(self.catalog, self.cost_model)
         # One seeded generator per engine: the public stream.
         self.rng = ensure_rng(config.seed)
-        self.feedback = None
-        if config.feedback_enabled:
-            self.feedback = QueryFeedbackStore()
-            # The planner keeps its base estimator; the wrapper overrides
-            # estimates with observed actuals on exact sub-query hits.
-            self.planner.estimator = FeedbackCorrectedEstimator(
-                self.planner.estimator, self.feedback
-            )
         self.pipeline = QueryPipeline(self)
         # The context Database.execute unwraps: no policy, no audit log.
         self._session = SessionContext(self)
@@ -103,16 +91,6 @@ class Database:
     def config(self):
         """The frozen :class:`EngineConfig` this engine was built from."""
         return self._config
-
-    @property
-    def feedback_version(self):
-        """The feedback store's drift generation (0 when feedback is off).
-
-        Cached plans hit only while both the catalog versions and the
-        feedback state of their tables are the ones they were planned
-        under.
-        """
-        return 0 if self.feedback is None else self.feedback.version
 
     def version_vector(self, tables=None):
         """Per-table catalog versions, optionally restricted to ``tables``."""
@@ -207,8 +185,8 @@ class DatabaseSnapshot:
     results no matter how many rows writers append to the live database
     in the meantime. Planning still flows through the owning database's
     pipeline (and shares its warm plan cache); only *execution* is pinned,
-    via the executor's per-run catalog override. Feedback ingestion is
-    skipped for snapshot runs, and non-SELECT statements are rejected.
+    via the executor's per-run catalog override. Non-SELECT statements
+    are rejected.
 
     Cheap enough to take per query: O(#tables) when nothing was written
     since the last pin (every table hands back its current snapshot,

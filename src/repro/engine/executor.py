@@ -24,10 +24,11 @@ columnar — NumPy arrays end-to-end, rows materialized once at the top.
 Work is charged from observed cardinalities, never from implementation
 details, which is what keeps "cost gap == misestimation damage" true;
 the same cardinalities are the per-node ``actual_rows`` counters that
-feed the EXPLAIN ANALYZE view and the optimizer's cardinality-feedback
-loop. What the right rows, order, work and counters *are* is specified
-by the tuple-at-a-time reference executor the test suite races this one
-against (``tests/reference_executor.py``); it is not shipped.
+feed the EXPLAIN ANALYZE view and any cardinality-feedback loop
+installed from outside the engine. What the right rows, order, work and
+counters *are* is specified by the tuple-at-a-time reference executor
+the test suite races this one against (``tests/reference_executor.py``);
+it is not shipped.
 
 Results are fully materialized (these are analytics-scale experiments, not
 a streaming engine).
@@ -206,8 +207,7 @@ class Executor:
         one span per executed node, and every node of the *original*
         plan tagged with its preorder position and estimate, which is
         what ``node_stats`` — the est-vs-actual view behind EXPLAIN
-        ANALYZE and the optimizer's cardinality feedback — reads —
-        and ``catalog_versions``, the read surface's ``version_map()``.
+        ANALYZE — reads, and ``catalog_versions``, the read surface's ``version_map()``.
         """
         own = trace is None
         if own:

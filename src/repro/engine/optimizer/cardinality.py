@@ -27,9 +27,8 @@ class CardinalityEstimator:
 
     An estimator must be a pure function of the induced sub-query — the
     requested tables in ``query.tables`` order, their predicates and the
-    edges inside them (``feedback.induced_subquery``) — under a fixed
-    catalog: the planner memoizes answers per planning call by that
-    identity (:meth:`planning_scope`).
+    edges inside them — under a fixed catalog: the planner memoizes
+    answers per planning call by that identity (:meth:`planning_scope`).
     """
 
     def estimate_table(self, query, table):

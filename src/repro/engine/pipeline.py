@@ -14,8 +14,7 @@ Between the rewrite and plan stages sits a **plan cache**: an LRU map from
 stores the invalidation token it was planned under.
 The token is **scoped to the tables the query touches**: the catalog's
 :meth:`~repro.engine.catalog.Catalog.version_vector` restricted to the
-query's table set, paired with the feedback store's per-table drift
-vector over the same set. A mutation (CREATE/DROP TABLE, CREATE INDEX,
+query's table set. A mutation (CREATE/DROP TABLE, CREATE INDEX,
 INSERT, ANALYZE, view registration) bumps only the affected tables'
 versions, so a hot writer on ``orders`` drops cached plans over
 ``orders`` while plans over ``customers`` keep hitting. Repeated
@@ -39,8 +38,8 @@ Cache-key / token invariants:
   planning re-reads the token after the planner runs, because planning
   itself may lazily ANALYZE a table (which bumps that table's version);
 * a stale entry's token is diffed against the current one to report the
-  **invalidation cause** (``table:<name>`` / ``feedback:<name>``) on the
-  trace's ``plan`` span and in EXPLAIN ANALYZE;
+  **invalidation cause** (``table:<name>``) on the trace's ``plan`` span
+  and in EXPLAIN ANALYZE;
 * registering a plan-stage hook or swapping the rewriter clears the cache
   outright (hooks may transform plans statefully). Swapping planner
   internals by hand (``db.planner.estimator = ...``,
@@ -50,8 +49,7 @@ Cache-key / token invariants:
 Snapshot reads: :meth:`execute_prepared`/:meth:`run_query` accept an
 immutable :class:`~repro.engine.catalog.CatalogSnapshot`. Planning (and
 the warm plan cache) stays shared with the live database, but execution
-is pinned to the snapshot (the executor's per-run catalog)
-and feedback ingestion is skipped (actuals reflect pinned data) — the
+is pinned to the snapshot (the executor's per-run catalog) — the
 ``db.snapshot()`` read API.
 """
 
@@ -61,7 +59,6 @@ from collections import OrderedDict
 
 from repro.common import ExecutionError, ParseError, PlanError
 from repro.engine.fusion import fuse_plan, prepare_plan
-from repro.engine.optimizer.feedback import ingest_execution
 from repro.engine.sql.ast_nodes import (
     AnalyzeStmt,
     CreateIndexStmt,
@@ -88,19 +85,13 @@ def _head(sql_text):
 
 
 def _invalidation_cause(stale, current):
-    """Name the token component that invalidated a cached plan.
-
-    Diffs a stale ``(catalog_pairs, feedback_pairs)`` token against the
-    current one: a catalog-version mismatch reports ``"table:<name>"``,
-    a feedback-drift mismatch ``"feedback:<name>"``.
-    """
-    for label, old, new in (("table", stale[0], current[0]),
-                            ("feedback", stale[1], current[1])):
-        old, new = dict(old), dict(new)
-        for name in sorted(set(old) | set(new)):
-            if old.get(name) != new.get(name):
-                return "%s:%s" % (label, name)
-    return "token"
+    """Name the table whose version invalidated a cached plan:
+    ``"table:<name>"``, the first name at which the stale and current
+    version vectors differ."""
+    old, new = dict(stale), dict(current)
+    for name in sorted(set(old) | set(new)):
+        if old.get(name) != new.get(name):
+            return "table:%s" % name
 
 
 def render_explain(plan, trace):
@@ -589,10 +580,10 @@ class QueryPipeline:
         EXPLAIN ANALYZE: the plan was already produced (and, on the
         serving path, its cost estimate charged against a quota), so this
         runs exactly that plan — against the live catalog, or the pinned
-        snapshot — then applies the execute hooks, closes the feedback
-        loop, and accumulates stats. Executing the same
-        prepared query again is a new statement: its trace shares the
-        planning spans and only its own ``execute`` is accumulated.
+        snapshot — then applies the execute hooks and accumulates
+        stats. Executing the same prepared query again is a new
+        statement: its trace shares the planning spans and only its own
+        ``execute`` is accumulated.
         """
         trace = prepared.trace
         if trace.execute is not None:
@@ -601,12 +592,6 @@ class QueryPipeline:
             prepared.plan, catalog=snapshot, trace=trace, memo=prepared.memo
         )
         result = self._apply_hooks("execute", result)
-        store = self.db.feedback
-        if snapshot is None and store is not None:
-            # Snapshot runs skip feedback: their actuals describe pinned
-            # data and would poison estimates for the live tables.
-            ingest_execution(store, prepared.query, prepared.plan,
-                             result.telemetry.node_stats)
         trace.root.close()
         self._accumulate(trace)
         return result
@@ -652,16 +637,10 @@ class QueryPipeline:
             return self._apply_hooks("rewrite", query)
 
     def _plan_token(self, query):
-        """The plan cache's invalidation token for ``query``.
-
-        ``(catalog_pairs, feedback_pairs)``: the catalog's version vector
-        restricted to the query's tables, paired with the feedback
-        store's per-table drift vector over the same set — only a change
-        touching one of *these* tables moves the token.
-        """
-        store = self.db.feedback
-        feedback = () if store is None else store.version_vector(query.tables)
-        return (self.db.catalog.version_vector(query.tables), feedback)
+        """The plan cache's invalidation token for ``query``: the
+        catalog's version vector restricted to the query's tables, so
+        only a change touching one of *these* tables moves it."""
+        return self.db.catalog.version_vector(query.tables)
 
     def _plan(self, query, trace, order=None, sig=None):
         """The plan stage: ``(plan, memo)`` for ``query``.
@@ -693,7 +672,7 @@ class QueryPipeline:
                 invalidation_cause=(
                     _invalidation_cause(stale, token)
                     if outcome == "invalidated" else None),
-                plan_versions=token[0],
+                plan_versions=token,
             )
         return entry
 
@@ -731,6 +710,10 @@ class QueryPipeline:
         rows = stmt.rows
         if stmt.columns:
             positions = [table.schema.column_index(c) for c in stmt.columns]
+            for i, pos in enumerate(positions):
+                if pos in positions[:i]:
+                    raise ParseError("column %r specified more than once"
+                                     % stmt.columns[i])
             width = len(table.schema.columns)
             reordered = []
             for r in rows:

@@ -151,7 +151,7 @@ class Span:
     def node_stats(self):
         """Per-plan-node ``{"op", "est_rows", "actual_rows", "q_error"}``
         in the *unfused* plan's preorder — what EXPLAIN ANALYZE renders
-        and cardinality feedback ingests."""
+        and a cardinality-feedback loop ingests."""
         nodes = sorted((s for s in self.walk() if "node" in s.attrs),
                        key=lambda s: s.attrs["node"])
         return [{

@@ -24,11 +24,18 @@ class DataType(Enum):
         return object
 
     def coerce(self, value):
-        """Coerce a Python value to this type (None passes through)."""
+        """Coerce a Python value to this type (None passes through).
+
+        INT takes integral numbers and integer text; a number with a
+        fraction (``1.7``) raises ``ValueError`` instead of truncating.
+        """
         if value is None:
             return None
         if self is DataType.INT:
-            return int(value)
+            out = int(value)
+            if out != value and not isinstance(value, str):
+                raise ValueError("%r is not an integer" % (value,))
+            return out
         if self is DataType.FLOAT:
             return float(value)
         return str(value)

@@ -107,6 +107,35 @@ def test_plan_selection_is_gone():
     assert planner.enumerator == "ues"
 
 
+def test_cardinality_feedback_left_the_engine():
+    """Feedback is no engine knob, attribute or export: it is
+    ``repro.ai4db.optimization.feedback.FeedbackLoop``, installed on a
+    database from outside."""
+    import importlib
+
+    from repro.ai4db.optimization import feedback
+
+    try:
+        engine.Database(feedback_enabled=True)
+    except TypeError:
+        pass
+    else:
+        raise AssertionError("feedback_enabled is an engine knob again")
+    db = engine.Database()
+    for name in ("feedback", "feedback_version"):
+        assert not hasattr(db, name)
+    for name in ("FeedbackCorrectedEstimator", "QueryFeedbackStore"):
+        assert name not in engine.__all__
+        assert not hasattr(engine, name)
+        assert inspect.isclass(getattr(feedback, name))
+    try:
+        importlib.import_module("repro.engine.optimizer.feedback")
+    except ModuleNotFoundError:
+        pass
+    else:
+        raise AssertionError("repro.engine.optimizer.feedback is back")
+
+
 def test_all_has_no_duplicates():
     assert len(engine.__all__) == len(set(engine.__all__))
 
@@ -127,8 +156,7 @@ def test_new_exports_are_the_right_kinds():
     # any other keyword is one of its fields.
     sig = inspect.signature(engine.Database.__init__)
     assert "config" in sig.parameters
-    assert engine.Database(
-        feedback_enabled=True).config.feedback_enabled is True
+    assert engine.Database(segment_rows=4096).config.segment_rows == 4096
 
 
 def test_session_surface_present():

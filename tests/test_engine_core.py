@@ -70,6 +70,15 @@ class TestTable:
         t.insert_rows([("3", 42)])
         assert t.rows() == [(3, "42")]
 
+    def test_fraction_into_int_rejected_atomically(self):
+        t = self._table()
+        t.insert_rows([(1, "x")])
+        with pytest.raises(CatalogError, match="INT column 'a'"):
+            t.insert_rows([(2, "y"), (1.7, "z")])
+        assert t.rows() == [(1, "x")]
+        t.insert_rows([(2.0, "y"), ("12", "z"), (np.int64(3), "w")])
+        assert t.rows() == [(1, "x"), (2, "y"), (12, "z"), (3, "w")]
+
     def test_wrong_width_rejected(self):
         t = self._table()
         with pytest.raises(CatalogError):

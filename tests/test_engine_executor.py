@@ -75,6 +75,30 @@ class TestBasicExecution:
         with pytest.raises(ParseError):
             tiny_db.execute("INSERT INTO users (id) VALUES (1, 2)")
 
+    def test_insert_repeated_column_rejected(self, tiny_db):
+        """A column named twice in the list is an error (PostgreSQL's
+        rule), not a last-value-wins write nor a misreported NULL in the
+        column left out."""
+        before = tiny_db.query("SELECT id, name, age FROM users")
+        for sql in ("INSERT INTO users (id, id, name) VALUES (1, 2, 'x')",
+                    "INSERT INTO users (id, id) VALUES (1, 2)"):
+            with pytest.raises(ParseError,
+                               match="column 'id' specified more than once"):
+                tiny_db.execute(sql)
+        assert tiny_db.query("SELECT id, name, age FROM users") == before
+
+    def test_insert_fraction_into_int_rejected(self, tiny_db):
+        """An INT column refuses 1.7 instead of storing 1; the batch is
+        atomic, so the good row before it is not stored either."""
+        before = tiny_db.query("SELECT id, name, age FROM users")
+        with pytest.raises(CatalogError, match="INT column 'id'"):
+            tiny_db.execute(
+                "INSERT INTO users VALUES (6, 'x', 20), (1.7, 'z', 2)")
+        assert tiny_db.query("SELECT id, name, age FROM users") == before
+        tiny_db.execute("INSERT INTO users VALUES (2.0, 'y', 20)")
+        assert tiny_db.query(
+            "SELECT id FROM users WHERE name = 'y'") == [(2,)]
+
 
 class TestIndexExecution:
     def test_index_scan_equals_seq_scan_results(self, star_db):

@@ -46,7 +46,6 @@ FUSIBLE_SQL = "SELECT tag, COUNT(*), SUM(v) FROM t WHERE k < 5 GROUP BY tag"
 #: env values clamp to. A new field without a row fails the knob walk.
 KNOBS = {
     "cost_params": ({"cpu_tuple_cost": 2.0}, None, None),
-    "feedback_enabled": (True, "1", None),
     "segment_rows": (4096, " 4096 ", 16),
     "segment_encodings": (("rle", "plain"), "RLE, plain", None),
     "tenant_quota": (12345.0, "12345", None),
@@ -55,8 +54,7 @@ KNOBS = {
     "seed": (11, "11", None),
 }
 
-#: Env text no parser/validator accepts, by field type (any text turns a
-#: boolean knob on or off, so booleans have none).
+#: Env text no parser/validator accepts, by field type.
 BAD_ENV_TEXT = {int: "many", float: "lots", tuple: "zip"}
 
 
@@ -78,9 +76,9 @@ def _readme_knob_rows():
 class TestEngineConfig:
     def test_defaults_are_valid(self):
         knobs = dataclasses.fields(EngineConfig())
-        assert len(knobs) == 8
+        assert len(knobs) == 7
         from_env = {k.name for k in knobs if "env" in k.metadata}
-        assert len(from_env) == 7
+        assert len(from_env) == 6
         # The README lists exactly those — no row outlives its knob.
         assert from_env == {
             name for name, row in _readme_knob_rows().items()
@@ -94,10 +92,9 @@ class TestEngineConfig:
 
     def test_with_changes_derives_a_new_config(self):
         cfg = EngineConfig()
-        other = cfg.with_changes(segment_rows=4096,
-                                 feedback_enabled=True)
+        other = cfg.with_changes(segment_rows=4096, seed=11)
         assert other.segment_rows == 4096
-        assert other.feedback_enabled is True
+        assert other.seed == 11
         assert cfg.segment_rows == 65536  # original untouched
 
     def test_cost_params_copied_defensively(self):
@@ -124,18 +121,17 @@ class TestEngineConfig:
 
     def test_from_env_reads_repro_vars(self, monkeypatch):
         monkeypatch.setenv("REPRO_SEGMENT_ROWS", "4096")
-        monkeypatch.setenv("REPRO_FEEDBACK", "1")
+        monkeypatch.setenv("REPRO_SEED", "11")
         cfg = EngineConfig.from_env()
         assert cfg.segment_rows == 4096
-        assert cfg.feedback_enabled is True
+        assert cfg.seed == 11
 
     def test_from_env_overrides_beat_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SEGMENT_ROWS", "4096")
-        monkeypatch.setenv("REPRO_FEEDBACK", "on")
-        cfg = EngineConfig.from_env(segment_rows=1024,
-                                    feedback_enabled=False)
+        monkeypatch.setenv("REPRO_SEED", "11")
+        cfg = EngineConfig.from_env(segment_rows=1024, seed=0)
         assert cfg.segment_rows == 1024
-        assert cfg.feedback_enabled is False
+        assert cfg.seed == 0
 
     def test_from_env_none_overrides_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_SEGMENT_ROWS", "4096")
@@ -170,17 +166,9 @@ class TestEngineConfig:
         if floor is not None:
             monkeypatch.setenv(env, str(floor - 1))
             assert getattr(EngineConfig.from_env(), name) == floor
-        if knob.type is bool:
-            for raw in ("0", "false", "OFF", "no"):
-                monkeypatch.setenv(env, raw)
-                assert getattr(EngineConfig.from_env(), name) is False
-            for raw in ("1", "on", "yes"):
-                monkeypatch.setenv(env, raw)
-                assert getattr(EngineConfig.from_env(), name) is True
-        else:
-            monkeypatch.setenv(env, BAD_ENV_TEXT[knob.type])
-            with pytest.raises(ReproError):
-                EngineConfig.from_env()
+        monkeypatch.setenv(env, BAD_ENV_TEXT[knob.type])
+        with pytest.raises(ReproError):
+            EngineConfig.from_env()
 
     def test_unknown_knob_rejected(self):
         with pytest.raises(TypeError):
@@ -202,17 +190,17 @@ class TestEngineConfig:
 class TestConfigEquivalence:
     def test_config_and_kwargs_wire_identical_engines(self):
         cfg = EngineConfig(
-            segment_rows=4096, feedback_enabled=True,
+            segment_rows=4096, seed=11,
             cost_params={"cpu_tuple_cost": 2.0},
         )
         via_config = Database(config=cfg)
         via_kwargs = Database(
-            segment_rows=4096, feedback_enabled=True,
+            segment_rows=4096, seed=11,
             cost_params={"cpu_tuple_cost": 2.0},
         )
         for db in (via_config, via_kwargs):
             assert db.catalog.segment_rows == 4096
-            assert db.feedback is not None
+            assert db.planner.seed == 11
             assert db.cost_model.params["cpu_tuple_cost"] == 2.0
         assert via_config.config == via_kwargs.config
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ai4db.optimization.feedback import FeedbackLoop
 from repro.engine import Database
 from repro.engine.optimizer.cardinality import (
     CardinalityEstimator,
@@ -178,9 +179,12 @@ def _node_estimates(plan):
 
 def _observe(seed, config):
     """Every enumerator's plan, then the executed statement's EXPLAIN,
-    for 12 random queries on fuzz catalog ``seed`` (executing feeds
-    feedback)."""
-    db, tables = _build_db(seed, feedback_enabled=(config == "feedback"))
+    for 12 random queries on fuzz catalog ``seed`` (under ``feedback``
+    the statement runs through a :class:`FeedbackLoop`, which feeds it)."""
+    db, tables = _build_db(seed)
+    run = db.run_query_object
+    if config == "feedback":
+        run = FeedbackLoop(db).run
     if config == "sampling":
         db.planner.estimator = SamplingEstimator(
             db.catalog, sample_size=30, seed=seed)
@@ -193,7 +197,7 @@ def _observe(seed, config):
             plan = db.planner.plan(query)
             seen.append((enumerator, plan.pretty(), _node_estimates(plan)))
         db.planner.enumerator = "dp"
-        db.run_query_object(query)
+        run(query)
         sql = _render_sql(query)
         explain = db.explain(sql)
         seen.append((str(explain), _node_estimates(explain.plan)))

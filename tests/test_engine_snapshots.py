@@ -600,17 +600,6 @@ class TestDatabaseSnapshot:
         db.catalog.table("a").insert_rows([(1, 1)])
         assert snap.run_query_object(q).rows == [(100,)]
 
-    def test_snapshot_does_not_feed_feedback(self):
-        db = Database(feedback_enabled=True)
-        db.execute("CREATE TABLE t (id INT, k INT)")
-        db.catalog.table("t").insert_rows([(i, i % 4) for i in range(80)])
-        db.execute("ANALYZE")
-        snap = db.snapshot()
-        db.catalog.table("t").insert_rows([(i, 0) for i in range(400)])
-        observed = db.feedback.stats()["observations"]
-        snap.query("SELECT COUNT(*) FROM t WHERE k = 1")
-        assert db.feedback.stats()["observations"] == observed
-
     def test_epoch_and_vector_pinned(self):
         db = _small_db()
         snap = db.snapshot()
@@ -719,22 +708,3 @@ class TestScopedEstimatorMemos:
         db.catalog.table("a").insert_rows([(i, 1) for i in range(10)])
         assert est.estimate_subset(qa, ["a"]) == 30
         assert est.estimate_subset(qb, ["b"]) == before_b
-
-    def test_feedback_drift_scoped_per_table(self):
-        db = Database(feedback_enabled=True)
-        db.execute("CREATE TABLE a (id INT, k INT)")
-        db.catalog.table("a").insert_rows([(i, i % 5) for i in range(100)])
-        db.execute("CREATE TABLE b (id INT, k INT)")
-        db.catalog.table("b").insert_rows([(i, i % 3) for i in range(60)])
-        db.execute("ANALYZE")
-        store = db.feedback
-        db.query("SELECT COUNT(*) FROM a WHERE k = 2")
-        va = store.version_vector(["a"])
-        vb = store.version_vector(["b"])
-        db.query("SELECT COUNT(*) FROM a WHERE k = 3")
-        # a's estimates drifted (or not) — b's vector must be untouched.
-        assert store.version_vector(["b"]) == vb
-        assert store.version_vector(["a", "b"]) == tuple(
-            sorted(store.version_vector(["a"]) + vb)
-        )
-        assert isinstance(va, tuple)

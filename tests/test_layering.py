@@ -86,14 +86,17 @@ def test_operators_package_exists_and_is_scanned():
 
 def test_importing_operators_loads_no_ai_modules():
     """Runtime check in a fresh interpreter: importing the engine (and
-    the operators package explicitly) must not load ai4db/db4ai/sim."""
+    the operators package explicitly) must not load ai4db/db4ai/sim, nor
+    any feedback module — cardinality feedback is installed from
+    ``repro.ai4db``."""
     code = (
         "import sys\n"
         "import repro.engine\n"
         "import repro.engine.operators\n"
-        "import repro.engine.optimizer.feedback\n"
         "bad = [m for m in sys.modules if m.startswith(%r)]\n"
-        "assert not bad, bad\n" % (FORBIDDEN_PREFIXES,)
+        "assert not bad, bad\n"
+        "assert not [m for m in sys.modules if 'feedback' in m]\n"
+        % (FORBIDDEN_PREFIXES,)
     )
     env = dict(os.environ)
     src = os.path.abspath(os.path.join(ENGINE_ROOT, "..", ".."))

@@ -2,7 +2,7 @@
 """One-table summary of every committed BENCH_P*.json artifact.
 
 ``make bench-summary`` (or ``python tools/bench_summary.py``) reads the
-``BENCH_P5.json`` … ``BENCH_P8.json`` files (P1–P4, P7 and P9 are
+``BENCH_P6.json`` and ``BENCH_P8.json`` files (P1–P5, P7 and P9 are
 retired — their last readings are rows in EXPERIMENTS.md) the
 benchmarks regenerate
 (``make bench-json``) and prints each bench's headline numbers in a
@@ -28,18 +28,6 @@ def _num(value, fmt="%.2f"):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return str(value)
     return fmt % value
-
-
-def _p5(result):
-    learned = result.get("learned_feedback", {})
-    replan = result.get("join_order_replan", {})
-    return [
-        "median q-error %s -> %s" % (
-            _num(learned.get("median_q_error_before"), "%.1f"),
-            _num(learned.get("median_q_error_after"), "%.1f"),
-        ),
-        "replan work %sx lower" % _num(replan.get("work_ratio"), "%.2f"),
-    ]
 
 
 def _p6(result):
@@ -68,7 +56,6 @@ def _p8(result):
 
 #: file stem -> (label, headline extractor over one results[] entry).
 BENCHES = (
-    ("BENCH_P5", "P5 feedback", _p5),
     ("BENCH_P6", "P6 storage", _p6),
     ("BENCH_P8", "P8 server", _p8),
 )
