@@ -24,7 +24,7 @@ lint:
 # engine count is a ratchet: above ENGINE_LOC_MAX the target (and CI's
 # "Engine line count" step) fails, so growing engine/ is a reviewed
 # one-line edit here; lower it whenever a PR shrinks the engine.
-ENGINE_LOC_MAX := 10687
+ENGINE_LOC_MAX := 10105
 loc:
 	@engine=$$(find src/repro/engine -name '*.py' | xargs cat | wc -l); \
 	printf 'engine %s\n' $$engine; \
@@ -63,8 +63,10 @@ test-concurrency:
 
 # Optimizer battery (slow variants included): join enumerators (UES
 # bounds, the ues enumerator, one plan per statement, dropped-table
-# regressions), the classic optimizer suite, the cardinality-feedback
-# loop installed from repro.ai4db (FeedbackLoop), the planning memo and bisect histogram parity, ANALYZE's value-count merge
+# regressions), the classic optimizer suite, what repro.ai4db installs
+# from outside (the cardinality-feedback loop, the sampling and
+# exact-count estimators, the rewrite rules), the planning memo and
+# bisect histogram parity, ANALYZE's value-count merge
 # against the dict merge it replaced, the exact aggregation fold order,
 # and the enumerator-race fuzz arm (dp, greedy, random and ues on random
 # catalogs, rows checked against dp's).
@@ -73,6 +75,8 @@ test-optimizer:
 		tests/test_engine_plan_selection.py \
 		tests/test_engine_optimizer.py \
 		tests/test_ai4db_feedback.py \
+		tests/test_ai4db_estimators.py \
+		tests/test_ai4db_rules.py \
 		tests/test_engine_plan_memo.py \
 		tests/test_engine_value_counts.py \
 		tests/test_engine_fold_order.py \

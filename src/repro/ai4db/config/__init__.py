@@ -25,6 +25,16 @@ from repro.ai4db.config.view_advisor import (
     GreedyViewAdvisor,
     RLViewAdvisor,
 )
+from repro.ai4db.config.rules import (
+    RewriteRule,
+    RemoveDuplicatePredicates,
+    TightenRangePredicates,
+    DetectContradictions,
+    PropagateEqualityConstants,
+    EliminateRedundantJoins,
+    default_rules,
+    apply_rules_fixed_order,
+)
 from repro.ai4db.config.sql_rewriter import (
     LearnedRewriter,
     FixedOrderRewriter,
@@ -57,6 +67,14 @@ __all__ = [
     "materialize_view",
     "GreedyViewAdvisor",
     "RLViewAdvisor",
+    "RewriteRule",
+    "RemoveDuplicatePredicates",
+    "TightenRangePredicates",
+    "DetectContradictions",
+    "PropagateEqualityConstants",
+    "EliminateRedundantJoins",
+    "default_rules",
+    "apply_rules_fixed_order",
     "LearnedRewriter",
     "FixedOrderRewriter",
     "rewrite_benefit",

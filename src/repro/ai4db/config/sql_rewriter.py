@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.common import ensure_rng
 from repro.engine.optimizer.planner import Planner
-from repro.engine.optimizer.rules import apply_rules_fixed_order, default_rules
+from repro.ai4db.config.rules import apply_rules_fixed_order, default_rules
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
 from repro.ml import MCTS
 

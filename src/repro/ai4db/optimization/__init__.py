@@ -1,10 +1,15 @@
-"""Learned database optimization: estimation, cardinality feedback, join
-ordering, end-to-end."""
+"""Learned database optimization: estimation (and the sampling and oracle
+estimators it is scored against), cardinality feedback, join ordering,
+end-to-end."""
 
 from repro.ai4db.optimization.cardinality import (
     QueryFeaturizer,
     LearnedCardinalityEstimator,
     generate_training_queries,
+)
+from repro.ai4db.optimization.estimators import (
+    SamplingEstimator,
+    TrueCardinalityEstimator,
 )
 from repro.ai4db.optimization.feedback import (
     FeedbackCorrectedEstimator,
@@ -23,6 +28,8 @@ __all__ = [
     "QueryFeaturizer",
     "LearnedCardinalityEstimator",
     "generate_training_queries",
+    "SamplingEstimator",
+    "TrueCardinalityEstimator",
     "FeedbackCorrectedEstimator",
     "FeedbackLoop",
     "QueryFeedbackStore",

@@ -1,0 +1,192 @@
+"""The non-learned estimators the experiments score learned ones against.
+
+:class:`SamplingEstimator` runs predicates and joins on per-table row
+samples (E6's sampling arm); :class:`TrueCardinalityEstimator` is the
+exact-count oracle (E8's true-cardinality optimum).
+Both implement the engine's
+:class:`~repro.engine.optimizer.cardinality.CardinalityEstimator`
+contract, so either installs from outside as ``db.planner.estimator``
+(call ``db.pipeline.invalidate()`` after swapping it).
+"""
+
+import numpy as np
+
+from repro.common import ensure_rng
+from repro.engine.operators.base import OPS
+from repro.engine.optimizer.cardinality import CardinalityEstimator
+
+
+class SamplingEstimator(CardinalityEstimator):
+    """Estimate by executing predicates/joins on a uniform row sample.
+
+    Join estimates are computed by actually joining the per-table samples
+    and scaling by the sampling rates — more robust to correlation than
+    independence, but noisy at small sample sizes and expensive for large
+    join graphs (which is why real systems don't default to it).
+
+    Args:
+        catalog: the catalog with the base tables.
+        sample_size: rows sampled per table.
+        seed: sampling seed.
+    """
+
+    def __init__(self, catalog, sample_size=500, seed=0):
+        self.catalog = catalog
+        self.sample_size = sample_size
+        self._rng = ensure_rng(seed)
+        self._samples = {}
+
+    def _sample(self, table):
+        key = table.lower()
+        if key not in self._samples:
+            tbl = self.catalog.table(table)
+            n = tbl.n_rows
+            if n <= self.sample_size:
+                idx = np.arange(n)
+            else:
+                idx = self._rng.choice(n, size=self.sample_size, replace=False)
+            cols = {
+                c.name.lower(): tbl.column_array(c.name)[idx]
+                for c in tbl.schema.columns
+            }
+            self._samples[key] = (cols, n, len(idx))
+        return self._samples[key]
+
+    @staticmethod
+    def _mask(query, table, cols, n_sample):
+        """Which sampled rows of ``table`` pass the query's predicates."""
+        mask = np.ones(n_sample, dtype=bool)
+        for pred in query.predicates_on(table):
+            mask = mask & OPS[pred.op](cols[pred.column.lower()], pred.value)
+        return mask
+
+    def estimate_table(self, query, table):
+        cols, n_total, n_sample = self._sample(table)
+        if n_sample == 0:
+            return 0.0
+        mask = self._mask(query, table, cols, n_sample)
+        return float(mask.sum()) / n_sample * n_total
+
+    def estimate_subset(self, query, tables):
+        names = [t for t in query.tables if t.lower() in {x.lower() for x in tables}]
+        if not names:
+            return 0.0
+        if len(names) == 1:
+            return self.estimate_table(query, names[0])
+        # Join the filtered samples table by table (left-deep, in given order).
+        scale = 1.0
+        first = names[0]
+        cols, n_total, n_sample = self._sample(first)
+        mask = self._mask(query, first, cols, n_sample)
+        current = {
+            (first.lower(), cname): arr[mask] for cname, arr in cols.items()
+        }
+        current_rows = int(mask.sum())
+        scale *= n_total / max(1, n_sample)
+        joined = {first.lower()}
+        remaining = names[1:]
+        while remaining:
+            progressed = False
+            for t in list(remaining):
+                edges = query.edges_between(joined, t)
+                if not edges:
+                    continue
+                cols_t, n_total_t, n_sample_t = self._sample(t)
+                mask_t = self._mask(query, t, cols_t, n_sample_t)
+                right = {c: a[mask_t] for c, a in cols_t.items()}
+                edge = edges[0]
+                if edge.left_table.lower() in joined:
+                    lkey = (edge.left_table.lower(), edge.left_column.lower())
+                    rcol = edge.right_column.lower()
+                else:
+                    lkey = (edge.right_table.lower(), edge.right_column.lower())
+                    rcol = edge.left_column.lower()
+                left_keys = current[lkey] if current_rows else np.array([])
+                right_keys = right[rcol]
+                # Hash join on sample keys.
+                buckets = {}
+                for i, k in enumerate(right_keys.tolist()):
+                    buckets.setdefault(k, []).append(i)
+                left_idx, right_idx = [], []
+                for i, k in enumerate(left_keys.tolist()):
+                    for j in buckets.get(k, ()):
+                        left_idx.append(i)
+                        right_idx.append(j)
+                # Apply any extra edges between the joined set and t.
+                new_current = {}
+                for key, arr in current.items():
+                    new_current[key] = arr[left_idx] if len(left_idx) else arr[:0]
+                for cname, arr in right.items():
+                    sel = arr[right_idx] if len(right_idx) else arr[:0]
+                    new_current[(t.lower(), cname)] = sel
+                keep = np.ones(len(left_idx), dtype=bool)
+                for extra in edges[1:]:
+                    if extra.left_table.lower() == t.lower():
+                        a = new_current[(t.lower(), extra.left_column.lower())]
+                        b = new_current[
+                            (extra.right_table.lower(), extra.right_column.lower())
+                        ]
+                    else:
+                        a = new_current[(t.lower(), extra.right_column.lower())]
+                        b = new_current[
+                            (extra.left_table.lower(), extra.left_column.lower())
+                        ]
+                    keep &= a == b
+                current = {k: v[keep] for k, v in new_current.items()}
+                current_rows = int(keep.sum())
+                scale *= n_total_t / max(1, n_sample_t)
+                joined.add(t.lower())
+                remaining.remove(t)
+                progressed = True
+                break
+            if not progressed:
+                # Disconnected: treat the rest with independence.
+                rest = 1.0
+                for t in remaining:
+                    rest *= self.estimate_table(query, t)
+                return current_rows * scale * rest
+        return current_rows * scale
+
+
+class TrueCardinalityEstimator(CardinalityEstimator):
+    """Oracle estimator: executes the sub-query and counts (for evaluation).
+
+    Wraps an executor callable ``count_fn(query, tables) -> int`` supplied by
+    :mod:`repro.engine.executor` to avoid a circular import.
+
+    Args:
+        count_fn: ``(query, tables) -> int`` exact-count callable.
+        cache: memoize counts per (signature, table subset).
+        catalog: when given, each memo entry is stamped with the
+            catalog's version vector restricted to the entry's table
+            subset and re-counted the moment any of *those* tables moves
+            — a write to an unrelated table leaves the entry warm.
+            Without a catalog, counts memoized before an INSERT/DDL
+            would be served stale forever.
+    """
+
+    def __init__(self, count_fn, cache=True, catalog=None):
+        self._count_fn = count_fn
+        self._cache = {} if cache else None
+        self._catalog = catalog
+
+    def _token(self, tables):
+        if self._catalog is None:
+            return None
+        return self._catalog.version_vector(tables)
+
+    def estimate_table(self, query, table):
+        return self.estimate_subset(query, [table])
+
+    def estimate_subset(self, query, tables):
+        key = token = None
+        if self._cache is not None:
+            key = (query.signature(), tuple(sorted(t.lower() for t in tables)))
+            token = self._token(tables)
+            entry = self._cache.get(key)
+            if entry is not None and entry[1] == token:
+                return entry[0]
+        value = float(self._count_fn(query, list(tables)))
+        if self._cache is not None:
+            self._cache[key] = (value, token)
+        return value

@@ -2,7 +2,8 @@
 
 The tutorial's DB4AI section opens with declarative language models:
 "SQL can be extended to support AI models [66]". This module adds three
-statements to the engine via its statement-hook extension point::
+statements to the engine through its one extension point,
+``db.pipeline.extensions``::
 
     CREATE MODEL churn KIND classifier ON users TARGET churned
         FEATURES (age, logins, spend) WHERE age > 18
@@ -216,7 +217,8 @@ class _AISQLParser:
 
 
 class AISQLExtension:
-    """Installs AISQL statement handling on a :class:`Database`.
+    """AISQL statement handling for a :class:`Database`: a pipeline
+    extension (``describe`` + ``run``).
 
     Args:
         registry: an optional shared :class:`ModelRegistry`.
@@ -234,26 +236,23 @@ class AISQLExtension:
         self.registry = registry or ModelRegistry()
 
     def install(self, database):
-        """Register the statement hook on the database's query pipeline.
+        """Register this extension on the database's query pipeline.
 
-        Returns self for chaining. Feature extraction for ``CREATE MODEL``
-        / ``PREDICT`` / ``EVALUATE`` then runs through the staged pipeline,
-        so repeated ``PREDICT`` statements over the same feature query hit
-        the plan cache instead of replanning. A read-only *inspector* is
-        registered alongside the hook, so the session layer's dry-run and
-        policy gates can classify and cost AISQL statements — tables,
-        feature columns, and the plannable feature query — without
-        executing them.
+        Returns self for chaining. The session layer then classifies
+        AISQL statements through :meth:`describe` (so dry runs and policy
+        gates see their tables, feature columns and plannable feature
+        query without executing them) and executes them through
+        :meth:`run`. Feature extraction for ``CREATE MODEL`` /
+        ``PREDICT`` / ``EVALUATE`` runs through the staged pipeline, so
+        repeated ``PREDICT`` statements over the same feature query hit
+        the plan cache instead of replanning.
         """
-        database.pipeline.statement_hooks.append(self._hook)
-        database.pipeline.statement_inspectors.append(self._inspect)
+        database.pipeline.extensions.append(self)
         return self
 
     # ------------------------------------------------------------------
-    def _hook(self, database, sql_text):
-        head = sql_text.lstrip().upper()
-        if not any(head.startswith(h) for h in self._HEADS):
-            return None
+    def run(self, database, sql_text):
+        """Execute an AISQL statement :meth:`describe` claimed."""
         stmt = _AISQLParser(sql_text).parse()
         if isinstance(stmt, CreateModelStmt):
             return self._train(database, stmt)
@@ -261,13 +260,12 @@ class AISQLExtension:
             return self._predict(database, stmt)
         return self._evaluate(database, stmt)
 
-    def _inspect(self, database, sql_text):
+    def describe(self, database, sql_text):
         """Describe an AISQL statement without executing it.
 
-        The ``statement_inspectors`` contract: returns ``None`` for
-        statements this extension doesn't own, else a dict with the
-        statement's kind, referenced tables and columns, and — when the
-        feature set is known — the plannable feature
+        Returns ``None`` for statements this extension doesn't own, else
+        a dict with the statement's kind, referenced tables and columns,
+        and — when the feature set is known — the plannable feature
         :class:`ConjunctiveQuery` the session layer can cost.
         """
         head = sql_text.lstrip().upper()

@@ -1,9 +1,9 @@
 """The :class:`Database` façade: SQL in, rows out.
 
-Ties the front end (parser + lowering), the optimizer (rewriter, planner)
-and the executor together behind an explicit staged
+Ties the front end (parser + lowering), the planner and the executor
+together behind an explicit staged
 :class:`~repro.engine.pipeline.QueryPipeline`
-(parse → lower → rewrite → plan → execute, with a plan cache keyed on the
+(parse → lower → plan → execute, with a plan cache keyed on the
 full query signature and checked against the per-table versions of the
 tables the query reads). Construction is driven by one
 frozen :class:`~repro.engine.config.EngineConfig` — pass one via
@@ -11,18 +11,19 @@ frozen :class:`~repro.engine.config.EngineConfig` — pass one via
 and :meth:`EngineConfig.from_env` builds it (both spellings wire
 identical engines).
 
-The extension points the AI4DB and DB4AI layers use:
+The AI4DB and DB4AI layers attach from outside:
 
-* ``pipeline.statement_hooks`` — callables that get the raw SQL text of
+* ``pipeline.extensions`` — objects that ``describe`` and ``run``
   statements the native parser does not own; the AISQL declarative
-  layer registers its ``CREATE MODEL``/``PREDICT`` handlers here.
+  layer registers its ``CREATE MODEL``/``PREDICT``/``EVALUATE`` handler
+  here.
 * ``planner`` attributes — estimator/enumerator/cost model are swappable
   (``db.planner.enumerator = "ues"`` plans pessimistically; call
   ``db.pipeline.invalidate()`` after swapping any of them in place, since
   the plan cache cannot observe such mutations).
-* ``pipeline.rewriter`` — optional query rewriter applied in the
-  pipeline's rewrite stage.
-* ``pipeline.add_stage_hook`` — observe/replace any stage's output.
+* query objects — a rewriter (E4's rule library) rewrites a
+  :class:`~repro.engine.query.ConjunctiveQuery` and runs the result with
+  :meth:`Database.run_query_object`.
 
 Every statement takes the one route of a :class:`~repro.engine.session.
 context.SessionContext` — :meth:`Database.execute` unwraps the result of
@@ -134,7 +135,8 @@ class Database:
         Returns:
             For SELECT: an :class:`~repro.engine.executor.ExecutionResult`.
             For DDL/DML/ANALYZE: a status string.
-            For hooked statements: whatever the hook returns.
+            For extension statements: whatever the extension's ``run``
+            returns.
         """
         return self._session.execute(sql_text).raw
 

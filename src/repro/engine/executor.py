@@ -233,8 +233,8 @@ class Executor:
 def count_join_rows(catalog, query, tables):
     """True cardinality of the filtered join over ``tables`` (oracle helper).
 
-    Used by :class:`~repro.engine.optimizer.cardinality.TrueCardinalityEstimator`
-    and by tests. Joins columnar batches with the vectorized kernels in a
+    Used by the exact-count oracle estimator in
+    :mod:`repro.ai4db.optimization.estimators` and by tests. Joins columnar batches with the vectorized kernels in a
     connectivity-respecting order and does not charge any work accounting.
     """
     wanted = {x.lower() for x in tables}

@@ -1,10 +1,8 @@
-"""Cost-based optimizer: estimation, enumeration, planning, rewriting."""
+"""Cost-based optimizer: estimation, enumeration, planning."""
 
 from repro.engine.optimizer.cardinality import (
     CardinalityEstimator,
     TraditionalEstimator,
-    SamplingEstimator,
-    TrueCardinalityEstimator,
 )
 from repro.engine.optimizer.cost import CostModel
 from repro.engine.optimizer.join_enum import (
@@ -20,22 +18,10 @@ from repro.engine.optimizer.ues import (
     ues_bounds,
     ues_order,
 )
-from repro.engine.optimizer.rules import (
-    RewriteRule,
-    RemoveDuplicatePredicates,
-    TightenRangePredicates,
-    DetectContradictions,
-    PropagateEqualityConstants,
-    EliminateRedundantJoins,
-    default_rules,
-    apply_rules_fixed_order,
-)
 
 __all__ = [
     "CardinalityEstimator",
     "TraditionalEstimator",
-    "SamplingEstimator",
-    "TrueCardinalityEstimator",
     "CostModel",
     "dp_left_deep",
     "greedy_order",
@@ -46,12 +32,4 @@ __all__ = [
     "max_frequency",
     "ues_bounds",
     "ues_order",
-    "RewriteRule",
-    "RemoveDuplicatePredicates",
-    "TightenRangePredicates",
-    "DetectContradictions",
-    "PropagateEqualityConstants",
-    "EliminateRedundantJoins",
-    "default_rules",
-    "apply_rules_fixed_order",
 ]

@@ -1,13 +1,16 @@
-"""The staged query pipeline: parse → lower → rewrite → plan → execute.
+"""The staged query pipeline: parse → lower → plan → execute.
 
 The AI4DB thesis is that every stage of the query lifecycle is a pluggable
 learning target. :class:`QueryPipeline` makes the lifecycle explicit: each
-stage is named, timed as a span of the statement's
-:class:`~repro.engine.telemetry.StatementTrace`, and carries a
-hook list so learned components can observe or replace a stage's output
-without subclassing the :class:`~repro.engine.database.Database` façade.
+stage is named and timed as a span of the statement's
+:class:`~repro.engine.telemetry.StatementTrace`. Learned components attach
+from outside, on the objects a stage reads: a rewriter rewrites the
+:class:`~repro.engine.query.ConjunctiveQuery` and runs it with
+:meth:`QueryPipeline.run_query`, an estimator or enumerator is set on
+``db.planner``. The one extension point on the pipeline itself is
+``extensions``: statements the native parser does not own (AISQL).
 
-Between the rewrite and plan stages sits a **plan cache**: an LRU map from
+Between the lower and plan stages sits a **plan cache**: an LRU map from
 ``(query.signature(), explicit_order)`` to the plan
 :meth:`~repro.engine.optimizer.planner.Planner.plan` built and its
 :func:`~repro.engine.fusion.prepare_plan` memo, where every entry also
@@ -31,18 +34,15 @@ Cache-key / token invariants:
   projections, aggregates, grouping, ordering, limit, distinct) and the
   explicit join order if one was supplied — queries differing in either
   never share an entry;
-* keys are computed **after** the rewrite stage, so a changed rewriter
-  maps queries to different signatures and can never revive a plan for a
-  query it no longer produces;
+* the SQL-text cache stores the lowered query's signature beside it, so
+  a warm text reaches its plan without recomputing the key;
 * an entry hits only while its stored token equals the current one;
   planning re-reads the token after the planner runs, because planning
   itself may lazily ANALYZE a table (which bumps that table's version);
 * a stale entry's token is diffed against the current one to report the
   **invalidation cause** (``table:<name>``) on the trace's ``plan`` span
   and in EXPLAIN ANALYZE;
-* registering a plan-stage hook or swapping the rewriter clears the cache
-  outright (hooks may transform plans statefully). Swapping planner
-  internals by hand (``db.planner.estimator = ...``,
+* swapping planner internals by hand (``db.planner.estimator = ...``,
   ``db.planner.enumerator = "ues"``) is the one mutation the token cannot
   see — call :meth:`QueryPipeline.invalidate` after it.
 
@@ -71,7 +71,7 @@ from repro.engine.sql.parser import parse_sql
 from repro.engine.telemetry import PLANNING_STAGES, StatementTrace
 
 #: Pipeline stage names, in execution order.
-PIPELINE_STAGES = ("parse", "lower", "rewrite", "plan", "execute")
+PIPELINE_STAGES = ("parse", "lower", "plan", "execute")
 
 #: LRU capacity of a pipeline's plan cache and of its SQL-text →
 #: lowered-query cache.
@@ -197,8 +197,8 @@ class PreparedQuery:
     """A planned-but-not-executed SELECT: the admission-control handle.
 
     Produced by :meth:`QueryPipeline.prepare_sql` /
-    :meth:`QueryPipeline.prepare_query`: parsing, lowering, rewriting and
-    planning have run (through the shared SQL-text and plan caches), but
+    :meth:`QueryPipeline.prepare_query`: parsing, lowering and planning
+    have run (through the shared SQL-text and plan caches), but
     nothing has executed. The serving layer plans first, charges the
     plan's cost estimate against the tenant's quota, and only then calls
     :meth:`QueryPipeline.execute_prepared` — pinned to the session's
@@ -367,20 +367,14 @@ class QueryPipeline:
         database: the owning :class:`~repro.engine.database.Database`
             (supplies catalog, planner, executor).
 
-    Extension points:
-
-    * ``statement_hooks`` — callables ``(db, sql_text) -> result or None``
-      that :meth:`run_sql` offers raw SQL to before parsing (the AISQL
-      layer lives here). The session route sends it only text an
-      inspector claimed or the native parser rejected: a statement the
-      front end parsed runs from that parse (:meth:`prepare_sql` /
-      :meth:`run_statement`).
-    * ``rewriter`` — a single ``callable(query) -> query`` applied in the
-      rewrite stage (the classic ``Database.rewriter`` attribute).
-    * :meth:`add_stage_hook` — per-stage transform hooks
-      ``callable(stage_output) -> replacement or None`` applied after the
-      stage runs ("parse" sees the AST, "lower"/"rewrite" the structured
-      query, "plan" the physical plan, "execute" the execution result).
+    ``extensions`` is the one extension point: objects with
+    ``describe(db, sql_text) -> dict or None`` and ``run(db, sql_text)``.
+    An extension claims a statement by describing it (kind, tables,
+    columns, and optionally a cost-estimable feature query) without
+    executing it; the session layer's :func:`~repro.engine.session.
+    context.classify` asks every extension before the native front end,
+    and a claimed statement is executed by its extension's ``run`` (the
+    AISQL layer lives here). A statement no extension claims is native.
 
     Every run is timed per stage; :meth:`stats` reports the cumulative
     planning-vs-execution split plus plan-cache hit/miss counters.
@@ -388,16 +382,7 @@ class QueryPipeline:
 
     def __init__(self, database):
         self.db = database
-        self.statement_hooks = []
-        # Read-only companions to statement_hooks: callables
-        # ``(db, sql_text) -> dict or None`` that *describe* a hooked
-        # statement (kind, tables, columns, cost-estimable feature query)
-        # without executing it. The session API's dry-run and policy
-        # gates consult these so extension statements (AISQL) are
-        # previewable and gateable like native SQL.
-        self.statement_inspectors = []
-        self.stage_hooks = {stage: [] for stage in PIPELINE_STAGES}
-        self._rewriter = None
+        self.extensions = []
         self.plan_cache = PlanCache()
         self.query_cache = PlanCache()
         self._runs = 0
@@ -406,68 +391,11 @@ class QueryPipeline:
             stage: {"count": 0, "seconds": 0.0} for stage in PIPELINE_STAGES
         }
 
-    # -- extension points --------------------------------------------------
-    @property
-    def rewriter(self):
-        """The rewrite-stage callable (``None`` when not installed)."""
-        return self._rewriter
-
-    @rewriter.setter
-    def rewriter(self, fn):
-        self._rewriter = fn
-        # Conservative: a different rewriter may map the same input query
-        # to different plans, and may have mutated cached lowered queries
-        # in place; start from cold caches.
-        self.invalidate()
-
-    def add_stage_hook(self, stage, hook):
-        """Register a transform hook on one named stage.
-
-        The hook receives the stage's output and may return a replacement
-        (or ``None`` to leave it unchanged). Registering a hook clears the
-        plan cache, since cached plans were produced without it (and a
-        ``"rewrite"`` hook the SQL-text cache, as a rewriter does).
-        """
-        if stage not in self.stage_hooks:
-            raise PlanError(
-                "unknown pipeline stage %r (stages: %s)"
-                % (stage, ", ".join(PIPELINE_STAGES))
-            )
-        self.stage_hooks[stage].append(hook)
-        (self.invalidate if stage == "rewrite" else self.plan_cache.clear)()
-        return hook
-
-    def _apply_hooks(self, stage, value):
-        for hook in self.stage_hooks[stage]:
-            out = hook(value)
-            if out is not None:
-                value = out
-        return value
-
     # -- entry points ------------------------------------------------------
-    def run_sql(self, sql_text):
-        """Run one SQL (or hooked AISQL) statement through the pipeline.
-
-        Returns whatever the statement produces: an
-        :class:`~repro.engine.executor.ExecutionResult` for SELECT, a
-        status string for DDL/DML/ANALYZE, or the hook's result for
-        intercepted statements.
-        """
-        for hook in self.statement_hooks:
-            result = hook(self.db, sql_text)
-            if result is not None:
-                return result
-        query, stmt, trace, sig = self.front_end(sql_text)
-        if query is not None:
-            return self.execute_prepared(
-                self._prepare(sql_text, query, trace, sig=sig)
-            )
-        return self.run_statement(stmt, trace)
-
     def run_query(self, query, order=None, snapshot=None):
-        """Run a structured :class:`ConjunctiveQuery` (rewrite → plan →
-        execute), optionally under an explicit left-deep join ``order``
-        and/or pinned to a ``snapshot``."""
+        """Run a structured :class:`ConjunctiveQuery` (plan → execute),
+        optionally under an explicit left-deep join ``order`` and/or
+        pinned to a ``snapshot``."""
         return self.execute_prepared(
             self.prepare_query(query, order=order), snapshot=snapshot
         )
@@ -479,8 +407,7 @@ class QueryPipeline:
         physical plan, the statement's trace so far, and the plan's cost
         estimate. Only SELECT is accepted — preparation exists for the
         read path, where gates and admission control must see the cost
-        estimate *before* execution. Statement hooks are bypassed (they
-        may mutate).
+        estimate *before* execution.
 
         ``front`` is the ``(query, trace, signature)`` of a :meth:`front_end`
         pass the caller already made over this text (the session layer
@@ -506,8 +433,8 @@ class QueryPipeline:
     def prepare_query(self, query, order=None):
         """Plan a structured :class:`ConjunctiveQuery` without executing.
 
-        The query-object twin of :meth:`prepare_sql` (rewrite → plan via
-        the shared plan cache); returns a :class:`PreparedQuery`.
+        The query-object twin of :meth:`prepare_sql` (plan via the shared
+        plan cache); returns a :class:`PreparedQuery`.
         """
         return self._prepare(None, query, StatementTrace(), order=order)
 
@@ -515,19 +442,18 @@ class QueryPipeline:
         """Parse → lower through the SQL-text cache:
         ``(query, stmt, trace, signature)``.
 
-        The one front end behind every SQL entry point, so stage hooks
-        and the warm-text cache apply to all of them alike. A SELECT
-        comes back lowered (``stmt`` is ``None``); any other statement
-        comes back parsed (``query`` is ``None``). ``trace`` is the
-        statement's :class:`~repro.engine.telemetry.StatementTrace` —
-        the caller's when the statement entered above the pipeline, a
-        fresh one otherwise — now holding the ``parse``/``lower`` spans,
-        and handed on to whatever stages run next. The cache token is
-        the coarse ``schema_epoch``, not the full version vector —
-        lowering depends only on name resolution, so inserts/ANALYZE
-        keep warm SQL text warm. An entry also stores the lowered query's
-        ``signature()``, the plan-cache key while the rewrite stage is
-        empty (``signature`` is ``None`` for a non-SELECT).
+        The one front end behind every SQL entry point, so the warm-text
+        cache applies to all of them alike. A SELECT comes back lowered
+        (``stmt`` is ``None``); any other statement comes back parsed
+        (``query`` is ``None``). ``trace`` is the statement's
+        :class:`~repro.engine.telemetry.StatementTrace` — the caller's
+        when the statement entered above the pipeline, a fresh one
+        otherwise — now holding the ``parse``/``lower`` spans, and handed
+        on to whatever stages run next. The cache token is the coarse
+        ``schema_epoch``, not the full version vector — lowering depends
+        only on name resolution, so inserts/ANALYZE keep warm SQL text
+        warm. An entry also stores the lowered query's ``signature()``,
+        the plan-cache key (``signature`` is ``None`` for a non-SELECT).
         """
         if trace is None:
             trace = StatementTrace()
@@ -540,12 +466,10 @@ class QueryPipeline:
             return hit[0], None, trace, hit[1]
         with root.child("parse", t0):
             stmt = parse_sql(sql_text)
-        stmt = self._apply_hooks("parse", stmt)
         if not isinstance(stmt, SelectStmt):
             return None, stmt, trace, None
         with root.child("lower"):
             query = lower_select(stmt, self.db.catalog)
-            query = self._apply_hooks("lower", query)
             sig = query.signature()
             self.query_cache.put(sql_text, (query, sig), schema_epoch)
         return query, None, trace, sig
@@ -563,12 +487,6 @@ class QueryPipeline:
         return query, trace, sig
 
     def _prepare(self, sql_text, query, trace, order=None, sig=None):
-        # The lowered query's signature keys the plan cache only while
-        # the rewrite stage is empty: an in-place rewriter returns None,
-        # and its output must never be served its input's key.
-        if self._rewriter is not None or self.stage_hooks["rewrite"]:
-            sig = None
-        query = self._rewrite(query, trace)
         plan, memo = self._plan(query, trace, order=order, sig=sig)
         return PreparedQuery(sql_text, query, plan, trace, memo)
 
@@ -580,10 +498,9 @@ class QueryPipeline:
         EXPLAIN ANALYZE: the plan was already produced (and, on the
         serving path, its cost estimate charged against a quota), so this
         runs exactly that plan — against the live catalog, or the pinned
-        snapshot — then applies the execute hooks and accumulates
-        stats. Executing the same prepared query again is a new
-        statement: its trace shares the planning spans and only its own
-        ``execute`` is accumulated.
+        snapshot — then accumulates stats. Executing the same prepared
+        query again is a new statement: its trace shares the planning
+        spans and only its own ``execute`` is accumulated.
         """
         trace = prepared.trace
         if trace.execute is not None:
@@ -591,7 +508,6 @@ class QueryPipeline:
         result = self.db.executor.execute(
             prepared.plan, catalog=snapshot, trace=trace, memo=prepared.memo
         )
-        result = self._apply_hooks("execute", result)
         trace.root.close()
         self._accumulate(trace)
         return result
@@ -614,9 +530,9 @@ class QueryPipeline:
         """Execute a SELECT and render est-vs-actual rows per plan node.
 
         The EXPLAIN-ANALYZE view: the query runs for real (the same
-        :meth:`_prepare` → :meth:`execute_prepared` route as
-        :meth:`run_sql`), and the returned :class:`ExplainResult`
-        renders each node of the unfused plan with its estimated rows,
+        :meth:`prepare_sql` → :meth:`execute_prepared` route as every
+        SELECT), and the returned :class:`ExplainResult` renders each
+        node of the unfused plan with its estimated rows,
         executor-counted actual rows, and q-error. ``result`` carries
         the run's :class:`~repro.engine.executor.ExecutionResult` (rows
         included). ``front``: as for :meth:`prepare_sql`.
@@ -628,14 +544,6 @@ class QueryPipeline:
         return ExplainResult(prepared.plan, trace, result)
 
     # -- stages ------------------------------------------------------------
-    def _rewrite(self, query, trace):
-        with trace.root.child("rewrite"):
-            if self._rewriter is not None:
-                out = self._rewriter(query)
-                if out is not None:
-                    query = out
-            return self._apply_hooks("rewrite", query)
-
     def _plan_token(self, query):
         """The plan cache's invalidation token for ``query``: the
         catalog's version vector restricted to the query's tables, so
@@ -647,7 +555,7 @@ class QueryPipeline:
 
         One plan-cache lookup under key ``(signature, order)``; on a miss
         :meth:`~repro.engine.optimizer.planner.Planner.plan` builds the
-        plan, the ``"plan"`` hooks see it, and it is stored with its
+        plan, and it is stored with its
         :func:`~repro.engine.fusion.prepare_plan` memo. The ``plan``
         span reports the cache outcome. ``sig``: ``query.signature()``
         when the caller holds it.
@@ -660,8 +568,7 @@ class QueryPipeline:
             token = self._plan_token(query)
             entry, outcome, stale = self.plan_cache.lookup(key, token)
             if entry is None:
-                plan = self._apply_hooks(
-                    "plan", self.db.planner.plan(query, order=order))
+                plan = self.db.planner.plan(query, order=order)
                 entry = (plan, prepare_plan(plan))
                 # Re-read the token: planning may lazily ANALYZE (a
                 # version bump), and the entry must match the state it
@@ -681,8 +588,8 @@ class QueryPipeline:
 
         The write-side continuation of a :meth:`front_end` pass, as
         :meth:`prepare_sql` is the read side's: ``stmt`` and ``trace``
-        are what that pass returned, so the statement is parsed, hooked
-        and timed once. Returns the status string.
+        are what that pass returned, so the statement is parsed and
+        timed once. Returns the status string.
         """
         with trace.root.child("execute"):
             if isinstance(stmt, CreateTableStmt):

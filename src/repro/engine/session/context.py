@@ -14,12 +14,15 @@ statement's kind, tables and columns off what it parsed, the statement
 gate runs, then a SELECT is planned *from that same front-end pass*,
 cost-gated, read through the backend and row-gated, and anything else
 is cost-gated and written through the backend — a native statement
-executed *from that same pass* too, so no surface parses (or fires a
-``"parse"`` hook for) a statement twice; the outcome is audited. The
-statement's :class:`~repro.engine.telemetry.StatementTrace` is created
-here, where it enters, and handed down that same route. A session
-without a policy or an audit log takes the same route — its gates
-simply have nothing to check or record.
+executed *from that same pass* too, an extension statement by the
+extension that claimed it, so no surface parses a statement twice; the
+outcome is audited. Text no extension (``db.pipeline.extensions``)
+claims is native, so what the parser rejects fails classification
+alike on every surface and in a dry run. The statement's
+:class:`~repro.engine.telemetry.StatementTrace` is created here, where
+it enters, and handed down that same route. A session without a policy
+or an audit log takes the same route — its gates simply have nothing to
+check or record.
 
 Layering: this module sits inside ``repro.engine`` and must not import
 the serving layer (``repro.engine.server``) — the server imports *us*.
@@ -30,7 +33,7 @@ end has one owner, the pipeline: nothing here calls the parser.
 
 from functools import partial
 
-from repro.engine.errors import EngineError, ExecutionError, ParseError
+from repro.engine.errors import EngineError, ExecutionError
 from repro.engine.session.audit import AuditLog  # noqa: F401 (re-export)
 from repro.engine.session.policy import WRITE_KINDS, PolicyDecision
 from repro.engine.sql.ast_nodes import (
@@ -45,10 +48,6 @@ from repro.engine.telemetry import StatementTrace
 #: serving layer's default admission charge (writes bypass the planner,
 #: so there is no estimate to read).
 WRITE_STATEMENT_COST = 64.0
-
-#: Heads that name an extension statement: text the native parser
-#: rejects under one of these still reaches the statement hooks.
-_EXTENSION_KINDS = ("CREATE MODEL", "PREDICT", "EVALUATE", "UNKNOWN")
 
 #: Two-word statement heads the classifier must join before matching.
 _TWO_WORD_KINDS = {
@@ -68,45 +67,51 @@ _ONE_WORD_KINDS = {
 
 
 def split_script(text):
-    """Split a multi-statement script on ``;`` outside quotes.
+    """Split a multi-statement script on ``;`` outside quotes and
+    ``--`` comments.
 
-    Returns the non-empty statements with surrounding whitespace (and
-    the terminating semicolon) stripped. Quote-aware so string literals
-    containing semicolons survive intact.
+    Returns the statements with surrounding whitespace (and the
+    terminating semicolon) stripped, leaving out any that hold nothing
+    but whitespace and comments. Quote-aware so string literals
+    containing semicolons survive intact; a comment runs to the end of
+    its line, as in the lexer, so a ``;`` or a quote inside one
+    neither ends a statement nor opens a string.
     """
     statements = []
-    buf = []
+    start = 0
     quote = None
-    for ch in text:
+    code = False  # the current statement has more than comments
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
         if quote is not None:
-            buf.append(ch)
             if ch == quote:
                 quote = None
-        elif ch in ("'", '"'):
-            quote = ch
-            buf.append(ch)
+        elif text.startswith("--", i):
+            end = text.find("\n", i)
+            i = n if end < 0 else end
+            continue
         elif ch == ";":
-            stmt = "".join(buf).strip()
-            if stmt:
-                statements.append(stmt)
-            buf = []
+            if code:
+                statements.append(text[start:i].strip())
+            start, code = i + 1, False
         else:
-            buf.append(ch)
-    stmt = "".join(buf).strip()
-    if stmt:
-        statements.append(stmt)
+            if ch in ("'", '"'):
+                quote = ch
+            code = code or not ch.isspace()
+        i += 1
+    if code:
+        statements.append(text[start:].strip())
     return statements
 
 
 def sniff_kind(sql_text):
     """Name a statement by its head token(s) — no parsing.
 
-    Labels text the front end could not parse: an extension statement's
-    head (:func:`classify`), or the kind an audit record / dry-run
-    preview shows for a statement that failed classification. Never
-    decides how a statement runs. Returns one of
-    :data:`~repro.engine.session.policy.STATEMENT_KINDS` (``"UNKNOWN"``
-    when the head matches nothing).
+    The kind an audit record / dry-run preview shows for a statement
+    that failed classification. Never decides how a statement runs.
+    Returns one of :data:`~repro.engine.session.policy.STATEMENT_KINDS`
+    (``"UNKNOWN"`` when the head matches nothing).
     """
     tokens = sql_text.strip().split(None, 2)
     if not tokens:
@@ -132,29 +137,28 @@ class StatementInfo:
             column *wherever* it appears in the statement. Built on
             first read (a policy or a dry run) for a SELECT.
         query: the lowered :class:`~repro.engine.query.ConjunctiveQuery`
-            when one exists (a SELECT, or an extension inspector's
-            cost-estimable feature query).
+            when one exists (a SELECT, or an extension's cost-estimable
+            feature query).
         row_estimate: known row count before execution (INSERT only).
-        source: how the info was obtained — ``"inspector"`` /
-            ``"lowered"`` (a native SELECT) / ``"parsed"`` (any other
-            native statement) / ``"sniffed"`` (an unclaimed extension
-            head).
+        source: how the info was obtained — ``"extension"`` (an
+            extension claimed the text) / ``"lowered"`` (a native
+            SELECT) / ``"parsed"`` (any other native statement).
         trace: the statement's
             :class:`~repro.engine.telemetry.StatementTrace`.
-        front: the front-end pass that classified a native statement,
-            which running it continues — so the statement is parsed,
-            hooked, timed and cache-counted once. ``(query, trace,
-            signature)`` for ``"lowered"`` (what :meth:`~repro.engine.pipeline.
+        front: what running the statement continues, so it is parsed,
+            timed and cache-counted once. ``(query, trace, signature)``
+            for ``"lowered"`` (what :meth:`~repro.engine.pipeline.
             QueryPipeline.prepare_sql` takes), ``(stmt, trace)`` for
             ``"parsed"`` (what :meth:`~repro.engine.pipeline.
-            QueryPipeline.run_statement` takes). ``None`` otherwise.
+            QueryPipeline.run_statement` takes), and the claiming
+            extension for ``"extension"`` (whose ``run`` executes it).
     """
 
     __slots__ = ("sql", "kind", "tables", "_columns", "query",
                  "row_estimate", "source", "trace", "front")
 
-    def __init__(self, sql, kind, trace, tables=(), columns=(), query=None,
-                 row_estimate=None, source="sniffed", front=None):
+    def __init__(self, sql, kind, trace, source, front, tables=(),
+                 columns=(), query=None, row_estimate=None):
         self.sql = sql
         self.kind = kind
         self.tables = list(tables)
@@ -218,52 +222,45 @@ def _query_columns(db, query):
 def classify(db, sql_text, trace=None):
     """Classify one statement without executing it.
 
-    Extension inspectors (``db.pipeline.statement_inspectors`` — the
-    read-only companions to statement hooks) are consulted first, so
-    hooked statements (AISQL) classify like native SQL. Everything else
-    goes through the pipeline's front end — comments skipped, ``"parse"``
-    hooks applied, SELECTs lowered through the warm SQL-text cache — and
-    the kind, tables and columns are read off the result. Text the
-    native parser rejects is an extension statement when its head says
-    so (nothing to resolve, but the kind gate still applies).
+    Every extension (``db.pipeline.extensions``) is asked to describe
+    the text first, so a claimed statement (AISQL) classifies like
+    native SQL and runs through its extension. Everything else goes
+    through the pipeline's front end — comments skipped, SELECTs lowered
+    through the warm SQL-text cache — and the kind, tables and columns
+    are read off the result.
 
-    A malformed or unresolvable native statement raises the same
-    :class:`~repro.common.ParseError` /
+    Text no extension claims is native: a malformed or unresolvable
+    statement raises the same :class:`~repro.common.ParseError` /
     :class:`~repro.common.CatalogError` executing it would. The front
     end's spans land in ``trace`` (a fresh one when the caller is not
     executing the statement).
     """
     if trace is None:
         trace = StatementTrace()
-    for inspector in db.pipeline.statement_inspectors:
-        desc = inspector(db, sql_text)
+    for extension in db.pipeline.extensions:
+        desc = extension.describe(db, sql_text)
         if desc is not None:
             return StatementInfo(
                 sql_text,
                 desc.get("kind", "UNKNOWN"),
                 trace,
+                "extension",
+                extension,
                 tables=desc.get("tables", ()),
                 columns=_dedupe(desc.get("columns", ())),
                 query=desc.get("query"),
                 row_estimate=desc.get("row_estimate"),
-                source="inspector",
             )
-    try:
-        query, stmt, __, sig = db.pipeline.front_end(sql_text, trace)
-    except ParseError:
-        kind = sniff_kind(sql_text)
-        if kind not in _EXTENSION_KINDS:
-            raise
-        return StatementInfo(sql_text, kind, trace)
+    query, stmt, __, sig = db.pipeline.front_end(sql_text, trace)
     if query is not None:
         return StatementInfo(
-            sql_text, "SELECT", trace, tables=list(query.tables),
+            sql_text, "SELECT", trace, "lowered", (query, trace, sig),
+            tables=list(query.tables),
             columns=partial(_query_columns, db, query), query=query,
-            source="lowered", front=(query, trace, sig),
         )
     def parsed(kind, **fields):
-        return StatementInfo(sql_text, kind, trace, source="parsed",
-                             front=(stmt, trace), **fields)
+        return StatementInfo(sql_text, kind, trace, "parsed", (stmt, trace),
+                             **fields)
 
     if isinstance(stmt, InsertStmt):
         if stmt.columns:
@@ -294,9 +291,9 @@ class SessionResult:
         kind: classified statement kind.
         raw: what the statement produced — an
             :class:`~repro.engine.executor.ExecutionResult` for SELECT,
-            a status string for DDL/DML/ANALYZE, or the hook result for
-            extension statements. The facades (``Database.execute`` et
-            al.) return exactly this.
+            a status string for DDL/DML/ANALYZE, or what the extension's
+            ``run`` returned for an extension statement. The facades
+            (``Database.execute`` et al.) return exactly this.
         decision: the :class:`PolicyDecision` that admitted the
             statement (the ``"default"`` allow without a policy).
         est_cost: the planner's pre-execution cost estimate, when one
@@ -446,12 +443,11 @@ class LocalBackend:
 
     def write(self, info):
         """A native statement continues the front-end pass that
-        classified it; text an inspector claimed, or the native parser
-        rejected, goes to ``run_sql`` — and so to the statement hooks
-        (the rule reads follow: a SELECT never reaches them)."""
+        classified it; an extension statement runs through the
+        extension that claimed it."""
         if info.source == "parsed":
             return self.db.pipeline.run_statement(*info.front)
-        return self.db.pipeline.run_sql(info.sql)
+        return info.front.run(self.db, info.sql)
 
 
 class SnapshotBackend:
@@ -524,11 +520,10 @@ class SessionContext:
         Front end once → classify → statement gate → plan (a SELECT,
         continuing the classifying pass) or flat-cost (a write) → cost
         gate → ``backend.read(prepared)`` / ``backend.write(info)``
-        → row gate → audit. Of the writes, only extension statements —
-        claimed by an inspector, or an extension head the native parser
-        rejects — reach the statement hooks. A denial or
+        → row gate → audit. Of the writes, only a statement an extension
+        claimed reaches that extension's ``run``. A denial or
         failure at any step — an :class:`EngineError` or anything else
-        an operator, hook or backend lets escape — is audited with what
+        an operator, extension or backend lets escape — is audited with what
         was known by then (its trace closed like any other), then
         re-raised unchanged.
         """
@@ -546,7 +541,7 @@ class SessionContext:
                     if info.source == "lowered":
                         raise
                     # An extension's feature query that does not plan:
-                    # the hook reports the failure in its own words.
+                    # its run reports the failure in its own words.
                     prepared = est_cost = None
                 seen["est_cost"] = est_cost
                 self._gate(sql_text, "check_cost", est_cost)
@@ -622,8 +617,8 @@ class SessionContext:
         """Plan every statement of a script without executing anything.
 
         Each statement is classified, policy-checked, and — where a
-        planner estimate exists (SELECT always; AISQL when its inspector
-        is installed; INSERT from its literal rows) — costed. Returns a
+        planner estimate exists (SELECT always; an extension statement
+        with a feature query; INSERT from its literal rows) — costed. Returns a
         :class:`DryRunReport`. Per-statement failures are captured in
         the preview (``error``), never raised, so one bad statement
         doesn't hide the rest of the report.
@@ -641,7 +636,6 @@ class SessionContext:
         except EngineError as exc:
             return StatementPreview(
                 sql_text, sniff_kind(sql_text), error=str(exc))
-        columns = info.columns  # before planning runs the rewrite stage
         decision = (self.policy.check_statement(info)
                     if self.policy is not None else None)
         est_cost = est_rows = error = None
@@ -652,7 +646,7 @@ class SessionContext:
         if decision is not None and decision.allowed:
             decision = self.policy.check_cost(est_cost)
         return StatementPreview(
-            sql_text, info.kind, tables=info.tables, columns=columns,
+            sql_text, info.kind, tables=info.tables, columns=info.columns,
             decision=decision, est_cost=est_cost, est_rows=est_rows,
             error=error,
         )
@@ -669,7 +663,7 @@ class SessionContext:
         """``(prepared, est_cost, est_rows)`` of a classified statement,
         nothing executed. ``prepared`` is set for a native SELECT only:
         planning continues the front-end pass that classified it. An
-        extension statement whose inspector exposed a cost-estimable
+        extension statement whose description exposed a cost-estimable
         feature query is planned for its estimate; writes cost a flat
         :data:`WRITE_STATEMENT_COST`."""
         pipeline = self.db.pipeline

@@ -118,8 +118,8 @@ class Policy:
             (enforced before).
         max_cost: ceiling on the planner's estimated cost for one
             statement (enforced before execution, when an estimate
-            exists — SELECTs always, AISQL when its inspector is
-            installed).
+            exists — SELECTs always, an extension statement (AISQL)
+            when its description carries a feature query).
 
     Policies are immutable in spirit: build a new one per session rather
     than mutating a shared instance mid-flight.

@@ -19,7 +19,7 @@ import time
 _clock = time.perf_counter
 
 #: Root spans counted as "planning" (everything before execution).
-PLANNING_STAGES = ("parse", "lower", "rewrite", "plan")
+PLANNING_STAGES = ("parse", "lower", "plan")
 
 
 def q_error(est_rows, actual_rows):

@@ -360,10 +360,8 @@ def e6_cardinality(seed=0, fast=False):
     )
     from repro.sim import datagen
     from repro.engine.catalog import Catalog
-    from repro.engine.optimizer.cardinality import (
-        SamplingEstimator,
-        TraditionalEstimator,
-    )
+    from repro.ai4db.optimization.estimators import SamplingEstimator
+    from repro.engine.optimizer.cardinality import TraditionalEstimator
     from repro.ml import q_error_summary
 
     catalog = Catalog()
@@ -536,7 +534,7 @@ def e8_end_to_end(seed=0, fast=False):
     from repro.sim import datagen
     from repro.engine.database import Database
     from repro.engine.optimizer.join_enum import dp_left_deep
-    from repro.engine.optimizer.cardinality import TrueCardinalityEstimator
+    from repro.ai4db.optimization.estimators import TrueCardinalityEstimator
     from repro.engine.executor import count_join_rows
 
     db = Database()

@@ -136,6 +136,40 @@ def test_cardinality_feedback_left_the_engine():
         raise AssertionError("repro.engine.optimizer.feedback is back")
 
 
+def test_the_statement_path_has_one_extension_point():
+    """No stage hooks, no rewrite stage, no statement-hook/inspector
+    pair and no ``run_sql``: the pipeline's one extension point is
+    ``extensions``. The rule library and the sampling/oracle estimators
+    left ``repro.engine.optimizer`` for ``repro.ai4db``."""
+    import importlib
+
+    from repro.ai4db.config import rules
+    from repro.ai4db.optimization import estimators
+
+    pipeline = engine.Database().pipeline
+    assert pipeline.extensions == []
+    for name in ("add_stage_hook", "stage_hooks", "_apply_hooks",
+                 "rewriter", "_rewrite", "statement_hooks",
+                 "statement_inspectors", "run_sql"):
+        assert not hasattr(pipeline, name), name
+    assert "rewrite" not in engine.PIPELINE_STAGES
+    assert "rewrite" not in engine.telemetry.PLANNING_STAGES
+    for name in ("SamplingEstimator", "TrueCardinalityEstimator"):
+        assert name not in engine.optimizer.__all__
+        assert not hasattr(engine.optimizer, name)
+        assert not hasattr(engine.optimizer.cardinality, name)
+        assert inspect.isclass(getattr(estimators, name))
+    for name in ("RewriteRule", "default_rules", "apply_rules_fixed_order"):
+        assert name not in engine.optimizer.__all__
+        assert getattr(rules, name).__module__ == rules.__name__
+    try:
+        importlib.import_module("repro.engine.optimizer.rules")
+    except ModuleNotFoundError:
+        pass
+    else:
+        raise AssertionError("repro.engine.optimizer.rules is back")
+
+
 def test_all_has_no_duplicates():
     assert len(engine.__all__) == len(set(engine.__all__))
 

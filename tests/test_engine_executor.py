@@ -8,6 +8,7 @@ from repro.common import CatalogError, ExecutionError, ParseError
 from repro.engine import Database
 from repro.engine.executor import count_join_rows
 from repro.engine.query import ConjunctiveQuery, Predicate
+from test_engine_session import MagicExtension
 
 
 class TestBasicExecution:
@@ -191,9 +192,9 @@ class TestCountJoinRows:
 
 class TestDatabaseFacade:
     def test_statement_hooks_take_priority(self, tiny_db):
-        tiny_db.pipeline.statement_hooks.append(
-            lambda db, text: "HOOKED" if text.startswith("MAGIC") else None
-        )
+        """An extension claims its text before the native parser sees
+        it."""
+        tiny_db.pipeline.extensions.append(MagicExtension())
         assert tiny_db.execute("MAGIC WORD") == "HOOKED"
         # Normal statements unaffected.
         assert tiny_db.query("SELECT COUNT(*) FROM users")[0][0] == 5
@@ -211,15 +212,16 @@ class TestDatabaseFacade:
             tiny_db.query("SELECT a FROM nonexistent")
 
     def test_rewriter_hook_applied(self, tiny_db):
-        calls = []
-
+        """A rewriter works on the query object, outside the engine:
+        rewrite the lowered query, then run what it returned."""
         def rewriter(query):
-            calls.append(query)
-            return query
+            return ConjunctiveQuery(tables=query.tables,
+                                    projections=query.projections, limit=2)
 
-        tiny_db.pipeline.rewriter = rewriter
-        tiny_db.query("SELECT name FROM users")
-        assert len(calls) == 1
+        sql = "SELECT name FROM users"
+        rewritten = rewriter(tiny_db.pipeline.lower_sql(sql))
+        assert len(tiny_db.run_query_object(rewritten).rows) == 2
+        assert len(tiny_db.query(sql)) == 5  # the text's own plan is intact
 
     def test_knob_cost_params_affect_work(self):
         db_fast = Database(cost_params={"cpu_tuple_cost": 1.0})

@@ -1,5 +1,5 @@
-"""Tests for the optimizer: estimators, cost model, enumeration, rules,
-planner."""
+"""Tests for the optimizer: the traditional estimator, cost model,
+enumeration, planner."""
 
 import pytest
 
@@ -7,11 +7,7 @@ from repro.common import PlanError
 from repro.engine import plans as P
 from repro.engine.catalog import Catalog
 from repro.engine.executor import count_join_rows
-from repro.engine.optimizer.cardinality import (
-    SamplingEstimator,
-    TraditionalEstimator,
-    TrueCardinalityEstimator,
-)
+from repro.engine.optimizer.cardinality import TraditionalEstimator
 from repro.engine.optimizer.cost import CostModel
 from repro.engine.optimizer.join_enum import (
     dp_left_deep,
@@ -20,16 +16,7 @@ from repro.engine.optimizer.join_enum import (
     random_order,
 )
 from repro.engine.optimizer.planner import Planner
-from repro.engine.optimizer.rules import (
-    DetectContradictions,
-    EliminateRedundantJoins,
-    PropagateEqualityConstants,
-    RemoveDuplicatePredicates,
-    TightenRangePredicates,
-    apply_rules_fixed_order,
-    default_rules,
-)
-from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
+from repro.engine.query import Aggregate, ConjunctiveQuery, Predicate
 from repro.sim import datagen
 
 
@@ -68,93 +55,6 @@ class TestTraditionalEstimator:
         est = TraditionalEstimator(catalog)
         q = ConjunctiveQuery(tables=names[:2])
         assert est.estimate_subset(q, []) == 0.0
-
-
-class TestSamplingEstimator:
-    def test_full_sample_is_near_exact(self, correlated_catalog):
-        est = SamplingEstimator(correlated_catalog, sample_size=10**6, seed=0)
-        q = ConjunctiveQuery(
-            tables=["facts"],
-            predicates=[Predicate("facts", "a", "<", 10),
-                        Predicate("facts", "b", "<", 10)],
-        )
-        true = count_join_rows(correlated_catalog, q, ["facts"])
-        assert est.estimate_table(q, "facts") == pytest.approx(true)
-
-    def test_captures_correlation_better_than_histogram(
-        self, correlated_catalog
-    ):
-        sampling = SamplingEstimator(correlated_catalog, sample_size=800,
-                                     seed=0)
-        hist = TraditionalEstimator(correlated_catalog)
-        q = ConjunctiveQuery(
-            tables=["facts"],
-            predicates=[Predicate("facts", "a", "<", 10),
-                        Predicate("facts", "b", "<", 10)],
-        )
-        true = count_join_rows(correlated_catalog, q, ["facts"])
-        err_sampling = abs(sampling.estimate_table(q, "facts") - true)
-        err_hist = abs(hist.estimate_table(q, "facts") - true)
-        assert err_sampling < err_hist
-
-    def test_join_sampling(self, chain_catalog):
-        catalog, names, edges = chain_catalog
-        est = SamplingEstimator(catalog, sample_size=10**6, seed=0)
-        q = ConjunctiveQuery(tables=names[:3], join_edges=edges[:2])
-        true = count_join_rows(catalog, q, names[:3])
-        assert est.estimate_subset(q, names[:3]) == pytest.approx(true)
-
-
-class TestTrueEstimatorAndCache:
-    def test_oracle_matches_execution(self, chain_catalog):
-        catalog, names, edges = chain_catalog
-        est = TrueCardinalityEstimator(
-            lambda q, ts: count_join_rows(catalog, q, ts)
-        )
-        q = ConjunctiveQuery(tables=names[:2], join_edges=[edges[0]],
-                             predicates=[Predicate(names[0], "val", "<", 50)])
-        true = count_join_rows(catalog, q, names[:2])
-        assert est.estimate_subset(q, names[:2]) == true
-
-    def test_cache_hit(self, chain_catalog):
-        catalog, names, edges = chain_catalog
-        calls = []
-
-        def counting(q, ts):
-            calls.append(1)
-            return count_join_rows(catalog, q, ts)
-
-        est = TrueCardinalityEstimator(counting)
-        q = ConjunctiveQuery(tables=names[:2], join_edges=[edges[0]])
-        est.estimate_subset(q, names[:2])
-        est.estimate_subset(q, names[:2])
-        assert len(calls) == 1
-
-    def test_cache_invalidated_on_epoch_change(self, chain_catalog):
-        # Regression: the memo must observe the catalog's versions —
-        # counts cached before an INSERT/DDL were once served stale forever.
-        catalog, names, edges = chain_catalog
-        est = TrueCardinalityEstimator(
-            lambda q, ts: count_join_rows(catalog, q, ts), catalog=catalog
-        )
-        q = ConjunctiveQuery(tables=[names[0]])
-        before = est.estimate_subset(q, [names[0]])
-        table = catalog.table(names[0])
-        table.insert_rows([(10**6 + i, 0, 0) for i in range(5)])
-        after = est.estimate_subset(q, [names[0]])
-        assert after == before + 5
-
-    def test_cache_stale_without_catalog(self, chain_catalog):
-        # Documents the legacy behavior the catalog kwarg exists to fix.
-        catalog, names, edges = chain_catalog
-        est = TrueCardinalityEstimator(
-            lambda q, ts: count_join_rows(catalog, q, ts)
-        )
-        q = ConjunctiveQuery(tables=[names[0]])
-        before = est.estimate_subset(q, [names[0]])
-        table = catalog.table(names[0])
-        table.insert_rows([(10**6 + i, 0, 0) for i in range(5)])
-        assert est.estimate_subset(q, [names[0]]) == before
 
 
 class TestCostModel:
@@ -242,115 +142,6 @@ class TestJoinEnumeration:
         # Each prefix must stay connected on a chain graph.
         for i in range(1, len(order)):
             assert q.edges_between(order[:i], order[i])
-
-
-class TestRewriteRules:
-    def _base_query(self, extra_predicates=(), tables=("t",), edges=()):
-        return ConjunctiveQuery(
-            tables=list(tables),
-            join_edges=list(edges),
-            predicates=list(extra_predicates),
-            aggregates=[Aggregate("count")],
-        )
-
-    def test_dedup(self):
-        q = self._base_query([Predicate("t", "a", ">", 1),
-                              Predicate("t", "a", ">", 1)])
-        out = RemoveDuplicatePredicates().apply(q)
-        assert out is not None and len(out.predicates) == 1
-
-    def test_dedup_noop_returns_none(self):
-        q = self._base_query([Predicate("t", "a", ">", 1)])
-        assert RemoveDuplicatePredicates().apply(q) is None
-
-    def test_tighten_lower_bounds(self):
-        q = self._base_query([Predicate("t", "a", ">", 1),
-                              Predicate("t", "a", ">", 5)])
-        out = TightenRangePredicates().apply(q)
-        assert out is not None
-        assert out.predicates[0].value == 5
-
-    def test_tighten_upper_bounds(self):
-        q = self._base_query([Predicate("t", "a", "<=", 9),
-                              Predicate("t", "a", "<", 12)])
-        out = TightenRangePredicates().apply(q)
-        assert out is not None
-        assert len(out.predicates) == 1
-        assert out.predicates[0].op == "<="
-        assert out.predicates[0].value == 9
-
-    def test_contradiction_eq_conflict(self):
-        q = self._base_query([Predicate("t", "a", "=", 1),
-                              Predicate("t", "a", "=", 2)])
-        out = DetectContradictions().apply(q)
-        assert out is not None and out.limit == 0
-
-    def test_contradiction_empty_range(self):
-        q = self._base_query([Predicate("t", "a", ">", 10),
-                              Predicate("t", "a", "<", 5)])
-        out = DetectContradictions().apply(q)
-        assert out is not None and out.limit == 0
-
-    def test_contradiction_eq_outside_range(self):
-        q = self._base_query([Predicate("t", "a", "=", 3),
-                              Predicate("t", "a", ">", 10)])
-        out = DetectContradictions().apply(q)
-        assert out is not None and out.limit == 0
-
-    def test_no_false_contradiction(self):
-        q = self._base_query([Predicate("t", "a", ">", 1),
-                              Predicate("t", "a", "<", 10)])
-        assert DetectContradictions().apply(q) is None
-
-    def test_equality_propagation(self):
-        q = ConjunctiveQuery(
-            tables=["a", "b"],
-            join_edges=[JoinEdge("a", "x", "b", "y")],
-            predicates=[Predicate("a", "x", "=", 7)],
-            aggregates=[Aggregate("count")],
-        )
-        out = PropagateEqualityConstants().apply(q)
-        assert out is not None
-        keys = {p.key() for p in out.predicates}
-        assert ("b", "y", "=", 7) in keys
-
-    def test_join_elimination_on_unique_unused_dim(self, chain_catalog):
-        catalog, names, edges = chain_catalog
-        # Join t0 (unique id, unused) to t1, count only.
-        q = ConjunctiveQuery(
-            tables=[names[0], names[1]],
-            join_edges=[edges[0]],
-            predicates=[Predicate(names[1], "val", "<", 100)],
-            aggregates=[Aggregate("count")],
-        )
-        out = EliminateRedundantJoins().apply(q, catalog=catalog)
-        assert out is not None
-        assert out.tables == [names[1]]
-        # Semantics preserved under referential integrity:
-        assert count_join_rows(catalog, q, q.tables) == count_join_rows(
-            catalog, out, out.tables
-        )
-
-    def test_join_elimination_keeps_used_tables(self, chain_catalog):
-        catalog, names, edges = chain_catalog
-        q = ConjunctiveQuery(
-            tables=[names[0], names[1]],
-            join_edges=[edges[0]],
-            predicates=[Predicate(names[0], "val", "<", 100)],
-            aggregates=[Aggregate("count")],
-        )
-        assert EliminateRedundantJoins().apply(q, catalog=catalog) is None
-
-    def test_fixed_order_reaches_fixpoint(self):
-        q = self._base_query([
-            Predicate("t", "a", ">", 1),
-            Predicate("t", "a", ">", 1),
-            Predicate("t", "a", ">", 5),
-        ])
-        out, applied = apply_rules_fixed_order(q, default_rules())
-        assert len(out.predicates) == 1
-        assert "dedup-predicates" in applied
-        assert "tighten-ranges" in applied
 
 
 class TestPlanner:

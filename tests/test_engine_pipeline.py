@@ -13,9 +13,10 @@ import pytest
 from reference_executor import reference_database, same_rows
 from repro.common import PlanError
 from repro.engine import Database
-from repro.engine.pipeline import PIPELINE_STAGES, PlanCache
+from repro.engine.pipeline import PlanCache
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
 from repro.sim import datagen
+from test_engine_session import MagicExtension
 
 
 @pytest.fixture
@@ -378,85 +379,33 @@ class TestExplicitOrders:
 
 
 # ----------------------------------------------------------------------
-# Statement hooks, the rewriter and stage hooks
+# The one extension point, and the route EXPLAIN shares
 # ----------------------------------------------------------------------
 class TestShims:
-    """The pipeline's extension points: ``pipeline.statement_hooks``,
-    ``pipeline.rewriter`` and ``pipeline.add_stage_hook``."""
+    """The pipeline's one extension point, ``pipeline.extensions``
+    (objects with ``describe`` and ``run``), and the front end EXPLAIN
+    shares with ``execute``."""
 
     def test_statement_hooks_on_pipeline(self, db):
-        db.pipeline.statement_hooks.append(
-            lambda d, text: "HOOKED" if text.startswith("MAGIC") else None
-        )
+        extension = MagicExtension()
+        db.pipeline.extensions.append(extension)
         assert db.execute("MAGIC WORD") == "HOOKED"
-
-    def test_rewriter_applied_on_sql_and_query_paths(self, db):
-        calls = []
-
-        def rewriter(query):
-            calls.append(query)
-            return query
-
-        db.pipeline.rewriter = rewriter
-        assert db.pipeline.rewriter is rewriter
-        db.query("SELECT COUNT(*) FROM users")
-        q = ConjunctiveQuery(tables=["users"],
-                             aggregates=[Aggregate("count")])
-        db.run_query_object(q)
-        assert len(calls) == 2
-
-    def test_setting_rewriter_clears_plan_cache(self, db):
-        db.query("SELECT COUNT(*) FROM users")
-        assert len(db.pipeline.plan_cache) == 1
-        db.pipeline.rewriter = lambda q: q
-        assert len(db.pipeline.plan_cache) == 0
-
-    def test_stage_hooks_observe_and_replace(self, db):
-        seen = {stage: 0 for stage in PIPELINE_STAGES}
-        for stage in ("parse", "lower", "rewrite", "plan", "execute"):
-            def make(stage):
-                def hook(value):
-                    seen[stage] += 1
-                    return None  # observe only
-
-                return hook
-
-            db.pipeline.add_stage_hook(stage, make(stage))
-        db.query("SELECT COUNT(*) FROM users WHERE age > 21")
-        assert seen == {"parse": 1, "lower": 1, "rewrite": 1, "plan": 1,
-                        "execute": 1}
-        # Warm SQL path skips parse/lower but still rewrites and executes.
-        db.query("SELECT COUNT(*) FROM users WHERE age > 21")
-        assert seen["parse"] == 1 and seen["lower"] == 1
-        assert seen["rewrite"] == 2 and seen["execute"] == 2
+        assert extension.ran == ["MAGIC WORD"]
 
     def test_explain_routes_share_the_hooked_front_end(self, db):
         """EXPLAIN / EXPLAIN ANALYZE take the same parse→lower→cache
-        front end and execute tail as ``execute``: a lower-stage hook
-        that caps the query at 3 rows caps all three alike."""
-        def cap(query):
-            return ConjunctiveQuery(
-                tables=query.tables, predicates=query.predicates,
-                projections=query.projections, limit=3,
-            )
-
-        executed = []
-        db.pipeline.add_stage_hook("lower", cap)
-        db.pipeline.add_stage_hook("execute", executed.append)
-        sql = "SELECT id, age FROM users WHERE age > 21"
-        assert len(db.explain_analyze(sql).result.rows) == 3
-        assert len(executed) == 1  # EXPLAIN ANALYZE applies execute hooks
+        front end and execute tail as ``execute``: the same rows, and
+        the later calls hit the first one's cache entries."""
+        sql = "SELECT id, age FROM users WHERE age > 21 LIMIT 3"
+        analyzed = db.explain_analyze(sql)
+        assert len(analyzed.result.rows) == 3
         res = db.execute(sql)
-        assert len(res.rows) == 3
+        assert res.rows == analyzed.result.rows
         explained = db.explain(sql)
         assert "Limit" in explained
         assert explained.text == db.pipeline.prepare_sql(sql).plan.pretty()
         assert explained.trace.cache_hit  # same SQL-text and plan cache entries
         assert res.trace.cache_hit
-
-    def test_unknown_stage_rejected(self, db):
-        with pytest.raises(PlanError):
-            db.pipeline.add_stage_hook("optimize", lambda v: v)
 
 
 # ----------------------------------------------------------------------
@@ -466,7 +415,7 @@ class TestPipelineTelemetry:
     def test_per_run_record(self, db):
         res = db.execute("SELECT COUNT(*) FROM users WHERE spend > 3")
         tel = res.trace
-        assert set(tel.stages) == {"parse", "lower", "rewrite", "plan",
+        assert set(tel.stages) == {"parse", "lower", "plan",
                                    "execute"}
         assert all(seconds > 0 for seconds in tel.stages.values())
         assert tel.cache_hit is False
@@ -516,12 +465,12 @@ class TestPipelineTelemetry:
         assert second.telemetry is not first.telemetry
         planning = first.trace.root.children[:-1]
         assert [s.name for s in planning] == [
-            "parse", "lower", "rewrite", "plan"]
+            "parse", "lower", "plan"]
         assert second.trace.root.children[:-1] == planning  # same objects
         assert second.trace.shared == len(planning)
         stages = db.pipeline.stats()["stages"]
         assert {k: v["count"] for k, v in stages.items()} == {
-            "parse": 1, "lower": 1, "rewrite": 1, "plan": 1, "execute": 2}
+            "parse": 1, "lower": 1, "plan": 1, "execute": 2}
         assert stages["execute"]["seconds"] == pytest.approx(
             first.telemetry.seconds + second.telemetry.seconds)
 

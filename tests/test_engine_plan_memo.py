@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ai4db.optimization.estimators import SamplingEstimator
 from repro.ai4db.optimization.feedback import FeedbackLoop
 from repro.engine import Database
 from repro.engine.optimizer.cardinality import (
     CardinalityEstimator,
     EstimateMemo,
-    SamplingEstimator,
     TraditionalEstimator,
 )
 from repro.engine.optimizer.planner import ENUMERATORS

@@ -18,6 +18,7 @@ The safety contract under test, per acceptance criteria:
 
 import pytest
 
+import repro.engine.pipeline as pipeline_module
 from repro.common import CatalogError, ExecutionError, ParseError
 from repro.engine import (
     AgentSession,
@@ -56,6 +57,21 @@ def make_db():
     return db
 
 
+class MagicExtension:
+    """A pipeline extension claiming text that starts with ``MAGIC``;
+    ``ran`` lists the statements its ``run`` executed."""
+
+    def __init__(self):
+        self.ran = []
+
+    def describe(self, db, sql_text):
+        return {"kind": "UNKNOWN"} if sql_text.startswith("MAGIC") else None
+
+    def run(self, db, sql_text):
+        self.ran.append(sql_text)
+        return "HOOKED"
+
+
 def table_state(db, name):
     """Bit-identity probe: ordered rows + version vector + COUNT(*)."""
     rows = db.query("SELECT * FROM %s" % name)
@@ -74,6 +90,56 @@ class TestClassify:
         )
         assert stmts == ["INSERT INTO t VALUES (1, 'a;b')",
                          "SELECT * FROM t"]
+
+    def test_split_script_skips_line_comments(self):
+        """``--`` runs to the end of the line, as in the lexer: a ``;``
+        or a quote inside a comment neither ends a statement nor opens a
+        string, and a statement of comments alone is no statement."""
+        assert split_script("SELECT a FROM t -- x; y") == [
+            "SELECT a FROM t -- x; y"]
+        assert split_script(
+            "SELECT a FROM t -- it's\n; SELECT 'b;c' FROM t; -- end\n"
+        ) == ["SELECT a FROM t -- it's", "SELECT 'b;c' FROM t"]
+        assert split_script("-- only a note; really\n") == []
+
+    def test_a_semicolon_in_a_comment_splits_nothing(self):
+        """The text after a commented-out ``;`` is part of the same
+        statement: a script whose only ``;`` is in a comment is one
+        statement, refused whole — nothing is applied — and previewed
+        as one statement."""
+        db = make_db()
+        db.execute("CREATE TABLE t (a INT, c TEXT)")
+        script = ("INSERT INTO t VALUES (1,'x') -- note; more\n"
+                  "INSERT INTO t VALUES (2,'y')")
+        with pytest.raises(ParseError, match="INSERT"):
+            db.session().run_script(script)
+        assert db.query("SELECT COUNT(*) FROM t") == [(0,)]
+        report = db.session().dry_run("SELECT a FROM t -- x; y")
+        assert len(report) == 1 and report.ok
+        quoted = db.session().run_script(
+            "INSERT INTO t VALUES (3,'z') -- don't\n;"
+            "SELECT a FROM t")
+        assert [r.kind for r in quoted] == ["INSERT", "SELECT"]
+        assert quoted[1].rows == [(3,)]
+
+    @pytest.mark.parametrize("sql", ["garbage words here", "PREDICT foo",
+                                     "CREATE MODEL m ON users TARGET age"])
+    def test_dry_run_and_execute_agree_on_unclaimed_text(self, sql):
+        """Text no extension claims is native: what the parser rejects,
+        ``dry_run`` previews as an error and ``execute`` raises — the
+        same ``ParseError`` on every surface."""
+        db = make_db()
+        report = db.session().dry_run("garbage words here; " + sql)
+        assert not report.ok
+        with pytest.raises(ParseError) as raised:
+            db.execute(sql)
+        assert report[1].error == str(raised.value)
+        assert report[1].kind == sniff_kind(sql)
+        for run in (db.session(audit=AuditLog()).execute,
+                    db.snapshot().execute,
+                    QueryServer(db).session(tenant="t1").execute):
+            with pytest.raises(ParseError):
+                run(sql)
 
     def test_sniff_kinds(self):
         assert sniff_kind("SELECT 1") == "SELECT"
@@ -137,8 +203,7 @@ def route_runner(surface, gates):
     surface of a fresh database; with no gates it is the facade's own
     ``execute``."""
     db = make_db()
-    db.pipeline.statement_hooks.append(
-        lambda d, text: "HOOKED" if text.startswith("MAGIC") else None)
+    db.pipeline.extensions.append(MagicExtension())
     if surface == "database":
         facade, open_context = db, db.session
     elif surface == "snapshot":
@@ -189,7 +254,7 @@ class TestFacades:
         cold, warm = selects
         served = ["admission", "pin_snapshot"] if surface == "server" else []
         assert list(warm.stages) == (
-            ["lower", "rewrite", "plan"] + served + ["execute"])
+            ["lower", "plan"] + served + ["execute"])
         assert list(cold.stages) == ["parse"] + list(warm.stages)
         assert not cold.cache_hit and warm.cache_hit
 
@@ -200,9 +265,8 @@ class TestFacades:
         assert db.execute("ANALYZE t") == "ANALYZE"
         result = db.execute("SELECT COUNT(*) FROM t")
         assert result.rows == [(1,)]
-        # Hooked statements still return the hook's raw result.
-        db.pipeline.statement_hooks.append(
-            lambda d, text: "HOOKED" if text.startswith("MAGIC") else None)
+        # Extension statements still return the extension's raw result.
+        db.pipeline.extensions.append(MagicExtension())
         assert db.execute("MAGIC") == "HOOKED"
 
     def test_session_execute_wraps_same_raw(self):
@@ -268,34 +332,34 @@ class TestFacades:
         assert len(server.commit_history()) == commits
 
     def test_select_never_reaches_statement_hooks(self):
-        """A hook cannot claim SELECT text on any surface: a SELECT is
-        gated before anything executes. (An extension that wants such
-        text registers an inspector.)"""
+        """An extension's ``run`` sees only text its ``describe``
+        claimed: a SELECT it leaves alone is native on every surface."""
         db = make_db()
-        db.pipeline.statement_hooks.append(
-            lambda d, text: "HOOKED" if text.startswith("SELECT") else None)
+        extension = MagicExtension()
+        db.pipeline.extensions.append(extension)
         sql = "SELECT COUNT(*) FROM users"
         assert db.execute(sql).rows == [(5,)]
         assert db.session().execute(sql).rows == [(5,)]
         assert db.session(audit=AuditLog()).execute(sql).rows == [(5,)]
-
+        assert extension.ran == []
 
     def test_native_write_never_reaches_statement_hooks(self):
         """The rule reads follow, for writes: a statement the native
-        front end parsed is executed from that parse — only text an
-        inspector claimed or the parser rejected goes to the hooks."""
+        front end parsed is executed from that parse, and text no
+        extension claims is never handed to one — the parser's error
+        stands."""
         db = make_db()
-        seen = []
-        db.pipeline.statement_hooks.append(
-            lambda d, text: seen.append(text))
+        extension = MagicExtension()
+        db.pipeline.extensions.append(extension)
         assert db.execute(
             "INSERT INTO users VALUES (6, 'fred', 60)") == "INSERT 1"
         assert db.session(audit=AuditLog()).execute(
             "ANALYZE users").raw == "ANALYZE"
-        assert seen == []
         with pytest.raises(ParseError):
             db.execute("PREDICT nothing")
-        assert seen == ["PREDICT nothing"]
+        assert extension.ran == []
+        assert db.execute("MAGIC") == "HOOKED"
+        assert extension.ran == ["MAGIC"]
 
 
 # ----------------------------------------------------------------------
@@ -318,15 +382,30 @@ WRITE_SURFACES = {
 }
 
 
-@pytest.mark.parametrize("surface", sorted(WRITE_SURFACES))
-def test_parse_hooks_fire_once_per_write(surface):
-    """A non-SELECT is parsed by the pass that classifies it and
-    executed from that parse: ``"parse"`` stage hooks see it once, and
-    the pipeline counts one parse and one run for it."""
-    db = make_db()
+def _spy_on_the_parser(monkeypatch, edit=None):
+    """Wrap the pipeline's ``parse_sql``: returns the list of statement
+    types it parsed; ``edit(stmt)`` may change each parse in place."""
+    parse = pipeline_module.parse_sql
     parsed = []
-    db.pipeline.add_stage_hook(
-        "parse", lambda stmt: parsed.append(type(stmt).__name__))
+
+    def spy(sql_text):
+        stmt = parse(sql_text)
+        parsed.append(type(stmt).__name__)
+        if edit is not None:
+            edit(stmt)
+        return stmt
+
+    monkeypatch.setattr(pipeline_module, "parse_sql", spy)
+    return parsed
+
+
+@pytest.mark.parametrize("surface", sorted(WRITE_SURFACES))
+def test_parse_hooks_fire_once_per_write(surface, monkeypatch):
+    """A non-SELECT is parsed by the pass that classifies it and
+    executed from that parse: the parser sees it once, and the pipeline
+    counts one parse and one run for it."""
+    db = make_db()
+    parsed = _spy_on_the_parser(monkeypatch)
     run = WRITE_SURFACES[surface](db)
     for sql in WRITE_STATEMENTS:
         del parsed[:]
@@ -436,7 +515,10 @@ class TestPolicy:
             assert exc.value.decision.rule == rule
         assert [r.kind for r in audit] == ["SELECT"]
 
-    def test_policy_checks_the_table_a_parse_hook_retargets_to(self):
+    def test_policy_checks_the_table_a_parse_hook_retargets_to(
+            self, monkeypatch):
+        """The policy reads the statement that will run — the parse —
+        not the text: a parse retargeted to ``secret`` is denied."""
         db = make_db()
         db.execute("CREATE TABLE secret (id INT, name TEXT, age INT)")
 
@@ -444,7 +526,7 @@ class TestPolicy:
             if isinstance(stmt, InsertStmt) and stmt.table == "users":
                 stmt.table = "secret"
 
-        db.pipeline.add_stage_hook("parse", retarget)
+        _spy_on_the_parser(monkeypatch, retarget)
         session = db.session(policy=Policy(deny_tables=("secret",)))
         with pytest.raises(PolicyError, match="table-deny"):
             session.execute("INSERT INTO users VALUES (6, 'mallory', 66)")
@@ -873,6 +955,6 @@ class TestSessionContextMisc:
         assert db.pipeline.query_cache.stats()["hits"] == 1
         assert str(cold) == str(warm) == str(db.explain(sql))
         assert list(cold.trace.stages) == [
-            "parse", "lower", "rewrite", "plan"]
+            "parse", "lower", "plan"]
         with pytest.raises(ParseError, match="EXPLAIN supports only"):
             session.explain("ANALYZE users")

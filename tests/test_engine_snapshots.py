@@ -688,7 +688,9 @@ class TestSqlTextCache:
 class TestScopedEstimatorMemos:
     def test_true_cardinality_memo_scoped_per_table(self):
         from repro.engine import count_join_rows
-        from repro.engine.optimizer.cardinality import TrueCardinalityEstimator
+        from repro.ai4db.optimization.estimators import (
+            TrueCardinalityEstimator,
+        )
 
         db = _small_db()
         est = TrueCardinalityEstimator(

@@ -31,12 +31,12 @@ FAILING = "SELECT a FROM t WHERE c < 'y'"  # TEXT NULL → TypeError
 
 #: Stage spans each case leaves on an embedded surface, in order.
 EXPECTED = {
-    "cold": ["parse", "lower", "rewrite", "plan", "execute"],
-    "warm": ["lower", "rewrite", "plan", "execute"],
-    "invalidated": ["lower", "rewrite", "plan", "execute"],
+    "cold": ["parse", "lower", "plan", "execute"],
+    "warm": ["lower", "plan", "execute"],
+    "invalidated": ["lower", "plan", "execute"],
     "insert": ["parse", "execute"],
     "denied": ["parse", "lower"],
-    "failing": ["parse", "lower", "rewrite", "plan", "execute"],
+    "failing": ["parse", "lower", "plan", "execute"],
 }
 
 

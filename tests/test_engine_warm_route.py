@@ -5,8 +5,7 @@
   that memo beside the plan, so every later run on every route reuses
   it, and an evicted plan is freed by reference counting.
 * **The SQL-text cache carries the plan-cache key** (the lowered query's
-  signature), reused only while the rewrite stage is empty — an
-  in-place rewriter must never be served the plan of its input query.
+  signature), so a warm text reaches its plan without recomputing it.
 * **One catalog snapshot per committed state.** ``Catalog.snapshot()``
   returns the same object until the next mutation; every mutator moves
   the generation after its last change, so a snapshot built mid-write
@@ -164,52 +163,6 @@ def test_index_scan_gathers_only_the_read_set(monkeypatch):
     assert star.rows == [(17, 3, 8.5)]
     assert star.columns == [("a", "id"), ("a", "k"), ("a", "v")]
     assert asked == [["id", "k", "v"]]
-
-
-# ----------------------------------------------------------------------
-# The text cache's signature and in-place rewriters
-# ----------------------------------------------------------------------
-def _count_k_below(n):
-    return [(sum(1 for i in range(200) if i % 7 < n),)]
-
-
-@pytest.mark.parametrize("install", ["rewriter", "rewrite_hook"])
-def test_an_in_place_rewriter_never_gets_its_input_querys_plan(install):
-    db = _db()
-    narrow = {"on": True}
-
-    def rewrite(query):
-        if narrow["on"]:
-            for p in query.predicates:
-                p.value = 1  # in place; the stage output stays the input
-        return None
-
-    if install == "rewriter":
-        db.pipeline.rewriter = rewrite
-    else:
-        db.pipeline.add_stage_hook("rewrite", rewrite)
-    sql = "SELECT COUNT(*) FROM a WHERE a.k < 5"
-    assert db.execute(sql).rows == _count_k_below(1)
-    narrow["on"] = False
-    # Another text lowering to the same query: keyed on what the rewrite
-    # stage produced, not on the lowered query's cached signature.
-    assert db.execute(sql + " ").rows == _count_k_below(5)
-
-
-def test_removing_a_rewriter_relowers_the_text_it_mutated():
-    db = _db()
-
-    def rewrite(query):
-        for p in query.predicates:
-            p.value = 1
-        return None
-
-    db.pipeline.rewriter = rewrite
-    sql = "SELECT COUNT(*) FROM a WHERE a.k < 5"
-    assert db.execute(sql).rows == _count_k_below(1)
-    db.pipeline.rewriter = None
-    assert db.execute(sql).rows == _count_k_below(5)
-    assert db.execute(sql).trace.cache_hit
 
 
 # ----------------------------------------------------------------------

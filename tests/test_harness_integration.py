@@ -119,19 +119,23 @@ class TestEndToEndIntegration:
             assert sorted(star_db.run_query_object(q).rows) == expected
 
     def test_rewriter_installed_on_database(self, star_db, star_workload):
-        """A rewriter installed via the Database hook applies end to end."""
-        from repro.engine.optimizer.rules import (
+        """The rule rewriter runs outside the engine: each rewritten
+        query object runs end to end and returns the original's rows."""
+        from repro.ai4db.config.rules import (
             apply_rules_fixed_order,
             default_rules,
         )
 
         rules = default_rules()
-        star_db.pipeline.rewriter = lambda q: apply_rules_fixed_order(
-            q, rules, catalog=star_db.catalog
-        )[0]
-        q = star_workload[0]
-        result = star_db.run_query_object(q)
-        assert result.rows  # aggregates always return one row
+        applied = []
+        for q in star_workload[:5]:
+            rewritten, names = apply_rules_fixed_order(
+                q, rules, catalog=star_db.catalog)
+            applied.extend(names)
+            result = star_db.run_query_object(rewritten)
+            assert result.rows  # aggregates always return one row
+            assert result.rows == star_db.run_query_object(q).rows
+        assert "eliminate-redundant-joins" in applied
 
     def test_aisql_model_through_model_scan_operator(self):
         """Train via AISQL, then use the model in a ModelScan operator."""

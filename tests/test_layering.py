@@ -224,6 +224,37 @@ def test_removed_options_stay_removed():
     assert not hits, hits
 
 
+def test_ai4db_owns_the_experiment_only_modules():
+    """The rule library (E4) and the sampling and exact-count estimators
+    (E6, E8) live in ``repro.ai4db`` and install from outside; no engine
+    module defines, names or imports them, and the pipeline keeps no
+    stage hook, rewrite stage or statement-hook pair to install them
+    through."""
+    from repro.ai4db.config import rules
+    from repro.ai4db.optimization import estimators
+
+    assert Path(rules.__file__).parent.name == "config"
+    assert Path(estimators.__file__).parent.name == "optimization"
+    assert rules.__name__.startswith("repro.ai4db.")
+    assert estimators.__name__.startswith("repro.ai4db.")
+    assert not os.path.exists(os.path.join(ENGINE_ROOT, "optimizer",
+                                           "rules.py"))
+    for cls in (estimators.SamplingEstimator,
+                estimators.TrueCardinalityEstimator, rules.RewriteRule):
+        assert cls.__module__ in (rules.__name__, estimators.__name__)
+    gone = re.compile(
+        r"SamplingEstimator|TrueCardinalityEstimator|RewriteRule"
+        r"|apply_rules_fixed_order|optimizer\.rules|add_stage_hook"
+        r"|stage_hooks|_apply_hooks|statement_hooks|statement_inspectors"
+        r"|run_sql|_EXTENSION_KINDS|\.rewriter\b|_rewriter\b")
+    hits = [
+        "%s: %s" % (os.path.relpath(path, ENGINE_ROOT), match.group(0))
+        for path in _engine_modules()
+        for match in gone.finditer(Path(path).read_text(encoding="utf-8"))
+    ]
+    assert not hits, hits
+
+
 def test_src_never_imports_from_tests():
     """The reference executor is the test suite's, not a shipped mode:
     nothing under ``src/`` may import it (or anything else in tests/)."""
