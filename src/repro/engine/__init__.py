@@ -47,13 +47,9 @@ from repro.engine.operators import (
     registered_node_types,
 )
 from repro.engine.optimizer.ues import ues_order
-from repro.engine.pipeline import (
-    PIPELINE_STAGES,
-    ExplainResult,
-    PlanCache,
-    PreparedQuery,
-    QueryPipeline,
-)
+from repro.engine.explain import ExplainResult
+from repro.engine.plancache import PlanCache
+from repro.engine.pipeline import PIPELINE_STAGES, PreparedQuery, QueryPipeline
 from repro.engine.plans import FusedPipelineOp
 from repro.engine.session import (
     AgentSession,

@@ -149,7 +149,7 @@ class Database:
     def explain(self, sql_text):
         """Plan a SELECT without executing it.
 
-        Returns an :class:`~repro.engine.pipeline.ExplainResult` whose
+        Returns an :class:`~repro.engine.explain.ExplainResult` whose
         ``str()`` is the classic plan text and which additionally carries
         the plan object, the ``fused_ops`` preview, and the cache-hit
         flag.
@@ -159,7 +159,7 @@ class Database:
     def explain_analyze(self, sql_text):
         """Execute a SELECT and report estimated vs actual rows per node.
 
-        Returns an :class:`~repro.engine.pipeline.ExplainResult` whose
+        Returns an :class:`~repro.engine.explain.ExplainResult` whose
         text renders the plan with each node's planner-estimated rows,
         executor-counted actual rows, and q-error, and whose
         ``node_stats``/``result`` fields carry the structured records and
