@@ -528,10 +528,6 @@ class Catalog:
         self._current = (self._generation, snapshot)
 
     # ------------------------------------------------------------------
-    def total_data_bytes(self):
-        """Total modeled base-table bytes."""
-        return sum(t.n_rows * t.row_bytes() for t in self._tables.values())
-
     def describe(self):
         """Human-readable one-line-per-object summary (for examples/demos)."""
         lines = []

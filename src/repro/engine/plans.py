@@ -279,14 +279,6 @@ class EmptyResult(PhysicalPlan):
         return "EmptyResult"
 
 
-def plan_signature(plan):
-    """A hashable structural signature of a plan (for caching/featurizing)."""
-    parts = []
-    for node in plan.walk():
-        parts.append(node.describe())
-    return tuple(parts)
-
-
 def operator_counts(plan):
     """How many nodes of each operator type a plan contains.
 

@@ -1,11 +1,17 @@
-"""SQL tokenizer.
+"""SQL tokenizer and statement fingerprints.
 
 A hand-rolled scanner producing a flat token list. It recognizes the SQL
 subset the engine supports plus the AISQL extension keywords (``MODEL``,
 ``PREDICT``, ...), which are tokenized as ordinary identifiers/keywords and
 interpreted by the declarative layer.
+
+:func:`fingerprint` is the same lexical rules as one regex scan: it
+blanks a statement's literals to ``?`` and returns their texts, which
+:func:`literal_value` — the conversion :func:`tokenize` itself uses —
+turns into values.
 """
 
+import re
 from enum import Enum
 
 from repro.common import ParseError
@@ -60,6 +66,66 @@ _ONE_CHAR_OPS = ("=", "<", ">")
 _PUNCT = "(),.;*"
 
 
+def literal_value(lexeme, position=None):
+    """The value of one literal lexeme, as :func:`tokenize` reads it:
+    ``'it''s'`` is the string ``it's``, a number with a ``.`` or an
+    exponent is a float and any other an int.
+
+    Raises:
+        ParseError: on a malformed number (``1e+``, or a digit ``int()``
+            rejects such as ``²``).
+    """
+    if lexeme[0] == "'":
+        return lexeme[1:-1].replace("''", "'")
+    try:
+        if "." in lexeme or "e" in lexeme or "E" in lexeme:
+            return float(lexeme)
+        return int(lexeme)
+    except ValueError:
+        raise ParseError("malformed number %r" % lexeme, position) from None
+
+
+#: One match per comment or literal, with :func:`tokenize`'s extents:
+#: a comment runs to the newline; a string ends at a quote not followed
+#: by another; a number is a digit not inside a word (or a sign and a
+#: digit), then digits, one ``.`` and one exponent ``e`` + digit/sign.
+#: The lookahead only lets the scan skip other characters fast. ASCII
+#: only — :func:`fingerprint` declines other text.
+_LEXEME = re.compile(
+    r"(?=[-+'\d])(?:--[^\n]*"
+    r"|'(?:[^']|'')*'"
+    r"|(?:[-+]|(?<!\w))\d+(?:\.\d*)?(?:[eE][-+\d]\d*)?)",
+    re.ASCII,
+)
+
+
+def fingerprint(text):
+    """``(shape, literal_texts)``: ``text`` with comments removed and each
+    literal replaced by ``?``, and the literals' lexemes in text order.
+
+    Two texts with one shape tokenize alike but for their literals' values
+    (:func:`literal_value` of each lexeme). Text this scan cannot vouch
+    for has no shape — ``(None, ())``: non-ASCII text, or a raw ``?``
+    (which the tokenizer rejects). An unterminated string leaves a quote
+    in the shape, which no valid text's shape has.
+    """
+    if not text.isascii():
+        return None, ()
+    literals = []
+
+    def blank(match):
+        lexeme = match.group()
+        if lexeme.startswith("--"):
+            return ""
+        literals.append(lexeme)
+        return "?"
+
+    shape = _LEXEME.sub(blank, text)
+    if shape.count("?") != len(literals):
+        return None, ()
+    return shape, tuple(literals)
+
+
 def tokenize(text):
     """Tokenize SQL text into a list of :class:`Token` ending with EOF.
 
@@ -101,30 +167,21 @@ def tokenize(text):
                     i += 2
                 else:
                     break
-            raw = text[start:i]
-            try:
-                value = float(raw) if (seen_dot or seen_exp) else int(raw)
-            except ValueError:  # "1e+", or a digit int() rejects ("²")
-                raise ParseError("malformed number %r" % raw, start) from None
-            tokens.append(Token(TokenType.NUMBER, value, start))
+            tokens.append(Token(TokenType.NUMBER,
+                                literal_value(text[start:i], start), start))
             continue
         if ch == "'":
             start = i
-            i += 1
-            chunks = []
             while True:
-                if i >= n:
+                i = text.find("'", i + 1)
+                if i < 0:
                     raise ParseError("unterminated string literal", start)
-                if text[i] == "'":
-                    if i + 1 < n and text[i + 1] == "'":
-                        chunks.append("'")
-                        i += 2
-                        continue
-                    i += 1
+                if not text.startswith("'", i + 1):
                     break
-                chunks.append(text[i])
-                i += 1
-            tokens.append(Token(TokenType.STRING, "".join(chunks), start))
+                i += 1  # '' is an escaped quote
+            i += 1
+            tokens.append(Token(TokenType.STRING,
+                                literal_value(text[start:i]), start))
             continue
         if ch.isalpha() or ch == "_":
             start = i

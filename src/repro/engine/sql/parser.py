@@ -40,6 +40,11 @@ from repro.engine.sql.lexer import TokenType, tokenize
 
 _AGG_KEYWORDS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 
+#: Keywords no native rule reads (only AISQL's): native SQL takes them
+#: as identifiers.
+_NON_RESERVED = {"MODEL", "PREDICT", "FEATURES", "TARGET", "WITH", "VIEW",
+                 "MATERIALIZED", "DROP"}
+
 
 class Parser:
     """Token-stream parser; one instance per statement string."""
@@ -78,12 +83,21 @@ class Parser:
             )
         return tok
 
+    def _check_ident(self):
+        tok = self._peek()
+        return tok.type is TokenType.IDENT or (
+            tok.type is TokenType.KEYWORD and tok.value in _NON_RESERVED)
+
     def _expect_ident(self):
         tok = self._peek()
-        # Allow non-reserved keywords as identifiers where unambiguous.
-        if tok.type in (TokenType.IDENT,):
-            return self._advance().value
-        raise ParseError("expected identifier, found %r" % (tok.value,), tok.position)
+        if not self._check_ident():
+            raise ParseError("expected identifier, found %r" % (tok.value,),
+                             tok.position)
+        self._advance()
+        if tok.type is TokenType.KEYWORD:
+            # Spelled as written: the lexer upper-cased the keyword.
+            return self.text[tok.position:tok.position + len(tok.value)]
+        return tok.value
 
     # -- entry points ---------------------------------------------------
     def parse_statement(self):
@@ -320,9 +334,7 @@ class Parser:
     # -- ANALYZE ---------------------------------------------------------
     def _analyze(self):
         self._expect(TokenType.KEYWORD, "ANALYZE")
-        table = None
-        if self._check(TokenType.IDENT):
-            table = self._advance().value
+        table = self._expect_ident() if self._check_ident() else None
         return AnalyzeStmt(table)
 
 

@@ -65,6 +65,9 @@ from repro.engine import Database
 from repro.engine.optimizer.planner import ENUMERATORS
 from repro.engine.plans import IndexScan
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
+from repro.engine.sql.lexer import fingerprint, literal_value
+from repro.engine.sql.lowering import lower_select
+from repro.engine.sql.parser import parse_sql
 
 #: Total fuzz budget, split across catalog seeds.
 N_CASES = int(os.environ.get("REPRO_FUZZ_CASES", "200"))
@@ -373,6 +376,165 @@ def test_fuzz_differential(catalog_seed):
 
 # ----------------------------------------------------------------------
 # Join-enumerator axis: dp vs greedy vs random vs ues must agree on results
+# ----------------------------------------------------------------------
+# Shape route: a statement bound into its shape's template is the query
+# parse and lower would have built
+# ----------------------------------------------------------------------
+SHAPE_ROUTE_SEEDS = (0, 1, 2, 3)
+SHAPE_ROUTE_CASES = max(10, N_CASES // len(SHAPE_ROUTE_SEEDS))
+#: Literals a slot may be redrawn to beyond the random ones: escaped and
+#: comment-like strings, every number spelling the lexer reads, and a
+#: malformed one.
+ODD_LITERALS = ("'it''s'", "'--'", "''''", "'a''--''b'", "''", "'5'",
+                "1e5", "1E-2", "+5", "-5", "5.", "007", "-0.0", "1e+")
+
+
+def _redraw(rng, lexeme):
+    """Another literal for the slot holding ``lexeme``: the same kind,
+    the other kind, a sign flip, int <-> float, or an odd spelling."""
+    value = literal_value(lexeme)
+    draw = rng.randrange(5)
+    if draw == 0:  # same kind
+        if isinstance(value, str):
+            return "'tag%d'" % rng.randrange(6)
+        if isinstance(value, int):
+            return str(rng.randrange(-20, 160))
+        return repr(round(rng.uniform(-9.0, 9.0), 3))
+    if draw == 1:  # the other kind
+        if isinstance(value, str):
+            return rng.choice((str(rng.randrange(12)), "2.5"))
+        return rng.choice(("'tag1'", "'%s'" % lexeme))
+    if draw == 2 and not isinstance(value, str):  # sign flip
+        return rng.choice("+-") + lexeme.lstrip("+-")
+    if draw == 3 and not isinstance(value, str):  # int <-> float
+        if isinstance(value, int):
+            return rng.choice(("%d.0", "%d.", "%de0")) % value
+        return str(int(value))
+    return rng.choice(ODD_LITERALS)
+
+
+def _lowered_form(query):
+    return (query.signature(), tuple(query.tables),
+            tuple((p.table, p.column, p.op, type(p.value))
+                  for p in query.predicates))
+
+
+def _parse_and_lower(db, sql):
+    """What the parse route builds for ``sql``: the lowered query's
+    signature, tables and per-predicate types in order, or the type of
+    the error it raised."""
+    try:
+        return _lowered_form(lower_select(parse_sql(sql), db.catalog))
+    except Exception as exc:  # noqa: BLE001 - compared by type
+        return type(exc)
+
+
+def _through_the_front_end(db, sql):
+    """``(form, route)`` of ``sql`` through the pipeline's front end."""
+    try:
+        query, __, trace, sig = db.pipeline.front_end(sql)
+    except Exception as exc:  # noqa: BLE001 - compared by type
+        return type(exc), None
+    assert sig == query.signature(), sql
+    return _lowered_form(query), trace.span("lower").attrs["front"]
+
+
+def _assert_shape_route_is_parse_route(db, base, probe, label):
+    """After ``base`` went through the front end (storing its shape when
+    its literals bind), ``probe`` must lower as parse and lower would —
+    or raise the same error type — and must take the shape route when
+    it is new text of a stored shape. Returns the route it took."""
+    shape = fingerprint(probe)[0]
+    known = shape is not None and shape in db.pipeline.shape_cache
+    expected = _parse_and_lower(db, probe)
+    got, route = _through_the_front_end(db, probe)
+    assert got == expected, "%s\nbase=%s\nprobe=%s\nparse=%r\nfront=%r" % (
+        label, base, probe, expected, got)
+    if route is not None and route != "text":
+        assert (route == "shape") == known, (label, probe, route)
+    return route
+
+
+@pytest.mark.parametrize("catalog_seed", SHAPE_ROUTE_SEEDS)
+def test_fuzz_shape_route_matches_parse_route(catalog_seed):
+    """Every literal of every generated SELECT redrawn at random (see
+    :func:`_redraw`): binding the new literals into the shape's template
+    gives the signature, tables and predicate types parse and lower give
+    — or the same error type."""
+    db, tables = _build_db(catalog_seed)
+    rng = random.Random(77_000 + catalog_seed + 1_000_003 * FUZZ_SEED)
+    shape_hits = 0
+    for case in range(SHAPE_ROUTE_CASES):
+        base = _render_sql(_random_query(rng, tables, star=True))
+        shape, literals = fingerprint(base)
+        assert shape is not None, base
+        db.pipeline.front_end(base)
+        label = "catalog_seed=%d case=%d" % (catalog_seed, case)
+        pieces = shape.split("?")
+        for __ in range(3):
+            probe = pieces[0] + "".join(
+                _redraw(rng, lexeme) + rest
+                for lexeme, rest in zip(literals, pieces[1:]))
+            route = _assert_shape_route_is_parse_route(db, base, probe, label)
+            shape_hits += route == "shape"
+    # Not vacuous: most generated shapes carry a literal and no LIMIT.
+    assert shape_hits >= SHAPE_ROUTE_CASES, shape_hits
+
+
+#: ``name -> (base, probes)``: the base text goes through the front end
+#: first, then each probe must lower as parse and lower would.
+SHAPE_ROUTE_PINNED = {
+    "limit": ("SELECT t0.id FROM t0 WHERE t0.k = 1 LIMIT 3", (
+        "SELECT t0.id FROM t0 WHERE t0.k = 2 LIMIT 3",
+        "SELECT t0.id FROM t0 WHERE t0.k = 1 LIMIT 0",
+        "SELECT t0.id FROM t0 WHERE t0.k = 1 LIMIT 5.0",
+        "SELECT t0.id FROM t0 WHERE t0.k = 1 LIMIT -1")),
+    "between": ("SELECT t0.id FROM t0 WHERE t0.k BETWEEN 1 AND 5", (
+        "SELECT t0.id FROM t0 WHERE t0.k BETWEEN 7 AND -2",
+        "SELECT t0.id FROM t0 WHERE t0.k BETWEEN 'a' AND 2.5",
+        "SELECT t0.id FROM t0 WHERE t0.k BETWEEN 1e5 AND +5")),
+    "comment": ("SELECT t0.id FROM t0 -- 12 'x' 3.5\nWHERE t0.k = 1", (
+        "SELECT t0.id FROM t0 -- 99 '' 'it''s\nWHERE t0.k = 4",
+        "SELECT t0.id FROM t0 -- 12 'x' 3.5\nWHERE t0.k = '--'",
+        "SELECT t0.id FROM t0 --\nWHERE t0.k = 4 -- 'open")),
+    "string_with_dashes": ("SELECT t0.id FROM t0 WHERE t0.tag = 'a--b'", (
+        "SELECT t0.id FROM t0 WHERE t0.tag = '--'",
+        "SELECT t0.id FROM t0 WHERE t0.tag = 'x'' -- 5'",
+        "SELECT t0.id FROM t0 WHERE t0.tag = 'open")),
+    "digit_identifiers": (
+        "SELECT t1.id FROM t0, t1 WHERE t0.id = t1.k AND t1.v < 2.5", (
+            "SELECT t1.id FROM t0, t1 WHERE t0.id = t1.k AND t1.v < -7",
+            "SELECT t1.id FROM t0, t1 WHERE t0.id = t1.k AND t1.v < 'x'")),
+    "numbers": ("SELECT t0.id FROM t0 WHERE t0.k = 3", tuple(
+        "SELECT t0.id FROM t0 WHERE t0.k = %s" % number
+        for number in ("1e5", "+5", "-5", "5.", "1.2.3", "1e+", "1e",
+                       "3e-1", "٣", "²", "?"))),
+    # The tokenizer reads "٣" as the number 3 and "é3" as one word; an
+    # ASCII scan would not. Non-ASCII text has no shape.
+    "non_ascii": ("SELECT id FROM t0 é3 WHERE k = ٣", (
+        "SELECT id FROM t0 é7 WHERE k = ٣",
+        "SELECT id FROM t0 é3 WHERE k = 3")),
+}
+#: Pinned cases whose base text stores no shape.
+SHAPE_ROUTE_UNSTORED = ("limit", "non_ascii")
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_ROUTE_PINNED))
+def test_shape_route_pinned_cases(case):
+    """The lexical corners, pinned: a LIMIT literal or non-ASCII text is
+    never stored; the rest store their shape, and at least one probe
+    binds through it."""
+    db, __ = _build_db(0)
+    base, probes = SHAPE_ROUTE_PINNED[case]
+    db.pipeline.front_end(base)
+    stored = len(db.pipeline.shape_cache) == 1
+    assert stored == (case not in SHAPE_ROUTE_UNSTORED), case
+    routes = [_assert_shape_route_is_parse_route(db, base, probe, case)
+              for probe in probes]
+    if stored:
+        assert "shape" in routes, (case, routes)
+
+
 # ----------------------------------------------------------------------
 #: Catalog seeds and cases for the enumerator race (every cold query is
 #: planned and run once per enumerator, so the budget is smaller).

@@ -16,6 +16,7 @@ from repro.engine.sql import (
     parse_sql,
     tokenize,
 )
+from repro.engine.sql.lexer import fingerprint, literal_value
 
 
 class TestLexer:
@@ -170,6 +171,45 @@ class TestParserSelect:
         parse_sql("SELECT a FROM t;")
 
 
+class TestFingerprint:
+    def test_literals_blanked_in_text_order(self):
+        shape, literals = fingerprint(
+            "SELECT d1.a FROM d1 -- 5 'x'\n"
+            "WHERE d1.b >= -5 AND d1.c = 'it''s' AND d1.e < 1e5")
+        assert shape == ("SELECT d1.a FROM d1 \n"
+                         "WHERE d1.b >= ? AND d1.c = ? AND d1.e < ?")
+        assert literals == ("-5", "'it''s'", "1e5")
+        assert [literal_value(t) for t in literals] == [-5, "it's", 1e5]
+
+    def test_text_the_scan_cannot_vouch_for_has_no_shape(self):
+        assert fingerprint("SELECT a FROM t WHERE a = ?") == (None, ())
+        assert fingerprint("SELECT a FROM t WHERE a = ٣") == (None, ())
+
+    def test_malformed_number(self):
+        with pytest.raises(ParseError):
+            literal_value("1e+")
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="ab_19 .eE+-'\n=<(),?", max_size=40))
+    def test_scan_agrees_with_tokenize(self, text):
+        """Wherever the tokenizer succeeds, the scan finds its literals —
+        same values, same types, same order — and blanking them leaves
+        its other tokens."""
+        try:
+            tokens = tokenize(text)
+        except ParseError:
+            return
+        shape, literals = fingerprint(text)
+        literal_types = (TokenType.NUMBER, TokenType.STRING)
+        assert [(type(v), v) for v in map(literal_value, literals)] == [
+            (type(t.value), t.value) for t in tokens
+            if t.type in literal_types]
+        rest = tokenize(shape.replace("?", " 0 "))
+        assert [(t.type, t.value) for t in rest
+                if t.type not in literal_types] == [
+            (t.type, t.value) for t in tokens if t.type not in literal_types]
+
+
 class TestParserDDL:
     def test_create_table(self):
         stmt = parse_sql("CREATE TABLE t (a INT, b TEXT, c FLOAT)")
@@ -208,6 +248,31 @@ class TestParserDDL:
     def test_unknown_statement(self):
         with pytest.raises(ParseError):
             parse_sql("DELETE FROM t")
+
+    def test_aisql_words_are_native_identifiers(self):
+        """Keywords only AISQL reads name columns and tables in native
+        SQL, spelled as written; the lexer still calls them keywords."""
+        stmt = parse_sql("CREATE TABLE m (id INT, target INT, Model TEXT)")
+        assert stmt.columns == [("id", "INT"), ("target", "INT"),
+                                ("Model", "TEXT")]
+        stmt = parse_sql("SELECT predict, m.features FROM model m "
+                         "WHERE drop = 1 AND with > view")
+        assert [c.column for c in stmt.items] == ["predict", "features"]
+        assert stmt.tables[0].name == "model"
+        assert parse_sql("ANALYZE materialized").table == "materialized"
+        assert tokenize("DROP TABLE users")[0].matches(
+            TokenType.KEYWORD, "DROP")
+        with pytest.raises(ParseError):
+            parse_sql("CREATE TABLE m (select INT)")
+
+    def test_aisql_words_as_columns_end_to_end(self):
+        from repro.engine import Database
+
+        db = Database()
+        db.execute("CREATE TABLE m (id INT, target INT, model TEXT)")
+        db.execute("INSERT INTO m (id, target, model) VALUES (1, 7, 'lr')")
+        assert db.query("SELECT target, model FROM m WHERE target > 2") \
+            == [(7, "lr")]
 
 
 class TestLowering:
