@@ -12,7 +12,9 @@ it is coded from their dictionaries, and each group outputs the entry
 that coded it — equal TEXT values (``str``/``None``) are identical, so
 that is the group's first-row value. Its other segments are gathered to
 be coded row by row, and a key an aggregate reads is gathered whole. An
-INT key is coded from dictionaries only if every surviving segment has one.
+INT key is coded from dictionaries only if every surviving segment has one:
+the (ascending) dictionaries are ranked together, and a segment whose
+dictionary is the merged one keeps its codes as the group codes.
 Work is charged through the absorbed operator nodes with
 the same cardinalities and in the same order as operator-at-a-time
 evaluation of the unfused plan, so ``work``/``operator_work`` are
@@ -184,7 +186,9 @@ def _dict_segment_codes(survivors, key):
     """``(codes, dictionary)`` of INT column ``key``, every surviving
     segment dict-encoded: the dictionaries are ranked together once
     (:func:`column_codes`) and each segment's codes map through its slice
-    of the ranks. Narrow unsigned codes, not dense; none decoded."""
+    of the ranks — unless that slice is ``0..n-1``, when the codes
+    already are the group codes. Narrow unsigned codes, not dense; none
+    decoded."""
     segs = [g.segments[key] for g, __ in survivors]
     values = np.concatenate([s.dictionary for s in segs])
     ranks = column_codes(values)
@@ -192,10 +196,12 @@ def _dict_segment_codes(survivors, key):
     dictionary[ranks] = values
     ranks = ranks.astype(np.min_scalar_type(len(dictionary)))
     ends = np.cumsum([len(s.dictionary) for s in segs])[:-1]
-    return np.concatenate([
-        r.take(s.codes if ids is None else s.codes.take(ids))
-        for r, s, (__, ids) in zip(np.split(ranks, ends), segs, survivors)
-    ]), dictionary
+    parts = []
+    for r, s, (__, ids) in zip(np.split(ranks, ends), segs, survivors):
+        codes = s.codes if ids is None else s.codes.take(ids)
+        identity = np.array_equal(r, np.arange(len(r)))
+        parts.append(codes if identity else r.take(codes))
+    return np.concatenate(parts), dictionary
 
 
 def _lazy_aggregate(ctx, node, table, survivors, n1):

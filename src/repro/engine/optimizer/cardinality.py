@@ -127,7 +127,8 @@ class TraditionalEstimator(CardinalityEstimator):
     def _product(self, query, tables, table_rows):
         """``table_rows(query, t)`` over ``tables`` in ``query.tables``
         order, times each inner edge's selectivity in edge order."""
-        tables = [t for t in query.tables if t.lower() in {x.lower() for x in tables}]
+        names = {x.lower() for x in tables}
+        tables = [t for t in query.tables if t.lower() in names]
         if not tables:
             return 0.0
         rows = 1.0

@@ -3,7 +3,8 @@
 All enumerators produce *left-deep orders* — a list of table names — and
 share one objective, :func:`order_cost`, so the traditional enumerators and
 the learned agents in :mod:`repro.ai4db.optimization.join_order` compete on
-exactly the same footing.
+exactly the same footing. The planner keeps only the order, so it asks
+:func:`left_deep_order`, which skips the :func:`order_cost` pass.
 """
 
 from itertools import combinations
@@ -73,6 +74,19 @@ class _NoPredicateView:
         return (self._query.signature(), "__nopred__")
 
 
+def left_deep_order(enumerator, query, estimator, cost_model, seed=None):
+    """The order ``enumerator`` (``"dp"``, ``"greedy"`` or ``"random"``)
+    picks, as :func:`dp_left_deep`, :func:`greedy_order` and
+    :func:`random_order` would, without pricing it."""
+    if enumerator == "dp":
+        return _dp_order(query, estimator, cost_model)
+    if enumerator == "greedy":
+        return _greedy_order(query, estimator)
+    if enumerator == "random":
+        return _random_order(query, seed)
+    raise PlanError(f"unknown enumerator {enumerator!r}")
+
+
 def dp_left_deep(query, estimator, cost_model):
     """Optimal left-deep order by dynamic programming over table subsets.
 
@@ -82,6 +96,11 @@ def dp_left_deep(query, estimator, cost_model):
     Returns:
         ``(order, cost)``.
     """
+    order = _dp_order(query, estimator, cost_model)
+    return order, order_cost(query, order, estimator, cost_model)
+
+
+def _dp_order(query, estimator, cost_model):
     tables = list(query.tables)
     n = len(tables)
     if n == 0:
@@ -130,9 +149,7 @@ def dp_left_deep(query, estimator, cost_model):
     full = frozenset(range(n))
     if full not in best:
         raise PlanError("DP failed to cover all tables")
-    __, ___, order = best[full]
-    order = list(order)
-    return order, order_cost(query, order, estimator, cost_model)
+    return list(best[full][2])
 
 
 def _grow(query, first, pick, connected=True):
@@ -157,10 +174,14 @@ def greedy_order(query, estimator, cost_model):
     Returns:
         ``(order, cost)``.
     """
-    start = min(query.tables, key=lambda t: estimator.estimate_table(query, t))
-    order = _grow(query, start, lambda order, pool: min(
-        pool, key=lambda t: estimator.estimate_subset(query, order + [t])))
+    order = _greedy_order(query, estimator)
     return order, order_cost(query, order, estimator, cost_model)
+
+
+def _greedy_order(query, estimator):
+    start = min(query.tables, key=lambda t: estimator.estimate_table(query, t))
+    return _grow(query, start, lambda order, pool: min(
+        pool, key=lambda t: estimator.estimate_subset(query, order + [t])))
 
 
 def random_order(query, estimator, cost_model, seed=None, connected=True):
@@ -169,9 +190,13 @@ def random_order(query, estimator, cost_model, seed=None, connected=True):
     Returns:
         ``(order, cost)``.
     """
+    order = _random_order(query, seed, connected)
+    return order, order_cost(query, order, estimator, cost_model)
+
+
+def _random_order(query, seed, connected=True):
     rng = ensure_rng(seed)
     tables = query.tables
-    order = _grow(query, tables[int(rng.integers(0, len(tables)))],
-                  lambda order, pool: pool[int(rng.integers(0, len(pool)))],
-                  connected)
-    return order, order_cost(query, order, estimator, cost_model)
+    return _grow(query, tables[int(rng.integers(0, len(tables)))],
+                 lambda order, pool: pool[int(rng.integers(0, len(pool)))],
+                 connected)

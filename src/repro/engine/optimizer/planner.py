@@ -26,14 +26,12 @@ from repro.common import CatalogError, PlanError
 from repro.engine import plans as P
 from repro.engine.optimizer.cardinality import TraditionalEstimator
 from repro.engine.optimizer.cost import CostModel, _SinglePredicateView
-from repro.engine.optimizer.join_enum import dp_left_deep, greedy_order, random_order
+from repro.engine.optimizer.join_enum import left_deep_order
 from repro.engine.optimizer.ues import ues_order
 from repro.engine.types import DataType
 
 #: Values of :attr:`Planner.enumerator`.
 ENUMERATORS = ("dp", "greedy", "random", "ues")
-
-_ENUMERATORS = {"dp": dp_left_deep, "greedy": greedy_order}
 
 
 def _kind_mismatch(catalog, p):
@@ -156,9 +154,8 @@ class Planner:
             return [query.tables[0]]
         if self.enumerator == "ues":
             return ues_order(self.catalog, query)[0]
-        if self.enumerator == "random":
-            return random_order(query, memo, self.cost_model, seed=self.seed)[0]
-        return _ENUMERATORS[self.enumerator](query, memo, self.cost_model)[0]
+        return left_deep_order(self.enumerator, query, memo, self.cost_model,
+                               seed=self.seed)
 
     def _assemble(self, query, order, memo):
         """Access paths + left-deep joins + finalize + cost annotation."""

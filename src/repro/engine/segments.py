@@ -5,8 +5,9 @@ of immutable fixed-capacity segments (plus one mutable tail). Every
 sealed segment carries
 
 * an **encoding** — ``"plain"`` (raw NumPy values), ``"dict"``
-  (narrow integer codes into a first-appearance dictionary of distinct
-  values; the win for low-cardinality TEXT/INT), or ``"rle"``
+  (narrow integer codes into a dictionary of distinct values, ascending
+  for INT/FLOAT and in first-appearance order for TEXT; the win for
+  low-cardinality TEXT/INT), or ``"rle"``
   (run-length: one value + length per run; the win for sorted or
   constant stretches) — chosen automatically at seal time by
   :func:`choose_encoding`, and
@@ -17,7 +18,9 @@ sealed segment carries
 Everything here preserves the engine's observational contract exactly:
 ``decode()`` reproduces the original values bit-for-bit (value-for-value
 for objects), ``mask(predicates)`` — a conjunction on one column, ANDed
-in dictionary/run space and mapped to rows with one ``take`` — returns
+in dictionary/run space and mapped to rows once: one compare on the
+codes when the hits are one run of codes (every ``=``, and any range on
+an ascending dictionary), else one ``take`` — returns
 the AND of the flat NumPy evaluations (including the scalar-collapse
 rule for incomparable types, and raising the same ``TypeError`` a flat
 object-array comparison would raise), and :meth:`ZoneMap.classify` only
@@ -93,20 +96,18 @@ def object_codes(arr, seen=None):
 
 
 def _factorize(arr):
-    """First-appearance codes + dictionary of one segment's values."""
+    """Codes + dictionary of one segment's values: object (TEXT) values
+    in first-appearance order, numeric values ascending (a stable sort,
+    so of ``0.0``/``-0.0`` the first in row order is kept)."""
     if arr.dtype == object:
         seen = {}
         codes = object_codes(arr, seen)
         dictionary = np.empty(len(seen), dtype=object)
         dictionary[:] = list(seen)
         return codes, dictionary
-    uniq, first, inv = np.unique(arr, return_index=True, return_inverse=True)
-    inv = np.ascontiguousarray(inv, dtype=np.int64).ravel()
-    order = np.argsort(first, kind="stable")
-    dictionary = uniq[order]
-    remap = np.empty(len(uniq), dtype=np.int64)
-    remap[order] = np.arange(len(uniq), dtype=np.int64)
-    return remap[inv], dictionary
+    dictionary, __, codes = np.unique(arr, return_index=True,
+                                      return_inverse=True)
+    return codes, dictionary
 
 
 def _run_bounds(arr):
@@ -306,7 +307,9 @@ class ColumnSegment:
 
     * ``plain`` — ``values`` (the raw NumPy array);
     * ``dict`` — ``codes`` (narrow unsigned ints) + ``dictionary``
-      (distinct values in first-appearance order);
+      (distinct values: ascending for INT/FLOAT, so a range predicate
+      hits one run of codes; in first-appearance order for TEXT, whose
+      MCV ties ANALYZE resolves in that order);
     * ``rle`` — ``values`` (one per run) + ``run_lengths``.
 
     A plain segment can also be wrapped directly around a typed array
@@ -398,8 +401,10 @@ class ColumnSegment:
         ``predicates`` is a list of ``(op, value)`` pairs. Each is
         compared against the *dictionary* (dict: one comparison per
         distinct value), the run values (RLE) or the values (plain); the
-        verdicts are ANDed there and mapped to rows once — ``take``
-        through the codes, ``repeat`` over the run lengths. The result
+        verdicts are ANDed there and mapped to rows once — one compare
+        on the codes when the hit codes form one run (see
+        :meth:`_codes_mask`), else ``take`` through the codes; ``repeat``
+        over the run lengths. The result
         equals the AND of the flat evaluations, including the
         scalar-collapse rule for incomparable types (a scalar verdict
         applies to every row) and any ``TypeError`` an object-array
@@ -417,10 +422,25 @@ class ColumnSegment:
             m = m.astype(bool, copy=False)
             hits = m if hits is None else hits & m
         if self.encoding == "dict":
-            return hits.take(self.codes)
+            return self._codes_mask(hits)
         if self.encoding == "rle":
             return np.repeat(hits, self.run_lengths)
         return hits
+
+    def _codes_mask(self, hits):
+        """Map the dictionary's verdicts onto rows: one run of hit codes
+        ``[lo, lo + width)`` is one compare on the codes (unsigned, so
+        ``codes - lo`` wraps below ``lo``); scattered hits cost one
+        lookup per row."""
+        hit = np.flatnonzero(hits)
+        if not len(hit):
+            return np.zeros(self.n_rows, dtype=bool)
+        lo, width = int(hit[0]), len(hit)
+        if int(hit[-1]) - lo + 1 != width:
+            return hits.take(self.codes)
+        if width == 1:
+            return self.codes == lo
+        return self.codes - lo < width
 
     # -- statistics ----------------------------------------------------
     def value_counts(self):

@@ -1,5 +1,7 @@
-"""Property tests for the key-coding kernels, and a guard that GROUP BY
-on a TEXT column codes its keys from the segment dictionaries.
+"""Property tests for the key-coding kernels, a guard that GROUP BY on a
+TEXT column codes its keys from the segment dictionaries, and a check
+that a dict INT key's group codes partition rows as ``column_codes``
+does on the decoded column.
 
 ``column_codes`` must equal ``np.unique``'s inverse, ``stable_code_order``
 must equal a stable ``argsort``, and ``join_indices`` must equal a
@@ -20,6 +22,8 @@ from repro.engine.operators.kernels import (
     join_indices,
     stable_code_order,
 )
+from repro.engine.operators.scan import filter_groups, gather
+from repro.engine.query import Predicate
 from repro.engine.segments import ColumnSegment
 
 INT_DTYPES = ("int8", "int16", "int32", "int64",
@@ -384,3 +388,59 @@ def test_float_key_returns_its_first_rows_value_bit_for_bit(
     z = db.execute("SELECT z.x, COUNT(*) FROM z GROUP BY z.x").rows
     assert len(z) == 1 and math.copysign(1.0, z[0][0]) == math.copysign(
         1.0, first)
+
+
+# ----------------------------------------------------------------------
+# GROUP BY a dict INT column: codes pass through or map through ranks
+# ----------------------------------------------------------------------
+@pytest.fixture(params=["identical", "one_lacks_a_value"])
+def dict_int_db(request):
+    """Four sealed 64-row segments whose INT key is dict-encoded, no
+    tail. ``identical``: every segment holds the key values 0..6, so
+    each dictionary is the merged one and its codes are the group codes.
+    ``one_lacks_a_value``: the second segment never holds 3, so its
+    codes map through ranks."""
+    def key(s, i):
+        k = (i * 5 + s) % 7
+        return 4 if request.param != "identical" and s == 1 and k == 3 else k
+
+    rows = [(key(s, i), (s * SEG + i) * 0.5)
+            for s in range(4) for i in range(SEG)]
+    db = Database(segment_rows=SEG)
+    db.execute("CREATE TABLE d (k INT, v FLOAT)")
+    db.catalog.table("d").insert_rows(rows)
+    db.execute("ANALYZE")
+    groups = db.catalog.table("d").row_groups()
+    assert [g.segments["k"].encoding for g in groups] == ["dict"] * 4
+    merged = np.arange(7)
+    same = [np.array_equal(g.segments["k"].dictionary, merged)
+            for g in groups]
+    assert same == ([True] * 4 if request.param == "identical"
+                    else [True, False, True, True])
+    return db
+
+
+@pytest.mark.parametrize("where, preds", [
+    ("", []),
+    (" WHERE d.v >= 20.0 AND d.v < 100.0",
+     [("v", ">=", 20.0), ("v", "<", 100.0)]),
+])
+def test_dict_int_group_codes_partition_rows_like_column_codes(
+        dict_int_db, where, preds):
+    db = dict_int_db
+    sql = ("SELECT d.k, COUNT(*), SUM(d.v) FROM d%s GROUP BY d.k" % where)
+    plan = db.pipeline.prepare_sql(sql).plan
+    result = db.executor.execute(plan)
+    assert result.telemetry.fused_ops
+    reference = ReferenceExecutor(db.catalog, db.cost_model).execute(plan)
+    assert_matches_reference(result, reference, sql)
+
+    table = db.catalog.table("d")
+    predicates = [Predicate("d", c, op, v) for c, op, v in preds]
+    __, survivors, n1, ___ = filter_groups(table, predicates)
+    codes, dictionary = fused._dict_segment_codes(survivors, "k")
+    (decoded,), __ = gather(table, survivors, ["k"])
+    assert len(codes) == n1 == len(decoded)
+    assert dictionary.take(codes).tolist() == decoded.tolist()
+    np.testing.assert_array_equal(column_codes(codes),
+                                  column_codes(decoded))

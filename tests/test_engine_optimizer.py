@@ -12,6 +12,7 @@ from repro.engine.optimizer.cost import CostModel
 from repro.engine.optimizer.join_enum import (
     dp_left_deep,
     greedy_order,
+    left_deep_order,
     order_cost,
     random_order,
 )
@@ -132,6 +133,19 @@ class TestJoinEnumeration:
                 assert sorted(t.lower() for t in order) == sorted(
                     t.lower() for t in q.tables
                 )
+
+    def test_left_deep_order_is_the_priced_order(self):
+        catalog, queries = self._setup("clique")
+        est = TraditionalEstimator(catalog)
+        cm = CostModel()
+        for q in queries:
+            assert left_deep_order("dp", q, est, cm) == dp_left_deep(q, est, cm)[0]
+            assert left_deep_order("greedy", q, est, cm) == \
+                greedy_order(q, est, cm)[0]
+            assert left_deep_order("random", q, est, cm, seed=3) == \
+                random_order(q, est, cm, seed=3)[0]
+        with pytest.raises(PlanError, match="unknown enumerator"):
+            left_deep_order("ues", queries[0], est, cm)
 
     def test_random_order_connected(self):
         catalog, queries = self._setup("chain")

@@ -104,6 +104,48 @@ def _encoded_columns(draw):
     return arr, dtype, seg
 
 
+@st.composite
+def _boundary_dict_columns(draw):
+    """``(values, dtype, segment)``: a dict segment whose dictionary has
+    255, 256 or 257 entries (uint8/uint16 codes either side of the
+    boundary) or a handful, each value on 4–6 rows in shuffled order;
+    TEXT columns may hold NULL."""
+    dtype = draw(st.sampled_from(list(_POOLS)))
+    ndv = draw(st.sampled_from([2, 7, 255, 256, 257]))
+    if dtype is DataType.TEXT:
+        pool = ["s%03d" % i for i in range(ndv)]
+        if draw(st.booleans()):
+            pool[-1] = None
+    else:
+        step = draw(st.sampled_from([1, 3]))
+        pool = [(i - ndv // 2) * step for i in range(ndv)]
+        if dtype is DataType.FLOAT:
+            pool = [v / 4.0 for v in pool]
+    rng = np.random.RandomState(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = [v for v in pool for __ in range(rng.randint(4, 7))]
+    order = rng.permutation(len(rows))
+    arr = np.empty(len(rows), dtype=dtype.numpy_dtype)
+    arr[:] = [rows[i] for i in order]
+    seg = ColumnSegment.encode(arr, dtype, allowed=("dict",))
+    assert seg.encoding == "dict" and len(seg.dictionary) == ndv
+    assert seg.codes.dtype == (np.uint8 if ndv < 256 else np.uint16)
+    return arr, dtype, seg
+
+
+def _boundary_literals(arr, dtype):
+    """Literals that hit no code, one code, a run or every code alone or
+    in a conjunction (and scattered codes under ``!=``): dictionary
+    values, values between and beyond them, an INT column's float
+    literal, and a literal of the other kind."""
+    values = sorted({v for v in arr.tolist() if v is not None})
+    lo, hi = values[0], values[-1]
+    if dtype is DataType.TEXT:
+        between = [v + "x" for v in values[:3]] + ["", "zz"]
+        return st.sampled_from(values + between + [5])
+    between = [v + 0.5 for v in values[:3]] + [lo - 1, hi + 1, 2.5]
+    return st.sampled_from(values + between + ["zz"])
+
+
 def _predicates(dtype):
     """One ``(op, literal)``: the literal is a pool value, a value between
     pool values, or of another type."""
@@ -275,6 +317,38 @@ class TestMaskParity:
                       and any(op in RANGE_OPS for op, __ in preds))
         assert not null_range  # a NULL-bearing TEXT range always raises
         np.testing.assert_array_equal(seg.mask(preds), expected)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(_boundary_dict_columns(), st.data())
+    def test_dict_mask_at_the_code_width_boundary(self, column, data):
+        """A dict segment's mask — one compare on the codes for a run of
+        hit codes, one lookup per row otherwise — is the AND of the flat
+        evaluations, or raises where they raise. Numeric dictionaries
+        ascend, so every ``=``/range conjunction hits one run; TEXT
+        dictionaries keep first-appearance order."""
+        arr, dtype, seg = column
+        if dtype is DataType.TEXT:
+            assert seg.dictionary.tolist() == list(dict.fromkeys(
+                arr.tolist()))
+        else:
+            assert (np.diff(seg.dictionary) > 0).all()
+        literal = _boundary_literals(arr, dtype)
+        preds = data.draw(st.lists(st.tuples(st.sampled_from(list(OPS)),
+                                             literal),
+                                   min_size=1, max_size=3))
+        try:
+            expected = np.logical_and.reduce(
+                [_flat_mask(arr, op, value) for op, value in preds])
+        except TypeError:
+            with pytest.raises(TypeError):
+                seg.mask(preds)
+            return
+        np.testing.assert_array_equal(seg.mask(preds), expected)
+        if dtype is not DataType.TEXT and all(op != "!=" for op, __ in preds):
+            hits = np.flatnonzero(np.logical_and.reduce(
+                [_flat_mask(seg.dictionary, op, v) for op, v in preds]))
+            assert len(hits) == 0 or hits[-1] - hits[0] + 1 == len(hits)
 
 
 def _table(segment_rows=16, segment_encodings=None):

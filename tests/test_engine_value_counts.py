@@ -4,7 +4,8 @@
 ascending, merged with one concatenate + stable sort + ``reduceat``; TEXT
 in first-appearance order) and ``EquiDepthHistogram.from_counts`` builds
 from them directly. The oracle below is the previous statistics path,
-copied verbatim: per-segment counts in first-appearance order, a Python
+copied verbatim but for the order of each segment's counts (now
+``_factorize``'s: ascending numbers, first-appearance TEXT), a Python
 ``{value: count}`` merge, ``build_from_counts``'s ``repeat`` back to the
 raw multiset and ``EquiDepthHistogram.build``'s ``np.unique``/``np.isin``.
 Every statistic a planner reads must come out with the same ``repr``.
@@ -34,7 +35,7 @@ from repro.engine.types import DataType
 # The oracle: the dict-merge statistics path, as it was
 # ----------------------------------------------------------------------
 def _old_segment_counts(seg):
-    """``(values, counts)`` in first-appearance order, or ``None`` (NaN)."""
+    """``(values, counts)`` in ``_factorize`` order, or ``None`` (NaN)."""
     if seg.n_rows == 0:
         return np.empty(0, dtype=seg.dtype.numpy_dtype), np.empty(0, np.int64)
     if seg.encoding == "dict":
