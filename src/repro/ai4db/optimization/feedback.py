@@ -23,8 +23,9 @@ The engine knows nothing of any of this. :class:`FeedbackLoop` installs
 the loop on a :class:`~repro.engine.database.Database` from outside, the
 way any learned estimator is installed: it wraps ``db.planner.estimator``,
 runs statements through the pipeline's public prepare → execute route,
-ingests each run's ``node_stats``, and empties the plan cache when an
-observation drifts, so the next run replans with corrected estimates
+ingests each run's ``node_stats``, and empties the plan cache (and the
+shapes' generic plans) when an observation drifts, so the next run
+replans with corrected estimates
 while well-estimated workloads keep their warm cache.
 """
 
@@ -230,8 +231,9 @@ class FeedbackLoop:
     the server, snapshots) are estimated with the corrections but teach
     the store nothing.
 
-    A drifting observation empties the whole plan cache, so the next
-    lookup of any statement reads ``miss`` and replans.
+    A drifting observation empties the whole plan cache and every
+    shape's generic-plan state, so the next lookup of any statement
+    reads ``miss`` and replans.
     """
 
     def __init__(self, db):
@@ -258,4 +260,5 @@ class FeedbackLoop:
                          result.telemetry.node_stats)
         if self.store.version != version:
             pipeline.plan_cache.clear()
+            pipeline.shape_plans.clear()
         return result

@@ -16,7 +16,8 @@ def render_explain(plan, trace):
     estimates. With one (EXPLAIN ANALYZE): each node of the unfused plan
     with its estimated rows, executor-counted actual rows and q-error,
     then the scans' segment counters, the version vector the plan stage
-    keyed on and the plan-cache verdict.
+    keyed on and the plan-cache verdict. Either way a plan the pipeline's
+    generic route built ends with ``Plan: generic``.
     """
     run = trace.execute
     if run is None:
@@ -48,6 +49,8 @@ def render_explain(plan, trace):
         text += "\nPlan cache: %s" % trace.cache_outcome
         if trace.invalidation_cause:
             text += " (%s)" % trace.invalidation_cause
+    if trace.plan_route == "generic":
+        text += "\nPlan: generic"
     return text
 
 

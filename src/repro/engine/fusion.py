@@ -12,8 +12,9 @@ the columns the tail actually reads, aggregation/dedup/limit — without
 the intermediate relation ever existing.
 
 Fusion is an *execution-time* rewrite, applied unconditionally: once
-per cached plan (:func:`prepare_plan`, stored in the plan-cache entry)
-or once per ``Executor.execute`` call on a plan handed in directly. The
+per cached plan (:func:`prepare_plan`, stored in the plan-cache entry,
+or :func:`bind_memo` of its shape's generic template) or once per
+``Executor.execute`` call on a plan handed in directly. The
 plan cache, EXPLAIN cost annotations, and cost-model estimates all stay
 in terms of the unfused plan; the fused
 node keeps references to the original operator nodes so work accounting
@@ -154,10 +155,67 @@ def fuse_plan(plan):
 def prepare_plan(plan):
     """``(fused, fused_ops, nodes, reads)``: :func:`fuse_plan`, the
     unfused preorder node list and the fused plan's :func:`plan_reads`.
-    They depend only on the plan's structure, which planning fixes, so
-    the plan cache stores them beside the plan and every warm run reuses
-    them (the plan itself never points back at them, so an evicted plan
-    is freed by reference counting). Do not mutate a plan once it is
-    prepared."""
+    They depend only on the plan's structure, which planning fixes, plus
+    the statement's predicates, which sit in the nodes' literal slots
+    (:data:`LITERAL_SLOTS`) — :func:`bind_memo` rebinds those without
+    re-fusing. So the plan cache stores the memo beside the plan and
+    every warm run reuses it (the plan itself never points back at it,
+    so an evicted plan is freed by reference counting). Do not mutate a
+    plan once it is prepared."""
     fused, fused_ops = fuse_plan(plan)
     return fused, fused_ops, list(plan.walk()), plan_reads(fused)
+
+
+#: Node attributes holding a statement's predicates, literal values
+#: included — the only part of a plan or its memo that differs between
+#: two statements of one shape on one plan (a scan's, an index probe's,
+#: a residual, a fused tail's lifted list).
+LITERAL_SLOTS = ("predicate", "predicates", "residual")
+
+#: Node attributes naming another node of the same tree: a bare scan's
+#: ``origin`` and a fused tail's absorbed nodes.
+_NODE_REFS = ("origin", "project_node", "agg_node", "limit_node")
+
+
+def bind_plan(node, predicates, done):
+    """``node``'s tree bound to another statement of its shape: a copy
+    whose literal slots hold ``predicates[id(p)]`` for each template
+    predicate ``p``. A node reached twice is copied once (``done``:
+    ``id(node) -> copy``, kept for :func:`bind_memo`), so a fused tail
+    and the plan it was built from stay one tree; a bare scan or fused
+    op takes the estimates of the node it stands for, as
+    :func:`fuse_plan` gives it. The template is never mutated."""
+    twin = done.get(id(node))
+    if twin is not None:
+        return twin
+    twin = done[id(node)] = object.__new__(type(node))
+    state = twin.__dict__
+    state.update(node.__dict__)
+    state["children"] = [bind_plan(c, predicates, done)
+                         for c in node.children]
+    for slot in LITERAL_SLOTS:
+        value = state.get(slot)
+        if isinstance(value, list):
+            state[slot] = [predicates[id(p)] for p in value]
+        elif value is not None:
+            state[slot] = predicates[id(value)]
+    for ref in _NODE_REFS:
+        if state.get(ref) is not None:
+            state[ref] = bind_plan(state[ref], predicates, done)
+    if "origin" in state or isinstance(twin, P.FusedPipelineOp):
+        like = state.get("origin") or (
+            twin.limit_node or twin.agg_node or twin.project_node)
+        twin.est_rows, twin.est_cost = like.est_rows, like.est_cost
+    return twin
+
+
+def bind_memo(memo, predicates, done):
+    """:func:`prepare_plan` of the plan :func:`bind_plan` just bound
+    (same ``predicates`` and ``done``), built from the template's
+    ``memo`` without re-fusing: the fused tail is copied with its literal
+    slots rebound, the node list maps onto the bound plan, and the read
+    set — columns only — carries over. Bind after re-costing the bound
+    plan: the tail's copies take its estimates."""
+    fused, fused_ops, nodes, reads = memo
+    return (bind_plan(fused, predicates, done), fused_ops,
+            [done[id(n)] for n in nodes], reads)

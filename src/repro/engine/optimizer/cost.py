@@ -104,9 +104,28 @@ class CostModel:
 
         Returns the plan's total cost. The planner calls this after assembly;
         learned planners can call it with a different estimator to re-cost an
-        existing plan.
+        existing plan, and the pipeline's generic route re-costs a cached
+        plan bound to new literals with it.
         """
         return self._annotate(plan, estimator, query)
+
+    def choices_hold(self, plan, table_rows):
+        """Whether an annotated plan's local choices are the planner's on
+        its estimates: every hash or nested-loop join is the kind
+        :meth:`choose_join` picks for its inputs' and its own
+        ``est_rows``, and every IndexScan costs less than a scan of its
+        table's ``table_rows(name)`` rows."""
+        for node in plan.walk():
+            if isinstance(node, (P.HashJoin, P.NestedLoopJoin)):
+                left, right = node.children
+                kind, __ = self.choose_join(
+                    left.est_rows, right.est_rows, node.est_rows)
+                if (kind == "hash") != isinstance(node, P.HashJoin):
+                    return False
+            elif (isinstance(node, P.IndexScan) and node.est_cost
+                  >= self.seq_scan(table_rows(node.table))):
+                return False
+        return True
 
     def _annotate(self, node, estimator, query):
         for child in node.children:

@@ -109,7 +109,7 @@ class Planner:
                             % (", ".join(ENUMERATORS), name))
         self._enumerator = name
 
-    def plan(self, query, order=None):
+    def plan(self, query, order=None, memo=None):
         """Produce an annotated physical plan for ``query``.
 
         Args:
@@ -117,12 +117,16 @@ class Planner:
             order: optional explicit left-deep join order (list of table
                 names); when given, enumeration is skipped — this is the
                 hook the learned join-order agents use.
+            memo: the call's estimate memo, when the caller keeps it
+                (:meth:`CardinalityEstimator.planning_scope` of ``query``;
+                a fresh one otherwise).
 
         Unknown tables surface as :class:`~repro.common.CatalogError`,
         never a raw ``KeyError``, so a table dropped between lowering
         and planning fails the same way on every route.
         """
-        memo = self.estimator.planning_scope(query)
+        if memo is None:
+            memo = self.estimator.planning_scope(query)
         try:
             return self._plan(query, order, memo)
         except KeyError as exc:  # defensive: unify on CatalogError

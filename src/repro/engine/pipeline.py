@@ -11,10 +11,11 @@ from outside, on the objects a stage reads: a rewriter rewrites the
 ``extensions``: statements the native parser does not own (AISQL).
 
 Between the lower and plan stages sits a **plan cache**: an LRU map from
-``(query.signature(), explicit_order)`` to the plan
-:meth:`~repro.engine.optimizer.planner.Planner.plan` built and its
-:func:`~repro.engine.fusion.prepare_plan` memo, where every entry also
-stores the invalidation token it was planned under.
+``(query.signature(), explicit_order)`` to the plan — built by
+:meth:`~repro.engine.optimizer.planner.Planner.plan`, or bound from the
+shape's generic plan — its :func:`~repro.engine.fusion.prepare_plan`
+memo and the route that built it, where every entry also stores the
+invalidation token it was planned under.
 The token is **scoped to the tables the query touches**: the catalog's
 :meth:`~repro.engine.catalog.Catalog.version_vector` restricted to the
 query's table set. A mutation (CREATE/DROP TABLE, CREATE INDEX,
@@ -30,7 +31,14 @@ ANALYZE leave warm SQL text warm). Behind it a third cache, under the same
 token, holds one lowered template per statement **shape** — the text's
 :func:`~repro.engine.sql.lexer.fingerprint`, literals blanked — so new
 text of a known shape binds its literals into the template's predicates
-instead of being parsed and lowered.
+instead of being parsed and lowered. Behind the plan cache, per shape
+and under the plan token, sits PostgreSQL's **generic/custom plan
+choice**: a shape's first :data:`CUSTOM_SAMPLES` plan-cache misses plan
+custom; then the plan structure most of them share, re-costed for each
+sample's literals, goes **generic** if its mean cost ratio to the custom
+plans is at most :data:`GENERIC_COST_RATIO`, and each later miss binds
+its literals into that one plan and its memo and re-costs it instead of
+planning.
 
 Cache-key / token invariants:
 
@@ -53,6 +61,27 @@ Cache-key / token invariants:
   ``db.planner.enumerator = "ues"``) is the one mutation the token cannot
   see — call :meth:`QueryPipeline.invalidate` after it.
 
+Generic-plan invariants:
+
+* only a plan-cache miss with a shape — the trace root's
+  ``fingerprint`` — and no explicit join order is eligible; the
+  query-object route never is. Statements share a generic plan only
+  when their :func:`_frame` is equal: the signature but for predicate
+  values, and each predicate slot's column, operator and value type;
+* the shape's state lives under the plan token, so any drift — INSERT,
+  ANALYZE, DDL, or a lazy ANALYZE inside a sample's planning — restarts
+  sampling;
+* samples are re-costed inside their own planning memos, so deciding
+  asks the estimator nothing new;
+* a generic plan is re-costed with one fresh memo (its estimates are
+  what :meth:`~repro.engine.optimizer.cost.CostModel.annotate` gives
+  it) and kept only while every join is the kind
+  :meth:`~repro.engine.optimizer.cost.CostModel.choose_join` picks on
+  those estimates, every IndexScan still beats a scan and no view
+  answers the query — otherwise that one statement plans custom;
+* a generic plan is stored in the plan cache like a custom one, and the
+  entry and the ``plan`` span's ``plan_route`` name the route.
+
 Snapshot reads: :meth:`execute_prepared`/:meth:`run_query` accept an
 immutable :class:`~repro.engine.catalog.CatalogSnapshot`. Planning (and
 the warm plan cache) stays shared with the live database, but execution
@@ -65,8 +94,9 @@ import time
 
 from repro.common import ExecutionError, ParseError
 from repro.engine.explain import ExplainResult
-from repro.engine.fusion import prepare_plan
+from repro.engine.fusion import bind_memo, bind_plan, prepare_plan
 from repro.engine.plancache import PlanCache
+from repro.engine.plans import IndexScan, ViewScan
 from repro.engine.query import Predicate
 from repro.engine.sql.ast_nodes import (
     AnalyzeStmt,
@@ -84,8 +114,16 @@ from repro.engine.telemetry import PLANNING_STAGES, StatementTrace
 PIPELINE_STAGES = ("parse", "lower", "plan", "execute")
 
 #: LRU capacity of a pipeline's plan cache, its SQL-text →
-#: lowered-query cache and its shape → template cache.
+#: lowered-query cache, its shape → template cache and its shape →
+#: generic-plan state.
 PLAN_CACHE_CAPACITY = 256
+
+#: Custom plans a statement shape runs before a generic plan may replace
+#: them, and the mean ratio of the generic plan's cost to the custom
+#: plans' costs, re-estimated for their literals, up to which it does
+#: (PostgreSQL's ``choose_custom_plan``).
+CUSTOM_SAMPLES = 5
+GENERIC_COST_RATIO = 1.10
 
 
 def _head(sql_text):
@@ -115,6 +153,44 @@ def _bind(template, literals):
         for p, text in zip(template.predicates, literals)
     ]
     return query
+
+
+def _frame(query, sig):
+    """What statements sharing one generic plan share: the signature
+    without predicate values, and each predicate slot's column,
+    operator and value type, in :func:`_binds` order."""
+    return sig[:2], sig[3:], tuple(
+        (p.table, p.column, p.op, type(p.value)) for p in query.predicates)
+
+
+def _structure(plan, query):
+    """``plan``'s structure — operators, join order and build sides,
+    access paths (an IndexScan's probe by slot) — or ``None`` when the
+    plan cannot be bound to other literals (a view answers it)."""
+    slots = {id(p): i for i, p in enumerate(query.predicates)}
+    out = []
+    for node in plan.walk():
+        if isinstance(node, ViewScan):
+            return None
+        out.append((type(node), getattr(node, "table", None),
+                    slots[id(node.predicate)]
+                    if isinstance(node, IndexScan) else None))
+    return tuple(out)
+
+
+class _ShapePlans:
+    """One statement shape's plan choice under one plan token: its
+    ``frame`` (:func:`_frame`), the custom ``samples`` so far —
+    ``(query, plan, memo, estimates)`` — then the decision: ``generic``
+    is the template ``(plan, memo, predicates)``, or ``False`` to stay
+    custom."""
+
+    __slots__ = ("frame", "samples", "generic")
+
+    def __init__(self, frame):
+        self.frame = frame
+        self.samples = []
+        self.generic = None
 
 
 def _invalidation_cause(stale, current):
@@ -201,11 +277,15 @@ class QueryPipeline:
         self.plan_cache = PlanCache(PLAN_CACHE_CAPACITY)
         self.query_cache = PlanCache(PLAN_CACHE_CAPACITY)
         self.shape_cache = PlanCache(PLAN_CACHE_CAPACITY)
+        self.shape_plans = PlanCache(PLAN_CACHE_CAPACITY)
         self._runs = 0
         self._stats_lock = threading.Lock()
+        self._sample_lock = threading.Lock()
         self._stage_totals = {
             stage: {"count": 0, "seconds": 0.0} for stage in PIPELINE_STAGES
         }
+        self._routes = {"custom": 0, "generic": 0}
+        self._fallbacks = 0
 
     # -- entry points ------------------------------------------------------
     def run_query(self, query, order=None, snapshot=None):
@@ -330,7 +410,7 @@ class QueryPipeline:
         return query, trace, sig
 
     def _prepare(self, sql_text, query, trace, order=None, sig=None):
-        plan, memo = self._plan(query, trace, order=order, sig=sig)
+        plan, memo, __ = self._plan(query, trace, order=order, sig=sig)
         return PreparedQuery(sql_text, query, plan, trace, memo)
 
     def execute_prepared(self, prepared, snapshot=None):
@@ -394,13 +474,15 @@ class QueryPipeline:
         return self.db.catalog.version_vector(query.tables)
 
     def _plan(self, query, trace, order=None, sig=None):
-        """The plan stage: ``(plan, memo)`` for ``query``.
+        """The plan stage: ``(plan, memo, route)`` for ``query``.
 
         One plan-cache lookup under key ``(signature, order)``; on a miss
-        :meth:`~repro.engine.optimizer.planner.Planner.plan` builds the
-        plan, and it is stored with its
-        :func:`~repro.engine.fusion.prepare_plan` memo. The ``plan``
-        span reports the cache outcome. ``sig``: ``query.signature()``
+        a statement with a shape (the trace root's ``fingerprint``) and
+        no explicit order takes :meth:`_shape_plan`, and any other
+        :meth:`~repro.engine.optimizer.planner.Planner.plan`. The entry
+        is stored with its :func:`~repro.engine.fusion.prepare_plan`
+        memo and the ``route`` that built it. The ``plan`` span reports
+        the cache outcome and the route. ``sig``: ``query.signature()``
         when the caller holds it.
         """
         with trace.root.child("plan") as span:
@@ -411,8 +493,10 @@ class QueryPipeline:
             token = self._plan_token(query)
             entry, outcome, stale = self.plan_cache.lookup(key, token)
             if entry is None:
-                plan = self.db.planner.plan(query, order=order)
-                entry = (plan, prepare_plan(plan))
+                shape = None if order is not None else trace.root.attrs.get(
+                    "fingerprint")
+                entry = (self._custom(query, order) if shape is None
+                         else self._shape_plan(query, shape, sig, token))
                 # Re-read the token: planning may lazily ANALYZE (a
                 # version bump), and the entry must match the state it
                 # was built from.
@@ -423,8 +507,84 @@ class QueryPipeline:
                     _invalidation_cause(stale, token)
                     if outcome == "invalidated" else None),
                 plan_versions=token,
+                plan_route=entry[2],
             )
         return entry
+
+    def _custom(self, query, order=None, memo=None):
+        plan = self.db.planner.plan(query, order=order, memo=memo)
+        return plan, prepare_plan(plan), "custom"
+
+    def _shape_plan(self, query, shape, sig, token):
+        """A plan-cache miss of a statement with a shape: custom or
+        generic, chosen per shape under the plan ``token``.
+
+        The first :data:`CUSTOM_SAMPLES` statements of a shape plan
+        custom, each keeping its estimate memo; then :meth:`_decide`
+        picks generic or custom for the shape until the token moves. A
+        generic statement binds the shape's template plan and memo to its
+        predicates, re-costs the bound plan and keeps it if the
+        planner's local choices still hold on those costs — otherwise it
+        plans custom. The generic route never calls the planner.
+        """
+        frame = _frame(query, sig)
+        state = self.shape_plans.get(shape, token)
+        if state is None or state.frame != frame:
+            state = _ShapePlans(frame)
+            self.shape_plans.put(shape, state, token)
+        generic = state.generic
+        if generic is None:
+            # A sample whose planning moved the token (a lazy ANALYZE)
+            # lands in a state the next lookup drops.
+            estimates = self.db.planner.estimator.planning_scope(query)
+            entry = self._custom(query, memo=estimates)
+            with self._sample_lock:
+                if state.generic is None:
+                    state.samples.append(
+                        (query, entry[0], entry[1], estimates))
+                    if len(state.samples) == CUSTOM_SAMPLES:
+                        state.generic = self._decide(state.samples)
+                        state.samples = None
+            return entry
+        if generic is False:
+            return self._custom(query)
+        template, memo, predicates = generic
+        predicates = dict(zip(map(id, predicates), query.predicates))
+        done = {}
+        plan = bind_plan(template, predicates, done)
+        planner, catalog = self.db.planner, self.db.catalog
+        model = planner.cost_model
+        model.annotate(plan, planner.estimator.planning_scope(query), query)
+        if ((planner.use_views and catalog.matching_view(query) is not None)
+                or not model.choices_hold(plan, lambda t: max(
+                    1.0, float(catalog.table(t).n_rows)))):
+            with self._stats_lock:
+                self._fallbacks += 1
+            return self._custom(query)
+        return plan, bind_memo(memo, predicates, done), "generic"
+
+    def _decide(self, samples):
+        """The generic template for a shape's custom ``samples``, or
+        ``False`` to stay custom: the plan structure most samples share,
+        re-costed for each sample's literals inside that sample's own
+        estimate memo (so no estimate is asked twice), goes generic when
+        its mean cost ratio to the sample's custom plan is at most
+        :data:`GENERIC_COST_RATIO`."""
+        shapes = [_structure(plan, query) for query, plan, __, __ in samples]
+        best = max(shapes, key=shapes.count)
+        if best is None:
+            return False
+        query, template, memo, __ = samples[shapes.index(best)]
+        model = self.db.planner.cost_model
+        ratio = 0.0
+        for other, custom, __, estimates in samples:
+            bound = bind_plan(template, dict(zip(
+                map(id, query.predicates), other.predicates)), {})
+            cost = model.annotate(bound, estimates, other)
+            ratio += max(cost, 1.0) / max(custom.est_cost, 1.0)
+        if ratio / len(samples) > GENERIC_COST_RATIO:
+            return False
+        return template, memo, query.predicates
 
     def run_statement(self, stmt, trace):
         """Execute a parsed DDL/DML/ANALYZE statement against the catalog.
@@ -491,13 +651,19 @@ class QueryPipeline:
                 if entry is not None:
                     entry["count"] += 1
                     entry["seconds"] += span.seconds
+                if span.name == "plan":
+                    self._routes[span.attrs["plan_route"]] += 1
 
     def stats(self):
         """Cumulative pipeline statistics since the last :meth:`reset_stats`.
 
         Returns a JSON-friendly dict with the run count, per-stage
-        count/seconds, the planning-vs-execution wall-time split, and the
-        plan/query/shape cache counters.
+        count/seconds, the planning-vs-execution wall-time split, the
+        plan/query/shape cache counters, the statements planned per
+        ``plan_routes`` (a plan-cache hit counts under the route that
+        built the entry), and ``generic_plans``: the generic statements'
+        guard ``fallbacks`` to a custom plan and the cached ``shapes``
+        now generic.
         """
         with self._stats_lock:
             runs = self._runs
@@ -505,6 +671,8 @@ class QueryPipeline:
                 stage: dict(entry)
                 for stage, entry in self._stage_totals.items()
             }
+            routes = dict(self._routes)
+            fallbacks = self._fallbacks
         return {
             "runs": runs,
             "stages": {k: v for k, v in stages.items() if v["count"]},
@@ -515,6 +683,12 @@ class QueryPipeline:
             "plan_cache": self.plan_cache.stats(),
             "query_cache": self.query_cache.stats(),
             "shape_cache": self.shape_cache.stats(),
+            "plan_routes": routes,
+            "generic_plans": {
+                "fallbacks": fallbacks,
+                "shapes": sum(1 for state in self.shape_plans.values()
+                              if state.generic),
+            },
         }
 
     def reset_stats(self):
@@ -524,12 +698,15 @@ class QueryPipeline:
             for entry in self._stage_totals.values():
                 entry["count"] = 0
                 entry["seconds"] = 0.0
+            self._routes = dict.fromkeys(self._routes, 0)
+            self._fallbacks = 0
         self.plan_cache.reset_counters()
         self.query_cache.reset_counters()
         self.shape_cache.reset_counters()
 
     def invalidate(self):
-        """Drop every cached plan, lowered query and shape template.
+        """Drop every cached plan, lowered query, shape template and
+        generic-plan state.
 
         Needed only for mutations the catalog versions cannot observe, such
         as swapping ``db.planner.estimator`` in place.
@@ -537,6 +714,7 @@ class QueryPipeline:
         self.plan_cache.clear()
         self.query_cache.clear()
         self.shape_cache.clear()
+        self.shape_plans.clear()
 
     def __repr__(self):
         return "QueryPipeline(runs=%d, %r)" % (self._runs, self.plan_cache)

@@ -1,8 +1,9 @@
 """The token-invalidated LRU cache behind the pipeline's caches.
 
-:class:`PlanCache` backs both of :class:`~repro.engine.pipeline.
-QueryPipeline`'s caches — plans keyed by query signature and lowered
-queries keyed by SQL text — and is usable on its own.
+:class:`PlanCache` backs every cache of :class:`~repro.engine.pipeline.
+QueryPipeline` — plans keyed by query signature, lowered queries keyed
+by SQL text, lowered templates keyed by statement shape, and each
+shape's custom/generic plan state — and is usable on its own.
 """
 
 import threading
@@ -115,6 +116,12 @@ class PlanCache:
                 "size": len(self._entries),
                 "capacity": self.capacity,
             }
+
+    def values(self):
+        """The cached values, least recently used first (an entry whose
+        token drifted stays until its next lookup)."""
+        with self._lock:
+            return [entry.value for entry in self._entries.values()]
 
     def __len__(self):
         with self._lock:

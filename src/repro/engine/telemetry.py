@@ -197,7 +197,8 @@ class Span:
 
 
 #: What the ``plan`` span records, readable straight off the trace.
-_PLAN_ATTRS = ("cache_outcome", "invalidation_cause", "plan_versions")
+_PLAN_ATTRS = ("cache_outcome", "invalidation_cause", "plan_versions",
+               "plan_route")
 
 
 class StatementTrace:

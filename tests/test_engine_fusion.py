@@ -23,6 +23,7 @@ from repro.engine import (
 )
 from repro import engine
 from repro.engine import plans as P
+from repro.engine.fusion import bind_memo, bind_plan, prepare_plan
 from repro.engine.plans import PlanError
 from repro.engine.query import Aggregate, Predicate
 
@@ -277,6 +278,80 @@ class TestFusePlan:
                 project_node=P.Project(scan, [("t", "k")]),
                 agg_node=P.HashAggregate(scan, [], [Aggregate("count")]),
             )
+
+
+# ----------------------------------------------------------------------
+# Binding: a template's memo rebound to new literals is the memo of the
+# bound plan
+# ----------------------------------------------------------------------
+#: Statement shapes with two literal vectors each: a fused aggregate, an
+#: IndexScan probe plus residual, a fused join source, a LIMIT tail and
+#: a tail fusion refuses (ORDER BY).
+BIND_SHAPES = {
+    "aggregate": ("SELECT tag, COUNT(*), SUM(v) FROM t WHERE k < %s "
+                  "AND v >= %s GROUP BY tag", ("5", "2.5"), ("3", "-1.0")),
+    "index": ("SELECT id, v FROM t WHERE id = %s AND k != %s",
+              ("17", "2"), ("40", "6")),
+    "join": ("SELECT COUNT(*), SUM(u.w) FROM t, u WHERE t.id = u.id "
+             "AND t.k = %s AND u.w > %s", ("1", "3"), ("4", "0")),
+    "limit": ("SELECT DISTINCT tag FROM t WHERE k > %s AND tag != %s "
+              "LIMIT 2", ("1", "'g0'"), ("5", "'g2'")),
+    "order_by": ("SELECT id FROM t WHERE v < %s AND k = %s ORDER BY id",
+                 ("4.5", "3"), ("9.0", "0")),
+}
+
+
+def _bindable():
+    db = _populated()
+    db.execute("CREATE INDEX t_id ON t (id)")
+    db.execute("CREATE TABLE u (id INT, w INT)")
+    db.execute("INSERT INTO u VALUES " + ", ".join(
+        "(%d, %d)" % (i, i % 9) for i in range(0, 200, 3)))
+    db.execute("ANALYZE")
+    return db
+
+
+def _lifted(node):
+    return [p.key() for n in node.walk()
+            for p in getattr(n, "predicates", ())]
+
+
+class TestBindMemo:
+    @pytest.mark.parametrize("shape", sorted(BIND_SHAPES))
+    def test_bound_memo_is_the_memo_of_the_bound_plan(self, shape):
+        db = _bindable()
+        text, first, second = BIND_SHAPES[shape]
+        template_query = db.pipeline.lower_sql(text % first)
+        query = db.pipeline.lower_sql(text % second)
+        template = db.planner.plan(template_query)
+        memo = prepare_plan(template)
+        before = (template.pretty(), [n.describe() for n in memo[0].walk()])
+        predicates = dict(zip(map(id, template_query.predicates),
+                              query.predicates))
+        done = {}
+        plan = bind_plan(template, predicates, done)
+        db.cost_model.annotate(plan, db.planner.estimator, query)
+        fused, fused_ops, nodes, reads = bind_memo(memo, predicates, done)
+        want_fused, want_ops, want_nodes, want_reads = prepare_plan(plan)
+        assert [n.describe() for n in fused.walk()] == [
+            n.describe() for n in want_fused.walk()]
+        assert fused_ops == want_ops and reads == want_reads
+        assert nodes == want_nodes == list(plan.walk())
+        assert all(a is b for a, b in zip(nodes, want_nodes))
+        assert _lifted(fused) == _lifted(want_fused)
+        assert [(n.est_rows, n.est_cost) for n in fused.walk()] == [
+            (n.est_rows, n.est_cost) for n in want_fused.walk()]
+        assert {p.value for n in plan.walk()
+                for p in getattr(n, "predicates", ())} <= {
+            p.value for p in query.predicates}
+        # The template and its memo are untouched.
+        assert before == (template.pretty(),
+                          [n.describe() for n in memo[0].walk()])
+        # And the bound pair runs as the bound plan prepared afresh.
+        ran = db.executor.execute(plan, memo=(fused, fused_ops, nodes, reads))
+        again = db.executor.execute(plan)
+        assert ran.rows == again.rows and ran.work == again.work
+        assert ran.telemetry.node_stats == again.telemetry.node_stats
 
 
 # ----------------------------------------------------------------------

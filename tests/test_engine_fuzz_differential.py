@@ -481,6 +481,69 @@ def test_fuzz_shape_route_matches_parse_route(catalog_seed):
     assert shape_hits >= SHAPE_ROUTE_CASES, shape_hits
 
 
+# ----------------------------------------------------------------------
+# Generic route: after five custom plans a shape's statements run one
+# cached plan bound to their literals — judged by both oracles
+# ----------------------------------------------------------------------
+GENERIC_ROUTE_SEEDS = (0, 1, 2, 3)
+GENERIC_ROUTE_CASES = max(8, N_CASES // (2 * len(GENERIC_ROUTE_SEEDS)))
+#: Statements per generated shape: the base text and its redraws.
+GENERIC_ROUTE_DRAWS = 9
+
+
+def _redrawn(rng, query):
+    """``query`` with every predicate value redrawn from its column's
+    domain, keeping the value's type (so the statement keeps its shape's
+    slots and may take the generic route)."""
+    draws = {"k": lambda: rng.randrange(12), "id": lambda: rng.randrange(150),
+             "v": lambda: round(rng.uniform(-8.0, 8.0), 3),
+             "tag": lambda: "tag%d" % rng.randrange(5)}
+    twin = ConjunctiveQuery(
+        query.tables, query.join_edges,
+        [Predicate(p.table, p.column, p.op, draws[p.column]())
+         for p in query.predicates],
+        query.projections, query.aggregates, query.group_by,
+        query.order_by, query.limit, query.distinct)
+    assert [type(p.value) for p in twin.predicates] == [
+        type(p.value) for p in query.predicates]
+    return twin
+
+
+@pytest.mark.parametrize("catalog_seed", GENERIC_ROUTE_SEEDS)
+def test_fuzz_generic_route_matches_both_oracles(catalog_seed):
+    """Each generated SELECT with a predicate runs as its base text plus
+    eight redraws of its literals through ``db.execute``: the first five
+    plan custom, the rest may bind the shape's generic plan. Every
+    statement matches SQLite, and the reference executor on the plan the
+    engine actually ran (rows, ``work``, per-node counts)."""
+    db, tables = _build_db(catalog_seed)
+    reference = ReferenceExecutor(db.catalog, db.cost_model)
+    lite = _sqlite_twin(db, tables)
+    rng = random.Random(55_000 + catalog_seed + 1_000_003 * FUZZ_SEED)
+    generic = cases = 0
+    while cases < GENERIC_ROUTE_CASES:
+        base = _random_query(rng, tables, star=True)
+        if not base.predicates:
+            continue
+        cases += 1
+        query = base
+        for draw in range(GENERIC_ROUTE_DRAWS):
+            sql = _render_sql(query)
+            label = "catalog_seed=%d case=%d draw=%d sql=%s" % (
+                catalog_seed, cases, draw, sql)
+            result = db.execute(sql)
+            generic += result.trace.plan_route == "generic"
+            ran = db.pipeline.prepare_sql(sql)
+            assert ran.trace.cache_hit, label
+            assert_matches_reference(result, reference.execute(ran.plan),
+                                     label)
+            _assert_matches_sqlite(lite, query, sql, result, label)
+            query = _redrawn(rng, base)
+    # Not vacuous: most shapes go generic after their five samples.
+    assert generic >= GENERIC_ROUTE_CASES * 2, generic
+    assert db.pipeline.stats()["generic_plans"]["shapes"] > 0
+
+
 #: ``name -> (base, probes)``: the base text goes through the front end
 #: first, then each probe must lower as parse and lower would.
 SHAPE_ROUTE_PINNED = {

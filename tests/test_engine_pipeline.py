@@ -14,7 +14,10 @@ from reference_executor import reference_database, same_rows
 from repro.common import CatalogError, ParseError, PlanError
 from repro.engine import Database
 from repro.engine.plancache import PlanCache
+from repro.engine.catalog import ViewDef
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
+from repro.engine.storage import Table
+from repro.engine.types import ColumnSchema, TableSchema
 from repro.sim import datagen
 from test_engine_session import MagicExtension
 
@@ -458,6 +461,145 @@ class TestExplicitOrders:
         # And the implicit (enumerator-chosen) plan is a third entry.
         r2 = d.run_query_object(q)
         assert r2.trace.cache_hit is False
+
+
+# ----------------------------------------------------------------------
+# Generic plans behind the shape cache
+# ----------------------------------------------------------------------
+class TestGenericPlans:
+    """After five custom plans, new text of a known shape binds its
+    literals into one cached plan, re-costs it and keeps it while the
+    planner's local choices hold (PostgreSQL's generic/custom choice)."""
+
+    SQL = ("SELECT COUNT(*), SUM(o.amount) FROM orders o JOIN users u "
+           "ON o.o_user = u.id WHERE u.id < %d AND o.amount >= %s")
+
+    def _routes(self, db, values):
+        return [db.execute(self.SQL % (v, v % 7)).trace.plan_route
+                for v in values]
+
+    def test_five_custom_runs_come_before_the_first_generic_one(self, db):
+        assert self._routes(db, range(100, 108)) == (
+            ["custom"] * 5 + ["generic"] * 3)
+        stats = db.pipeline.stats()
+        assert stats["plan_routes"] == {"custom": 5, "generic": 3}
+        assert stats["generic_plans"] == {"fallbacks": 0, "shapes": 1}
+        # A generic statement returns the planner's plan's rows and work,
+        # and its plan-cache entry remembers the route (a query object of
+        # the same signature hits it too).
+        sql = self.SQL % (150, 4)
+        generic = db.execute(sql)
+        query = db.pipeline.lower_sql(sql)
+        custom = db.executor.execute(db.planner.plan(query))
+        assert generic.trace.plan_route == "generic"
+        assert generic.rows == custom.rows and generic.work == custom.work
+        again = db.run_query_object(query)
+        assert again.trace.cache_hit and again.trace.plan_route == "generic"
+        db.pipeline.reset_stats()
+        assert db.pipeline.stats()["plan_routes"] == {
+            "custom": 0, "generic": 0}
+
+    def test_explain_names_the_generic_plan(self, db):
+        custom = str(db.explain(self.SQL % (99, 3)))
+        assert "Plan:" not in custom
+        self._routes(db, range(100, 106))
+        text = str(db.explain(self.SQL % (120, 2)))
+        assert text.endswith("\nPlan: generic")
+        assert text.count("Plan: generic") == 1
+        analyzed = str(db.explain_analyze(self.SQL % (121, 2)))
+        assert analyzed.count("Plan: generic") == 1
+        assert "Plan cache: miss" in analyzed
+        # Custom EXPLAIN text is what it was.
+        assert str(db.explain(self.SQL % (99, 3))) == custom
+
+    @pytest.mark.parametrize("write", [
+        "INSERT INTO users VALUES (900, 'x', 30, 1.0)",
+        "ANALYZE users",
+        "CREATE INDEX users_age ON users (age)",
+    ], ids=["insert", "analyze", "ddl"])
+    def test_writes_restart_sampling(self, db, write):
+        assert self._routes(db, range(100, 106))[-1] == "generic"
+        db.execute(write)
+        assert self._routes(db, range(110, 116)) == (
+            ["custom"] * 5 + ["generic"])
+        assert db.pipeline.shape_plans.invalidations == 1
+
+    def test_a_literal_that_flips_the_join_plans_custom(self, db):
+        shape = ("SELECT COUNT(*), SUM(o.amount) FROM orders o JOIN users u "
+                 "ON o.o_user = u.id WHERE u.id < %d")
+        for v in range(100, 106):
+            db.execute(shape % v)
+        res = db.execute(shape % 0)
+        assert res.trace.plan_route == "custom"
+        assert "NestedLoopJoin" in str(db.explain(shape % 0))
+        assert db.pipeline.stats()["generic_plans"]["fallbacks"] == 1
+        assert db.execute(shape % 160).trace.plan_route == "generic"
+
+    def test_an_index_probe_that_no_longer_pays_plans_custom(self, db):
+        db.execute("CREATE INDEX users_id ON users (id)")
+        shape = "SELECT name FROM users WHERE id < %d"
+        routes = [db.execute(shape % v).trace.plan_route
+                  for v in range(2, 8)]
+        assert routes == ["custom"] * 5 + ["generic"]
+        assert "IndexScan" in str(db.explain(shape % 7))
+        res = db.execute(shape % 250)
+        assert res.trace.plan_route == "custom" and len(res.rows) == 200
+        assert "IndexScan" not in str(db.explain(shape % 250))
+        assert db.pipeline.stats()["generic_plans"]["fallbacks"] == 1
+
+    def test_a_literal_a_view_answers_plans_custom(self, db):
+        """A view over ``age = 30`` answers one literal of the shape:
+        that statement plans custom (from the view), the others bind."""
+        users = db.catalog.table("users")
+        table = Table(TableSchema("v30", [
+            ColumnSchema("users__" + c.name, c.dtype)
+            for c in users.schema.columns]))
+        table.insert_rows([r for r in users.rows() if r[2] == 30])
+        db.catalog.register_view(ViewDef("v30", ConjunctiveQuery(
+            ["users"], predicates=[Predicate("users", "age", "=", 30)]),
+            table))
+        shape = "SELECT name FROM users WHERE age = %d"
+        routes = [db.execute(shape % v).trace.plan_route
+                  for v in range(20, 26)]
+        assert routes == ["custom"] * 5 + ["generic"]
+        res = db.execute(shape % 30)
+        assert res.trace.plan_route == "custom"
+        assert sorted(res.rows) == sorted(
+            (r[1],) for r in users.rows() if r[2] == 30)
+        assert "ViewScan" in str(db.explain(shape % 30))
+        assert db.pipeline.stats()["generic_plans"]["fallbacks"] == 1
+
+    def test_a_literal_of_the_other_kind_never_binds(self, db):
+        """``id = 3`` and ``id = 'x'`` share a fingerprint but not a
+        frame: the text literal plans custom (no index probe for it)."""
+        db.execute("CREATE INDEX users_id ON users (id)")
+        shape = "SELECT name FROM users WHERE id = %s"
+        routes = [db.execute(shape % v).trace.plan_route
+                  for v in range(1, 7)]
+        assert routes == ["custom"] * 5 + ["generic"]
+        assert "IndexScan" in str(db.explain(shape % 6))
+        res = db.execute(shape % "'x'")
+        assert res.trace.plan_route == "custom" and res.rows == []
+        assert "IndexScan" not in str(db.explain(shape % "'x'"))
+
+    def test_query_objects_orders_and_shapeless_text_stay_custom(self, db):
+        queries = [db.pipeline.lower_sql(self.SQL % (v, 3))
+                   for v in range(100, 110)]
+        routes = {db.run_query_object(q).trace.plan_route for q in queries}
+        routes |= {db.run_query_object(q, order=["users", "orders"])
+                   .trace.plan_route for q in queries}
+        # Non-ASCII text has no shape.
+        routes |= {db.execute(self.SQL % (v, 3) + " AND u.name != 'é'")
+                   .trace.plan_route for v in range(100, 110)}
+        assert routes == {"custom"}
+        assert len(db.pipeline.shape_plans) == 0
+
+    def test_invalidate_drops_the_generic_state(self, db):
+        self._routes(db, range(100, 106))
+        db.pipeline.invalidate()
+        assert len(db.pipeline.shape_plans) == 0
+        assert self._routes(db, range(100, 106)) == (
+            ["custom"] * 5 + ["generic"])
 
 
 # ----------------------------------------------------------------------

@@ -278,7 +278,13 @@ class TestShapeBindingUnderDDL:
     (both resolve the same text; the lowered query carries the schema's
     spelling). Whenever no DDL ran during a call, the query must carry
     the spelling of the schema that stood throughout — a template
-    lowered against an earlier schema would carry the other one."""
+    lowered against an earlier schema would carry the other one.
+
+    The DDL thread starts a generation only once a template has been
+    hit since the last one, and ``first_ddl`` fires on the first DDL
+    that follows such a hit: that hit's template is then stale, so the
+    bind threads' later rounds must invalidate it — the race yields at
+    least one hit and one invalidation by construction."""
 
     SQL = "SELECT v FROM s WHERE id = %d AND v > %d"
 
@@ -315,6 +321,7 @@ class TestShapeBindingUnderDDL:
                 errors.append(exc)
 
         def ddl_loop():
+            cache = db.pipeline.shape_cache
             try:
                 barrier.wait()
                 while not stop.is_set():
@@ -324,7 +331,13 @@ class TestShapeBindingUnderDDL:
                     db.execute("CREATE TABLE s (id INT, %s INT)"
                                % ("V" if generation % 2 else "v"))
                     ddl["done"] = generation
-                    first_ddl.set()
+                    if cache.hits:
+                        first_ddl.set()
+                    # The next generation waits for a template to be hit
+                    # under this one.
+                    hits = cache.hits
+                    while cache.hits == hits and not stop.wait(0.001):
+                        pass
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
                 first_ddl.set()
@@ -356,6 +369,89 @@ class TestShapeBindingUnderDDL:
     @pytest.mark.slow
     def test_no_thread_binds_a_template_of_the_old_schema_heavy(self):
         self._race(HEAVY_THREADS, 2_000)
+
+
+class TestGenericPlansUnderWrites:
+    """Threads run one statement shape — sampling, deciding and binding
+    its generic plan — while a writer inserts into the shape's table
+    (rows no statement matches, so every result is known): each result
+    must equal a serial replay of its text on an unwritten twin. After
+    each row it inserts, the writer waits for a generic statement before
+    the next one, and readers wait for the first write before their last
+    rounds, so generic plans provably run between writes."""
+
+    SQL = ("SELECT COUNT(*), SUM(a.v) FROM a, b WHERE a.k = b.id "
+           "AND a.id >= %d AND a.v < %d")
+
+    def _race(self, n_threads, rounds):
+        db, twin = _build_db(), _build_db()
+        errors, seen = [], []
+        stop = threading.Event()
+        first_write = threading.Event()
+        barrier = threading.Barrier(n_threads + 1)
+
+        def routes():
+            return db.pipeline.stats()["plan_routes"]["generic"]
+
+        def read_loop(seed):
+            try:
+                barrier.wait()
+                for i in range(rounds):
+                    if i == rounds // 2:
+                        assert first_write.wait(timeout=30.0), "no write"
+                    # Literals whose plans all share one structure, so
+                    # the shape goes generic after its samples.
+                    sql = self.SQL % ((seed * rounds + i) % 200, i % 10 + 1)
+                    res = db.execute(sql)
+                    seen.append((sql, res.rows, res.trace.plan_route))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def write_loop():
+            try:
+                barrier.wait()
+                while not stop.is_set():
+                    # a.k = 99 joins no row of b: every result stays.
+                    db.catalog.table("a").insert_rows([(1000, 99, 0.0)])
+                    first_write.set()
+                    generic = routes()
+                    while routes() == generic and not stop.wait(0.001):
+                        pass
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+                first_write.set()
+
+        threads = [threading.Thread(target=read_loop, args=(seed,))
+                   for seed in range(n_threads)]
+        writer = threading.Thread(target=write_loop)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            writer.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            stop.set()
+            writer.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads + [writer])
+        assert not errors, errors[0]
+        assert len(seen) == n_threads * rounds
+        for sql, rows, __ in seen:
+            assert rows == twin.execute(sql).rows, sql
+        assert {route for __, __, route in seen} == {"custom", "generic"}
+        # Every statement is counted under exactly one route.
+        assert sum(db.pipeline.stats()["plan_routes"].values()) == len(seen)
+        assert db.pipeline.shape_plans.invalidations > 0
+
+    def test_generic_results_match_a_serial_replay(self):
+        self._race(N_THREADS, 40)
+
+    @pytest.mark.slow
+    def test_generic_results_match_a_serial_replay_heavy(self):
+        self._race(HEAVY_THREADS, 300)
 
 
 class TestReadersTakeTheLocks:

@@ -177,7 +177,9 @@ def test_the_plan_span_says_why(battery, surface):
         trace = cases[case][0]
         assert dict(trace.plan_versions).keys() == {"t"}
         assert set(trace.span("plan").attrs) == {
-            "cache_outcome", "invalidation_cause", "plan_versions"}
+            "cache_outcome", "invalidation_cause", "plan_versions",
+            "plan_route"}
+        assert trace.plan_route == "custom"
         for gone in ("arm", "arm_est_cost", "n_candidates", "ues_bound"):
             with pytest.raises(AttributeError):
                 getattr(trace, gone)
