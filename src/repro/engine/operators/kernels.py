@@ -73,22 +73,45 @@ def stable_code_order(codes):
     return np.argsort(narrow, kind="stable")
 
 
+def _counting_pairs(rows, lc, per_code, keys):
+    """Row-id pairs of a counting join: left row ``rows[i]`` has code
+    ``lc[i]``, and ``per_code`` counts each code among the right
+    ``keys``. Left rows come in order, each one's matches in right order
+    (a stable sort of ``keys``)."""
+    counts = per_code[lc]
+    il = np.repeat(rows, counts)
+    if len(il) == 0:
+        return il, np.empty(0, dtype=np.int64)
+    # Match j of left row i is right row starts[i] + j of the code-grouped
+    # order, and output row offsets[i] + j.
+    starts = (np.cumsum(per_code) - per_code)[lc]
+    offsets = np.cumsum(counts) - counts
+    pos = np.arange(len(il)) + np.repeat(starts - offsets, counts)
+    return il, stable_code_order(keys)[pos]
+
+
 def _direct_join(left, right):
-    """:func:`join_indices` of one signed-integer key through a position
-    table over the right (build) keys' span: one scatter, one gather.
-    ``None`` unless those keys span at most ``2 * (nl + nr)`` values and
-    are unique (duplicates would share a slot)."""
+    """:func:`join_indices` of one signed-integer key over the right
+    (build) keys' span, with no factorization; ``None`` when those keys
+    span more than ``2 * (nl + nr)`` values. Unique build keys map
+    through a position table: one scatter, one gather. Repeated ones are
+    counting-sorted over the span — ``bincount`` of the offsets, a
+    stable argsort of them and the prefix starts — and each left row is
+    repeated once per match."""
     lo = right.min()
     span = int(right.max()) - int(lo)
     if span > 2 * (len(left) + len(right)):
         return None
-    where = np.full(span + 1, -1, dtype=np.int64)
-    where[np.subtract(right, lo, dtype=np.intp)] = np.arange(len(right))
-    if np.count_nonzero(where >= 0) < len(right):
-        return None
+    offsets = np.subtract(right, lo, dtype=np.intp)
+    per_key = np.bincount(offsets, minlength=span + 1)
     lo = np.int64(lo)
     inside = np.flatnonzero((left >= lo) & (left <= lo + span))
-    pos = where[np.subtract(left[inside], lo, dtype=np.intp)]
+    probe = np.subtract(left[inside], lo, dtype=np.intp)
+    if np.count_nonzero(per_key) < len(right):
+        return _counting_pairs(inside, probe, per_key, offsets)
+    where = np.full(span + 1, -1, dtype=np.int64)
+    where[offsets] = np.arange(len(right))
+    pos = where[probe]
     hit = pos >= 0
     return inside[hit], pos[hit]
 
@@ -96,12 +119,13 @@ def _direct_join(left, right):
 def join_indices(left_cols, right_cols):
     """Row-id pairs ``(il, ir)`` of the equi-join of two key-column sets.
 
-    A unique, narrow signed-integer build key maps directly
-    (:func:`_direct_join`). Otherwise both sides share one
-    factorization; each left row finds its code's run among the
-    code-sorted right rows by counting (``bincount`` and prefix sums).
-    Output order is the reference hash join's: left rows in order, each
-    one's right matches in original right order.
+    One signed-integer key whose build (right) values span a narrow range
+    maps directly (:func:`_direct_join`), repeated build keys included.
+    Otherwise — a wide span, floats, TEXT, several key columns — both
+    sides share one factorization; each left row finds its code's run
+    among the code-sorted right rows by counting (``bincount`` and prefix
+    sums). Output order is the reference hash join's: left rows in order,
+    each one's right matches in original right order.
     """
     nl, nr = len(left_cols[0]), len(right_cols[0])
     empty = np.empty(0, dtype=np.int64)
@@ -117,16 +141,7 @@ def join_indices(left_cols, right_cols):
     )
     lc, rc = codes[:nl], codes[nl:]
     per_code = np.bincount(rc, minlength=int(codes.max()) + 1)
-    counts = per_code[lc]
-    il = np.repeat(np.arange(nl, dtype=np.int64), counts)
-    if len(il) == 0:
-        return il, empty
-    # Match j of left row i is right row starts[i] + j of the code-grouped
-    # order, and output row offsets[i] + j.
-    starts = (np.cumsum(per_code) - per_code)[lc]
-    offsets = np.cumsum(counts) - counts
-    pos = np.arange(len(il)) + np.repeat(starts - offsets, counts)
-    return il, stable_code_order(rc)[pos]
+    return _counting_pairs(np.arange(nl, dtype=np.int64), lc, per_code, rc)
 
 
 def cross_indices(nl, nr):

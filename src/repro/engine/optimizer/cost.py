@@ -104,32 +104,71 @@ class CostModel:
 
         Returns the plan's total cost. The planner calls this after assembly;
         learned planners can call it with a different estimator to re-cost an
-        existing plan, and the pipeline's generic route re-costs a cached
-        plan bound to new literals with it.
+        existing plan. The pipeline's generic route gets the same estimates
+        from :meth:`recost`, which skips what a literal cannot move.
         """
-        return self._annotate(plan, estimator, query)
+        for node in _postorder(plan):
+            self._cost(node, estimator, query)
+        return plan.est_cost
 
-    def choices_hold(self, plan, table_rows):
-        """Whether an annotated plan's local choices are the planner's on
-        its estimates: every hash or nested-loop join is the kind
-        :meth:`choose_join` picks for its inputs' and its own
-        ``est_rows``, and every IndexScan costs less than a scan of its
-        table's ``table_rows(name)`` rows."""
-        for node in plan.walk():
-            if isinstance(node, (P.HashJoin, P.NestedLoopJoin)):
+    def recost_steps(self, plan, query):
+        """Compile ``plan``, planned for ``query``, into the postorder
+        steps ``(id(node), kind, arg)`` :meth:`recost` runs on copies of
+        it bound to other literals: ``"table"`` (arg: its table) for a
+        SeqScan whose predicates are exactly its table's predicate slots
+        of ``query``, ``"join"`` (arg: its table set), ``"index"`` (arg:
+        its table) and ``"node"`` for the rest."""
+        steps = []
+        for node in _postorder(plan):
+            kind, arg = "node", None
+            if isinstance(node, P.SeqScan) and list(map(
+                    id, node.predicates)) == list(map(
+                        id, query.predicates_on(node.table))):
+                kind, arg = "table", node.table
+            elif isinstance(node, (P.HashJoin, P.NestedLoopJoin)):
+                kind, arg = "join", node.output_tables()
+            elif isinstance(node, P.IndexScan):
+                kind, arg = "index", node.table
+            steps.append((id(node), kind, arg))
+        return steps
+
+    def recost(self, steps, nodes, estimator, query, table_rows):
+        """Re-estimate a plan bound to ``query``'s literals in one pass of
+        its :meth:`recost_steps` (``nodes``: template node id -> bound
+        node), leaving on every node what :meth:`annotate` would. A
+        ``"table"`` scan keeps its ``est_cost``, its table's unfiltered
+        row estimate, which no literal moves: an estimate is a pure
+        function of the induced sub-query under a fixed catalog.
+
+        The planner's local choices are checked in the same pass: returns
+        ``None`` when a join is not the kind :meth:`choose_join` picks
+        for its estimates or an IndexScan costs no less than a scan of
+        ``table_rows(name)`` rows, else the plan's cost.
+        """
+        for node_id, kind, arg in steps:
+            node = nodes[node_id]
+            if kind == "table":
+                node.est_rows = estimator.estimate_table(query, arg)
+            elif kind == "join":
                 left, right = node.children
-                kind, __ = self.choose_join(
-                    left.est_rows, right.est_rows, node.est_rows)
-                if (kind == "hash") != isinstance(node, P.HashJoin):
-                    return False
-            elif (isinstance(node, P.IndexScan) and node.est_cost
-                  >= self.seq_scan(table_rows(node.table))):
-                return False
-        return True
+                node.est_rows = out = estimator.estimate_subset(query, arg)
+                hashed = isinstance(node, P.HashJoin)
+                hash_cost = self.hash_join(left.est_rows, right.est_rows, out)
+                nl_cost = self.nested_loop_join(
+                    left.est_rows, right.est_rows, out)
+                if (nl_cost < hash_cost) == hashed:
+                    return None
+                node.est_cost = ((hash_cost if hashed else nl_cost)
+                                 + left.est_cost + right.est_cost)
+            else:
+                self._cost(node, estimator, query)
+                if kind == "index" and node.est_cost >= self.seq_scan(
+                        table_rows(arg)):
+                    return None
+        return node.est_cost
 
-    def _annotate(self, node, estimator, query):
-        for child in node.children:
-            self._annotate(child, estimator, query)
+    def _cost(self, node, estimator, query):
+        """Set one node's ``est_rows``/``est_cost`` from its children's."""
         if isinstance(node, P.SeqScan):
             # est rows after pushed-down predicates
             sub = _SinglePredicateView(query, node.table, node.predicates)
@@ -188,7 +227,15 @@ class CostModel:
             node.est_cost = 0.0
         else:
             raise PlanError("cost model does not know node %r" % (node,))
-        return node.est_cost
+
+
+def _postorder(node):
+    """``node``'s subtree, children before parents."""
+    out = []
+    for child in node.children:
+        out.extend(_postorder(child))
+    out.append(node)
+    return out
 
 
 class _SinglePredicateView:

@@ -73,12 +73,18 @@ Generic-plan invariants:
   sampling;
 * samples are re-costed inside their own planning memos, so deciding
   asks the estimator nothing new;
-* a generic plan is re-costed with one fresh memo (its estimates are
-  what :meth:`~repro.engine.optimizer.cost.CostModel.annotate` gives
-  it) and kept only while every join is the kind
+* a generic plan is re-costed with one fresh memo by
+  :meth:`~repro.engine.optimizer.cost.CostModel.recost`, running the
+  steps compiled from the template when the shape went generic: it asks
+  only what a literal can move (a SeqScan keeps the template's cost, the
+  unfiltered table estimate), yet every node's estimates are what
+  :meth:`~repro.engine.optimizer.cost.CostModel.annotate` gives the
+  bound plan with a fresh memo;
+* a generic plan is kept only while every join is the kind
   :meth:`~repro.engine.optimizer.cost.CostModel.choose_join` picks on
   those estimates, every IndexScan still beats a scan and no view
-  answers the query — otherwise that one statement plans custom;
+  answers the query — checked in that same pass; otherwise that one
+  statement plans custom;
 * a generic plan is stored in the plan cache like a custom one, and the
   entry and the ``plan`` span's ``plan_route`` name the route.
 
@@ -182,8 +188,9 @@ class _ShapePlans:
     """One statement shape's plan choice under one plan token: its
     ``frame`` (:func:`_frame`), the custom ``samples`` so far —
     ``(query, plan, memo, estimates)`` — then the decision: ``generic``
-    is the template ``(plan, memo, predicates)``, or ``False`` to stay
-    custom."""
+    is the template ``(plan, memo, predicates, steps)`` (``steps``: its
+    :meth:`~repro.engine.optimizer.cost.CostModel.recost_steps`), or
+    ``False`` to stay custom."""
 
     __slots__ = ("frame", "samples", "generic")
 
@@ -523,9 +530,10 @@ class QueryPipeline:
         custom, each keeping its estimate memo; then :meth:`_decide`
         picks generic or custom for the shape until the token moves. A
         generic statement binds the shape's template plan and memo to its
-        predicates, re-costs the bound plan and keeps it if the
-        planner's local choices still hold on those costs — otherwise it
-        plans custom. The generic route never calls the planner.
+        predicates, re-costs the bound plan by the template's compiled
+        steps and keeps it if the planner's local choices still hold on
+        those costs — otherwise it plans custom. The generic route never
+        calls the planner.
         """
         frame = _frame(query, sig)
         state = self.shape_plans.get(shape, token)
@@ -548,16 +556,16 @@ class QueryPipeline:
             return entry
         if generic is False:
             return self._custom(query)
-        template, memo, predicates = generic
+        template, memo, predicates, steps = generic
         predicates = dict(zip(map(id, predicates), query.predicates))
         done = {}
         plan = bind_plan(template, predicates, done)
         planner, catalog = self.db.planner, self.db.catalog
-        model = planner.cost_model
-        model.annotate(plan, planner.estimator.planning_scope(query), query)
         if ((planner.use_views and catalog.matching_view(query) is not None)
-                or not model.choices_hold(plan, lambda t: max(
-                    1.0, float(catalog.table(t).n_rows)))):
+                or planner.cost_model.recost(
+                    steps, done, planner.estimator.planning_scope(query),
+                    query, lambda t: max(1.0, float(catalog.table(t).n_rows)))
+                is None):
             with self._stats_lock:
                 self._fallbacks += 1
             return self._custom(query)
@@ -584,7 +592,8 @@ class QueryPipeline:
             ratio += max(cost, 1.0) / max(custom.est_cost, 1.0)
         if ratio / len(samples) > GENERIC_COST_RATIO:
             return False
-        return template, memo, query.predicates
+        return (template, memo, query.predicates,
+                model.recost_steps(template, query))
 
     def run_statement(self, stmt, trace):
         """Execute a parsed DDL/DML/ANALYZE statement against the catalog.

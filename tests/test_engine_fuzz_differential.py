@@ -45,6 +45,7 @@ comparisons and SQL's three-valued ones agree. Where they do not is
 pinned, case by case, in :data:`KNOWN_NULL_DIVERGENCES` below.
 """
 
+import copy
 import os
 import random
 import sqlite3
@@ -491,6 +492,17 @@ GENERIC_ROUTE_CASES = max(8, N_CASES // (2 * len(GENERIC_ROUTE_SEEDS)))
 GENERIC_ROUTE_DRAWS = 9
 
 
+def _assert_estimates_are_annotates(db, prepared, label):
+    """Every node of a generic statement's plan carries the estimates
+    ``CostModel.annotate`` gives a copy of it with a fresh memo."""
+    fresh = copy.deepcopy(prepared.plan)
+    db.cost_model.annotate(
+        fresh, db.planner.estimator.planning_scope(prepared.query),
+        prepared.query)
+    ran = [(n.est_rows, n.est_cost) for n in prepared.plan.walk()]
+    assert ran == [(n.est_rows, n.est_cost) for n in fresh.walk()], label
+
+
 def _redrawn(rng, query):
     """``query`` with every predicate value redrawn from its column's
     domain, keeping the value's type (so the statement keeps its shape's
@@ -515,7 +527,8 @@ def test_fuzz_generic_route_matches_both_oracles(catalog_seed):
     eight redraws of its literals through ``db.execute``: the first five
     plan custom, the rest may bind the shape's generic plan. Every
     statement matches SQLite, and the reference executor on the plan the
-    engine actually ran (rows, ``work``, per-node counts)."""
+    engine actually ran (rows, ``work``, per-node counts); a generic
+    statement's estimates are what ``annotate`` gives its plan."""
     db, tables = _build_db(catalog_seed)
     reference = ReferenceExecutor(db.catalog, db.cost_model)
     lite = _sqlite_twin(db, tables)
@@ -535,6 +548,8 @@ def test_fuzz_generic_route_matches_both_oracles(catalog_seed):
             generic += result.trace.plan_route == "generic"
             ran = db.pipeline.prepare_sql(sql)
             assert ran.trace.cache_hit, label
+            if result.trace.plan_route == "generic":
+                _assert_estimates_are_annotates(db, ran, label)
             assert_matches_reference(result, reference.execute(ran.plan),
                                      label)
             _assert_matches_sqlite(lite, query, sql, result, label)

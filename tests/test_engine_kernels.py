@@ -241,13 +241,8 @@ def test_join_indices_equal_the_factorizing_join(sides):
     assert il.tolist() == ol.tolist() and ir.tolist() == orr.tolist()
 
 
-@pytest.mark.parametrize("right, direct", [
-    ([5, -3, 0, 7, 2], True),               # unique, narrow span
-    ([5, -3, 0, 5, 2], False),              # duplicate build key
-    ([0, 10_000], False),                   # span wider than 2 * (nl + nr)
-])
-def test_direct_join_only_for_unique_narrow_build_keys(monkeypatch, right,
-                                                       direct):
+def _spy_direct(monkeypatch):
+    """The list of ``_direct_join`` outcomes (``True``: it answered)."""
     took = []
     real = kernels._direct_join
 
@@ -257,11 +252,41 @@ def test_direct_join_only_for_unique_narrow_build_keys(monkeypatch, right,
         return out
 
     monkeypatch.setattr(kernels, "_direct_join", spy)
+    return took
+
+
+@pytest.mark.parametrize("right, direct", [
+    ([5, -3, 0, 7, 2], True),               # unique, narrow span
+    ([5, -3, 0, 5, 2], True),               # duplicate build key
+    ([0, 10_000], False),                   # span wider than 2 * (nl + nr)
+])
+def test_direct_join_only_for_narrow_build_keys(monkeypatch, right, direct):
+    took = _spy_direct(monkeypatch)
     left = [np.array([7, 5, 1, -3, 5, 10_000, 2], dtype=np.int16)]
     rc = [np.array(right, dtype=np.int64)]
     il, ir = join_indices(left, rc)
     assert (il.tolist(), ir.tolist()) == _nested_loop(left, rc)
     assert any(took) == direct
+
+
+@pytest.mark.parametrize("left, right", [
+    ([-5, -3, -5, 0, 9], [-3, -5, -3, -5, -4]),     # negative keys
+    ([-128, 127, -128, 0], [-128, -127, -128, -128]),  # int8 extremes
+    ([3, 3, 4], [-2, -2, -1, -2]),                  # no left key inside
+    ([-1, 2, -1], [2, -1, 2, -1, 2]),               # every left row hits
+])
+def test_direct_join_over_repeated_keys_equals_nested_loop(
+        monkeypatch, left, right):
+    """Repeated build keys counting-sort over their span: left rows in
+    order, each one's matches in right order, for ``int8`` probe keys
+    against ``int64`` build keys whose offsets start below zero."""
+    took = _spy_direct(monkeypatch)
+    lc = [np.array(left, dtype=np.int8)]
+    rc = [np.array(right, dtype=np.int64)]
+    il, ir = join_indices(lc, rc)
+    assert il.dtype == ir.dtype == np.int64
+    assert (il.tolist(), ir.tolist()) == _nested_loop(lc, rc)
+    assert took == [True]
 
 
 # ----------------------------------------------------------------------

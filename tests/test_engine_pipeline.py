@@ -8,6 +8,8 @@ must be invalidated by every catalog mutation (INSERT / CREATE INDEX /
 ANALYZE / DDL) — no test may ever observe a stale plan.
 """
 
+import copy
+
 import pytest
 
 from reference_executor import reference_database, same_rows
@@ -15,6 +17,7 @@ from repro.common import CatalogError, ParseError, PlanError
 from repro.engine import Database
 from repro.engine.plancache import PlanCache
 from repro.engine.catalog import ViewDef
+from repro.engine.optimizer.cardinality import TraditionalEstimator
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
 from repro.engine.storage import Table
 from repro.engine.types import ColumnSchema, TableSchema
@@ -498,6 +501,37 @@ class TestGenericPlans:
         db.pipeline.reset_stats()
         assert db.pipeline.stats()["plan_routes"] == {
             "custom": 0, "generic": 0}
+
+    def test_a_generic_statement_asks_each_scanned_table_once(self, db):
+        """Re-costing a generic plan over k fully-pushed SeqScans asks k
+        table questions: a scan's cost (its table's unfiltered rows)
+        comes with the template, and joins are answered from the
+        tables' estimates."""
+
+        asks = []
+
+        class Counting(TraditionalEstimator):
+            def estimate_table(self, query, table):
+                asks.append(table.lower())
+                return super().estimate_table(query, table)
+
+        db.planner.estimator = Counting(db.catalog)
+        db.pipeline.invalidate()
+        self._routes(db, range(100, 105))
+        del asks[:]
+        assert self._routes(db, [130]) == ["generic"]
+        assert sorted(asks) == ["orders", "users"]
+        # annotate() asks 2k — each table's filtered and unfiltered rows
+        # — and leaves the same estimates on a copy of the plan.
+        sql = self.SQL % (130, 130 % 7)
+        prepared = db.pipeline.prepare_sql(sql)
+        fresh = copy.deepcopy(prepared.plan)
+        del asks[:]
+        db.cost_model.annotate(fresh, db.planner.estimator.planning_scope(
+            prepared.query), prepared.query)
+        assert sorted(asks) == ["orders"] * 2 + ["users"] * 2
+        assert [(n.est_rows, n.est_cost) for n in prepared.plan.walk()] == [
+            (n.est_rows, n.est_cost) for n in fresh.walk()]
 
     def test_explain_names_the_generic_plan(self, db):
         custom = str(db.explain(self.SQL % (99, 3)))
