@@ -24,7 +24,7 @@ lint:
 # engine count is a ratchet: above ENGINE_LOC_MAX the target (and CI's
 # "Engine line count" step) fails, so growing engine/ is a reviewed
 # one-line edit here; lower it whenever a PR shrinks the engine.
-ENGINE_LOC_MAX := 10632
+ENGINE_LOC_MAX := 10294
 loc:
 	@engine=$$(find src/repro/engine -name '*.py' | xargs cat | wc -l); \
 	printf 'engine %s\n' $$engine; \
@@ -62,15 +62,15 @@ test-concurrency:
 		tests/test_engine_warm_route.py \
 		tests/test_engine_fuzz_differential.py -q -m ''
 
-# Optimizer battery (slow variants included): join enumerators (UES
-# bounds, the ues enumerator, one plan per statement, dropped-table
+# Optimizer battery (slow variants included): join orders (UES bounds,
+# orders installed through order=, one plan per statement, dropped-table
 # regressions), the classic optimizer suite, what repro.ai4db installs
-# from outside (the cardinality-feedback loop, the sampling and
-# exact-count estimators, the rewrite rules), the planning memo and
+# from outside (the cardinality-feedback loop, the sampling, exact-count
+# and upper-bound estimators, the rewrite rules), the planning memo and
 # bisect histogram parity, ANALYZE's value-count merge
 # against the dict merge it replaced, the exact aggregation fold order,
-# and the enumerator-race fuzz arm (dp, greedy, random and ues on random
-# catalogs, rows checked against dp's).
+# and the enumerator-race fuzz arm (dp against the greedy, random and ues
+# orders on random catalogs, rows checked against dp's).
 test-optimizer:
 	python -m pytest \
 		tests/test_engine_plan_selection.py \

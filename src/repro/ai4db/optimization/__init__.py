@@ -1,6 +1,7 @@
-"""Learned database optimization: estimation (and the sampling and oracle
-estimators it is scored against), cardinality feedback, join ordering,
-end-to-end."""
+"""Learned database optimization: estimation (and the sampling, oracle and
+upper-bound estimators it is scored against), cardinality feedback, join
+ordering (the greedy, random and UES orders the engine's DP is raced
+against, installed through ``order=``), end-to-end."""
 
 from repro.ai4db.optimization.cardinality import (
     QueryFeaturizer,
@@ -10,6 +11,7 @@ from repro.ai4db.optimization.cardinality import (
 from repro.ai4db.optimization.estimators import (
     SamplingEstimator,
     TrueCardinalityEstimator,
+    UpperBoundEstimator,
 )
 from repro.ai4db.optimization.feedback import (
     FeedbackCorrectedEstimator,
@@ -21,7 +23,10 @@ from repro.ai4db.optimization.join_order import (
     MCTSJoinOrderer,
     DQNJoinOrderer,
     compare_orderers,
+    greedy_order,
+    random_order,
 )
+from repro.ai4db.optimization.ues import ues_bounds, ues_order
 from repro.ai4db.optimization.end_to_end import NeoLiteOptimizer
 
 __all__ = [
@@ -30,6 +35,7 @@ __all__ = [
     "generate_training_queries",
     "SamplingEstimator",
     "TrueCardinalityEstimator",
+    "UpperBoundEstimator",
     "FeedbackCorrectedEstimator",
     "FeedbackLoop",
     "QueryFeedbackStore",
@@ -38,5 +44,9 @@ __all__ = [
     "MCTSJoinOrderer",
     "DQNJoinOrderer",
     "compare_orderers",
+    "greedy_order",
+    "random_order",
+    "ues_bounds",
+    "ues_order",
     "NeoLiteOptimizer",
 ]

@@ -24,6 +24,7 @@ physical plan (the cache key includes the explicit order).
 
 import numpy as np
 
+from repro.ai4db.optimization.join_order import random_order
 from repro.common import ModelError, NotFittedError, ensure_rng
 from repro.ml import MLPRegressor
 
@@ -82,8 +83,6 @@ class NeoLiteOptimizer:
         For each query the teacher's order plus a few random orders are
         executed, giving the value net contrastive signal.
         """
-        from repro.engine.optimizer.join_enum import random_order
-
         for query in workload:
             plan = self.db.planner.plan(query)
             teacher_order = _order_of(plan, query)

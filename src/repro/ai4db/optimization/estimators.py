@@ -2,15 +2,19 @@
 
 :class:`SamplingEstimator` runs predicates and joins on per-table row
 samples (E6's sampling arm); :class:`TrueCardinalityEstimator` is the
-exact-count oracle (E8's true-cardinality optimum).
-Both implement the engine's
+exact-count oracle (E8's true-cardinality optimum);
+:class:`UpperBoundEstimator` answers with UES's pessimistic bounds
+(:mod:`repro.ai4db.optimization.ues`).
+All three implement the engine's
 :class:`~repro.engine.optimizer.cardinality.CardinalityEstimator`
-contract, so either installs from outside as ``db.planner.estimator``
+contract, so each installs from outside as ``db.planner.estimator``
 (call ``db.pipeline.invalidate()`` after swapping it).
 """
 
 import numpy as np
 
+from repro.ai4db.optimization.feedback import induced_subquery
+from repro.ai4db.optimization.ues import ues_order
 from repro.common import ensure_rng
 from repro.engine.operators.base import OPS
 from repro.engine.optimizer.cardinality import CardinalityEstimator
@@ -190,3 +194,30 @@ class TrueCardinalityEstimator(CardinalityEstimator):
         if self._cache is not None:
             self._cache[key] = (value, token)
         return value
+
+
+class UpperBoundEstimator(CardinalityEstimator):
+    """A :class:`~repro.engine.optimizer.cardinality.CardinalityEstimator`
+    view of the UES bounds — answers every subset query with its bound.
+
+    Useful for pricing arbitrary plans pessimistically with the existing
+    cost machinery; ignores filter predicates entirely (filters only
+    shrink results, so the unfiltered bound stays sound).
+    """
+
+    def __init__(self, catalog):
+        self.catalog = catalog
+
+    def estimate_table(self, query, table):
+        return max(1.0, float(self.catalog.table(table).n_rows))
+
+    def estimate_subset(self, query, tables):
+        if len(tables) == 1:
+            return self.estimate_table(query, tables[0])
+        __, bounds = ues_order(self.catalog, induced_subquery(query, tables))
+        return bounds[-1]
+
+    def __repr__(self):
+        return "UpperBoundEstimator(tables=%d)" % (
+            len(self.catalog.table_names()),
+        )

@@ -1,8 +1,10 @@
-"""Learned join-order selection: MCTS (SkinnerDB-style) and DQN (ReJOIN-style).
+"""Join-order selection outside the engine: greedy and random baselines,
+MCTS (SkinnerDB-style) and DQN (ReJOIN-style).
 
-Both agents build **left-deep orders** and are scored with the same
+Every orderer builds **left-deep orders** and is scored with the same
 :func:`~repro.engine.optimizer.join_enum.order_cost` objective as the
-traditional enumerators, so experiment E7 compares like with like:
+engine's DP, so experiment E7 compares like with like; any of their
+orders runs through the engine as an explicit ``order=``:
 
 * :class:`MCTSJoinOrderer` needs no training — it searches per query, the
   SkinnerDB [74] regime — and should land near DP cost at a fraction of
@@ -17,13 +19,50 @@ import time
 import numpy as np
 
 from repro.common import ModelError, NotFittedError, ensure_rng
-from repro.engine.optimizer.join_enum import (
-    dp_left_deep,
-    greedy_order,
-    order_cost,
-    random_order,
-)
+from repro.engine.optimizer.join_enum import dp_left_deep, order_cost
 from repro.ml import DQNAgent, MCTS
+
+
+def _grow(query, first, pick, connected=True):
+    """A left-deep order from ``first``: ``pick(order, pool)`` chooses each
+    next table among those adjacent to the prefix (among all remaining
+    ones when none is, or when not ``connected``)."""
+    order = [first]
+    remaining = [t for t in query.tables if t.lower() != first.lower()]
+    while remaining:
+        adjacent = [t for t in remaining
+                    if connected and query.edges_between(order, t)]
+        nxt = pick(order, adjacent or remaining)
+        order.append(nxt)
+        remaining.remove(nxt)
+    return order
+
+
+def greedy_order(query, estimator, cost_model):
+    """Greedy left-deep order: start at the smallest filtered table, then
+    repeatedly join the adjacent table minimizing the intermediate size.
+
+    Returns:
+        ``(order, cost)``.
+    """
+    start = min(query.tables, key=lambda t: estimator.estimate_table(query, t))
+    order = _grow(query, start, lambda order, pool: min(
+        pool, key=lambda t: estimator.estimate_subset(query, order + [t])))
+    return order, order_cost(query, order, estimator, cost_model)
+
+
+def random_order(query, estimator, cost_model, seed=None, connected=True):
+    """A random (by default connectivity-respecting) left-deep order.
+
+    Returns:
+        ``(order, cost)``.
+    """
+    rng = ensure_rng(seed)
+    tables = query.tables
+    order = _grow(query, tables[int(rng.integers(0, len(tables)))],
+                  lambda order, pool: pool[int(rng.integers(0, len(pool)))],
+                  connected)
+    return order, order_cost(query, order, estimator, cost_model)
 
 
 class MCTSJoinOrderer:

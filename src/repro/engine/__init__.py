@@ -46,7 +46,6 @@ from repro.engine.operators import (
     operator_for,
     registered_node_types,
 )
-from repro.engine.optimizer.ues import ues_order
 from repro.engine.explain import ExplainResult
 from repro.engine.plancache import PlanCache
 from repro.engine.pipeline import PIPELINE_STAGES, PreparedQuery, QueryPipeline
@@ -129,7 +128,6 @@ __all__ = [
     "PlanCache",
     "PreparedQuery",
     "QueryPipeline",
-    "ues_order",
     "Database",
     "DatabaseSnapshot",
     "AdmissionController",

@@ -43,8 +43,8 @@ DEFAULT_QUOTA_REFILL = 100_000.0
 #: (0: an over-quota query is shed at once, never queued).
 DEFAULT_ADMISSION_QUEUE_DEPTH = 256
 
-#: Default engine seed (random enumerator, traffic drivers) — every
-#: stochastic component derives from it.
+#: Default engine seed (traffic driver, differential fuzzer) — every
+#: stochastic component around the engine derives from it.
 DEFAULT_SEED = 0
 
 def _names(raw):
@@ -89,10 +89,9 @@ class EngineConfig:
             across all tenants (each waits in its tenant's queue, granted
             round-robin); arrivals beyond it are shed, so ``0`` sheds
             every over-quota query at once.
-        seed: engine seed; one :class:`numpy.random.Generator` derived
-            from it drives every stochastic component (the random join
-            enumerator, traffic drivers), so runs are reproducible from
-            their logged seed.
+        seed: engine seed, read by the traffic driver and the
+            differential fuzzer (``REPRO_SEED``), so runs are reproducible
+            from their logged seed; planning itself is deterministic.
     """
 
     cost_params: dict = field(default=None)

@@ -17,10 +17,12 @@ The AI4DB and DB4AI layers attach from outside:
   statements the native parser does not own; the AISQL declarative
   layer registers its ``CREATE MODEL``/``PREDICT``/``EVALUATE`` handler
   here.
-* ``planner`` attributes — estimator/enumerator/cost model are swappable
-  (``db.planner.enumerator = "ues"`` plans pessimistically; call
-  ``db.pipeline.invalidate()`` after swapping any of them in place, since
-  the plan cache cannot observe such mutations).
+* ``planner`` attributes — the estimator and cost model are swappable
+  (call ``db.pipeline.invalidate()`` after swapping either in place,
+  since the plan cache cannot observe such mutations).
+* join orders — the planner's own is Selinger DP; any other (greedy,
+  random, UES, a learned agent's) runs as an explicit ``order=`` through
+  :meth:`Database.run_query_object`, keyed in the plan cache.
 * query objects — a rewriter (E4's rule library) rewrites a
   :class:`~repro.engine.query.ConjunctiveQuery` and runs the result with
   :meth:`Database.run_query_object`.
@@ -32,7 +34,7 @@ a context with no policy and no audit log, and :meth:`Database.session`
 policy, audit, dry-run, and (for agent sessions) transactional rollback.
 """
 
-from repro.common import ReproError, ensure_rng
+from repro.common import ReproError
 from repro.engine.catalog import Catalog
 from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor, count_join_rows
@@ -76,14 +78,8 @@ class Database:
             segment_encodings=config.segment_encodings,
         )
         self.cost_model = CostModel(config.cost_params)
-        self.planner = Planner(
-            self.catalog,
-            cost_model=self.cost_model,
-            seed=config.seed,
-        )
+        self.planner = Planner(self.catalog, cost_model=self.cost_model)
         self.executor = Executor(self.catalog, self.cost_model)
-        # One seeded generator per engine: the public stream.
-        self.rng = ensure_rng(config.seed)
         self.pipeline = QueryPipeline(self)
         # The context Database.execute unwraps: no policy, no audit log.
         self._session = SessionContext(self)

@@ -19,7 +19,7 @@ exact-count estimators of :mod:`repro.ai4db.optimization.estimators`.
 
 
 class CardinalityEstimator:
-    """Abstract estimator interface used by the planner and enumerators.
+    """Abstract estimator interface used by the planner and join orderers.
 
     An estimator must be a pure function of the induced sub-query — the
     requested tables in ``query.tables`` order, their predicates and the

@@ -1,15 +1,16 @@
-"""Join-order enumeration: Selinger-style DP, greedy, and random baselines.
+"""Join-order enumeration: Selinger-style DP over left-deep orders.
 
-All enumerators produce *left-deep orders* — a list of table names — and
-share one objective, :func:`order_cost`, so the traditional enumerators and
-the learned agents in :mod:`repro.ai4db.optimization.join_order` compete on
-exactly the same footing. The planner keeps only the order, so it asks
-:func:`left_deep_order`, which skips the :func:`order_cost` pass.
+An order is a list of table names, priced by one objective,
+:func:`order_cost`, so DP and the orders built outside the engine
+(the greedy, random, UES and learned orderers of
+:mod:`repro.ai4db.optimization`) compete on exactly the same footing.
+The planner keeps only the order, so it asks :func:`dp_order`, which
+skips the :func:`order_cost` pass.
 """
 
 from itertools import combinations
 
-from repro.common import PlanError, ensure_rng
+from repro.common import PlanError
 
 
 def order_cost(query, order, estimator, cost_model):
@@ -74,19 +75,6 @@ class _NoPredicateView:
         return (self._query.signature(), "__nopred__")
 
 
-def left_deep_order(enumerator, query, estimator, cost_model, seed=None):
-    """The order ``enumerator`` (``"dp"``, ``"greedy"`` or ``"random"``)
-    picks, as :func:`dp_left_deep`, :func:`greedy_order` and
-    :func:`random_order` would, without pricing it."""
-    if enumerator == "dp":
-        return _dp_order(query, estimator, cost_model)
-    if enumerator == "greedy":
-        return _greedy_order(query, estimator)
-    if enumerator == "random":
-        return _random_order(query, seed)
-    raise PlanError(f"unknown enumerator {enumerator!r}")
-
-
 def dp_left_deep(query, estimator, cost_model):
     """Optimal left-deep order by dynamic programming over table subsets.
 
@@ -96,11 +84,12 @@ def dp_left_deep(query, estimator, cost_model):
     Returns:
         ``(order, cost)``.
     """
-    order = _dp_order(query, estimator, cost_model)
+    order = dp_order(query, estimator, cost_model)
     return order, order_cost(query, order, estimator, cost_model)
 
 
-def _dp_order(query, estimator, cost_model):
+def dp_order(query, estimator, cost_model):
+    """:func:`dp_left_deep`'s order, unpriced."""
     tables = list(query.tables)
     n = len(tables)
     if n == 0:
@@ -150,53 +139,3 @@ def _dp_order(query, estimator, cost_model):
     if full not in best:
         raise PlanError("DP failed to cover all tables")
     return list(best[full][2])
-
-
-def _grow(query, first, pick, connected=True):
-    """A left-deep order from ``first``: ``pick(order, pool)`` chooses each
-    next table among those adjacent to the prefix (among all remaining
-    ones when none is, or when not ``connected``)."""
-    order = [first]
-    remaining = [t for t in query.tables if t.lower() != first.lower()]
-    while remaining:
-        adjacent = [t for t in remaining
-                    if connected and query.edges_between(order, t)]
-        nxt = pick(order, adjacent or remaining)
-        order.append(nxt)
-        remaining.remove(nxt)
-    return order
-
-
-def greedy_order(query, estimator, cost_model):
-    """Greedy left-deep order: start at the smallest filtered table, then
-    repeatedly join the adjacent table minimizing the intermediate size.
-
-    Returns:
-        ``(order, cost)``.
-    """
-    order = _greedy_order(query, estimator)
-    return order, order_cost(query, order, estimator, cost_model)
-
-
-def _greedy_order(query, estimator):
-    start = min(query.tables, key=lambda t: estimator.estimate_table(query, t))
-    return _grow(query, start, lambda order, pool: min(
-        pool, key=lambda t: estimator.estimate_subset(query, order + [t])))
-
-
-def random_order(query, estimator, cost_model, seed=None, connected=True):
-    """A random (by default connectivity-respecting) left-deep order.
-
-    Returns:
-        ``(order, cost)``.
-    """
-    order = _random_order(query, seed, connected)
-    return order, order_cost(query, order, estimator, cost_model)
-
-
-def _random_order(query, seed, connected=True):
-    rng = ensure_rng(seed)
-    tables = query.tables
-    return _grow(query, tables[int(rng.integers(0, len(tables)))],
-                 lambda order, pool: pool[int(rng.integers(0, len(pool)))],
-                 connected)

@@ -4,10 +4,9 @@
 components replace:
 
 * the **cardinality estimator** (traditional / sampling / learned MSCN-lite),
-* the **join enumerator** (``"dp"``, ``"greedy"``, ``"random"``,
-  ``"ues"`` — the pessimistic upper-bound order of
-  :mod:`repro.engine.optimizer.ues` — or an explicit order supplied by an
-  RL/MCTS agent),
+* the **join order** (Selinger DP, or an explicit ``order=`` built
+  outside the engine — the greedy, random and pessimistic UES orders of
+  :mod:`repro.ai4db.optimization`, or an RL/MCTS agent's),
 * the **cost model** (whose constants the knob tuner moves).
 
 That pluggability is the point: every AI4DB optimization experiment is
@@ -15,8 +14,8 @@ That pluggability is the point: every AI4DB optimization experiment is
 :meth:`Planner.plan` is the one entry point and yields one plan.
 
 Each planning call wraps the estimator in one
-:class:`~repro.engine.optimizer.cardinality.EstimateMemo`, shared by the
-enumerator, access paths, assembly and cost annotation, so
+:class:`~repro.engine.optimizer.cardinality.EstimateMemo`, shared by
+DP, access paths, assembly and cost annotation, so
 ``optimizer.plan.ms`` pays each distinct sub-query estimate once.
 """
 
@@ -26,12 +25,8 @@ from repro.common import CatalogError, PlanError
 from repro.engine import plans as P
 from repro.engine.optimizer.cardinality import TraditionalEstimator
 from repro.engine.optimizer.cost import CostModel, _SinglePredicateView
-from repro.engine.optimizer.join_enum import left_deep_order
-from repro.engine.optimizer.ues import ues_order
+from repro.engine.optimizer.join_enum import dp_order
 from repro.engine.types import DataType
-
-#: Values of :attr:`Planner.enumerator`.
-ENUMERATORS = ("dp", "greedy", "random", "ues")
 
 
 def _kind_mismatch(catalog, p):
@@ -68,12 +63,9 @@ class Planner:
             histogram estimator.
         cost_model: a :class:`CostModel`; default constants unless knobs say
             otherwise.
-        enumerator: ``"dp"``, ``"greedy"``, ``"random"`` or ``"ues"``.
         use_views: consider matching materialized views.
-        use_indexes: consider index scans as access paths.
         include_hypothetical: treat what-if indexes as usable (for advisor
             costing only — executing such a plan raises).
-        seed: seed for the random enumerator.
     """
 
     def __init__(
@@ -81,33 +73,14 @@ class Planner:
         catalog,
         estimator=None,
         cost_model=None,
-        enumerator="dp",
         use_views=True,
-        use_indexes=True,
         include_hypothetical=False,
-        seed=0,
     ):
         self.catalog = catalog
         self.estimator = estimator or TraditionalEstimator(catalog)
         self.cost_model = cost_model or CostModel()
-        self.enumerator = enumerator
         self.use_views = use_views
-        self.use_indexes = use_indexes
         self.include_hypothetical = include_hypothetical
-        self.seed = seed
-
-    # ------------------------------------------------------------------
-    @property
-    def enumerator(self):
-        """The join enumerator: one of :data:`ENUMERATORS`."""
-        return self._enumerator
-
-    @enumerator.setter
-    def enumerator(self, name):
-        if name not in ENUMERATORS:
-            raise PlanError("enumerator must be one of %s, got %r"
-                            % (", ".join(ENUMERATORS), name))
-        self._enumerator = name
 
     def plan(self, query, order=None, memo=None):
         """Produce an annotated physical plan for ``query``.
@@ -115,8 +88,9 @@ class Planner:
         Args:
             query: a :class:`~repro.engine.query.ConjunctiveQuery`.
             order: optional explicit left-deep join order (list of table
-                names); when given, enumeration is skipped — this is the
-                hook the learned join-order agents use.
+                names); when given, DP is skipped — this is the route
+                every other join orderer (greedy, random, UES, the
+                learned agents) takes.
             memo: the call's estimate memo, when the caller keeps it
                 (:meth:`CardinalityEstimator.planning_scope` of ``query``;
                 a fresh one otherwise).
@@ -153,13 +127,10 @@ class Planner:
         return self._assemble(query, order, memo)
 
     def _order(self, query, memo):
-        """The left-deep order this planner's enumerator produces."""
+        """The left-deep order DP picks."""
         if len(query.tables) == 1:
             return [query.tables[0]]
-        if self.enumerator == "ues":
-            return ues_order(self.catalog, query)[0]
-        return left_deep_order(self.enumerator, query, memo, self.cost_model,
-                               seed=self.seed)
+        return dp_order(query, memo, self.cost_model)
 
     def _assemble(self, query, order, memo):
         """Access paths + left-deep joins + finalize + cost annotation."""
@@ -190,7 +161,7 @@ class Planner:
     def _access_path(self, query, table, memo):
         """Choose SeqScan vs IndexScan for one base table."""
         preds = query.predicates_on(table)
-        if not (self.use_indexes and preds):
+        if not preds:
             return P.SeqScan(table, preds)
         table_rows = max(1.0, float(self.catalog.table(table).n_rows))
         best = None

@@ -6,8 +6,8 @@ stage is named and timed as a span of the statement's
 :class:`~repro.engine.telemetry.StatementTrace`. Learned components attach
 from outside, on the objects a stage reads: a rewriter rewrites the
 :class:`~repro.engine.query.ConjunctiveQuery` and runs it with
-:meth:`QueryPipeline.run_query`, an estimator or enumerator is set on
-``db.planner``. The one extension point on the pipeline itself is
+:meth:`QueryPipeline.run_query` (with an explicit join ``order=`` when
+the order comes from outside), an estimator is set on ``db.planner``. The one extension point on the pipeline itself is
 ``extensions``: statements the native parser does not own (AISQL).
 
 Between the lower and plan stages sits a **plan cache**: an LRU map from
@@ -58,7 +58,7 @@ Cache-key / token invariants:
   **invalidation cause** (``table:<name>``) on the trace's ``plan`` span
   and in EXPLAIN ANALYZE;
 * swapping planner internals by hand (``db.planner.estimator = ...``,
-  ``db.planner.enumerator = "ues"``) is the one mutation the token cannot
+  ``db.planner.cost_model = ...``) is the one mutation the token cannot
   see — call :meth:`QueryPipeline.invalidate` after it.
 
 Generic-plan invariants:

@@ -97,7 +97,7 @@ def run_traffic(server, read_pool, write_pool=(), *, n_clients=16,
         seed: base seed; client ``i`` uses ``Random(seed * 10007 + i)``.
             ``None`` (the default) inherits the engine's configured
             ``EngineConfig.seed``, so one ``REPRO_SEED`` reproduces the
-            whole stack — the random enumerator, fuzzing, and traffic alike.
+            whole stack — fuzzing and traffic alike.
         isolation: session isolation for the clients.
 
     Returns:

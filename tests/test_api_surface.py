@@ -84,9 +84,12 @@ def test_admission_has_no_policy_list():
 
 def test_plan_selection_is_gone():
     """One plan per statement: no selector, hint set or arm is exported,
-    their modules are gone, and UES is a value of the planner's
-    ``enumerator`` (``ues_order`` stays exported)."""
+    their modules are gone, and the planner plans with DP alone — UES,
+    greedy and random orders are :mod:`repro.ai4db.optimization`'s,
+    installed through ``order=``."""
     import importlib
+
+    from repro.ai4db import optimization
 
     for name in ("PlanSelector", "CostSelector", "BanditSelector",
                  "PessimisticSelector", "make_selector", "HintSet",
@@ -95,16 +98,24 @@ def test_plan_selection_is_gone():
         assert name not in engine.__all__
         assert not hasattr(engine, name)
         assert not hasattr(engine.optimizer, name)
-    for module in ("selection", "hints"):
+    for module in ("selection", "hints", "ues"):
         try:
             importlib.import_module("repro.engine.optimizer." + module)
         except ModuleNotFoundError:
             continue
         raise AssertionError("repro.engine.optimizer.%s is back" % module)
     assert not hasattr(engine.EngineConfig(), "plan_selector")
-    assert "ues_order" in engine.__all__
-    planner = engine.optimizer.Planner(engine.Catalog(), enumerator="ues")
-    assert planner.enumerator == "ues"
+    for name in ("ues_order", "greedy_order", "random_order",
+                 "UpperBoundEstimator"):
+        assert name not in engine.__all__
+        assert not hasattr(engine, name)
+        assert not hasattr(engine.optimizer, name)
+        assert name in optimization.__all__
+        assert getattr(optimization, name).__module__.startswith(
+            "repro.ai4db.optimization.")
+    planner = engine.optimizer.Planner(engine.Catalog())
+    for knob in ("enumerator", "seed", "use_indexes"):
+        assert not hasattr(planner, knob)
 
 
 def test_cardinality_feedback_left_the_engine():

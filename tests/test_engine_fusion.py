@@ -201,7 +201,7 @@ class TestConfigEquivalence:
         )
         for db in (via_config, via_kwargs):
             assert db.catalog.segment_rows == 4096
-            assert db.planner.seed == 11
+            assert db.config.seed == 11
             assert db.cost_model.params["cpu_tuple_cost"] == 2.0
         assert via_config.config == via_kwargs.config
 

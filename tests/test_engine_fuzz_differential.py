@@ -62,8 +62,8 @@ from reference_executor import (
     reference_database,
     same_rows,
 )
+from repro.ai4db.optimization import greedy_order, random_order, ues_order
 from repro.engine import Database
-from repro.engine.optimizer.planner import ENUMERATORS
 from repro.engine.plans import IndexScan
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
 from repro.engine.sql.lexer import fingerprint, literal_value
@@ -376,8 +376,6 @@ def test_fuzz_differential(catalog_seed):
 
 
 # ----------------------------------------------------------------------
-# Join-enumerator axis: dp vs greedy vs random vs ues must agree on results
-# ----------------------------------------------------------------------
 # Shape route: a statement bound into its shape's template is the query
 # parse and lower would have built
 # ----------------------------------------------------------------------
@@ -614,10 +612,25 @@ def test_shape_route_pinned_cases(case):
 
 
 # ----------------------------------------------------------------------
+# Join-order axis: dp vs greedy vs random vs ues orders must agree on results
+# ----------------------------------------------------------------------
 #: Catalog seeds and cases for the enumerator race (every cold query is
-#: planned and run once per enumerator, so the budget is smaller).
+#: planned and run once per join orderer, so the budget is smaller).
 ENUMERATOR_RACE_SEEDS = (0, 1)
 ENUMERATOR_RACE_CASES = max(10, CASES_PER_CATALOG // 2)
+
+#: The join orderers the race runs, as ``(db, query) -> order``: the
+#: planner's own DP (``None``: no explicit order) and the greedy, random
+#: and UES orderers installed from :mod:`repro.ai4db.optimization`, whose
+#: order reaches the engine as ``order=``.
+JOIN_ORDERERS = {
+    "dp": lambda db, query: None,
+    "greedy": lambda db, query: greedy_order(
+        query, db.planner.estimator, db.cost_model)[0],
+    "random": lambda db, query: random_order(
+        query, db.planner.estimator, db.cost_model, seed=0)[0],
+    "ues": lambda db, query: ues_order(db.catalog, query)[0],
+}
 
 
 def _canonical_rows(rows):
@@ -677,16 +690,16 @@ def _assert_the_route_is_the_planner(db, query, order, label):
 
 @pytest.mark.parametrize("catalog_seed", ENUMERATOR_RACE_SEEDS)
 def test_fuzz_enumerator_race(catalog_seed):
-    """The four join enumerators race on identical data: whichever order
-    each one picks, the *results* may never diverge from ``dp``'s (rows
-    as a multiset, same columns) — measured work may differ (that is
-    the point of racing orders), correctness may not. Warm reruns must
-    hit the plan cache under every enumerator, and each one's cached
-    plan is the planner's, with and without an explicit join order."""
+    """The four join orderers of :data:`JOIN_ORDERERS` race on identical
+    data: whichever order each one picks, the *results* may never
+    diverge from ``dp``'s (rows as a multiset, same columns) — measured
+    work may differ (that is the point of racing orders), correctness
+    may not. Warm reruns must hit the plan cache under every orderer,
+    and each one's cached plan is the planner's, with no explicit join
+    order, with the orderer's, and with a shuffled one."""
     dbs, tables = {}, None
-    for enumerator in ENUMERATORS:
-        dbs[enumerator], tables = _build_db(catalog_seed)
-        dbs[enumerator].planner.enumerator = enumerator
+    for name in JOIN_ORDERERS:
+        dbs[name], tables = _build_db(catalog_seed)
     rng = random.Random(55_000 + catalog_seed + 1_000_003 * FUZZ_SEED)
     order_rng = random.Random(56_000 + catalog_seed)
     for case in range(ENUMERATOR_RACE_CASES):
@@ -696,25 +709,25 @@ def test_fuzz_enumerator_race(catalog_seed):
         )
         explicit = list(query.tables)
         order_rng.shuffle(explicit)
-        cold = {}
-        for enumerator, db in dbs.items():
-            for order in (None, explicit):
+        cold, orders = {}, {}
+        for name, db in dbs.items():
+            orders[name] = JOIN_ORDERERS[name](db, query)
+            for order in (None, explicit, orders[name]):
                 _assert_the_route_is_the_planner(
                     db, query, order, "%s %s order=%r" % (
-                        label, enumerator, order))
-            cold[enumerator] = db.run_query_object(query)
+                        label, name, order))
+            cold[name] = db.run_query_object(query, order=orders[name])
         oracle = cold["dp"]
         oracle_rows = _canonical_rows(oracle.rows)
-        for enumerator, res in cold.items():
+        for name, res in cold.items():
             assert res.trace.cache_outcome == "hit", label
             assert res.columns == oracle.columns, label
             assert _canonical_rows(res.rows) == oracle_rows, (
-                "%s: %s enumerator rows diverge from dp\n"
+                "%s: %s order rows diverge from dp\n"
                 "dp=%r\n%s=%r"
-                % (label, enumerator, oracle.rows[:10], enumerator,
-                   res.rows[:10])
+                % (label, name, oracle.rows[:10], name, res.rows[:10])
             )
-            warm = dbs[enumerator].run_query_object(query)
+            warm = dbs[name].run_query_object(query, order=orders[name])
             assert warm.trace.cache_outcome == "hit", label
             assert _canonical_rows(warm.rows) == oracle_rows, label
 

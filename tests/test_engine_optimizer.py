@@ -3,6 +3,7 @@ enumeration, planner."""
 
 import pytest
 
+from repro.ai4db.optimization import greedy_order, random_order
 from repro.common import PlanError
 from repro.engine import plans as P
 from repro.engine.catalog import Catalog
@@ -11,10 +12,8 @@ from repro.engine.optimizer.cardinality import TraditionalEstimator
 from repro.engine.optimizer.cost import CostModel
 from repro.engine.optimizer.join_enum import (
     dp_left_deep,
-    greedy_order,
-    left_deep_order,
+    dp_order,
     order_cost,
-    random_order,
 )
 from repro.engine.optimizer.planner import Planner
 from repro.engine.query import Aggregate, ConjunctiveQuery, Predicate
@@ -135,17 +134,17 @@ class TestJoinEnumeration:
                 )
 
     def test_left_deep_order_is_the_priced_order(self):
+        """The planner joins in DP's priced order without pricing it."""
         catalog, queries = self._setup("clique")
         est = TraditionalEstimator(catalog)
         cm = CostModel()
+        planner = Planner(catalog, estimator=est, cost_model=cm)
         for q in queries:
-            assert left_deep_order("dp", q, est, cm) == dp_left_deep(q, est, cm)[0]
-            assert left_deep_order("greedy", q, est, cm) == \
-                greedy_order(q, est, cm)[0]
-            assert left_deep_order("random", q, est, cm, seed=3) == \
-                random_order(q, est, cm, seed=3)[0]
-        with pytest.raises(PlanError, match="unknown enumerator"):
-            left_deep_order("ues", queries[0], est, cm)
+            order = dp_left_deep(q, est, cm)[0]
+            assert dp_order(q, est, cm) == order
+            plan = planner.plan(q)
+            assert [n.table for n in plan.walk()
+                    if isinstance(n, (P.SeqScan, P.IndexScan))] == order
 
     def test_random_order_connected(self):
         catalog, queries = self._setup("chain")

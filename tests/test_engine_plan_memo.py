@@ -24,11 +24,11 @@ from repro.engine.optimizer.cardinality import (
     EstimateMemo,
     TraditionalEstimator,
 )
-from repro.engine.optimizer.planner import ENUMERATORS
 from repro.engine.query import ConjunctiveQuery, JoinEdge, Predicate
 from repro.engine.stats import ColumnStats, EquiDepthHistogram
 from test_engine_fuzz_differential import (
     CATALOG_SEEDS,
+    JOIN_ORDERERS,
     _build_db,
     _random_query,
     _render_sql,
@@ -68,26 +68,27 @@ class _CountingEstimator(CardinalityEstimator):
 # ----------------------------------------------------------------------
 # Each distinct question reaches the estimator once per planning call
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("enumerator", ENUMERATORS)
-def test_each_induced_subquery_reaches_the_estimator_once(enumerator):
+@pytest.mark.parametrize("orderer", JOIN_ORDERERS)
+def test_each_induced_subquery_reaches_the_estimator_once(orderer):
+    """On DP's route and on the explicit-order route alike."""
     for seed in CATALOG_SEEDS[:4]:
         db, tables = _build_db(seed)
-        db.planner.enumerator = enumerator
         counter = _CountingEstimator(db.planner.estimator)
         db.planner.estimator = counter
         rng = random.Random(seed)
         asked = 0
         for case in range(15):
             query = _random_query(rng, tables)
+            order = JOIN_ORDERERS[orderer](db, query)
             counter.calls.clear()
-            db.planner.plan(query)
+            db.planner.plan(query, order=order)
             label = "seed=%d case=%d %r" % (seed, case, query)
             assert len(counter.calls) == len(set(counter.calls)), label
             asked += len(counter.calls)
             # The memo is dropped with the call: the next call asks again.
             if query.limit != 0 and len(query.tables) > 1:
                 counter.calls.clear()
-                db.planner.plan(query)
+                db.planner.plan(query, order=order)
                 assert counter.calls, label
         assert asked > 0
 
@@ -178,7 +179,7 @@ def _node_estimates(plan):
 
 
 def _observe(seed, config):
-    """Every enumerator's plan, then the executed statement's EXPLAIN,
+    """Each join orderer's plan, then the executed statement's EXPLAIN,
     for 12 random queries on fuzz catalog ``seed`` (under ``feedback``
     the statement runs through a :class:`FeedbackLoop`, which feeds it)."""
     db, tables = _build_db(seed)
@@ -192,11 +193,9 @@ def _observe(seed, config):
     seen = []
     for __ in range(12):
         query = _random_query(rng, tables)
-        for enumerator in ENUMERATORS:
-            db.planner.enumerator = enumerator
-            plan = db.planner.plan(query)
-            seen.append((enumerator, plan.pretty(), _node_estimates(plan)))
-        db.planner.enumerator = "dp"
+        for name, orderer in JOIN_ORDERERS.items():
+            plan = db.planner.plan(query, order=orderer(db, query))
+            seen.append((name, plan.pretty(), _node_estimates(plan)))
         run(query)
         sql = _render_sql(query)
         explain = db.explain(sql)

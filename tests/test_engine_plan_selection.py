@@ -1,32 +1,35 @@
-"""Join enumerators: UES bounds, the ``ues`` enumerator, one plan.
+"""Join orders: UES bounds, orders installed from outside, one plan.
 
 * **UES bounds** — max-frequency exactness, per-level bound monotonicity,
   and the guarantee property (bounds dominate true cardinalities);
-* **the ``ues`` enumerator** — ``Planner(enumerator="ues")`` joins in
-  :func:`ues_order`'s order, an explicit order still wins, and a bad
-  enumerator is a :class:`~repro.common.PlanError` naming the allowed
-  values on both the constructor and the assignment route;
+* **orders from outside** — the planner plans with DP alone; a UES order
+  from :mod:`repro.ai4db.optimization` joins in :func:`ues_order`'s order
+  when passed as ``order=``, any explicit order wins, the removed
+  planner knobs are a ``TypeError``, and an estimator swapped in place
+  (the UES bound estimator) takes effect at ``pipeline.invalidate()``;
 * **one plan per statement** — the plan cache keys on ``(signature,
   order)`` and holds what :meth:`Planner.plan` built; the plan-selection
   knob is gone;
 
-plus the dropped-table regression: every enumerator surfaces
-:class:`~repro.common.CatalogError` (never a raw ``KeyError``) when a
-table disappears between planning attempts.
+plus the dropped-table regression: DP and every installed orderer's
+explicit order surface :class:`~repro.common.CatalogError` (never a raw
+``KeyError``) when a table disappears between planning attempts.
 """
 
 import pytest
 
-from repro.common import CatalogError, PlanError
-from repro.engine import Database, EngineConfig
-from repro.engine import plans as P
-from repro.engine.optimizer.planner import ENUMERATORS, Planner
-from repro.engine.optimizer.ues import (
+from repro.ai4db.optimization import UpperBoundEstimator
+from repro.ai4db.optimization.ues import (
     max_frequency,
     ues_bounds,
     ues_order,
 )
+from repro.common import CatalogError, PlanError
+from repro.engine import Database, EngineConfig
+from repro.engine import plans as P
+from repro.engine.optimizer.planner import Planner
 from repro.engine.query import ConjunctiveQuery, JoinEdge
+from test_engine_fuzz_differential import JOIN_ORDERERS
 
 
 def _skewed_db():
@@ -106,7 +109,7 @@ class TestUESBounds:
 
 
 # ----------------------------------------------------------------------
-# The ues enumerator
+# Orders installed from outside
 # ----------------------------------------------------------------------
 SQL = ("SELECT small.id, big.tag FROM small, mid, big "
        "WHERE small.k = mid.k AND mid.id = big.k")
@@ -122,38 +125,39 @@ class TestUESEnumerator:
     def test_ues_enumerator_joins_in_the_ues_order(self):
         db = _skewed_db()
         query = _join_query()
-        plan = Planner(db.catalog, enumerator="ues").plan(query)
-        assert _join_order(plan) == ues_order(db.catalog, query)[0]
+        order = ues_order(db.catalog, query)[0]
+        assert _join_order(db.planner.plan(query, order=order)) == order
 
     def test_an_explicit_order_beats_the_enumerator(self):
         db = _skewed_db()
         query = _join_query()
         order = ["big", "mid", "small"]
-        for enumerator in ENUMERATORS:
-            planner = Planner(db.catalog, enumerator=enumerator)
-            assert _join_order(planner.plan(query, order=order)) == order
+        assert _join_order(Planner(db.catalog).plan(query)) != order
+        assert _join_order(Planner(db.catalog).plan(query, order=order)) \
+            == order
 
-    def test_a_bad_enumerator_is_a_plan_error_on_both_routes(self):
-        db = _skewed_db()
-        with pytest.raises(PlanError, match="dp, greedy, random, ues"):
-            Planner(db.catalog, enumerator="bogus")
-        with pytest.raises(PlanError, match="dp, greedy, random, ues"):
-            db.planner.enumerator = "bogus"
-        # The refused value never lands: planning still works.
-        assert db.planner.enumerator == "dp"
-        assert db.execute(SQL).rows == db.run_query_object(
-            db.pipeline.lower_sql(SQL)).rows
+    @pytest.mark.parametrize("knob", ["enumerator", "seed", "use_indexes"])
+    def test_the_removed_planner_knobs_are_type_errors(self, knob):
+        value = {"enumerator": "ues", "seed": 0, "use_indexes": True}[knob]
+        with pytest.raises(TypeError):
+            Planner(Database().catalog, **{knob: value})
 
-    def test_swapping_the_enumerator_takes_an_invalidate(self):
+    def test_swapping_the_estimator_takes_an_invalidate(self):
         db = _skewed_db()
         query = db.pipeline.lower_sql(SQL)
         dp_plan = db.pipeline.prepare_query(query).plan
-        db.planner.enumerator = "ues"
+        db.planner.estimator = UpperBoundEstimator(db.catalog)
         assert db.pipeline.prepare_query(query).plan is dp_plan
         db.pipeline.invalidate()
-        ues_plan = db.pipeline.prepare_query(query).plan
-        assert ues_plan.pretty() == db.planner.plan(query).pretty()
-        assert _join_order(ues_plan) == ues_order(db.catalog, query)[0]
+        bound_plan = db.pipeline.prepare_query(query).plan
+        assert bound_plan is not dp_plan
+        expected = Planner(db.catalog, estimator=UpperBoundEstimator(
+            db.catalog), cost_model=db.cost_model).plan(query)
+        assert bound_plan.pretty() == expected.pretty()
+        assert [n.est_rows for n in bound_plan.walk()] == \
+            [n.est_rows for n in expected.walk()]
+        assert [n.est_rows for n in bound_plan.walk()] != \
+            [n.est_rows for n in dp_plan.walk()]
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +168,7 @@ class TestConfigKnobs:
         cfg = EngineConfig()
         assert not hasattr(cfg, "plan_selector")
         assert cfg.seed == 0
-        assert Database().planner.enumerator == "dp"
+        assert not hasattr(Database().planner, "enumerator")
 
     def test_invalid_selector_rejected(self):
         """Plan selection is gone: naming a selector is an unknown knob
@@ -187,7 +191,7 @@ class TestConfigKnobs:
         monkeypatch.setenv("REPRO_SEED", "11")
         cfg = EngineConfig.from_env()
         assert cfg.seed == 11
-        assert Database().planner.enumerator == "dp"
+        assert not hasattr(Database().planner, "seed")
 
 
 def test_the_plan_cache_keys_on_signature_and_order():
@@ -204,36 +208,50 @@ def test_the_plan_cache_keys_on_signature_and_order():
 # ----------------------------------------------------------------------
 # Dropped-table regression: CatalogError, never KeyError
 # ----------------------------------------------------------------------
-def _enumerated_db(enumerator):
+def _planned(orderer, plan):
+    """A skewed database, the join query, and ``plan(db, query, order)``
+    planned once under ``orderer``'s order (chosen before any drop)."""
     db = _skewed_db()
-    db.planner.enumerator = enumerator
-    db.pipeline.invalidate()
-    return db
+    query = _join_query()
+    order = JOIN_ORDERERS[orderer](db, query)
+    plan(db, query, order)
+    return db, query, order
+
+
+def _explain(db, query, order):
+    """EXPLAIN's planning: the SQL route for DP, the query-object twin
+    for an explicit order (EXPLAIN text takes no order)."""
+    if order is None:
+        return db.explain(SQL)
+    return db.pipeline.prepare_query(db.pipeline.lower_sql(SQL), order=order)
+
+
+def _run(db, query, order):
+    return db.run_query_object(query, order=order)
+
+
+def _plan(db, query, order):
+    return db.planner.plan(query, order=order)
 
 
 class TestDroppedTableRegression:
-    @pytest.mark.parametrize("enumerator", ENUMERATORS)
-    def test_explain_after_drop_raises_catalog_error(self, enumerator):
-        db = _enumerated_db(enumerator)
-        db.explain(SQL)
+    @pytest.mark.parametrize("orderer", JOIN_ORDERERS)
+    def test_explain_after_drop_raises_catalog_error(self, orderer):
+        db, query, order = _planned(orderer, _explain)
         db.catalog.drop_table("mid")
         with pytest.raises(CatalogError):
-            db.explain(SQL)
+            _explain(db, query, order)
 
-    @pytest.mark.parametrize("enumerator", ENUMERATORS)
-    def test_run_after_drop_raises_catalog_error(self, enumerator):
-        db = _enumerated_db(enumerator)
-        query = _join_query()
-        db.run_query_object(query)
+    @pytest.mark.parametrize("orderer", JOIN_ORDERERS)
+    def test_run_after_drop_raises_catalog_error(self, orderer):
+        db, query, order = _planned(orderer, _run)
         db.catalog.drop_table("big")
         with pytest.raises(CatalogError):
-            db.run_query_object(query)
+            _run(db, query, order)
 
-    @pytest.mark.parametrize("enumerator", ENUMERATORS)
-    def test_plan_after_drop_raises_catalog_error(self, enumerator):
-        db = _enumerated_db(enumerator)
-        query = _join_query()
-        db.planner.plan(query)
+    @pytest.mark.parametrize("orderer", JOIN_ORDERERS)
+    def test_plan_after_drop_raises_catalog_error(self, orderer):
+        db, query, order = _planned(orderer, _plan)
         db.catalog.drop_table("small")
         with pytest.raises(CatalogError):
-            db.planner.plan(query)
+            _plan(db, query, order)

@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.ai4db.optimization.ues import max_frequency
 from repro.common import CatalogError
 from repro.engine import Database
-from repro.engine.optimizer.ues import max_frequency
 from repro.engine.segments import _factorize
 from repro.engine.stats import ColumnStats, EquiDepthHistogram, TableStats
 from repro.engine.types import DataType

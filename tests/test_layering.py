@@ -255,6 +255,39 @@ def test_ai4db_owns_the_experiment_only_modules():
     assert not hits, hits
 
 
+def test_the_engine_keeps_one_join_enumerator():
+    """The engine plans with Selinger DP; the UES, greedy and random
+    orderers live in ``repro.ai4db.optimization`` and reach the planner
+    only as an explicit ``order=``. No engine module defines, names or
+    imports them, and ``repro.engine.optimizer.ues`` does not import."""
+    import importlib
+
+    from repro.ai4db.optimization import estimators, join_order, ues
+
+    assert not os.path.exists(os.path.join(ENGINE_ROOT, "optimizer",
+                                           "ues.py"))
+    try:
+        importlib.import_module("repro.engine.optimizer.ues")
+    except ModuleNotFoundError:
+        pass
+    else:
+        raise AssertionError("repro.engine.optimizer.ues imports")
+    assert ues.ues_order.__module__ == ues.__name__
+    assert estimators.UpperBoundEstimator.__module__ == estimators.__name__
+    for fn in (join_order.greedy_order, join_order.random_order):
+        assert fn.__module__ == join_order.__name__
+    gone = re.compile(
+        r"ues_order|ues_bounds|UpperBoundEstimator|greedy_order"
+        r"|random_order|ENUMERATORS|left_deep_order|optimizer\.ues"
+        r"|\benumerator\b|use_indexes")
+    hits = [
+        "%s: %s" % (os.path.relpath(path, ENGINE_ROOT), match.group(0))
+        for path in _engine_modules()
+        for match in gone.finditer(Path(path).read_text(encoding="utf-8"))
+    ]
+    assert not hits, hits
+
+
 def test_src_never_imports_from_tests():
     """The reference executor is the test suite's, not a shipped mode:
     nothing under ``src/`` may import it (or anything else in tests/)."""
