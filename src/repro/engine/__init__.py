@@ -22,7 +22,6 @@ from repro.engine.storage import (
     TableSnapshot,
 )
 from repro.engine.segments import (
-    DEFAULT_ENCODINGS,
     ColumnSegment,
     ZoneMap,
     choose_encoding,
@@ -36,7 +35,7 @@ from repro.engine.catalog import (
     IndexDef,
     ViewDef,
 )
-from repro.engine.config import EngineConfig
+from repro.engine.config import DEFAULT_SEGMENT_ENCODINGS, EngineConfig
 from repro.engine.executor import ExecutionResult, Executor, count_join_rows
 from repro.engine.fusion import fuse_plan
 from repro.engine.operators import (
@@ -96,7 +95,6 @@ __all__ = [
     "RowGroup",
     "Table",
     "TableSnapshot",
-    "DEFAULT_ENCODINGS",
     "ColumnSegment",
     "ZoneMap",
     "choose_encoding",
@@ -112,6 +110,7 @@ __all__ = [
     "CatalogSnapshot",
     "IndexDef",
     "ViewDef",
+    "DEFAULT_SEGMENT_ENCODINGS",
     "EngineConfig",
     "ExecutionResult",
     "Executor",

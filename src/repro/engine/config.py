@@ -27,10 +27,10 @@ MIN_SEGMENT_ROWS = 16
 
 #: Encodings a segment may be sealed with (order is documentation only;
 #: the selection rules live in :func:`repro.engine.segments.choose_encoding`).
-SEGMENT_ENCODINGS = ("plain", "dict", "rle")
+SEGMENT_ENCODINGS = ("plain", "dict")
 
 #: Default encoding set offered to the encoder at seal time.
-DEFAULT_SEGMENT_ENCODINGS = ("dict", "rle", "plain")
+DEFAULT_SEGMENT_ENCODINGS = ("dict", "plain")
 
 #: Default per-tenant token-bucket capacity, in work units (the executor's
 #: deterministic ``work`` measurement is the admission currency).
@@ -48,8 +48,20 @@ DEFAULT_ADMISSION_QUEUE_DEPTH = 256
 DEFAULT_SEED = 0
 
 def _names(raw):
-    """A comma-separated name list (``dict,rle``) as a lowercase tuple."""
+    """A comma-separated name list (``dict,plain``) as a lowercase tuple."""
     return tuple(p.strip().lower() for p in raw.split(",") if p.strip())
+
+
+def check_encodings(names, error=ExecutionError):
+    """``names`` as a tuple, or ``error`` when one is not among
+    :data:`SEGMENT_ENCODINGS` — the one validity rule for an encoding
+    set, wherever it is given."""
+    names = tuple(names)
+    unknown = set(names) - set(SEGMENT_ENCODINGS)
+    if unknown:
+        raise error("segment_encodings must be among %r, got %r"
+                    % (SEGMENT_ENCODINGS, sorted(unknown)))
+    return names
 
 
 def _env(name, parse, floor=None):
@@ -79,7 +91,7 @@ class EngineConfig:
             Appends accumulate in a mutable tail that seals into an
             immutable, encoded segment once it reaches this size.
         segment_encodings: encodings the sealer may choose among
-            (subset of ``("plain", "dict", "rle")``); ``plain`` is
+            (subset of ``("plain", "dict")``); ``plain`` is
             always a legal fallback even when omitted.
         tenant_quota: per-tenant token-bucket capacity in work units —
             the deterministic executor ``work`` each admitted query
@@ -122,14 +134,8 @@ class EngineConfig:
             raise ExecutionError("admission_queue_depth must be >= 0")
         if int(self.segment_rows) < 1:
             raise ExecutionError("segment_rows must be >= 1")
-        encodings = tuple(self.segment_encodings)
-        unknown = set(encodings) - set(SEGMENT_ENCODINGS)
-        if unknown:
-            raise ExecutionError(
-                "segment_encodings must be among %r, got %r"
-                % (SEGMENT_ENCODINGS, sorted(unknown))
-            )
-        object.__setattr__(self, "segment_encodings", encodings)
+        object.__setattr__(self, "segment_encodings",
+                           check_encodings(self.segment_encodings))
         if self.cost_params is not None:
             # Copy so a caller-held dict cannot mutate a frozen config.
             object.__setattr__(self, "cost_params", dict(self.cost_params))

@@ -152,14 +152,11 @@ class CostModel:
             elif kind == "join":
                 left, right = node.children
                 node.est_rows = out = estimator.estimate_subset(query, arg)
-                hashed = isinstance(node, P.HashJoin)
-                hash_cost = self.hash_join(left.est_rows, right.est_rows, out)
-                nl_cost = self.nested_loop_join(
+                join_kind, cost = self.choose_join(
                     left.est_rows, right.est_rows, out)
-                if (nl_cost < hash_cost) == hashed:
+                if (join_kind == "hash") != isinstance(node, P.HashJoin):
                     return None
-                node.est_cost = ((hash_cost if hashed else nl_cost)
-                                 + left.est_cost + right.est_cost)
+                node.est_cost = cost + left.est_cost + right.est_cost
             else:
                 self._cost(node, estimator, query)
                 if kind == "index" and node.est_cost >= self.seq_scan(

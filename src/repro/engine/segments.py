@@ -4,13 +4,11 @@ A :class:`~repro.engine.storage.Table` stores each column as a sequence
 of immutable fixed-capacity segments (plus one mutable tail). Every
 sealed segment carries
 
-* an **encoding** — ``"plain"`` (raw NumPy values), ``"dict"``
+* an **encoding** — ``"plain"`` (raw NumPy values) or ``"dict"``
   (narrow integer codes into a dictionary of distinct values, ascending
   for INT/FLOAT and in first-appearance order for TEXT; the win for
-  low-cardinality TEXT/INT), or ``"rle"``
-  (run-length: one value + length per run; the win for sorted or
-  constant stretches) — chosen automatically at seal time by
-  :func:`choose_encoding`, and
+  low-cardinality TEXT/INT, sorted and constant stretches included) —
+  chosen at seal time by :func:`choose_encoding`, and
 * a **zone map** (:class:`ZoneMap`) — min/max over non-NULL values and
   the NULL count — letting the scan path prune the whole segment against
   a pushed-down predicate without touching data.
@@ -18,7 +16,7 @@ sealed segment carries
 Everything here preserves the engine's observational contract exactly:
 ``decode()`` reproduces the original values bit-for-bit (value-for-value
 for objects), ``mask(predicates)`` — a conjunction on one column, ANDed
-in dictionary/run space and mapped to rows once: one compare on the
+in dictionary space and mapped to rows once: one compare on the
 codes when the hits are one run of codes (every ``=``, and any range on
 an ascending dictionary), else one ``take`` — returns
 the AND of the flat NumPy evaluations (including the scalar-collapse
@@ -30,7 +28,8 @@ range operators) degrades to ``PARTIAL``, which just means "evaluate
 normally".
 
 This module sits below :mod:`repro.engine.storage` and imports only
-:mod:`repro.engine.types`; the comparison-operator table is intentionally
+:mod:`repro.engine.types` and :mod:`repro.engine.config` (for the
+encoding names); the comparison-operator table is intentionally
 duplicated from the operator layer (six entries) to keep the storage
 layer at the bottom of the import graph.
 """
@@ -40,25 +39,14 @@ import operator
 import numpy as np
 
 from repro.common import ExecutionError
+from repro.engine.config import DEFAULT_SEGMENT_ENCODINGS
 from repro.engine.types import DataType
 
 #: Modeled width of one decoded value, in bytes, per data type.
 VALUE_BYTES = {DataType.INT: 8, DataType.FLOAT: 8, DataType.TEXT: 24}
 
-#: Modeled per-run overhead of run-length encoding (value + 4-byte length).
-RLE_LENGTH_BYTES = 4
-
-#: Supported segment encodings.
-ENCODINGS = ("plain", "dict", "rle")
-
-#: Default encodings a table may choose from at seal time.
-DEFAULT_ENCODINGS = ("dict", "rle", "plain")
-
 #: Dictionary encoding applies only while the dictionary stays bounded.
 MAX_DICT_SIZE = 65536
-
-#: Average run length at which run-length encoding starts paying off.
-MIN_AVG_RUN = 4.0
 
 #: Zone-map verdicts for one predicate against one segment.
 PRUNED, FULL, PARTIAL = "pruned", "full", "partial"
@@ -108,22 +96,6 @@ def _factorize(arr):
     dictionary, __, codes = np.unique(arr, return_index=True,
                                       return_inverse=True)
     return codes, dictionary
-
-
-def _run_bounds(arr):
-    """Start indices of the value runs in ``arr`` (first index included)."""
-    n = len(arr)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if arr.dtype == object:
-        neq = np.asarray(
-            np.not_equal(arr[1:], arr[:-1]), dtype=object
-        ).astype(bool)
-        # ``None != None`` is elementwise False, so NULL runs coalesce —
-        # exactly what decode must reproduce (np.repeat puts None back).
-    else:
-        neq = arr[1:] != arr[:-1]
-    return np.flatnonzero(np.r_[True, neq])
 
 
 class ZoneMap:
@@ -262,16 +234,14 @@ class ZoneMap:
         )
 
 
-def choose_encoding(arr, dtype, allowed=DEFAULT_ENCODINGS):
+def choose_encoding(arr, dtype, allowed=DEFAULT_SEGMENT_ENCODINGS):
     """Pick the encoding for one segment's values at seal time.
 
     Rules (first match wins):
 
     * FLOAT segments containing NaN, or both ``0.0`` and ``-0.0``, stay
-      ``plain`` — dictionary and run-length both rely on equality, which
-      NaN breaks and which cannot tell the two zeros apart.
-    * ``"rle"`` when the average run length is at least
-      :data:`MIN_AVG_RUN` (sorted/constant stretches).
+      ``plain`` — a dictionary relies on equality, which NaN breaks and
+      which cannot tell the two zeros apart.
     * ``"dict"`` when the distinct count is at most a quarter of the
       rows and the dictionary stays under :data:`MAX_DICT_SIZE` slots.
     * ``"plain"`` otherwise (always available as the fallback).
@@ -286,10 +256,6 @@ def choose_encoding(arr, dtype, allowed=DEFAULT_ENCODINGS):
         if bool(np.isnan(arr).any()) or (
                 zero_signs.any() and not zero_signs.all()):
             return "plain"
-    if "rle" in allowed:
-        n_runs = len(_run_bounds(arr))
-        if n / max(1, n_runs) >= MIN_AVG_RUN:
-            return "rle"
     if "dict" in allowed:
         if dtype is DataType.TEXT:
             ndv = len(set(arr.tolist()))
@@ -301,7 +267,7 @@ def choose_encoding(arr, dtype, allowed=DEFAULT_ENCODINGS):
 
 
 class ColumnSegment:
-    """One immutable encoded run of a column, with its zone map.
+    """One immutable encoded slice of a column, with its zone map.
 
     Build via :meth:`encode`; the payload depends on :attr:`encoding`:
 
@@ -309,29 +275,23 @@ class ColumnSegment:
     * ``dict`` — ``codes`` (narrow unsigned ints) + ``dictionary``
       (distinct values: ascending for INT/FLOAT, so a range predicate
       hits one run of codes; in first-appearance order for TEXT, whose
-      MCV ties ANALYZE resolves in that order);
-    * ``rle`` — ``values`` (one per run) + ``run_lengths``.
+      MCV ties ANALYZE resolves in that order).
 
     A plain segment can also be wrapped directly around a typed array
     (a snapshot does, for the table's tail): no encoding choice, no copy.
     """
 
     __slots__ = ("encoding", "dtype", "n_rows", "values", "codes",
-                 "dictionary", "run_lengths", "_run_ends", "_zone_map",
-                 "_value_counts")
+                 "dictionary", "_zone_map", "_value_counts")
 
     def __init__(self, encoding, dtype, n_rows, values=None, codes=None,
-                 dictionary=None, run_lengths=None, zone_map=None):
+                 dictionary=None, zone_map=None):
         self.encoding = encoding
         self.dtype = dtype
         self.n_rows = int(n_rows)
         self.values = values
         self.codes = codes
         self.dictionary = dictionary
-        self.run_lengths = run_lengths
-        self._run_ends = (
-            None if run_lengths is None else np.cumsum(run_lengths)
-        )
         self._zone_map = zone_map
         self._value_counts = None
 
@@ -345,22 +305,9 @@ class ColumnSegment:
         return zone
 
     @classmethod
-    def encode(cls, arr, dtype, allowed=DEFAULT_ENCODINGS):
+    def encode(cls, arr, dtype, allowed=DEFAULT_SEGMENT_ENCODINGS):
         """Seal ``arr`` (already in the column's NumPy dtype) into a segment."""
-        encoding = choose_encoding(arr, dtype, allowed)
-        if encoding == "rle":
-            starts = _run_bounds(arr)
-            lengths = np.diff(np.r_[starts, len(arr)]).astype(np.int64)
-            run_values = arr[starts]
-            zone = ZoneMap.build(run_values, dtype)
-            if dtype is DataType.TEXT and zone.null_count:
-                # Count NULL *rows*, not NULL runs.
-                null_runs = [i for i, v in enumerate(run_values.tolist())
-                             if v is None]
-                zone.null_count = int(lengths[null_runs].sum())
-            return cls("rle", dtype, len(arr), values=run_values,
-                       run_lengths=lengths, zone_map=zone)
-        if encoding == "dict":
+        if choose_encoding(arr, dtype, allowed) == "dict":
             codes, dictionary = _factorize(arr)
             narrow = codes.astype(np.min_scalar_type(len(dictionary)))
             zone = ZoneMap.build(dictionary, dtype)
@@ -381,18 +328,13 @@ class ColumnSegment:
         """The segment's values as a full NumPy array (original dtype)."""
         if self.encoding == "plain":
             return self.values
-        if self.encoding == "dict":
-            return self.dictionary.take(self.codes)
-        return np.repeat(self.values, self.run_lengths)
+        return self.dictionary.take(self.codes)
 
     def take(self, ids):
         """Gather rows by segment-local ids without decoding the rest."""
         if self.encoding == "plain":
             return self.values[ids]
-        if self.encoding == "dict":
-            return self.dictionary.take(self.codes.take(ids))
-        runs = np.searchsorted(self._run_ends, ids, side="right")
-        return self.values[runs]
+        return self.dictionary.take(self.codes.take(ids))
 
     def mask(self, predicates):
         """Boolean row mask of a conjunction on this column, evaluated in
@@ -400,11 +342,10 @@ class ColumnSegment:
 
         ``predicates`` is a list of ``(op, value)`` pairs. Each is
         compared against the *dictionary* (dict: one comparison per
-        distinct value), the run values (RLE) or the values (plain); the
-        verdicts are ANDed there and mapped to rows once — one compare
+        distinct value) or the values (plain); the verdicts are ANDed
+        there and, for a dictionary, mapped to rows once — one compare
         on the codes when the hit codes form one run (see
-        :meth:`_codes_mask`), else ``take`` through the codes; ``repeat``
-        over the run lengths. The result
+        :meth:`_codes_mask`), else ``take`` through the codes. The result
         equals the AND of the flat evaluations, including the
         scalar-collapse rule for incomparable types (a scalar verdict
         applies to every row) and any ``TypeError`` an object-array
@@ -423,8 +364,6 @@ class ColumnSegment:
             hits = m if hits is None else hits & m
         if self.encoding == "dict":
             return self._codes_mask(hits)
-        if self.encoding == "rle":
-            return np.repeat(hits, self.run_lengths)
         return hits
 
     def _codes_mask(self, hits):
@@ -446,7 +385,7 @@ class ColumnSegment:
     def value_counts(self):
         """``(values, counts)`` of the segment's distinct values, or ``None``.
 
-        Free for dictionary segments, one pass over the runs for RLE, one
+        Free for dictionary segments, one pass for plain TEXT segments, one
         ``np.unique`` for plain numeric segments (which keeps the first of
         ``0.0``/``-0.0``, as a dict would); computed once and cached.
         Returns ``None`` when exact counting is unsound (FLOAT segments
@@ -459,10 +398,9 @@ class ColumnSegment:
         if self.encoding == "dict":
             values = self.dictionary
             counts = np.bincount(self.codes, minlength=len(values))
-        elif self.encoding == "rle" or self.dtype is DataType.TEXT:
+        elif self.dtype is DataType.TEXT:
             codes, values = _factorize(arr)
-            counts = np.bincount(codes, weights=self.run_lengths,
-                                 minlength=len(values))
+            counts = np.bincount(codes, minlength=len(values))
         elif self.dtype is DataType.FLOAT and bool(np.isnan(arr).any()):
             return None
         else:
@@ -479,10 +417,8 @@ class ColumnSegment:
         width = VALUE_BYTES[self.dtype]
         if self.encoding == "plain":
             return self.n_rows * width
-        if self.encoding == "dict":
-            return (self.n_rows * self.codes.dtype.itemsize
-                    + len(self.dictionary) * width)
-        return len(self.values) * (width + RLE_LENGTH_BYTES)
+        return (self.n_rows * self.codes.dtype.itemsize
+                + len(self.dictionary) * width)
 
     def __len__(self):
         return self.n_rows

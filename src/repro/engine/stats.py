@@ -274,7 +274,7 @@ class TableStats:
         Prefers the incremental per-segment path: each column's cached
         segment value counts merge into one ``(values, counts)`` pair
         (:meth:`~repro.engine.storage.Table.column_value_counts`), so
-        ANALYZE never decodes a dictionary or RLE segment. Columns a
+        ANALYZE never decodes a dictionary segment. Columns a
         segment cannot count exactly (NaN-bearing FLOAT) fall back to
         the decoded array; both paths produce identical statistics.
         """

@@ -26,9 +26,12 @@ buffer and never resume appending into one a snapshot may view.
 import numpy as np
 
 from repro.common import CatalogError
-from repro.engine.config import DEFAULT_SEGMENT_ROWS
+from repro.engine.config import (
+    DEFAULT_SEGMENT_ENCODINGS,
+    DEFAULT_SEGMENT_ROWS,
+    check_encodings,
+)
 from repro.engine.segments import (
-    DEFAULT_ENCODINGS,
     VALUE_BYTES,
     ColumnSegment,
     merge_value_counts,
@@ -261,8 +264,8 @@ class Table:
         if self._segment_rows < 1:
             raise CatalogError("segment_rows must be >= 1")
         self._segment_encodings = (
-            tuple(segment_encodings) if segment_encodings
-            else DEFAULT_ENCODINGS
+            check_encodings(segment_encodings, CatalogError)
+            if segment_encodings else DEFAULT_SEGMENT_ENCODINGS
         )
         self._groups = []
         #: Per-column typed buffers; rows ``[0, _tail_rows)`` are the tail.

@@ -142,7 +142,7 @@ def _int_key_layouts():
         ("dict + tail", small + [9, 2, 11], {"dict", "plain"}),
         ("all plain", wide, {"plain"}),
         ("dict + plain", small[:128] + wide[:128], {"dict", "plain"}),
-        ("rle", sorted(small), {"rle"}),
+        ("sorted dict", sorted(small), {"dict"}),
     ]
 
 

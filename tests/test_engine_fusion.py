@@ -48,7 +48,7 @@ FUSIBLE_SQL = "SELECT tag, COUNT(*), SUM(v) FROM t WHERE k < 5 GROUP BY tag"
 KNOBS = {
     "cost_params": ({"cpu_tuple_cost": 2.0}, None, None),
     "segment_rows": (4096, " 4096 ", 16),
-    "segment_encodings": (("rle", "plain"), "RLE, plain", None),
+    "segment_encodings": (("plain", "dict"), " PLAIN, dict ", None),
     "tenant_quota": (12345.0, "12345", None),
     "quota_refill_rate": (678.0, "678", None),
     "admission_queue_depth": (9, "9", 0),
@@ -57,6 +57,15 @@ KNOBS = {
 
 #: Env text no parser/validator accepts, by field type.
 BAD_ENV_TEXT = {int: "many", float: "lots", tuple: "zip"}
+
+
+def _readme_default(value):
+    """A knob default as the README's table writes it."""
+    if isinstance(value, tuple):
+        return ",".join(value)
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    return str(value)
 
 
 def _readme_knob_rows():
@@ -155,7 +164,9 @@ class TestEngineConfig:
         assert (env is None) == (env_text is None)
         if env is None:
             return
-        assert env in _readme_knob_rows()[name]
+        row = _readme_knob_rows()[name]
+        assert env in row
+        assert row.split("|")[3].strip() == "`%s`" % _readme_default(default)
         # The variable parses to the value; a keyword beats it; unset or
         # blank falls back to the default.
         monkeypatch.setenv(env, env_text)

@@ -296,13 +296,14 @@ SEG = 64
 
 
 def _mixed_text_rows():
-    """Rows sealing three dict-encoded TEXT segments, one RLE and one
-    plain (high-cardinality) segment, plus a tail holding NULLs."""
+    """Rows sealing three dict-encoded TEXT segments and two plain
+    (high-cardinality: one sorted in runs of two, one scattered)
+    segments, plus a tail holding NULLs."""
     texts = []
     for s in range(3):
         texts += [None if s == 2 and i % 7 == 0 else "abcde"[i % 5]
                   for i in range(SEG)]
-    texts += ["a"] * (SEG // 2) + ["f"] * (SEG // 2)
+    texts += ["f%02d" % (i // 2) for i in range(SEG)]
     texts += ["a" if i % 9 == 0 else "u%d" % i for i in range(SEG)]
     texts += [None if i % 2 else "b" for i in range(20)]
     return [(i % 7, i * 0.25, t) for i, t in enumerate(texts)]
@@ -316,7 +317,7 @@ def mixed_text_db():
     db.execute("ANALYZE")
     groups = db.catalog.table("s").row_groups()
     assert [g.segments["t"].encoding for g in groups] == [
-        "dict", "dict", "dict", "rle", "plain", "plain"]
+        "dict", "dict", "dict", "plain", "plain", "plain"]
     return db
 
 
@@ -361,8 +362,8 @@ def test_text_group_keys_come_from_segment_dictionaries(
     reference = ReferenceExecutor(db.catalog, db.cost_model).execute(plan)
     assert_matches_reference(result, reference, sql)
     assert any(row[key_pos] is None for row in result.rows)
-    # Only the RLE segment, the plain segment and the tail are coded
-    # value by value: exactly their rows that pass the WHERE clause.
+    # Only the plain segments and the tail are coded value by value:
+    # exactly their rows that pass the WHERE clause.
     rest = _mixed_text_rows()[3 * SEG:]
     assert sum(seen) == sum(1 for k, v, __ in rest if keep(k, v))
     # The key's dictionary segments are never decoded or taken from.

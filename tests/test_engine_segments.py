@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common import ExecutionError
-from repro.engine import Database
+from repro.common import CatalogError, ExecutionError
+from repro.engine import Catalog, Database, EngineConfig
 from repro.engine.operators.kernels import first_rows, group_reduce
 from repro.engine.segments import (
     FULL,
@@ -55,16 +55,11 @@ def _cases():
     text[:] = [
         None if i % 5 == 0 else "tag%d" % (i % 3) for i in range(60)
     ]
-    sorted_text = np.empty(30, dtype=object)
-    sorted_text[:] = ["x"] * 10 + [None] * 10 + ["y"] * 10
     nan_float = np.array([1.5, np.nan, 2.5, np.nan] * 8)
     return [
         ("dict-int", low_card_int, DataType.INT, "dict"),
-        ("rle-int", np.repeat(np.arange(8, dtype=np.int64), 8),
-         DataType.INT, "rle"),
         ("plain-int", shuffled, DataType.INT, "plain"),
         ("dict-text-nulls", text, DataType.TEXT, "dict"),
-        ("rle-text-nulls", sorted_text, DataType.TEXT, "rle"),
         ("plain-float-nan", nan_float, DataType.FLOAT, "plain"),
     ]
 
@@ -85,8 +80,9 @@ _POOLS = {
 @st.composite
 def _encoded_columns(draw):
     """``(values, dtype, segment)``: 4–10 runs of 4–9 equal values from
-    at most four distinct ones, sealed as a plain, dict or RLE segment
-    (a FLOAT column holding NaN, or both zeros, stays plain)."""
+    at most four distinct ones — sorted, constant and NULL-run columns
+    among them — sealed as a plain or dict segment (a FLOAT column
+    holding NaN, or both zeros, stays plain)."""
     dtype = draw(st.sampled_from(list(_POOLS)))
     pool = draw(st.lists(st.sampled_from(_POOLS[dtype][0]), min_size=1,
                          max_size=4, unique_by=repr))
@@ -95,7 +91,7 @@ def _encoded_columns(draw):
                          min_size=4, max_size=10))
     arr = np.empty(sum(n for __, n in runs), dtype=dtype.numpy_dtype)
     arr[:] = [v for v, n in runs for __ in range(n)]
-    encoding = draw(st.sampled_from(("plain", "dict", "rle")))
+    encoding = draw(st.sampled_from(("plain", "dict")))
     seg = ColumnSegment.encode(arr, dtype, allowed=(encoding,))
     plain = dtype is DataType.FLOAT and (
         bool(np.isnan(arr).any())
@@ -181,7 +177,7 @@ class TestEncodings:
         assert np.signbit(seg.decode()).sum() == 40000
         # One sign of zero alone still compresses.
         assert ColumnSegment.encode(
-            np.array([-0.0] * 64), DataType.FLOAT).encoding == "rle"
+            np.array([-0.0] * 64), DataType.FLOAT).encoding == "dict"
 
     @settings(max_examples=200, deadline=None)
     @given(runs=st.lists(
@@ -189,8 +185,8 @@ class TestEncodings:
                                           float("inf"), float("-inf"), 1.5]),
                          st.integers(1, 9)),
                min_size=1, max_size=12),
-           allowed=st.sampled_from([("dict", "rle", "plain"), ("dict",),
-                                    ("rle",)]))
+           allowed=st.sampled_from([("dict", "plain"), ("dict",),
+                                    ("plain",)]))
     def test_float_round_trip_is_bit_exact(self, runs, allowed):
         arr = np.array([v for v, n in runs for __ in range(n)])
         seg = ColumnSegment.encode(arr, DataType.FLOAT, allowed=allowed)
@@ -202,11 +198,31 @@ class TestEncodings:
                 == arr[ids].view(np.int64).tolist())
 
     def test_forced_plain(self):
-        arr = np.zeros(50, dtype=np.int64)  # would pick rle by default
-        assert choose_encoding(arr, DataType.INT) == "rle"
+        arr = np.zeros(50, dtype=np.int64)  # would pick dict by default
+        assert choose_encoding(arr, DataType.INT) == "dict"
         seg = ColumnSegment.encode(arr, DataType.INT, allowed=("plain",))
         assert seg.encoding == "plain"
         assert seg.decode().tolist() == arr.tolist()
+
+    @pytest.mark.parametrize("names", [("rle",), ("dcit",), ("dict", "rle")])
+    def test_an_unknown_encoding_is_refused_everywhere(self, monkeypatch,
+                                                        names):
+        """One validity rule for encoding names: a Table, the catalog
+        creating one, ``EngineConfig`` and ``REPRO_SEGMENT_ENCODINGS``
+        all refuse a name that is not an encoding (``rle`` is not one)
+        instead of sealing its column plain."""
+        schema = TableSchema("t", [ColumnSchema("a", DataType.INT)])
+        with pytest.raises(CatalogError, match="segment_encodings"):
+            Table(schema, columns={"a": np.zeros(64, dtype=np.int64)},
+                  segment_rows=16, segment_encodings=names)
+        with pytest.raises(CatalogError, match="segment_encodings"):
+            Catalog(segment_encodings=names).create_table(
+                "t", [("a", DataType.INT)])
+        with pytest.raises(ExecutionError, match="segment_encodings"):
+            EngineConfig(segment_encodings=names)
+        monkeypatch.setenv("REPRO_SEGMENT_ENCODINGS", ",".join(names))
+        with pytest.raises(ExecutionError, match="segment_encodings"):
+            Database()
 
     def test_null_counts_are_row_accurate(self):
         text = np.empty(60, dtype=object)
@@ -214,11 +230,6 @@ class TestEncodings:
         dict_seg = ColumnSegment.encode(text, DataType.TEXT)
         assert dict_seg.encoding == "dict"
         assert dict_seg.zone_map.null_count == 12
-        runs = np.empty(30, dtype=object)
-        runs[:] = ["x"] * 10 + [None] * 10 + ["y"] * 10
-        rle_seg = ColumnSegment.encode(runs, DataType.TEXT)
-        assert rle_seg.encoding == "rle"
-        assert rle_seg.zone_map.null_count == 10
 
     def test_value_counts_match_flat(self):
         for label, arr, dtype, __ in _cases():
@@ -300,7 +311,7 @@ class TestMaskParity:
     @settings(max_examples=400, deadline=None)
     @given(_encoded_columns(), st.data())
     def test_conjunction_mask_equals_and_of_flat(self, column, data):
-        """One column's conjunction, evaluated once in dictionary/run
+        """One column's conjunction, evaluated once in dictionary
         space, is the AND of the flat evaluations — or raises
         ``TypeError`` exactly where one of them does."""
         arr, dtype, seg = column

@@ -41,11 +41,6 @@ def _old_segment_counts(seg):
     if seg.encoding == "dict":
         return seg.dictionary, np.bincount(seg.codes,
                                            minlength=len(seg.dictionary))
-    if seg.encoding == "rle":
-        codes, dictionary = _factorize(seg.values)
-        counts = np.zeros(len(dictionary), dtype=np.int64)
-        np.add.at(counts, codes, seg.run_lengths)
-        return dictionary, counts
     arr = seg.values
     if seg.dtype is DataType.FLOAT and bool(np.isnan(arr).any()):
         return None
@@ -167,7 +162,7 @@ def tables(draw):
     if dtype is DataType.FLOAT and draw(st.booleans()):
         value = st.one_of(value, st.just(math.nan))
     rows = draw(st.lists(value, max_size=160))
-    if draw(st.booleans()):  # long runs: the RLE encoding
+    if draw(st.booleans()):  # long runs: sorted and constant segments
         rows = sorted(rows, key=lambda v: (v is None, repr(v)))
     segment_rows = draw(st.one_of(st.integers(4, 40), st.integers(41, 1000)))
     cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=3)))
@@ -222,7 +217,8 @@ def test_array_merge_equals_the_dict_merge(spec):
     _assert_matches_oracle(spec)
 
 
-#: One sealed segment of each encoding, then a tail.
+#: Sealed segments of both encodings (a constant one among them), then
+#: a tail.
 _KINDS_INT = [i % 3 for i in range(64)] + [7] * 64 + list(range(100, 164)) \
     + [5, 7, 100]
 _KINDS_FLOAT = ([(-0.0, 0.0, 2.5, 2.5)[i % 4] for i in range(64)]
@@ -246,10 +242,10 @@ def test_every_segment_kind_matches_the_dict_merge(dtype, rows, cuts,
         (dtype, rows, cuts, segment_rows, encodings))
     if rows and encodings is None and dtype is DataType.INT:
         kinds = [g.segments["x"].encoding for g in table.row_groups()]
-        assert kinds == ["dict", "rle", "plain", "plain"]
+        assert kinds == ["dict", "dict", "plain", "plain"]
     if rows and dtype is DataType.FLOAT and rows[0] == -0.0:
         kinds = [g.segments["x"].encoding for g in table.row_groups()]
-        assert kinds[:3] == ["plain", "rle", "rle"]
+        assert kinds[:3] == ["plain", "dict", "dict"]
         counted = table.column_value_counts("x")
         # The first zero in row order is -0.0; a dict merge keeps it.
         assert counted is None or math.copysign(1.0, counted[0][0]) == -1.0

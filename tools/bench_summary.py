@@ -2,9 +2,8 @@
 """One-table summary of every committed BENCH_P*.json artifact.
 
 ``make bench-summary`` (or ``python tools/bench_summary.py``) reads the
-``BENCH_P6.json`` and ``BENCH_P8.json`` files (P1–P5, P7 and P9 are
-retired — their last readings are rows in EXPERIMENTS.md) the
-benchmarks regenerate
+``BENCH_P8.json`` file (P1–P7 and P9 are retired — their last readings
+are rows in EXPERIMENTS.md) the benchmark regenerates
 (``make bench-json``) and prints each bench's headline numbers in a
 single fixed-width table — the quick "did a refactor move anything"
 view, without rerunning anything.
@@ -30,14 +29,6 @@ def _num(value, fmt="%.2f"):
     return fmt % value
 
 
-def _p6(result):
-    return [
-        "scan %sx" % _num(result.get("scan_speedup"), "%.2f"),
-        "prune %s" % _num(result.get("prune_rate"), "%.2f"),
-        "compression %sx" % _num(result.get("compression_ratio"), "%.2f"),
-    ]
-
-
 def _p8(result):
     iso = result.get("isolation", {})
     inter = result.get("interference", {})
@@ -56,7 +47,6 @@ def _p8(result):
 
 #: file stem -> (label, headline extractor over one results[] entry).
 BENCHES = (
-    ("BENCH_P6", "P6 storage", _p6),
     ("BENCH_P8", "P8 server", _p8),
 )
 
