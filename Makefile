@@ -24,7 +24,7 @@ lint:
 # engine count is a ratchet: above ENGINE_LOC_MAX the target (and CI's
 # "Engine line count" step) fails, so growing engine/ is a reviewed
 # one-line edit here; lower it whenever a PR shrinks the engine.
-ENGINE_LOC_MAX := 10235
+ENGINE_LOC_MAX := 10068
 loc:
 	@engine=$$(find src/repro/engine -name '*.py' | xargs cat | wc -l); \
 	printf 'engine %s\n' $$engine; \
@@ -65,9 +65,11 @@ test-concurrency:
 # Optimizer battery (slow variants included): join orders (UES bounds,
 # orders installed through order=, one plan per statement, dropped-table
 # regressions), the classic optimizer suite, what repro.ai4db installs
-# from outside (the cardinality-feedback loop, the sampling, exact-count
-# and upper-bound estimators, the rewrite rules), the planning memo and
-# bisect histogram parity, ANALYZE's value-count merge
+# from outside or scores the planner with (the cardinality-feedback
+# loop, the sampling, exact-count and upper-bound estimators and the
+# exact counter behind the oracle, the rewrite rules, the order-pricing
+# objective and the learned MCTS/DQN orderers it scores), the planning
+# memo and bisect histogram parity, ANALYZE's value-count merge
 # against the dict merge it replaced, the exact aggregation fold order,
 # and the enumerator-race fuzz arm (dp against the greedy, random and ues
 # orders on random catalogs, rows checked against dp's).
@@ -75,6 +77,7 @@ test-optimizer:
 	python -m pytest \
 		tests/test_engine_plan_selection.py \
 		tests/test_engine_optimizer.py \
+		tests/test_ai4db_optimization.py \
 		tests/test_ai4db_feedback.py \
 		tests/test_ai4db_estimators.py \
 		tests/test_ai4db_rules.py \

@@ -21,12 +21,15 @@ from repro.ai4db.optimization.cardinality import (
     generate_training_queries,
 )
 from repro.ai4db.optimization.end_to_end import NeoLiteOptimizer
-from repro.ai4db.optimization.join_order import MCTSJoinOrderer, greedy_order
+from repro.ai4db.optimization.join_order import (
+    MCTSJoinOrderer,
+    dp_left_deep,
+    greedy_order,
+)
 from repro.engine import Database
 from repro.engine.catalog import Catalog
 from repro.engine.optimizer.cardinality import TraditionalEstimator
 from repro.engine.optimizer.cost import CostModel
-from repro.engine.optimizer.join_enum import dp_left_deep
 from repro.ml import q_error_summary
 from repro.sim import datagen
 

@@ -1,7 +1,8 @@
 """Learned database optimization: estimation (and the sampling, oracle and
-upper-bound estimators it is scored against), cardinality feedback, join
-ordering (the greedy, random and UES orders the engine's DP is raced
-against, installed through ``order=``), end-to-end."""
+upper-bound estimators it is scored against, with the oracle's exact
+counter), cardinality feedback, join ordering (the greedy, random and UES
+orders the engine's DP is raced against, installed through ``order=``,
+and the one objective that prices them all), end-to-end."""
 
 from repro.ai4db.optimization.cardinality import (
     QueryFeaturizer,
@@ -12,6 +13,7 @@ from repro.ai4db.optimization.estimators import (
     SamplingEstimator,
     TrueCardinalityEstimator,
     UpperBoundEstimator,
+    count_join_rows,
 )
 from repro.ai4db.optimization.feedback import (
     FeedbackCorrectedEstimator,
@@ -23,7 +25,9 @@ from repro.ai4db.optimization.join_order import (
     MCTSJoinOrderer,
     DQNJoinOrderer,
     compare_orderers,
+    dp_left_deep,
     greedy_order,
+    order_cost,
     random_order,
 )
 from repro.ai4db.optimization.ues import ues_bounds, ues_order
@@ -36,6 +40,7 @@ __all__ = [
     "SamplingEstimator",
     "TrueCardinalityEstimator",
     "UpperBoundEstimator",
+    "count_join_rows",
     "FeedbackCorrectedEstimator",
     "FeedbackLoop",
     "QueryFeedbackStore",
@@ -44,7 +49,9 @@ __all__ = [
     "MCTSJoinOrderer",
     "DQNJoinOrderer",
     "compare_orderers",
+    "dp_left_deep",
     "greedy_order",
+    "order_cost",
     "random_order",
     "ues_bounds",
     "ues_order",

@@ -16,6 +16,7 @@ so it can drive the standard planner directly (experiment E8).
 
 import numpy as np
 
+from repro.ai4db.optimization.estimators import count_join_rows
 from repro.ai4db.optimization.feedback import induced_subquery
 from repro.common import ModelError, NotFittedError, ensure_rng
 from repro.engine.optimizer.cardinality import CardinalityEstimator
@@ -220,8 +221,6 @@ def generate_training_queries(catalog, table, columns, n_queries=600,
     Returns:
         ``(queries, true_cards)`` with truths from exact execution.
     """
-    from repro.engine.executor import count_join_rows
-
     rng = ensure_rng(seed)
     queries = []
     cards = []

@@ -2,7 +2,8 @@
 
 :class:`SamplingEstimator` runs predicates and joins on per-table row
 samples (E6's sampling arm); :class:`TrueCardinalityEstimator` is the
-exact-count oracle (E8's true-cardinality optimum);
+exact-count oracle (E8's true-cardinality optimum), counting with
+:func:`count_join_rows`;
 :class:`UpperBoundEstimator` answers with UES's pessimistic bounds
 (:mod:`repro.ai4db.optimization.ues`).
 All three implement the engine's
@@ -16,8 +17,67 @@ import numpy as np
 from repro.ai4db.optimization.feedback import induced_subquery
 from repro.ai4db.optimization.ues import ues_order
 from repro.common import ensure_rng
+from repro.engine.operators import ColumnarRelation
 from repro.engine.operators.base import OPS
+from repro.engine.operators.join import join_keys
+from repro.engine.operators.kernels import (
+    cross_indices,
+    join_indices,
+    predicate_mask,
+)
 from repro.engine.optimizer.cardinality import CardinalityEstimator
+
+
+def count_join_rows(catalog, query, tables):
+    """True cardinality of the filtered join over ``tables`` (the oracle).
+
+    Joins columnar batches with the engine's vectorized kernels in a
+    connectivity-respecting order and charges no work accounting.
+    """
+    wanted = {x.lower() for x in tables}
+    names = [t for t in query.tables if t.lower() in wanted]
+    if not names:
+        return 0
+
+    def filtered(table_name):
+        tbl = catalog.table(table_name)
+        columns = [(tbl.name, c.name) for c in tbl.schema.columns]
+        arrays = [tbl.column_array(c.name) for c in tbl.schema.columns]
+        rel = ColumnarRelation(columns, arrays, n_rows=tbl.n_rows)
+        preds = query.predicates_on(table_name)
+        if preds:
+            rel = rel.take(predicate_mask(rel, preds))
+        return rel
+
+    current = filtered(names[0])
+    joined = [names[0]]
+    remaining = names[1:]
+    while remaining:
+        nxt = None
+        for t in remaining:
+            if query.edges_between(joined, t):
+                nxt = t
+                break
+        if nxt is None:
+            nxt = remaining[0]
+        rel_t = filtered(nxt)
+        edges = query.edges_between(joined, nxt)
+        if edges:
+            left_pos, right_pos = join_keys(edges, current, rel_t)
+            il, ir = join_indices(
+                [current.arrays[p] for p in left_pos],
+                [rel_t.arrays[p] for p in right_pos],
+            )
+        else:
+            il, ir = cross_indices(len(current), len(rel_t))
+        current = ColumnarRelation(
+            current.columns + rel_t.columns,
+            [a[il] for a in current.arrays] + [a[ir] for a in rel_t.arrays],
+            n_rows=len(il),
+        )
+        joined.append(nxt)
+        remaining.remove(nxt)
+    return len(current)
 
 
 class SamplingEstimator(CardinalityEstimator):
@@ -155,8 +215,8 @@ class SamplingEstimator(CardinalityEstimator):
 class TrueCardinalityEstimator(CardinalityEstimator):
     """Oracle estimator: executes the sub-query and counts (for evaluation).
 
-    Wraps an executor callable ``count_fn(query, tables) -> int`` supplied by
-    :mod:`repro.engine.executor` to avoid a circular import.
+    Wraps an exact-count callable ``count_fn(query, tables) -> int``,
+    typically ``lambda q, ts: count_join_rows(catalog, q, ts)``.
 
     Args:
         count_fn: ``(query, tables) -> int`` exact-count callable.

@@ -1,10 +1,13 @@
 """Join-order selection outside the engine: greedy and random baselines,
-MCTS (SkinnerDB-style) and DQN (ReJOIN-style).
+MCTS (SkinnerDB-style) and DQN (ReJOIN-style), and the objective that
+prices them all.
 
-Every orderer builds **left-deep orders** and is scored with the same
-:func:`~repro.engine.optimizer.join_enum.order_cost` objective as the
-engine's DP, so experiment E7 compares like with like; any of their
-orders runs through the engine as an explicit ``order=``:
+Every orderer builds **left-deep orders**, and every order — the
+engine's DP order too (:func:`dp_left_deep`) — is scored by one
+objective, :func:`order_cost`, priced with the engine's
+:class:`~repro.engine.optimizer.cost.CostModel`, so experiment E7
+compares like with like; any of their orders runs through the engine as
+an explicit ``order=``:
 
 * :class:`MCTSJoinOrderer` needs no training — it searches per query, the
   SkinnerDB [74] regime — and should land near DP cost at a fraction of
@@ -18,9 +21,76 @@ import time
 
 import numpy as np
 
-from repro.common import ModelError, NotFittedError, ensure_rng
-from repro.engine.optimizer.join_enum import dp_left_deep, order_cost
+from repro.common import ModelError, NotFittedError, PlanError, ensure_rng
+from repro.engine.optimizer.join_enum import dp_order
 from repro.ml import DQNAgent, MCTS
+
+
+def order_cost(query, order, estimator, cost_model):
+    """Cost of executing a left-deep join order.
+
+    The first table is scanned; each subsequent table is joined to the
+    accumulated prefix with the cheaper of hash/nested-loop join (cross
+    join when no edge connects it). Scan costs for the base tables are
+    included once.
+
+    Args:
+        query: the :class:`~repro.engine.query.ConjunctiveQuery`.
+        order: list of table names covering the query's tables exactly.
+        estimator: a cardinality estimator.
+        cost_model: a :class:`~repro.engine.optimizer.cost.CostModel`.
+
+    Returns:
+        float total cost.
+    """
+    if {t.lower() for t in order} != {t.lower() for t in query.tables}:
+        raise PlanError("order must cover exactly the query's tables")
+    total = 0.0
+    first = order[0]
+    bare = _NoPredicateView(query)
+    current_rows = estimator.estimate_table(query, first)
+    total += cost_model.seq_scan(estimator.estimate_subset(bare, [first]))
+    joined = [first]
+    for t in order[1:]:
+        right_rows = estimator.estimate_table(query, t)
+        total += cost_model.seq_scan(estimator.estimate_subset(bare, [t]))
+        out_rows = estimator.estimate_subset(query, joined + [t])
+        edges = query.edges_between(joined, t)
+        if edges:
+            __, join_cost = cost_model.choose_join(current_rows, right_rows, out_rows)
+        else:
+            join_cost = cost_model.cross_join(current_rows, right_rows)
+        total += join_cost
+        current_rows = out_rows
+        joined.append(t)
+    return total
+
+
+class _NoPredicateView:
+    """Query view with all filter predicates stripped (for base-scan costs)."""
+
+    def __init__(self, query):
+        self._query = query
+        self.tables = query.tables
+        self.join_edges = query.join_edges
+        self.predicates = []
+
+    def predicates_on(self, table):
+        return []
+
+    def signature(self):
+        return (self._query.signature(), "__nopred__")
+
+
+def dp_left_deep(query, estimator, cost_model):
+    """The engine's DP order
+    (:func:`~repro.engine.optimizer.join_enum.dp_order`), priced.
+
+    Returns:
+        ``(order, cost)``.
+    """
+    order = dp_order(query, estimator, cost_model)
+    return order, order_cost(query, order, estimator, cost_model)
 
 
 def _grow(query, first, pick, connected=True):

@@ -16,7 +16,6 @@ from repro.engine.errors import (
 )
 from repro.engine.types import ColumnSchema, DataType, TableSchema
 from repro.engine.storage import (
-    PAGE_BYTES,
     RowGroup,
     Table,
     TableSnapshot,
@@ -36,7 +35,7 @@ from repro.engine.catalog import (
     ViewDef,
 )
 from repro.engine.config import DEFAULT_SEGMENT_ENCODINGS, EngineConfig
-from repro.engine.executor import ExecutionResult, Executor, count_join_rows
+from repro.engine.executor import ExecutionResult, Executor
 from repro.engine.fusion import fuse_plan
 from repro.engine.operators import (
     ColumnarRelation,
@@ -91,7 +90,6 @@ __all__ = [
     "ColumnSchema",
     "DataType",
     "TableSchema",
-    "PAGE_BYTES",
     "RowGroup",
     "Table",
     "TableSnapshot",
@@ -121,7 +119,6 @@ __all__ = [
     "PhysicalOperator",
     "operator_for",
     "registered_node_types",
-    "count_join_rows",
     "fuse_plan",
     "PIPELINE_STAGES",
     "PlanCache",

@@ -37,7 +37,7 @@ policy, audit, dry-run, and (for agent sessions) transactional rollback.
 from repro.common import ReproError
 from repro.engine.catalog import Catalog
 from repro.engine.config import EngineConfig
-from repro.engine.executor import Executor, count_join_rows
+from repro.engine.executor import Executor
 from repro.engine.optimizer.cost import CostModel
 from repro.engine.optimizer.planner import Planner
 from repro.engine.pipeline import QueryPipeline
@@ -166,12 +166,6 @@ class Database:
     def run_query_object(self, query, order=None):
         """Plan and execute a structured :class:`ConjunctiveQuery` directly."""
         return self.pipeline.run_query(query, order=order)
-
-    def true_cardinality(self, query, tables=None):
-        """Oracle cardinality of (a subset of) a conjunctive query's join."""
-        return count_join_rows(
-            self.catalog, query, tables if tables is not None else query.tables
-        )
 
 
 class DatabaseSnapshot:

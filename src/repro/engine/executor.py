@@ -35,13 +35,7 @@ a streaming engine).
 """
 
 from repro.engine.fusion import prepare_plan
-from repro.engine.operators import ColumnarRelation, operator_for
-from repro.engine.operators.join import join_keys
-from repro.engine.operators.kernels import (
-    cross_indices,
-    join_indices,
-    predicate_mask,
-)
+from repro.engine.operators import operator_for
 from repro.engine.optimizer.cost import CostModel
 from repro.engine.telemetry import StatementTrace
 
@@ -228,56 +222,3 @@ class Executor:
         if own:
             trace.root.close()
         return ExecutionResult(relation, trace)
-
-
-def count_join_rows(catalog, query, tables):
-    """True cardinality of the filtered join over ``tables`` (oracle helper).
-
-    Used by the exact-count oracle estimator in
-    :mod:`repro.ai4db.optimization.estimators` and by tests. Joins columnar batches with the vectorized kernels in a
-    connectivity-respecting order and does not charge any work accounting.
-    """
-    wanted = {x.lower() for x in tables}
-    names = [t for t in query.tables if t.lower() in wanted]
-    if not names:
-        return 0
-
-    def filtered(table_name):
-        tbl = catalog.table(table_name)
-        columns = [(tbl.name, c.name) for c in tbl.schema.columns]
-        arrays = [tbl.column_array(c.name) for c in tbl.schema.columns]
-        rel = ColumnarRelation(columns, arrays, n_rows=tbl.n_rows)
-        preds = query.predicates_on(table_name)
-        if preds:
-            rel = rel.take(predicate_mask(rel, preds))
-        return rel
-
-    current = filtered(names[0])
-    joined = [names[0]]
-    remaining = names[1:]
-    while remaining:
-        nxt = None
-        for t in remaining:
-            if query.edges_between(joined, t):
-                nxt = t
-                break
-        if nxt is None:
-            nxt = remaining[0]
-        rel_t = filtered(nxt)
-        edges = query.edges_between(joined, nxt)
-        if edges:
-            left_pos, right_pos = join_keys(edges, current, rel_t)
-            il, ir = join_indices(
-                [current.arrays[p] for p in left_pos],
-                [rel_t.arrays[p] for p in right_pos],
-            )
-        else:
-            il, ir = cross_indices(len(current), len(rel_t))
-        current = ColumnarRelation(
-            current.columns + rel_t.columns,
-            [a[il] for a in current.arrays] + [a[ir] for a in rel_t.arrays],
-            n_rows=len(il),
-        )
-        joined.append(nxt)
-        remaining.remove(nxt)
-    return len(current)

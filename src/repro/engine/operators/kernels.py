@@ -3,9 +3,8 @@
 These are the pure array routines the columnar operators are built from:
 factorization (dense key codes) and the stable sort of those codes, the
 counting equi-join, predicate masks, per-group-code folds for grouped
-aggregation, and order-preserving sort permutations. They are also used
-by :func:`repro.engine.executor.count_join_rows` (the oracle cardinality
-helper), which is why they live apart from any single operator module.
+aggregation, and order-preserving sort permutations. Several operator families share
+them, which is why they live apart from any single operator module.
 
 Every kernel is deterministic and order-preserving by construction —
 join probes emit left-major row order, groups surface in first-appearance

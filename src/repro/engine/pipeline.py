@@ -13,7 +13,7 @@ the order comes from outside), an estimator is set on ``db.planner``. The one ex
 Between the lower and plan stages sits a **plan cache**: an LRU map from
 ``(query.signature(), explicit_order)`` to the plan — built by
 :meth:`~repro.engine.optimizer.planner.Planner.plan`, or bound from the
-shape's generic plan — its :func:`~repro.engine.fusion.prepare_plan`
+frame's generic plan — its :func:`~repro.engine.fusion.prepare_plan`
 memo and the route that built it, where every entry also stores the
 invalidation token it was planned under.
 The token is **scoped to the tables the query touches**: the catalog's
@@ -31,13 +31,14 @@ ANALYZE leave warm SQL text warm). Behind it a third cache, under the same
 token, holds one lowered template per statement **shape** — the text's
 :func:`~repro.engine.sql.lexer.fingerprint`, literals blanked — so new
 text of a known shape binds its literals into the template's predicates
-instead of being parsed and lowered. Behind the plan cache, per shape
-and under the plan token, sits PostgreSQL's **generic/custom plan
-choice**: a shape's first :data:`CUSTOM_SAMPLES` plan-cache misses plan
-custom; then the plan structure most of them share, re-costed for each
-sample's literals, goes **generic** if its mean cost ratio to the custom
-plans is at most :data:`GENERIC_COST_RATIO`, and each later miss binds
-its literals into that one plan and its memo and re-costs it instead of
+instead of being parsed and lowered. Behind the plan cache, per
+**frame** of text with a shape (:func:`_frame`) and under the plan
+token, sits PostgreSQL's **generic/custom plan choice**: a frame's
+first :data:`CUSTOM_SAMPLES` plan-cache misses plan custom; then the
+plan structure most of them share, re-costed for each sample's
+literals, goes **generic** if its mean cost ratio to the custom plans
+is at most :data:`GENERIC_COST_RATIO`, and each later miss binds its
+literals into that one plan and its memo and re-costs it instead of
 planning.
 
 Cache-key / token invariants:
@@ -68,7 +69,7 @@ Generic-plan invariants:
   query-object route never is. Statements share a generic plan only
   when their :func:`_frame` is equal: the signature but for predicate
   values, and each predicate slot's column, operator and value type;
-* the shape's state lives under the plan token, so any drift — INSERT,
+* a frame's state lives under the plan token, so any drift — INSERT,
   ANALYZE, DDL, or a lazy ANALYZE inside a sample's planning — restarts
   sampling;
 * samples are re-costed inside their own planning memos, so deciding
@@ -185,17 +186,16 @@ def _structure(plan, query):
 
 
 class _ShapePlans:
-    """One statement shape's plan choice under one plan token: its
-    ``frame`` (:func:`_frame`), the custom ``samples`` so far —
-    ``(query, plan, memo, estimates)`` — then the decision: ``generic``
-    is the template ``(plan, memo, predicates, steps)`` (``steps``: its
+    """One frame's plan choice under one plan token: the custom
+    ``samples`` so far — ``(query, plan, memo, estimates)`` — then the
+    decision: ``generic`` is the template ``(plan, memo, predicates,
+    steps)`` (``steps``: its
     :meth:`~repro.engine.optimizer.cost.CostModel.recost_steps`), or
     ``False`` to stay custom."""
 
-    __slots__ = ("frame", "samples", "generic")
+    __slots__ = ("samples", "generic")
 
-    def __init__(self, frame):
-        self.frame = frame
+    def __init__(self):
         self.samples = []
         self.generic = None
 
@@ -500,10 +500,10 @@ class QueryPipeline:
             token = self._plan_token(query)
             entry, outcome, stale = self.plan_cache.lookup(key, token)
             if entry is None:
-                shape = None if order is not None else trace.root.attrs.get(
-                    "fingerprint")
-                entry = (self._custom(query, order) if shape is None
-                         else self._shape_plan(query, shape, sig, token))
+                shaped = (order is None
+                          and trace.root.attrs.get("fingerprint") is not None)
+                entry = (self._shape_plan(query, sig, token) if shaped
+                         else self._custom(query, order))
                 # Re-read the token: planning may lazily ANALYZE (a
                 # version bump), and the entry must match the state it
                 # was built from.
@@ -522,24 +522,24 @@ class QueryPipeline:
         plan = self.db.planner.plan(query, order=order, memo=memo)
         return plan, prepare_plan(plan), "custom"
 
-    def _shape_plan(self, query, shape, sig, token):
+    def _shape_plan(self, query, sig, token):
         """A plan-cache miss of a statement with a shape: custom or
-        generic, chosen per shape under the plan ``token``.
+        generic, chosen per :func:`_frame` under the plan ``token``.
 
-        The first :data:`CUSTOM_SAMPLES` statements of a shape plan
+        The first :data:`CUSTOM_SAMPLES` statements of a frame plan
         custom, each keeping its estimate memo; then :meth:`_decide`
-        picks generic or custom for the shape until the token moves. A
-        generic statement binds the shape's template plan and memo to its
+        picks generic or custom for the frame until the token moves. A
+        generic statement binds the frame's template plan and memo to its
         predicates, re-costs the bound plan by the template's compiled
         steps and keeps it if the planner's local choices still hold on
         those costs — otherwise it plans custom. The generic route never
         calls the planner.
         """
         frame = _frame(query, sig)
-        state = self.shape_plans.get(shape, token)
-        if state is None or state.frame != frame:
-            state = _ShapePlans(frame)
-            self.shape_plans.put(shape, state, token)
+        state = self.shape_plans.get(frame, token)
+        if state is None:
+            state = _ShapePlans()
+            self.shape_plans.put(frame, state, token)
         generic = state.generic
         if generic is None:
             # A sample whose planning moved the token (a lazy ANALYZE)
@@ -572,7 +572,7 @@ class QueryPipeline:
         return plan, bind_memo(memo, predicates, done), "generic"
 
     def _decide(self, samples):
-        """The generic template for a shape's custom ``samples``, or
+        """The generic template for a frame's custom ``samples``, or
         ``False`` to stay custom: the plan structure most samples share,
         re-costed for each sample's literals inside that sample's own
         estimate memo (so no estimate is asked twice), goes generic when

@@ -1,14 +1,13 @@
-"""Columnar in-memory storage: segmented tables with a page model.
+"""Columnar in-memory storage: segmented tables.
 
 A :class:`Table` stores each column as a sequence of immutable, sealed
 :class:`~repro.engine.segments.ColumnSegment` stripes (shared row-group
 boundaries across columns) plus one tail of append-only typed NumPy
 buffers. Appends go to the tail and seal into encoded segments at
 ``segment_rows`` capacity, so batched inserts never re-copy already
-sealed data. The page model (rows per page, bytes per value) gives the
-cost model and the hardware-acceleration experiments something physical
-to reason about without real I/O; since segments are encoded, the page
-accounting reflects *encoded* bytes.
+sealed data. A table reports its modeled *encoded* size
+(:meth:`Table.encoded_bytes`, :meth:`Table.row_bytes`), which the view
+advisor prices storage by; the cost model counts rows, not bytes.
 
 There is one captured state: a :class:`TableSnapshot`. The live table
 reads through its *current* snapshot (built on the first read after a
@@ -37,9 +36,6 @@ from repro.engine.segments import (
     merge_value_counts,
 )
 from repro.engine.types import DataType, TableSchema
-
-#: Logical page size used by the cost model, in bytes.
-PAGE_BYTES = 8192
 
 
 class RowGroup:
@@ -515,7 +511,7 @@ class Table:
         self._tail[key] = arr[self._n_rows - self._tail_rows:]
         self._notify_write()
 
-    # -- page / byte model ---------------------------------------------
+    # -- byte model ----------------------------------------------------
     def column_encoded_bytes(self, name):
         """Modeled encoded bytes of one column (tail counted as plain)."""
         col = self.schema.column(name)
@@ -539,27 +535,6 @@ class Table:
             return sum(VALUE_BYTES[c.dtype] for c in self.schema.columns)
         per_row = self.encoded_bytes() / self._n_rows
         return int(per_row) if per_row == int(per_row) else per_row
-
-    def n_pages(self):
-        """Modeled page count in a row-major layout (encoded widths)."""
-        per_page = max(1, int(PAGE_BYTES // max(1, self.row_bytes())))
-        return max(1, -(-self._n_rows // per_page)) if self._n_rows else 0
-
-    def column_pages(self, name):
-        """Modeled page count for one column in a columnar layout.
-
-        Encoding shrinks a column's effective row count (encoded bytes
-        over the decoded value width); plain storage reproduces the
-        unencoded page math exactly.
-        """
-        col = self.schema.column(name)
-        if not self._n_rows:
-            return 0
-        per_page = max(1, PAGE_BYTES // VALUE_BYTES[col.dtype])
-        effective_rows = (
-            self.column_encoded_bytes(name) / VALUE_BYTES[col.dtype]
-        )
-        return max(1, int(-(-effective_rows // per_page)))
 
     def __repr__(self):
         return "Table(%r, rows=%d, segments=%d)" % (

@@ -488,8 +488,10 @@ def e7_join_order(seed=0, fast=False):
     tables.append(main)
 
     # Ablation: MCTS exploration constant (DESIGN.md §4).
-    from repro.ai4db.optimization.join_order import MCTSJoinOrderer
-    from repro.engine.optimizer.join_enum import dp_left_deep
+    from repro.ai4db.optimization.join_order import (
+        MCTSJoinOrderer,
+        dp_left_deep,
+    )
 
     catalog = Catalog()
     names, edges = datagen.make_join_graph_schema(
@@ -533,9 +535,11 @@ def e8_end_to_end(seed=0, fast=False):
     from repro.ai4db.optimization.end_to_end import NeoLiteOptimizer
     from repro.sim import datagen
     from repro.engine.database import Database
-    from repro.engine.optimizer.join_enum import dp_left_deep
-    from repro.ai4db.optimization.estimators import TrueCardinalityEstimator
-    from repro.engine.executor import count_join_rows
+    from repro.engine.optimizer.join_enum import dp_order
+    from repro.ai4db.optimization.estimators import (
+        TrueCardinalityEstimator,
+        count_join_rows,
+    )
 
     db = Database()
     names, edges = datagen.make_join_graph_schema(
@@ -562,7 +566,7 @@ def e8_end_to_end(seed=0, fast=False):
         rows["analytic"].append(db.executor.execute(plan).work)
         result, __ = neo.execute(q, learn=False)
         rows["neo"].append(result.work)
-        order, __cost = dp_left_deep(q, oracle, db.cost_model)
+        order = dp_order(q, oracle, db.cost_model)
         rows["oracle-dp"].append(db.run_query_object(q, order=order).work)
     table = ResultTable(
         "E8: mean executed work on held-out queries",

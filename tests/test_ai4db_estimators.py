@@ -7,8 +7,8 @@ import pytest
 from repro.ai4db.optimization.estimators import (
     SamplingEstimator,
     TrueCardinalityEstimator,
+    count_join_rows,
 )
-from repro.engine.executor import count_join_rows
 from repro.engine.optimizer.cardinality import TraditionalEstimator
 from repro.engine.query import ConjunctiveQuery, Predicate
 

@@ -13,6 +13,7 @@ import statistics
 
 import pytest
 
+from repro.ai4db.optimization.estimators import count_join_rows
 from repro.ai4db.optimization.feedback import (
     FeedbackCorrectedEstimator,
     FeedbackLoop,
@@ -22,7 +23,6 @@ from repro.ai4db.optimization.feedback import (
 from repro.engine import plans as P
 from repro.engine.catalog import Catalog
 from repro.engine.database import Database
-from repro.engine.executor import count_join_rows
 from repro.engine.optimizer.cardinality import CardinalityEstimator
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
 from repro.engine.telemetry import q_error

@@ -14,13 +14,13 @@ from repro.ai4db.optimization.join_order import (
     DQNJoinOrderer,
     MCTSJoinOrderer,
     compare_orderers,
+    dp_left_deep,
 )
 from repro.common import ModelError, NotFittedError
 from repro.engine import Database
 from repro.engine.catalog import Catalog
 from repro.engine.optimizer.cardinality import TraditionalEstimator
 from repro.engine.optimizer.cost import CostModel
-from repro.engine.optimizer.join_enum import dp_left_deep
 from repro.engine.query import ConjunctiveQuery, Predicate
 from repro.ml import q_error_summary
 from repro.sim import datagen

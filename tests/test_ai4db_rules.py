@@ -10,7 +10,7 @@ from repro.ai4db.config.rules import (
     apply_rules_fixed_order,
     default_rules,
 )
-from repro.engine.executor import count_join_rows
+from repro.ai4db.optimization.estimators import count_join_rows
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
 
 

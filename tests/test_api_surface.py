@@ -21,14 +21,14 @@ import repro.engine.errors as engine_errors
 #: additive growth does not churn this test.
 REQUIRED_EXPORTS = {
     # schema / storage / stats
-    "ColumnSchema", "DataType", "TableSchema", "Table", "PAGE_BYTES",
+    "ColumnSchema", "DataType", "TableSchema", "Table",
     "ColumnStats", "EquiDepthHistogram", "TableStats",
     # query model + catalog
     "Aggregate", "ConjunctiveQuery", "JoinEdge", "Predicate",
     "Catalog", "IndexDef", "ViewDef",
     # execution + configuration (this PR's redesigned surface)
     "EngineConfig", "ExecutionResult", "Executor",
-    "ExplainResult", "FusedPipelineOp", "Relation", "count_join_rows",
+    "ExplainResult", "FusedPipelineOp", "Relation",
     "fuse_plan",
     # pipeline
     "PIPELINE_STAGES", "PlanCache", "QueryPipeline",

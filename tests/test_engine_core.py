@@ -100,13 +100,6 @@ class TestTable:
         t.insert_rows([(i, str(i)) for i in range(5)])
         assert t.rows([0, 4]) == [(0, "0"), (4, "4")]
 
-    def test_page_model(self):
-        t = self._table()
-        assert t.n_pages() == 0
-        t.insert_rows([(i, "x") for i in range(1000)])
-        assert t.n_pages() >= 1
-        assert t.column_pages("a") <= t.n_pages()
-
 
 class TestHistogram:
     def test_build_and_bounds(self, rng):

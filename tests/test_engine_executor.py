@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ai4db.optimization.estimators import count_join_rows
 from repro.common import CatalogError, ExecutionError, ParseError
 from repro.engine import Database
-from repro.engine.executor import count_join_rows
 from repro.engine.query import ConjunctiveQuery, Predicate
 from test_engine_session import MagicExtension
 

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from reference_executor import ReferenceExecutor, assert_matches_reference
+from repro.ai4db.optimization.estimators import count_join_rows
 from repro.common import ExecutionError
 from repro.engine import Database, EngineConfig, plans as P
 from repro.engine.catalog import Catalog
-from repro.engine.executor import Executor, count_join_rows
+from repro.engine.executor import Executor
 from repro.engine.operators import registered_node_types
 from repro.engine.plans import operator_counts
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate

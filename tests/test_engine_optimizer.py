@@ -3,18 +3,19 @@ enumeration, planner."""
 
 import pytest
 
-from repro.ai4db.optimization import greedy_order, random_order
+from repro.ai4db.optimization import (
+    count_join_rows,
+    dp_left_deep,
+    greedy_order,
+    order_cost,
+    random_order,
+)
 from repro.common import PlanError
 from repro.engine import plans as P
 from repro.engine.catalog import Catalog
-from repro.engine.executor import count_join_rows
 from repro.engine.optimizer.cardinality import TraditionalEstimator
 from repro.engine.optimizer.cost import CostModel
-from repro.engine.optimizer.join_enum import (
-    dp_left_deep,
-    dp_order,
-    order_cost,
-)
+from repro.engine.optimizer.join_enum import dp_order
 from repro.engine.optimizer.planner import Planner
 from repro.engine.query import Aggregate, ConjunctiveQuery, Predicate
 from repro.sim import datagen

@@ -616,6 +616,20 @@ class TestGenericPlans:
         assert res.trace.plan_route == "custom" and res.rows == []
         assert "IndexScan" not in str(db.explain(shape % "'x'"))
 
+    def test_alternating_frames_of_one_fingerprint_each_go_generic(self, db):
+        """``LIMIT 5`` and ``LIMIT 10``, or ``>= 3`` and ``>= 3.5``, blank
+        to one fingerprint but are different frames. Each frame keeps its
+        own samples, so traffic alternating between them still reaches
+        five custom plans per frame and then binds generic plans."""
+        sql = self.SQL + " LIMIT %d"
+        routes = [db.execute(sql % (v, v % 7, 5 + 5 * (v % 2)))
+                  .trace.plan_route for v in range(100, 116)]
+        assert routes == ["custom"] * 10 + ["generic"] * 6
+        routes = [db.execute(self.SQL % (v, "%d%s" % (v % 7, ".5" * (v % 2))))
+                  .trace.plan_route for v in range(100, 116)]
+        assert routes == ["custom"] * 10 + ["generic"] * 6
+        assert db.pipeline.stats()["generic_plans"]["shapes"] == 4
+
     def test_query_objects_orders_and_shapeless_text_stay_custom(self, db):
         queries = [db.pipeline.lower_sql(self.SQL % (v, 3))
                    for v in range(100, 110)]

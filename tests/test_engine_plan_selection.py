@@ -18,7 +18,7 @@ explicit order surface :class:`~repro.common.CatalogError` (never a raw
 
 import pytest
 
-from repro.ai4db.optimization import UpperBoundEstimator
+from repro.ai4db.optimization import UpperBoundEstimator, count_join_rows
 from repro.ai4db.optimization.ues import (
     max_frequency,
     ues_bounds,
@@ -92,7 +92,7 @@ class TestUESBounds:
         order, bounds = ues_order(db.catalog, query)
         assert sorted(t.lower() for t in order) == ["big", "mid", "small"]
         for level in range(len(order)):
-            truth = db.true_cardinality(query, order[:level + 1])
+            truth = count_join_rows(db.catalog, query, order[:level + 1])
             assert bounds[level] >= truth, (order, level, bounds, truth)
 
     def test_order_must_cover_tables(self):

@@ -434,23 +434,18 @@ class TestTailSegment:
 class TestByteModel:
     """Pin the plain-encoding numbers to the original flat-layout model."""
 
-    def test_plain_row_bytes_and_pages_pinned(self):
+    def test_plain_row_bytes_pinned(self):
         table = _table(segment_rows=64, segment_encodings=("plain",))
         table.insert_rows([(i, float(i), "s%d" % i) for i in range(1000)])
         # INT(8) + FLOAT(8) + TEXT(24) per row, exactly as before
         # segmentation existed.
         assert table.row_bytes() == 40
-        assert table.n_pages() == 5          # ceil(1000 / (8192 // 40))
-        assert table.column_pages("a") == 1  # 8192 // 8 = 1024 rows/page
-        assert table.column_pages("b") == 1
-        assert table.column_pages("c") == 3  # ceil(1000 / 341)
         assert table.encoded_bytes() == 1000 * 40
 
     def test_empty_table_model(self):
         table = _table()
         assert table.row_bytes() == 40
-        assert table.n_pages() == 0
-        assert table.column_pages("a") == 0
+        assert table.encoded_bytes() == 0
 
     def test_encoding_shrinks_reported_bytes(self):
         plain = _table(segment_rows=64, segment_encodings=("plain",))
@@ -459,7 +454,7 @@ class TestByteModel:
         plain.insert_rows(rows)
         enc.insert_rows(rows)
         assert enc.encoded_bytes() < plain.encoded_bytes()
-        assert enc.column_pages("c") < plain.column_pages("c")
+        assert enc.column_encoded_bytes("c") < plain.column_encoded_bytes("c")
         assert enc.row_bytes() < plain.row_bytes()
 
 

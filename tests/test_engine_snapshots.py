@@ -687,9 +687,9 @@ class TestSqlTextCache:
 
 class TestScopedEstimatorMemos:
     def test_true_cardinality_memo_scoped_per_table(self):
-        from repro.engine import count_join_rows
         from repro.ai4db.optimization.estimators import (
             TrueCardinalityEstimator,
+            count_join_rows,
         )
 
         db = _small_db()

@@ -288,6 +288,38 @@ def test_the_engine_keeps_one_join_enumerator():
     assert not hits, hits
 
 
+def test_the_engine_neither_prices_orders_nor_counts_joins():
+    """The planner keeps its own objective and one DP entry point. The
+    objective that prices whole orders for the orderer race (E7) and
+    the exact counter behind the oracle estimator (E8) are defined in
+    ``repro.ai4db.optimization``; ``join_enum.py`` defines ``dp_order``
+    alone, and no engine module defines, names or exports them — nor
+    the predicate-stripping view, ``true_cardinality`` or the page
+    model nothing read."""
+    from repro.ai4db.optimization import estimators, join_order
+    from repro.engine.optimizer import join_enum
+
+    for fn in (join_order.order_cost, join_order.dp_left_deep):
+        assert fn.__module__ == join_order.__name__
+    assert estimators.count_join_rows.__module__ == estimators.__name__
+    tree = ast.parse(Path(join_enum.__file__).read_text(encoding="utf-8"))
+    assert [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))] == [
+        "dp_order"]
+    names = ("order_cost", "dp_left_deep", "_NoPredicateView",
+             "count_join_rows", "true_cardinality", "PAGE_BYTES",
+             "n_pages", "column_pages")
+    gone = re.compile(r"\b(%s)\b" % "|".join(names))
+    hits = [
+        "%s: %s" % (os.path.relpath(path, ENGINE_ROOT), match.group(0))
+        for path in _engine_modules()
+        for match in gone.finditer(Path(path).read_text(encoding="utf-8"))
+    ]
+    assert not hits, hits
+    for package in (repro.engine, repro.engine.optimizer):
+        assert not set(names) & set(dir(package)), package
+
+
 def test_src_never_imports_from_tests():
     """The reference executor is the test suite's, not a shipped mode:
     nothing under ``src/`` may import it (or anything else in tests/)."""
