@@ -103,19 +103,27 @@ class ViewDef:
         return "ViewDef(%r, rows=%d)" % (self.name, self.n_rows)
 
 
+def _vector(versions, tables):
+    if tables is None:
+        names = sorted(versions)
+    else:
+        names = sorted({t.lower() for t in tables})
+    return tuple((n, versions.get(n, 0)) for n in names)
+
+
 class CatalogSnapshot:
     """The state of a :class:`Catalog` at one version vector, immutable.
 
     Pins each table's current :class:`~repro.engine.storage.
     TableSnapshot` plus the statistics, index, and view definitions and
-    the version vector as of capture time. The executor runs plans
+    both version vectors as of capture time. The executor runs plans
     against one exactly as against the live catalog; mutating methods do
     not exist, so a write attempt fails loudly. It is also what
     :meth:`Catalog.restore` rewinds to.
 
     This class *defines* the lookup surface (``schema_epoch``/
-    ``version``/``version_vector``/``table``/``has_table``/
-    ``table_names``/``indexes``/``index_on``/``views``/
+    ``version``/``version_vector``/``plan_version_vector``/``table``/
+    ``has_table``/``table_names``/``indexes``/``index_on``/``views``/
     ``matching_view``); :class:`Catalog` reuses the very same functions
     over its live maps.
 
@@ -128,7 +136,7 @@ class CatalogSnapshot:
     """
 
     __slots__ = ("_tables", "_stats", "_lazy_stats", "_indexes", "_views",
-                 "_versions", "_schema_epoch")
+                 "_versions", "_plan_versions", "_schema_epoch")
 
     def __init__(self, catalog):
         self._tables = {
@@ -139,6 +147,7 @@ class CatalogSnapshot:
         self._indexes = dict(catalog._indexes)
         self._views = dict(catalog._views)
         self._versions = dict(sorted(catalog._versions.items()))
+        self._plan_versions = dict(catalog._plan_versions)
         self._schema_epoch = catalog._schema_epoch
 
     def snapshot(self):
@@ -156,20 +165,18 @@ class CatalogSnapshot:
         return self._schema_epoch
 
     def version(self, name):
-        """The monotonic version of one table (0 if never seen)."""
+        """The monotonic data version of one table (0 if never seen)."""
         return self._versions.get(name.lower(), 0)
 
     def version_vector(self, tables=None):
-        """Sorted ``((name, version), ...)`` over ``tables`` (or all).
+        """Sorted ``((name, version), ...)`` of data versions over
+        ``tables`` (or all): the token of whatever depends on the rows."""
+        return _vector(self._versions, tables)
 
-        The restriction of the version state to a query's table set —
-        the invalidation token caches store per entry.
-        """
-        if tables is None:
-            names = sorted(self._versions)
-        else:
-            names = sorted({t.lower() for t in tables})
-        return tuple((n, self._versions.get(n, 0)) for n in names)
+    def plan_version_vector(self, tables=None):
+        """Sorted ``((name, plan version), ...)`` over ``tables`` (or
+        all): the plan caches' invalidation token (see :class:`Catalog`)."""
+        return _vector(self._plan_versions, tables)
 
     def version_map(self):
         """``{table: version}`` in name order, by reference: read only."""
@@ -246,15 +253,30 @@ class CatalogSnapshot:
 class Catalog:
     """Holds all tables, statistics, indexes, and materialized views.
 
-    Every mutation that can change planning outcomes advances a
-    **per-table** monotonic version (:meth:`version` /
-    :meth:`version_vector`): DDL, ANALYZE, index and view changes bump it
-    explicitly, and a write hook installed on every table covers direct
-    ``Table.insert_rows`` bulk loads (the data generators) without any
-    polling of row counts. A coarser :attr:`schema_epoch` moves only when
-    the set of tables changes (what SQL-text lowering depends on). Caches
-    key on the version vector restricted to the tables they cover, so a
-    hot writer on one table never invalidates plans over the others.
+    Each table has two monotonic **per-table** versions, both stored
+    counters, so reading either never touches a table:
+
+    * the **data version** (:meth:`version` / :meth:`version_vector`)
+      moves on every mutation: DDL, ANALYZE, index and view changes bump
+      it explicitly, and a write hook installed on every table covers
+      each write, direct ``Table.insert_rows`` bulk loads (the data
+      generators) included, without any polling of row counts.
+      Snapshots, the server's commit log, sessions and the estimator
+      memos that count rows key on it;
+    * the **plan version** (:meth:`plan_version_vector`), the plan
+      caches' token, moves only where a plan could come out different:
+      DDL, ANALYZE (lazy or explicit), index and view changes, a write
+      that drops a view over the table, and a write that takes the row
+      count into a new power-of-two band (``n.bit_length()``), which the
+      planner's scan-vs-index choice reads. A plan kept across any other
+      write reads its rows from the snapshot it runs on; an installed
+      estimator that reads live rows has its plans refreshed only at
+      ANALYZE or at a band crossing.
+
+    A coarser :attr:`schema_epoch` moves only when the set of tables
+    changes (what SQL-text lowering depends on). Caches key on a vector
+    restricted to the tables they cover, so a hot writer on one table
+    never invalidates plans over the others.
 
     Every mutating call bumps a table version as its last change, and
     each bump moves a private generation counter; :meth:`snapshot` hands
@@ -270,6 +292,7 @@ class Catalog:
         # re-created table of the same name continues from), keeping
         # every published version monotonic.
         self._versions = {}
+        self._plan_versions = {}
         self._schema_epoch = 0
         self._generation = 0
         self._current = None  # (generation, CatalogSnapshot)
@@ -279,33 +302,42 @@ class Catalog:
         self.segment_rows = segment_rows
         self.segment_encodings = segment_encodings
 
-    def _bump_table(self, name):
+    def _bump_table(self, name, plan=True):
         key = name.lower()
         self._versions[key] = self._versions.get(key, 0) + 1
+        if plan:
+            self._plan_versions[key] = self._plan_versions.get(key, 0) + 1
         self._generation += 1
 
-    def _on_table_write(self, table):
-        """The write hook on every registered table: bump its version and
-        drop every materialized view reading it.
+    def _on_table_write(self, table, before, after):
+        """The write hook on every registered table, handed the row counts
+        from before and after the write: bump its data version, drop every
+        materialized view reading it, and bump its plan version too when
+        a view went or the count entered a new power-of-two band.
 
-        Reads no rows. Indexes need nothing: the write dropped the
-        table's current snapshot and its column sorts with it, the next
-        probe re-sorts, and snapshots pinned earlier keep their own.
+        Reads no rows and no table state. Indexes need nothing: the write
+        dropped the table's current snapshot and its column sorts with it,
+        the next probe re-sorts, and snapshots pinned earlier keep their
+        own.
         """
-        self._drop_views_over(table.name.lower())
-        self._bump_table(table.name)
+        key = table.name.lower()
+        dropped = self._drop_views_over(key)
+        self._bump_table(
+            key, plan=dropped or before.bit_length() != after.bit_length())
 
     def _drop_views_over(self, key):
-        for name in [
-            n for n, v in self._views.items()
-            if key in (t.lower() for t in v.query.tables)
-        ]:
+        """Drop every view reading table ``key``; whether any was."""
+        names = [n for n, v in self._views.items()
+                 if key in (t.lower() for t in v.query.tables)]
+        for name in names:
             del self._views[name]
+        return bool(names)
 
     # -- the lookup surface: one definition, shared with CatalogSnapshot --
     schema_epoch = CatalogSnapshot.schema_epoch
     version = CatalogSnapshot.version
     version_vector = CatalogSnapshot.version_vector
+    plan_version_vector = CatalogSnapshot.plan_version_vector
     table = CatalogSnapshot.table
     has_table = CatalogSnapshot.has_table
     table_names = CatalogSnapshot.table_names
@@ -373,8 +405,9 @@ class Catalog:
     def drop_table(self, name):
         """Drop a table and its dependent stats, indexes and views.
 
-        The table's version entry is kept (and bumped): a later table of
-        the same name continues from it, so versions never move backward.
+        The table's version entries are kept (and bumped): a later table
+        of the same name continues from them, so versions never move
+        backward.
         """
         key = name.lower()
         if key not in self._tables:
@@ -500,8 +533,8 @@ class Catalog:
         * tables dropped after the capture come back, each live
           :class:`~repro.engine.storage.Table` rewound to its pinned
           :class:`~repro.engine.storage.TableSnapshot`;
-        * statistics, index and view definitions, the version vector and
-          the schema epoch return to the captured values.
+        * statistics, index and view definitions, both version vectors
+          and the schema epoch return to the captured values.
 
         Restoring fires no write hook and moves versions **backward** —
         the one deliberate exception to the catalog's monotonicity rule,
@@ -523,6 +556,7 @@ class Catalog:
         self._indexes = dict(snapshot._indexes)
         self._views = dict(snapshot._views)
         self._versions = dict(snapshot._versions)
+        self._plan_versions = dict(snapshot._plan_versions)
         self._schema_epoch = snapshot._schema_epoch
         self._generation += 1
         self._current = (self._generation, snapshot)

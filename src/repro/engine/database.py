@@ -4,8 +4,8 @@ Ties the front end (parser + lowering), the planner and the executor
 together behind an explicit staged
 :class:`~repro.engine.pipeline.QueryPipeline`
 (parse → lower → plan → execute, with a plan cache keyed on the
-full query signature and checked against the per-table versions of the
-tables the query reads). Construction is driven by one
+full query signature and checked against the per-table plan versions
+of the tables the query reads). Construction is driven by one
 frozen :class:`~repro.engine.config.EngineConfig` — pass one via
 ``Database(config=...)``, or name individual knobs as keyword arguments
 and :meth:`EngineConfig.from_env` builds it (both spellings wire

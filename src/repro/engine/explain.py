@@ -15,8 +15,8 @@ def render_explain(plan, trace):
     Without an ``execute`` span: the plan with the optimizer's
     estimates. With one (EXPLAIN ANALYZE): each node of the unfused plan
     with its estimated rows, executor-counted actual rows and q-error,
-    then the scans' segment counters, the version vector the plan stage
-    keyed on and the plan-cache verdict. Either way a plan the pipeline's
+    then the scans' segment counters, the plan-version vector the plan
+    stage keyed on and the plan-cache verdict. Either way a plan the pipeline's
     generic route built ends with ``Plan: generic``.
     """
     run = trace.execute
@@ -67,8 +67,8 @@ class ExplainResult:
         plan: the (unfused) :class:`~repro.engine.plans.PhysicalPlan`.
         trace: the statement's
             :class:`~repro.engine.telemetry.StatementTrace` — cache
-            outcome and invalidation cause, the version vector the plan
-            stage keyed on; for EXPLAIN ANALYZE also the
+            outcome and invalidation cause, the plan-version vector the
+            plan stage keyed on; for EXPLAIN ANALYZE also the
             ``execute`` span (``node_stats``, segment counters).
         result: for EXPLAIN ANALYZE only — the
             :class:`~repro.engine.executor.ExecutionResult` of the run;

@@ -17,11 +17,14 @@ frame's generic plan — its :func:`~repro.engine.fusion.prepare_plan`
 memo and the route that built it, where every entry also stores the
 invalidation token it was planned under.
 The token is **scoped to the tables the query touches**: the catalog's
-:meth:`~repro.engine.catalog.Catalog.version_vector` restricted to the
-query's table set. A mutation (CREATE/DROP TABLE, CREATE INDEX,
-INSERT, ANALYZE, view registration) bumps only the affected tables'
-versions, so a hot writer on ``orders`` drops cached plans over
-``orders`` while plans over ``customers`` keep hitting. Repeated
+:meth:`~repro.engine.catalog.Catalog.plan_version_vector` restricted to
+the query's table set. A change that can alter a plan (CREATE/DROP
+TABLE, CREATE/DROP INDEX, ANALYZE, a view registered or dropped, a
+write that drops a view or takes a table's row count into a new
+power-of-two band) bumps only the affected tables' plan versions, so
+ANALYZE on ``orders`` drops cached plans over ``orders`` while plans
+over ``customers`` keep hitting, and any other INSERT drops none: the
+plan it keeps reads the new rows from the snapshot it runs on. Repeated
 workload queries (the experiment harness loops, the NEO-lite learning
 loop, AISQL ``PREDICT``) therefore skip join enumeration entirely;
 repeated *SQL text* additionally skips parsing and lowering via a second
@@ -54,7 +57,8 @@ Cache-key / token invariants:
   exactly the query parse and lower would;
 * an entry hits only while its stored token equals the current one;
   planning re-reads the token after the planner runs, because planning
-  itself may lazily ANALYZE a table (which bumps that table's version);
+  itself may lazily ANALYZE a table (which bumps that table's plan
+  version);
 * a stale entry's token is diffed against the current one to report the
   **invalidation cause** (``table:<name>``) on the trace's ``plan`` span
   and in EXPLAIN ANALYZE;
@@ -69,9 +73,10 @@ Generic-plan invariants:
   query-object route never is. Statements share a generic plan only
   when their :func:`_frame` is equal: the signature but for predicate
   values, and each predicate slot's column, operator and value type;
-* a frame's state lives under the plan token, so any drift — INSERT,
-  ANALYZE, DDL, or a lazy ANALYZE inside a sample's planning — restarts
-  sampling;
+* a frame's state lives under the plan token, so whatever moves it —
+  ANALYZE, DDL, a write that drops a view or crosses a row-count band,
+  or a lazy ANALYZE inside a sample's planning — restarts sampling,
+  while any other write keeps the samples and the generic plan;
 * samples are re-costed inside their own planning memos, so deciding
   asks the estimator nothing new;
 * a generic plan is re-costed with one fresh memo by
@@ -201,9 +206,9 @@ class _ShapePlans:
 
 
 def _invalidation_cause(stale, current):
-    """Name the table whose version invalidated a cached plan:
+    """Name the table whose plan version invalidated a cached plan:
     ``"table:<name>"``, the first name at which the stale and current
-    version vectors differ."""
+    vectors differ."""
     old, new = dict(stale), dict(current)
     for name in sorted(set(old) | set(new)):
         if old.get(name) != new.get(name):
@@ -475,10 +480,11 @@ class QueryPipeline:
 
     # -- stages ------------------------------------------------------------
     def _plan_token(self, query):
-        """The plan cache's invalidation token for ``query``: the
-        catalog's version vector restricted to the query's tables, so
-        only a change touching one of *these* tables moves it."""
-        return self.db.catalog.version_vector(query.tables)
+        """The plan caches' invalidation token for ``query``: the
+        catalog's plan-version vector restricted to the query's tables,
+        so only a change that can alter a plan over one of *these*
+        tables moves it."""
+        return self.db.catalog.plan_version_vector(query.tables)
 
     def _plan(self, query, trace, order=None, sig=None):
         """The plan stage: ``(plan, memo, route)`` for ``query``.
@@ -717,8 +723,10 @@ class QueryPipeline:
         """Drop every cached plan, lowered query, shape template and
         generic-plan state.
 
-        Needed only for mutations the catalog versions cannot observe, such
-        as swapping ``db.planner.estimator`` in place.
+        Needed only for mutations the catalog's plan versions cannot
+        observe, such as swapping ``db.planner.estimator`` in place, or
+        an installed estimator that reads live rows wanting its plans
+        refreshed between ANALYZEs.
         """
         self.plan_cache.clear()
         self.query_cache.clear()

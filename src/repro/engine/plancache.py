@@ -25,7 +25,7 @@ class PlanCache:
     """An LRU cache whose entries are invalidated by token drift.
 
     The token is an arbitrary hashable compared by equality — the
-    pipeline stores per-table version vectors (the concurrency suite
+    pipeline stores per-table plan-version vectors (the concurrency suite
     hammers it with plain integers).
 
     Args:

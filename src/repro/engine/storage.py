@@ -334,11 +334,14 @@ class Table:
         return self._version
 
     def add_write_hook(self, hook):
-        """Register ``hook(table)``, called after every mutating call.
+        """Register ``hook(table, before, after)``, called after every
+        mutating call with the row counts from before and after it.
 
-        The catalog installs one of these so direct ``Table.insert_rows``
-        bulk loads (the data generators) advance the per-table catalog
-        version without any polling of row counts.
+        The catalog installs one of these so every write, direct
+        ``Table.insert_rows`` bulk loads (the data generators) included,
+        advances the table's catalog versions without reading any table
+        state: the counts tell it whether the write crossed a row-count
+        band (its plan version's rule).
         """
         self._write_hooks.append(hook)
         return hook
@@ -350,10 +353,10 @@ class Table:
         except ValueError:
             pass
 
-    def _notify_write(self):
+    def _notify_write(self, before):
         self._version += 1
         for hook in list(self._write_hooks):
-            hook(self)
+            hook(self, before, self._n_rows)
 
     # -- captured state ------------------------------------------------
     def snapshot(self):
@@ -442,7 +445,7 @@ class Table:
                     "value: %s" % (col.dtype.name, col.name, self.name, exc)
                 ) from None
         self._current = None
-        cap = self._segment_rows
+        before, cap = self._n_rows, self._segment_rows
         done = 0
         while done < len(rows):
             n = self._tail_rows
@@ -461,7 +464,7 @@ class Table:
             self._tail_rows = end
             if end == cap:
                 self._seal_tail()
-        self._notify_write()
+        self._notify_write(before)
         return len(rows)
 
     def _fresh_tail(self):
@@ -509,7 +512,7 @@ class Table:
         self._current = None
         self._groups = new_groups
         self._tail[key] = arr[self._n_rows - self._tail_rows:]
-        self._notify_write()
+        self._notify_write(self._n_rows)
 
     # -- byte model ----------------------------------------------------
     def column_encoded_bytes(self, name):

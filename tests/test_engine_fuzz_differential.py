@@ -64,7 +64,7 @@ from reference_executor import (
 )
 from repro.ai4db.optimization import greedy_order, random_order, ues_order
 from repro.engine import Database
-from repro.engine.plans import IndexScan
+from repro.engine.plans import IndexScan, ViewScan
 from repro.engine.query import Aggregate, ConjunctiveQuery, JoinEdge, Predicate
 from repro.engine.sql.lexer import fingerprint, literal_value
 from repro.engine.sql.lowering import lower_select
@@ -555,6 +555,144 @@ def test_fuzz_generic_route_matches_both_oracles(catalog_seed):
     # Not vacuous: most shapes go generic after their five samples.
     assert generic >= GENERIC_ROUTE_CASES * 2, generic
     assert db.pipeline.stats()["generic_plans"]["shapes"] > 0
+
+
+# ----------------------------------------------------------------------
+# Plans outlive writes: a cached plan or generic state survives every
+# write that cannot change a plan, and no other
+# ----------------------------------------------------------------------
+OUTLIVE_SEEDS = (0, 1, 2, 3)
+OUTLIVE_ROUNDS = max(12, min(60, N_CASES // 10))
+#: Fixed texts per catalog; each also runs ``OUTLIVE_REDRAWS`` redraws
+#: of its literals per round, so its frame samples, goes generic and
+#: meets writes.
+OUTLIVE_TEXTS = 6
+OUTLIVE_REDRAWS = 3
+#: Tables stop growing by band-sized steps past this many rows.
+OUTLIVE_MAX_ROWS = 512
+
+
+def _outlive_write(rng, db, lite, tables):
+    """Insert into one table: exactly up to the next power of two of its
+    row count (a band crossing), to one row short of it (the last row
+    of the band), or one to three rows. Returns ``(table, before,
+    after)``; SQLite gets the same rows."""
+    t = rng.choice(tables)
+    n = db.catalog.table(t).n_rows
+    edge = 1 << n.bit_length()
+    mode = rng.choice(("cross", "below", "small", "small", "small", "small"))
+    if mode == "cross" and n < OUTLIVE_MAX_ROWS:
+        count = edge - n
+    elif mode == "below" and edge - 1 - n > 0 and n < OUTLIVE_MAX_ROWS:
+        count = edge - 1 - n
+    else:
+        count = rng.randint(1, 3)
+    rows = [(rng.randrange(150), rng.randrange(12),
+             round(rng.uniform(-10.0, 10.0), 6), "tag%d" % rng.randrange(5),
+             None if rng.random() < 0.3 else "n%d" % rng.randrange(3))
+            for __ in range(count)]
+    if count <= 3 and all(r[4] is not None for r in rows):
+        db.execute("INSERT INTO %s VALUES %s" % (t, ", ".join(
+            "(%d, %d, %r, '%s', '%s')" % r for r in rows)))
+    else:
+        db.catalog.table(t).insert_rows(rows)
+    lite.executemany("INSERT INTO %s VALUES (?, ?, ?, ?, ?)" % t, rows)
+    return t, n, n + count
+
+
+@pytest.mark.parametrize("catalog_seed", OUTLIVE_SEEDS)
+def test_fuzz_plans_outlive_writes(catalog_seed):
+    """Fixed SELECT texts re-run between inserts, on the custom route
+    (the same text) and the generic route (redraws of its literals),
+    over tables indexed on ``id`` and ``k``, with a materialized view
+    over one text's join that every write to its tables drops and the
+    arm re-registers.
+
+    Every statement matches SQLite, and the reference executor on the
+    plan it ran (rows, ``work``, per-node counts). A fixed text's
+    plan-cache outcome is what the plan-version rule predicts, tracked
+    here from the row counts: ``hit`` unless, since it was planned, one
+    of its tables was analyzed, entered a new power-of-two band of row
+    count, or gained or lost a view — then ``invalidated``."""
+    from repro.ai4db.config.view_advisor import ViewCandidate, materialize_view
+
+    db, tables = _build_db(catalog_seed)
+    for t in tables:  # every table can be probed by id and k
+        for column in ("id", "k"):
+            if db.catalog.index_on(t, column) is None:
+                db.execute("CREATE INDEX %s_%s ON %s (%s)"
+                           % (t, column, t, column))
+    reference = ReferenceExecutor(db.catalog, db.cost_model)
+    lite = _sqlite_twin(db, tables)
+    rng = random.Random(91_000 + catalog_seed + 1_000_003 * FUZZ_SEED)
+    bases = []
+    while len(bases) < OUTLIVE_TEXTS:
+        query = _random_query(rng, tables)
+        # Joins on ``id`` only: a ``k`` join's output grows with the
+        # square of the tables, which the writes keep growing.
+        if (query.predicates and query.limit is None
+                and all(e.left_column == "id" for e in query.join_edges)):
+            bases.append(query)
+    joined = [q for q in bases if len(q.tables) > 1]
+    view_query = ConjunctiveQuery(
+        tables=joined[0].tables,
+        join_edges=joined[0].join_edges) if joined else None
+    view = None
+    # The rule's state, kept here: a counter per table that moves where
+    # the plan version must, and each fixed text's counters at planning.
+    epoch = dict.fromkeys(tables, 0)
+    planned = {}
+    seen = Counter()
+    for round_ in range(OUTLIVE_ROUNDS):
+        if view_query and view is None and rng.random() < 0.25:
+            view = materialize_view(db, ViewCandidate(view_query, 2))
+            for t in view_query.tables:
+                epoch[t] += 1
+        for i, base in enumerate(bases):
+            for query in [base] + [_redrawn(rng, base)
+                                   for __ in range(OUTLIVE_REDRAWS)]:
+                sql = _render_sql(query)
+                label = "catalog_seed=%d round=%d text=%d sql=%s" % (
+                    catalog_seed, round_, i, sql)
+                result = db.execute(sql)
+                token = tuple(epoch[t] for t in query.tables)
+                if query is base:
+                    if i in planned:
+                        expected = ("hit" if planned[i] == token
+                                    else "invalidated")
+                        assert result.trace.cache_outcome == expected, (
+                            label, planned[i], token)
+                        seen[expected] += 1
+                    planned[i] = token
+                ran = db.pipeline.prepare_sql(sql)
+                assert ran.trace.cache_hit, label
+                seen[result.trace.plan_route] += 1
+                seen["index"] += any(isinstance(n, IndexScan)
+                                     for n in ran.plan.walk())
+                seen["view"] += any(isinstance(n, ViewScan)
+                                    for n in ran.plan.walk())
+                assert_matches_reference(result, reference.execute(ran.plan),
+                                         label)
+                _assert_matches_sqlite(lite, query, sql, result, label)
+        for __ in range(rng.randint(1, 2)):
+            t, before, after = _outlive_write(rng, db, lite, tables)
+            dropped = view is not None and t in view_query.tables
+            if dropped:
+                view = None
+                seen["view dropped"] += 1
+            if dropped or before.bit_length() != after.bit_length():
+                epoch[t] += 1
+                seen["band"] += not dropped
+        if rng.random() < 0.1:
+            t = rng.choice(tables)
+            db.execute("ANALYZE %s" % t)
+            epoch[t] += 1
+    # Not vacuous: cached plans outlived writes and were invalidated by
+    # them, generic plans ran, and so did index probes and view scans.
+    assert seen["hit"] and seen["invalidated"] and seen["band"], seen
+    assert seen["generic"] and seen["index"], seen
+    if view_query:
+        assert seen["view"] and seen["view dropped"], seen
 
 
 #: ``name -> (base, probes)``: the base text goes through the front end

@@ -319,12 +319,20 @@ class TestInvalidation:
     """No stale plan — or stale result — survives a catalog mutation."""
 
     def test_insert_invalidates_and_result_is_fresh(self, db):
+        """An INSERT inside the row-count band keeps the plan, which reads
+        the new row; one that takes ``users`` into the next power-of-two
+        band (200 → 256 rows) invalidates it."""
         sql = "SELECT COUNT(*) FROM users WHERE age >= 20"
         assert db.query(sql)[0][0] == 200
         assert db.pipeline.plan_cache.hits == 0
         db.execute("INSERT INTO users VALUES (1000, 'new', 33, 9.9)")
-        assert db.query(sql)[0][0] == 201  # would be 200 from a stale plan
-        assert db.pipeline.plan_cache.invalidations >= 1
+        assert db.query(sql)[0][0] == 201  # would be 200 from stale rows
+        assert db.pipeline.plan_cache.hits == 1
+        assert db.pipeline.plan_cache.invalidations == 0
+        db.execute("INSERT INTO users VALUES " + ", ".join(
+            "(%d, 'young', 19, 0.0)" % (1001 + i) for i in range(55)))
+        assert db.query(sql)[0][0] == 201
+        assert db.pipeline.plan_cache.invalidations == 1
 
     def test_create_index_replans(self, db):
         sql = "SELECT name FROM users WHERE id = 7"
@@ -547,7 +555,9 @@ class TestGenericPlans:
         assert str(db.explain(self.SQL % (99, 3))) == custom
 
     @pytest.mark.parametrize("write", [
-        "INSERT INTO users VALUES (900, 'x', 30, 1.0)",
+        # 200 → 256 rows: the next power-of-two band of row count.
+        "INSERT INTO users VALUES " + ", ".join(
+            "(%d, 'x', 30, 1.0)" % (900 + i) for i in range(56)),
         "ANALYZE users",
         "CREATE INDEX users_age ON users (age)",
     ], ids=["insert", "analyze", "ddl"])

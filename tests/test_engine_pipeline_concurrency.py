@@ -375,10 +375,14 @@ class TestGenericPlansUnderWrites:
     """Threads run one statement shape — sampling, deciding and binding
     its generic plan — while a writer inserts into the shape's table
     (rows no statement matches, so every result is known): each result
-    must equal a serial replay of its text on an unwritten twin. After
-    each row it inserts, the writer waits for a generic statement before
-    the next one, and readers wait for the first write before their last
-    rounds, so generic plans provably run between writes."""
+    must equal a serial replay of its text on an unwritten twin. A row
+    alone stays inside the table's row-count band and keeps the shape's
+    generic plan; with every other row, the first included, the writer
+    also ANALYZEs the table, which restarts the shape's sampling. After
+    each write, the writer
+    waits for a generic statement before the next one, and readers wait
+    for the first write before their last rounds, so generic plans
+    provably run between writes."""
 
     SQL = ("SELECT COUNT(*), SUM(a.v) FROM a, b WHERE a.k = b.id "
            "AND a.id >= %d AND a.v < %d")
@@ -410,9 +414,13 @@ class TestGenericPlansUnderWrites:
         def write_loop():
             try:
                 barrier.wait()
+                analyze = True
                 while not stop.is_set():
                     # a.k = 99 joins no row of b: every result stays.
                     db.catalog.table("a").insert_rows([(1000, 99, 0.0)])
+                    if analyze:
+                        db.catalog.analyze("a")
+                    analyze = not analyze
                     first_write.set()
                     generic = routes()
                     while routes() == generic and not stop.wait(0.001):

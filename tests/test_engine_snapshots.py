@@ -1,7 +1,8 @@
 """Per-table version vectors and MVCC-style catalog snapshots (PR 7).
 
 Covers the versioning contract (which mutations bump which table's
-version, an O(1) version read, monotonicity across drop/create), the
+data version and which also its plan version, an O(1) version read,
+monotonicity across drop/create), the
 snapshot pinning contract (``TableSnapshot``/``CatalogSnapshot``/
 ``DatabaseSnapshot`` keep serving the state they were taken at while
 writers move the live objects), and the scoped cache contract (plan
@@ -129,13 +130,15 @@ class TestPerTableVersions:
     def test_table_write_hook_fires_and_removes(self):
         t = Table(TableSchema("t", [ColumnSchema("id", "INT")]))
         seen = []
-        hook = t.add_write_hook(lambda tbl: seen.append(tbl.version))
+        hook = t.add_write_hook(
+            lambda tbl, *counts: seen.append((tbl.version, counts)))
         t.insert_rows([(1,)])
         t.replace_column("id", [7])
-        assert seen == [1, 2]
+        # Each call carries the row counts from before and after it.
+        assert seen == [(1, (0, 1)), (2, (1, 1))]
         t.remove_write_hook(hook)
         t.insert_rows([(2,)])
-        assert seen == [1, 2]
+        assert seen == [(1, (0, 1)), (2, (1, 1))]
 
 
 class TestTableSnapshot:
@@ -389,7 +392,7 @@ def test_restore_puts_back_exactly_what_snapshot_captured(seed):
             created.append(made)
     hook_calls = []
     for table in captured["tables"].values():
-        table.add_write_hook(hook_calls.append)
+        table.add_write_hook(lambda *call: hook_calls.append(call))
     catalog.restore(snap)
     assert hook_calls == []  # a rewind is not a write
     _same_state(_observe(catalog), captured)
@@ -624,20 +627,23 @@ class TestScopedPlanCache:
         assert stats["invalidations"] == 0
 
     def test_writer_on_a_invalidates_plans_for_a(self):
+        """A write that takes ``a`` into a new power-of-two band of row
+        count (100 → 128 rows) moves its plan version."""
         db = _small_db()
         db.query("SELECT COUNT(*) FROM a")
-        db.catalog.table("a").insert_rows([(1, 1)])
+        db.catalog.table("a").insert_rows([(1, 1)] * 28)
         res = db.execute("SELECT COUNT(*) FROM a")
         tele = res.trace
         assert tele.cache_outcome == "invalidated"
         assert tele.invalidation_cause == "table:a"
-        assert dict(tele.plan_versions)["a"] == db.catalog.version("a")
+        assert dict(tele.plan_versions)["a"] == _plan_version(db, "a")
+        assert res.rows == [(128,)]
 
     def test_join_invalidated_by_either_table(self):
         db = _small_db()
         sql = "SELECT COUNT(*) FROM a, b WHERE a.k = b.k"
         db.query(sql)
-        db.catalog.table("b").insert_rows([(1, 1)])
+        db.catalog.table("b").insert_rows([(1, 1)] * 4)  # 60 → 64 rows
         res = db.execute(sql)
         assert res.trace.cache_outcome == "invalidated"
         assert res.trace.invalidation_cause == "table:b"
@@ -646,16 +652,135 @@ class TestScopedPlanCache:
         db = _small_db()
         sql = "SELECT COUNT(*) FROM a WHERE k = 1"
         db.query(sql)
-        db.catalog.table("a").insert_rows([(1, 1)])
+        db.catalog.table("a").insert_rows([(1, 1)] * 28)  # 100 → 128 rows
         out = db.explain_analyze(sql)
         assert out.trace.cache_outcome == "invalidated"
         assert out.trace.invalidation_cause == "table:a"
-        assert dict(out.trace.plan_versions)["a"] == db.catalog.version("a")
-        assert "Versions: a=%d" % db.catalog.version("a") in out.text
+        assert dict(out.trace.plan_versions)["a"] == _plan_version(db, "a")
+        assert "Versions: a=%d" % _plan_version(db, "a") in out.text
         assert "Plan cache: invalidated (table:a)" in out.text
         warm = db.explain_analyze(sql)
         assert warm.trace.cache_outcome == "hit"
         assert "Plan cache: hit" in warm.text
+
+
+def _plan_version(db, name):
+    return dict(db.catalog.plan_version_vector([name]))[name]
+
+
+class TestPlanVersions:
+    """A table's plan version moves only where a plan could change:
+    DDL, ANALYZE, views, and writes that drop a view or take the row
+    count into a new power-of-two band. Any other write keeps the
+    cached plan, which still reads the rows the write left."""
+
+    def test_a_write_inside_the_band_hits_and_reads_fresh_rows(self):
+        db = _small_db()
+        sql = "SELECT COUNT(*), SUM(a.id) FROM a WHERE k = 1"
+        assert db.query(sql) == [(20, 970)]
+        versions = db.version_vector(["a"])
+        plan_versions = db.catalog.plan_version_vector(["a"])
+        db.execute("INSERT INTO a VALUES (500, 1)")  # 100 → 101 rows
+        db.catalog.table("a").insert_rows([(600, 1), (700, 2)])
+        res = db.execute(sql)
+        assert res.trace.cache_outcome == "hit"
+        assert res.rows == [(22, 2070)]
+        # The data version moved twice, the plan version not at all.
+        assert dict(db.version_vector(["a"]))["a"] == dict(versions)["a"] + 2
+        assert db.catalog.plan_version_vector(["a"]) == plan_versions
+        assert res.trace.plan_versions == plan_versions
+
+    def test_a_band_crossing_replans_as_a_fresh_planner_would(self):
+        """Eight rows, an index on ``id``: ``id < 6`` is cheaper to scan
+        than to probe. Seven more rows stay in the band and keep the
+        cached SeqScan; the sixteenth row crosses it, and the re-plan is
+        the fresh planner's IndexScan."""
+        db = Database()
+        db.execute("CREATE TABLE t (id INT, x INT)")
+        db.catalog.table("t").insert_rows([(i, i) for i in range(8)])
+        db.execute("ANALYZE t")
+        db.execute("CREATE INDEX t_id ON t (id)")
+        sql = "SELECT t.x FROM t WHERE t.id < 6"
+
+        def fresh():
+            return db.planner.plan(db.pipeline.lower_sql(sql)).pretty()
+
+        assert "SeqScan" in str(db.explain(sql)) and "SeqScan" in fresh()
+        db.catalog.table("t").insert_rows(
+            [(100 + i, i) for i in range(7)])  # 15 rows: same band
+        res = db.execute(sql)
+        assert res.trace.cache_outcome == "hit"
+        assert sorted(res.rows) == [(i,) for i in range(6)]
+        db.execute("INSERT INTO t VALUES (3, 33)")  # 16 rows: next band
+        res = db.execute(sql)
+        assert res.trace.cache_outcome == "invalidated"
+        assert res.trace.invalidation_cause == "table:t"
+        assert sorted(res.rows) == sorted([(i,) for i in range(6)] + [(33,)])
+        replanned = db.pipeline.prepare_sql(sql)
+        assert replanned.trace.cache_hit
+        assert "IndexScan" in fresh()
+        assert replanned.plan.pretty() == fresh()
+
+    def test_a_write_that_drops_a_view_replans_over_the_base_table(self):
+        db = _indexed_db()
+        _materialize_join(db)
+        assert db.query(JOIN) == [(50,)]
+        db.execute("INSERT INTO b VALUES (7, 0)")  # 50 → 51: same band
+        assert db.catalog.views() == []
+        res = db.execute(JOIN)
+        assert res.trace.cache_outcome == "invalidated"
+        assert res.trace.invalidation_cause == "table:b"
+        assert res.rows == [(51,)]
+        plan = db.pipeline.prepare_sql(JOIN).plan
+        assert not any(isinstance(n, P.ViewScan) for n in plan.walk())
+        assert {n.table for n in plan.walk()
+                if isinstance(n, (P.SeqScan, P.IndexScan))} == {"a", "b"}
+
+    def test_replace_column_keeps_the_plan_and_reads_new_values(self):
+        db = _small_db()
+        sql = "SELECT SUM(a.k) FROM a WHERE a.id < 10"
+        assert db.query(sql) == [(20,)]
+        db.catalog.table("a").replace_column("k", [7] * 100)
+        res = db.execute(sql)
+        assert res.trace.cache_outcome == "hit"
+        assert res.rows == [(70,)]
+
+    def test_generic_state_survives_writes_inside_the_band(self):
+        db = _small_db()
+        shape = "SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.id < %d"
+
+        def route(v):
+            return db.execute(shape % v).trace.plan_route
+
+        assert [route(v) for v in range(50, 56)] == (
+            ["custom"] * 5 + ["generic"])
+        for v in range(56, 62):
+            db.catalog.table("a").insert_rows([(1000 + v, 4)])  # ≤ 106 rows
+            res = db.execute(shape % v)
+            assert res.trace.plan_route == "generic"
+            assert res.rows == db.executor.execute(
+                db.planner.plan(db.pipeline.lower_sql(shape % v))).rows
+        assert db.pipeline.shape_plans.invalidations == 0
+        assert db.pipeline.stats()["plan_routes"] == {
+            "custom": 5, "generic": 7}
+
+    def test_restore_then_invalidate_rebuilds_the_plan(self):
+        """``restore`` rewinds both version vectors; a plan cached inside
+        the rewound window matches again, so the caller drops it with
+        ``invalidate()`` (as the session API does) and the next read
+        plans afresh over the restored rows."""
+        db = _small_db()
+        sql = "SELECT COUNT(*) FROM a WHERE a.k = 1"
+        snap = db.catalog.snapshot()
+        db.catalog.table("a").insert_rows([(1000, 1)])
+        assert db.query(sql) == [(21,)]
+        db.catalog.restore(snap)
+        assert db.catalog.plan_version_vector() == snap.plan_version_vector()
+        assert db.catalog.version_vector() == snap.version_vector()
+        db.pipeline.invalidate()
+        res = db.execute(sql)
+        assert res.trace.cache_outcome == "miss"
+        assert res.rows == [(20,)]
 
 
 class TestSqlTextCache:

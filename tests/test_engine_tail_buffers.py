@@ -254,7 +254,7 @@ def test_a_refused_batch_leaves_everything_as_it_was(surface, case):
     server = QueryServer(db)
     table = db.catalog.table("t")
     hook_calls = []
-    table.add_write_hook(hook_calls.append)
+    table.add_write_hook(lambda *call: hook_calls.append(call))
     current = table.snapshot()
 
     def state():

@@ -92,7 +92,9 @@ def run_cases(surface):
 
     run("cold", READ)
     run("warm", READ)
-    db.catalog.table("t").insert_rows([(9, "w")])  # a live writer
+    # A live writer taking t into the next power-of-two band of row
+    # count (2 → 4 rows), which moves its plan version.
+    db.catalog.table("t").insert_rows([(9, "w"), (10, "v")])
     run("invalidated", READ)
     if surface == "snapshot":
         run("insert", INSERT, raises=ExecutionError)  # read-only

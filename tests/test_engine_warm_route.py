@@ -242,7 +242,7 @@ def test_a_snapshot_built_mid_write_is_not_reused():
     table = Table(TableSchema("t", [ColumnSchema("id", "INT")]))
     inside, resume = threading.Event(), threading.Event()
 
-    def pause(__):
+    def pause(*__):
         inside.set()
         assert resume.wait(10)
 

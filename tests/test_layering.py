@@ -391,9 +391,10 @@ def test_each_read_surface_is_written_once():
 def test_an_index_is_metadata_and_the_write_hook_reads_no_rows():
     """The engine holds no index structure: nothing under ``engine/``
     names ``BPlusTree``/``HashIndex``, ``IndexDef`` carries no
-    ``structure``, and the catalog's write hook only bumps the version
-    and drops views — "index matches its rows" follows from the sort
-    living on the table snapshot, not from rebuilding on write."""
+    ``structure``, and the catalog's write hook only bumps the versions,
+    drops views and compares the row-count bands of the counts it is
+    handed — "index matches its rows" follows from the sort living on
+    the table snapshot, not from rebuilding on write."""
     from repro.engine import Catalog, IndexDef
 
     hits = [
@@ -414,7 +415,8 @@ def test_an_index_is_metadata_and_the_write_hook_reads_no_rows():
         if isinstance(node, ast.Call)
     }
     assert called == {"self._bump_table", "self._drop_views_over",
-                      "table.name.lower"}, called
+                      "table.name.lower", "before.bit_length",
+                      "after.bit_length"}, called
     drop = inspect.getsource(Catalog._drop_views_over)
     assert "table(" not in drop and "rows" not in drop
 
