@@ -34,8 +34,8 @@ def count_join_rows(catalog, query, tables):
     Joins columnar batches with the engine's vectorized kernels in a
     connectivity-respecting order and charges no work accounting.
     """
-    wanted = {x.lower() for x in tables}
-    names = [t for t in query.tables if t.lower() in wanted]
+    wanted = set(tables)
+    names = [t for t in query.tables if t in wanted]
     if not names:
         return 0
 
@@ -88,6 +88,12 @@ class SamplingEstimator(CardinalityEstimator):
     independence, but noisy at small sample sizes and expensive for large
     join graphs (which is why real systems don't default to it).
 
+    Each table's sample is stamped with the table's plan version
+    (:meth:`~repro.engine.catalog.Catalog.plan_version_vector`) and
+    redrawn once that version moves, so a sample refreshes exactly when
+    a plan built from it would be re-planned: at ANALYZE, DDL, or a
+    write that takes the row count into a new power-of-two band.
+
     Args:
         catalog: the catalog with the base tables.
         sample_size: rows sampled per table.
@@ -101,8 +107,10 @@ class SamplingEstimator(CardinalityEstimator):
         self._samples = {}
 
     def _sample(self, table):
-        key = table.lower()
-        if key not in self._samples:
+        """``(columns, n_rows, n_sampled)`` of ``table``'s current sample."""
+        version = self.catalog.plan_version_vector((table,))
+        entry = self._samples.get(table)
+        if entry is None or entry[0] != version:
             tbl = self.catalog.table(table)
             n = tbl.n_rows
             if n <= self.sample_size:
@@ -110,18 +118,18 @@ class SamplingEstimator(CardinalityEstimator):
             else:
                 idx = self._rng.choice(n, size=self.sample_size, replace=False)
             cols = {
-                c.name.lower(): tbl.column_array(c.name)[idx]
+                c.name: tbl.column_array(c.name)[idx]
                 for c in tbl.schema.columns
             }
-            self._samples[key] = (cols, n, len(idx))
-        return self._samples[key]
+            entry = self._samples[table] = (version, cols, n, len(idx))
+        return entry[1:]
 
     @staticmethod
     def _mask(query, table, cols, n_sample):
         """Which sampled rows of ``table`` pass the query's predicates."""
         mask = np.ones(n_sample, dtype=bool)
         for pred in query.predicates_on(table):
-            mask = mask & OPS[pred.op](cols[pred.column.lower()], pred.value)
+            mask = mask & OPS[pred.op](cols[pred.column], pred.value)
         return mask
 
     def estimate_table(self, query, table):
@@ -132,7 +140,7 @@ class SamplingEstimator(CardinalityEstimator):
         return float(mask.sum()) / n_sample * n_total
 
     def estimate_subset(self, query, tables):
-        names = [t for t in query.tables if t.lower() in {x.lower() for x in tables}]
+        names = [t for t in query.tables if t in tables]
         if not names:
             return 0.0
         if len(names) == 1:
@@ -142,12 +150,10 @@ class SamplingEstimator(CardinalityEstimator):
         first = names[0]
         cols, n_total, n_sample = self._sample(first)
         mask = self._mask(query, first, cols, n_sample)
-        current = {
-            (first.lower(), cname): arr[mask] for cname, arr in cols.items()
-        }
+        current = {(first, cname): arr[mask] for cname, arr in cols.items()}
         current_rows = int(mask.sum())
         scale *= n_total / max(1, n_sample)
-        joined = {first.lower()}
+        joined = {first}
         remaining = names[1:]
         while remaining:
             progressed = False
@@ -159,12 +165,12 @@ class SamplingEstimator(CardinalityEstimator):
                 mask_t = self._mask(query, t, cols_t, n_sample_t)
                 right = {c: a[mask_t] for c, a in cols_t.items()}
                 edge = edges[0]
-                if edge.left_table.lower() in joined:
-                    lkey = (edge.left_table.lower(), edge.left_column.lower())
-                    rcol = edge.right_column.lower()
+                if edge.left_table in joined:
+                    lkey = (edge.left_table, edge.left_column)
+                    rcol = edge.right_column
                 else:
-                    lkey = (edge.right_table.lower(), edge.right_column.lower())
-                    rcol = edge.left_column.lower()
+                    lkey = (edge.right_table, edge.right_column)
+                    rcol = edge.left_column
                 left_keys = current[lkey] if current_rows else np.array([])
                 right_keys = right[rcol]
                 # Hash join on sample keys.
@@ -182,24 +188,20 @@ class SamplingEstimator(CardinalityEstimator):
                     new_current[key] = arr[left_idx] if len(left_idx) else arr[:0]
                 for cname, arr in right.items():
                     sel = arr[right_idx] if len(right_idx) else arr[:0]
-                    new_current[(t.lower(), cname)] = sel
+                    new_current[(t, cname)] = sel
                 keep = np.ones(len(left_idx), dtype=bool)
                 for extra in edges[1:]:
-                    if extra.left_table.lower() == t.lower():
-                        a = new_current[(t.lower(), extra.left_column.lower())]
-                        b = new_current[
-                            (extra.right_table.lower(), extra.right_column.lower())
-                        ]
+                    if extra.left_table == t:
+                        a = new_current[(t, extra.left_column)]
+                        b = new_current[(extra.right_table, extra.right_column)]
                     else:
-                        a = new_current[(t.lower(), extra.right_column.lower())]
-                        b = new_current[
-                            (extra.left_table.lower(), extra.left_column.lower())
-                        ]
+                        a = new_current[(t, extra.right_column)]
+                        b = new_current[(extra.left_table, extra.left_column)]
                     keep &= a == b
                 current = {k: v[keep] for k, v in new_current.items()}
                 current_rows = int(keep.sum())
                 scale *= n_total_t / max(1, n_sample_t)
-                joined.add(t.lower())
+                joined.add(t)
                 remaining.remove(t)
                 progressed = True
                 break
@@ -245,7 +247,7 @@ class TrueCardinalityEstimator(CardinalityEstimator):
     def estimate_subset(self, query, tables):
         key = token = None
         if self._cache is not None:
-            key = (query.signature(), tuple(sorted(t.lower() for t in tables)))
+            key = (query.signature(), tuple(sorted(tables)))
             token = self._token(tables)
             entry = self._cache.get(key)
             if entry is not None and entry[1] == token:

@@ -75,7 +75,7 @@ def _lift_scan_predicates(node):
 
 
 def plan_reads(plan):
-    """Lower-cased ``(table, column)`` labels a (fused) plan reads above
+    """The ``(table, column)`` labels a (fused) plan reads above
     its scans: the tail's group-by, aggregate and project columns, the
     lifted predicates, every join edge, IndexScan/ViewScan residual and
     Sort key (a scan evaluates its own predicates on its segments). Or
@@ -105,7 +105,7 @@ def plan_reads(plan):
             reads += [(p.table, p.column) for p in node.residual]
         elif isinstance(node, P.Sort):
             reads.append(node.key)
-    return {(t.lower(), c.lower()) for t, c in reads}
+    return set(reads)
 
 
 def fuse_plan(plan):

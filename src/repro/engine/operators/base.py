@@ -44,20 +44,21 @@ class Relation:
     ``Executor.execute``; operators never pass these between themselves.
 
     Attributes:
-        columns: list of ``(table, column)`` labels (lowercased).
+        columns: list of ``(table, column)`` labels: folded names, as
+            the catalog stores them.
         rows: list of tuples aligned with ``columns``.
     """
 
     __slots__ = ("columns", "rows", "_index")
 
     def __init__(self, columns, rows):
-        self.columns = [(t.lower(), c.lower()) for t, c in columns]
+        self.columns = list(columns)
         self.rows = rows
         self._index = {tc: i for i, tc in enumerate(self.columns)}
 
     def col_pos(self, table, column):
         """Position of ``table.column`` in each row tuple."""
-        key = (table.lower(), column.lower())
+        key = (table, column)
         if key not in self._index:
             raise ExecutionError(
                 "intermediate result has no column %s.%s" % (table, column)
@@ -71,7 +72,9 @@ class Relation:
 class ColumnarRelation:
     """An intermediate result carried as aligned NumPy column arrays.
 
-    ``arrays[i]`` holds every value of ``columns[i]``. Operators produce
+    ``arrays[i]`` holds every value of ``columns[i]``, a ``(table,
+    column)`` label of folded names as the catalog stores them (like
+    :attr:`Relation.columns`). Operators produce
     new ``ColumnarRelation`` batches via masks and fancy indexing; rows
     are only materialized when the final result is converted with
     :meth:`to_relation`.
@@ -80,7 +83,7 @@ class ColumnarRelation:
     __slots__ = ("columns", "arrays", "_index", "_n")
 
     def __init__(self, columns, arrays, n_rows=None):
-        self.columns = [(t.lower(), c.lower()) for t, c in columns]
+        self.columns = list(columns)
         self.arrays = list(arrays)
         self._index = {tc: i for i, tc in enumerate(self.columns)}
         if n_rows is not None:
@@ -90,7 +93,7 @@ class ColumnarRelation:
 
     def col_pos(self, table, column):
         """Position of ``table.column`` in :attr:`arrays`."""
-        key = (table.lower(), column.lower())
+        key = (table, column)
         if key not in self._index:
             raise ExecutionError(
                 "intermediate result has no column %s.%s" % (table, column)

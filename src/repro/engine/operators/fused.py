@@ -208,9 +208,9 @@ def _lazy_aggregate(ctx, node, table, survivors, n1):
     agg = node.agg_node
     shape = _lazy_scan_shape(table, n1)
     labels, positions = agg_input_columns(agg, shape)
-    keys = [table.schema.columns[p].name.lower() for p in positions]
-    group_keys = [c.lower() for __, c in agg.group_by]
-    inputs = {a.column.lower() for a in agg.aggregates if a.column is not None}
+    keys = [table.schema.columns[p].name for p in positions]
+    group_keys = [c for __, c in agg.group_by]
+    inputs = {a.column for a in agg.aggregates if a.column is not None}
     dtypes = {k: table.schema.column(k).dtype for k in group_keys}
     text = {k for k in group_keys if dtypes[k] is DataType.TEXT}
     # A TEXT key is coded from the segments and never gathered, unless an
@@ -243,7 +243,7 @@ def _lazy_project(ctx, node, table, survivors, n1):
     proj = node.project_node
     shape = _lazy_scan_shape(table, n1)
     keys = list(dict.fromkeys(
-        table.schema.columns[shape.col_pos(t, c)].name.lower()
+        table.schema.columns[shape.col_pos(t, c)].name
         for t, c in proj.columns))
     limit = None if node.limit_node is None else node.limit_node.n
     n = n1

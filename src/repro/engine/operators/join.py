@@ -22,7 +22,7 @@ def join_keys(edges, left, right):
     left_index = left._index
     left_pos, right_pos = [], []
     for e in edges:
-        if (e.left_table.lower(), e.left_column.lower()) in left_index:
+        if (e.left_table, e.left_column) in left_index:
             lp = left.col_pos(e.left_table, e.left_column)
             rp = right.col_pos(e.right_table, e.right_column)
         else:

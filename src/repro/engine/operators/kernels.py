@@ -243,12 +243,11 @@ def agg_input_columns(agg_node, source):
     """
     seen = {}
     for t, c in agg_node.group_by:
-        key = (t.lower(), c.lower())
-        if key not in seen:
-            seen[key] = source.col_pos(t, c)
+        if (t, c) not in seen:
+            seen[t, c] = source.col_pos(t, c)
     for a in agg_node.aggregates:
         if a.column is not None:
-            key = (a.table.lower(), a.column.lower())
+            key = (a.table, a.column)
             if key not in seen:
-                seen[key] = source.col_pos(a.table, a.column)
+                seen[key] = source.col_pos(*key)
     return list(seen), list(seen.values())

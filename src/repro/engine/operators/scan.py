@@ -45,7 +45,7 @@ def segment_filter(group, predicates):
     hazards = []
     pruned = False
     for p in predicates:
-        key, pred = p.column.lower(), (p.op, p.value)
+        key, pred = p.column, (p.op, p.value)
         zone = group.segments[key].zone_map
         if zone.range_hazard(*pred):
             residual.setdefault(key, []).append(pred)
@@ -162,9 +162,9 @@ class SeqScanOp(PhysicalOperator):
         ctx.charge(node, ctx.cost_model.seq_scan(table.n_rows))
         n_groups, survivors, n, n_pruned = filter_groups(
             table, node.predicates)
-        reads, name = ctx.reads, table.name.lower()
-        keys = [c.name.lower() for c in table.schema.columns]
-        keys = [k for k in keys if reads is None or (name, k) in reads]
+        reads, name = ctx.reads, table.name
+        keys = [k for k in table.schema.column_names
+                if reads is None or (name, k) in reads]
         arrays, decoded = gather(table, survivors, keys)
         ctx.record_segments(node, n_groups, n_pruned, *decoded)
         return ColumnarRelation(
@@ -178,12 +178,12 @@ class IndexScanOp(PhysicalOperator):
     def evaluate(self, ctx, node):
         row_ids = index_row_ids(ctx, node)
         table = ctx.catalog.table(node.table)
-        reads, name = ctx.reads, table.name.lower()
-        names = [c.name for c in table.schema.columns
-                 if reads is None or (name, c.name.lower()) in reads]
+        reads, name = ctx.reads, table.name
+        names = [c for c in table.schema.column_names
+                 if reads is None or (name, c) in reads]
         data = table.column_arrays(row_ids, names)
-        rel = ColumnarRelation([(table.name, c) for c in names],
-                               [data[c.lower()] for c in names],
+        rel = ColumnarRelation([(name, c) for c in names],
+                               [data[c] for c in names],
                                n_rows=len(row_ids))
         ctx.charge(node, ctx.cost_model.index_scan(len(row_ids)))
         if node.residual:

@@ -44,7 +44,7 @@ class CardinalityEstimator:
 class EstimateMemo:
     """One planning call's estimates, shared by all its arms: each induced
     sub-query is asked once. A call on the root ``query`` is keyed by its
-    lower-cased table set; a query view adds its ``memo_overrides(tables)``
+    table set; a query view adds its ``memo_overrides(tables)``
     (tables whose predicates differ from the root's). Table and subset
     answers are kept apart; exceptions are not cached. ``table_product``
     answers subset misses from this memo's table answers."""
@@ -62,13 +62,13 @@ class EstimateMemo:
         return (key, diff) if diff else key
 
     def estimate_table(self, query, table):
-        key = self._key(query, (table,), table.lower())
+        key = self._key(query, (table,), table)
         if key not in self._tables:
             self._tables[key] = self.estimator.estimate_table(query, table)
         return self._tables[key]
 
     def estimate_subset(self, query, tables):
-        key = self._key(query, tables, frozenset(t.lower() for t in tables))
+        key = self._key(query, tables, frozenset(tables))
         if key not in self._subsets:
             self._subsets[key] = (
                 self.estimator.estimate_subset(query, tables)
@@ -127,15 +127,14 @@ class TraditionalEstimator(CardinalityEstimator):
     def _product(self, query, tables, table_rows):
         """``table_rows(query, t)`` over ``tables`` in ``query.tables``
         order, times each inner edge's selectivity in edge order."""
-        names = {x.lower() for x in tables}
-        tables = [t for t in query.tables if t.lower() in names]
+        subset = set(tables)
+        tables = [t for t in query.tables if t in subset]
         if not tables:
             return 0.0
         rows = 1.0
         for t in tables:
             rows *= table_rows(query, t)
-        subset = {t.lower() for t in tables}
         for edge in query.join_edges:
-            if edge.left_table.lower() in subset and edge.right_table.lower() in subset:
+            if edge.left_table in subset and edge.right_table in subset:
                 rows *= self._join_selectivity(edge)
         return max(rows, 0.0)

@@ -245,7 +245,7 @@ class _SinglePredicateView:
 
     def __init__(self, query, table, predicates):
         self._query = query
-        self._table = table.lower()
+        self._table = table
         self._predicates = list(predicates)
         self.tables = query.tables
         self.join_edges = query.join_edges
@@ -256,7 +256,7 @@ class _SinglePredicateView:
         return self._predicates
 
     def predicates_on(self, table):
-        if table.lower() == self._table:
+        if table == self._table:
             return list(self._predicates)
         return self._query.predicates_on(table)
 
@@ -268,7 +268,7 @@ class _SinglePredicateView:
             preds = self._predicates
             override = self._override = () if preds == self._query.predicates_on(
                 self._table) else ((self._table, tuple(p.key() for p in preds)),)
-        mine = override and any(t.lower() == self._table for t in tables)
+        mine = override and self._table in tables
         return override if mine else ()
 
     def signature(self):

@@ -24,7 +24,7 @@ def dp_order(query, estimator, cost_model):
     n = len(tables)
     if n == 0:
         raise PlanError("query has no tables")
-    index = {t.lower(): i for i, t in enumerate(tables)}
+    index = {t: i for i, t in enumerate(tables)}
     # best[frozenset of indices] = (cost_without_scans, rows, order tuple)
     best = {}
     for i in range(n):
@@ -33,7 +33,7 @@ def dp_order(query, estimator, cost_model):
 
     adjacency = [set() for _ in range(n)]
     for e in query.join_edges:
-        a, b = index[e.left_table.lower()], index[e.right_table.lower()]
+        a, b = index[e.left_table], index[e.right_table]
         adjacency[a].add(b)
         adjacency[b].add(a)
 

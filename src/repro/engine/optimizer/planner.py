@@ -122,7 +122,7 @@ class Planner:
             return plan
         if order is None:
             order = self._order(query, memo)
-        elif {t.lower() for t in order} != {t.lower() for t in query.tables}:
+        elif set(order) != set(query.tables):
             raise PlanError("explicit order must cover the query's tables")
         return self._assemble(query, order, memo)
 

@@ -501,8 +501,9 @@ class QueryPipeline:
         with trace.root.child("plan") as span:
             if sig is None:
                 sig = query.signature()
-            key = (sig, None if order is None
-                   else tuple(t.lower() for t in order))
+            if order is not None:  # names from outside: fold them once
+                order = tuple(t.lower() for t in order)
+            key = (sig, order)
             token = self._plan_token(query)
             entry, outcome, stale = self.plan_cache.lookup(key, token)
             if entry is None:

@@ -40,9 +40,9 @@ class PhysicalPlan:
         out = set()
         for node in self.walk():
             if isinstance(node, (SeqScan, IndexScan)):
-                out.add(node.table.lower())
+                out.add(node.table)
             elif isinstance(node, ViewScan):
-                out.update(t.lower() for t in node.view.query.tables)
+                out.update(node.view.query.tables)
         return out
 
     def pretty(self, indent=0, annotate=None):

@@ -6,6 +6,9 @@ which tables it touches, which join edges connect them, which filter
 predicates it carries. :class:`ConjunctiveQuery` is that view; the SQL
 front end lowers parsed SELECT statements into it, and the workload
 generators produce it directly.
+
+The constructors fold every table and column name to lower case (DESIGN.md
+"Names"); the methods compare the folded names as given.
 """
 
 from repro.common import PlanError
@@ -20,7 +23,7 @@ class Predicate:
         table: table name.
         column: column name.
         op: one of ``= != < <= > >=``.
-        value: literal (int/float/str).
+        value: literal (int/float/str), never folded.
     """
 
     __slots__ = ("table", "column", "op", "value")
@@ -28,14 +31,14 @@ class Predicate:
     def __init__(self, table, column, op, value):
         if op not in _COMPARISONS:
             raise PlanError("unsupported predicate operator %r" % (op,))
-        self.table = table
-        self.column = column
+        self.table = table.lower()
+        self.column = column.lower()
         self.op = op
         self.value = value
 
     def key(self):
         """Hashable identity for dedup/caching."""
-        return (self.table.lower(), self.column.lower(), self.op, self.value)
+        return (self.table, self.column, self.op, self.value)
 
     def __repr__(self):
         return "%s.%s %s %r" % (self.table, self.column, self.op, self.value)
@@ -53,29 +56,27 @@ class JoinEdge:
     __slots__ = ("left_table", "left_column", "right_table", "right_column")
 
     def __init__(self, left_table, left_column, right_table, right_column):
-        self.left_table = left_table
-        self.left_column = left_column
-        self.right_table = right_table
-        self.right_column = right_column
+        self.left_table = left_table.lower()
+        self.left_column = left_column.lower()
+        self.right_table = right_table.lower()
+        self.right_column = right_column.lower()
 
     def touches(self, table):
         """Whether this edge involves ``table``."""
-        t = table.lower()
-        return self.left_table.lower() == t or self.right_table.lower() == t
+        return table == self.left_table or table == self.right_table
 
     def other_side(self, table):
         """``(table, column)`` of the side opposite ``table``."""
-        t = table.lower()
-        if self.left_table.lower() == t:
+        if self.left_table == table:
             return self.right_table, self.right_column
-        if self.right_table.lower() == t:
+        if self.right_table == table:
             return self.left_table, self.left_column
         raise PlanError("edge %r does not touch table %r" % (self, table))
 
     def key(self):
         """Order-insensitive hashable identity."""
-        a = (self.left_table.lower(), self.left_column.lower())
-        b = (self.right_table.lower(), self.right_column.lower())
+        a = (self.left_table, self.left_column)
+        b = (self.right_table, self.right_column)
         return (a, b) if a <= b else (b, a)
 
     def __repr__(self):
@@ -107,12 +108,16 @@ class Aggregate:
         if func != "count" and column is None:
             raise PlanError("%s() needs a column argument" % func)
         self.func = func
-        self.table = table
-        self.column = column
+        self.table = None if table is None else table.lower()
+        self.column = None if column is None else column.lower()
 
     def __repr__(self):
         arg = "*" if self.column is None else "%s.%s" % (self.table, self.column)
         return "%s(%s)" % (self.func, arg)
+
+
+def _fold_pairs(pairs):
+    return [(t.lower(), c.lower()) for t, c in pairs]
 
 
 class ConjunctiveQuery:
@@ -142,54 +147,47 @@ class ConjunctiveQuery:
         limit=None,
         distinct=False,
     ):
-        seen = set()
-        self.tables = []
-        for t in tables:
-            key = t.lower()
-            if key not in seen:
-                seen.add(key)
-                self.tables.append(t)
+        self.tables = list(dict.fromkeys(t.lower() for t in tables))
         if not self.tables:
             raise PlanError("a query needs at least one table")
         self.join_edges = list(join_edges)
         self.predicates = list(predicates)
-        self.projections = list(projections)
+        self.projections = _fold_pairs(projections)
         self.aggregates = list(aggregates)
-        self.group_by = list(group_by)
+        self.group_by = _fold_pairs(group_by)
+        if order_by is not None:
+            (table, column), descending = order_by
+            order_by = ((table.lower(), column.lower()), descending)
         self.order_by = order_by
         self.limit = limit
         self.distinct = distinct
-        table_set = {t.lower() for t in self.tables}
         for e in self.join_edges:
-            if e.left_table.lower() not in table_set or e.right_table.lower() not in table_set:
+            if e.left_table not in self.tables or e.right_table not in self.tables:
                 raise PlanError("join edge %r references a table not in FROM" % (e,))
         for p in self.predicates:
-            if p.table.lower() not in table_set:
+            if p.table not in self.tables:
                 raise PlanError("predicate %r references a table not in FROM" % (p,))
 
     def predicates_on(self, table):
         """Filter predicates on one table."""
-        t = table.lower()
-        return [p for p in self.predicates if p.table.lower() == t]
+        return [p for p in self.predicates if p.table == table]
 
     def edges_between(self, left_tables, right_table):
         """Join edges connecting any table in ``left_tables`` to ``right_table``."""
-        left = {t.lower() for t in left_tables}
-        rt = right_table.lower()
         out = []
         for e in self.join_edges:
-            lt, rtt = e.left_table.lower(), e.right_table.lower()
-            if (lt in left and rtt == rt) or (rtt in left and lt == rt):
+            lt, rt = e.left_table, e.right_table
+            if ((lt in left_tables and rt == right_table)
+                    or (rt in left_tables and lt == right_table)):
                 out.append(e)
         return out
 
     def join_graph(self):
         """The query's join graph as ``{table: set(neighbor tables)}``."""
-        graph = {t.lower(): set() for t in self.tables}
+        graph = {t: set() for t in self.tables}
         for e in self.join_edges:
-            lt, rt = e.left_table.lower(), e.right_table.lower()
-            graph[lt].add(rt)
-            graph[rt].add(lt)
+            graph[e.left_table].add(e.right_table)
+            graph[e.right_table].add(e.left_table)
         return graph
 
     def is_connected(self):
@@ -220,22 +218,15 @@ class ConjunctiveQuery:
         """
         order_by = None
         if self.order_by is not None:
-            (ot, oc), descending = self.order_by
-            order_by = ((ot.lower(), oc.lower()), bool(descending))
+            column, descending = self.order_by
+            order_by = (column, bool(descending))
         return (
-            tuple(sorted(t.lower() for t in self.tables)),
+            tuple(sorted(self.tables)),
             tuple(sorted(e.key() for e in self.join_edges)),
             tuple(sorted(p.key() for p in self.predicates)),
-            tuple((t.lower(), c.lower()) for t, c in self.projections),
-            tuple(
-                (
-                    a.func,
-                    None if a.table is None else a.table.lower(),
-                    None if a.column is None else a.column.lower(),
-                )
-                for a in self.aggregates
-            ),
-            tuple((t.lower(), c.lower()) for t, c in self.group_by),
+            tuple(self.projections),
+            tuple((a.func, a.table, a.column) for a in self.aggregates),
+            tuple(self.group_by),
             order_by,
             self.limit,
             self.distinct,

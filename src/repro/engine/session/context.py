@@ -181,17 +181,6 @@ class StatementInfo:
             self.kind, self.tables, self.source)
 
 
-def _dedupe(pairs):
-    seen = set()
-    out = []
-    for t, c in pairs:
-        key = (t.lower(), c.lower())
-        if key not in seen:
-            seen.add(key)
-            out.append((t, c))
-    return out
-
-
 def _query_columns(db, query):
     """Every (table, column) a lowered query references, deduplicated."""
     cols = []
@@ -216,7 +205,7 @@ def _query_columns(db, query):
     cols.extend(query.group_by)
     if query.order_by is not None:
         cols.append(query.order_by[0])
-    return _dedupe(cols)
+    return list(dict.fromkeys(cols))
 
 
 def classify(db, sql_text, trace=None):
@@ -247,7 +236,7 @@ def classify(db, sql_text, trace=None):
                 "extension",
                 extension,
                 tables=desc.get("tables", ()),
-                columns=_dedupe(desc.get("columns", ())),
+                columns=list(dict.fromkeys(desc.get("columns", ()))),
                 query=desc.get("query"),
                 row_estimate=desc.get("row_estimate"),
             )

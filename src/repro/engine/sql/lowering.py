@@ -25,7 +25,7 @@ class _Binder:
             if key in self.alias_to_table:
                 raise ParseError("duplicate table/alias %r in FROM" % effective)
             base = table.name
-            if base.lower() in {t.lower() for t in self.alias_to_table.values()}:
+            if base in self.tables:
                 raise ParseError(
                     "self-joins are not supported (table %r appears twice)" % base
                 )
@@ -85,7 +85,7 @@ def lower_select(stmt, catalog):
             rt, rc = binder.resolve(comp.right)
             if comp.op != "=":
                 raise PlanError("column-to-column predicates must be equi-joins")
-            if lt.lower() == rt.lower():
+            if lt == rt:
                 raise PlanError(
                     "intra-table column comparisons are not supported"
                 )

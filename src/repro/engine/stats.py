@@ -265,7 +265,7 @@ class TableStats:
     def __init__(self, table_name, n_rows, column_stats):
         self.table_name = table_name
         self.n_rows = int(n_rows)
-        self.columns = {c.name.lower(): c for c in column_stats}
+        self.columns = {c.name: c for c in column_stats}
 
     @classmethod
     def build(cls, table, n_buckets=32):
@@ -291,7 +291,7 @@ class TableStats:
     def column(self, name):
         """Per-column stats for ``name``."""
         try:
-            return self.columns[name.lower()]
+            return self.columns[name]
         except KeyError:
             raise CatalogError(
                 "no statistics for column %r of table %r"
@@ -300,4 +300,4 @@ class TableStats:
 
     def has_column(self, name):
         """Whether stats exist for the column."""
-        return name.lower() in self.columns
+        return name in self.columns

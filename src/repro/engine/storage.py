@@ -42,7 +42,7 @@ class RowGroup:
     """One horizontal stripe of sealed column segments.
 
     All segments in a group cover the same ``n_rows`` rows starting at
-    table offset ``start``; ``segments`` maps lower-cased column name to
+    table offset ``start``; ``segments`` maps (folded) column name to
     its :class:`~repro.engine.segments.ColumnSegment`.
     """
 
@@ -98,10 +98,9 @@ class TableSnapshot:
         if n:
             segs = {}
             for c in self.schema.columns:
-                key = c.name.lower()
-                view = table._tail[key][:n]
+                view = table._tail[c.name][:n]
                 view.flags.writeable = False
-                segs[key] = ColumnSegment("plain", c.dtype, n, values=view)
+                segs[c.name] = ColumnSegment("plain", c.dtype, n, values=view)
             self._groups.append(RowGroup(self._n_rows - n, n, segs))
 
     def snapshot(self):
@@ -140,7 +139,7 @@ class TableSnapshot:
         """Column ``name`` as one decoded NumPy array (cached)."""
         snap = self.snapshot()
         col = snap.schema.column(name)
-        key = col.name.lower()
+        key = col.name
         cached = snap._decoded.get(key)
         if cached is not None:
             return cached
@@ -164,7 +163,7 @@ class TableSnapshot:
         """
         snap = self.snapshot()
         col = snap.schema.column(name)
-        key = col.name.lower()
+        key = col.name
         cached = snap._sorted.get(key)
         if cached is not None:
             return cached
@@ -199,9 +198,9 @@ class TableSnapshot:
         """
         snap = self.snapshot()
         if columns is None:
-            names = [c.name.lower() for c in snap.schema.columns]
+            names = snap.schema.column_names
         else:
-            names = [c.lower() for c in columns]
+            names = [snap.schema.column(c).name for c in columns]
         if row_ids is None:
             return {name: snap.column_array(name) for name in names}
         idx = np.asarray(row_ids, dtype=np.int64)
@@ -231,7 +230,7 @@ class TableSnapshot:
         snap = self.snapshot()
         col = snap.schema.column(name)
         return merge_value_counts(
-            [g.segments[col.name.lower()] for g in snap._groups], col.dtype)
+            [g.segments[col.name] for g in snap._groups], col.dtype)
 
     def __repr__(self):
         return "TableSnapshot(%r, rows=%d, version=%d)" % (
@@ -274,19 +273,14 @@ class Table:
         #: next read.
         self._current = None
         if columns is not None:
+            columns = {schema.column(k).name: v for k, v in columns.items()
+                       if schema.has_column(k)}
             normalized = {}
             n_rows = None
             for c in schema.columns:
-                key = c.name.lower()
-                if key not in {k.lower() for k in columns}:
+                if c.name not in columns:
                     raise CatalogError("missing data for column %r" % (c.name,))
-                source = columns.get(c.name, columns.get(key))
-                if source is None:
-                    for k, v in columns.items():
-                        if k.lower() == key:
-                            source = v
-                            break
-                arr = np.asarray(source, dtype=c.dtype.numpy_dtype)
+                arr = np.asarray(columns[c.name], dtype=c.dtype.numpy_dtype)
                 if n_rows is None:
                     n_rows = len(arr)
                 elif len(arr) != n_rows:
@@ -294,16 +288,15 @@ class Table:
                         "column %r has %d rows, expected %d"
                         % (c.name, len(arr), n_rows)
                     )
-                normalized[key] = arr
+                normalized[c.name] = arr
             self._n_rows = n_rows or 0
             cap = self._segment_rows
             sealed = (self._n_rows // cap) * cap
             for start in range(0, sealed, cap):
                 segs = {}
                 for c in schema.columns:
-                    key = c.name.lower()
-                    segs[key] = ColumnSegment.encode(
-                        normalized[key][start:start + cap], c.dtype,
+                    segs[c.name] = ColumnSegment.encode(
+                        normalized[c.name][start:start + cap], c.dtype,
                         self._segment_encodings,
                     )
                 self._groups.append(RowGroup(start, cap, segs))
@@ -436,7 +429,7 @@ class Table:
         for j, col in enumerate(self.schema.columns):
             coerce = col.dtype.coerce
             try:
-                batch[col.name.lower()] = np.array(
+                batch[col.name] = np.array(
                     [coerce(r[j]) for r in rows], dtype=col.dtype.numpy_dtype
                 )
             except (TypeError, ValueError, OverflowError) as exc:
@@ -468,7 +461,7 @@ class Table:
         return len(rows)
 
     def _fresh_tail(self):
-        return {c.name.lower(): np.empty(0, dtype=c.dtype.numpy_dtype)
+        return {c.name: np.empty(0, dtype=c.dtype.numpy_dtype)
                 for c in self.schema.columns}
 
     def _seal_tail(self):
@@ -494,7 +487,7 @@ class Table:
         old values.
         """
         col = self.schema.column(name)
-        key = col.name.lower()
+        key = col.name
         arr = np.asarray(values, dtype=col.dtype.numpy_dtype)
         if len(arr) != self._n_rows:
             raise CatalogError(
@@ -518,8 +511,7 @@ class Table:
     def column_encoded_bytes(self, name):
         """Modeled encoded bytes of one column (tail counted as plain)."""
         col = self.schema.column(name)
-        key = col.name.lower()
-        total = sum(g.segments[key].encoded_bytes() for g in self._groups)
+        total = sum(g.segments[col.name].encoded_bytes() for g in self._groups)
         return total + self._tail_rows * VALUE_BYTES[col.dtype]
 
     def encoded_bytes(self):

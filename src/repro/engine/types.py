@@ -65,7 +65,8 @@ class ColumnSchema:
     """Schema entry for one column.
 
     Attributes:
-        name: column name (case-preserved, matched case-insensitively).
+        name: column name, folded to lower case (identifiers are
+            case-insensitive; the stored name is the key).
         dtype: the :class:`DataType`.
         sensitive: ground-truth flag used by the security experiments —
             whether the column holds sensitive data (SSNs, emails, ...).
@@ -76,7 +77,7 @@ class ColumnSchema:
     def __init__(self, name, dtype, sensitive=False):
         if not name:
             raise CatalogError("column name must be non-empty")
-        self.name = name
+        self.name = name.lower()
         self.dtype = dtype if isinstance(dtype, DataType) else DataType.parse(dtype)
         self.sensitive = sensitive
 
@@ -95,21 +96,24 @@ class ColumnSchema:
 
 
 class TableSchema:
-    """Ordered collection of :class:`ColumnSchema` with name lookup."""
+    """Ordered collection of :class:`ColumnSchema` with name lookup.
+
+    The table name is folded to lower case like every column name; the
+    lookups fold their argument, so a name resolves in any case.
+    """
 
     def __init__(self, name, columns):
         if not name:
             raise CatalogError("table name must be non-empty")
-        self.name = name
+        self.name = name.lower()
         self.columns = list(columns)
         self._index = {}
         for i, col in enumerate(self.columns):
-            key = col.name.lower()
-            if key in self._index:
+            if col.name in self._index:
                 raise CatalogError(
-                    "duplicate column %r in table %r" % (col.name, name)
+                    "duplicate column %r in table %r" % (col.name, self.name)
                 )
-            self._index[key] = i
+            self._index[col.name] = i
 
     def column(self, name):
         """Return the :class:`ColumnSchema` for ``name`` (case-insensitive)."""

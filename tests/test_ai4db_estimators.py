@@ -9,6 +9,7 @@ from repro.ai4db.optimization.estimators import (
     TrueCardinalityEstimator,
     count_join_rows,
 )
+from repro.engine import Database
 from repro.engine.optimizer.cardinality import TraditionalEstimator
 from repro.engine.query import ConjunctiveQuery, Predicate
 
@@ -46,6 +47,28 @@ class TestSamplingEstimator:
         q = ConjunctiveQuery(tables=names[:3], join_edges=edges[:2])
         true = count_join_rows(catalog, q, names[:3])
         assert est.estimate_subset(q, names[:3]) == pytest.approx(true)
+
+
+    def test_sample_refreshes_when_the_plan_version_moves(self):
+        """A sample is redrawn exactly when a plan built from it would be
+        re-planned: after ANALYZE, not after a write inside the row-count
+        band."""
+        db = Database()
+        db.execute("CREATE TABLE t (a INT)")
+        table = db.catalog.table("t")
+        table.insert_rows([(i % 10,) for i in range(100)])
+        db.execute("ANALYZE t")
+        est = SamplingEstimator(db.catalog, sample_size=10**4, seed=0)
+        q = ConjunctiveQuery(tables=["t"],
+                             predicates=[Predicate("t", "a", "=", 3)])
+        assert est.estimate_table(q, "t") == 10
+        table.insert_rows([(3,)] * 900)
+        db.execute("ANALYZE t")
+        assert est.estimate_table(q, "t") == 910
+        table.insert_rows([(3,)])  # 1,001 rows: still in the 512-1,023 band
+        assert est.estimate_table(q, "t") == 910
+        db.execute("ANALYZE t")
+        assert est.estimate_table(q, "t") == 911
 
 
 class TestTrueEstimatorAndCache:

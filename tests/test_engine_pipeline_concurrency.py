@@ -274,11 +274,12 @@ class TestPlanCacheHammer:
 
 class TestShapeBindingUnderDDL:
     """Threads bind one statement shape while another thread drops and
-    re-creates its table, spelling the column ``v`` and ``V`` in turn
-    (both resolve the same text; the lowered query carries the schema's
-    spelling). Whenever no DDL ran during a call, the query must carry
-    the spelling of the schema that stood throughout — a template
-    lowered against an earlier schema would carry the other one.
+    re-creates its two tables, moving the column ``v`` from ``s`` to
+    ``r`` and back in turn (the unqualified ``v`` resolves in either
+    schema; the lowered query carries the table that owns it). Whenever
+    no DDL ran during a call, the query must carry the owner in the
+    schema that stood throughout — a template lowered against an earlier
+    schema would carry the other one.
 
     The DDL thread starts a generation only once a template has been
     hit since the last one, and ``first_ddl`` fires on the first DDL
@@ -286,13 +287,18 @@ class TestShapeBindingUnderDDL:
     bind threads' later rounds must invalidate it — the race yields at
     least one hit and one invalidation by construction."""
 
-    SQL = "SELECT v FROM s WHERE id = %d AND v > %d"
+    SQL = "SELECT v FROM s, r WHERE id = %d AND v > %d"
+    #: The two schemas, by generation parity: ``v`` lives in ``s``
+    #: (even) or in ``r`` (odd).
+    SCHEMAS = (("s (id INT, v INT)", "r (rid INT)"),
+               ("s (id INT)", "r (rid INT, v INT)"))
 
     def _race(self, n_threads, rounds):
         db = Database()
-        db.execute("CREATE TABLE s (id INT, v INT)")
-        # DDL generations begun / finished; generation g spells the
-        # column "V" when g is odd.
+        for table in self.SCHEMAS[0]:
+            db.execute("CREATE TABLE " + table)
+        # DDL generations begun / finished; generation g moves the
+        # column "v" to table "r" when g is odd.
         ddl = {"begun": 0, "done": 0}
         errors = []
         stop = threading.Event()
@@ -313,10 +319,10 @@ class TestShapeBindingUnderDDL:
                     except CatalogError:  # between the drop and create
                         continue
                     if stable and ddl["begun"] == done:
-                        spelled = "V" if done % 2 else "v"
-                        assert query.projections == [("s", spelled)], (
+                        owner = "r" if done % 2 else "s"
+                        assert query.projections == [(owner, "v")], (
                             done, query.projections)
-                        assert query.predicates[1].column == spelled
+                        assert query.predicates[1].table == owner
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
@@ -327,9 +333,12 @@ class TestShapeBindingUnderDDL:
                 while not stop.is_set():
                     generation = ddl["begun"] + 1
                     ddl["begun"] = generation
+                    # Both go before either returns, so no schema in
+                    # between holds "v" twice or not at all.
                     db.catalog.drop_table("s")
-                    db.execute("CREATE TABLE s (id INT, %s INT)"
-                               % ("V" if generation % 2 else "v"))
+                    db.catalog.drop_table("r")
+                    for table in self.SCHEMAS[generation % 2]:
+                        db.execute("CREATE TABLE " + table)
                     ddl["done"] = generation
                     if cache.hits:
                         first_ddl.set()

@@ -108,7 +108,7 @@ def test_memo_caches_no_exceptions():
     assert isinstance(memo, EstimateMemo)
     with pytest.raises(RuntimeError):
         memo.estimate_table(query, "t")
-    assert memo.estimate_table(query, "T") == 7.0
+    assert memo.estimate_table(query, "t") == 7.0
     assert memo.estimate_table(query, "t") == 7.0
     assert Flaky.calls == 2
 

@@ -415,7 +415,7 @@ def test_an_index_is_metadata_and_the_write_hook_reads_no_rows():
         if isinstance(node, ast.Call)
     }
     assert called == {"self._bump_table", "self._drop_views_over",
-                      "table.name.lower", "before.bit_length",
+                      "before.bit_length",
                       "after.bit_length"}, called
     drop = inspect.getsource(Catalog._drop_views_over)
     assert "table(" not in drop and "rows" not in drop
@@ -466,3 +466,48 @@ def test_the_tail_has_one_representation():
     source = Path(storage.__file__).read_text(encoding="utf-8")
     assert not re.search(r"_tail.*tolist|tolist.*_tail", source)
     assert not hasattr(ZoneMap, "distinct_est")
+
+
+#: The engine modules that may fold a name (``.lower()``), each with why
+#: and how many folds it holds. A name is folded once, where it enters
+#: the engine; everywhere else it is compared as given.
+FOLDING_MODULES = {
+    "types.py": (5, "a schema folds its table and column names at "
+                    "creation, and a schema lookup folds its argument"),
+    "catalog.py": (16, "each public name argument is folded once, and an "
+                       "index or view definition folds its own name"),
+    "query.py": (14, "the Predicate, JoinEdge, Aggregate and "
+                     "ConjunctiveQuery constructors, the query-object API "
+                     "repro.ai4db builds on"),
+    "sql/lowering.py": (2, "alias keys; every other name it emits comes "
+                           "from already-folded catalog objects"),
+    "pipeline.py": (1, "the explicit join order= entry"),
+    "session/policy.py": (6, "safety code: user-written rules and the "
+                             "names they gate, folded as written"),
+    "config.py": (1, "segment-encoding names, not identifiers"),
+    "sql/parser.py": (1, "the index-kind keyword, not an identifier"),
+    "sql/ast_nodes.py": (1, "the aggregate-function keyword, not an "
+                            "identifier"),
+}
+
+
+def test_names_are_folded_only_at_the_edge():
+    """No engine module outside :data:`FOLDING_MODULES` folds a string,
+    and none of those folds more often than listed (``str.lower`` taken
+    as a value counts too)."""
+    found = {}
+    for path in _engine_modules():
+        rel = os.path.relpath(path, ENGINE_ROOT).replace(os.sep, "/")
+        tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and node.attr in ("lower", "casefold")]
+        if lines:
+            found[rel] = lines
+    stray = {rel: lines for rel, lines in found.items()
+             if rel not in FOLDING_MODULES}
+    assert not stray, "names folded inside the engine: %r" % (stray,)
+    over = {rel: lines for rel, lines in found.items()
+            if len(lines) > FOLDING_MODULES[rel][0]}
+    assert not over, "more folds than listed: %r" % (over,)
+    assert all(reason for __, reason in FOLDING_MODULES.values())
