@@ -19,7 +19,8 @@ server sessions — the only supported write path), then check:
   appends a fixed row count, so ``COUNT(*)`` is a pure function of the
   table's observed version;
 * pinned (``isolation="session"``) readers observe one single committed
-  vector for their whole lifetime (repeatable read).
+  vector for their whole lifetime (repeatable read), and every read
+  they make equals the same statement on a never-written twin.
 
 Everything is seeded and event-synchronized — no sleeps; thread
 interleaving is the only nondeterminism, and the assertions hold for
@@ -38,6 +39,17 @@ from repro.engine import Database, QueryServer
 ROWS_PER_COMMIT = 3
 
 TABLES = ("t0", "t1", "t2")
+
+#: Reads whose rows do not depend on the plan (aggregates, ORDER BY,
+#: single-table float folds), so a pinned session's answer can be
+#: compared row for row with a never-written twin's.
+PINNED_READS = (
+    "SELECT COUNT(*) FROM t0",
+    "SELECT COUNT(*) FROM t1 WHERE k = 3",
+    "SELECT k, COUNT(*) FROM t2 GROUP BY k ORDER BY k",
+    "SELECT k, SUM(v) FROM t0 GROUP BY k ORDER BY k",
+    "SELECT COUNT(*) FROM t1, t2 WHERE t1.id = t2.id AND t1.k < 3",
+)
 
 
 def _server_db():
@@ -179,11 +191,14 @@ class TestNoTornReads:
         _assert_no_torn_reads(server, base_v, base_c, obs)
 
     def test_pinned_sessions_are_repeatable_read(self):
-        """Session-isolation readers racing live writers observe exactly
-        one committed vector, forever, and their counts never move."""
+        """Eight session-isolation readers racing a live writer observe
+        exactly one committed vector, forever, and every read equals the
+        same statement on a never-written twin, row for row."""
         db = _server_db()
+        twin = _server_db()
         server = QueryServer(db, tenant_quota=1e12, quota_refill_rate=0.0)
-        n_readers, n_commits = 4, 20
+        n_readers, n_commits = 8, 21
+        expected = [twin.execute(sql).rows for sql in PINNED_READS]
         start = threading.Barrier(n_readers + 1)
         errors = []
         observations = {i: [] for i in range(n_readers)}
@@ -193,12 +208,12 @@ class TestNoTornReads:
                 with server.session(tenant="r%d" % idx,
                                     isolation="session") as sess:
                     start.wait()
-                    for __ in range(10):
-                        result = sess.execute("SELECT COUNT(*) FROM t0")
-                        observations[idx].append((
-                            dict(result.telemetry.catalog_versions),
-                            result.rows[0][0],
-                        ))
+                    for __ in range(2):
+                        for sql, rows in zip(PINNED_READS, expected):
+                            result = sess.execute(sql)
+                            assert result.rows == rows, (idx, sql)
+                            observations[idx].append(
+                                dict(result.telemetry.catalog_versions))
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
@@ -208,7 +223,8 @@ class TestNoTornReads:
                     start.wait()
                     for c in range(n_commits):
                         sess.insert_rows(
-                            "t0", [(20_000 + c, 0, 0.0)]
+                            TABLES[c % len(TABLES)],
+                            [(20_000 + c, c % 5, float(c))]
                         )
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
@@ -223,14 +239,14 @@ class TestNoTornReads:
         assert not errors, errors[0]
         committed = server.committed_vectors()
         for idx, obs in observations.items():
-            vectors = {tuple(sorted(vec.items())) for vec, __ in obs}
-            counts = {count for __, count in obs}
-            # One vector, one count, and the vector was committed.
+            vectors = {tuple(sorted(vec.items())) for vec in obs}
+            # One vector, and the vector was committed.
+            assert len(obs) == 2 * len(PINNED_READS)
             assert len(vectors) == 1, (idx, vectors)
-            assert len(counts) == 1, (idx, counts)
             assert vectors.pop() in committed
-        # Meanwhile the live table really did move under them.
-        assert db.catalog.table("t0").n_rows == 60 + n_commits
+        # Meanwhile the live tables really did move under them.
+        for name in TABLES:
+            assert db.catalog.table(name).n_rows == 60 + n_commits // 3
 
     def test_commit_log_linearizes_interleaved_writers(self):
         """Two writer sessions interleave commits; the log's vectors must
