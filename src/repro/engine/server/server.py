@@ -145,9 +145,11 @@ class Session:
 
     def close(self):
         """Release the session (idempotent): every context and agent
-        session over it stops at the server's read and write paths."""
+        session over it stops at the server's read and write paths, and
+        the server's rollup drops its per-session bucket."""
         self.closed = True
         self._pinned = None
+        self._server.rollup.close_session(self.session_id)
 
     def _check_open(self):
         if self.closed:
@@ -193,7 +195,7 @@ class QueryServer:
             no-torn-reads invariant the concurrency suite asserts.
         admission: the :class:`AdmissionController`.
         rollup: the :class:`~repro.engine.telemetry.ServingRollup` of
-            per-tenant / per-session query accounting.
+            per-tenant / per-open-session query accounting.
     """
 
     def __init__(self, db=None, config=None, *, tenant_quota=None,

@@ -231,6 +231,20 @@ class TestQuotaConservation:
             1e6 - good.work)
         assert stats["rollup"]["sessions"][sess.session_id] == rollup
 
+    def test_closed_sessions_leave_the_rollup(self):
+        """One-shot executes open and close a session each: the rollup
+        keeps no bucket for any of them, and still counts every
+        statement under the tenant."""
+        db = Database()
+        db.execute("CREATE TABLE t (a INT)")
+        db.catalog.table("t").insert_rows([(1,), (2,)])
+        server = QueryServer(db, tenant_quota=1e9, quota_refill_rate=0.0)
+        for __ in range(1000):
+            server.execute("SELECT a FROM t")
+        summary = server.rollup.summary()
+        assert summary["sessions"] == {}
+        assert summary["tenants"]["default"]["queries"] == 1000
+
 
 def _wait_until(predicate, timeout=5.0, tick=0.005):
     """Poll ``predicate`` until true (assert) — bounded, never sleeps long."""
