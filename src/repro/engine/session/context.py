@@ -42,6 +42,7 @@ from repro.engine.sql.ast_nodes import (
     CreateTableStmt,
     InsertStmt,
 )
+from repro.engine.sql.lexer import skip_leading_comments
 from repro.engine.telemetry import StatementTrace
 
 #: Flat cost of one write statement — the cost gate's estimate and the
@@ -110,10 +111,11 @@ def sniff_kind(sql_text):
 
     The kind an audit record / dry-run preview shows for a statement
     that failed classification. Never decides how a statement runs.
+    Leading ``--`` comments are skipped, as the lexer skips them.
     Returns one of :data:`~repro.engine.session.policy.STATEMENT_KINDS`
     (``"UNKNOWN"`` when the head matches nothing).
     """
-    tokens = sql_text.strip().split(None, 2)
+    tokens = skip_leading_comments(sql_text).split(None, 2)
     if not tokens:
         return "UNKNOWN"
     head = tokens[0].upper()

@@ -85,6 +85,9 @@ def literal_value(lexeme, position=None):
         raise ParseError("malformed number %r" % lexeme, position) from None
 
 
+#: A line comment: ``--`` to the end of the line.
+_COMMENT = r"--[^\n]*"
+
 #: One match per comment or literal, with :func:`tokenize`'s extents:
 #: a comment runs to the newline; a string ends at a quote not followed
 #: by another; a number is a digit not inside a word (or a sign and a
@@ -92,11 +95,20 @@ def literal_value(lexeme, position=None):
 #: The lookahead only lets the scan skip other characters fast. ASCII
 #: only — :func:`fingerprint` declines other text.
 _LEXEME = re.compile(
-    r"(?=[-+'\d])(?:--[^\n]*"
+    r"(?=[-+'\d])(?:" + _COMMENT +
     r"|'(?:[^']|'')*'"
     r"|(?:[-+]|(?<!\w))\d+(?:\.\d*)?(?:[eE][-+\d]\d*)?)",
     re.ASCII,
 )
+
+#: Whitespace and line comments before a statement's first token.
+_LEADING = re.compile(r"\s*(?:" + _COMMENT + r"\s*)*")
+
+
+def skip_leading_comments(text):
+    """``text`` from its first token on: leading whitespace and ``--``
+    line comments (the extent :func:`tokenize` skips) removed."""
+    return text[_LEADING.match(text).end():]
 
 
 def fingerprint(text):

@@ -150,6 +150,8 @@ class TestClassify:
         assert sniff_kind("PREDICT m ON t") == "PREDICT"
         assert sniff_kind("gibberish") == "UNKNOWN"
         assert sniff_kind("") == "UNKNOWN"
+        assert sniff_kind("-- note\n  -- two\nSELECT a FROM t") == "SELECT"
+        assert sniff_kind("-- CREATE TABLE t\n") == "UNKNOWN"
 
     def test_deep_select_collects_all_column_references(self):
         db = make_db()
@@ -565,6 +567,19 @@ class TestAudit:
         assert all(r.status == "error" for r in audit)
         assert audit.records()[0].error  # message captured
         assert audit.failed() == audit.records()
+
+    def test_a_failed_statement_after_a_comment_keeps_its_kind(self):
+        """A statement that fails classification is named by its first
+        token after any leading ``--`` comments, in the audit log and in
+        a dry-run preview alike."""
+        sql = "-- note\nSELECT a FROM nope"
+        db = make_db()
+        audit = AuditLog()
+        with pytest.raises(CatalogError):
+            db.session(audit=audit).execute(sql)
+        assert audit.records()[0].kind == "SELECT"
+        preview, = db.session().dry_run(sql)
+        assert (preview.kind, preview.ok) == ("SELECT", False)
 
     # A statement that dies with something other than an EngineError —
     # an operator's raw TypeError on a NULL comparison, say — used to
