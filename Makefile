@@ -5,8 +5,7 @@ PYTHONPATH := src
 export PYTHONPATH
 
 .PHONY: test test-session test-concurrency test-optimizer lint loc fuzz \
-	bench \
-	bench-server bench-json bench-summary bench-pairs
+	bench bench-pairs
 
 # Tier-1 suite (fast; slow-marked full-size benchmarks are deselected by
 # the pytest addopts default). Lints first — a lint finding fails the run.
@@ -24,7 +23,7 @@ lint:
 # engine count is a ratchet: above ENGINE_LOC_MAX the target (and CI's
 # "Engine line count" step) fails, so growing engine/ is a reviewed
 # one-line edit here; lower it whenever a PR shrinks the engine.
-ENGINE_LOC_MAX := 10075
+ENGINE_LOC_MAX := 10072
 loc:
 	@engine=$$(find src/repro/engine -name '*.py' | xargs cat | wc -l); \
 	printf 'engine %s\n' $$engine; \
@@ -100,24 +99,9 @@ fuzz:
 bench:
 	REPRO_BENCH_FAST=1 python -m pytest benchmarks -q -m 'not slow'
 
-# Multi-tenant serving benchmark alone (snapshot isolation at 8+
-# sessions, fair-share interference, Zipf traffic), regenerating
-# BENCH_P8.json.
-bench-server:
-	python -m pytest benchmarks/bench_p8_server.py -q -m ''
-	python benchmarks/bench_p8_server.py
-
-# One-table headline summary of the committed BENCH_P*.json artifacts.
-bench-summary:
-	python tools/bench_summary.py
-
 # Alternating parent/change pairs of the end-to-end benchmark, judged by
 # the choosing-metrics rule. PARENT and CHANGE are two checkouts, e.g.
 #   git archive HEAD~1 | tar -x -C /tmp/parent
 #   make bench-pairs PARENT=/tmp/parent CHANGE=. ARGS="--workload mixed_rw"
 bench-pairs:
 	python tools/bench_pairs.py $(PARENT) $(CHANGE) $(ARGS)
-
-# Regenerate the committed BENCH_P*.json artifacts at full size.
-bench-json:
-	python benchmarks/bench_p8_server.py

@@ -3,8 +3,8 @@
 :class:`EngineConfig` is the single owner of every engine knob: a frozen
 dataclass whose instances fully determine how a
 :class:`~repro.engine.database.Database` is wired (cost constants,
-storage, admission, seed). A knob that can be set
-from the environment says so on its field — the ``REPRO_*`` name, the parser and the floor are
+storage, admission). A knob that can be set from the environment says so
+on its field — the ``REPRO_*`` name, the parser and the floor are
 :func:`dataclasses.field` metadata — and :meth:`EngineConfig.from_env`
 is the one function in the engine that reads the environment, by walking
 those fields. The README's "Engine knobs" table lists every variable
@@ -42,10 +42,6 @@ DEFAULT_QUOTA_REFILL = 100_000.0
 #: Default bound on queries waiting for admission across all tenants
 #: (0: an over-quota query is shed at once, never queued).
 DEFAULT_ADMISSION_QUEUE_DEPTH = 256
-
-#: Default engine seed (traffic driver, differential fuzzer) — every
-#: stochastic component around the engine derives from it.
-DEFAULT_SEED = 0
 
 def _names(raw):
     """A comma-separated name list (``dict,plain``) as a lowercase tuple."""
@@ -101,9 +97,6 @@ class EngineConfig:
             across all tenants (each waits in its tenant's queue, granted
             round-robin); arrivals beyond it are shed, so ``0`` sheds
             every over-quota query at once.
-        seed: engine seed, read by the traffic driver and the
-            differential fuzzer (``REPRO_SEED``), so runs are reproducible
-            from their logged seed; planning itself is deterministic.
     """
 
     cost_params: dict = field(default=None)
@@ -122,8 +115,6 @@ class EngineConfig:
     admission_queue_depth: int = field(
         default=DEFAULT_ADMISSION_QUEUE_DEPTH,
         metadata=_env("REPRO_ADMISSION_QUEUE_DEPTH", int, floor=0))
-    seed: int = field(
-        default=DEFAULT_SEED, metadata=_env("REPRO_SEED", int))
 
     def __post_init__(self):
         if float(self.tenant_quota) <= 0:

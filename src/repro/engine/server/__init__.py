@@ -5,10 +5,8 @@ multi-user *system* rather than a library: concurrent sessions, MVCC
 snapshot reads against the PR 7 catalog snapshots, a single-writer
 commit path with a version-vector commit log, per-tenant work-quota
 admission control (per-tenant queues granted round-robin, shedding past a
-queue depth). The closed-loop traffic
-driver that benchmarks it all is :mod:`repro.sim.driver`. See
-``DESIGN.md`` ("Multi-tenant serving & admission control") and
-``README.md`` ("Serving layer").
+queue depth). See ``DESIGN.md`` ("Multi-tenant serving & admission
+control") and ``README.md`` ("Serving layer").
 """
 
 from repro.engine.server.admission import (

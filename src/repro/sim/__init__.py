@@ -4,16 +4,14 @@ What the paper's Figure 1 places *outside* the database kernel — cloud
 testbeds, production traces, TPC-H — is simulated here (the substitution
 table in DESIGN.md): the knob-response surface (:mod:`~repro.sim.knobs`),
 the lock-table simulator (:mod:`~repro.sim.txn`), arrival traces / KPI
-episodes / activity streams (:mod:`~repro.sim.traces`), the synthetic
-data generators (:mod:`~repro.sim.datagen`) and the closed-loop traffic
-driver (:mod:`~repro.sim.driver`).
+episodes / activity streams (:mod:`~repro.sim.traces`) and the synthetic
+data generators (:mod:`~repro.sim.datagen`).
 
 Layering: this package may import :mod:`repro.engine`; the engine never
 imports it (``tests/test_layering.py``).
 """
 
 from repro.sim import datagen, traces
-from repro.sim.driver import TrafficReport, run_traffic, zipf_weights
 from repro.sim.knobs import (
     KnobResponseSimulator,
     KnobSpec,
@@ -33,9 +31,6 @@ from repro.sim.txn import (
 __all__ = [
     "datagen",
     "traces",
-    "TrafficReport",
-    "run_traffic",
-    "zipf_weights",
     "KnobResponseSimulator",
     "KnobSpec",
     "WorkloadProfile",

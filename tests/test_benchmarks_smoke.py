@@ -4,9 +4,8 @@ The benchmark suite lives outside the default test paths, so before this
 test existed a refactor could silently break a benchmark and nobody would
 notice until the next manual ``pytest benchmarks/`` run. This module makes
 benchmark drift break tier-1 instead: every bench file is imported (import
-errors fail immediately) and its entry point runs once in fast mode —
-``measure(fast=True)`` for the ``bench_p*`` pipeline benchmarks, the
-harness experiment regeneration for the ``bench_e*``/``bench_f*`` files.
+errors fail immediately) and its experiment is regenerated once in fast
+mode through the harness.
 
 The experiment runs are deliberately ``fast=True`` and seed-pinned; the
 full-size numbers belong to the benchmark suite proper.
@@ -56,20 +55,15 @@ def _load(name):
 
 def test_every_bench_file_is_covered():
     """The glob really found the suite (guards against a renamed dir)."""
-    assert len(BENCH_FILES) >= 19
-    assert all(_EXP_RE.match(n) or n.startswith("bench_p") for n in BENCH_FILES)
+    assert len(BENCH_FILES) >= 18
+    assert all(_EXP_RE.match(n) for n in BENCH_FILES)
 
 
 @pytest.mark.parametrize("name", BENCH_FILES)
 def test_bench_entry_point_fast(name):
-    module = _load(name)
-    if hasattr(module, "measure"):
-        # Pipeline benchmarks (bench_p*): their own fast-mode entry point.
-        result = module.measure(fast=True)
-        assert result
-        return
+    _load(name)
     match = _EXP_RE.match(name)
-    assert match, "bench file %s has neither measure() nor an exp id" % name
+    assert match, "bench file %s has no experiment id" % name
     exp_id = "%s%d" % (match.group(1).upper(), int(match.group(2)))
     from repro.harness import run_experiment
 

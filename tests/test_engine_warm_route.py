@@ -29,7 +29,7 @@ from repro.engine.plans import PhysicalPlan
 from repro.engine.query import ConjunctiveQuery, JoinEdge
 from repro.engine.server import AdmissionController
 from repro.engine.storage import Table
-from repro.engine.telemetry import ServingRollup, StatementTrace, percentile
+from repro.engine.telemetry import ServingRollup, StatementTrace
 from repro.engine.types import ColumnSchema, TableSchema
 
 
@@ -318,8 +318,9 @@ def test_rollup_percentiles_are_within_five_percent():
     assert summary["total_seconds"] == total
     assert summary["total_work"] == float(len(samples))
     bucket = rollup._tenants["t"]
+    ordered = sorted(samples.tolist())
     for q in (0.0, 0.01, 0.5, 0.95, 0.99, 1.0):
-        exact = percentile(samples.tolist(), q)
+        exact = ordered[round(q * (len(ordered) - 1))]  # nearest rank
         assert bucket.quantile(q) == pytest.approx(exact, rel=0.05, abs=0.0)
     for name, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
         assert summary[name + "_seconds"] == bucket.quantile(q)

@@ -111,7 +111,7 @@ def test_importing_operators_loads_no_ai_modules():
 def test_the_simulators_live_outside_the_engine():
     """``engine/`` holds only the engine: the simulator files are gone
     from it, ``telemetry.py`` defines the span tree, its one aggregate
-    and their two helpers — not the per-layer records it replaced — and
+    and their one helper — not the per-layer records it replaced — and
     no ``repro.sim`` name is re-exported."""
     for rel in ("txn.py", "knobs.py", "datagen.py",
                 os.path.join("server", "driver.py")):
@@ -122,7 +122,7 @@ def test_the_simulators_live_outside_the_engine():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     assert defined == {
-        "q_error", "percentile", "Span", "StatementTrace",
+        "q_error", "Span", "StatementTrace",
         "_RollupBucket", "ServingRollup",
     }
     for package in (repro.engine, repro.engine.server):
