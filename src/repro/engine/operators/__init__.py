@@ -2,9 +2,11 @@
 
 Each plan-node class maps to a stateless :class:`PhysicalOperator`
 singleton registered in this package's registry, with one evaluation
-method (``evaluate``: columnar NumPy batches). The executor stays a thin
-driver: it resolves node → operator and supplies the evaluation context
-(catalog, cost model, work/row accounting).
+method (``evaluate``: columnar NumPy batches). Compiling a plan
+(:mod:`repro.engine.program`) resolves node → operator once; the
+executor stays a thin driver that walks the compiled steps and supplies
+the evaluation context (catalog, plan nodes, cost model, work/row
+accounting).
 
 Layering: this package sits below the optimizer and must never import
 from :mod:`repro.ai4db` (guarded by a test).

@@ -4,7 +4,7 @@ The columnar helpers here (:func:`aggregate_columnar`,
 :func:`global_aggregate`) are shared with the fused-pipeline operator,
 which runs the same aggregation over a filtered-but-never-materialized
 input. :func:`aggregate_columnar` records the
-aggregate node's actual output cardinality via ``ctx.count`` — the
+aggregate node's actual output cardinality via ``run.count`` — the
 group count *before* any LIMIT — so per-node actual-row telemetry is
 identical whether the aggregate ran standalone or absorbed into a fused
 tail.
@@ -46,8 +46,9 @@ def global_aggregate(agg, arr, n):
                         np.array([n]), np.array([0]))[0]
 
 
-def aggregate_columnar(ctx, node, child, key_codes=None):
-    """Grouped/global aggregation over ``child``. ``key_codes`` may give,
+def aggregate_columnar(run, slot, node, child, key_codes=None):
+    """Grouped/global aggregation over ``child``, charged and counted to
+    span ``slot``. ``key_codes`` may give,
     per GROUP BY key, ``(codes, dictionary)`` computed already (equal
     values, equal codes, not necessarily dense; ``dictionary[code]`` is
     output in place of the column, which ``child`` need not hold) or
@@ -69,12 +70,12 @@ def aggregate_columnar(ctx, node, child, key_codes=None):
             # An empty object array holds None.
             arrays.append(np.empty(1, dtype=object) if v is None
                           else np.asarray([v]))
-        ctx.charge(node, ctx.cost_model.aggregate(n, 1))
-        ctx.count(node, 1)
+        run.charge(slot, run.cost_model.aggregate(n, 1))
+        run.count(slot, 1)
         return ColumnarRelation(columns, arrays, n_rows=1)
     if n == 0:
-        ctx.charge(node, ctx.cost_model.aggregate(0, 0))
-        ctx.count(node, 0)
+        run.charge(slot, run.cost_model.aggregate(0, 0))
+        run.count(slot, 0)
         arrays = [np.empty(0, dtype=object) for __ in columns]
         return ColumnarRelation(columns, arrays, n_rows=0)
     coded = key_codes or [None] * len(key_pos)
@@ -98,8 +99,8 @@ def aggregate_columnar(ctx, node, child, key_codes=None):
         for agg, pos in zip(node.aggregates, agg_pos)
     ]
     n_groups = len(groups)
-    ctx.charge(node, ctx.cost_model.aggregate(n, n_groups))
-    ctx.count(node, n_groups)
+    run.charge(slot, run.cost_model.aggregate(n, n_groups))
+    run.count(slot, n_groups)
     return ColumnarRelation(columns, key_arrays + agg_arrays, n_rows=n_groups)
 
 
@@ -107,5 +108,6 @@ def aggregate_columnar(ctx, node, child, key_codes=None):
 class HashAggregateOp(PhysicalOperator):
     """Group-by + aggregate evaluation via hashing."""
 
-    def evaluate(self, ctx, node):
-        return aggregate_columnar(ctx, node, ctx.run(node.children[0]))
+    def evaluate(self, run, step, inputs):
+        return aggregate_columnar(
+            run, step.slot, run.nodes[step.slot], inputs[0])

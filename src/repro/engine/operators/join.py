@@ -19,25 +19,20 @@ from repro.engine.operators.kernels import cross_indices, join_indices
 def join_keys(edges, left, right):
     """Positions of the ``edges``' key columns in the two relations
     being joined (each edge may name either side first)."""
-    left_index = left._index
     left_pos, right_pos = [], []
     for e in edges:
-        if (e.left_table, e.left_column) in left_index:
-            lp = left.col_pos(e.left_table, e.left_column)
-            rp = right.col_pos(e.right_table, e.right_column)
-        else:
-            lp = left.col_pos(e.right_table, e.right_column)
-            rp = right.col_pos(e.left_table, e.left_column)
-        left_pos.append(lp)
-        right_pos.append(rp)
+        lk, rk = (e.left_table, e.left_column), (e.right_table, e.right_column)
+        if lk not in left.columns:
+            lk, rk = rk, lk
+        left_pos.append(left.col_pos(*lk))
+        right_pos.append(right.col_pos(*rk))
     return left_pos, right_pos
 
 
-def _v_join(ctx, node, charge):
+def _v_join(run, step, inputs, charge):
     """Columnar equi-join shared by hash and NL charges."""
-    left = ctx.run(node.children[0])
-    right = ctx.run(node.children[1])
-    left_pos, right_pos = join_keys(node.edges, left, right)
+    left, right = inputs
+    left_pos, right_pos = join_keys(run.nodes[step.slot].edges, left, right)
     il, ir = join_indices(
         [left.arrays[p] for p in left_pos],
         [right.arrays[p] for p in right_pos],
@@ -47,7 +42,7 @@ def _v_join(ctx, node, charge):
         [a[il] for a in left.arrays] + [a[ir] for a in right.arrays],
         n_rows=len(il),
     )
-    ctx.charge(node, charge(len(left), len(right), len(out)))
+    run.charge(step.slot, charge(len(left), len(right), len(out)))
     return out
 
 
@@ -55,31 +50,31 @@ def _v_join(ctx, node, charge):
 class HashJoinOp(PhysicalOperator):
     """Hash join (right child is the build side)."""
 
-    def evaluate(self, ctx, node):
-        return _v_join(ctx, node, ctx.cost_model.hash_join)
+    def evaluate(self, run, step, inputs):
+        return _v_join(run, step, inputs, run.cost_model.hash_join)
 
 
 @register(P.NestedLoopJoin)
 class NestedLoopJoinOp(PhysicalOperator):
     """Nested loops over the join edges (equi only)."""
 
-    def evaluate(self, ctx, node):
+    def evaluate(self, run, step, inputs):
         # Same matches as the hash join; only the charge differs.
-        return _v_join(ctx, node, ctx.cost_model.nested_loop_join)
+        return _v_join(run, step, inputs, run.cost_model.nested_loop_join)
 
 
 @register(P.CrossJoin)
 class CrossJoinOp(PhysicalOperator):
     """Cartesian product, left-major order."""
 
-    def evaluate(self, ctx, node):
-        left = ctx.run(node.children[0])
-        right = ctx.run(node.children[1])
+    def evaluate(self, run, step, inputs):
+        left, right = inputs
         il, ir = cross_indices(len(left), len(right))
         out = ColumnarRelation(
             left.columns + right.columns,
             [a[il] for a in left.arrays] + [a[ir] for a in right.arrays],
             n_rows=len(il),
         )
-        ctx.charge(node, ctx.cost_model.cross_join(len(left), len(right)))
+        run.charge(step.slot,
+                   run.cost_model.cross_join(len(left), len(right)))
         return out

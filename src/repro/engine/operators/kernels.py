@@ -104,7 +104,7 @@ def _direct_join(left, right):
     offsets = np.subtract(right, lo, dtype=np.intp)
     per_key = np.bincount(offsets, minlength=span + 1)
     lo = np.int64(lo)
-    inside = np.flatnonzero((left >= lo) & (left <= lo + span))
+    inside = ((left >= lo) & (left <= lo + span)).nonzero()[0]
     probe = np.subtract(left[inside], lo, dtype=np.intp)
     if np.count_nonzero(per_key) < len(right):
         return _counting_pairs(inside, probe, per_key, offsets)

@@ -15,10 +15,11 @@ from repro.engine.operators.kernels import factorize
 class ProjectOp(PhysicalOperator):
     """Column projection with optional first-occurrence DISTINCT."""
 
-    def evaluate(self, ctx, node):
-        child = ctx.run(node.children[0])
+    def evaluate(self, run, step, inputs):
+        node, child = run.nodes[step.slot], inputs[0]
         positions = [child.col_pos(t, c) for t, c in node.columns]
-        ctx.charge(node, ctx.cost_model.params["cpu_tuple_cost"] * len(child))
+        run.charge(step.slot,
+                   run.cost_model.params["cpu_tuple_cost"] * len(child))
         arrays = [child.arrays[p] for p in positions]
         n = len(child)
         if node.distinct and n:

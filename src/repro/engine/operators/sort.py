@@ -13,10 +13,10 @@ from repro.engine.operators.kernels import stable_sort_indices
 class SortOp(PhysicalOperator):
     """Stable sort on one key."""
 
-    def evaluate(self, ctx, node):
-        child = ctx.run(node.children[0])
+    def evaluate(self, run, step, inputs):
+        node, child = run.nodes[step.slot], inputs[0]
         pos = child.col_pos(*node.key)
-        ctx.charge(node, ctx.cost_model.sort(len(child)))
+        run.charge(step.slot, run.cost_model.sort(len(child)))
         if len(child) == 0:
             return child
         idx = stable_sort_indices(child.arrays[pos], node.descending)
@@ -27,10 +27,10 @@ class SortOp(PhysicalOperator):
 class LimitOp(PhysicalOperator):
     """Truncate output to the first ``n`` rows (charge-free)."""
 
-    def evaluate(self, ctx, node):
-        child = ctx.run(node.children[0])
-        if node.n >= len(child):
+    def evaluate(self, run, step, inputs):
+        n, child = run.nodes[step.slot].n, inputs[0]
+        if n >= len(child):
             return child
         return ColumnarRelation(
-            child.columns, [a[: node.n] for a in child.arrays], n_rows=node.n
+            child.columns, [a[:n] for a in child.arrays], n_rows=n
         )

@@ -376,10 +376,12 @@ class ServingRollup:
         sample = (root.seconds, admission.get("settled", 0.0),
                   admission["outcome"], admission.get("queue_wait", 0.0))
         with self._lock:
-            self._tenants.setdefault(
-                root.attrs["tenant"], _RollupBucket()).observe(*sample)
-            self._sessions.setdefault(
-                root.attrs["session"], _RollupBucket()).observe(*sample)
+            for buckets, key in ((self._tenants, root.attrs["tenant"]),
+                                 (self._sessions, root.attrs["session"])):
+                bucket = buckets.get(key)
+                if bucket is None:
+                    bucket = buckets[key] = _RollupBucket()
+                bucket.observe(*sample)
 
     def close_session(self, session_id):
         """Drop ``session_id``'s bucket (its tenant keeps the counts)."""

@@ -114,6 +114,8 @@ class TableSchema:
                     "duplicate column %r in table %r" % (col.name, self.name)
                 )
             self._index[col.name] = i
+        #: Column names in declaration order (a schema never changes).
+        self.names = tuple(self._index)
 
     def column(self, name):
         """Return the :class:`ColumnSchema` for ``name`` (case-insensitive)."""
@@ -140,7 +142,7 @@ class TableSchema:
     @property
     def column_names(self):
         """Column names in declaration order."""
-        return [c.name for c in self.columns]
+        return list(self.names)
 
     def __len__(self):
         return len(self.columns)

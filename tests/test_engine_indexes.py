@@ -7,7 +7,6 @@ baseline and lives in ``repro.ai4db.design``.
 
 import math
 import operator
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ai4db.design.btree import BPlusTree
 from repro.common import CatalogError, ExecutionError
-from repro.engine import plans as P
 from repro.engine.catalog import Catalog
-from repro.engine.operators.scan import index_row_ids
+from repro.engine.operators.scan import WINDOWS, index_row_ids
 from repro.engine.query import Predicate
 
 
@@ -145,8 +143,8 @@ _TEXT_KEYS = st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b", "n1"]))
 
 
 def _probe(catalog, op, value, index="ix"):
-    node = P.IndexScan("t", index, Predicate("t", "k", op, value))
-    return index_row_ids(SimpleNamespace(catalog=catalog), node)
+    return index_row_ids(catalog, "t", index, Predicate("t", "k", op, value),
+                         WINDOWS.get(op))[1]
 
 
 @settings(max_examples=60, deadline=None)
