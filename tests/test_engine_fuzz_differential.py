@@ -559,6 +559,62 @@ def test_fuzz_generic_route_matches_both_oracles(catalog_seed):
 
 
 # ----------------------------------------------------------------------
+# One route, two ways: a cached (or template) program is the plan
+# compiled afresh
+# ----------------------------------------------------------------------
+ONE_ROUTE_SEEDS = (0, 1, 2, 3)
+ONE_ROUTE_CASES = max(6, N_CASES // (2 * len(ONE_ROUTE_SEEDS)))
+
+
+def _execute_spans(result):
+    """The ``execute`` span tree in preorder: name, rows, work and
+    attributes, the decode timing masked."""
+    return [(s.name, s.rows, s.work,
+             {k: v for k, v in s.attrs.items() if k != "decode_seconds"})
+            for s in result.telemetry.walk()]
+
+
+@pytest.mark.parametrize("catalog_seed", ONE_ROUTE_SEEDS)
+def test_fuzz_cached_program_runs_as_the_plan_compiled_afresh(catalog_seed):
+    """Each generated SELECT (and, when it has a predicate, eight redraws
+    of its literals, so shapes go generic) runs as EXPLAIN ANALYZE
+    through the plan cache — its entry's program, or its template's —
+    and its plan runs again through ``Executor.execute`` with no memo,
+    compiled afresh, under the same planning spans. Rows, ``work``,
+    ``operator_work``, ``node_stats``, the ``execute`` span tree and the
+    EXPLAIN ANALYZE text (it holds no timing) are identical."""
+    from repro.engine.explain import ExplainResult
+
+    db, tables = _build_db(catalog_seed)
+    rng = random.Random(77_000 + catalog_seed + 1_000_003 * FUZZ_SEED)
+    generic = 0
+    for case in range(ONE_ROUTE_CASES):
+        base = _random_query(rng, tables, star=True)
+        query = base
+        for draw in range(GENERIC_ROUTE_DRAWS if base.predicates else 1):
+            sql = _render_sql(query)
+            label = "catalog_seed=%d case=%d draw=%d sql=%s" % (
+                catalog_seed, case, draw, sql)
+            cached = db.explain_analyze(sql)
+            generic += cached.trace.plan_route == "generic"
+            ran = cached.result
+            fresh = db.executor.execute(cached.plan,
+                                        trace=cached.trace.fork())
+            assert fresh.columns == ran.columns, label
+            assert fresh.rows == ran.rows, label
+            assert fresh.work == ran.work, label
+            assert fresh.operator_work == ran.operator_work, label
+            assert (fresh.telemetry.node_stats
+                    == ran.telemetry.node_stats), label
+            assert _execute_spans(fresh) == _execute_spans(ran), label
+            assert str(ExplainResult(cached.plan, fresh.trace)) == str(
+                cached), label
+            query = _redrawn(rng, base)
+    # Not vacuous: template programs ran.
+    assert generic >= ONE_ROUTE_CASES, generic
+
+
+# ----------------------------------------------------------------------
 # Mixed case: identifiers are case-insensitive, string literals are not
 # ----------------------------------------------------------------------
 MIXED_CASE_SEEDS = (0, 1, 2, 3)

@@ -14,7 +14,7 @@ import pytest
 
 from reference_executor import reference_database, same_rows
 from repro.common import CatalogError, ParseError, PlanError
-from repro.engine import Database
+from repro.engine import Database, fusion
 from repro.engine.plancache import PlanCache
 from repro.engine.catalog import ViewDef
 from repro.engine.optimizer.cardinality import TraditionalEstimator
@@ -509,6 +509,50 @@ class TestGenericPlans:
         db.pipeline.reset_stats()
         assert db.pipeline.stats()["plan_routes"] == {
             "custom": 0, "generic": 0}
+
+    def test_cached_plans_stay_as_built_and_generic_runs_compile_nothing(
+            self, db, monkeypatch):
+        """A frame's five custom statements, then six generic ones: every
+        cached plan, memo and program compares equal before and after
+        the generic runs, none of which compiles — each runs its
+        template's program object on its own bound nodes."""
+        compiled = []
+        real = fusion.compile_plan
+
+        def counting(*args):
+            compiled.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fusion, "compile_plan", counting)
+
+        def cached():
+            return {key: (plan.pretty(), repr(program),
+                          [(type(n), n.describe(), n.est_rows, n.est_cost)
+                           for n in nodes], nodes, program, route)
+                    for key, (plan, (program, nodes), route) in (
+                        (k, e.value) for k, e in
+                        db.pipeline.plan_cache._entries.items())}
+
+        assert self._routes(db, range(100, 105)) == ["custom"] * 5
+        assert len(compiled) == 5
+        before = cached()
+        (state,) = [e.value for e in db.pipeline.shape_plans._entries.values()]
+        template, (program, nodes), __, __ = state.generic
+        shape = (template.pretty(), repr(program), list(nodes))
+        for v in range(120, 126):
+            prepared = db.pipeline.prepare_sql(self.SQL % (v, v % 7))
+            ran = db.pipeline.execute_prepared(prepared)
+            assert len(compiled) == 5
+            assert prepared.trace.plan_route == "generic"
+            assert prepared.memo[0] is program
+            assert prepared.memo[1] == list(prepared.plan.walk())
+            fresh = db.executor.execute(prepared.plan)  # compiles its own
+            assert (ran.rows, ran.work) == (fresh.rows, fresh.work)
+            del compiled[5:]
+        after = cached()
+        assert len(after) == 5 + 6
+        assert {key: after[key] for key in before} == before
+        assert (template.pretty(), repr(program), list(nodes)) == shape
 
     def test_a_generic_statement_asks_each_scanned_table_once(self, db):
         """Re-costing a generic plan over k fully-pushed SeqScans asks k

@@ -193,6 +193,34 @@ def test_operators_have_one_evaluation_method():
             assert "def row(" not in Path(path).read_text(encoding="utf-8")
 
 
+def test_plans_run_as_compiled_programs_only():
+    """One route from plan to rows, resolved once: no operator module
+    evaluates a child or resolves an operator while it runs (the
+    compiler does that, once per prepared plan), and the executor has no
+    per-node dispatch left — no span-by-node lookup and no function
+    that calls itself."""
+    ops_root = os.path.join(ENGINE_ROOT, "operators") + os.sep
+    scanned = [p for p in _engine_modules() if p.startswith(ops_root)]
+    assert scanned
+    for path in scanned:
+        tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+        calls = [
+            ast.unparse(node.func) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        ]
+        assert not [c for c in calls
+                    if c.endswith(".run") or c.endswith("operator_for")], (
+            path, calls)
+    executor = Path(ENGINE_ROOT, "executor.py").read_text(encoding="utf-8")
+    assert "_span_of" not in executor
+    tree = ast.parse(executor)
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            called = {ast.unparse(node.func) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)}
+            assert not called & {fn.name, "self." + fn.name}, fn.name
+
+
 def test_nothing_selects_a_second_evaluator():
     """One executor cell: no config field, constructor keyword or
     environment variable names an executor mode or a fusion switch."""
@@ -371,8 +399,8 @@ TABLE_READS = ("row_groups", "column_array", "sorted_column", "rows",
                "column_arrays", "row", "column_value_counts", "n_segments",
                "n_rows", "name")
 CATALOG_READS = ("schema_epoch", "version", "version_vector", "table",
-                 "has_table", "table_names", "indexes", "index_on", "views",
-                 "matching_view")
+                 "has_table", "table_names", "indexes", "index", "index_on",
+                 "views", "matching_view")
 
 
 def test_each_read_surface_is_written_once():
