@@ -28,6 +28,9 @@ READ = "SELECT a FROM t WHERE a > 0"
 INSERT = "INSERT INTO t VALUES (3, 'z')"
 DENIED = "SELECT s FROM secret"
 FAILING = "SELECT a FROM t WHERE c < 'y'"  # TEXT NULL → TypeError
+#: The same failure in a scan under a Sort: the span that raises has an
+#: open ancestor, which must close after it.
+FAILING_SORTED = "SELECT a FROM t WHERE c < 'y' ORDER BY a"
 
 #: Stage spans each case leaves on an embedded surface, in order.
 EXPECTED = {
@@ -37,6 +40,7 @@ EXPECTED = {
     "insert": ["parse", "execute"],
     "denied": ["parse", "lower"],
     "failing": ["parse", "lower", "plan", "execute"],
+    "failing_sorted": ["parse", "lower", "plan", "execute"],
 }
 
 
@@ -77,7 +81,7 @@ def open_surface(surface):
 
 
 def run_cases(surface):
-    """Run the six cases; ``{case: (trace, result or None)}``."""
+    """Run the seven cases; ``{case: (trace, result or None)}``."""
     db, context, log = open_surface(surface)
     out = {}
 
@@ -102,7 +106,8 @@ def run_cases(surface):
         run("insert", INSERT)
     run("denied", DENIED, raises=PolicyError)
     run("failing", FAILING, raises=TypeError)
-    assert len(log) == len(log.traces) == 6
+    run("failing_sorted", FAILING_SORTED, raises=TypeError)
+    assert len(log) == len(log.traces) == 7
     return db, out
 
 
@@ -226,12 +231,15 @@ def test_the_tree_agrees_with_the_result_and_the_reference(battery, surface):
 def test_a_failing_operator_leaves_its_partial_run_in_the_tree(
         battery, surface):
     __, cases = battery[surface]
-    trace, __ = cases["failing"]
-    run = trace.execute
-    assert run is not None and run.children  # the operator that raised
-    assert all(span.seconds is not None for span in run.walk())
-    if surface == "server":
-        assert trace.span("admission").attrs["outcome"] == "error"
+    for case in ("failing", "failing_sorted"):
+        trace, __ = cases[case]
+        run = trace.execute
+        assert run is not None and run.children  # the operator that raised
+        assert all(span.seconds is not None for span in run.walk())
+        if surface == "server":
+            assert trace.span("admission").attrs["outcome"] == "error"
+    names = [s.name for s in cases["failing_sorted"][0].execute.walk()]
+    assert "Sort" in names and names[-1] == "SeqScan"  # raised under Sort
 
 
 def test_the_audit_log_keeps_numbers_not_trees():
