@@ -42,7 +42,11 @@ from repro.engine.optimizer.cost import CostModel
 from repro.engine.optimizer.planner import Planner
 from repro.engine.pipeline import QueryPipeline
 from repro.engine.session.agent import AgentSession
-from repro.engine.session.context import SessionContext, SnapshotBackend
+from repro.engine.session.context import (
+    SessionContext,
+    SnapshotBackend,
+    run_query_object,
+)
 
 
 class Database:
@@ -96,10 +100,9 @@ class Database:
     def snapshot(self):
         """An immutable read session pinned to the current catalog state.
 
-        Returns a :class:`DatabaseSnapshot`: SELECTs run through this
-        database's pipeline (sharing its warm plan cache) but execute
-        against a pinned :class:`~repro.engine.catalog.CatalogSnapshot`,
-        so concurrent writers never change what the session reads.
+        Returns a :class:`DatabaseSnapshot`: its SELECTs share this
+        database's pipeline and caches and read one pinned
+        :class:`~repro.engine.catalog.CatalogSnapshot` throughout.
         """
         return DatabaseSnapshot(self)
 
@@ -165,7 +168,7 @@ class Database:
 
     def run_query_object(self, query, order=None):
         """Plan and execute a structured :class:`ConjunctiveQuery` directly."""
-        return self.pipeline.run_query(query, order=order)
+        return run_query_object(self._session.backend, query, order=order)
 
 
 class DatabaseSnapshot:
@@ -175,23 +178,18 @@ class DatabaseSnapshot:
     statistics, indexes, views, versions) is pinned at construction, so
     every query this session runs sees exactly that state — bit-identical
     results no matter how many rows writers append to the live database
-    in the meantime. Planning still flows through the owning database's
-    pipeline (and shares its warm plan cache); only *execution* is pinned,
-    via the executor's per-run catalog override. Non-SELECT statements
-    are rejected.
-
-    Cheap enough to take per query: O(#tables) when nothing was written
-    since the last pin (every table hands back its current snapshot,
-    decoded columns included), plus O(#columns) for each table written
-    in between (its unsealed tail is viewed read-only, not copied);
-    sealed storage is immutable and shared.
+    in the meantime. Statements flow through the owning database's
+    pipeline (and share its warm caches), and every stage — lowering,
+    planning, execution — reads the pinned catalog, as every read pins
+    one (:meth:`Catalog.snapshot` says what a pin costs). Non-SELECT
+    statements are rejected.
     """
 
     def __init__(self, database):
         self._db = database
         self.catalog = database.catalog.snapshot()
-        # The context execute() unwraps; its backend pins reads to this
-        # snapshot's catalog and refuses writes.
+        # The context execute() unwraps; its backend pins every statement
+        # to this snapshot's catalog and refuses writes.
         self._session = SessionContext(
             database, backend=SnapshotBackend(database, self.catalog)
         )
@@ -224,9 +222,7 @@ class DatabaseSnapshot:
 
     def run_query_object(self, query, order=None):
         """Plan and execute a structured query against the pinned state."""
-        return self._db.pipeline.run_query(
-            query, order=order, snapshot=self.catalog
-        )
+        return run_query_object(self._session.backend, query, order=order)
 
     def __repr__(self):
         return "DatabaseSnapshot(tables=%d)" % len(

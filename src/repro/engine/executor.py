@@ -92,9 +92,8 @@ class _Run:
     on one shared :class:`Executor` never see each other's accounting.
 
     Attributes:
-        catalog: what operators read from — the live catalog, or the
-            :class:`~repro.engine.catalog.CatalogSnapshot` the run is
-            pinned to.
+        catalog: what operators read from (the statement's pinned
+            snapshot on the pipeline's route).
         spans: one span per program slot, the ``execute`` span last.
         reads: the program's read set
             (:func:`~repro.engine.fusion.plan_reads`).
@@ -198,17 +197,17 @@ class Executor:
         rewritten, and the fused pass charges work through their slots,
         so accounting stays in terms of the plan the caller handed in.
 
-        ``catalog`` pins this one run to a different read surface —
-        typically a :class:`~repro.engine.catalog.CatalogSnapshot` — so
-        concurrent runs on a shared executor can mix live and snapshot
-        reads freely.
+        ``catalog`` is this run's read surface: the statement's pinned
+        :class:`~repro.engine.catalog.CatalogSnapshot` on the pipeline's
+        route, the executor's own catalog by default.
 
         The run is recorded as an ``execute`` span under ``trace``'s
         root (a trace of its own when the executor is driven directly):
         one span per executed node, and every node of the *original*
         plan tagged with its preorder position and estimate, which is
         what ``node_stats`` — the est-vs-actual view behind EXPLAIN
-        ANALYZE — reads, and ``catalog_versions``, the read surface's ``version_map()``.
+        ANALYZE — reads, and ``catalog_versions``, the read surface's
+        ``version_map()``.
         """
         own = trace is None
         if own:
@@ -225,9 +224,7 @@ class Executor:
                 attrs = spans[i].attrs
                 attrs["node"] = i
                 attrs["est_rows"] = node.est_rows
-            version_map = getattr(catalog, "version_map", None)
-            if version_map is not None:
-                span.attrs["catalog_versions"] = version_map()
+            span.attrs["catalog_versions"] = catalog.version_map()
         if own:
             trace.root.close()
         return ExecutionResult(relation, trace)

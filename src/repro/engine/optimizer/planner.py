@@ -21,7 +21,7 @@ DP, access paths, assembly and cost annotation, so
 
 from numbers import Number
 
-from repro.common import CatalogError, PlanError
+from repro.common import PlanError
 from repro.engine import plans as P
 from repro.engine.optimizer.cardinality import TraditionalEstimator
 from repro.engine.optimizer.cost import CostModel, _SinglePredicateView
@@ -82,7 +82,7 @@ class Planner:
         self.use_views = use_views
         self.include_hypothetical = include_hypothetical
 
-    def plan(self, query, order=None, memo=None):
+    def plan(self, query, order=None, memo=None, catalog=None):
         """Produce an annotated physical plan for ``query``.
 
         Args:
@@ -94,26 +94,23 @@ class Planner:
             memo: the call's estimate memo, when the caller keeps it
                 (:meth:`CardinalityEstimator.planning_scope` of ``query``;
                 a fresh one otherwise).
-
-        Unknown tables surface as :class:`~repro.common.CatalogError`,
-        never a raw ``KeyError``, so a table dropped between lowering
-        and planning fails the same way on every route.
+            catalog: the view every table, row-count, index and view
+                lookup reads — the statement's pinned snapshot on the
+                pipeline's route, the planner's own catalog otherwise
+                (the estimator reads statistics through its own).
         """
         if memo is None:
             memo = self.estimator.planning_scope(query)
-        try:
-            return self._plan(query, order, memo)
-        except KeyError as exc:  # defensive: unify on CatalogError
-            raise CatalogError(
-                "planning failed: unknown catalog object %s" % (exc,))
+        return self._plan(query, order, memo,
+                          self.catalog if catalog is None else catalog)
 
-    def _plan(self, query, order, memo):
-        check_range_types(self.catalog, query)
+    def _plan(self, query, order, memo, catalog):
+        check_range_types(catalog, query)
         if query.limit == 0:
-            plan = P.EmptyResult(self._output_columns(query))
+            plan = P.EmptyResult(self._output_columns(query, catalog))
             self.cost_model.annotate(plan, memo, query)
             return plan
-        view_match = self.catalog.matching_view(query) if self.use_views else None
+        view_match = catalog.matching_view(query) if self.use_views else None
         if view_match is not None:
             view, residual = view_match
             plan = P.ViewScan(view, residual)
@@ -124,7 +121,7 @@ class Planner:
             order = self._order(query, memo)
         elif set(order) != set(query.tables):
             raise PlanError("explicit order must cover the query's tables")
-        return self._assemble(query, order, memo)
+        return self._assemble(query, order, memo, catalog)
 
     def _order(self, query, memo):
         """The left-deep order DP picks."""
@@ -132,12 +129,12 @@ class Planner:
             return [query.tables[0]]
         return dp_order(query, memo, self.cost_model)
 
-    def _assemble(self, query, order, memo):
+    def _assemble(self, query, order, memo, catalog):
         """Access paths + left-deep joins + finalize + cost annotation."""
-        plan = self._access_path(query, order[0], memo)
+        plan = self._access_path(query, order[0], memo, catalog)
         joined = [order[0]]
         for t in order[1:]:
-            right = self._access_path(query, t, memo)
+            right = self._access_path(query, t, memo, catalog)
             edges = query.edges_between(joined, t)
             if edges:
                 left_rows = memo.estimate_subset(query, joined)
@@ -158,17 +155,17 @@ class Planner:
         return plan
 
     # ------------------------------------------------------------------
-    def _access_path(self, query, table, memo):
+    def _access_path(self, query, table, memo, catalog):
         """Choose SeqScan vs IndexScan for one base table."""
         preds = query.predicates_on(table)
         if not preds:
             return P.SeqScan(table, preds)
-        table_rows = max(1.0, float(self.catalog.table(table).n_rows))
+        table_rows = max(1.0, float(catalog.table(table).n_rows))
         best = None
         for pred in preds:
-            if pred.op == "!=" or _kind_mismatch(self.catalog, pred):
+            if pred.op == "!=" or _kind_mismatch(catalog, pred):
                 continue
-            idx = self.catalog.index_on(
+            idx = catalog.index_on(
                 table, pred.column, include_hypothetical=self.include_hypothetical
             )
             if idx is None:
@@ -190,12 +187,12 @@ class Planner:
         residual = [p for p in preds if p is not pred]
         return P.IndexScan(table, idx.name, pred, residual)
 
-    def _output_columns(self, query):
+    def _output_columns(self, query, catalog):
         if query.projections:
             return list(query.projections)
         cols = []
         for t in query.tables:
-            schema = self.catalog.table(t).schema
+            schema = catalog.table(t).schema
             cols.extend((t, c.name) for c in schema.columns)
         return cols
 

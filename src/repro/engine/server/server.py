@@ -6,13 +6,15 @@ Database` into a multi-user system:
 * **Sessions** (:meth:`QueryServer.session`) are the caller surface —
   many may execute concurrently, each tagged with a tenant for
   accounting and admission.
-* **Reads are MVCC snapshot reads.** Every SELECT executes against an
-  immutable :class:`~repro.engine.catalog.CatalogSnapshot` — pinned per
-  statement (default) or once per session (``isolation="session"``,
-  repeatable-read style) — while *planning* flows through the shared
-  pipeline and its warm plan cache. Snapshots are pinned under the
-  commit lock, so every snapshot is a state that actually existed
-  between two commits, never a torn mix.
+* **Reads are MVCC snapshot reads.** Every SELECT is lowered, planned
+  and executed on one immutable
+  :class:`~repro.engine.catalog.CatalogSnapshot` — pinned per statement
+  before its front end (default) or once per session
+  (``isolation="session"``, repeatable-read style) — through the shared
+  pipeline and its warm caches. Snapshots are pinned under the commit
+  lock, so every snapshot is a state that actually existed between two
+  commits, never a torn mix; a read that waits in admission after
+  planning still runs on the snapshot it planned on.
 * **Writes serialize through a single-writer commit path.** DDL / INSERT
   / ANALYZE take the server's commit lock, execute, and append the
   resulting per-table version vector to :attr:`QueryServer.commit_log`
@@ -42,6 +44,7 @@ from repro.engine.session.context import (
     WRITE_STATEMENT_COST,
     ServerBackend,
     SessionContext,
+    run_query_object,
 )
 from repro.engine.telemetry import ServingRollup, StatementTrace
 
@@ -117,8 +120,7 @@ class Session:
     def run_query_object(self, query, order=None):
         """Run a structured :class:`ConjunctiveQuery` through admission
         and snapshot execution (the read path for query objects)."""
-        prepared = self._server.db.pipeline.prepare_query(query, order=order)
-        return self._server._run_read(self, prepared)
+        return run_query_object(self._context.backend, query, order=order)
 
     def insert_rows(self, table, rows):
         """Bulk-append ``rows`` through the single-writer commit path.
@@ -300,22 +302,15 @@ class QueryServer:
             self.rollup.observe(trace)
 
     def _run_read(self, session, prepared):
-        """Admission → snapshot-pinned execution → settlement (at the
-        run's measured work)."""
+        """Admission → execution on the snapshot the read planned on →
+        settlement (at the run's measured work)."""
         session._check_open()
-        trace = prepared.trace
 
         def run():
-            snapshot = session._pinned
-            if snapshot is None:
-                with trace.root.child("pin_snapshot"):
-                    snapshot = self.pin_snapshot()
-            result = self.db.pipeline.execute_prepared(
-                prepared, snapshot=snapshot
-            )
+            result = self.db.pipeline.execute_prepared(prepared)
             return result, result.work
 
-        return self._admitted(session, trace, prepared.est_cost, run)
+        return self._admitted(session, prepared.trace, prepared.est_cost, run)
 
     # -- write path --------------------------------------------------------
     def _run_write(self, session, apply, trace):

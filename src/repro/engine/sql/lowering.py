@@ -63,7 +63,8 @@ def lower_select(stmt, catalog):
 
     Args:
         stmt: the AST from :func:`repro.engine.sql.parse_sql`.
-        catalog: the :class:`repro.engine.catalog.Catalog` for binding.
+        catalog: the catalog view names are bound against (the pinned
+            :class:`~repro.engine.catalog.CatalogSnapshot` in the pipeline).
 
     Returns:
         ConjunctiveQuery

@@ -29,7 +29,7 @@ from repro.engine.operators import fused as fused_op
 from repro.engine.plans import PhysicalPlan
 from repro.engine.query import ConjunctiveQuery, JoinEdge
 from repro.engine.server import AdmissionController
-from repro.engine.storage import Table
+from repro.engine.storage import Table, TableSnapshot
 from repro.engine.telemetry import ServingRollup, StatementTrace
 from repro.engine.types import ColumnSchema, TableSchema
 
@@ -148,13 +148,15 @@ def test_cold_statements_leave_no_plan_for_the_cycle_collector():
 def test_index_scan_gathers_only_the_read_set(monkeypatch):
     db = _db()
     asked = []
-    real = Table.column_arrays
+    real = TableSnapshot.column_arrays
 
     def spy(self, row_ids=None, columns=None):
         asked.append(None if columns is None else list(columns))
         return real(self, row_ids, columns)
 
-    monkeypatch.setattr(Table, "column_arrays", spy)
+    # Every read runs on a pinned snapshot, so its scans read table
+    # snapshots.
+    monkeypatch.setattr(TableSnapshot, "column_arrays", spy)
     point = db.execute("SELECT a.v FROM a WHERE a.id = 17")
     assert point.rows == [(8.5,)]
     assert asked == [["v"]]
@@ -327,10 +329,12 @@ def test_catalog_versions_read_the_snapshot_by_reference():
     versions = result.telemetry.catalog_versions
     assert versions is pinned.version_map()
     assert list(versions.items()) == list(db.catalog.version_vector())
+    # An embedded read pins the same snapshot: the same map.
     embedded = db.execute(WARM["point"]).telemetry.catalog_versions
-    assert embedded == versions and embedded is not versions
+    assert embedded is versions
     db.execute("INSERT INTO a VALUES (900, 1, 1.0)")
-    assert embedded == versions  # a copy of the live map, not a view
+    assert embedded == dict(pinned.version_vector())  # never mutated
+    assert db.catalog.snapshot().version_map() != versions
 
 
 # ----------------------------------------------------------------------

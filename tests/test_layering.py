@@ -149,8 +149,9 @@ def test_one_trace_per_statement_and_nothing_beside_it():
             assert not gone.search(line), (path, lineno, line)
 
 
-def test_backends_are_exactly_read_and_write():
-    """The backend protocol is two operations: ``read(prepared)`` and
+def test_backends_are_exactly_pin_read_and_write():
+    """The backend protocol is three operations: ``pin(trace)`` — the
+    one catalog view a statement reads — ``read(prepared)`` and
     ``write(info)`` — the classified statement, not its text, so a
     write is never parsed a second time."""
     from repro.engine.session import (
@@ -159,8 +160,9 @@ def test_backends_are_exactly_read_and_write():
 
     for backend in (LocalBackend, SnapshotBackend, ServerBackend):
         public = {n for n in dir(backend) if not n.startswith("_")}
-        assert public == {"read", "write"}, (backend.__name__, public)
-        for name, arg in (("read", "prepared"), ("write", "info")):
+        assert public == {"pin", "read", "write"}, (backend.__name__, public)
+        for name, arg in (("pin", "trace"), ("read", "prepared"),
+                          ("write", "info")):
             params = inspect.signature(getattr(backend, name)).parameters
             assert list(params) == ["self", arg], (backend.__name__, name)
 
