@@ -18,9 +18,7 @@ session stack plus transactional undo:
 Rollback restores catalog state only. Out-of-catalog side effects —
 most notably models registered in an AISQL ``ModelRegistry`` — are not
 undone (document-and-accept: the registry is an extension object the
-engine cannot see). The plan caches are invalidated on rollback, since
-restored versions can re-bump to numbers cached plans were keyed under
-while the underlying data differs.
+engine cannot see).
 
 Server mode: :meth:`begin` takes the server's commit lock (an RLock —
 per-statement writes inside the transaction re-enter it) and holds it
@@ -121,15 +119,12 @@ class AgentSession(SessionContext):
         Physically rewinds every table (rows, sealed groups, tail),
         catalog metadata (stats, indexes, views), and the per-table
         version vector — the one sanctioned case of versions moving
-        backward — then invalidates the plan caches (restored versions
-        can re-bump to numbers cached plans were keyed under while the
-        data differs). In server mode the restored vector is appended
-        to the commit log so the post-rollback state is a committed
-        state, and the commit lock is released.
+        backward. In server mode the restored vector is appended to the
+        commit log so the post-rollback state is a committed state, and
+        the commit lock is released.
         """
         self.db.catalog.restore(self._require_transaction())
         self._pinned = None
-        self.db.pipeline.invalidate()
         self._meta("ROLLBACK")
         if self._server is not None:
             server = self._server

@@ -432,7 +432,8 @@ def _parse_and_lower(db, sql):
 def _through_the_front_end(db, sql):
     """``(form, route)`` of ``sql`` through the pipeline's front end."""
     try:
-        query, __, trace, sig = db.pipeline.front_end(sql)
+        query, __, trace, sig = db.pipeline.front_end(
+            sql, db.catalog.snapshot())
     except Exception as exc:  # noqa: BLE001 - compared by type
         return type(exc), None
     assert sig == query.signature(), sql
@@ -468,7 +469,7 @@ def test_fuzz_shape_route_matches_parse_route(catalog_seed):
         base = _render_sql(_random_query(rng, tables, star=True))
         shape, literals = fingerprint(base)
         assert shape is not None, base
-        db.pipeline.front_end(base)
+        db.pipeline.front_end(base, db.catalog.snapshot())
         label = "catalog_seed=%d case=%d" % (catalog_seed, case)
         pieces = shape.split("?")
         for __ in range(3):
@@ -877,7 +878,7 @@ def test_shape_route_pinned_cases(case):
     binds through it."""
     db, __ = _build_db(0)
     base, probes = SHAPE_ROUTE_PINNED[case]
-    db.pipeline.front_end(base)
+    db.pipeline.front_end(base, db.catalog.snapshot())
     stored = len(db.pipeline.shape_cache) == 1
     assert stored == (case not in SHAPE_ROUTE_UNSTORED), case
     routes = [_assert_shape_route_is_parse_route(db, base, probe, case)
