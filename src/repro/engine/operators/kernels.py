@@ -16,29 +16,25 @@ import numpy as np
 
 from repro.common import ExecutionError
 from repro.engine.operators.base import OPS
-from repro.engine.segments import object_codes
+from repro.engine.segments import object_codes, span_ranks
 
 
 def column_codes(arr):
     """Dense int64 codes for one column (equal values ⇒ equal codes).
 
     Integer columns whose value span is below twice their length are
-    ranked in O(n) — ``bincount`` presence, ``cumsum``, gather — which is
-    exactly ``np.unique``'s inverse (both are ranks among the sorted
-    distinct values). Wider spans, floats and bools use ``np.unique``.
-    Object columns (TEXT, nullable) use :func:`object_codes`: sort-based
-    ``np.unique`` would raise ``TypeError`` on ``None`` or mixed types.
+    ranked in O(n) by :func:`span_ranks` (the INT seal's ranking), which
+    is exactly ``np.unique``'s inverse. Wider spans, floats and bools use
+    ``np.unique``. Object columns (TEXT, nullable) use
+    :func:`object_codes`: sort-based ``np.unique`` would raise
+    ``TypeError`` on ``None`` or mixed types.
     """
     if arr.dtype == object:
         return object_codes(arr)
     if arr.dtype.kind in "iu" and len(arr):
-        lo = arr.min()
-        if int(arr.max()) - int(lo) < 2 * len(arr):
-            # In intp: exact for narrow signed dtypes, and modulo 2**64
-            # (still exact, the span being small) for uint64 past int64.
-            offsets = np.subtract(arr, lo, dtype=np.intp)
-            ranks = np.cumsum(np.bincount(offsets) > 0) - 1
-            return ranks[offsets]
+        ranked = span_ranks(arr)
+        if ranked is not None:
+            return ranked[0]
     __, inv = np.unique(arr, return_inverse=True)
     return np.ascontiguousarray(inv, dtype=np.int64).ravel()
 

@@ -74,13 +74,25 @@ def object_codes(arr, seen=None):
     extended in place.
     """
     seen = {} if seen is None else seen
-    codes = np.empty(len(arr), dtype=np.int64)
-    for i, value in enumerate(arr.tolist()):
-        code = seen.get(value)
-        if code is None:
-            code = seen[value] = len(seen)
-        codes[i] = code
-    return codes
+    number = seen.setdefault
+    return np.fromiter((number(v, len(seen)) for v in arr.tolist()),
+                       dtype=np.int64, count=len(arr))
+
+
+def span_ranks(arr):
+    """``(ranks, ndv)`` of a non-empty integer array, in O(n) when its
+    value span is below twice its length (else ``None``: sort instead):
+    a ``bincount`` over the offsets from the minimum marks the values
+    present, and their ``cumsum`` ranks each row among them — exactly
+    ``np.unique``'s inverse."""
+    lo = arr.min()
+    if int(arr.max()) - int(lo) >= 2 * len(arr):
+        return None
+    # In intp: exact for narrow signed dtypes, and modulo 2**64
+    # (still exact, the span being small) for uint64 past int64.
+    offsets = np.subtract(arr, lo, dtype=np.intp)
+    numbering = np.cumsum(np.bincount(offsets) > 0) - 1
+    return numbering[offsets], int(numbering[-1]) + 1
 
 
 def _factorize(arr):
@@ -234,7 +246,7 @@ class ZoneMap:
         )
 
 
-def choose_encoding(arr, dtype, allowed=DEFAULT_SEGMENT_ENCODINGS):
+def choose_encoding(arr, dtype, allowed=DEFAULT_SEGMENT_ENCODINGS, ndv=None):
     """Pick the encoding for one segment's values at seal time.
 
     Rules (first match wins):
@@ -246,7 +258,8 @@ def choose_encoding(arr, dtype, allowed=DEFAULT_SEGMENT_ENCODINGS):
       rows and the dictionary stays under :data:`MAX_DICT_SIZE` slots.
     * ``"plain"`` otherwise (always available as the fallback).
 
-    Returns the chosen encoding name.
+    ``ndv`` is the distinct count when the caller has it (the INT seal's
+    :func:`span_ranks`). Returns the chosen encoding name.
     """
     n = len(arr)
     if n == 0:
@@ -257,10 +270,9 @@ def choose_encoding(arr, dtype, allowed=DEFAULT_SEGMENT_ENCODINGS):
                 zero_signs.any() and not zero_signs.all()):
             return "plain"
     if "dict" in allowed:
-        if dtype is DataType.TEXT:
-            ndv = len(set(arr.tolist()))
-        else:
-            ndv = len(np.unique(arr))
+        if ndv is None:
+            ndv = (len(set(arr.tolist())) if dtype is DataType.TEXT
+                   else len(np.unique(arr)))
         if ndv <= min(n // 4, MAX_DICT_SIZE):
             return "dict"
     return "plain"
@@ -307,8 +319,16 @@ class ColumnSegment:
     @classmethod
     def encode(cls, arr, dtype, allowed=DEFAULT_SEGMENT_ENCODINGS):
         """Seal ``arr`` (already in the column's NumPy dtype) into a segment."""
-        if choose_encoding(arr, dtype, allowed) == "dict":
-            codes, dictionary = _factorize(arr)
+        ranked = (span_ranks(arr) if dtype is DataType.INT and len(arr)
+                  and "dict" in allowed else None)
+        ndv = None if ranked is None else ranked[1]
+        if choose_encoding(arr, dtype, allowed, ndv) == "dict":
+            if ranked is None:
+                codes, dictionary = _factorize(arr)
+            else:
+                codes = ranked[0]
+                dictionary = np.empty(ndv, dtype=arr.dtype)
+                dictionary[codes] = arr
             narrow = codes.astype(np.min_scalar_type(len(dictionary)))
             zone = ZoneMap.build(dictionary, dtype)
             if dtype is DataType.TEXT and zone.null_count:

@@ -89,8 +89,10 @@ class EquiDepthHistogram:
         edges = np.unique(np.quantile(residual, qs))
         if len(edges) == 1:
             edges = np.array([edges[0], edges[0]])
-        hist, __ = np.histogram(residual, bins=edges)
-        return cls(edges, hist.astype(float), len(values), mcv=mcv)
+        # np.histogram's counts without its re-sort (last bin closed).
+        cut = np.append(residual.searchsorted(edges[:-1], side="left"),
+                        residual.searchsorted(edges[-1], side="right"))
+        return cls(edges, np.diff(cut).astype(float), len(values), mcv=mcv)
 
     @property
     def min(self):

@@ -22,6 +22,8 @@ a buffer, past every view handed out; growth, sealing,
 buffer and never resume appending into one a snapshot may view.
 """
 
+from operator import itemgetter
+
 import numpy as np
 
 from repro.common import CatalogError
@@ -36,6 +38,11 @@ from repro.engine.segments import (
     merge_value_counts,
 )
 from repro.engine.types import DataType, TableSchema
+
+#: Python types a column converts in one ``np.array`` call, exactly as
+#: :meth:`DataType.coerce` would value by value.
+_NATIVE_TYPES = {DataType.INT: {int}, DataType.FLOAT: {int, float},
+                 DataType.TEXT: {str}}
 
 
 class RowGroup:
@@ -413,30 +420,30 @@ class Table:
     def insert_rows(self, rows):
         """Append rows (iterable of sequences aligned with the schema).
 
-        The whole batch is typed first: a value its column cannot hold
-        (NULL or overflow in INT, text in a number) raises
-        :class:`CatalogError` and leaves the table as it was. The tail
-        seals into encoded segments each time it reaches ``segment_rows``;
-        they are never touched again, so N batched inserts are O(total
-        rows), not O(n²).
+        The whole batch is typed first, a column of native values in one
+        ``np.array`` call, any other (bool, NumPy scalars, ``None``, text
+        in a number) value by value through :meth:`DataType.coerce`: a
+        value its column cannot hold raises :class:`CatalogError` and
+        leaves the table as it was. The tail seals into encoded segments
+        each time it reaches ``segment_rows``; they are never touched
+        again, so N batched inserts are O(total rows), not O(n²).
         """
         rows = list(rows)
         if not rows:
             return 0
         width = len(self.schema.columns)
-        for r in rows:
-            if len(r) != width:
-                raise CatalogError(
-                    "row width %d does not match schema width %d"
-                    % (len(r), width)
-                )
+        if set(map(len, rows)) != {width}:
+            raise CatalogError(
+                "row width %d does not match schema width %d"
+                % (next(len(r) for r in rows if len(r) != width), width)
+            )
         batch = {}
         for j, col in enumerate(self.schema.columns):
-            coerce = col.dtype.coerce
+            values = list(map(itemgetter(j), rows))
             try:
-                batch[col.name] = np.array(
-                    [coerce(r[j]) for r in rows], dtype=col.dtype.numpy_dtype
-                )
+                if not set(map(type, values)) <= _NATIVE_TYPES[col.dtype]:
+                    values = list(map(col.dtype.coerce, values))
+                batch[col.name] = np.array(values, col.dtype.numpy_dtype)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise CatalogError(
                     "%s column %r of table %r cannot hold an inserted "

@@ -21,10 +21,13 @@ from repro.engine import Catalog, Database, EngineConfig
 from repro.engine.operators.kernels import first_rows, group_reduce
 from repro.engine.segments import (
     FULL,
+    MAX_DICT_SIZE,
     PARTIAL,
     PRUNED,
     ColumnSegment,
+    ZoneMap,
     choose_encoding,
+    object_codes,
 )
 from repro.engine.stats import ColumnStats, TableStats
 from repro.engine.storage import Table
@@ -244,6 +247,164 @@ class TestEncodings:
             for v in arr.tolist():
                 flat[v] = flat.get(v, 0) + 1
             assert dict(zip(values.tolist(), counts.tolist())) == flat, label
+
+
+def _sorted_int_seal(arr, allowed):
+    """The sort-based INT seal the counting path replaced: ``np.unique``
+    counts the distinct values, then a stable ``np.unique`` with
+    ``return_inverse`` gives the ascending dictionary and the codes.
+    Returns ``(encoding, codes, dictionary)``."""
+    n = len(arr)
+    if n == 0 or "dict" not in allowed or (
+            len(np.unique(arr)) > min(n // 4, MAX_DICT_SIZE)):
+        return "plain", None, None
+    dictionary, __, codes = np.unique(arr, return_index=True,
+                                      return_inverse=True)
+    return ("dict", codes.astype(np.min_scalar_type(len(dictionary))),
+            dictionary)
+
+
+def _assert_seals_like_the_sort(arr, allowed=("plain", "dict")):
+    encoding, codes, dictionary = _sorted_int_seal(arr, allowed)
+    seg = ColumnSegment.encode(arr, DataType.INT, allowed)
+    assert seg.encoding == encoding
+    if encoding == "dict":
+        assert seg.codes.dtype == codes.dtype
+        assert seg.codes.tobytes() == codes.tobytes()
+        assert seg.dictionary.dtype == dictionary.dtype
+        assert seg.dictionary.tobytes() == dictionary.tobytes()
+    else:
+        assert seg.values is arr
+    zone, flat = seg.zone_map, ZoneMap.build(arr, DataType.INT)
+    assert (zone.min, zone.max, zone.null_count) == (
+        flat.min, flat.max, flat.null_count)
+    values, counts = seg.value_counts()
+    flat_values, flat_counts = np.unique(arr, return_counts=True)
+    assert values.tobytes() == flat_values.tobytes()
+    assert counts.tolist() == flat_counts.tolist()
+    return seg
+
+
+@st.composite
+def _int_segments(draw):
+    """An int64 array of ``n`` values (two when ``n = 1`` and the span is
+    not 0) whose ``max - min`` is just under, at or just over ``2n`` (the
+    counting path's bound), narrower, or far wider, anywhere in int64
+    (the span is computed in Python ints); its distinct values number
+    at, below or above ``n // 4``."""
+    n = draw(st.integers(1, 120))
+    span = draw(st.sampled_from([0, 1, n // 4, 2 * n - 1, 2 * n,
+                                 2 * n + 1, 2 ** 64 - 1]))
+    lo = draw(st.integers(-2 ** 63, 2 ** 63 - 1 - span))
+    ndv = min(n, span + 1, draw(st.sampled_from(
+        [1, 2, max(1, n // 4), n // 4 + 1, n])))
+    inner = draw(st.lists(st.integers(lo, lo + span), unique=True,
+                          min_size=ndv, max_size=ndv))
+    pool = sorted({lo, lo + span} | set(inner[:max(0, ndv - 2)]))
+    rows = pool + draw(st.lists(st.sampled_from(pool),
+                                min_size=max(0, n - len(pool)),
+                                max_size=max(0, n - len(pool))))
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in order], dtype=np.int64)
+
+
+class TestIntSeal:
+    """An INT segment whose value span is below twice its length is
+    sealed in O(n) by ``span_ranks``; every other one by sorting. The
+    result must be the sort's, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_int_segments(), st.sampled_from([("plain", "dict"), ("dict",),
+                                             ("plain",)]))
+    def test_seal_equals_the_sorted_seal(self, arr, allowed):
+        _assert_seals_like_the_sort(arr, allowed)
+
+    @pytest.mark.parametrize("values", [
+        [7], [-2 ** 63], [2 ** 63 - 1], [5] * 64,
+        [-2 ** 63] * 8 + [-2 ** 63 + 1] * 8,
+        [2 ** 63 - 1] * 8 + [2 ** 63 - 2] * 8,
+        [-2 ** 63, 2 ** 63 - 1] * 20,
+        [-3, -1, -3, -2] * 10,
+    ], ids=["one", "int64-min", "int64-max", "all-equal", "min-end",
+            "max-end", "full-span", "negatives"])
+    def test_edge_arrays(self, values):
+        _assert_seals_like_the_sort(np.array(values, dtype=np.int64))
+
+    @pytest.mark.parametrize("n, ndv, encoding", [
+        (64, 16, "dict"), (64, 17, "plain"), (65, 16, "dict"),
+        (67, 17, "plain"), (4, 1, "dict"), (3, 1, "plain"),
+    ])
+    def test_ndv_at_a_quarter_of_the_rows(self, n, ndv, encoding):
+        arr = np.arange(n, dtype=np.int64) % ndv * 2 - ndv
+        seg = _assert_seals_like_the_sort(arr)
+        assert seg.encoding == encoding
+
+    @pytest.mark.parametrize("span, sorts", [
+        (0, False), (2 * 40 - 1, False), (2 * 40, True), (2 * 40 + 1, True),
+    ])
+    def test_sort_only_past_the_span_bound(self, monkeypatch, span, sorts):
+        """40 rows of at most 3 distinct values whose ``max - min`` is
+        ``span``: below 80 the seal counts, from 80 on it sorts — same
+        segment either way."""
+        pool = [-10, -10 + span // 2, -10 + span]
+        arr = np.random.default_rng(span).choice(pool, 40)
+        arr[:3] = pool
+        calls = []
+        real_unique = np.unique
+        monkeypatch.setattr(
+            np, "unique",
+            lambda *a, **k: calls.append(1) or real_unique(*a, **k))
+        seg = ColumnSegment.encode(arr, DataType.INT)
+        monkeypatch.undo()
+        assert bool(calls) is sorts
+        assert seg.encoding == "dict"
+        _assert_seals_like_the_sort(arr)
+
+
+def _loop_object_codes(values, seen):
+    """The per-value loop ``object_codes`` replaced."""
+    codes = []
+    for value in values:
+        code = seen.get(value)
+        if code is None:
+            code = seen[value] = len(seen)
+        codes.append(code)
+    return codes
+
+
+_OBJECTS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                     st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+                     st.sampled_from(["", "a", "b", "1"]))
+
+
+class TestObjectCodes:
+    """First-appearance codes of object values (TEXT dictionaries at
+    seal; TEXT join, DISTINCT and group keys at read): the same codes
+    and the same extended ``seen`` as the per-value loop, ``None`` and
+    mixed incomparable types included, continuing a pre-filled
+    numbering."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_OBJECTS, max_size=40), st.lists(_OBJECTS, max_size=8))
+    def test_codes_equal_the_per_value_loop(self, values, prefill):
+        seen = {}
+        _loop_object_codes(prefill, seen)
+        expected_seen = dict(seen)
+        expected = _loop_object_codes(values, expected_seen)
+        arr = np.empty(len(values), dtype=object)
+        arr[:] = values
+        codes = object_codes(arr, seen)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == expected
+        assert list(seen.items()) == list(expected_seen.items())
+
+    def test_none_and_mixed_types(self):
+        arr = np.empty(7, dtype=object)
+        arr[:] = ["b", None, 1, "b", None, 1.0, (2,)]
+        seen = {"z": 0}
+        assert object_codes(arr, seen).tolist() == [1, 2, 3, 1, 2, 3, 4]
+        assert list(seen) == ["z", "b", None, 1, (2,)]
+        assert object_codes(arr[:0]).tolist() == []
 
 
 class TestZoneMaps:

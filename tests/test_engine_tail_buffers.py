@@ -207,6 +207,11 @@ BAD_ROWS = {
     "NULL in INT": ((None, 1), "a", "INSERT INTO t (b) VALUES (1)"),
     "beyond int64": ((2 ** 63, 1), "a",
                      "INSERT INTO t VALUES (9223372036854775808, 1)"),
+    # All-int columns type in one conversion: the first column is
+    # accepted whole before the second overflows.
+    "beyond int64 later": ((1, 2 ** 63), "b",
+                           "INSERT INTO t VALUES (1, 9223372036854775808)"),
+    "fraction in INT": ((1.7, 1), "a", "INSERT INTO t VALUES (1.7, 1)"),
 }
 
 
@@ -278,6 +283,88 @@ def test_a_refused_batch_leaves_everything_as_it_was(surface, case):
         assert reader.execute("SELECT t.a, t.b FROM t").rows == [(1, 2)]
     table.insert_rows([(3, 4)])
     assert table.rows() == [(1, 2), (3, 4)]
+
+
+def _typed_value_by_value(dtype, values):
+    """What a column stores for ``values`` when each goes through
+    ``DataType.coerce`` — the definition the one-call conversion of
+    native values must match — or the error the table raises."""
+    try:
+        return np.array([dtype.coerce(v) for v in values],
+                        dtype=dtype.numpy_dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return CatalogError(
+            "%s column %r of table %r cannot hold an inserted value: %s"
+            % (dtype.name, "x", "t", exc))
+
+
+def _stored(arr):
+    if arr.dtype == object:
+        return [(type(v), repr(v)) for v in arr.tolist()]
+    return (arr.dtype, arr.tobytes())
+
+
+TYPING_CASES = {
+    "INT ints": (DataType.INT, [3, -2 ** 63, 2 ** 63 - 1, 0]),
+    "INT bools": (DataType.INT, [True, False, 5]),
+    "INT np.int64": (DataType.INT, [np.int64(5), 2]),
+    "INT np.float64": (DataType.INT, [np.float64(2.0), 1]),
+    "INT integral float": (DataType.INT, [2.0, 1]),
+    "INT None": (DataType.INT, [1, None]),
+    "INT past int64": (DataType.INT, [1, 2 ** 63]),
+    "INT below int64": (DataType.INT, [-2 ** 63 - 1, 1]),
+    "INT fraction": (DataType.INT, [1.7, 2]),
+    "INT integer text": (DataType.INT, ["12", 3]),
+    "INT fraction text": (DataType.INT, ["1.5", 3]),
+    "FLOAT floats": (DataType.FLOAT, [1.5, -0.0, float("nan"),
+                                      float("inf")]),
+    "FLOAT ints and floats": (DataType.FLOAT, [1, 2.5, 2 ** 53 + 1,
+                                               -(2 ** 70) - 1, 0]),
+    "FLOAT past int64": (DataType.FLOAT, [2 ** 63, 2 ** 64 + 3, 0.5]),
+    "FLOAT past float": (DataType.FLOAT, [1.0, 10 ** 400]),
+    "FLOAT np.float64": (DataType.FLOAT, [np.float64(1.5), 2.0]),
+    "FLOAT np.int64": (DataType.FLOAT, [np.int64(3), 1.0]),
+    "FLOAT bools": (DataType.FLOAT, [True, 1.5]),
+    "FLOAT None": (DataType.FLOAT, [None, 1.0]),
+    "FLOAT text": (DataType.FLOAT, ["1.5", 2.0]),
+    "FLOAT bad text": (DataType.FLOAT, ["x", 2.0]),
+    "TEXT strs": (DataType.TEXT, ["a", "", "b"]),
+    "TEXT None": (DataType.TEXT, [None, "a"]),
+    "TEXT ints": (DataType.TEXT, [1, "a"]),
+    "TEXT floats": (DataType.TEXT, [1.5, float("nan")]),
+    "TEXT np.str_": (DataType.TEXT, [np.str_("s"), "t"]),
+    "TEXT bytes": (DataType.TEXT, [b"x", "y"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPING_CASES))
+def test_each_column_types_as_value_by_value(case):
+    """A column of native values (``int``; ``int`` and ``float``;
+    ``str``) is typed in one ``np.array`` call, every other batch value
+    by value: either way the table stores the same array, or raises the
+    same error and keeps what it had."""
+    dtype, values = TYPING_CASES[case]
+    table = Table(TableSchema("t", [ColumnSchema("n", DataType.INT),
+                                    ColumnSchema("x", dtype)]),
+                  segment_rows=SEGMENT_ROWS)
+    table.insert_rows([(0, {DataType.INT: 7, DataType.FLOAT: 0.5,
+                            DataType.TEXT: "s"}[dtype])])
+    before = (table.version, table.column_array("x").copy())
+    rows = list(enumerate(values))
+    expected = _typed_value_by_value(dtype, values)
+    if isinstance(expected, CatalogError):
+        with pytest.raises(CatalogError) as raised:
+            table.insert_rows(rows)
+        assert str(raised.value) == str(expected)
+        assert table.version == before[0]
+        assert _stored(table.column_array("x")) == _stored(before[1])
+        assert table.column_array("n").tolist() == [0]
+        return
+    assert table.insert_rows(rows) == len(values)
+    stored = table.column_array("x")
+    assert _stored(stored[1:]) == _stored(expected)
+    assert table.column_array("n").tolist() == [0] + list(
+        range(len(values)))
 
 
 def test_float_and_text_columns_still_take_null():

@@ -277,6 +277,60 @@ def test_heavy_big_ints_sharing_a_float_key_add_up():
 
 
 # ----------------------------------------------------------------------
+# Bucket counts by bisection of the sorted residual == np.histogram's
+# ----------------------------------------------------------------------
+def _histogram_counts(values, counts, n_buckets, edges):
+    """``np.histogram`` over ``from_counts``' residual (the non-MCV rows,
+    repeated in order) cut at ``edges`` — the counts it used to keep."""
+    heavy = counts >= max(2.0, int(counts.sum()) / max(1, n_buckets))
+    residual = np.repeat(values[~heavy].astype(float), counts[~heavy])
+    if residual.size == 0:
+        return [0.0]
+    return np.histogram(residual, bins=np.array(edges))[0].astype(
+        float).tolist()
+
+
+def _assert_counts_like_np_histogram(values, counts, n_buckets=32):
+    hist = EquiDepthHistogram.from_counts(values, counts,
+                                          n_buckets=n_buckets)
+    assert hist.counts.tolist() == _histogram_counts(values, counts,
+                                                     n_buckets, hist.edges)
+    return hist
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-50, 50), unique=True, min_size=1, max_size=60),
+    st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), unique=True, min_size=1,
+             max_size=20),
+    st.lists(st.floats(-1e6, 1e6), unique=True, min_size=1, max_size=60)),
+    st.data(), st.sampled_from([1, 2, 4, 32]))
+def test_bucket_counts_equal_np_histogram(values, data, n_buckets):
+    values = np.array(sorted(values))
+    counts = np.array(data.draw(st.lists(
+        st.sampled_from([1, 1, 1, 2, 3, 50]),
+        min_size=len(values), max_size=len(values))), dtype=np.int64)
+    _assert_counts_like_np_histogram(values, counts, n_buckets)
+
+
+@pytest.mark.parametrize("values, counts, edges", [
+    # Heavy hitters split from a residual cut into several buckets.
+    (list(range(40)), [1] * 19 + [400] + [1] * 19 + [300], None),
+    # The residual is one value: its edges collapse to [v, v].
+    ([1, 2, 3], [1, 500, 400], [1.0, 1.0]),
+    # Every value is an MCV: the residual is empty.
+    ([1, 2], [50, 50], [1.0, 1.0]),
+])
+def test_bucket_counts_at_the_edge_cases(values, counts, edges):
+    hist = _assert_counts_like_np_histogram(
+        np.array(values, dtype=np.int64), np.array(counts, dtype=np.int64))
+    if edges is not None:
+        assert hist.edges == edges
+    else:
+        assert hist.mcv and len(hist.edges) > 2
+
+
+# ----------------------------------------------------------------------
 # Bug: a text literal against an INT column crashed planning
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("op, expected", [
