@@ -407,10 +407,10 @@ class ColumnSegment:
 
         Free for dictionary segments, one pass for plain TEXT segments, one
         ``np.unique`` for plain numeric segments (which keeps the first of
-        ``0.0``/``-0.0``, as a dict would); computed once and cached.
-        Returns ``None`` when exact counting is unsound (FLOAT segments
-        containing NaN), signalling callers to fall back to a full-column
-        scan.
+        ``0.0``/``-0.0``, as a dict would) unless they already ascend
+        strictly; computed once, cached, not to be mutated. Returns
+        ``None`` when exact counting is unsound (FLOAT segments containing
+        NaN), signalling callers to fall back to a full-column scan.
         """
         if self._value_counts is not None:
             return self._value_counts
@@ -423,6 +423,8 @@ class ColumnSegment:
             counts = np.bincount(codes, minlength=len(values))
         elif self.dtype is DataType.FLOAT and bool(np.isnan(arr).any()):
             return None
+        elif bool((arr[1:] > arr[:-1]).all()):
+            values, counts = arr, np.ones(len(arr), dtype=np.int64)
         else:
             values, counts = np.unique(arr, return_counts=True)
             zero = np.searchsorted(values, 0)
@@ -454,16 +456,20 @@ def merge_value_counts(segments, dtype):
     ``segments``, or ``None`` — the incremental statistics path ANALYZE
     uses instead of re-scanning a full column.
 
-    Numeric values come out ascending (one concatenate, a stable sort and
-    ``reduceat``, so of ``0.0``/``-0.0`` the first in segment order is
-    kept); TEXT values in first-appearance order, numbered through one
-    dict. ``None`` signals that some segment could not count exactly
-    (NaN-bearing FLOAT), so the caller must fall back to the decoded
-    column.
+    Numeric values come out ascending: one run is returned as it is (not
+    to be mutated), disjoint runs concatenated, and overlapping ones take
+    a stable sort and, if a value repeats, ``reduceat`` (of ``0.0``/
+    ``-0.0`` the first in segment order is kept); TEXT values in
+    first-appearance order, numbered through one dict. ``None`` signals
+    that some segment could not count exactly (NaN-bearing FLOAT), so
+    the caller must fall back to the decoded column.
     """
     parts = [seg.value_counts() for seg in segments]
     if any(vc is None for vc in parts):
         return None
+    parts = [vc for vc in parts if len(vc[0])]
+    if len(parts) == 1:
+        return parts[0]
     values = np.concatenate(
         [v for v, __ in parts] + [np.empty(0, dtype=dtype.numpy_dtype)])
     counts = np.concatenate([c for __, c in parts] + [np.empty(0, np.int64)])
@@ -471,9 +477,10 @@ def merge_value_counts(segments, dtype):
         codes, values = _factorize(values)
         counts = np.bincount(codes, weights=counts, minlength=len(values))
         return values, counts.astype(np.int64)
-    if len(values):
+    if any(not a[-1] < b[0] for (a, __), (b, __) in zip(parts, parts[1:])):
         order = np.argsort(values, kind="stable")
         values, counts = values[order], counts[order]
         starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
-        values, counts = values[starts], np.add.reduceat(counts, starts)
+        if len(starts) < len(values):
+            values, counts = values[starts], np.add.reduceat(counts, starts)
     return values, counts

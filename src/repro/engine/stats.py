@@ -67,11 +67,11 @@ class EquiDepthHistogram:
     def from_counts(cls, values, counts, n_buckets=32):
         """Build from distinct ``values`` (ascending, NaN-free) and their
         ``counts``: values at least ``max(2, total / n_buckets)`` times
-        frequent are the MCVs (picked by a mask); the rest, repeated in
-        the given — sorted — order, is cut at its quantiles. Distinct
-        values and MCVs are counted on ``values`` as given (int64 for INT
-        columns, so integers past 2**53 stay apart); edges and MCV keys
-        are floats."""
+        frequent are the MCVs (picked by a mask); the rest is cut at its
+        quantiles, read off its cumulative counts exactly as ``np.quantile``
+        would over it repeated. Distinct values and MCVs are counted on
+        ``values`` as given (int64 for INT columns, so integers past 2**53
+        stay apart); edges and MCV keys are floats."""
         total = int(counts.sum())
         if total == 0:
             return cls([0.0, 0.0], [0.0], 1)
@@ -80,18 +80,28 @@ class EquiDepthHistogram:
         for v, c in zip(values[heavy].tolist(), counts[heavy].tolist()):
             mcv[float(v)] = mcv.get(float(v), 0) + c
         light = ~heavy
-        residual = np.repeat(values[light].astype(float), counts[light])
-        if residual.size == 0:
-            lo = float(values[0])
-            return cls([lo, lo], [0.0], len(values), mcv=mcv)
-        buckets = max(1, min(n_buckets, residual.size))
-        qs = np.linspace(0.0, 1.0, buckets + 1)
-        edges = np.unique(np.quantile(residual, qs))
+        rv = values[light].astype(float)
+        below = np.cumsum(np.r_[0, counts[light]])  # residual rows before rv
+        n = int(below[-1])
+        if n == 0:
+            return cls([float(values[0])] * 2, [0.0], len(values), mcv=mcv)
+        qs = np.linspace(0.0, 1.0, max(1, min(n_buckets, n)) + 1)
+        # np.quantile's linear rule (_get_indexes, _get_gamma, _lerp) on
+        # the residual, whose row i is rv[searchsorted(below, i) - 1].
+        virtual = (n - 1) * qs
+        floor = np.floor(virtual).astype(np.intp)
+        gamma = virtual - np.where(virtual >= n - 1, -1, floor)  # -1: last
+        lo, hi = rv[below.searchsorted(
+            np.minimum([floor, floor + 1], n - 1), side="right") - 1]
+        diff = hi - lo
+        edges = lo + diff * gamma
+        np.subtract(hi, diff * (1 - gamma), out=edges, where=gamma >= 0.5)
+        edges = np.unique(edges)
         if len(edges) == 1:
             edges = np.array([edges[0], edges[0]])
-        # np.histogram's counts without its re-sort (last bin closed).
-        cut = np.append(residual.searchsorted(edges[:-1], side="left"),
-                        residual.searchsorted(edges[-1], side="right"))
+        # np.histogram's counts (last bin closed), off the cumulative counts.
+        cut = below[np.append(rv.searchsorted(edges[:-1], side="left"),
+                              rv.searchsorted(edges[-1], side="right"))]
         return cls(edges, np.diff(cut).astype(float), len(values), mcv=mcv)
 
     @property
@@ -280,10 +290,9 @@ class TableStats:
         segment cannot count exactly (NaN-bearing FLOAT) fall back to
         the decoded array; both paths produce identical statistics.
         """
-        value_counts = getattr(table, "column_value_counts", None)
         col_stats = []
         for col in table.schema.columns:
-            counted = None if value_counts is None else value_counts(col.name)
+            counted = table.column_value_counts(col.name)
             if counted is None:
                 counted = (table.column_array(col.name),)
             col_stats.append(ColumnStats.build(

@@ -170,6 +170,7 @@ class TableSnapshot:
         from, equal keys in row order. Only valid values are held — NaN
         (a FLOAT NULL) and ``None`` are left out — so ``np.searchsorted``
         on ``keys`` is exact and a probe never returns a NULL row.
+        Ascending numeric keys skip the sort (and may be the column itself).
         """
         snap = self.snapshot()
         cached = snap._sorted.get(name)  # keyed by the stored name
@@ -184,9 +185,12 @@ class TableSnapshot:
             row_ids = np.flatnonzero(~np.isnan(values))
         else:
             row_ids = np.arange(len(values))
-        values = values[row_ids]
-        order = np.argsort(values, kind="stable")
-        cached = snap._sorted[key] = (values[order], row_ids[order])
+        if len(row_ids) < len(values):
+            values = values[row_ids]
+        if col.dtype is DataType.TEXT or not (values[1:] >= values[:-1]).all():
+            order = np.argsort(values, kind="stable")
+            values, row_ids = values[order], row_ids[order]
+        cached = snap._sorted[key] = (values, row_ids)
         return cached
 
     def rows(self, indices=None):

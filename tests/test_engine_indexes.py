@@ -205,3 +205,75 @@ class TestIndexProbe:
             _probe(catalog, "=", 3.0, index="nope")
         with pytest.raises(ExecutionError, match="cannot evaluate"):
             _probe(catalog, "!=", 3.0)
+
+
+# ----------------------------------------------------------------------
+# Keys that already ascend are their own stable sort
+# ----------------------------------------------------------------------
+def _stable_argsort(values, dtype):
+    """``sorted_column`` as it always sorted: drop NULLs, stable argsort."""
+    values = np.asarray(values, dtype=object if dtype == "TEXT" else None)
+    if dtype == "TEXT":
+        row_ids = np.flatnonzero([v is not None for v in values])
+    elif dtype == "FLOAT":
+        values = values.astype(float)
+        row_ids = np.flatnonzero(~np.isnan(values))
+    else:
+        values = values.astype(np.int64)
+        row_ids = np.arange(len(values))
+    values = values[row_ids]
+    order = np.argsort(values, kind="stable")
+    return values[order], row_ids[order]
+
+
+def _assert_sorted_like_argsort(table, dtype, keys):
+    got, want = table.sorted_column("k"), _stable_argsort(keys, dtype)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        if a.dtype == object:
+            assert a.tolist() == b.tolist()
+        else:
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype, keys", [
+    ("INT", [-5, -5, 0, 3, 3, 3, 9]),
+    ("FLOAT", [-1.5, -0.0, 0.0, -0.0, 0.0, 2.5, 2.5]),
+    ("FLOAT", [0.0, -0.0, 1.0, math.nan, 1.0, math.nan, 4.0]),
+    ("INT", [9, 7, 7, 2, -1]),
+    ("FLOAT", [3.0, 1.0, -0.0, 0.0, 2.0]),
+    ("INT", [4, 1, 3, 1, 2]),
+    ("INT", []),
+    ("FLOAT", []),
+    ("TEXT", ["a", None, "b", "b"]),
+], ids=["int-ties", "float-zero-ties", "float-nan", "int-descending",
+        "float-unsorted", "int-unsorted", "int-empty", "float-empty", "text"])
+@pytest.mark.parametrize("segment_rows", [3, 1000])
+def test_sorted_column_equals_the_stable_argsort(dtype, keys, segment_rows):
+    catalog = Catalog(segment_rows=segment_rows)
+    table = catalog.create_table("t", [("k", dtype)])
+    if keys:
+        table.insert_rows([(k,) for k in keys])
+    _assert_sorted_like_argsort(table, dtype, keys)
+
+
+@pytest.mark.parametrize("appended, ascending", [
+    ([10, 10, 12], True), ([4, 11], False)])
+def test_probes_after_an_append_that_keeps_or_breaks_the_order(appended,
+                                                              ascending):
+    keys = [0, 1, 1, 3, 5, 8]
+    catalog = Catalog(segment_rows=4)
+    table = catalog.create_table("t", [("k", "INT")])
+    table.insert_rows([(k,) for k in keys])
+    catalog.create_index("ix", "t", "k")
+    assert _probe(catalog, ">=", 3).tolist() == [3, 4, 5]
+    table.insert_rows([(k,) for k in appended])
+    keys += appended
+    sorted_keys = table.sorted_column("k")[0]
+    assert bool((np.diff(table.column_array("k")) >= 0).all()) == ascending
+    assert sorted_keys.tolist() == sorted(keys)
+    _assert_sorted_like_argsort(table, "INT", keys)
+    for op, fn in _OPS.items():
+        for value in (1, 4, 10, 11):
+            expected = [i for i, k in enumerate(keys) if fn(k, value)]
+            assert _probe(catalog, op, value).tolist() == expected, (op, value)

@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.ai4db.optimization.ues import max_frequency
 from repro.common import CatalogError
 from repro.engine import Database
-from repro.engine.segments import _factorize
+from repro.engine.segments import ColumnSegment, _factorize, merge_value_counts
 from repro.engine.stats import ColumnStats, EquiDepthHistogram, TableStats
 from repro.engine.types import DataType
 
@@ -361,3 +361,241 @@ def test_text_literal_against_int_column_answers_like_sqlite(where,
     assert lite.execute(sql).fetchall() == [(expected,)]
     assert db.session().execute(sql).raw.rows == [(expected,)]
     assert db.execute(sql).rows == [(expected,)]
+
+
+# ----------------------------------------------------------------------
+# Edges off cumulative counts == np.quantile over the repeated residual
+# ----------------------------------------------------------------------
+def _repeat_quantile_histogram(values, counts, n_buckets):
+    """``from_counts`` as it was: the residual materialized with
+    ``np.repeat``, cut by ``np.quantile`` and counted by bisecting it.
+    Returns what ``_hist_bits`` reads."""
+    total = int(counts.sum())
+    if total == 0:
+        return _hist_bits(EquiDepthHistogram([0.0, 0.0], [0.0], 1))
+    heavy = counts >= max(2.0, total / max(1, n_buckets))
+    mcv = {}
+    for v, c in zip(values[heavy].tolist(), counts[heavy].tolist()):
+        mcv[float(v)] = mcv.get(float(v), 0) + c
+    residual = np.repeat(values[~heavy].astype(float), counts[~heavy])
+    if residual.size == 0:
+        lo = float(values[0])
+        return _hist_bits(EquiDepthHistogram([lo, lo], [0.0], len(values),
+                                             mcv=mcv))
+    buckets = max(1, min(n_buckets, residual.size))
+    edges = np.unique(np.quantile(residual,
+                                  np.linspace(0.0, 1.0, buckets + 1)))
+    if len(edges) == 1:
+        edges = np.array([edges[0], edges[0]])
+    cut = np.append(residual.searchsorted(edges[:-1], side="left"),
+                    residual.searchsorted(edges[-1], side="right"))
+    return _hist_bits(EquiDepthHistogram(
+        edges, np.diff(cut).astype(float), len(values), mcv=mcv))
+
+
+def _hist_bits(hist):
+    """Edges by ``float.hex``, bucket counts, MCVs and NDV."""
+    return ([float.hex(e) for e in hist.edges], hist.counts.tolist(),
+            sorted((float.hex(k), c) for k, c in hist.mcv.items()),
+            hist.n_distinct, float.hex(hist.total))
+
+
+def _assert_edges_bit_identical(values, counts, n_buckets):
+    with np.errstate(invalid="ignore"):  # inf - inf, on both paths
+        new = _hist_bits(EquiDepthHistogram.from_counts(
+            values, counts, n_buckets=n_buckets))
+        old = _repeat_quantile_histogram(values, counts, n_buckets)
+    assert new == old, (values, counts, n_buckets)
+
+
+_I64 = np.iinfo(np.int64)
+_INT_EDGE_VALUES = st.one_of(
+    st.sampled_from([int(_I64.min), int(_I64.min) + 1, int(_I64.max) - 1,
+                     int(_I64.max), 2 ** 53, 2 ** 53 + 1, -2 ** 53 - 1, 0]),
+    st.integers(2 ** 53, 2 ** 53 + 64), st.integers(-50, 50),
+    st.integers(int(_I64.min), int(_I64.max)))
+_FLOAT_EDGE_VALUES = st.one_of(
+    st.sampled_from([math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                     2.2250738585072014e-308 / 3, 1e308, -1e308, 0.1]),
+    st.floats(allow_nan=False), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def _count_cases(draw):
+    """``(values, counts, n_buckets)``: ascending distinct values with
+    counts drawn for heavy hitters, all-ones or an all-MCV column."""
+    if draw(st.booleans()):
+        values = np.unique(np.array(
+            draw(st.lists(_INT_EDGE_VALUES, min_size=1, max_size=80)),
+            dtype=np.int64))
+    else:
+        values = np.unique(np.array(
+            draw(st.lists(_FLOAT_EDGE_VALUES, min_size=1, max_size=80)),
+            dtype=float))
+    shape = draw(st.sampled_from(["mixed", "ones", "all_mcv", "one_light"]))
+    n = len(values)
+    if shape == "ones":
+        counts = [1] * n
+    elif shape == "all_mcv":
+        counts = [draw(st.integers(2, 9)) * 1000 for __ in range(n)]
+    elif shape == "one_light":  # heavy hitters around one residual value
+        counts = [5000] * n
+        counts[draw(st.integers(0, n - 1))] = draw(st.integers(1, 3))
+    else:
+        counts = draw(st.lists(st.sampled_from([1, 1, 1, 2, 3, 50, 1000]),
+                               min_size=n, max_size=n))
+    n_buckets = draw(st.sampled_from([1, 2, 32, 10 ** 6]))
+    return values, np.array(counts, dtype=np.int64), n_buckets
+
+
+@settings(max_examples=600, deadline=None)
+@given(_count_cases())
+def test_count_based_edges_equal_np_quantile_bit_for_bit(case):
+    _assert_edges_bit_identical(*case)
+
+
+@pytest.mark.parametrize("values, counts, n_buckets", [
+    # int64 extremes and neighbours past 2**53 (they round together).
+    ([int(_I64.min), -2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, int(_I64.max)],
+     [1, 2, 3, 1, 1], 2),
+    ([2 ** 62 + i for i in range(200)], [1] * 200, 32),
+    # +-inf around ordinary floats: an inf edge interpolates to nan.
+    ([-math.inf, -0.0, 5e-324, 1.5, math.inf], [1, 1, 1, 1, 1], 32),
+    ([-math.inf, 1.0, math.inf], [3, 1, 3], 2),
+    # One residual value under heavy hitters; every value an MCV.
+    ([1.0, 2.0, 3.0], [1, 500, 400], 32),
+    ([1, 2], [50, 50], 32),
+    # Every count 1, with more buckets than rows and with one bucket.
+    (list(range(10)), [1] * 10, 1000),
+    (list(range(10)), [1] * 10, 1),
+], ids=["int64-extremes", "past-2**53", "float-infs", "inf-heavy",
+        "one-value-residual", "all-mcv", "ones-more-buckets-than-rows",
+        "ones-one-bucket"])
+def test_count_based_edges_at_the_edge_cases(values, counts, n_buckets):
+    dtype = np.int64 if isinstance(values[0], int) else float
+    _assert_edges_bit_identical(np.array(values, dtype=dtype),
+                                np.array(counts, dtype=np.int64), n_buckets)
+
+
+# ----------------------------------------------------------------------
+# The merge's fast paths: each segment's run already ascends
+# ----------------------------------------------------------------------
+def _segment(values, dtype=DataType.INT, encoding="plain"):
+    seg = ColumnSegment.encode(np.array(values, dtype=dtype.numpy_dtype),
+                               dtype, ("dict", "plain"))
+    assert seg.encoding == encoding
+    return seg
+
+
+def _dict_merge(segments):
+    merged = {}
+    for seg in segments:
+        for v, c in zip(*(a.tolist() for a in seg.value_counts())):
+            merged[v] = merged.get(v, 0) + c
+    return merged
+
+
+def _assert_merge_matches_dict(segments, dtype=DataType.INT):
+    values, counts = merge_value_counts(segments, dtype)
+    expected = _dict_merge(segments)
+    assert counts.dtype == np.int64
+    assert repr(values.tolist()) == repr(sorted(expected))
+    assert counts.tolist() == [expected[v] for v in values.tolist()]
+    return values, counts
+
+
+def test_a_single_run_is_returned_as_it_is():
+    seg = _segment([5, 3, 3, 3, 3, 5, 5, 5], encoding="dict")
+    assert merge_value_counts([seg], DataType.INT) is seg.value_counts()
+    text = _segment(["b", "a", "b"], DataType.TEXT)
+    assert merge_value_counts([text], DataType.TEXT) is text.value_counts()
+
+
+def test_disjoint_ascending_runs_are_concatenated_without_a_sort(
+        monkeypatch):
+    segments = [_segment([0, 1, 2]), _segment([3] * 7 + [4], encoding="dict"),
+                _segment([10, 20])]
+    for seg in segments:
+        seg.value_counts()
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("disjoint runs were sorted")
+    monkeypatch.setattr(np, "argsort", no_sort)
+    values, counts = _assert_merge_matches_dict(segments)
+    assert values.tolist() == [0, 1, 2, 3, 4, 10, 20]
+    assert counts.tolist() == [1, 1, 1, 7, 1, 1, 1]
+
+
+def test_overlapping_runs_add_the_counts_of_a_repeated_value():
+    segments = [_segment([1, 5, 9]),
+                _segment([5, 6] + [5] * 6, encoding="dict"), _segment([0, 9])]
+    values, counts = _assert_merge_matches_dict(segments)
+    assert values.tolist() == [0, 1, 5, 6, 9]
+    assert counts.tolist() == [1, 1, 8, 1, 2]
+    # Runs that touch at one value overlap; runs that interleave without
+    # a value in common need no reduceat.
+    values, counts = _assert_merge_matches_dict(
+        [_segment([1, 2, 3]), _segment([3, 4])])
+    assert (values.tolist(), counts.tolist()) == ([1, 2, 3, 4], [1, 1, 2, 1])
+    _assert_merge_matches_dict([_segment([1, 3]), _segment([2, 4])])
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_the_first_zero_in_segment_order_is_kept(first, second):
+    segments = [_segment([-1.0, first, 2.0], DataType.FLOAT),
+                _segment([second, 1.0], DataType.FLOAT)]
+    values, counts = merge_value_counts(segments, DataType.FLOAT)
+    assert values.tobytes() == np.array([-1.0, first, 1.0, 2.0]).tobytes()
+    assert counts.tolist() == [1, 2, 1, 1]
+
+
+def test_a_nan_segment_falls_back_to_the_full_column():
+    db = Database(segment_rows=4)
+    db.execute("CREATE TABLE t (x FLOAT)")
+    table = db.catalog.table("t")
+    table.insert_rows([(float(i),) for i in range(8)]
+                      + [(math.nan,), (1.0,), (2.0,)])
+    assert table.row_groups()[-1].segments["x"].value_counts() is None
+    assert table.column_value_counts("x") is None
+    stats = TableStats.build(table).column("x")
+    flat = ColumnStats.build("x", DataType.FLOAT, table.column_array("x"))
+    assert _summary(stats) == _summary(flat)
+    assert stats.n_rows == 11
+
+
+def test_plain_segment_values_are_their_own_counts_only_when_ascending():
+    ascending = _segment([-3, 0, 7, 8])
+    values, counts = ascending.value_counts()
+    assert values is ascending.values and counts.tolist() == [1, 1, 1, 1]
+    ties = _segment([1, 2, 2, 3])
+    values, counts = ties.value_counts()
+    assert values is not ties.values
+    assert (values.tolist(), counts.tolist()) == ([1, 2, 3], [1, 2, 1])
+    floats = _segment([2.0, -0.0, 0.0, 1.0], DataType.FLOAT)
+    values, counts = floats.value_counts()  # np.unique; -0.0 came first
+    assert values.tobytes() == np.array([-0.0, 1.0, 2.0]).tobytes()
+    assert counts.tolist() == [2, 1, 1]
+
+
+def test_analyze_twice_gives_the_same_stats_and_mutates_no_cached_run():
+    db = Database(segment_rows=64)
+    db.execute("CREATE TABLE t (i INT, f FLOAT, s TEXT)")
+    table = db.catalog.table("t")
+    table.insert_rows([(i, float(i % 13) - 6.0, "s%d" % (i % 5))
+                       for i in range(200)])
+    table.insert_rows([(i, -0.0, None) for i in range(300, 340)])
+    db.execute("ANALYZE t")
+    first = {c: _summary(db.catalog.stats("t").column(c))
+             for c in ("i", "f", "s")}
+    cached = [(seg, seg.value_counts(), [a.copy() for a in seg.value_counts()])
+              for g in table.row_groups() for seg in g.segments.values()]
+    db.execute("ANALYZE t")
+    assert {c: _summary(db.catalog.stats("t").column(c))
+            for c in ("i", "f", "s")} == first
+    for seg, pair, copies in cached:
+        assert seg.value_counts() is pair
+        for arr, copy in zip(pair, copies):
+            assert arr.dtype == copy.dtype
+            assert repr(arr.tolist()) == repr(copy.tolist())
+            if arr.dtype != object:
+                assert arr.tobytes() == copy.tobytes()
