@@ -23,7 +23,7 @@ lint:
 # engine count is a ratchet: above ENGINE_LOC_MAX the target (and CI's
 # "Engine line count" step) fails, so growing engine/ is a reviewed
 # one-line edit here; lower it whenever a PR shrinks the engine.
-ENGINE_LOC_MAX := 10264
+ENGINE_LOC_MAX := 10076
 loc:
 	@engine=$$(find src/repro/engine -name '*.py' | xargs cat | wc -l); \
 	printf 'engine %s\n' $$engine; \

@@ -27,18 +27,14 @@ class IndexDef:
         name: unique index name (folded).
         table: the indexed table's (folded) name.
         column: the indexed column's (folded) name.
-        kind: ``"btree"`` or ``"hash"`` (a hash index answers only ``=``).
         hypothetical: when True the index cannot be probed — it exists
             only for what-if costing (the index-advisor workflow).
     """
 
-    def __init__(self, name, table, column, kind="btree", hypothetical=False):
-        if kind not in ("btree", "hash"):
-            raise CatalogError("index kind must be 'btree' or 'hash'")
+    def __init__(self, name, table, column, hypothetical=False):
         self.name = name.lower()
         self.table = table
         self.column = column
-        self.kind = kind
         self.hypothetical = hypothetical
 
     def size_bytes(self, n_rows):
@@ -47,9 +43,8 @@ class IndexDef:
 
     def __repr__(self):
         tag = "what-if " if self.hypothetical else ""
-        return "IndexDef(%s%s on %s.%s, %s)" % (
-            tag, self.name, self.table, self.column, self.kind
-        )
+        return "IndexDef(%s%s on %s.%s)" % (
+            tag, self.name, self.table, self.column)
 
 
 class ViewDef:
@@ -452,13 +447,13 @@ class Catalog:
     # ------------------------------------------------------------------
     # Indexes
     # ------------------------------------------------------------------
-    def create_index(self, name, table, column, kind="btree", hypothetical=False):
+    def create_index(self, name, table, column, hypothetical=False):
         """Create a (real or what-if) single-column index."""
         if name.lower() in self._indexes:
             raise CatalogError("index %r already exists" % (name,))
         target = self.table(table)
         col = target.schema.column(column)  # validates the column exists
-        idx = IndexDef(name, target.name, col.name, kind, hypothetical)
+        idx = IndexDef(name, target.name, col.name, hypothetical)
         if not hypothetical:
             target.sorted_column(col.name)  # DDL pays for the first sort
         self._indexes[idx.name] = idx
@@ -579,8 +574,8 @@ class Catalog:
                 )
             )
         for i in self.indexes():
-            lines.append("index %s on %s.%s (%s)%s" % (
-                i.name, i.table, i.column, i.kind,
+            lines.append("index %s on %s.%s%s" % (
+                i.name, i.table, i.column,
                 " [what-if]" if i.hypothetical else "",
             ))
         for v in self.views():

@@ -1,15 +1,22 @@
-"""Operator fusion: collapse a plan's tail into one pipelined pass.
+"""Operator fusion: run a scan's plan tail on the scan's segments.
 
 The planner emits plan tails of the shape ``Limit?(HashAggregate(src))``
-or ``Limit?(Project(Sort?(src)))`` where ``src`` is a scan (with pushed
-predicates) or a completed join subtree. Executing that tail
-operator-at-a-time materializes the full
-filtered relation just so the next operator can immediately narrow it to
-a handful of columns (or a handful of groups). :func:`fuse_plan` rewrites
-such a tail into a single :class:`~repro.engine.plans.FusedPipelineOp`
-that the executor evaluates in one pass — predicate mask, gather of only
-the columns the tail actually reads, aggregation/dedup/limit — without
-the intermediate relation ever existing.
+or ``Limit?(Project(Sort?(src)))``. When ``src`` is a ``SeqScan``,
+:func:`fuse_plan` rewrites the tail into one
+:class:`~repro.engine.plans.FusedPipelineOp` over that scan, which the
+executor evaluates *late-materialized* on the table's row groups: the
+scan's pushed predicates prune by zone map and mask in encoded space,
+only the columns the tail reads are decoded, only for surviving rows, a
+dictionary-coded GROUP BY key is grouped on its codes, and a LIMIT stops
+the gather early (:mod:`repro.engine.operators.fused`).
+
+Every other tail — over an ``IndexScan``, a ``ViewScan``, a join, an
+``EmptyResult`` or a ``Sort`` — runs through the ``Project``,
+``HashAggregate`` and ``Limit`` operators: each scan already gathers
+only the plan's read set (:func:`plan_reads`), so a tail over rows that
+are already decoded has nothing left to fuse. A bare ``Project`` over
+an unfiltered scan with no DISTINCT and no LIMIT is refused too (fusion
+would only relabel the plan).
 
 Fusion is an *execution-time* rewrite, applied unconditionally: once
 per cached plan (:func:`prepare_plan`, which compiles the fused tree
@@ -17,72 +24,25 @@ into the program stored in the plan-cache entry; a generic statement
 reuses its template's, :func:`bind_memo`) or once per
 ``Executor.execute`` call on a plan handed in directly. The
 plan cache, EXPLAIN cost annotations, and cost-model estimates all stay
-in terms of the unfused plan; the fused
-node keeps references to the original operator nodes so work accounting
-is charged under the same operator keys, in the same order, with the
-same cardinalities as operator-at-a-time evaluation — which is what
-lets the differential fuzzer race the engine against the never-fusing
-reference executor under ``tests/`` and demand identical
-``work``/``operator_work`` numbers.
-
-The pass deliberately refuses anything order-sensitive or pointless:
-
-* a ``Sort`` anywhere in the tail (fused evaluation has no sort stage);
-* ``EmptyResult`` sources (nothing to fuse);
-* bare ``Project`` tails with no predicates, no DISTINCT, and no LIMIT
-  (fusion would only relabel the plan).
+in terms of the unfused plan; the fused node keeps references to the
+original operator nodes (its child *is* the plan's scan) so work is
+charged under the same operator keys, in the same order, with the same
+cardinalities as operator-at-a-time evaluation — which is what lets the
+differential fuzzer race the engine against the never-fusing reference
+executor under ``tests/`` and demand identical ``work``/``operator_work``
+numbers.
 """
 
 from repro.engine import plans as P
 from repro.engine.program import compile_plan
 
-#: Node types a fused tail may consume directly.
-_SOURCE_TYPES = (
-    P.SeqScan,
-    P.IndexScan,
-    P.ViewScan,
-    P.HashJoin,
-    P.NestedLoopJoin,
-    P.CrossJoin,
-)
-
-
-def _lift_scan_predicates(node):
-    """``(bare_source, lifted_predicates)`` for a fused tail's source.
-
-    Pushed scan predicates move into the fused op so the scan emits raw
-    rows and the fused pass applies one mask over exactly the columns it
-    needs. Index probing stays in the scan (only the residual lifts) —
-    the index lookup is the point of an IndexScan. Estimates carry over
-    so plan featurization of the source stays stable.
-    """
-    if isinstance(node, P.SeqScan) and node.predicates:
-        bare = P.SeqScan(node.table, ())
-        lifted = list(node.predicates)
-    elif isinstance(node, P.IndexScan) and node.residual:
-        bare = P.IndexScan(node.table, node.index_name, node.predicate, ())
-        lifted = list(node.residual)
-    elif isinstance(node, P.ViewScan) and node.residual:
-        bare = P.ViewScan(node.view, ())
-        lifted = list(node.residual)
-    else:
-        return node, []
-    bare.est_rows = node.est_rows
-    bare.est_cost = node.est_cost
-    # Back-reference for actual-row attribution: counts recorded against
-    # the bare copy land on the original plan's scan node, so per-node
-    # telemetry is identical with fusion on or off.
-    bare.origin = getattr(node, "origin", node)
-    return bare, lifted
-
-
 def plan_reads(plan):
     """The ``(table, column)`` labels a (fused) plan reads above
-    its scans: the tail's group-by, aggregate and project columns, the
-    lifted predicates, every join edge, IndexScan/ViewScan residual and
-    Sort key (a scan evaluates its own predicates on its segments). Or
-    ``None`` — every column — when no Project/HashAggregate tail narrows
-    the output (``SELECT *``)."""
+    its scans: the tail's group-by, aggregate and project columns, every
+    join edge, IndexScan/ViewScan residual and Sort key (a scan evaluates
+    its own predicates on its segments). Or ``None`` — every column —
+    when no Project/HashAggregate tail narrows the output
+    (``SELECT *``)."""
     top = plan
     while isinstance(top, (P.Limit, P.Sort)):
         top = top.children[0]
@@ -91,7 +51,6 @@ def plan_reads(plan):
     reads = []
     for node in plan.walk():
         if isinstance(node, P.FusedPipelineOp):
-            reads += [(p.table, p.column) for p in node.predicates]
             node = node.agg_node or node.project_node
         if isinstance(node, P.Project):
             reads += node.columns
@@ -111,39 +70,32 @@ def plan_reads(plan):
 
 
 def fuse_plan(plan):
-    """Rewrite ``plan``'s tail into a ``FusedPipelineOp`` when profitable.
+    """Rewrite ``plan``'s tail over a ``SeqScan`` into a
+    ``FusedPipelineOp`` when that saves a pass.
 
     Returns ``(plan, fused_ops)``: the (possibly rewritten) plan and the
     number of pipeline stages the fused node absorbed (0 when the tail
-    does not match or fusion would not save a materialization). The
-    caller's plan is never mutated.
+    does not end in a ``SeqScan`` or fusion would not save a
+    materialization). The caller's plan is never mutated.
     """
     node = plan
     limit_node = None
     if isinstance(node, P.Limit):
         limit_node, node = node, node.children[0]
-    agg_node = None
-    project_node = None
+    agg_node = project_node = None
     if isinstance(node, P.HashAggregate):
         agg_node, node = node, node.children[0]
     elif isinstance(node, P.Project):
         project_node, node = node, node.children[0]
     else:
         return plan, 0
-    if not isinstance(node, _SOURCE_TYPES):
+    if not isinstance(node, P.SeqScan):
         return plan, 0
-    source, predicates = _lift_scan_predicates(node)
-    worth_it = (
-        agg_node is not None
-        or bool(predicates)
-        or (project_node is not None and project_node.distinct)
-        or limit_node is not None
-    )
-    if not worth_it:
+    if not (agg_node or node.predicates or limit_node
+            or project_node.distinct):
         return plan, 0
     fused = P.FusedPipelineOp(
-        source,
-        predicates=predicates,
+        node,
         project_node=project_node,
         agg_node=agg_node,
         limit_node=limit_node,

@@ -1,13 +1,12 @@
-"""The fused Filter→Project/Aggregate(→Limit) pipeline operator.
+"""The fused Filter→Project/Aggregate(→Limit) tail over a SeqScan.
 
-Evaluates a :class:`~repro.engine.plans.FusedPipelineOp` tail in one pass
-over the source relation: predicate mask, gather of only the columns the
-tail reads, aggregation/dedup/limit — without materializing the filtered
-intermediate. When the source is a bare ``SeqScan`` the operator goes
-further and *late-materializes*: predicates are pushed into
-the table's row groups (zone-map pruning plus encoded-space masks) and
-only the columns the tail reads are decoded, only for surviving
-segments. A TEXT GROUP BY key is never gathered from its dict segments:
+Evaluates a :class:`~repro.engine.plans.FusedPipelineOp` in one
+*late-materialized* pass over its scan's row groups: the scan's pushed
+predicates prune whole segments by zone map and mask the rest in
+encoded space (:func:`~repro.engine.operators.scan.filter_groups`), and
+only the columns the tail reads are decoded, only for surviving rows. A
+LIMIT over a plain projection stops the gather at its last row. A TEXT
+GROUP BY key is never gathered from its dict segments:
 it is coded from their dictionaries, and each group outputs the entry
 that coded it — equal TEXT values (``str``/``None``) are identical, so
 that is the group's first-row value. Its other segments are gathered to
@@ -22,11 +21,10 @@ bit-identical to the reference executor's (which never fuses).
 
 Actual-row attribution follows the same rule: every absorbed node is
 credited the output cardinality it would have produced unfused — the
-source scan whose pushed predicates were lifted into the fused op gets
-the survivor count, Project gets its pre-limit output (full dedup count
-under DISTINCT), HashAggregate gets the pre-limit group count, and
-Limit gets the final row count. The differential fuzzer compares these
-per-node counters against the reference executor's.
+scan gets the survivor count, Project gets its pre-limit output (full
+dedup count under DISTINCT), HashAggregate gets the pre-limit group
+count, and Limit gets the final row count. The differential fuzzer
+compares these per-node counters against the reference executor's.
 """
 
 import numpy as np
@@ -38,32 +36,11 @@ from repro.engine.operators.base import (
     PhysicalOperator,
     register,
 )
-from repro.engine.operators.kernels import (
-    agg_input_columns,
-    column_codes,
-    factorize,
-    predicate_mask,
-)
+from repro.engine.operators.kernels import column_codes, distinct_rows
 from repro.engine.operators.aggregate import aggregate_columnar
 from repro.engine.operators.scan import filter_groups, gather
 from repro.engine.segments import object_codes
 from repro.engine.types import DataType
-
-
-def _lifted(run, tail):
-    """The tail's predicates: the statement's own, read off the plan node
-    it lifted them from."""
-    if tail.lifted is None:
-        return ()
-    slot, attr = tail.lifted
-    return getattr(run.nodes[slot], attr)
-
-
-def _count_filter_stage(run, tail, predicates, n1):
-    """Credit the mask's survivor count to the source scan it was lifted
-    from. With no predicates the source's own count is right."""
-    if predicates:
-        run.count(tail.source, n1)
 
 
 def _fused_limit(run, tail, rel):
@@ -80,79 +57,15 @@ def _fused_limit(run, tail, rel):
     )
 
 
-def _fused_aggregate(run, tail, source, keep, n1):
-    agg = run.nodes[tail.agg]
-    labels, positions = agg_input_columns(agg, source)
-    arrays = [
-        source.arrays[p] if keep is None else source.arrays[p][keep]
-        for p in positions
-    ]
-    sub = ColumnarRelation(labels, arrays, n_rows=n1)
-    return _fused_limit(run, tail,
-                        aggregate_columnar(run, tail.agg, agg, sub))
-
-
-def _fused_project(run, tail, source, keep, n1):
-    proj = run.nodes[tail.project]
-    positions = [source.col_pos(t, c) for t, c in proj.columns]
-    run.charge(tail.project, run.cost_model.params["cpu_tuple_cost"] * n1)
-    if proj.distinct:
-        arrays = [
-            source.arrays[p] if keep is None else source.arrays[p][keep]
-            for p in positions
-        ]
-        n = n1
-        if n:
-            codes = factorize(arrays)
-            __, first = np.unique(codes, return_index=True)
-            firsts = np.sort(first)  # first-occurrence order
-            arrays = [a[firsts] for a in arrays]
-            n = len(firsts)
-        run.count(tail.project, n)
-        return _fused_limit(
-            run, tail, ColumnarRelation(proj.columns, arrays, n_rows=n)
-        )
-    run.count(tail.project, n1)
-    if keep is None:
-        # ``source`` may hold only the rows a limit keeps (``_head``).
-        out = ColumnarRelation(
-            proj.columns,
-            [source.arrays[p] for p in positions],
-            n_rows=len(source),
-        )
-        return _fused_limit(run, tail, out)
-    limit = None if tail.limit is None else run.nodes[tail.limit].n
-    if limit is not None and limit < n1:
-        keep = keep[:limit]  # rows past the limit are never gathered
-    arrays = [source.arrays[p][keep] for p in positions]
-    out = ColumnarRelation(proj.columns, arrays, n_rows=len(keep))
-    if tail.limit is not None:
-        run.count(tail.limit, len(out))
-    return out
-
-
-def fused_tail(run, tail, source):
-    """Columnar fused tail: mask once, gather only what the tail reads."""
-    predicates = _lifted(run, tail)
-    if predicates:
-        keep = predicate_mask(source, predicates).nonzero()[0]
-        n1 = len(keep)
-    else:
-        keep, n1 = None, len(source)
-    _count_filter_stage(run, tail, predicates, n1)
-    if tail.agg is not None:
-        return _fused_aggregate(run, tail, source, keep, n1)
-    return _fused_project(run, tail, source, keep, n1)
-
-
 def lazy_columns(schema, top):
     """What a late-materializing tail over ``schema``'s table gathers for
     its Project or HashAggregate ``top``: for a Project, ``(keys,
     labels)`` of the distinct columns it reads; for an aggregate,
-    ``(labels, keys)`` of its input columns (as :func:`agg_input_columns`
-    orders them), its GROUP BY keys, the columns its aggregates read,
-    its TEXT keys and the INT keys no aggregate reads (coded from
-    dictionaries when every surviving segment has one)."""
+    ``(labels, keys)`` of its input columns (GROUP BY keys, then the
+    columns its aggregates read, each once), its GROUP BY keys, the
+    columns its aggregates read, its TEXT keys and the INT keys no
+    aggregate reads (coded from dictionaries when every surviving
+    segment has one)."""
     if isinstance(top, P.Project):
         read = top.columns
     else:
@@ -273,8 +186,15 @@ def _lazy_project(run, tail, table, survivors, n1):
         # Rows (and whole groups) past the limit are never gathered.
         survivors, n = _head(survivors, limit), limit
     arrays, decoded = gather(table, survivors, keys)
-    source = ColumnarRelation(labels, arrays, n_rows=n)
-    return _fused_project(run, tail, source, None, n1), decoded
+    by_label = dict(zip(labels, arrays))
+    arrays = [by_label[t, c] for t, c in proj.columns]
+    run.charge(tail.project, run.cost_model.params["cpu_tuple_cost"] * n1)
+    if proj.distinct:
+        arrays, n = distinct_rows(arrays, n)
+        n1 = n
+    run.count(tail.project, n1)  # the pre-limit output
+    out = ColumnarRelation(proj.columns, arrays, n_rows=n)
+    return _fused_limit(run, tail, out), decoded
 
 
 def _head(survivors, n):
@@ -291,40 +211,22 @@ def _head(survivors, n):
     return head
 
 
-def _lazy_tail(run, tail):
-    """Late-materializing fused tail over a bare SeqScan's segments.
-
-    Instead of running the scan (which would decode the lifted
-    predicates' columns whole), the fused predicates are pushed all the
-    way into the row groups: zone maps skip whole segments, residual
-    predicates evaluate in encoded space, and only the columns the tail
-    actually reads are decoded — only for surviving rows. Charges and
-    counts replay the general path exactly (scan charge, scan row count,
-    survivor attribution), so rows/order/work stay bit-identical with
-    late materialization on or off.
-    """
-    table = run.catalog.table(tail.table).snapshot()
-    n0 = table.n_rows
-    run.charge(tail.source, run.cost_model.seq_scan(n0))
-    run.count(tail.source, n0)
-    predicates = _lifted(run, tail)
-    n_groups, survivors, n1, n_pruned = filter_groups(table, predicates)
-    _count_filter_stage(run, tail, predicates, n1)
-    if tail.agg is not None:
-        out, decoded = _lazy_aggregate(run, tail, table, survivors, n1)
-    else:
-        out, decoded = _lazy_project(run, tail, table, survivors, n1)
-    run.record_segments(tail.source, n_groups, n_pruned, *decoded)
-    return out
-
-
 @register(P.FusedPipelineOp)
 class FusedPipelineOpEval(PhysicalOperator):
-    """Evaluates a fused tail: late-materialized over a bare SeqScan (the
-    step then has no input), else over its source's output."""
+    """Evaluates a fused tail in place of its scan (the step has no
+    input). Charges and counts replay the unfused plan's exactly: the
+    scan's charge and survivor count, then the tail's."""
 
     def evaluate(self, run, step, inputs):
         tail = step.args
-        if tail.table is not None:
-            return _lazy_tail(run, tail)
-        return fused_tail(run, tail, inputs[0])
+        table = run.catalog.table(tail.table).snapshot()
+        run.charge(tail.source, run.cost_model.seq_scan(table.n_rows))
+        n_groups, survivors, n1, n_pruned = filter_groups(
+            table, run.nodes[tail.source].predicates)
+        run.count(tail.source, n1)
+        if tail.agg is not None:
+            out, decoded = _lazy_aggregate(run, tail, table, survivors, n1)
+        else:
+            out, decoded = _lazy_project(run, tail, table, survivors, n1)
+        run.record_segments(tail.source, n_groups, n_pruned, *decoded)
+        return out

@@ -2,9 +2,10 @@
 
 These are the pure array routines the columnar operators are built from:
 factorization (dense key codes) and the stable sort of those codes, the
-counting equi-join, predicate masks, per-group-code folds for grouped
-aggregation, and order-preserving sort permutations. Several operator families share
-them, which is why they live apart from any single operator module.
+counting equi-join, predicate masks, first-occurrence DISTINCT,
+per-group-code folds for grouped aggregation, and order-preserving sort
+permutations. Several operator families share them, which is why they
+live apart from any single operator module.
 
 Every kernel is deterministic and order-preserving by construction —
 join probes emit left-major row order, groups surface in first-appearance
@@ -169,6 +170,16 @@ PY_FOLDS = {
 }
 
 
+def distinct_rows(arrays, n):
+    """``(arrays, n)`` of ``n`` rows cut to each distinct row's first
+    occurrence, in first-occurrence order (the reference's dict dedup)."""
+    if not n:
+        return arrays, n
+    __, first = np.unique(factorize(arrays), return_index=True)
+    keep = np.sort(first)
+    return [a[keep] for a in arrays], len(keep)
+
+
 def first_rows(codes, counts):
     """Row of each code's first occurrence (0 for a code with no rows),
     given ``counts = np.bincount(codes)``. Scans a prefix that grows
@@ -229,21 +240,3 @@ def stable_sort_indices(key, descending):
     # Descending with ties in original order == stable ascending argsort of
     # the reversed array, reversed and mapped back to original positions.
     return (n - 1) - np.argsort(key[::-1], kind="stable")[::-1]
-
-
-def agg_input_columns(agg_node, source):
-    """``(labels, positions)`` of the columns an aggregate actually reads.
-
-    The fused path gathers only these through the predicate's surviving
-    row ids — the full-width filtered relation is never materialized.
-    """
-    seen = {}
-    for t, c in agg_node.group_by:
-        if (t, c) not in seen:
-            seen[t, c] = source.col_pos(t, c)
-    for a in agg_node.aggregates:
-        if a.column is not None:
-            key = (a.table, a.column)
-            if key not in seen:
-                seen[key] = source.col_pos(*key)
-    return list(seen), list(seen.values())

@@ -1,14 +1,12 @@
 """The Project operator (column projection, optional DISTINCT dedup)."""
 
-import numpy as np
-
 from repro.engine import plans as P
 from repro.engine.operators.base import (
     ColumnarRelation,
     PhysicalOperator,
     register,
 )
-from repro.engine.operators.kernels import factorize
+from repro.engine.operators.kernels import distinct_rows
 
 
 @register(P.Project)
@@ -22,10 +20,6 @@ class ProjectOp(PhysicalOperator):
                    run.cost_model.params["cpu_tuple_cost"] * len(child))
         arrays = [child.arrays[p] for p in positions]
         n = len(child)
-        if node.distinct and n:
-            codes = factorize(arrays)
-            __, first = np.unique(codes, return_index=True)
-            keep = np.sort(first)  # first-occurrence order, like the dict dedup
-            arrays = [a[keep] for a in arrays]
-            n = len(keep)
+        if node.distinct:
+            arrays, n = distinct_rows(arrays, n)
         return ColumnarRelation(node.columns, arrays, n_rows=n)

@@ -11,7 +11,7 @@ only for surviving rows; an IndexScan likewise gathers only those
 columns at its probed row ids. Pruning never changes rows, order, or charged
 work; the flat-layout results are reproduced bit for bit.
 :func:`filter_groups` and :func:`gather` are the one scan loop, shared
-with the fused pipeline's late-materializing tail.
+with the fused pipeline's late-materializing tail over a SeqScan.
 """
 
 from time import perf_counter
@@ -147,8 +147,6 @@ def index_row_ids(catalog, name, index_name, pred, window):
         raise ExecutionError(
             "cannot execute a plan using hypothetical index %r" % (idx.name,)
         )
-    if idx.kind == "hash" and pred.op != "=":
-        raise ExecutionError("hash index supports only equality probes")
     table = catalog.table(name)
     keys, row_ids = table.sorted_column(idx.column)
     if window is None:
@@ -180,11 +178,10 @@ class SeqScanOp(PhysicalOperator):
 
 @register(P.IndexScan)
 class IndexScanOp(PhysicalOperator):
-    """Index probe/range scan plus residual predicates (unless a fused
-    tail lifted them)."""
+    """Index probe/range scan plus residual predicates."""
 
     def evaluate(self, run, step, inputs):
-        name, index_name, window, residual = step.args
+        name, index_name, window = step.args
         node = run.nodes[step.slot]
         table, row_ids = index_row_ids(
             run.catalog, name, index_name, node.predicate, window)
@@ -193,15 +190,14 @@ class IndexScanOp(PhysicalOperator):
         rel = ColumnarRelation(labels, [data[k] for k in keys],
                                n_rows=len(row_ids))
         run.charge(step.slot, run.cost_model.index_scan(len(row_ids)))
-        if residual and node.residual:
+        if node.residual:
             rel = rel.take(predicate_mask(rel, node.residual))
         return rel
 
 
 @register(P.ViewScan)
 class ViewScanOp(PhysicalOperator):
-    """Scan of a materialized view with residual predicates (unless a
-    fused tail lifted them)."""
+    """Scan of a materialized view with residual predicates."""
 
     def evaluate(self, run, step, inputs):
         node = run.nodes[step.slot]
@@ -214,7 +210,7 @@ class ViewScanOp(PhysicalOperator):
             arrays.append(view_table.column_array(name))
         run.charge(step.slot, run.cost_model.seq_scan(view_table.n_rows))
         rel = ColumnarRelation(columns, arrays, n_rows=view_table.n_rows)
-        if step.args and node.residual:
+        if node.residual:
             rel = rel.take(predicate_mask(rel, node.residual))
         return rel
 

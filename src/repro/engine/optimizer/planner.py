@@ -170,8 +170,6 @@ class Planner:
             )
             if idx is None:
                 continue
-            if idx.kind == "hash" and pred.op != "=":
-                continue
             matching = memo.estimate_table(
                 _SinglePredicateView(query, table, [pred]), table
             )

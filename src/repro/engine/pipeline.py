@@ -596,7 +596,7 @@ class QueryPipeline:
                 status = "CREATE TABLE"
             elif isinstance(stmt, CreateIndexStmt):
                 self.db.catalog.create_index(
-                    stmt.name, stmt.table, stmt.column, kind=stmt.kind,
+                    stmt.name, stmt.table, stmt.column,
                     hypothetical=stmt.hypothetical,
                 )
                 status = "CREATE INDEX"

@@ -215,30 +215,26 @@ class Limit(PhysicalPlan):
 
 
 class FusedPipelineOp(PhysicalPlan):
-    """A fused Filter→Project/Aggregate(→Limit) plan tail.
+    """A fused Filter→Project/Aggregate(→Limit) tail over a ``SeqScan``.
 
     Produced by :func:`repro.engine.fusion.fuse_plan` at execution time —
     never by the planner, so cached plans and cost estimates stay in
-    terms of the unfused operators. The executor evaluates predicate
-    mask, projection/aggregation, and limit in one pass over the source's
-    column arrays without materializing the intermediate filtered (or
-    projected) relation.
+    terms of the unfused operators. Its one child is the plan's own
+    ``SeqScan``, whose pushed predicates are the Filter stage; the
+    executor evaluates them, the projection/aggregation and the limit in
+    one late-materialized pass over the table's segments, without
+    decoding the filtered (or projected) relation.
 
-    Exactly one of ``project_node``/``agg_node`` is set. ``predicates``
-    is the predicate list lifted off the source scan (every predicate
-    the planner emits is pushed into a scan), so one mask stage always
-    suffices.
+    Exactly one of ``project_node``/``agg_node`` is set.
     """
 
-
-    def __init__(self, source, predicates=(), project_node=None,
-                 agg_node=None, limit_node=None):
-        super().__init__([source])
+    def __init__(self, scan, project_node=None, agg_node=None,
+                 limit_node=None):
+        super().__init__([scan])
         if (project_node is None) == (agg_node is None):
             raise PlanError(
                 "FusedPipelineOp needs exactly one of project_node/agg_node"
             )
-        self.predicates = list(predicates)
         self.project_node = project_node
         self.agg_node = agg_node
         self.limit_node = limit_node
@@ -247,7 +243,7 @@ class FusedPipelineOp(PhysicalPlan):
     def stages(self):
         """Names of the absorbed pipeline stages, in evaluation order."""
         names = []
-        if self.predicates:
+        if self.children[0].predicates:
             names.append("Filter")
         if self.agg_node is not None:
             names.append("Aggregate")

@@ -33,11 +33,10 @@ Step = namedtuple("Step", "evaluate arity slot name opens zero args")
 #: its columns from.
 Program = namedtuple("Program", "steps n_slots fused_ops reads")
 
-#: A fused tail's compiled arguments: the span slots of its source and
-#: absorbed nodes, ``(slot, attribute)`` of the plan node holding its
-#: predicates (``None``: a join source lifts none), and the table a
-#: late-materialized SeqScan source reads (else ``None``).
-Tail = namedtuple("Tail", "source lifted agg project limit table")
+#: A fused tail's compiled arguments: the span slots of its ``SeqScan``
+#: and of the absorbed nodes (``None`` where the tail has none), and the
+#: table the scan reads.
+Tail = namedtuple("Tail", "source agg project limit table")
 
 
 def compile_plan(fused, nodes, reads):
@@ -48,13 +47,9 @@ def compile_plan(fused, nodes, reads):
     steps = []
 
     def slot_of(node):
-        # A bare scan copy stands for its origin; a node the plan does
-        # not hold (a fused op) takes the next free slot.
-        key = id(getattr(node, "origin", node))
-        slot = slots.get(key)
-        if slot is None:
-            slot = slots[key] = len(slots)
-        return slot
+        # A node the plan does not hold (a fused op) takes the next free
+        # slot.
+        return slots.setdefault(id(node), len(slots))
 
     def lower(node, parent, opens):
         slot = slot_of(node)
@@ -65,18 +60,17 @@ def compile_plan(fused, nodes, reads):
         if isinstance(node, (P.SeqScan, P.IndexScan)):
             args = (node.table,)
             if isinstance(node, P.IndexScan):
-                args += (node.index_name, WINDOWS.get(node.predicate.op),
-                         not hasattr(node, "origin"))
-        elif isinstance(node, P.ViewScan):
-            args = not hasattr(node, "origin")
+                args += (node.index_name, WINDOWS.get(node.predicate.op))
         elif isinstance(node, P.FusedPipelineOp):
-            args = _tail(node, slot_of)
-            absorbed = (node.agg_node or node.project_node, node.limit_node)
-            if args.table is not None:  # late-materialized: no child step
-                absorbed = (children[0],) + absorbed
-                children = ()
+            # Late-materialized: the scan runs inside the fused step.
+            scan, = children
+            children = ()
+            args = Tail(*[None if n is None else slot_of(n) for n in (
+                scan, node.agg_node, node.project_node, node.limit_node)],
+                table=scan.table)
             zero = tuple((slot_of(n), n.op_name)
-                         for n in absorbed if n is not None)
+                         for n in (scan, node.agg_node or node.project_node,
+                                   node.limit_node) if n is not None)
         for i, child in enumerate(children):
             lower(child, slot, opens if i == 0 else ())
         steps.append(Step(operator_for(node).evaluate, len(children), slot,
@@ -85,22 +79,3 @@ def compile_plan(fused, nodes, reads):
     lower(fused, -1, ())
     return Program(tuple(steps), len(slots), getattr(fused, "fused_ops", 0),
                    None if reads is None else frozenset(reads))
-
-
-def _tail(node, slot_of):
-    """A fused op's compiled :class:`Tail`."""
-    source = node.children[0]
-    origin = slot_of(source)
-    if isinstance(source, P.SeqScan):
-        lifted = (origin, "predicates")
-    elif isinstance(source, (P.IndexScan, P.ViewScan)):
-        lifted = (origin, "residual")
-    else:
-        lifted = None
-    table = None
-    if isinstance(source, P.SeqScan) and not source.predicates:
-        table = source.table
-    return Tail(origin, lifted, *[
-        None if n is None else slot_of(n)
-        for n in (node.agg_node, node.project_node, node.limit_node)],
-        table=table)

@@ -131,13 +131,12 @@ class CreateTableStmt:
 
 
 class CreateIndexStmt:
-    """``CREATE [HYPOTHETICAL] INDEX name ON table (column) [USING kind]``."""
+    """``CREATE [HYPOTHETICAL] INDEX name ON table (column) [USING btree]``."""
 
-    def __init__(self, name, table, column, kind="btree", hypothetical=False):
+    def __init__(self, name, table, column, hypothetical=False):
         self.name = name
         self.table = table
         self.column = column
-        self.kind = kind
         self.hypothetical = hypothetical
 
     def __repr__(self):

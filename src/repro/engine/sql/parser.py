@@ -301,10 +301,13 @@ class Parser:
         self._expect(TokenType.PUNCT, "(")
         column = self._expect_ident()
         self._expect(TokenType.PUNCT, ")")
-        kind = "btree"
         if self._accept(TokenType.KEYWORD, "USING"):
-            kind = self._expect_ident().lower()
-        return CreateIndexStmt(name, table, column, kind, hypothetical)
+            tok = self._peek()
+            kind = self._expect_ident()
+            if kind.lower() != "btree":
+                raise ParseError("unknown index kind %r (only btree)" % kind,
+                                 tok.position)
+        return CreateIndexStmt(name, table, column, hypothetical)
 
     # -- INSERT ----------------------------------------------------------
     def _insert(self):

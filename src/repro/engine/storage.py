@@ -262,6 +262,12 @@ class Table:
     the canonical representation; every read goes through the table's
     current :class:`TableSnapshot` (tail views + decoded-column cache),
     which the next write drops.
+
+    The table takes ownership of the arrays it is built from
+    (``columns=``) or handed by :meth:`replace_column`: it keeps them
+    uncopied as segments, tail and decoded cache, and marks them
+    read-only, so a later write through the caller's reference raises
+    instead of changing rows under the table's zone maps.
     """
 
     def __init__(self, schema, columns=None, segment_rows=None,
@@ -297,6 +303,7 @@ class Table:
                 if c.name not in columns:
                     raise CatalogError("missing data for column %r" % (c.name,))
                 arr = np.asarray(columns[c.name], dtype=c.dtype.numpy_dtype)
+                arr.flags.writeable = False
                 if n_rows is None:
                     n_rows = len(arr)
                 elif len(arr) != n_rows:
@@ -500,11 +507,13 @@ class Table:
         boundaries; other columns are untouched. Fresh :class:`RowGroup`
         objects are built rather than mutated in place, so row groups a
         :class:`TableSnapshot` pinned before the replace keep serving the
-        old values.
+        old values. The table takes ownership of ``values`` (it is
+        marked read-only).
         """
         col = self.schema.column(name)
         key = col.name
         arr = np.asarray(values, dtype=col.dtype.numpy_dtype)
+        arr.flags.writeable = False
         if len(arr) != self._n_rows:
             raise CatalogError(
                 "column %r has %d rows, expected %d"

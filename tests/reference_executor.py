@@ -74,14 +74,14 @@ def _is_null(value):
 
 def _index_scan(ctx, node):
     """Resolve the probe tuple-at-a-time: an index holds valid keys only
-    (a NULL row is never returned), a hash index answers only ``=``."""
+    (a NULL row is never returned)."""
     idx = next((i for i in ctx.catalog.indexes(node.table)
                 if i.name == node.index_name), None)
     if idx is None or idx.hypothetical:
         raise ExecutionError("index %r cannot be probed" % (node.index_name,))
     pred = node.predicate
-    if pred.op == "!=" or (idx.kind == "hash" and pred.op != "="):
-        raise ExecutionError("%s index cannot evaluate %r" % (idx.kind, pred))
+    if pred.op == "!=":
+        raise ExecutionError("index cannot evaluate %r" % (pred,))
     table, columns = table_relation(ctx, node.table)
     pos = table.schema.column_index(idx.column)
     matched = [row for row in table.rows()

@@ -110,11 +110,6 @@ class TestIndexExecution:
         assert before == after
         assert "IndexScan" in star_db.execute(q).operator_work
 
-    def test_hash_index_equality_only(self, star_db):
-        star_db.execute("CREATE INDEX idx_h ON customer (c_id) USING hash")
-        rows = star_db.query("SELECT c_age FROM customer WHERE c_id = 5")
-        assert len(rows) == 1
-
     def test_hypothetical_index_cannot_execute(self, star_db):
         star_db.catalog.create_index("hyp2", "customer", "c_age",
                                      hypothetical=True)

@@ -12,7 +12,6 @@ import pytest
 
 from reference_executor import ReferenceExecutor, assert_matches_reference
 from repro.ai4db.optimization.estimators import count_join_rows
-from repro.common import ExecutionError
 from repro.engine import Database, EngineConfig, plans as P
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
@@ -87,24 +86,6 @@ class TestScans:
         plan = P.IndexScan("l", "idx_lk", Predicate("l", "k", op, 17),
                            residual=[Predicate("l", "v", ">", 0.0)])
         run_both(diff_catalog, plan)
-
-    def test_hash_indexscan_equality(self, diff_catalog):
-        diff_catalog.create_index("hidx_lk", "l", "k", kind="hash")
-        plan = P.IndexScan("l", "hidx_lk", Predicate("l", "k", "=", 3),
-                           residual=[])
-        run_both(diff_catalog, plan)
-
-    @pytest.mark.parametrize(
-        "make_executor", [ReferenceExecutor, Executor],
-        ids=["row", "vectorized"])
-    def test_hash_index_inequality_raises(self, diff_catalog, make_executor):
-        """Regression: hash probes stay equality-only, in the engine and
-        in its specification."""
-        diff_catalog.create_index("hidx2", "l", "k", kind="hash")
-        plan = P.IndexScan("l", "hidx2", Predicate("l", "k", "<", 3),
-                           residual=[])
-        with pytest.raises(ExecutionError):
-            make_executor(diff_catalog).execute(plan)
 
     def test_emptyresult(self, diff_catalog):
         row_res, vec_res = run_both(
@@ -315,9 +296,8 @@ PLAN_REACHING = {
          Aggregate("max", "l", "k")]),
     P.FusedPipelineOp: lambda view: P.Limit(
         P.HashAggregate(
-            P.HashJoin(seq("l", [Predicate("l", "v", ">", 1.0)]), seq("r"),
-                       _LR_EDGE),
-            [("l", "tag")], [Aggregate("count"), Aggregate("min", "r", "w")]),
+            seq("l", [Predicate("l", "v", ">", 1.0)]),
+            [("l", "tag")], [Aggregate("count"), Aggregate("min", "l", "k")]),
         3),
 }
 

@@ -1,8 +1,9 @@
 """Tests for operator fusion + the consolidated EngineConfig surface.
 
-Covers the fusion pass as a unit (which tails fuse, which are refused,
-how scan predicates lift), the fused execution path end to end (rows and
-work parity with the never-fusing reference executor, telemetry), the
+Covers the fusion pass as a unit (only a tail over a ``SeqScan`` fuses;
+every other source is refused), the fused execution path end to end
+(rows and work parity with the never-fusing reference executor, the
+refused tails run operator-at-a-time, telemetry), the
 structured ``ExplainResult``, and the
 ``EngineConfig`` dataclass — including the contract that
 ``Database(config=...)`` and per-knob keyword arguments wire identical
@@ -25,7 +26,7 @@ from repro import engine
 from repro.engine import plans as P
 from repro.engine.fusion import bind_memo, bind_plan, prepare_plan
 from repro.engine.plans import PlanError
-from repro.engine.query import Aggregate, Predicate
+from repro.engine.query import Aggregate, JoinEdge, Predicate
 
 
 def _populated():
@@ -248,19 +249,37 @@ class TestConfigEquivalence:
 # ----------------------------------------------------------------------
 # fuse_plan as a unit: what fuses, what is refused
 # ----------------------------------------------------------------------
+_RESIDUAL = [Predicate("a", "v", ">", 1.0)]
+_EDGE = [JoinEdge("a", "k", "b", "k")]
+
+#: Every source a tail may sit on but a SeqScan, each with predicates of
+#: its own, so only the source type decides the refusal.
+REFUSED_SOURCES = {
+    "IndexScan": lambda: P.IndexScan(
+        "a", "a_k", Predicate("a", "k", "=", 3), _RESIDUAL),
+    "ViewScan": lambda: P.ViewScan(None, _RESIDUAL),
+    "HashJoin": lambda: P.HashJoin(
+        P.SeqScan("a", _RESIDUAL), P.SeqScan("b"), _EDGE),
+    "NestedLoopJoin": lambda: P.NestedLoopJoin(
+        P.SeqScan("a", _RESIDUAL), P.SeqScan("b"), _EDGE),
+    "CrossJoin": lambda: P.CrossJoin(
+        P.SeqScan("a", _RESIDUAL), P.SeqScan("b")),
+}
+
+
 class TestFusePlan:
     def test_scan_predicates_lift_into_fused_op(self):
+        """The scan's pushed predicates become the fused op's Filter
+        stage, read off the plan's own scan (no copy of it)."""
         pred = Predicate("t", "k", "<", 5)
-        plan = P.HashAggregate(
-            P.SeqScan("t", (pred,)), [("t", "tag")], [Aggregate("count")]
-        )
+        scan = P.SeqScan("t", (pred,))
+        plan = P.HashAggregate(scan, [("t", "tag")], [Aggregate("count")])
         fused, n = fuse_plan(plan)
         assert isinstance(fused, P.FusedPipelineOp)
-        assert n == fused.fused_ops == 2  # Filter + Aggregate stages
-        assert list(fused.predicates) == [pred]
-        source = fused.children[0]
-        assert isinstance(source, P.SeqScan)
-        assert list(source.predicates) == []  # stripped: the fused op masks
+        assert n == fused.fused_ops == 2
+        assert fused.stages == ["Filter", "Aggregate"]
+        assert fused.children == [scan] and fused.agg_node is plan
+        assert list(scan.predicates) == [pred]
 
     def test_sort_in_tail_refused(self):
         plan = P.Project(
@@ -279,15 +298,19 @@ class TestFusePlan:
         out, n = fuse_plan(plan)
         assert out is plan and n == 0
 
-    def test_join_source_fuses(self):
-        from repro.engine.query import JoinEdge
-
-        join = P.HashJoin(P.SeqScan("a"), P.SeqScan("b"),
-                          [JoinEdge("a", "k", "b", "k")])
-        plan = P.HashAggregate(join, [], [Aggregate("count")])
-        fused, n = fuse_plan(plan)
-        assert isinstance(fused, P.FusedPipelineOp)
-        assert fused.children[0] is join
+    @pytest.mark.parametrize("source", sorted(REFUSED_SOURCES))
+    @pytest.mark.parametrize("tail", ["aggregate", "distinct_limit"])
+    def test_source_other_than_seq_scan_refused(self, source, tail):
+        """Only a SeqScan's tail fuses: over an index probe, a view or a
+        join the rows are already decoded, so the tail runs through its
+        own operators."""
+        src = REFUSED_SOURCES[source]()
+        if tail == "aggregate":
+            plan = P.HashAggregate(src, [("a", "k")], [Aggregate("count")])
+        else:
+            plan = P.Limit(P.Project(src, [("a", "k")], distinct=True), 3)
+        out, n = fuse_plan(plan)
+        assert out is plan and n == 0
 
     def test_fused_node_ctor_validation(self):
         scan = P.SeqScan("t")
@@ -306,8 +329,8 @@ class TestFusePlan:
 # bound plan
 # ----------------------------------------------------------------------
 #: Statement shapes with two literal vectors each: a fused aggregate, an
-#: IndexScan probe plus residual, a fused join source, a LIMIT tail and
-#: a tail fusion refuses (ORDER BY).
+#: IndexScan probe plus residual, a join aggregate, a fused LIMIT tail
+#: and a tail fusion refuses (ORDER BY).
 BIND_SHAPES = {
     "aggregate": ("SELECT tag, COUNT(*), SUM(v) FROM t WHERE k < %s "
                   "AND v >= %s GROUP BY tag", ("5", "2.5"), ("3", "-1.0")),
@@ -397,6 +420,27 @@ class TestFusedExecution:
             assert fused.telemetry.fused_ops > 0, sql
             unfused = reference.execute(db.pipeline.prepare_sql(sql).plan)
             assert_matches_reference(fused, unfused, sql)
+
+    @pytest.mark.parametrize("sql, source", [
+        ("SELECT DISTINCT k FROM t WHERE id < 40 AND v > 2.0 LIMIT 3",
+         P.IndexScan),
+        ("SELECT t.tag, COUNT(*), SUM(u.w) FROM t, u WHERE t.id = u.id "
+         "AND t.k < 5 GROUP BY t.tag", P.HashJoin),
+    ], ids=["index_residual_distinct_limit", "join_aggregate"])
+    def test_refused_tails_run_operator_at_a_time(self, sql, source):
+        """A tail over an index probe or a join runs through Project,
+        HashAggregate and Limit, and still matches the reference in rows,
+        work and per-node actual rows."""
+        db = _bindable()
+        res = db.execute(sql)
+        plan = db.pipeline.prepare_sql(sql).plan
+        assert any(isinstance(n, source) for n in plan.walk()), plan.pretty()
+        assert res.telemetry.fused_ops == 0
+        assert db.explain(sql).fused_ops == 0
+        assert "FusedPipelineOp" not in res.telemetry.operators
+        assert res.rows
+        reference = ReferenceExecutor(db.catalog, db.cost_model)
+        assert_matches_reference(res, reference.execute(plan), sql)
 
     def test_telemetry_summary_has_fused_ops(self):
         db = _populated()

@@ -171,11 +171,11 @@ def test_index_probe_matches_brute_force_filter(case):
 
 
 class TestIndexProbe:
-    def _catalog(self, kind="btree"):
+    def _catalog(self):
         catalog = Catalog()
         catalog.create_table("t", [("k", "FLOAT")]).insert_rows(
             [(3.0,), (None,), (1.0,), (3.0,), (math.nan,)])
-        catalog.create_index("ix", "t", "k", kind=kind)
+        catalog.create_index("ix", "t", "k")
         return catalog
 
     def test_sort_holds_valid_keys_only_and_is_stable(self):
@@ -192,12 +192,6 @@ class TestIndexProbe:
         table.insert_rows([(0.5,)])
         assert table.sorted_column("k")[0].tolist() == [0.5, 1.0, 3.0, 3.0]
         assert pinned.sorted_column("k") is first
-
-    def test_hash_answers_only_equality(self):
-        catalog = self._catalog(kind="hash")
-        assert _probe(catalog, "=", 3.0).tolist() == [0, 3]
-        with pytest.raises(ExecutionError, match="only equality"):
-            _probe(catalog, "<", 3.0)
 
     def test_unknown_index_and_operator_rejected(self):
         catalog = self._catalog()

@@ -359,8 +359,7 @@ def _random_op(rng, catalog, serial):
     elif op == "analyze":
         catalog.analyze(name)
     elif op == "index":
-        catalog.create_index("ix%d" % serial, name, rng.choice(["id", "k"]),
-                             kind=rng.choice(["btree", "hash"]))
+        catalog.create_index("ix%d" % serial, name, rng.choice(["id", "k"]))
     elif op == "view":
         other = rng.choice(names)
         catalog.register_view(ViewDef(

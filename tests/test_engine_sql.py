@@ -217,10 +217,12 @@ class TestParserDDL:
         assert stmt.columns == [("a", "INT"), ("b", "TEXT"), ("c", "FLOAT")]
 
     def test_create_index(self):
-        stmt = parse_sql("CREATE INDEX i ON t (a) USING hash")
+        stmt = parse_sql("CREATE INDEX i ON t (a) USING btree")
         assert isinstance(stmt, CreateIndexStmt)
-        assert stmt.kind == "hash"
+        assert (stmt.name, stmt.table, stmt.column) == ("i", "t", "a")
         assert not stmt.hypothetical
+        with pytest.raises(ParseError, match="hash"):
+            parse_sql("CREATE INDEX i ON t (a) USING hash")
 
     def test_create_hypothetical_index(self):
         stmt = parse_sql("CREATE HYPOTHETICAL INDEX i ON t (a)")

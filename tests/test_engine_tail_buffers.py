@@ -373,3 +373,29 @@ def test_float_and_text_columns_still_take_null():
     (a1, b1, c1), second = table.rows()
     assert (a1, c1) == (1, None) and math.isnan(b1)
     assert second == (2, 2.5, "x")
+
+
+def test_the_table_owns_the_arrays_it_is_built_from():
+    """``Table(columns=...)`` and ``replace_column`` keep the caller's
+    arrays uncopied, read-only: zeroing them raises, and the table still
+    reads what it was built from."""
+    schema = TableSchema("t", [ColumnSchema("id", DataType.INT),
+                               ColumnSchema("v", DataType.INT)])
+    ids = np.arange(10, dtype=np.int64)
+    v = np.arange(0, 100, 10, dtype=np.int64)
+    db = Database()
+    db.catalog.register_table(
+        Table(schema, columns={"id": ids, "v": v}, segment_rows=4))
+    sql = "SELECT COUNT(*) FROM t WHERE v >= 50"
+    assert db.query(sql) == [(5,)]
+    with pytest.raises(ValueError):
+        v[:] = 0
+    assert db.query(sql) == [(5,)]
+    assert db.query("SELECT SUM(v) FROM t") == [(450,)]
+
+    table = db.catalog.table("t")
+    w = np.full(10, 60, dtype=np.int64)
+    table.replace_column("v", w)
+    with pytest.raises(ValueError):
+        w[:] = 0
+    assert db.query(sql) == [(10,)]

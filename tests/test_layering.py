@@ -435,8 +435,7 @@ def test_an_index_is_metadata_and_the_write_hook_reads_no_rows():
     assert not hits, hits
     assert not os.path.exists(os.path.join(ENGINE_ROOT, "indexes.py"))
     idx = IndexDef("i", "t", "c")
-    assert sorted(vars(idx)) == ["column", "hypothetical", "kind", "name",
-                                 "table"]
+    assert sorted(vars(idx)) == ["column", "hypothetical", "name", "table"]
 
     hook = ast.parse(textwrap.dedent(
         inspect.getsource(Catalog._on_table_write)))
